@@ -40,6 +40,7 @@ from .errors import (
     RankDeficiencyError,
 )
 from .moment_1d import DiscreteMeasure, nevanlinna_limit_check
+from .sphere import as_direction
 from .verify import format_table, run_all
 
 __all__ = ["RunConfig", "run", "main"]
@@ -84,9 +85,12 @@ class RunConfig:
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} must hold a JSON object, not {type(data).__name__}")
+    return data
 
 
 def _emit(text: str, output_path: str | None):
@@ -161,14 +165,12 @@ def _run_transform_eval(cfg: RunConfig) -> int:
     if len(kept) != len(mu.components):
         mu = kdq.PseudoPositiveMeasure(mu.n, kept, k_max=cfg.k_max)
     try:
-        theta = np.asarray(data["theta"], float)
+        theta = as_direction(mu.n, data["theta"])
         zetas = [complex(re, im) for re, im in data["zetas"]]
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad transform-eval config: {exc}") from exc
-    rows = []
-    for z in zetas:
-        val = kdq.markov_stieltjes(mu, kdq.KDQPoint(z, theta))
-        rows.append([z.real, z.imag, val.real, val.imag])
+    vals = kdq.markov_stieltjes(mu, [kdq.KDQPoint(z, theta) for z in zetas])
+    rows = [[z.real, z.imag, val.real, val.imag] for z, val in zip(zetas, vals)]
     _emit(_csv(["zeta_re", "zeta_im", "value_re", "value_im"], rows), cfg.output_path)
     return 0
 
@@ -183,6 +185,8 @@ def _run_nevanlinna(cfg: RunConfig) -> int:
             ys = [float(y) for y in data["y"]]
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"bad nevanlinna config: {exc}") from exc
+        if n_trunc < 0 or not ys:
+            raise ConfigError("bad nevanlinna config: need N >= 0 and a nonempty y")
         res = nevanlinna_limit_check(mu, n_trunc, ys)
         _emit(_csv(["y", "residual"], zip(ys, res)), cfg.output_path)
     elif kind == "multi":
@@ -193,6 +197,8 @@ def _run_nevanlinna(cfg: RunConfig) -> int:
             mods = [float(m) for m in data["zeta_abs"]]
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"bad nevanlinna config: {exc}") from exc
+        if n_trunc < 0 or not mods:
+            raise ConfigError("bad nevanlinna config: need N >= 0 and a nonempty zeta_abs")
         zetas = [m * np.exp(1j * np.pi / 4) for m in mods]
         res = kdq.multi_nevanlinna_check(mu, idx, n_trunc, zetas, cfg.quad_degree)
         _emit(_csv(["zeta_abs", "residual"], zip(mods, res)), cfg.output_path)

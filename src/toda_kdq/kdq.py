@@ -12,9 +12,15 @@ expands for |zeta| > |x| into the harmonic series
 
     zeta/(zeta^2 - |x|^2) * sum_k zeta^{-k} sum_l Y_{k,l}(theta) Y_{k,l}(x),
 
-where Y_{k,l}(x) = |x|^k Y_{k,l}(x/|x|).  Contour integration of that kernel
-against a polynomial reproduces the polynomial's values inside the unit ball,
-and integrating it against a measure gives the transform
+where Y_{k,l}(x) = |x|^k Y_{k,l}(x/|x|).  By the addition theorem each
+inner sum over l is closed: for a unit vector u, sum_l Y_{k,l}(theta) Y_{k,l}(u)
+is (2k+1) P_k(<theta,u>) on S^2 and 2 T_k(<theta,u>) = 2 cos(k phi) on S^1
+(k >= 1), so the series needs one Legendre or Chebyshev value per degree.
+In closed form the kernel is zeta^{-1} u^{-n/2} with u = 1 - 2<theta,x>/zeta
++ |x|^2/zeta^2, taken as 1/u for n = 2 and 1/(u sqrt(u)) for n = 3; that
+radical is the principal branch of u^{-3/2}.  Contour integration of the
+kernel against a polynomial reproduces the polynomial's values inside the
+unit ball, and integrating it against a measure gives the transform
 
     mu_hat(zeta, theta) = sum_{k,l} zeta^{1-k} Y_{k,l}(theta)
                           * int r^k dmu_{k,l}(r) / (zeta^2 - r^2),
@@ -26,7 +32,9 @@ bitwise reproducible.
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,10 +45,13 @@ from .sphere import (
     check_index,
     dim_harmonics,
     eval_harmonic,
-    harmonic_basis,
     sphere_nodes,
     solid_harmonic,
 )
+
+# imported after .moment_1d on purpose: loading scipy.special before
+# scipy.linalg made `import toda_kdq.cli` about 3% slower
+from scipy.special import eval_chebyt, eval_legendre
 
 __all__ = [
     "KDQPoint",
@@ -187,25 +198,41 @@ def singular_roots(theta, x):
     return complex(t, s), complex(t, -s)
 
 
+@lru_cache(maxsize=None)
+def _degrees(n: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    # degrees 0..k_max and the harmonic dimensions d_k, read-only and shared
+    k = np.arange(k_max + 1)
+    d_k = np.array([float(dim_harmonics(n, kk)) for kk in range(k_max + 1)])
+    k.setflags(write=False)
+    d_k.setflags(write=False)
+    return k, d_k
+
+
 def hua_kernel(p: KDQPoint, x, k_max: int = DEFAULT_KMAX) -> complex:
     """Harmonic expansion of the reproducing kernel, truncated at degree k_max.
 
-    Requires |zeta| > |x| (the convergence region); the geometric tail left
-    off is bounded by `hua_tail_bound`.
+    The degree-k term is (|x|/zeta)^k sum_l Y_{k,l}(theta) Y_{k,l}(x/|x|).
+    By the addition theorem the sum over l is d_k G_k(c), c = <theta, x>/|x|,
+    with G_k = P_k (Legendre) on S^2, where d_k G_k = (2k+1) P_k, and
+    G_k = T_k (Chebyshev) on S^1, where d_k G_k = 2 T_k = 2 cos(k phi) for
+    k >= 1.  All G_k(c) come from one vectorised call of the compiled
+    three-term recurrence.  Requires |zeta| > |x| (the convergence region);
+    the geometric tail left off is bounded by `hua_tail_bound`.
     """
-    xv = np.asarray(x, dtype=float)
+    n = p.n
+    xs = np.asarray(x, dtype=float).tolist()
+    if len(xs) != n:
+        raise ValueError(f"x must have shape ({n},)")
     z = p.zeta
-    r = float(np.linalg.norm(xv))
+    r = math.hypot(*xs)
     if abs(z) <= r:
         raise DivergenceRegionError(f"series requires |zeta| > |x|; got {abs(z)} <= {r}")
-    acc = 0.0 + 0.0j
-    if r == 0.0:
-        acc = 1.0
-    else:
-        unit = xv / r
-        for k in range(k_max + 1):
-            pair = harmonic_basis(p.n, k, p.theta) @ harmonic_basis(p.n, k, unit)
-            acc += z ** (-k) * r**k * pair
+    acc = 1.0
+    if r != 0.0:
+        c = min(max(sum(map(operator.mul, p.theta.tolist(), xs)) / r, -1.0), 1.0)
+        k, d_k = _degrees(n, k_max)
+        zonal = eval_chebyt(k, c) if n == 2 else eval_legendre(k, c)
+        acc = complex((r / z) ** k @ (d_k * zonal))
     return complex(z / (z * z - r * r) * acc)
 
 
@@ -275,12 +302,20 @@ class AlmansiPolynomial:
 
 
 def _kernel_on_grid(n: int, zeta: np.ndarray, dots: np.ndarray, r2: float) -> np.ndarray:
-    # series-consistent branch: zeta^{-1} u^{-n/2} with u -> 1 as |x|/|zeta| -> 0;
-    # u stays off the negative real axis for |x| < |zeta|, so the principal
-    # power is continuous along the whole contour (unlike the raw radicand)
+    """Closed-form kernel zeta^{-1} u^{-n/2} on a (zeta, node) grid.
+
+    u = 1 - 2<theta,x>/zeta + |x|^2/zeta^2 tends to 1 as |x|/|zeta| -> 0,
+    which is the branch of the series.  u^{-n/2} is taken as the radical
+    1/u (n = 2) or 1/(u sqrt(u)) (n = 3); u sqrt(u) = exp(1.5 Log u), so
+    this is the principal power.  u stays off the negative real axis for
+    |x| < |zeta|, so the branch is continuous along the whole contour
+    (unlike the raw radicand).
+    """
     z = zeta[:, None]
     u = 1.0 - 2.0 * dots[None, :] / z + r2 / z**2
-    return u ** (-0.5 * n) / z
+    if n == 2:
+        return 1.0 / (u * z)
+    return 1.0 / (u * np.sqrt(u) * z)
 
 
 def cauchy_reproduce(
@@ -334,35 +369,47 @@ def _check_outside_support(mu: PseudoPositiveMeasure, zeta: complex) -> None:
         )
 
 
-def markov_stieltjes(mu: PseudoPositiveMeasure, p: KDQPoint) -> complex:
+def _component_terms(mu: PseudoPositiveMeasure, thetas: np.ndarray):
+    # (k, tilde measure, Y_{k,l}(thetas)) per component with tilde mass, in
+    # ascending (k, l); each is built once and shared by every zeta of a call
+    for (k, ell), meas in mu.sorted_items():
+        tilde = _tilde_component(meas, k)
+        if tilde is not None:
+            yield k, tilde, eval_harmonic(mu.n, (k, ell), thetas)
+
+
+def markov_stieltjes(mu: PseudoPositiveMeasure, p):
     """Transform value sum_{k,l} zeta^{1-k} Y_{k,l}(theta) T_{k,l}(zeta^2).
 
     T_{k,l} is the one-dimensional Stieltjes transform of the pushforward of
     r^k dmu_{k,l} under rho = r^2, evaluated at zeta^2; needs |zeta| larger
-    than the support radius.
+    than the support radius.  `p` is one KDQPoint (a complex is returned) or
+    a sequence of them (a complex array is returned); the pushforwards and
+    harmonic values are built once per call, and each point's sum runs in
+    the same ascending (k, l) order either way.
     """
-    if p.n != mu.n:
-        raise ValueError("dimension mismatch between measure and point")
-    _check_outside_support(mu, p.zeta)
-    z = p.zeta
-    total = 0.0 + 0.0j
-    for (k, ell), meas in mu.sorted_items():
-        tilde = _tilde_component(meas, k)
-        if tilde is None:
-            continue
-        t_val = stieltjes_transform(tilde, z * z)
-        total += z ** (1 - k) * eval_harmonic(mu.n, (k, ell), p.theta) * t_val
-    return complex(total)
+    points = [p] if isinstance(p, KDQPoint) else list(p)
+    for q in points:
+        if q.n != mu.n:
+            raise ValueError("dimension mismatch between measure and point")
+        _check_outside_support(mu, q.zeta)
+    thetas = np.array([q.theta for q in points]).reshape(len(points), mu.n)
+    totals = [0.0 + 0.0j] * len(points)
+    for k, tilde, ys in _component_terms(mu, thetas):
+        for i, (q, y_val) in enumerate(zip(points, ys.tolist())):
+            z = q.zeta
+            totals[i] += z ** (1 - k) * y_val * stieltjes_transform(tilde, z * z)
+    if isinstance(p, KDQPoint):
+        return complex(totals[0])
+    return np.array(totals, dtype=complex)
 
 
-def _markov_on_nodes(mu: PseudoPositiveMeasure, zeta: complex, pts: np.ndarray) -> np.ndarray:
-    vals = np.zeros(pts.shape[0], dtype=complex)
-    for (k, ell), meas in mu.sorted_items():
-        tilde = _tilde_component(meas, k)
-        if tilde is None:
-            continue
-        t_val = stieltjes_transform(tilde, zeta * zeta)
-        vals += zeta ** (1 - k) * t_val * eval_harmonic(mu.n, (k, ell), pts)
+def _markov_on_nodes(mu: PseudoPositiveMeasure, zetas: list, pts: np.ndarray) -> np.ndarray:
+    # row i: transform values at every node for zetas[i]
+    vals = np.zeros((len(zetas), pts.shape[0]), dtype=complex)
+    for k, tilde, ys in _component_terms(mu, pts):
+        for i, zeta in enumerate(zetas):
+            vals[i] += zeta ** (1 - k) * stieltjes_transform(tilde, zeta * zeta) * ys
     return vals
 
 
@@ -389,9 +436,10 @@ def growth_condition_check(mu: PseudoPositiveMeasure) -> GrowthReport:
     """Fit the smallest geometric envelope of the degree-k component masses.
 
     m_k = max_l int r^k dmu_{k,l}; the fit is D = max_k (m_k/C)^{1/k} with
-    C just above m_0.  Super-geometric growth over the stored range (the
-    per-degree ratios m_k^{1/k} still rising at the largest degrees) is
-    reported as a failed fit rather than an exception.
+    C = m_0 (the largest m_k when m_0 vanishes), so m_k <= C D^k holds up to
+    rounding in the last digits.  Super-geometric growth over the stored
+    range (the per-degree ratios m_k^{1/k} still rising at the largest
+    degrees) is reported as a failed fit rather than an exception.
     """
     m: dict[int, float] = {}
     for (k, _), meas in mu.sorted_items():
@@ -402,7 +450,7 @@ def growth_condition_check(mu: PseudoPositiveMeasure) -> GrowthReport:
     if not positive:
         return GrowthReport(C=0.0, D=1.0, ok=True, moments_by_k=table)
     m0 = m.get(0, 0.0)
-    c = m0 * (1.0 + 1e-12) if m0 > 0.0 else max(v for _, v in positive)
+    c = m0 if m0 > 0.0 else max(v for _, v in positive)
     ratios = [(v / c) ** (1.0 / k) for k, v in positive if k >= 1]
     d = max(ratios) if ratios else 1.0
     growth = [v ** (1.0 / k) for k, v in positive if k >= 1]
@@ -419,11 +467,13 @@ def _projection_degree(mu: PseudoPositiveMeasure, k: int) -> int:
     return stored + k + 2
 
 
-def project_transform(mu: PseudoPositiveMeasure, idx, zeta: complex, quad_degree: int | None = None) -> complex:
+def project_transform(mu: PseudoPositiveMeasure, idx, zeta, quad_degree: int | None = None):
     """zeta^{k-1} * sphere average of mu_hat(zeta, .) Y_{k,l}; equals T_{k,l}(zeta^2).
 
     The quadrature degree must resolve products of Y_{k,l} with every stored
-    harmonic degree; an insufficient explicit degree is rejected.
+    harmonic degree; an insufficient explicit degree is rejected.  `zeta` is
+    one complex (a complex is returned) or a sequence (a complex array is
+    returned); the node harmonics are built once for all of them.
     """
     k, ell = int(idx[0]), int(idx[1])
     check_index(mu.n, k, ell)
@@ -432,11 +482,15 @@ def project_transform(mu: PseudoPositiveMeasure, idx, zeta: complex, quad_degree
         quad_degree = needed
     elif quad_degree < needed:
         raise ValueError(f"quadrature degree {quad_degree} insufficient; need >= {needed}")
-    _check_outside_support(mu, zeta)
+    single = np.ndim(zeta) == 0
+    zetas = [complex(zeta)] if single else [complex(z) for z in zeta]
+    for z in zetas:
+        _check_outside_support(mu, z)
     pts, wts = sphere_nodes(mu.n, quad_degree)
-    vals = _markov_on_nodes(mu, complex(zeta), pts)
-    proj = np.sum(wts * vals * eval_harmonic(mu.n, (k, ell), pts))
-    return complex(zeta ** (k - 1) * proj)
+    y_idx = eval_harmonic(mu.n, (k, ell), pts)
+    vals = _markov_on_nodes(mu, zetas, pts)
+    out = [complex(z ** (k - 1) * np.sum(wts * row * y_idx)) for z, row in zip(zetas, vals)]
+    return out[0] if single else np.array(out, dtype=complex)
 
 
 def multi_nevanlinna_check(
@@ -462,10 +516,10 @@ def multi_nevanlinna_check(
         raise ValueError("n_trunc must be nonnegative")
     k, ell = int(idx[0]), int(idx[1])
     s = [component_moment(mu, (k, ell), j) for j in range(2 * n_trunc + 1)]
-    out = np.empty(len(zeta_list))
-    for i, zeta in enumerate(zeta_list):
-        z = complex(zeta)
-        t_val = project_transform(mu, (k, ell), z, quad_degree)
+    zetas = [complex(z) for z in zeta_list]
+    t_vals = project_transform(mu, (k, ell), zetas, quad_degree)
+    out = np.empty(len(zetas))
+    for i, (z, t_val) in enumerate(zip(zetas, t_vals.tolist())):
         bracket = t_val - sum(s[j] * z ** (-2 * j - 2) for j in range(2 * n_trunc))
         out[i] = abs(z ** (4 * n_trunc + 2) * bracket - s[2 * n_trunc])
     return out

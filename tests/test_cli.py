@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from toda_kdq import kdq
 from toda_kdq.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_json(path, obj):
@@ -138,6 +145,78 @@ class TestTransformEval:
         assert main(["transform-eval", "--input", cfg, "--output", str(tmp_path / "o.csv")]) == 3
 
 
+    def test_matches_per_point_values(self, tmp_path):
+        # one row per zeta, each the single-point transform; zeta = -1.5 - 0.2i
+        # flips to the antipodal representative (1.5 + 0.2i, -theta)
+        measure = {
+            "n": 3,
+            "k_max": 2,
+            "components": [
+                {"k": 0, "ell": 1, "atoms": [0.2, 0.7], "weights": [0.5, 1.0]},
+                {"k": 1, "ell": 3, "atoms": [0.4], "weights": [2.0]},
+                {"k": 2, "ell": 2, "atoms": [0.1, 0.9], "weights": [1.0, 0.25]},
+            ],
+        }
+        theta = [0.6, 0.0, 0.8]
+        zetas = [[2.0, 0.5], [-1.5, -0.2], [0.0, 3.0], [1.2, -1.1]]
+        cfg = write_json(tmp_path / "t.json", {"measure": measure, "theta": theta, "zetas": zetas})
+        out = tmp_path / "vals.csv"
+        assert main(["transform-eval", "--input", cfg, "--output", str(out)]) == 0
+        mu = kdq.PseudoPositiveMeasure.from_dict(measure)
+        lines = ["zeta_re,zeta_im,value_re,value_im"]
+        for re, im in zetas:
+            val = kdq.markov_stieltjes(mu, kdq.KDQPoint(complex(re, im), theta))
+            lines.append(",".join(repr(float(v)) for v in (re, im, val.real, val.imag)))
+        assert out.read_text() == "\n".join(lines) + "\n"
+
+
+def _config_error(capsys, argv) -> bool:
+    code = main(argv)
+    err = capsys.readouterr().err
+    return code == 2 and err.startswith("config error: ") and "Traceback" not in err
+
+
+class TestConfigErrors:
+    MEASURE = {
+        "n": 3,
+        "k_max": 0,
+        "components": [{"k": 0, "ell": 1, "atoms": [0.5], "weights": [1.0]}],
+    }
+
+    @pytest.mark.parametrize("theta", [[0.0, 1.0, 1.0], [1.0, 0.0], ["up", 0.0, 0.0]])
+    def test_bad_theta(self, tmp_path, capsys, theta):
+        # not unit length, wrong dimension for n = 3, not a number
+        cfg = write_json(tmp_path / "t.json", {"measure": self.MEASURE, "theta": theta, "zetas": [[2.0, 0.0]]})
+        assert _config_error(capsys, ["transform-eval", "--input", cfg])
+
+    @pytest.mark.parametrize(
+        "command",
+        ["simulate-1d", "spectral-solve", "simulate-pseudo", "transform-eval", "nevanlinna-check", "iso-flow"],
+    )
+    @pytest.mark.parametrize("payload", [[1, 2], None])
+    def test_config_not_an_object(self, tmp_path, capsys, command, payload):
+        cfg = write_json(tmp_path / "c.json", payload)
+        assert _config_error(capsys, [command, "--input", cfg])
+
+    @pytest.mark.parametrize("tol", [[], ["--tol", "1e-4"]])
+    @pytest.mark.parametrize("n_trunc, grid", [(1, []), (-1, [10.0, 100.0])])
+    def test_1d_no_data_or_negative_order(self, tmp_path, capsys, tol, n_trunc, grid):
+        cfg = write_json(
+            tmp_path / "n.json",
+            {"kind": "1d", "measure": {"atoms": [-1.0, 1.0], "weights": [0.5, 0.5]}, "N": n_trunc, "y": grid},
+        )
+        assert _config_error(capsys, ["nevanlinna-check", "--input", cfg, *tol])
+
+    @pytest.mark.parametrize("tol", [[], ["--tol", "1e-4"]])
+    @pytest.mark.parametrize("n_trunc, grid", [(1, []), (-1, [4.0, 8.0])])
+    def test_multi_no_data_or_negative_order(self, tmp_path, capsys, tol, n_trunc, grid):
+        cfg = write_json(
+            tmp_path / "m.json",
+            {"kind": "multi", "measure": self.MEASURE, "k": 0, "ell": 1, "N": n_trunc, "zeta_abs": grid},
+        )
+        assert _config_error(capsys, ["nevanlinna-check", "--input", cfg, *tol])
+
+
 class TestNevanlinnaCommand:
     def test_one_dimensional(self, tmp_path):
         cfg = write_json(
@@ -201,3 +280,14 @@ class TestVerifyAll:
         out = capsys.readouterr().out
         assert "checks passed" in out
         assert "FAIL" not in out
+
+    def test_module_entry_point_runs_without_warnings(self):
+        # the package does not import cli, so runpy executes it fresh
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "toda_kdq.cli", "verify-all"],
+            capture_output=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()[-500:]
+        assert proc.stderr == b""

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import sph_harm_y
 
 from toda_kdq import sphere
 from toda_kdq.errors import DivergenceRegionError, PoleError
@@ -7,6 +10,7 @@ from toda_kdq.kdq import (
     AlmansiPolynomial,
     KDQPoint,
     PseudoPositiveMeasure,
+    _kernel_on_grid,
     aronszajn_r_pow_n,
     cauchy_reproduce,
     component_moment,
@@ -43,6 +47,93 @@ def random_point_pair(rng, n, ratio_lo=2.0, ratio_hi=5.0):
         1j * rng.uniform(-np.pi / 4, np.pi / 4)
     )
     return KDQPoint(zeta, theta), x
+
+
+def direction(n, azimuth, polar):
+    if n == 2:
+        return np.array([np.cos(azimuth), np.sin(azimuth)])
+    return np.array([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)])
+
+
+def basis_pair(n, k, a, b):
+    """sum_l Y_{k,l}(a) Y_{k,l}(b) over an explicit orthonormal basis of degree k.
+
+    The basis is built here, not by `toda_kdq.sphere`: cos/sin on S^1, and on
+    S^2 the complex harmonics of `scipy.special.sph_harm_y` scaled to the
+    probability measure, with the polar angle taken by arctan2 so that points
+    near a pole keep their digits.
+    """
+    if n == 2:
+        if k == 0:
+            return 1.0
+        alpha, beta = np.arctan2(a[1], a[0]), np.arctan2(b[1], b[0])
+        return 2.0 * (np.cos(k * alpha) * np.cos(k * beta) + np.sin(k * alpha) * np.sin(k * beta))
+    m = np.arange(-k, k + 1)
+    ya = sph_harm_y(k, m, np.arctan2(np.hypot(a[0], a[1]), a[2]), np.arctan2(a[1], a[0]))
+    yb = sph_harm_y(k, m, np.arctan2(np.hypot(b[0], b[1]), b[2]), np.arctan2(b[1], b[0]))
+    return float(4.0 * np.pi * np.sum(ya * np.conj(yb)).real)
+
+
+def basis_pair_kernel(p, x, k_max):
+    """The kernel series with each degree summed over explicit basis pairs.
+
+    zeta/(zeta^2 - |x|^2) sum_k zeta^{-k} |x|^k sum_l Y_{k,l}(theta) Y_{k,l}(x/|x|),
+    the harmonic expansion as written, without the addition theorem.
+    """
+    xv = np.asarray(x, dtype=float)
+    z = p.zeta
+    r = float(np.linalg.norm(xv))
+    acc = 0.0 + 0.0j
+    if r == 0.0:
+        acc = 1.0
+    else:
+        for k in range(k_max + 1):
+            acc += z ** (-k) * r**k * basis_pair(p.n, k, p.theta, xv / r)
+    return complex(z / (z * z - r * r) * acc)
+
+
+def tilde_measure(meas, k):
+    w = meas.weights * meas.atoms**k
+    keep = w > 0.0
+    if not np.any(keep):
+        return None
+    return DiscreteMeasure(meas.atoms[keep] ** 2, w[keep], half_line=True)
+
+
+def per_point_transform(mu, p):
+    """The transform at one point, every pushforward and harmonic rebuilt there."""
+    z = p.zeta
+    total = 0.0 + 0.0j
+    for (k, ell), meas in mu.sorted_items():
+        tilde = tilde_measure(meas, k)
+        if tilde is None:
+            continue
+        t_val = stieltjes_transform(tilde, z * z)
+        total += z ** (1 - k) * sphere.eval_harmonic(mu.n, (k, ell), p.theta) * t_val
+    return complex(total)
+
+
+def per_point_projection(mu, idx, zeta, quad_degree):
+    """project_transform at one zeta, the node transform rebuilt for it."""
+    pts, wts = sphere.sphere_nodes(mu.n, quad_degree)
+    vals = np.zeros(pts.shape[0], dtype=complex)
+    for (k, ell), meas in mu.sorted_items():
+        tilde = tilde_measure(meas, k)
+        if tilde is None:
+            continue
+        t_val = stieltjes_transform(tilde, zeta * zeta)
+        vals += zeta ** (1 - k) * t_val * sphere.eval_harmonic(mu.n, (k, ell), pts)
+    proj = np.sum(wts * vals * sphere.eval_harmonic(mu.n, idx, pts))
+    return complex(zeta ** (idx[0] - 1) * proj)
+
+
+def random_measure(rng, n, k_max, lo=0.05, hi=0.95):
+    comps = {}
+    for k in range(k_max + 1):
+        for ell in range(1, sphere.dim_harmonics(n, k) + 1):
+            atoms = rng.uniform(lo, hi, size=3)
+            comps[(k, ell)] = DiscreteMeasure(atoms, rng.uniform(0.1, 1.0, size=3), half_line=True)
+    return PseudoPositiveMeasure(n, comps)
 
 
 def single_component(n, k, ell, atoms, weights):
@@ -158,12 +249,47 @@ class TestHuaKernel:
         with pytest.raises(DivergenceRegionError):
             hua_kernel(p, np.array([0.0, 0.0, 0.9]), 10)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3]),
+        k_max=st.integers(0, 60),
+        angles=st.tuples(*[st.floats(0.0, 2.0 * np.pi)] * 4),
+        ratio=st.floats(0.0, 0.9),
+        modulus=st.floats(0.5, 3.0),
+        arg=st.floats(-np.pi, np.pi),
+    )
+    def test_matches_basis_pair_oracle(self, n, k_max, angles, ratio, modulus, arg):
+        theta = direction(n, angles[0], angles[1])
+        x = ratio * modulus * direction(n, angles[2], angles[3])
+        p = KDQPoint(modulus * np.exp(1j * arg), theta)
+        scale = abs(p.zeta / (p.zeta**2 - float(x @ x))) * sum(
+            sphere.dim_harmonics(n, k) * ratio**k for k in range(k_max + 1)
+        )
+        assert abs(hua_kernel(p, x, k_max) - basis_pair_kernel(p, x, k_max)) <= 1e-13 * scale
+
     def test_tail_bound_dominates_truncation_jump(self):
         rng = np.random.default_rng(3)
         p, x = random_point_pair(rng, 3)
         coarse = hua_kernel(p, x, 10)
         fine = hua_kernel(p, x, 60)
         assert abs(coarse - fine) <= hua_tail_bound(3, p.zeta, x, 10)
+
+
+class TestKernelGrid:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_radical_matches_principal_power(self, n):
+        rng = np.random.default_rng(11)
+        pts, _ = sphere.sphere_nodes(n, 30)
+        for _ in range(5):
+            x = rng.normal(size=n)
+            x *= rng.uniform(0.05, 0.95) / np.linalg.norm(x)
+            zeta = rng.uniform(1.0, 2.0) * np.exp(2j * np.pi * (np.arange(64) + rng.uniform()) / 64)
+            dots, r2 = pts @ x, float(x @ x)
+            z = zeta[:, None]
+            u = 1.0 - 2.0 * dots[None, :] / z + r2 / z**2
+            power = u ** (-0.5 * n) / z
+            grid = _kernel_on_grid(n, zeta, dots, r2)
+            assert np.max(np.abs(grid - power) / np.abs(power)) <= 1e-14
 
 
 class TestCauchyReproduce:
@@ -221,6 +347,20 @@ class TestMarkovStieltjes:
         with pytest.raises(DivergenceRegionError):
             markov_stieltjes(mu, KDQPoint(1.0 + 0.0j, E3))
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_many_points_match_per_point_sums(self, n):
+        rng = np.random.default_rng(13 + n)
+        mu = random_measure(rng, n, 5)
+        theta = unit(rng.normal(size=n))
+        # Re zeta < 0 and Re zeta = 0 move some points to the antipodal theta
+        zetas = [2.0 + 0.5j, -1.5 - 0.3j, 3.0j, 1.1 - 1.2j, -2.5 + 0.1j]
+        points = [KDQPoint(z, theta) for z in zetas]
+        many = markov_stieltjes(mu, points)
+        assert many.dtype == complex and many.shape == (len(points),)
+        assert np.array_equal(many, [per_point_transform(mu, p) for p in points])
+        assert np.array_equal(many, [markov_stieltjes(mu, p) for p in points])
+        assert markov_stieltjes(mu, []).shape == (0,)
+
     def test_json_roundtrip(self):
         mu = PseudoPositiveMeasure(
             2,
@@ -246,6 +386,20 @@ class TestGrowthCondition:
         assert rep.ok
         assert rep.C == pytest.approx(1.0, abs=1e-10)
         assert rep.D == pytest.approx(1.0, abs=1e-10)
+
+    def test_c_is_m0_and_envelope_holds(self):
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            comps = {
+                key: meas
+                for key, meas in random_measure(rng, 3, 6, 0.1, 2.0).components.items()
+                if rng.uniform() < 0.7
+            }
+            rep = growth_condition_check(PseudoPositiveMeasure(3, comps))
+            moments = dict(rep.moments_by_k)
+            assert rep.C == moments.get(0, max(moments.values()))
+            for k, m_k in rep.moments_by_k:
+                assert m_k <= rep.C * rep.D**k * (1.0 + 1e-12)
 
     def test_empty_measure(self):
         rep = growth_condition_check(PseudoPositiveMeasure(3, {}))
@@ -284,6 +438,16 @@ class TestProjection:
             tilde = DiscreteMeasure(meas.atoms**2, meas.weights * meas.atoms ** idx[0], half_line=True)
             direct = stieltjes_transform(tilde, zeta**2)
             assert abs(project_transform(mu, idx, zeta) - direct) < 1e-10
+
+    def test_many_zetas_match_per_zeta_projection(self):
+        rng = np.random.default_rng(17)
+        mu = random_measure(rng, 3, 4, 0.5, 0.95)
+        zetas = [m * RAY for m in (2.0, 3.0, 4.0, 6.0, 8.0)]
+        for idx in ((0, 1), (2, 3)):
+            degree = 4 + idx[0] + 2
+            many = project_transform(mu, idx, zetas)
+            assert np.array_equal(many, [per_point_projection(mu, idx, complex(z), degree) for z in zetas])
+            assert np.array_equal(many, [project_transform(mu, idx, complex(z)) for z in zetas])
 
     def test_insufficient_degree_flagged(self):
         mu = single_component(3, 2, 1, [0.5], [1.0])
