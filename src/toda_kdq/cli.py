@@ -21,8 +21,7 @@ verify-all      Run the bundled invariant suite; prints one PASS/FAIL line
 Exit codes: 0 success, 2 configuration error, 3 numeric failure (positivity
 loss, divergence region, pole, or a failed check).  Outputs are byte-identical
 across runs for identical inputs: fixed seeds, fixed summation order, floats
-rendered with shortest round-trip repr.  TODA_KDQ_THREADS caps internal
-parallelism.
+rendered with shortest round-trip repr.
 """
 
 import argparse
@@ -144,6 +143,7 @@ def _run_spectral_solve(cfg: RunConfig) -> int:
 def _run_simulate_pseudo(cfg: RunConfig) -> int:
     try:
         state = pseudo_toda.PseudoTodaState.from_dict(_load_json(cfg.input_path))
+        state.common_size()  # the CSV needs one atom count shared by all components
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad pseudo state: {exc}") from exc
     _emit(pseudo_toda.state_trajectory_csv(state, _sample_times(cfg)), cfg.output_path)
@@ -169,6 +169,8 @@ def _run_transform_eval(cfg: RunConfig) -> int:
         zetas = [complex(re, im) for re, im in data["zetas"]]
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad transform-eval config: {exc}") from exc
+    if not np.all(np.isfinite(zetas)):
+        raise ConfigError(f"bad transform-eval config: zetas must be finite, got {zetas}")
     vals = kdq.markov_stieltjes(mu, [kdq.KDQPoint(z, theta) for z in zetas])
     rows = [[z.real, z.imag, val.real, val.imag] for z, val in zip(zetas, vals)]
     _emit(_csv(["zeta_re", "zeta_im", "value_re", "value_im"], rows), cfg.output_path)
@@ -199,6 +201,8 @@ def _run_nevanlinna(cfg: RunConfig) -> int:
             raise ConfigError(f"bad nevanlinna config: {exc}") from exc
         if n_trunc < 0 or not mods:
             raise ConfigError("bad nevanlinna config: need N >= 0 and a nonempty zeta_abs")
+        if idx not in mu.components:
+            raise ConfigError(f"bad nevanlinna config: the measure has no component (k, ell) = {idx}")
         zetas = [m * np.exp(1j * np.pi / 4) for m in mods]
         res = kdq.multi_nevanlinna_check(mu, idx, n_trunc, zetas, cfg.quad_degree)
         _emit(_csv(["zeta_abs", "residual"], zip(mods, res)), cfg.output_path)

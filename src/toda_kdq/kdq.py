@@ -367,6 +367,9 @@ def _check_outside_support(mu: PseudoPositiveMeasure, zeta: complex) -> None:
         raise DivergenceRegionError(
             f"transform requires |zeta| > support radius {radius}; got |zeta| = {abs(zeta)}"
         )
+    # the transform is evaluated at zeta^2, which must not overflow
+    if not cmath.isfinite(zeta * zeta):
+        raise OverflowError(f"zeta^2 is not finite at zeta = {zeta}")
 
 
 def _component_terms(mu: PseudoPositiveMeasure, thetas: np.ndarray):

@@ -25,7 +25,7 @@ import numpy as np
 from .kdq import PseudoPositiveMeasure
 from .moment_1d import DiscreteMeasure, JacobiMatrix, jacobi_from_measure
 from .sphere import check_index, eval_harmonic
-from .toda_1d import TodaStateFlaschka, toda_rhs
+from .toda_1d import TodaStateFlaschka, _evolved_masses, toda_rhs
 
 __all__ = [
     "TodaComponent",
@@ -103,6 +103,8 @@ class PseudoTodaState:
 
     def common_size(self) -> int:
         sizes = {comp.size for comp in self.components.values()}
+        if not sizes:
+            raise ValueError("state has no components")
         if len(sizes) != 1:
             raise ValueError("components have heterogeneous atom counts")
         return sizes.pop()
@@ -161,12 +163,6 @@ def tilde_inverse(k: int, lambdas_tilde, masses_tilde):
     return lam, mt / lam**k
 
 
-def _reweighted(comp: TodaComponent, t: float) -> np.ndarray:
-    e = -2.0 * comp.lambdas**2 * t
-    w = comp.masses_tilde * np.exp(e - e.max())
-    return w / w.sum()
-
-
 def evolve(state: PseudoTodaState, t: float) -> PseudoTodaState:
     """Advance every component by time t; radii fixed, masses reweighted.
 
@@ -174,7 +170,9 @@ def evolve(state: PseudoTodaState, t: float) -> PseudoTodaState:
     evolutions adds their times (the flow is a semigroup in t).
     """
     comps = {
-        key: TodaComponent(comp.lambdas.copy(), _reweighted(comp, t))
+        key: TodaComponent(
+            comp.lambdas.copy(), _evolved_masses(comp.masses_tilde, comp.lambdas**2, t)
+        )
         for key, comp in state.components.items()
     }
     return PseudoTodaState(n=state.n, components=comps, time=state.time + t)

@@ -9,13 +9,12 @@ used elsewhere in the library hold term by term.
 
 import math
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln, lpmv, roots_legendre
 
 __all__ = [
-    "HarmonicIndex",
     "dim_harmonics",
     "check_index",
     "as_direction",
@@ -27,13 +26,6 @@ __all__ = [
 ]
 
 _DIRECTION_NORM_TOL = 1e-12
-
-
-class HarmonicIndex(NamedTuple):
-    """Degree k >= 0 and intra-degree index ell in 1..d_k."""
-
-    k: int
-    ell: int
 
 
 def dim_harmonics(n: int, k: int) -> int:
@@ -63,6 +55,8 @@ def as_direction(n: int, coords) -> np.ndarray:
     v = np.asarray(coords, dtype=float)
     if v.shape != (n,):
         raise ValueError(f"direction must have shape ({n},), got {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"direction entries must be finite, got {v.tolist()}")
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > _DIRECTION_NORM_TOL:
         raise ValueError(f"direction must be unit length within {_DIRECTION_NORM_TOL}; |v| = {norm}")
@@ -102,7 +96,7 @@ def eval_harmonic(n: int, idx, theta) -> np.ndarray | float:
     Parameters
     ----------
     n : 2 or 3
-    idx : HarmonicIndex or (k, ell) pair
+    idx : (k, ell) pair
     theta : array of shape (n,) or (..., n) of unit vectors
 
     Orthonormality is with respect to the probability measure on S^{n-1}.

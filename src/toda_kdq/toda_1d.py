@@ -21,7 +21,6 @@ from .errors import PositivityLossError
 from .moment_1d import (
     DiscreteMeasure,
     JacobiMatrix,
-    SpectralData,
     jacobi_from_measure,
     spectral_data_from_jacobi,
 )
@@ -200,10 +199,15 @@ def lax_matrices(s: TodaStateFlaschka):
     return lax, bmat
 
 
-def _evolved_masses(sd: SpectralData, t: float) -> np.ndarray:
+def _evolved_masses(masses: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
+    """Masses reweighted by e^{-2 x t} and renormalized to total mass one.
+
+    Shared by the spectral solution here (x = eigenvalues) and the
+    pseudo-Toda components (x = lambda^2).
+    """
     # exponent shifted by its maximum so the reweighting never overflows
-    e = -2.0 * sd.eigenvalues * t
-    w = sd.masses * np.exp(e - e.max())
+    e = -2.0 * x * t
+    w = masses * np.exp(e - e.max())
     return w / w.sum()
 
 
@@ -216,7 +220,7 @@ def spectral_solve(s0: TodaStateFlaschka, t: float) -> TodaStateFlaschka:
     """
     lax, _ = lax_matrices(s0)
     sd = spectral_data_from_jacobi(lax)
-    mu_t = DiscreteMeasure(sd.eigenvalues, _evolved_masses(sd, t))
+    mu_t = DiscreteMeasure(sd.eigenvalues, _evolved_masses(sd.masses, sd.eigenvalues, t))
     jac = jacobi_from_measure(mu_t)
     return TodaStateFlaschka(a=jac.offdiag.copy(), b=jac.diag.copy())
 

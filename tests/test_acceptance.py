@@ -1,292 +1,98 @@
-"""Acceptance battery: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance battery: one test per criterion, each printing its PASS/FAIL lines.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines with the observed values next to their pinned tolerances.
+The invariants are computed by the checks in `toda_kdq.verify`, the same
+ones `verify-all` runs; this module holds only the battery's seeds, sizes
+and runtime budgets.  Run with `pytest tests/test_acceptance.py -v -s` to see
+each observed value next to its pinned tolerance.
 """
 
 import subprocess
 import sys
 import time
 
-import numpy as np
 import pytest
 
-from toda_kdq import iso_flow, kdq, pseudo_toda, sphere, toda_1d
-from toda_kdq.moment_1d import (
-    DiscreteMeasure,
-    JacobiMatrix,
-    continued_fraction_eval,
-    jacobi_from_measure,
-    nevanlinna_limit_check,
-    resolvent_NN,
-    spectral_data_from_jacobi,
-    stieltjes_transform,
-)
-
-RAY = np.exp(1j * np.pi / 4)
-E3 = np.array([0.0, 0.0, 1.0])
+from toda_kdq import verify
 
 
-def report(name: str, passed: bool, observed: float, tol: float) -> None:
-    status = "PASS" if passed else "FAIL"
-    print(f"[{status}] {name}: observed={observed:.3e} tolerance={tol:.1e}")
-
-
-def random_flaschka(rng, n):
-    return toda_1d.TodaStateFlaschka(
-        a=rng.uniform(0.3, 1.0, size=n - 1), b=rng.uniform(-1.0, 1.0, size=n)
-    )
+def assert_passed(results) -> None:
+    for r in results:
+        print(r.line())
+    for r in results:
+        assert r.passed, r.line()
 
 
 @pytest.fixture(scope="module")
 def toda_ensemble():
     """20 random states with N in 2..8, integrated on [0, 5] at dt = 1e-3."""
-    rng = np.random.default_rng(12345)
     t_start = time.perf_counter()
-    entries = []
-    for i in range(20):
-        n = 2 + i % 7
-        state = random_flaschka(rng, n)
-        entries.append((state, toda_1d.integrate_toda(state, 5.0, 1e-3)))
+    entries = verify.toda_ensemble(12345, [2 + i % 7 for i in range(20)], 5.0, 1e-3)
     return entries, time.perf_counter() - t_start
 
 
-def test_criterion_01_isospectrality(toda_ensemble):
-    entries, build_seconds = toda_ensemble
+@pytest.fixture(scope="module")
+def toda_lax(toda_ensemble):
+    entries, _ = toda_ensemble
     t_start = time.perf_counter()
-    drift = 0.0
-    for state, traj in entries:
-        lam0 = spectral_data_from_jacobi(toda_1d.lax_matrices(state)[0]).eigenvalues
-        for i in range(0, len(traj), 10):
-            lax, _ = toda_1d.lax_matrices(traj.state(i))
-            lam = spectral_data_from_jacobi(lax).eigenvalues
-            drift = max(drift, float(np.max(np.abs(lam - lam0))))
-    runtime = build_seconds + (time.perf_counter() - t_start)
-    passed = drift <= 1e-8 and runtime < 10.0
-    report("criterion-01 isospectrality (lax)", passed, drift, 1e-8)
-    print(f"       runtime {runtime:.2f} s (budget 10 s)")
-    assert drift <= 1e-8
+    results = verify.check_toda_lax(entries, stride=10)
+    return {r.name: r for r in results}, time.perf_counter() - t_start
+
+
+def test_sphere_harmonics():
+    assert_passed(
+        verify.check_sphere_orthonormality(k_max=8)
+        + verify.check_sphere_addition(5555, n_dirs=50, k_max=12)
+    )
+
+
+def test_criterion_01_isospectrality(toda_ensemble, toda_lax):
+    results, lax_seconds = toda_lax
+    runtime = toda_ensemble[1] + lax_seconds
+    print(f"runtime {runtime:.2f} s (budget 10 s)")
+    assert_passed([results["toda-isospectral-rk4"]])
     assert runtime < 10.0
 
 
 def test_criterion_02_method_equivalence(toda_ensemble):
     entries, _ = toda_ensemble
-    dev = 0.0
-    for state, traj in entries:
-        for i in range(0, len(traj), 10):
-            sp = toda_1d.spectral_solve(state, traj.times[i])
-            st = traj.state(i)
-            if st.a.size:
-                dev = max(dev, float(np.max(np.abs(sp.a - st.a))))
-            dev = max(dev, float(np.max(np.abs(sp.b - st.b))))
-    closed_dev = 0.0
-    traj = toda_1d.integrate_toda(toda_1d.TodaStateFlaschka(a=[0.5], b=[0.0, 0.0]), 5.0, 1e-3)
-    for i, t in enumerate(traj.times):
-        closed_dev = max(
-            closed_dev,
-            abs(traj.a[i, 0] - 0.5 / np.cosh(t)),
-            abs(traj.b[i, 0] - 0.5 * np.tanh(t)),
-            abs(traj.b[i, 1] + 0.5 * np.tanh(t)),
-        )
-    worst = max(dev, closed_dev)
-    report("criterion-02 spectral-vs-rk4 + closed form", worst <= 1e-6, worst, 1e-6)
-    assert dev <= 1e-6
-    assert closed_dev <= 1e-6
+    assert_passed(verify.check_toda_spectral(entries, stride=10, closed_t_final=5.0, closed_dt=1e-3))
 
 
-def test_criterion_03_energy_trace(toda_ensemble):
-    entries, _ = toda_ensemble
-    trace_dev = 0.0
-    energy_drift = 0.0
-    for state, traj in entries:
-        h_series = 4.0 * (np.sum(traj.a**2, axis=1) + 0.5 * np.sum(traj.b**2, axis=1))
-        energy_drift = max(energy_drift, float(np.max(np.abs(h_series - h_series[0]))))
-        for i in range(0, len(traj), 10):
-            lax, _ = toda_1d.lax_matrices(traj.state(i))
-            lam = spectral_data_from_jacobi(lax).eigenvalues
-            trace_dev = max(trace_dev, abs(float(np.sum(lam**2)) - 0.5 * h_series[i]))
-    passed = trace_dev <= 1e-12 and energy_drift <= 1e-8
-    report("criterion-03 trace identity + energy", passed, max(trace_dev, energy_drift), 1e-8)
-    assert trace_dev <= 1e-12
-    assert energy_drift <= 1e-8
+def test_criterion_03_energy_trace(toda_lax):
+    results, _ = toda_lax
+    assert_passed([results["toda-energy-conservation"], results["toda-trace-identity"]])
 
 
 def test_criterion_04_triple_agreement():
-    rng = np.random.default_rng(777)
-    worst = 0.0
-    for _ in range(50):
-        n = int(rng.integers(2, 9))
-        jac = JacobiMatrix(diag=rng.uniform(-1, 1, n), offdiag=rng.uniform(0.3, 1.0, n - 1))
-        mu = spectral_data_from_jacobi(jac).to_measure()
-        lam = complex(rng.uniform(-3, 3), rng.uniform(0.5, 2.0))
-        vals = [
-            continued_fraction_eval(jac, lam),
-            resolvent_NN(jac, lam),
-            stieltjes_transform(mu, lam),
-        ]
-        scale = max(abs(v) for v in vals)
-        worst = max(worst, float(max(abs(p - q) for p in vals for q in vals) / scale))
-    report("criterion-04 cf/resolvent/eigen triple", worst <= 1e-11, worst, 1e-11)
-    assert worst <= 1e-11
+    assert_passed(verify.check_moment_triple(777, trials=50))
 
 
 def test_criterion_05_inverse_spectral_roundtrip():
-    rng = np.random.default_rng(888)
-    worst = 0.0
-    for n in range(2, 11):
-        atoms = np.sort(rng.uniform(-2.0, 2.0, size=n))
-        while np.min(np.diff(atoms)) < 5e-2:
-            atoms = np.sort(rng.uniform(-2.0, 2.0, size=n))
-        w = rng.uniform(0.2, 1.0, size=n)
-        mu = DiscreteMeasure(atoms, w / w.sum())
-        sd = spectral_data_from_jacobi(jacobi_from_measure(mu))
-        worst = max(
-            worst,
-            float(np.max(np.abs(sd.eigenvalues - mu.atoms))),
-            float(np.max(np.abs(sd.masses - mu.weights))),
-        )
-    report("criterion-05 measure roundtrip", worst <= 1e-10, worst, 1e-10)
-    assert worst <= 1e-10
+    assert_passed(verify.check_moment_roundtrip(888, sizes=range(2, 11)))
 
 
 def test_criterion_06_hamburger_nevanlinna():
-    rng = np.random.default_rng(999)
-    worst_ratio = 0.0
-    monotone = True
-    for _ in range(5):
-        # paired +-atoms: the criterion's 100x-per-decade decay needs the
-        # odd tail moment to vanish; magnitudes >= 2 keep the y = 1000
-        # bracket above the double-precision cancellation floor
-        u = np.sort(rng.uniform(2.0, 3.0, size=2))
-        w = rng.uniform(0.2, 1.0, size=2)
-        mu = DiscreteMeasure([-u[1], -u[0], u[0], u[1]], [w[1], w[0], w[0], w[1]])
-        for n_trunc in (1, 2):
-            res = nevanlinna_limit_check(mu, n_trunc, [10.0, 100.0, 1000.0])
-            monotone = monotone and bool(np.all(np.diff(res) < 0.0))
-            worst_ratio = max(worst_ratio, float(res[-1] / res[0]))
-    passed = monotone and worst_ratio <= 1e-3
-    report("criterion-06 hamburger-nevanlinna decay", passed, worst_ratio, 1e-3)
-    assert monotone
-    assert worst_ratio <= 1e-3
+    assert_passed(verify.check_moment_nevanlinna(999, n_measures=5))
 
 
 def test_criterion_07_hua_kernel():
-    rng = np.random.default_rng(1111)
-    worst = 0.0
-    for n in (2, 3):
-        for _ in range(50):
-            x = rng.normal(size=n)
-            x *= rng.uniform(0.2, 0.5) / np.linalg.norm(x)
-            theta = rng.normal(size=n)
-            theta /= np.linalg.norm(theta)
-            zeta = (
-                np.linalg.norm(x)
-                * rng.uniform(2.0, 5.0)
-                * np.exp(1j * rng.uniform(-np.pi / 4, np.pi / 4))
-            )
-            p = kdq.KDQPoint(zeta, theta)
-            series = kdq.hua_kernel(p, x, 40)
-            closed = p.zeta ** (n - 1) / kdq.aronszajn_r_pow_n(p, x)
-            worst = max(worst, abs(series - closed))
-    # aligned case x = s theta: closed forms zeta/(zeta-s)^2 and zeta^2/(zeta-s)^3
-    th2 = np.array([np.cos(0.3), np.sin(0.3)])
-    p2 = kdq.KDQPoint(2.0 + 0.4j, th2)
-    aligned = abs(kdq.hua_kernel(p2, 0.5 * th2, 40) - p2.zeta / (p2.zeta - 0.5) ** 2)
-    p3 = kdq.KDQPoint(2.0 + 0.4j, E3)
-    aligned = max(aligned, abs(kdq.hua_kernel(p3, 0.5 * E3, 40) - p3.zeta**2 / (p3.zeta - 0.5) ** 3))
-    worst = max(worst, aligned)
-    report("criterion-07 hua kernel series vs closed", worst <= 1e-10, worst, 1e-10)
-    assert worst <= 1e-10
+    assert_passed(verify.check_kdq_kernel(1111, trials=50))
 
 
 def test_criterion_08_cauchy_reproduction():
-    rng = np.random.default_rng(2222)
-    worst = 0.0
-    for n in (2, 3):
-        for k in range(5):
-            for ell in range(1, sphere.dim_harmonics(n, k) + 1):
-                for j in range(4):
-                    poly = kdq.AlmansiPolynomial(n, {(j, k, ell): 1.0})
-                    x = rng.normal(size=n)
-                    x *= rng.uniform(0.2, 0.5) / np.linalg.norm(x)
-                    val = kdq.cauchy_reproduce(poly, x)
-                    worst = max(worst, abs(val - poly.eval(x)))
-    report("criterion-08 cauchy reproduction", worst <= 1e-8, worst, 1e-8)
-    assert worst <= 1e-8
+    assert_passed(verify.check_kdq_cauchy(2222, k_max=4, j_max=3))
 
 
 def test_criterion_09_pseudo_toda():
-    # full component map for n = 3, k <= 2 (sum of d_k = 9 components), N = 4
-    rng = np.random.default_rng(3333)
-    comps = {}
-    for k in range(3):
-        for ell in range(1, sphere.dim_harmonics(3, k) + 1):
-            lam = np.sort(rng.uniform(0.2, 1.2, size=4))
-            while np.min(np.diff(lam)) < 1e-3:
-                lam = np.sort(rng.uniform(0.2, 1.2, size=4))
-            m = rng.uniform(0.2, 1.0, size=4)
-            comps[(k, ell)] = pseudo_toda.TodaComponent(lam, m / m.sum())
-    state = pseudo_toda.PseudoTodaState(3, comps)
-
-    h0 = pseudo_toda.total_hamiltonian(state)
-    h_reference = 2.0 * sum(float(np.sum(c.lambdas**4)) for c in comps.values())
-    norm_dev = 0.0
-    h_dev = 0.0
-    for t in (0.0, 1.0, 10.0, 100.0):
-        ev = pseudo_toda.evolve(state, t)
-        norm_dev = max(norm_dev, pseudo_toda.normalization_invariant(ev))
-        h_dev = max(h_dev, abs(pseudo_toda.total_hamiltonian(ev) - h0))
-    ode_res = max(
-        pseudo_toda.component_ode_residual(state, key, t, 1e-4)
-        for key in comps
-        for t in (0.0, 1.0)
-    )
-    passed = norm_dev <= 1e-12 and h_dev == 0.0 and abs(h0 - h_reference) == 0.0 and ode_res <= 1e-6
-    report("criterion-09 pseudo toda invariants", passed, max(norm_dev, ode_res), 1e-6)
-    assert norm_dev <= 1e-12
-    assert h_dev == 0.0 and h0 == h_reference
-    assert ode_res <= 1e-6
+    assert_passed(verify.check_pseudo_toda(3333, ode_times=(0.0, 1.0)))
 
 
 def test_criterion_10_multi_nevanlinna():
-    fixtures = [
-        ((0, 1), kdq.PseudoPositiveMeasure(3, {(0, 1): DiscreteMeasure([0.5], [1.0], half_line=True)})),
-        ((1, 1), kdq.PseudoPositiveMeasure(3, {(1, 1): DiscreteMeasure([0.5], [1.0], half_line=True)})),
-    ]
-    zetas = [m * RAY for m in (4.0, 8.0, 16.0)]
-    worst_final = 0.0
-    order_ok = True
-    for idx, mu in fixtures:
-        res = kdq.multi_nevanlinna_check(mu, idx, 1, zetas)
-        ratios = res[:-1] / res[1:]
-        order_ok = order_ok and bool(np.all((ratios > 3.5) & (ratios < 4.5)))
-        worst_final = max(worst_final, float(res[-1]))
-    passed = order_ok and worst_final <= 1e-4
-    report("criterion-10 multidim nevanlinna decay", passed, worst_final, 1e-4)
-    assert order_ok
-    assert worst_final <= 1e-4
+    assert_passed(verify.check_kdq_multi_nevanlinna())
 
 
 def test_criterion_11_iso_monotonicity():
-    rng = np.random.default_rng(4444)
-    worst_increase = 0.0
-    worst_residual = 0.0
-    for _ in range(20):
-        comps = {
-            (k, 1): iso_flow.IsoFlowComponent(
-                rng.uniform(0.3, 2.0, size=3), rng.uniform(0.1, 1.0, size=3)
-            )
-            for k in range(3)
-        }
-        rep = iso_flow.monotonicity_check(
-            iso_flow.IsoFlowState(comps), np.linspace(0.0, 10.0, 21), dt=1e-5
-        )
-        worst_increase = max(worst_increase, rep.max_increase)
-        worst_residual = max(worst_residual, rep.max_derivative_residual)
-    passed = worst_increase <= 1e-12 and worst_residual <= 1e-8
-    report("criterion-11 riccati monotonicity", passed, worst_residual, 1e-8)
-    assert worst_increase <= 1e-12
-    assert worst_residual <= 1e-8
+    assert_passed(verify.check_iso_monotonicity(4444, trials=20))
 
 
 def test_criterion_12_cli_determinism():
@@ -295,9 +101,7 @@ def test_criterion_12_cli_determinism():
     run1 = subprocess.run(cmd, capture_output=True)
     run2 = subprocess.run(cmd, capture_output=True)
     runtime = time.perf_counter() - t_start
-    identical = run1.stdout == run2.stdout
-    passed = identical and run1.returncode == 0 and run2.returncode == 0 and runtime < 60.0
-    report("criterion-12 cli verify-all determinism", passed, float(runtime), 60.0)
+    print(f"verify-all twice: runtime {runtime:.2f} s (budget 60 s)")
     assert run1.returncode == 0 and run2.returncode == 0
-    assert identical
+    assert run1.stdout == run2.stdout
     assert runtime < 60.0

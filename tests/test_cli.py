@@ -144,6 +144,13 @@ class TestTransformEval:
         )
         assert main(["transform-eval", "--input", cfg, "--output", str(tmp_path / "o.csv")]) == 3
 
+    @pytest.mark.parametrize("zeta", [[1e308, 0.0], [1e200, 1e200]])
+    def test_overflowing_zeta_is_numeric_failure(self, tmp_path, capsys, zeta):
+        # zeta^2 overflows; the transform is not evaluated at infinity
+        measure = {"n": 3, "k_max": 0, "components": [{"k": 0, "ell": 1, "atoms": [0.5], "weights": [1.0]}]}
+        cfg = write_json(tmp_path / "t.json", {"measure": measure, "theta": [0.0, 0.0, 1.0], "zetas": [zeta]})
+        assert main(["transform-eval", "--input", cfg]) == 3
+        assert capsys.readouterr().err.startswith("numeric failure: zeta^2 is not finite")
 
     def test_matches_per_point_values(self, tmp_path):
         # one row per zeta, each the single-point transform; zeta = -1.5 - 0.2i
@@ -183,10 +190,17 @@ class TestConfigErrors:
         "components": [{"k": 0, "ell": 1, "atoms": [0.5], "weights": [1.0]}],
     }
 
-    @pytest.mark.parametrize("theta", [[0.0, 1.0, 1.0], [1.0, 0.0], ["up", 0.0, 0.0]])
+    @pytest.mark.parametrize(
+        "theta", [[0.0, 1.0, 1.0], [1.0, 0.0], ["up", 0.0, 0.0], [float("nan"), 0.0, 1.0]]
+    )
     def test_bad_theta(self, tmp_path, capsys, theta):
-        # not unit length, wrong dimension for n = 3, not a number
+        # not unit length, wrong dimension for n = 3, not a number, not finite
         cfg = write_json(tmp_path / "t.json", {"measure": self.MEASURE, "theta": theta, "zetas": [[2.0, 0.0]]})
+        assert _config_error(capsys, ["transform-eval", "--input", cfg])
+
+    @pytest.mark.parametrize("zeta", [[float("nan"), 0.0], [2.0, float("inf")]])
+    def test_nonfinite_zeta(self, tmp_path, capsys, zeta):
+        cfg = write_json(tmp_path / "t.json", {"measure": self.MEASURE, "theta": [0.0, 0.0, 1.0], "zetas": [zeta]})
         assert _config_error(capsys, ["transform-eval", "--input", cfg])
 
     @pytest.mark.parametrize(
@@ -208,13 +222,33 @@ class TestConfigErrors:
         assert _config_error(capsys, ["nevanlinna-check", "--input", cfg, *tol])
 
     @pytest.mark.parametrize("tol", [[], ["--tol", "1e-4"]])
-    @pytest.mark.parametrize("n_trunc, grid", [(1, []), (-1, [4.0, 8.0])])
-    def test_multi_no_data_or_negative_order(self, tmp_path, capsys, tol, n_trunc, grid):
+    @pytest.mark.parametrize(
+        "n_trunc, grid, idx",
+        [
+            pytest.param(1, [], (0, 1), id="1-grid0"),
+            pytest.param(-1, [4.0, 8.0], (0, 1), id="-1-grid1"),
+            pytest.param(1, [4.0, 8.0], (1, 2), id="absent-component"),
+        ],
+    )
+    def test_multi_no_data_or_negative_order(self, tmp_path, capsys, tol, n_trunc, grid, idx):
         cfg = write_json(
             tmp_path / "m.json",
-            {"kind": "multi", "measure": self.MEASURE, "k": 0, "ell": 1, "N": n_trunc, "zeta_abs": grid},
+            {"kind": "multi", "measure": self.MEASURE, "k": idx[0], "ell": idx[1], "N": n_trunc, "zeta_abs": grid},
         )
         assert _config_error(capsys, ["nevanlinna-check", "--input", cfg, *tol])
+
+    @pytest.mark.parametrize(
+        "sizes, message", [([], "has no components"), ([2, 3], "heterogeneous atom counts")]
+    )
+    def test_pseudo_components_without_common_size(self, tmp_path, capsys, sizes, message):
+        comps = [
+            {"k": 1, "ell": ell, "lambdas": [0.5 * (j + 1) for j in range(size)], "masses_tilde": [1.0 / size] * size}
+            for ell, size in enumerate(sizes, start=1)
+        ]
+        cfg = write_json(tmp_path / "p.json", {"n": 3, "N": 2, "components": comps})
+        assert main(["simulate-pseudo", "--input", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err and "Traceback" not in err
 
 
 class TestNevanlinnaCommand:
@@ -275,11 +309,34 @@ class TestIsoFlowCommand:
 
 
 class TestVerifyAll:
+    TABLE = [
+        ("sphere-orthonormality", 1e-10),
+        ("sphere-addition-theorem", 1e-10),
+        ("moment-inverse-roundtrip", 1e-10),
+        ("moment-cf-resolvent-eigen", 1e-11),
+        ("moment-nevanlinna-decay", 1e-3),
+        ("toda-isospectral-rk4", 1e-8),
+        ("toda-energy-conservation", 1e-8),
+        ("toda-trace-identity", 1e-12),
+        ("toda-spectral-vs-rk4", 1e-6),
+        ("toda-closed-form-n2", 1e-6),
+        ("kdq-kernel-series-vs-closed", 1e-10),
+        ("kdq-cauchy-reproduction", 1e-8),
+        ("kdq-multi-nevanlinna", 1e-4),
+        ("pseudo-normalization", 1e-12),
+        ("pseudo-hamiltonian-constant", 0.0),
+        ("pseudo-ode-residual", 1e-6),
+        ("pseudo-growth-c-d-one", 1e-12),
+        ("iso-monotonicity", 1e-8),
+    ]
+
     def test_runs_clean(self, capsys):
         assert main(["verify-all"]) == 0
-        out = capsys.readouterr().out
-        assert "checks passed" in out
-        assert "FAIL" not in out
+        *lines, summary = capsys.readouterr().out.splitlines()
+        rows = [line.split() for line in lines]
+        assert [(name, float(tol.removeprefix("tol="))) for _, name, _, tol in rows] == self.TABLE
+        assert all(status == "PASS" for status, *_ in rows)
+        assert summary == "18/18 checks passed"
 
     def test_module_entry_point_runs_without_warnings(self):
         # the package does not import cli, so runpy executes it fresh
