@@ -43,6 +43,11 @@ __all__ = [
 ]
 
 _SEED = 20240811
+# Toda checks: RK4 step of the ensemble, spectrum sampled at every _STRIDE-th
+# step, and the times at which spectral_solve meets the N = 2 closed form
+_ENSEMBLE_DT = 1e-3
+_STRIDE = 10
+_CLOSED_FORM_TIMES = np.linspace(0.0, 5.0, 26)
 
 
 @dataclass(frozen=True)
@@ -157,7 +162,7 @@ def check_moment_nevanlinna(seed: int, n_measures: int) -> list[CheckResult]:
     return [_result("moment-nevanlinna-decay", worst_ratio, 1e-3, monotone)]
 
 
-def toda_ensemble(seed: int, sizes, t_final: float, dt: float) -> list:
+def toda_ensemble(seed: int, sizes, t_final: float) -> list:
     """(state, RK4 trajectory) pairs of random Flaschka states, one per size N."""
     rng = np.random.default_rng(seed)
     entries = []
@@ -165,14 +170,14 @@ def toda_ensemble(seed: int, sizes, t_final: float, dt: float) -> list:
         state = toda_1d.TodaStateFlaschka(
             a=rng.uniform(0.3, 1.0, size=n - 1), b=rng.uniform(-1.0, 1.0, size=n)
         )
-        entries.append((state, toda_1d.integrate_toda(state, t_final, dt)))
+        entries.append((state, toda_1d.integrate_toda(state, t_final, _ENSEMBLE_DT)))
     return entries
 
 
-def check_toda_lax(ensemble, stride: int) -> list[CheckResult]:
+def check_toda_lax(ensemble) -> list[CheckResult]:
     """Isospectrality, energy and tr L^2 = H/2 along RK4 trajectories.
 
-    The spectrum is taken at every `stride`-th sample, one eigen-solve each;
+    The spectrum is taken at every `_STRIDE`-th sample, one eigen-solve each;
     the energy at every step.
     """
     drift = energy = trace = 0.0
@@ -181,7 +186,7 @@ def check_toda_lax(ensemble, stride: int) -> list[CheckResult]:
         # hamiltonian_ab at every RK4 step
         h = 4.0 * (np.sum(traj.a**2, axis=1) + 0.5 * np.sum(traj.b**2, axis=1))
         energy = max(energy, _max_abs(h - h[0]))
-        for i in range(0, len(traj), stride):
+        for i in range(0, len(traj), _STRIDE):
             lam = _eigenvalues(traj.state(i))
             drift = max(drift, _max_abs(lam - lam0))
             trace = max(trace, abs(float(np.sum(lam**2)) - 0.5 * h[i]))
@@ -192,16 +197,16 @@ def check_toda_lax(ensemble, stride: int) -> list[CheckResult]:
     ]
 
 
-def check_toda_spectral(ensemble, stride: int, closed_t_final: float, closed_dt: float) -> list[CheckResult]:
+def check_toda_spectral(ensemble, closed_t_final: float, closed_dt: float) -> list[CheckResult]:
     """Spectral solution against RK4, and both against the N = 2 closed form.
 
     The closed form a = sech(t)/2, b = +-tanh(t)/2 is compared with an RK4
     run on [0, closed_t_final] at every step and with the spectral solution
-    at every `stride`-th step.
+    at `_CLOSED_FORM_TIMES`.
     """
     dev = 0.0
     for state, traj in ensemble:
-        for i in range(0, len(traj), stride):
+        for i in range(0, len(traj), _STRIDE):
             sp = toda_1d.spectral_solve(state, traj.times[i])
             dev = max(dev, _max_abs(sp.a - traj.a[i]), _max_abs(sp.b - traj.b[i]))
 
@@ -214,13 +219,13 @@ def check_toda_spectral(ensemble, stride: int, closed_t_final: float, closed_dt:
         _max_abs(traj.b[:, 0] - b_exact),
         _max_abs(traj.b[:, 1] + b_exact),
     )
-    for i in range(0, len(traj), stride):
-        sp = toda_1d.spectral_solve(s0, traj.times[i])
+    for t in _CLOSED_FORM_TIMES:
+        sp = toda_1d.spectral_solve(s0, t)
         closed_dev = max(
             closed_dev,
-            abs(sp.a[0] - a_exact[i]),
-            abs(sp.b[0] - b_exact[i]),
-            abs(sp.b[1] + b_exact[i]),
+            abs(sp.a[0] - 0.5 / np.cosh(t)),
+            abs(sp.b[0] - 0.5 * np.tanh(t)),
+            abs(sp.b[1] + 0.5 * np.tanh(t)),
         )
     return [
         _result("toda-spectral-vs-rk4", dev, 1e-6),
@@ -341,15 +346,15 @@ def check_iso_monotonicity(seed: int, trials: int) -> list[CheckResult]:
 
 def run_all() -> list[CheckResult]:
     """Run every invariant check at its `verify-all` size, in a fixed order."""
-    ensemble = toda_ensemble(_SEED + 4, (2, 3, 4, 5, 6), 2.0, 1e-3)
+    ensemble = toda_ensemble(_SEED + 4, (2, 3, 4, 5, 6), 2.0)
     return [
         *check_sphere_orthonormality(k_max=5),
         *check_sphere_addition(_SEED, n_dirs=20, k_max=8),
         *check_moment_roundtrip(_SEED + 1, sizes=(6,) * 5),
         *check_moment_triple(_SEED + 2, trials=20),
         *check_moment_nevanlinna(_SEED + 3, n_measures=1),
-        *check_toda_lax(ensemble, stride=10),
-        *check_toda_spectral(ensemble, stride=10, closed_t_final=2.0, closed_dt=1e-2),
+        *check_toda_lax(ensemble),
+        *check_toda_spectral(ensemble, closed_t_final=2.0, closed_dt=1e-2),
         *check_kdq_kernel(_SEED + 5, trials=15),
         *check_kdq_cauchy(_SEED + 6, k_max=3, j_max=2),
         *check_kdq_multi_nevanlinna(),

@@ -26,7 +26,7 @@ def assert_passed(results) -> None:
 def toda_ensemble():
     """20 random states with N in 2..8, integrated on [0, 5] at dt = 1e-3."""
     t_start = time.perf_counter()
-    entries = verify.toda_ensemble(12345, [2 + i % 7 for i in range(20)], 5.0, 1e-3)
+    entries = verify.toda_ensemble(12345, [2 + i % 7 for i in range(20)], 5.0)
     return entries, time.perf_counter() - t_start
 
 
@@ -34,7 +34,7 @@ def toda_ensemble():
 def toda_lax(toda_ensemble):
     entries, _ = toda_ensemble
     t_start = time.perf_counter()
-    results = verify.check_toda_lax(entries, stride=10)
+    results = verify.check_toda_lax(entries)
     return {r.name: r for r in results}, time.perf_counter() - t_start
 
 
@@ -55,7 +55,7 @@ def test_criterion_01_isospectrality(toda_ensemble, toda_lax):
 
 def test_criterion_02_method_equivalence(toda_ensemble):
     entries, _ = toda_ensemble
-    assert_passed(verify.check_toda_spectral(entries, stride=10, closed_t_final=5.0, closed_dt=1e-3))
+    assert_passed(verify.check_toda_spectral(entries, closed_t_final=5.0, closed_dt=1e-3))
 
 
 def test_criterion_03_energy_trace(toda_lax):
