@@ -129,12 +129,9 @@ def _run_simulate_1d(cfg: RunConfig) -> int:
 def _run_spectral_solve(cfg: RunConfig) -> int:
     state = _flaschka_from_config(_load_json(cfg.input_path))
     times = _sample_times(cfg)
-    n = state.n
-    a_rows = np.empty((times.size, n - 1))
-    b_rows = np.empty((times.size, n))
-    for i, t in enumerate(times):
-        s = toda_1d.spectral_solve(state, float(t))
-        a_rows[i], b_rows[i] = s.a, s.b
+    states = toda_1d.spectral_solve(state, times)
+    a_rows = np.array([s.a for s in states])
+    b_rows = np.array([s.b for s in states])
     traj = toda_1d.Trajectory(times=times, a=a_rows, b=b_rows)
     _emit(toda_1d.trajectory_to_csv(traj), cfg.output_path)
     return 0

@@ -15,7 +15,7 @@ resolvent entry <(lambda I - L)^{-1} e_N, e_N> equals the Stieltjes transform.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal, get_lapack_funcs, solve_banded
 
 from .errors import PoleError, RankDeficiencyError
 
@@ -28,6 +28,7 @@ __all__ = [
     "recurrence_coefficients",
     "jacobi_from_measure",
     "spectral_data_from_jacobi",
+    "jacobi_eigenvalues",
     "continued_fraction_eval",
     "resolvent_NN",
     "second_kind_poly",
@@ -258,6 +259,31 @@ def spectral_data_from_jacobi(jac: JacobiMatrix) -> SpectralData:
         return SpectralData(np.array([jac.diag[0]]), np.array([1.0]))
     lam, vec = eigh_tridiagonal(jac.diag, jac.offdiag)
     return SpectralData(lam, vec[-1, :] ** 2)
+
+
+def jacobi_eigenvalues(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of stacked Jacobi matrices, one per row.
+
+    `diag` has shape (T, N) and `offdiag` (T, N-1).  Each row goes through
+    LAPACK ?stevd with eigenvectors, the routine and options that
+    `eigh_tridiagonal` uses, so row i equals the eigenvalues of
+    `spectral_data_from_jacobi` on that row bit for bit.  The vectors are
+    computed only for that reason: without them (?sterf) the eigenvalues
+    move in the last digits.
+    """
+    diag = np.asarray(diag, dtype=float)
+    offdiag = np.asarray(offdiag, dtype=float)
+    if diag.shape[1] == 1:
+        return diag.copy()
+    stevd = get_lapack_funcs(("stevd",), (diag,))[0]
+    lam = np.empty(diag.shape)
+    for i in range(diag.shape[0]):
+        lam[i], _, info = stevd(diag[i], offdiag[i], compute_v=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"?stevd failed on row {i} (info = {info})")
+    if np.any(np.diff(lam, axis=1) <= 0.0):
+        raise ValueError("eigenvalues must be strictly increasing")
+    return lam
 
 
 def continued_fraction_eval(jac: JacobiMatrix, lam: complex) -> complex:

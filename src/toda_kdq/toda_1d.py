@@ -12,7 +12,6 @@ spectral measure evolves by an explicit exponential reweighting - which
 gives a second, quadrature-free solver to test the ODE integrator against.
 """
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,7 @@ from .errors import PositivityLossError
 from .moment_1d import (
     DiscreteMeasure,
     JacobiMatrix,
+    jacobi_eigenvalues,
     jacobi_from_measure,
     spectral_data_from_jacobi,
 )
@@ -36,6 +36,7 @@ __all__ = [
     "hamiltonian_ab",
     "toda_rhs",
     "integrate_toda",
+    "integrate_ensemble",
     "lax_matrices",
     "spectral_solve",
     "asymptotics_check",
@@ -128,16 +129,20 @@ def hamiltonian_ab(s: TodaStateFlaschka) -> float:
     return float(4.0 * (np.sum(s.a**2) + 0.5 * np.sum(s.b**2)))
 
 
-def _rhs(a: np.ndarray, b: np.ndarray):
-    da = a * (b[1:] - b[:-1])
-    asq = a**2
-    db = 2.0 * (np.concatenate([asq, [0.0]]) - np.concatenate([[0.0], asq]))
+def _rhs(a: np.ndarray, b: np.ndarray, asq: np.ndarray, da: np.ndarray, db: np.ndarray):
+    # rows of (B, N) arrays; a is zero beyond each row's couplings, and asq is
+    # a (B, N + 1) buffer whose first and last columns stay 0 (a_0 = a_N = 0)
+    np.multiply(a, np.subtract(b[:, 1:], b[:, :-1]), out=da)
+    np.square(a, out=asq[:, 1:-1])
+    np.multiply(2.0, np.subtract(asq[:, 1:], asq[:, :-1]), out=db)
     return da, db
 
 
 def toda_rhs(s: TodaStateFlaschka):
     """Right-hand sides (a', b') of the flow, with the a_0 = a_N = 0 convention."""
-    return _rhs(s.a, s.b)
+    n = s.n
+    da, db = _rhs(s.a[None, :], s.b[None, :], np.zeros((1, n + 1)), np.empty((1, n - 1)), np.empty((1, n)))
+    return da[0], db[0]
 
 
 @dataclass(frozen=True)
@@ -155,39 +160,72 @@ class Trajectory:
         return TodaStateFlaschka(a=self.a[i].copy(), b=self.b[i].copy())
 
 
-def integrate_toda(s0: TodaStateFlaschka, t_final: float, dt: float = 1e-3) -> Trajectory:
-    """Classical fixed-step RK4 integration, sampled at multiples of dt.
+def integrate_ensemble(states, t_final: float, dt: float = 1e-3) -> list:
+    """Classical fixed-step RK4 integration of many states at once.
 
-    Positivity of the couplings is checked after every step: the exact flow
-    preserves a_j > 0, so a crossing means dt is too large for this state.
+    Returns one `Trajectory` per state, sampled at multiples of dt.  States
+    of smaller N are padded to the largest N with zero couplings, which is
+    exact: a zero coupling stays zero under the flow, so the padded sites
+    never act on the live ones, and each trajectory is bit-identical to a
+    run of its state alone.  Positivity of the live couplings is checked
+    after every step: the exact flow preserves a_j > 0, so a crossing means
+    dt is too large for that state.  With more than one state, the error
+    names the index and the size of the state that failed.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     n_steps = int(round(t_final / dt))
     if n_steps < 0:
         raise ValueError("t_final must be nonnegative")
-    n = s0.n
-    a_out = np.empty((n_steps + 1, n - 1))
-    b_out = np.empty((n_steps + 1, n))
-    a, b = s0.a.copy(), s0.b.copy()
-    a_out[0], b_out[0] = a, b
-    for step in range(n_steps):
-        # blow-ups surface as non-finite entries and are reported below
-        with np.errstate(over="ignore", invalid="ignore"):
-            ka1, kb1 = _rhs(a, b)
-            ka2, kb2 = _rhs(a + 0.5 * dt * ka1, b + 0.5 * dt * kb1)
-            ka3, kb3 = _rhs(a + 0.5 * dt * ka2, b + 0.5 * dt * kb2)
-            ka4, kb4 = _rhs(a + dt * ka3, b + dt * kb3)
+    sizes = [s.n for s in states]
+    n_states, n = len(sizes), max(sizes)
+    a = np.zeros((n_states, n - 1))
+    b = np.zeros((n_states, n))
+    for i, s in enumerate(states):
+        a[i, : s.n - 1], b[i, : s.n] = s.a, s.b
+    live = np.arange(n - 1) < np.array(sizes)[:, None] - 1
+    asq = np.zeros((n_states, n + 1))
+    ka = [np.empty_like(a) for _ in range(4)]
+    kb = [np.empty_like(b) for _ in range(4)]
+    a_out = np.empty((n_states, n_steps + 1, n - 1))
+    b_out = np.empty((n_states, n_steps + 1, n))
+    a_out[:, 0], b_out[:, 0] = a, b
+    # blow-ups surface as non-finite entries and are reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n_steps):
+            ka1, kb1 = _rhs(a, b, asq, ka[0], kb[0])
+            ka2, kb2 = _rhs(a + 0.5 * dt * ka1, b + 0.5 * dt * kb1, asq, ka[1], kb[1])
+            ka3, kb3 = _rhs(a + 0.5 * dt * ka2, b + 0.5 * dt * kb2, asq, ka[2], kb[2])
+            ka4, kb4 = _rhs(a + dt * ka3, b + dt * kb3, asq, ka[3], kb[3])
             a = a + (dt / 6.0) * (ka1 + 2.0 * ka2 + 2.0 * ka3 + ka4)
             b = b + (dt / 6.0) * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise PositivityLossError(f"non-finite state at t = {(step + 1) * dt}")
-        if np.any(a <= 0.0):
-            raise PositivityLossError(
-                f"coupling left the positive cone at t = {(step + 1) * dt}; reduce dt"
-            )
-        a_out[step + 1], b_out[step + 1] = a, b
-    return Trajectory(times=dt * np.arange(n_steps + 1), a=a_out, b=b_out)
+            if not (np.isfinite(a).all() and np.isfinite(b).all()):
+                bad = ~(np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1))
+                raise PositivityLossError(
+                    _at_state(bad, sizes) + f"non-finite state at t = {(step + 1) * dt}"
+                )
+            if (a[live] <= 0.0).any():
+                raise PositivityLossError(
+                    _at_state(((a <= 0.0) & live).any(axis=1), sizes)
+                    + f"coupling left the positive cone at t = {(step + 1) * dt}; reduce dt"
+                )
+            a_out[:, step + 1], b_out[:, step + 1] = a, b
+    times = dt * np.arange(n_steps + 1)
+    # views into the padded output: a smaller state's rows are strided
+    return [Trajectory(times=times, a=a_out[i, :, : m - 1], b=b_out[i, :, :m]) for i, m in enumerate(sizes)]
+
+
+def _at_state(bad: np.ndarray, sizes: list) -> str:
+    # error prefix naming the first failing state; none for a single state
+    if len(sizes) == 1:
+        return ""
+    i = int(np.flatnonzero(bad)[0])
+    return f"state {i} (N = {sizes[i]}): "
+
+
+def integrate_toda(s0: TodaStateFlaschka, t_final: float, dt: float = 1e-3) -> Trajectory:
+    """Classical fixed-step RK4 integration of one state; see `integrate_ensemble`."""
+    return integrate_ensemble([s0], t_final, dt)[0]
 
 
 def lax_matrices(s: TodaStateFlaschka):
@@ -211,18 +249,23 @@ def _evolved_masses(masses: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
     return w / w.sum()
 
 
-def spectral_solve(s0: TodaStateFlaschka, t: float) -> TodaStateFlaschka:
+def spectral_solve(s0: TodaStateFlaschka, t):
     """Solve the flow exactly through the spectral measure of L(0).
 
     Eigenvalues stay fixed; masses evolve by r_j^2(t) proportional to
     r_j^2(0) e^{-2 lambda_j t}, renormalized to total mass one; the state at
     time t is read off the Jacobi matrix rebuilt from the evolved measure.
+    `t` is one time (a state is returned) or a sequence of times (a list of
+    states is returned); L(0) is diagonalized once per call either way.
     """
     lax, _ = lax_matrices(s0)
     sd = spectral_data_from_jacobi(lax)
-    mu_t = DiscreteMeasure(sd.eigenvalues, _evolved_masses(sd.masses, sd.eigenvalues, t))
-    jac = jacobi_from_measure(mu_t)
-    return TodaStateFlaschka(a=jac.offdiag.copy(), b=jac.diag.copy())
+    states = []
+    for ti in np.atleast_1d(t):
+        mu_t = DiscreteMeasure(sd.eigenvalues, _evolved_masses(sd.masses, sd.eigenvalues, ti))
+        jac = jacobi_from_measure(mu_t)
+        states.append(TodaStateFlaschka(a=jac.offdiag.copy(), b=jac.diag.copy()))
+    return states[0] if np.ndim(t) == 0 else states
 
 
 @dataclass(frozen=True)
@@ -253,8 +296,7 @@ def asymptotics_check(s0: TodaStateFlaschka, t_large: float, slack: float = 10.0
     lam = sd.eigenvalues
     gap = float(np.min(np.diff(lam))) if lam.size > 1 else np.inf
     tol = max(float(slack * np.exp(-gap * t_large)), 1e-12)
-    s_fw = spectral_solve(s0, t_large)
-    s_bw = spectral_solve(s0, -t_large)
+    s_fw, s_bw = spectral_solve(s0, [t_large, -t_large])
     max_a_fw = float(np.max(s_fw.a)) if s_fw.a.size else 0.0
     max_a_bw = float(np.max(s_bw.a)) if s_bw.a.size else 0.0
     dev_fw = float(np.max(np.abs(np.sort(s_fw.b) - lam)))
@@ -278,7 +320,12 @@ def asymptotics_check(s0: TodaStateFlaschka, t_large: float, slack: float = 10.0
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV text with columns t, a_1.., b_1.., H, lambda_1..; floats via repr."""
-    n = traj.b.shape[1]
+    a, b = traj.a, traj.b
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("state entries must be finite")
+    if np.any(a <= 0.0):
+        raise ValueError("couplings a_j must be strictly positive")
+    n = b.shape[1]
     header = (
         ["t"]
         + [f"a_{j}" for j in range(1, n)]
@@ -286,18 +333,10 @@ def trajectory_to_csv(traj: Trajectory) -> str:
         + ["H"]
         + [f"lambda_{j}" for j in range(1, n + 1)]
     )
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for i in range(len(traj)):
-        state = traj.state(i)
-        lax, _ = lax_matrices(state)
-        lam = spectral_data_from_jacobi(lax).eigenvalues
-        row = (
-            [traj.times[i]]
-            + list(traj.a[i])
-            + list(traj.b[i])
-            + [hamiltonian_ab(state)]
-            + list(lam)
-        )
-        buf.write(",".join(repr(float(v)) for v in row) + "\n")
-    return buf.getvalue()
+    # hamiltonian_ab and the eigenvalues of L, for every row at once
+    h = 4.0 * (np.sum(a**2, axis=1) + 0.5 * np.sum(b**2, axis=1))
+    table = np.column_stack([traj.times, a, b, h, jacobi_eigenvalues(b, a)])
+    lines = [",".join(header)]
+    # one row of Python floats at a time keeps the peak memory of the text alone
+    lines += [",".join(map(repr, row.tolist())) for row in table]
+    return "\n".join(lines) + "\n"

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from toda_kdq.errors import PoleError, RankDeficiencyError
 from toda_kdq.moment_1d import (
@@ -7,6 +10,7 @@ from toda_kdq.moment_1d import (
     JacobiMatrix,
     SpectralData,
     continued_fraction_eval,
+    jacobi_eigenvalues,
     jacobi_from_measure,
     moments,
     nevanlinna_limit_check,
@@ -206,6 +210,22 @@ class TestSpectralData:
     def test_mass_sum_validation(self):
         with pytest.raises(ValueError):
             SpectralData([0.0, 1.0], [0.4, 0.4])
+
+
+class TestJacobiEigenvalues:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(0, 20), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_equals_eigh_tridiagonal_per_row(self, rows, n, seed):
+        rng = np.random.default_rng(seed)
+        diag = rng.uniform(-1.0, 1.0, size=(rows, n))
+        offdiag = rng.uniform(0.3, 1.0, size=(rows, n - 1))
+        ref = np.array([eigh_tridiagonal(d, e)[0] for d, e in zip(diag, offdiag)]).reshape(rows, n)
+        assert jacobi_eigenvalues(diag, offdiag).tobytes() == ref.tobytes()
+
+    def test_coincident_eigenvalues_rejected(self):
+        # 1 +- 1e-300 rounds to one double
+        with pytest.raises(ValueError, match="strictly increasing"):
+            jacobi_eigenvalues([[0.0, 0.0], [1.0, 1.0]], [[0.5], [1e-300]])
 
 
 class TestContinuedFraction:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from toda_kdq import kdq, sphere
-from toda_kdq.moment_1d import spectral_data_from_jacobi
+from toda_kdq import kdq, pseudo_toda, sphere, verify
+from toda_kdq.moment_1d import JacobiMatrix, spectral_data_from_jacobi
 from toda_kdq.pseudo_toda import (
     PseudoTodaState,
     TodaComponent,
@@ -156,6 +156,16 @@ class TestHamiltonians:
             jac = component_jacobi(st, key)
             h_entries = 4.0 * (np.sum(jac.offdiag**2) + 0.5 * np.sum(jac.diag**2))
             assert abs(h_entries - component_hamiltonian(st, key)) < 1e-10
+
+    def test_verify_check_reads_jacobi_entries(self, monkeypatch):
+        # a Jacobi matrix off by 1e-9 must fail pseudo-hamiltonian-constant
+        def skewed(state, idx):
+            jac = component_jacobi(state, idx)
+            return JacobiMatrix(jac.diag, jac.offdiag * (1.0 + 1e-9))
+
+        monkeypatch.setattr(pseudo_toda, "component_jacobi", skewed)
+        results = {r.name: r for r in verify.check_pseudo_toda(3333, ode_times=(0.0,))}
+        assert not results["pseudo-hamiltonian-constant"].passed
 
     def test_invariant_under_evolution(self):
         rng = np.random.default_rng(5)

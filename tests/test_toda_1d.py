@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toda_kdq.errors import PositivityLossError
 from toda_kdq.moment_1d import spectral_data_from_jacobi
@@ -11,6 +13,7 @@ from toda_kdq.toda_1d import (
     flaschka_map,
     hamiltonian_ab,
     hamiltonian_xy,
+    integrate_ensemble,
     integrate_toda,
     lax_matrices,
     spectral_solve,
@@ -28,6 +31,46 @@ SYMMETRIC_N2 = TodaStateFlaschka(a=[0.5], b=[0.0, 0.0])
 
 def closed_form_n2(t):
     return 0.5 / np.cosh(t), 0.5 * np.tanh(t), -0.5 * np.tanh(t)
+
+
+def reference_rk4(s0, t_final, dt):
+    """One state at a time, as integrate_toda ran before the ensemble engine."""
+
+    def rhs(a, b):
+        asq = a**2
+        return a * (b[1:] - b[:-1]), 2.0 * (np.concatenate([asq, [0.0]]) - np.concatenate([[0.0], asq]))
+
+    a, b = s0.a.copy(), s0.b.copy()
+    a_rows, b_rows = [a], [b]
+    for _ in range(int(round(t_final / dt))):
+        ka1, kb1 = rhs(a, b)
+        ka2, kb2 = rhs(a + 0.5 * dt * ka1, b + 0.5 * dt * kb1)
+        ka3, kb3 = rhs(a + 0.5 * dt * ka2, b + 0.5 * dt * kb2)
+        ka4, kb4 = rhs(a + dt * ka3, b + dt * kb3)
+        a = a + (dt / 6.0) * (ka1 + 2.0 * ka2 + 2.0 * ka3 + ka4)
+        b = b + (dt / 6.0) * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
+        a_rows.append(a)
+        b_rows.append(b)
+    return np.array(a_rows).reshape(len(a_rows), s0.n - 1), np.array(b_rows)
+
+
+def reference_csv(traj):
+    """Row by row, through a state, a Jacobi matrix and its spectral data per row."""
+    n = traj.b.shape[1]
+    header = (
+        ["t"]
+        + [f"a_{j}" for j in range(1, n)]
+        + [f"b_{j}" for j in range(1, n + 1)]
+        + ["H"]
+        + [f"lambda_{j}" for j in range(1, n + 1)]
+    )
+    lines = [",".join(header)]
+    for i in range(len(traj)):
+        state = traj.state(i)
+        lam = spectral_data_from_jacobi(lax_matrices(state)[0]).eigenvalues
+        row = [traj.times[i]] + list(traj.a[i]) + list(traj.b[i]) + [hamiltonian_ab(state)] + list(lam)
+        lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
 
 
 class TestHamiltonians:
@@ -155,8 +198,40 @@ class TestIntegration:
 
     def test_positivity_loss_reported(self):
         stiff = TodaStateFlaschka(a=[2.0], b=[-4.0, 4.0])
-        with pytest.raises(PositivityLossError):
+        with pytest.raises(PositivityLossError, match=r"^non-finite state at t = 1\.5$"):
             integrate_toda(stiff, 5.0, 0.5)
+        strong = TodaStateFlaschka(a=[1e3], b=[0.0, 0.0])
+        with pytest.raises(PositivityLossError, match=r"^coupling left the positive cone at t = 0\.5; reduce dt$"):
+            integrate_toda(strong, 5.0, 0.5)
+
+    def test_ensemble_error_names_state(self):
+        calm = TodaStateFlaschka(a=[0.3, 0.2], b=[0.1, 0.0, -0.1])
+        stiff = TodaStateFlaschka(a=[2.0], b=[-4.0, 4.0])
+        strong = TodaStateFlaschka(a=[1e3], b=[0.0, 0.0])
+        with pytest.raises(PositivityLossError, match=r"^state 1 \(N = 2\): non-finite state at t = 1\.5$"):
+            integrate_ensemble([calm, stiff], 5.0, 0.5)
+        with pytest.raises(
+            PositivityLossError, match=r"^state 2 \(N = 2\): coupling left the positive cone at t = 0\.5; reduce dt$"
+        ):
+            integrate_ensemble([calm, calm, strong], 5.0, 0.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+        n_steps=st.integers(0, 40),
+        dt=st.sampled_from([1e-3, 1e-2, 5e-2]),
+    )
+    def test_ensemble_equals_one_state_loop(self, sizes, seed, n_steps, dt):
+        rng = np.random.default_rng(seed)
+        states = [random_state(rng, n) for n in sizes]
+        trajs = integrate_ensemble(states, n_steps * dt, dt)
+        assert len(trajs) == len(states)
+        for s, traj in zip(states, trajs):
+            ref_a, ref_b = reference_rk4(s, n_steps * dt, dt)
+            assert traj.a.tobytes() == ref_a.tobytes() and traj.a.shape == ref_a.shape
+            assert traj.b.tobytes() == ref_b.tobytes() and traj.b.shape == ref_b.shape
+            assert traj.times.tobytes() == (dt * np.arange(n_steps + 1)).tobytes()
 
     def test_isospectrality_and_energy(self):
         rng = np.random.default_rng(5)
@@ -226,6 +301,21 @@ class TestSpectralSolve:
                 assert np.max(np.abs(sp.a - st.a)) < 1e-6
                 assert np.max(np.abs(sp.b - st.b)) < 1e-6
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        times=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=10),
+    )
+    def test_many_times_equal_single_times(self, n, seed, times):
+        s = random_state(np.random.default_rng(seed), n)
+        many = spectral_solve(s, times)
+        assert len(many) == len(times)
+        for t, sp in zip(times, many):
+            one = spectral_solve(s, t)
+            assert isinstance(one, TodaStateFlaschka)
+            assert sp.a.tobytes() == one.a.tobytes() and sp.b.tobytes() == one.b.tobytes()
+
     def test_mass_renormalization(self):
         # t is capped so the evolved off-diagonals e^{-sum(gaps) t} stay above
         # the double-precision noise floor of the reconstruction
@@ -261,3 +351,15 @@ class TestCsv:
         assert len(lines) == 1 + len(traj)
         first = lines[1].split(",")
         assert first[0] == "0.0" and float(first[4]) == pytest.approx(1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+        n_steps=st.integers(0, 30),
+    )
+    def test_equals_row_by_row_rendering(self, sizes, seed, n_steps):
+        # ensemble trajectories of the smaller states are strided views
+        rng = np.random.default_rng(seed)
+        for traj in integrate_ensemble([random_state(rng, n) for n in sizes], n_steps * 1e-2, 1e-2):
+            assert trajectory_to_csv(traj) == reference_csv(traj)
