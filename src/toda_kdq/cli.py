@@ -38,7 +38,7 @@ from .errors import (
     PositivityLossError,
     RankDeficiencyError,
 )
-from .moment_1d import DiscreteMeasure, nevanlinna_limit_check
+from .moment_1d import DiscreteMeasure, JacobiMatrix, nevanlinna_limit_check
 from .sphere import as_direction
 from .verify import format_table, run_all
 
@@ -100,21 +100,14 @@ def _emit(text: str, output_path: str | None):
             fh.write(text)
 
 
-def _csv(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def _sample_times(cfg: RunConfig) -> np.ndarray:
     n_steps = int(round(cfg.t_final / cfg.dt))
     return cfg.dt * np.arange(n_steps + 1)
 
 
-def _flaschka_from_config(data: dict) -> toda_1d.TodaStateFlaschka:
+def _flaschka_from_config(data: dict) -> JacobiMatrix:
     try:
-        return toda_1d.TodaStateFlaschka(a=np.asarray(data["a"], float), b=np.asarray(data["b"], float))
+        return JacobiMatrix(offdiag=data["a"], diag=data["b"])
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad 1-d state: {exc}") from exc
 
@@ -130,8 +123,8 @@ def _run_spectral_solve(cfg: RunConfig) -> int:
     state = _flaschka_from_config(_load_json(cfg.input_path))
     times = _sample_times(cfg)
     states = toda_1d.spectral_solve(state, times)
-    a_rows = np.array([s.a for s in states])
-    b_rows = np.array([s.b for s in states])
+    a_rows = np.array([s.offdiag for s in states])
+    b_rows = np.array([s.diag for s in states])
     traj = toda_1d.Trajectory(times=times, a=a_rows, b=b_rows)
     _emit(toda_1d.trajectory_to_csv(traj), cfg.output_path)
     return 0
@@ -170,7 +163,7 @@ def _run_transform_eval(cfg: RunConfig) -> int:
         raise ConfigError(f"bad transform-eval config: zetas must be finite, got {zetas}")
     vals = kdq.markov_stieltjes(mu, [kdq.KDQPoint(z, theta) for z in zetas])
     rows = [[z.real, z.imag, val.real, val.imag] for z, val in zip(zetas, vals)]
-    _emit(_csv(["zeta_re", "zeta_im", "value_re", "value_im"], rows), cfg.output_path)
+    _emit(toda_1d._csv_text(["zeta_re", "zeta_im", "value_re", "value_im"], rows), cfg.output_path)
     return 0
 
 
@@ -186,8 +179,10 @@ def _run_nevanlinna(cfg: RunConfig) -> int:
             raise ConfigError(f"bad nevanlinna config: {exc}") from exc
         if n_trunc < 0 or not ys:
             raise ConfigError("bad nevanlinna config: need N >= 0 and a nonempty y")
+        if not all(y > 0.0 for y in ys):
+            raise ConfigError(f"bad nevanlinna config: y values must be positive, got {ys}")
         res = nevanlinna_limit_check(mu, n_trunc, ys)
-        _emit(_csv(["y", "residual"], zip(ys, res)), cfg.output_path)
+        _emit(toda_1d._csv_text(["y", "residual"], np.column_stack([ys, res])), cfg.output_path)
     elif kind == "multi":
         mu = _measure_from_dict(data.get("measure", {}))
         try:
@@ -202,7 +197,7 @@ def _run_nevanlinna(cfg: RunConfig) -> int:
             raise ConfigError(f"bad nevanlinna config: the measure has no component (k, ell) = {idx}")
         zetas = [m * np.exp(1j * np.pi / 4) for m in mods]
         res = kdq.multi_nevanlinna_check(mu, idx, n_trunc, zetas, cfg.quad_degree)
-        _emit(_csv(["zeta_abs", "residual"], zip(mods, res)), cfg.output_path)
+        _emit(toda_1d._csv_text(["zeta_abs", "residual"], np.column_stack([mods, res])), cfg.output_path)
     else:
         raise ConfigError(f"unknown nevanlinna kind {kind!r}")
     decreasing = bool(np.all(np.diff(res) < 0.0))
@@ -213,22 +208,22 @@ def _run_nevanlinna(cfg: RunConfig) -> int:
 def _run_iso_flow(cfg: RunConfig) -> int:
     data = _load_json(cfg.input_path)
     mu = _measure_from_dict(data.get("measure", {}))
-    state = iso_flow.state_from_measure(mu)
     t_grid = data.get("t_grid")
     if t_grid is None:
         t_grid = _sample_times(cfg)
     try:
-        rep = iso_flow.monotonicity_check(
-            state, [float(t) for t in t_grid], tol=cfg.tol if cfg.tol is not None else 1e-12
-        )
+        state = iso_flow.state_from_measure(mu)  # every component needs an atom
+        times = [float(t) for t in t_grid]
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad iso-flow config: {exc}") from exc
+    try:
+        rep = iso_flow.monotonicity_check(state, times, tol=cfg.tol if cfg.tol is not None else 1e-12)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     keys = sorted(rep.values)
     header = ["t"] + [f"S_k{k}_l{ell}" for k, ell in keys]
-    rows = [
-        [rep.times[i]] + [rep.values[key][i] for key in keys] for i in range(rep.times.size)
-    ]
-    _emit(_csv(header, rows), cfg.output_path)
+    table = np.column_stack([rep.times] + [rep.values[key] for key in keys])
+    _emit(toda_1d._csv_text(header, table), cfg.output_path)
     summary = (
         f"monotone={rep.passed} max_increase={rep.max_increase!r} "
         f"max_derivative_residual={rep.max_derivative_residual!r}\n"

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kdq import PseudoPositiveMeasure
-from .moment_1d import DiscreteMeasure
+from .moment_1d import DiscreteMeasure, _freeze_fields
 
 __all__ = [
     "IsoFlowComponent",
@@ -38,18 +38,11 @@ class IsoFlowComponent:
     masses: np.ndarray
 
     def __post_init__(self):
-        lam = np.atleast_1d(np.asarray(self.lambdas, dtype=float))
-        m = np.atleast_1d(np.asarray(self.masses, dtype=float))
-        if lam.shape != m.shape or lam.ndim != 1 or lam.size < 1:
+        lam, m = _freeze_fields(self, lambdas=self.lambdas, masses=self.masses)
+        if lam.shape != m.shape or lam.size < 1:
             raise ValueError("lambdas and masses must be matching 1-d arrays")
-        if np.any(lam < 0.0) or np.any(m < 0.0):
+        if (lam < 0.0).any() or (m < 0.0).any():
             raise ValueError("radii and masses must be nonnegative")
-        if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(m))):
-            raise ValueError("entries must be finite")
-        lam.setflags(write=False)
-        m.setflags(write=False)
-        object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "masses", m)
 
 
 @dataclass(frozen=True)
@@ -103,7 +96,7 @@ def riccati_evolve(state: IsoFlowState, t: float, allow_backward: bool = False) 
     for key, comp in state.components.items():
         r0 = np.sqrt(comp.masses)
         r_t = r0 / (1.0 + comp.lambdas * r0 * t)
-        comps[key] = IsoFlowComponent(comp.lambdas.copy(), r_t**2)
+        comps[key] = IsoFlowComponent(comp.lambdas, r_t**2)
     return IsoFlowState(components=comps, time=state.time + t)
 
 
@@ -220,7 +213,7 @@ def state_to_measure(state: IsoFlowState, n: int, k_max: int = -1) -> PseudoPosi
 
 def state_from_measure(mu: PseudoPositiveMeasure) -> IsoFlowState:
     comps = {
-        key: IsoFlowComponent(meas.atoms.copy(), meas.weights.copy())
+        key: IsoFlowComponent(meas.atoms, meas.weights)
         for key, meas in mu.sorted_items()
     }
     return IsoFlowState(components=comps)

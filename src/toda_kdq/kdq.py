@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DivergenceRegionError, PoleError
-from .moment_1d import DiscreteMeasure, stieltjes_transform
+from .moment_1d import DiscreteMeasure, _freeze_fields, stieltjes_transform
 from .sphere import (
     as_direction,
     check_index,
@@ -91,9 +91,8 @@ class KDQPoint:
         th = as_direction(len(np.asarray(self.theta, dtype=float)), self.theta)
         if _antipodal_flip(z, th):
             z, th = -z, -th
-        th.setflags(write=False)
         object.__setattr__(self, "zeta", z)
-        object.__setattr__(self, "theta", th)
+        _freeze_fields(self, theta=th)
 
     @property
     def n(self) -> int:

@@ -39,6 +39,31 @@ _MERGE_TOL = 1e-12
 _MASS_TOL = 1e-8
 
 
+def _freeze_fields(obj, **fields) -> list:
+    """Store each field on the frozen dataclass `obj` as a read-only float array.
+
+    Every value goes through `np.asarray(value, dtype=float)`; a scalar
+    becomes a length-1 array and an empty array of any shape a length-0 one.
+    Raises ValueError, naming the field, if a value has more than one
+    dimension or an entry that is not finite.  Checks that tie the fields
+    together (sizes, signs, order, sums) stay with each class.  Returns the
+    stored arrays in argument order.
+    """
+    arrays = []
+    for name, value in fields.items():
+        arr = np.asarray(value, dtype=float)
+        if arr.ndim != 1:
+            if arr.ndim and arr.size:
+                raise ValueError(f"{name} must be a 1-d array, got shape {arr.shape}")
+            arr = arr.reshape(arr.size)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} entries must be finite")
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+        arrays.append(arr)
+    return arrays
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Finite atomic measure: positions `atoms` with positive `weights`.
@@ -53,27 +78,19 @@ class DiscreteMeasure:
     half_line: bool = False
 
     def __post_init__(self):
-        atoms = np.atleast_1d(np.asarray(self.atoms, dtype=float))
-        weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if atoms.size == 0:
-            atoms = atoms.reshape(0)
-            weights = weights.reshape(0)
-        if atoms.shape != weights.shape or atoms.ndim != 1:
+        atoms, weights = _freeze_fields(self, atoms=self.atoms, weights=self.weights)
+        if atoms.shape != weights.shape:
             raise ValueError("atoms and weights must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(weights))):
-            raise ValueError("atoms and weights must be finite")
-        if np.any(weights <= 0.0):
+        if (weights <= 0.0).any():
             raise ValueError("weights must be strictly positive")
-        order = np.argsort(atoms)
+        order = atoms.argsort()
         atoms, weights = atoms[order], weights[order]
         if atoms.size > 1:
             atoms, weights = _merge_coincident(atoms, weights)
-        if self.half_line and np.any(atoms < 0.0):
+        if self.half_line and (atoms < 0.0).any():
             raise ValueError("half-line measure requires nonnegative atoms")
-        atoms.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
+        # store the sorted, merged arrays; a merged weight that overflows is rejected
+        _freeze_fields(self, atoms=atoms, weights=weights)
 
     def __len__(self) -> int:
         return self.atoms.size
@@ -116,26 +133,25 @@ def _merge_coincident(atoms: np.ndarray, weights: np.ndarray):
 
 @dataclass(frozen=True)
 class JacobiMatrix:
-    """Symmetric tridiagonal matrix with strictly positive off-diagonal."""
+    """Symmetric tridiagonal matrix with strictly positive off-diagonal.
+
+    It is also the Flaschka state of the Toda lattice (see `toda_1d`): the
+    diagonal holds b_1..b_N and the off-diagonal the couplings a_1..a_{N-1}.
+    """
 
     diag: np.ndarray
     offdiag: np.ndarray
 
     def __post_init__(self):
-        diag = np.atleast_1d(np.asarray(self.diag, dtype=float))
+        # offdiag may also come as a row or a column: it is flattened
         offdiag = np.asarray(self.offdiag, dtype=float).reshape(-1)
-        if diag.ndim != 1 or diag.size < 1:
+        diag, offdiag = _freeze_fields(self, diag=self.diag, offdiag=offdiag)
+        if diag.size < 1:
             raise ValueError("diag must be a nonempty 1-d array")
         if offdiag.size != diag.size - 1:
             raise ValueError("offdiag must have length len(diag) - 1")
-        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(offdiag))):
-            raise ValueError("matrix entries must be finite")
-        if np.any(offdiag <= 0.0):
+        if (offdiag <= 0.0).any():
             raise ValueError("off-diagonal entries must be strictly positive (unreduced)")
-        diag.setflags(write=False)
-        offdiag.setflags(write=False)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "offdiag", offdiag)
 
     @property
     def n(self) -> int:
@@ -156,20 +172,15 @@ class SpectralData:
     masses: np.ndarray
 
     def __post_init__(self):
-        lam = np.atleast_1d(np.asarray(self.eigenvalues, dtype=float))
-        r2 = np.atleast_1d(np.asarray(self.masses, dtype=float))
-        if lam.shape != r2.shape or lam.ndim != 1 or lam.size < 1:
+        lam, r2 = _freeze_fields(self, eigenvalues=self.eigenvalues, masses=self.masses)
+        if lam.shape != r2.shape or lam.size < 1:
             raise ValueError("eigenvalues and masses must be matching 1-d arrays")
-        if np.any(np.diff(lam) <= 0.0):
+        if (np.diff(lam) <= 0.0).any():
             raise ValueError("eigenvalues must be strictly increasing")
-        if np.any(r2 <= 0.0):
+        if (r2 <= 0.0).any():
             raise ValueError("masses must be strictly positive")
         if abs(r2.sum() - 1.0) > 1e-12:
             raise ValueError(f"masses must sum to 1 within 1e-12, got {r2.sum()!r}")
-        lam.setflags(write=False)
-        r2.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "masses", r2)
 
     def to_measure(self, half_line: bool = False) -> DiscreteMeasure:
         return DiscreteMeasure(self.eigenvalues, self.masses, half_line=half_line)

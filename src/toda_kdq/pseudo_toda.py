@@ -16,16 +16,15 @@ C = D = 1, so the transform of the associated measure converges for
 |zeta| > 1, Im zeta^2 > 0 at every time.
 """
 
-import io
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .kdq import PseudoPositiveMeasure
-from .moment_1d import DiscreteMeasure, JacobiMatrix, jacobi_from_measure
+from .moment_1d import DiscreteMeasure, JacobiMatrix, _freeze_fields, jacobi_from_measure
 from .sphere import check_index, eval_harmonic
-from .toda_1d import TodaStateFlaschka, _evolved_masses, toda_rhs
+from .toda_1d import _csv_text, _evolved_masses, toda_rhs
 
 __all__ = [
     "TodaComponent",
@@ -55,22 +54,17 @@ class TodaComponent:
     masses_tilde: np.ndarray
 
     def __post_init__(self):
-        lam = np.atleast_1d(np.asarray(self.lambdas, dtype=float))
-        m = np.atleast_1d(np.asarray(self.masses_tilde, dtype=float))
-        if lam.shape != m.shape or lam.ndim != 1 or lam.size < 1:
+        lam, m = _freeze_fields(self, lambdas=self.lambdas, masses_tilde=self.masses_tilde)
+        if lam.shape != m.shape or lam.size < 1:
             raise ValueError("lambdas and masses_tilde must be matching 1-d arrays")
-        if np.any(lam < 0.0) or not np.all(np.isfinite(lam)):
+        if (lam < 0.0).any():
             raise ValueError("radii must be finite and nonnegative")
-        if np.any(m <= 0.0) or not np.all(np.isfinite(m)):
+        if (m <= 0.0).any():
             raise ValueError("tilde masses must be finite and strictly positive")
         if abs(m.sum() - 1.0) > _NORM_TOL:
             raise ValueError(f"tilde masses must sum to 1 within {_NORM_TOL}, got {m.sum()!r}")
-        order = np.argsort(lam)
-        lam, m = lam[order], m[order]
-        lam.setflags(write=False)
-        m.setflags(write=False)
-        object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "masses_tilde", m)
+        order = lam.argsort()
+        _freeze_fields(self, lambdas=lam[order], masses_tilde=m[order])
 
     @property
     def size(self) -> int:
@@ -170,9 +164,7 @@ def evolve(state: PseudoTodaState, t: float) -> PseudoTodaState:
     evolutions adds their times (the flow is a semigroup in t).
     """
     comps = {
-        key: TodaComponent(
-            comp.lambdas.copy(), _evolved_masses(comp.masses_tilde, comp.lambdas**2, t)
-        )
+        key: TodaComponent(comp.lambdas, _evolved_masses(comp.masses_tilde, comp.lambdas**2, t))
         for key, comp in state.components.items()
     }
     return PseudoTodaState(n=state.n, components=comps, time=state.time + t)
@@ -194,7 +186,11 @@ def component_jacobi(state: PseudoTodaState, idx) -> JacobiMatrix:
 
 
 def component_hamiltonian(state: PseudoTodaState, idx) -> float:
-    """H_{k,l} = 2 sum_j lambda_j^4; equals 4 (sum at^2 + 1/2 sum bt^2)."""
+    """H_{k,l} = 2 sum_j lambda_j^4.
+
+    It equals `toda_1d.hamiltonian_ab(component_jacobi(state, idx))`, the
+    Hamiltonian 4 (sum at^2 + 1/2 sum bt^2) of the component's Jacobi matrix.
+    """
     comp = _component(state, idx)
     return float(2.0 * np.sum(comp.lambdas**4))
 
@@ -223,7 +219,7 @@ def component_ode_residual(state: PseudoTodaState, idx, t: float, dt: float = 1e
     jac_p = component_jacobi(evolve(state, t + dt), idx)
     da_num = (jac_p.offdiag - jac_m.offdiag) / (2.0 * dt)
     db_num = (jac_p.diag - jac_m.diag) / (2.0 * dt)
-    da, db = toda_rhs(TodaStateFlaschka(a=jac_0.offdiag.copy(), b=jac_0.diag.copy()))
+    da, db = toda_rhs(jac_0)
     res_a = float(np.max(np.abs(da_num - da))) if da.size else 0.0
     res_b = float(np.max(np.abs(db_num - db)))
     return max(res_a, res_b)
@@ -317,12 +313,9 @@ def state_trajectory_csv(state: PseudoTodaState, times) -> str:
     header = ["t", "H_total"] + [
         f"rt2_k{k}_l{ell}_j{j}" for (k, ell) in keys for j in range(1, n_sites + 1)
     ]
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
+    rows = []
     for t in times:
         st = evolve(state, float(t) - state.time)
-        row = [float(t), total_hamiltonian(st)]
-        for key in keys:
-            row.extend(float(v) for v in st.components[key].masses_tilde)
-        buf.write(",".join(repr(float(v)) for v in row) + "\n")
-    return buf.getvalue()
+        masses = [st.components[key].masses_tilde for key in keys]
+        rows.append(np.concatenate([[float(t), total_hamiltonian(st)], *masses]))
+    return _csv_text(header, rows)

@@ -6,10 +6,11 @@ a_j = e^{(x_j - x_{j+1})/2}/2, b_j = -y_j/2 turns the flow into
 
     a_j' = a_j (b_{j+1} - b_j),   b_j' = 2 (a_j^2 - a_{j-1}^2),
 
-with the free-end convention a_0 = a_N = 0.  The same data form a Jacobi
-matrix L (diag b, off-diagonal a) whose spectrum is conserved, and whose
-spectral measure evolves by an explicit exponential reweighting - which
-gives a second, quadrature-free solver to test the ODE integrator against.
+with the free-end convention a_0 = a_N = 0.  The same data form the Jacobi
+matrix L (diag b, off-diagonal a), so a Flaschka state is a
+`moment_1d.JacobiMatrix`.  Its spectrum is conserved, and its spectral
+measure evolves by an explicit exponential reweighting - which gives a
+second, quadrature-free solver to test the ODE integrator against.
 """
 
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from .errors import PositivityLossError
 from .moment_1d import (
     DiscreteMeasure,
     JacobiMatrix,
+    _freeze_fields,
     jacobi_eigenvalues,
     jacobi_from_measure,
     spectral_data_from_jacobi,
@@ -27,7 +29,6 @@ from .moment_1d import (
 
 __all__ = [
     "TodaStatePhysical",
-    "TodaStateFlaschka",
     "Trajectory",
     "AsymptoticsReport",
     "hamiltonian_xy",
@@ -52,46 +53,13 @@ class TodaStatePhysical:
     y: np.ndarray
 
     def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        y = np.atleast_1d(np.asarray(self.y, dtype=float))
-        if x.shape != y.shape or x.ndim != 1 or x.size < 1:
+        x, y = _freeze_fields(self, x=self.x, y=self.y)
+        if x.shape != y.shape or x.size < 1:
             raise ValueError("x and y must be matching 1-d arrays")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise ValueError("state entries must be finite")
-        x.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
 
     @property
     def n(self) -> int:
         return self.x.size
-
-
-@dataclass(frozen=True)
-class TodaStateFlaschka:
-    """Couplings a_1..a_{N-1} > 0 and diagonal entries b_1..b_N."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float).reshape(-1)
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        if b.ndim != 1 or b.size < 1 or a.size != b.size - 1:
-            raise ValueError("need len(a) == len(b) - 1 with len(b) >= 1")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("state entries must be finite")
-        if np.any(a <= 0.0):
-            raise ValueError("couplings a_j must be strictly positive")
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    @property
-    def n(self) -> int:
-        return self.b.size
 
 
 def hamiltonian_xy(s: TodaStatePhysical) -> float:
@@ -104,13 +72,13 @@ def hamiltonian_xy(s: TodaStatePhysical) -> float:
     return float(0.5 * np.sum(s.y**2) + np.sum(springs))
 
 
-def flaschka_map(s: TodaStatePhysical) -> TodaStateFlaschka:
+def flaschka_map(s: TodaStatePhysical) -> JacobiMatrix:
     """a_j = e^{(x_j - x_{j+1})/2}/2, b_j = -y_j/2; invariant under x -> x + c."""
     a = 0.5 * np.exp(0.5 * (s.x[:-1] - s.x[1:]))
-    return TodaStateFlaschka(a=a, b=-0.5 * s.y)
+    return JacobiMatrix(diag=-0.5 * s.y, offdiag=a)
 
 
-def flaschka_inverse(s: TodaStateFlaschka, gauge: float = 0.0) -> TodaStatePhysical:
+def flaschka_inverse(s: JacobiMatrix, gauge: float = 0.0) -> TodaStatePhysical:
     """Representative physical state with x_1 = gauge.
 
     x_j = x_1 - 2(j-1) ln 2 - 2 sum_{m<j} ln a_m and y_j = -2 b_j; composing
@@ -120,13 +88,18 @@ def flaschka_inverse(s: TodaStateFlaschka, gauge: float = 0.0) -> TodaStatePhysi
     x = np.empty(n)
     x[0] = gauge
     if n > 1:
-        x[1:] = gauge - 2.0 * np.log(2.0) * np.arange(1, n) - 2.0 * np.cumsum(np.log(s.a))
-    return TodaStatePhysical(x=x, y=-2.0 * s.b)
+        x[1:] = gauge - 2.0 * np.log(2.0) * np.arange(1, n) - 2.0 * np.cumsum(np.log(s.offdiag))
+    return TodaStatePhysical(x=x, y=-2.0 * s.diag)
 
 
-def hamiltonian_ab(s: TodaStateFlaschka) -> float:
+def _hamiltonian(a: np.ndarray, b: np.ndarray):
+    # along the last axis, so that one state and stacked rows give the same bits
+    return 4.0 * (np.sum(a**2, axis=-1) + 0.5 * np.sum(b**2, axis=-1))
+
+
+def hamiltonian_ab(s: JacobiMatrix) -> float:
     """H = 4 (sum a_j^2 + 1/2 sum b_j^2); equals hamiltonian_xy of any preimage."""
-    return float(4.0 * (np.sum(s.a**2) + 0.5 * np.sum(s.b**2)))
+    return float(_hamiltonian(s.offdiag, s.diag))
 
 
 def _rhs(a: np.ndarray, b: np.ndarray, asq: np.ndarray, da: np.ndarray, db: np.ndarray):
@@ -138,10 +111,10 @@ def _rhs(a: np.ndarray, b: np.ndarray, asq: np.ndarray, da: np.ndarray, db: np.n
     return da, db
 
 
-def toda_rhs(s: TodaStateFlaschka):
+def toda_rhs(s: JacobiMatrix):
     """Right-hand sides (a', b') of the flow, with the a_0 = a_N = 0 convention."""
-    n = s.n
-    da, db = _rhs(s.a[None, :], s.b[None, :], np.zeros((1, n + 1)), np.empty((1, n - 1)), np.empty((1, n)))
+    a, b = s.offdiag[None, :], s.diag[None, :]
+    da, db = _rhs(a, b, np.zeros((1, s.n + 1)), np.empty(a.shape), np.empty(b.shape))
     return da[0], db[0]
 
 
@@ -156,8 +129,8 @@ class Trajectory:
     def __len__(self) -> int:
         return self.times.size
 
-    def state(self, i: int) -> TodaStateFlaschka:
-        return TodaStateFlaschka(a=self.a[i].copy(), b=self.b[i].copy())
+    def state(self, i: int) -> JacobiMatrix:
+        return JacobiMatrix(diag=self.b[i].copy(), offdiag=self.a[i].copy())
 
 
 def integrate_ensemble(states, t_final: float, dt: float = 1e-3) -> list:
@@ -182,7 +155,7 @@ def integrate_ensemble(states, t_final: float, dt: float = 1e-3) -> list:
     a = np.zeros((n_states, n - 1))
     b = np.zeros((n_states, n))
     for i, s in enumerate(states):
-        a[i, : s.n - 1], b[i, : s.n] = s.a, s.b
+        a[i, : s.n - 1], b[i, : s.n] = s.offdiag, s.diag
     live = np.arange(n - 1) < np.array(sizes)[:, None] - 1
     asq = np.zeros((n_states, n + 1))
     ka = [np.empty_like(a) for _ in range(4)]
@@ -223,18 +196,17 @@ def _at_state(bad: np.ndarray, sizes: list) -> str:
     return f"state {i} (N = {sizes[i]}): "
 
 
-def integrate_toda(s0: TodaStateFlaschka, t_final: float, dt: float = 1e-3) -> Trajectory:
+def integrate_toda(s0: JacobiMatrix, t_final: float, dt: float = 1e-3) -> Trajectory:
     """Classical fixed-step RK4 integration of one state; see `integrate_ensemble`."""
     return integrate_ensemble([s0], t_final, dt)[0]
 
 
-def lax_matrices(s: TodaStateFlaschka):
-    """The pair (L, B): L symmetric tridiagonal, B its antisymmetrized off-part."""
-    lax = JacobiMatrix(diag=s.b.copy(), offdiag=s.a.copy())
+def lax_matrices(s: JacobiMatrix):
+    """The pair (L, B): L is the state itself, B its antisymmetrized off-part."""
     bmat = np.zeros((s.n, s.n))
     if s.n > 1:
-        bmat += np.diag(s.a, 1) - np.diag(s.a, -1)
-    return lax, bmat
+        bmat += np.diag(s.offdiag, 1) - np.diag(s.offdiag, -1)
+    return s, bmat
 
 
 def _evolved_masses(masses: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
@@ -249,22 +221,20 @@ def _evolved_masses(masses: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
     return w / w.sum()
 
 
-def spectral_solve(s0: TodaStateFlaschka, t):
+def spectral_solve(s0: JacobiMatrix, t):
     """Solve the flow exactly through the spectral measure of L(0).
 
     Eigenvalues stay fixed; masses evolve by r_j^2(t) proportional to
     r_j^2(0) e^{-2 lambda_j t}, renormalized to total mass one; the state at
-    time t is read off the Jacobi matrix rebuilt from the evolved measure.
+    time t is the Jacobi matrix rebuilt from the evolved measure.
     `t` is one time (a state is returned) or a sequence of times (a list of
     states is returned); L(0) is diagonalized once per call either way.
     """
-    lax, _ = lax_matrices(s0)
-    sd = spectral_data_from_jacobi(lax)
-    states = []
-    for ti in np.atleast_1d(t):
-        mu_t = DiscreteMeasure(sd.eigenvalues, _evolved_masses(sd.masses, sd.eigenvalues, ti))
-        jac = jacobi_from_measure(mu_t)
-        states.append(TodaStateFlaschka(a=jac.offdiag.copy(), b=jac.diag.copy()))
+    sd = spectral_data_from_jacobi(s0)
+    states = [
+        jacobi_from_measure(DiscreteMeasure(sd.eigenvalues, _evolved_masses(sd.masses, sd.eigenvalues, ti)))
+        for ti in np.atleast_1d(t)
+    ]
     return states[0] if np.ndim(t) == 0 else states
 
 
@@ -282,7 +252,7 @@ class AsymptoticsReport:
     passed: bool
 
 
-def asymptotics_check(s0: TodaStateFlaschka, t_large: float, slack: float = 10.0) -> AsymptoticsReport:
+def asymptotics_check(s0: JacobiMatrix, t_large: float, slack: float = 10.0) -> AsymptoticsReport:
     """Check a_j(+-t) -> 0 and that b(+-t) tends to the spectrum of L(0).
 
     The limits are approached like e^{-gap * t} with gap the smallest
@@ -291,19 +261,17 @@ def asymptotics_check(s0: TodaStateFlaschka, t_large: float, slack: float = 10.0
     """
     if t_large <= 0.0:
         raise ValueError("t_large must be positive")
-    lax, _ = lax_matrices(s0)
-    sd = spectral_data_from_jacobi(lax)
-    lam = sd.eigenvalues
+    lam = spectral_data_from_jacobi(s0).eigenvalues
     gap = float(np.min(np.diff(lam))) if lam.size > 1 else np.inf
     tol = max(float(slack * np.exp(-gap * t_large)), 1e-12)
     s_fw, s_bw = spectral_solve(s0, [t_large, -t_large])
-    max_a_fw = float(np.max(s_fw.a)) if s_fw.a.size else 0.0
-    max_a_bw = float(np.max(s_bw.a)) if s_bw.a.size else 0.0
-    dev_fw = float(np.max(np.abs(np.sort(s_fw.b) - lam)))
-    dev_bw = float(np.max(np.abs(np.sort(s_bw.b) - lam)))
+    max_a_fw = float(np.max(s_fw.offdiag)) if s_fw.offdiag.size else 0.0
+    max_a_bw = float(np.max(s_bw.offdiag)) if s_bw.offdiag.size else 0.0
+    dev_fw = float(np.max(np.abs(np.sort(s_fw.diag) - lam)))
+    dev_bw = float(np.max(np.abs(np.sort(s_bw.diag) - lam)))
     trace_dev = max(
-        abs(float(np.sum(s_fw.b)) - float(np.sum(lam))),
-        abs(float(np.sum(s_bw.b)) - float(np.sum(lam))),
+        abs(float(np.sum(s_fw.diag)) - float(np.sum(lam))),
+        abs(float(np.sum(s_bw.diag)) - float(np.sum(lam))),
     )
     passed = max(max_a_fw, max_a_bw, dev_fw, dev_bw) <= tol and trace_dev <= 1e-9
     return AsymptoticsReport(
@@ -333,10 +301,19 @@ def trajectory_to_csv(traj: Trajectory) -> str:
         + ["H"]
         + [f"lambda_{j}" for j in range(1, n + 1)]
     )
-    # hamiltonian_ab and the eigenvalues of L, for every row at once
-    h = 4.0 * (np.sum(a**2, axis=1) + 0.5 * np.sum(b**2, axis=1))
-    table = np.column_stack([traj.times, a, b, h, jacobi_eigenvalues(b, a)])
+    # H and the eigenvalues of L, for every row at once
+    table = np.column_stack([traj.times, a, b, _hamiltonian(a, b), jacobi_eigenvalues(b, a)])
+    return _csv_text(header, table)
+
+
+def _csv_text(header, table) -> str:
+    """CSV text: the header, then one line per row of `table`.
+
+    `table` is anything `np.asarray` takes as a 2-d float array; each float
+    is written in its shortest round-trip repr.  Shared by every CSV that
+    the package writes.
+    """
     lines = [",".join(header)]
     # one row of Python floats at a time keeps the peak memory of the text alone
-    lines += [",".join(map(repr, row.tolist())) for row in table]
+    lines += [",".join(map(repr, row.tolist())) for row in np.asarray(table, dtype=float)]
     return "\n".join(lines) + "\n"

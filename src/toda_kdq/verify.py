@@ -163,7 +163,7 @@ def toda_ensemble(seed: int, sizes, t_final: float) -> list:
     """(state, RK4 trajectory) pairs of random Flaschka states, one per size N."""
     rng = np.random.default_rng(seed)
     states = [
-        toda_1d.TodaStateFlaschka(a=rng.uniform(0.3, 1.0, size=n - 1), b=rng.uniform(-1.0, 1.0, size=n))
+        JacobiMatrix(offdiag=rng.uniform(0.3, 1.0, size=n - 1), diag=rng.uniform(-1.0, 1.0, size=n))
         for n in sizes
     ]
     return list(zip(states, toda_1d.integrate_ensemble(states, t_final, _ENSEMBLE_DT)))
@@ -178,7 +178,7 @@ def check_toda_lax(ensemble) -> list[CheckResult]:
     drift = energy = trace = 0.0
     for _, traj in ensemble:
         # hamiltonian_ab at every RK4 step
-        h = 4.0 * (np.sum(traj.a**2, axis=1) + 0.5 * np.sum(traj.b**2, axis=1))
+        h = toda_1d._hamiltonian(traj.a, traj.b)
         energy = max(energy, _max_abs(h - h[0]))
         lam = jacobi_eigenvalues(traj.b[::_STRIDE], traj.a[::_STRIDE])
         drift = max(drift, _max_abs(lam - lam[0]))
@@ -201,9 +201,9 @@ def check_toda_spectral(ensemble, closed_t_final: float, closed_dt: float) -> li
     for state, traj in ensemble:
         sampled = toda_1d.spectral_solve(state, traj.times[::_STRIDE])
         for sp, a, b in zip(sampled, traj.a[::_STRIDE], traj.b[::_STRIDE]):
-            dev = max(dev, _max_abs(sp.a - a), _max_abs(sp.b - b))
+            dev = max(dev, _max_abs(sp.offdiag - a), _max_abs(sp.diag - b))
 
-    s0 = toda_1d.TodaStateFlaschka(a=[0.5], b=[0.0, 0.0])
+    s0 = JacobiMatrix(diag=[0.0, 0.0], offdiag=[0.5])
     traj = toda_1d.integrate_toda(s0, closed_t_final, closed_dt)
     a_exact = 0.5 / np.cosh(traj.times)
     b_exact = 0.5 * np.tanh(traj.times)
@@ -215,9 +215,9 @@ def check_toda_spectral(ensemble, closed_t_final: float, closed_dt: float) -> li
     for t, sp in zip(_CLOSED_FORM_TIMES, toda_1d.spectral_solve(s0, _CLOSED_FORM_TIMES)):
         closed_dev = max(
             closed_dev,
-            abs(sp.a[0] - 0.5 / np.cosh(t)),
-            abs(sp.b[0] - 0.5 * np.tanh(t)),
-            abs(sp.b[1] + 0.5 * np.tanh(t)),
+            abs(sp.offdiag[0] - 0.5 / np.cosh(t)),
+            abs(sp.diag[0] - 0.5 * np.tanh(t)),
+            abs(sp.diag[1] + 0.5 * np.tanh(t)),
         )
     return [
         _result("toda-spectral-vs-rk4", dev, 1e-6),
@@ -311,8 +311,7 @@ def check_pseudo_toda(seed: int, ode_times) -> list[CheckResult]:
     h_dev = 0.0
     for t in (0.0, 1.0, 10.0):
         ev = pseudo_toda.evolve(state, t)
-        jacs = [pseudo_toda.component_jacobi(ev, key) for key, _ in ev.sorted_items()]
-        h = sum(4.0 * (np.sum(j.offdiag**2) + 0.5 * np.sum(j.diag**2)) for j in jacs)
+        h = sum(toda_1d.hamiltonian_ab(pseudo_toda.component_jacobi(ev, key)) for key, _ in ev.sorted_items())
         h_dev = max(h_dev, abs(h - h_reference) / h_reference)
     ode_res = max(
         pseudo_toda.component_ode_residual(state, key, t, 1e-4) for key in comps for t in ode_times

@@ -229,7 +229,7 @@ class TestConfigErrors:
         assert _config_error(capsys, [command, "--input", cfg])
 
     @pytest.mark.parametrize("tol", [[], ["--tol", "1e-4"]])
-    @pytest.mark.parametrize("n_trunc, grid", [(1, []), (-1, [10.0, 100.0])])
+    @pytest.mark.parametrize("n_trunc, grid", [(1, []), (-1, [10.0, 100.0]), (1, [10.0, -100.0])])
     def test_1d_no_data_or_negative_order(self, tmp_path, capsys, tol, n_trunc, grid):
         cfg = write_json(
             tmp_path / "n.json",
@@ -252,6 +252,21 @@ class TestConfigErrors:
             {"kind": "multi", "measure": self.MEASURE, "k": idx[0], "ell": idx[1], "N": n_trunc, "zeta_abs": grid},
         )
         assert _config_error(capsys, ["nevanlinna-check", "--input", cfg, *tol])
+
+    @pytest.mark.parametrize(
+        "atoms, t_grid",
+        [
+            pytest.param([0.5], [0.0, None], id="null-time"),
+            pytest.param([0.5], [0.0, [1.0]], id="list-time"),
+            pytest.param([0.5], [0.0, {"t": 1.0}], id="dict-time"),
+            pytest.param([], [0.0, 1.0], id="no-atoms"),
+        ],
+    )
+    def test_iso_flow_bad_grid_or_component(self, tmp_path, capsys, atoms, t_grid):
+        component = {"k": 0, "ell": 1, "atoms": atoms, "weights": [1.0] * len(atoms)}
+        measure = dict(self.MEASURE, components=[component])
+        cfg = write_json(tmp_path / "i.json", {"measure": measure, "t_grid": t_grid})
+        assert _config_error(capsys, ["iso-flow", "--input", cfg])
 
     @pytest.mark.parametrize(
         "sizes, message", [([], "has no components"), ([2, 3], "heterogeneous atom counts")]
@@ -322,6 +337,125 @@ class TestIsoFlowCommand:
         rows = out.read_text().strip().split("\n")
         assert rows[0] == "t,S_k1_l1"
         assert float(rows[2].split(",")[1]) == pytest.approx(0.25)
+
+
+_STATE_1D = {"a": [0.5, 0.3], "b": [0.1, 0.0, -0.2]}
+_MEASURE_3 = {
+    "n": 3,
+    "k_max": 1,
+    "components": [
+        {"k": 0, "ell": 1, "atoms": [0.2, 0.7], "weights": [0.5, 1.0]},
+        {"k": 1, "ell": 3, "atoms": [0.4], "weights": [2.0]},
+    ],
+}
+
+
+class TestPinnedOutputs:
+    """CSV text and stdout of every command on tiny inputs, byte for byte.
+
+    The expected strings are literals, so a change that moves any byte of
+    any command's output fails here.
+    """
+
+    CASES = {
+        "simulate-1d": (
+            ["simulate-1d", "--t-final", "0.02", "--dt", "0.01"],
+            _STATE_1D,
+            (
+                "t,a_1,a_2,b_1,b_2,b_3,H,lambda_1,lambda_2,lambda_3\n"
+                "0.0,0.5,0.3,0.1,0.0,-0.2,1.46,-0.5914611189303555,-0.11441297378477062,0.6058740927151262\n"
+                "0.01,0.49947978183082725,0.29940269748792603,0.10499486692657073,-0.003198453749914661,"
+                "-0.20179641317665606,1.459999999999834,-0.5914611189300194,-0.11441297378527157,0.605874092715291\n"
+                "0.02,0.49891926059661557,0.2988107790143198,0.10997893758107326,-0.006393232362163059,"
+                "-0.2035857052189102,1.4599999999996316,-0.5914611189296786,-0.1144129737857679,0.6058740927154466\n"
+            ),
+            "",
+        ),
+        "spectral-solve": (
+            ["spectral-solve", "--t-final", "0.02", "--dt", "0.01"],
+            _STATE_1D,
+            (
+                "t,a_1,a_2,b_1,b_2,b_3,H,lambda_1,lambda_2,lambda_3\n"
+                "0.0,0.5,0.3000000000000001,0.09999999999999966,3.5549978033124205e-16,-0.20000000000000007,"
+                "1.4600000000000002,-0.5914611189303554,-0.11441297378477064,0.605874092715126\n"
+                "0.01,0.4994797818307592,0.299402697487975,0.1049948669278331,-0.0031984537514609945,"
+                "-0.20179641317637215,1.46,-0.5914611189303556,-0.11441297378477064,0.605874092715126\n"
+                "0.02,0.49891926059645975,0.2988107790144309,0.1099789375835869,-0.0063932323652411,"
+                "-0.20358570521834568,1.46,-0.5914611189303552,-0.1144129737847707,0.6058740927151263\n"
+            ),
+            "",
+        ),
+        "simulate-pseudo": (
+            ["simulate-pseudo", "--t-final", "1", "--dt", "0.5"],
+            {
+                "n": 3,
+                "N": 2,
+                "components": [
+                    {"k": 0, "ell": 1, "lambdas": [0.5, 1.0], "masses_tilde": [0.25, 0.75]},
+                    {"k": 1, "ell": 2, "lambdas": [0.3, 0.9], "masses_tilde": [0.5, 0.5]},
+                ],
+            },
+            (
+                "t,H_total,rt2_k0_l1_j1,rt2_k0_l1_j2,rt2_k1_l2_j1,rt2_k1_l2_j2\n"
+                "0.0,3.4534000000000002,0.25,0.75,0.5,0.5\n"
+                "0.5,3.4534000000000002,0.4137189778658777,0.5862810221341224,0.6726070170677605,0.32739298293223956\n"
+                "1.0,3.4534000000000002,0.5990210269638426,0.4009789730361573,0.8084546514385326,0.19154534856146746\n"
+            ),
+            "",
+        ),
+        "transform-eval": (
+            ["transform-eval"],
+            {"measure": _MEASURE_3, "theta": [0.6, 0.0, 0.8], "zetas": [[2.0, 0.5], [-1.5, -0.2]]},
+            (
+                "zeta_re,zeta_im,value_re,value_im\n"
+                "2.0,0.5,0.5743593431690494,-0.12393904039376281\n"
+                "-1.5,-0.2,1.5201111294722554,-0.3228499487158903\n"
+            ),
+            "",
+        ),
+        "nevanlinna-check-1d": (
+            ["nevanlinna-check"],
+            {
+                "kind": "1d",
+                "measure": {"atoms": [-2.5, -2.0, 2.0, 2.5], "weights": [0.25, 0.25, 0.25, 0.25]},
+                "N": 1,
+                "y": [10.0, 100.0, 1000.0],
+            },
+            "y,residual\n10.0,0.2607466063348314\n100.0,0.002751585185474248\n1000.0,2.7531024413995908e-05\n",
+            "",
+        ),
+        "nevanlinna-check-multi": (
+            ["nevanlinna-check"],
+            {"kind": "multi", "measure": _MEASURE_3, "k": 0, "ell": 1, "N": 1, "zeta_abs": [4.0, 8.0, 16.0]},
+            (
+                "zeta_abs,residual\n"
+                "4.0,0.007351615942910244\n"
+                "8.0,0.00183871173674067\n"
+                "16.0,0.00045969056367494343\n"
+            ),
+            "",
+        ),
+        "iso-flow": (
+            ["iso-flow"],
+            {"measure": _MEASURE_3, "t_grid": [0.0, 1.0, 2.0]},
+            (
+                "t,S_k0_l1,S_k1_l3\n"
+                "0.0,1.5,5.000000000000001\n"
+                "1.0,0.7297969417565979,2.0396750659766862\n"
+                "2.0,0.47743588370726076,1.1006569007045863\n"
+            ),
+            "monotone=True max_increase=0.0 max_derivative_residual=3.6201464936880257e-08\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bytes(self, tmp_path, capsys, case):
+        argv, config, csv, stdout = self.CASES[case]
+        out = tmp_path / "out.csv"
+        code = main([argv[0], "--input", write_json(tmp_path / "in.json", config), "--output", str(out), *argv[1:]])
+        assert code == 0
+        assert out.read_text() == csv
+        assert capsys.readouterr().out == stdout
 
 
 class TestVerifyAll:

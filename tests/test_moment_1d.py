@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from toda_kdq.errors import PoleError, RankDeficiencyError
+from toda_kdq.iso_flow import IsoFlowComponent
 from toda_kdq.moment_1d import (
     DiscreteMeasure,
     JacobiMatrix,
@@ -20,6 +21,8 @@ from toda_kdq.moment_1d import (
     spectral_data_from_jacobi,
     stieltjes_transform,
 )
+from toda_kdq.pseudo_toda import TodaComponent
+from toda_kdq.toda_1d import TodaStatePhysical
 
 
 def random_measure(rng, n, lo=-2.0, hi=2.0, normalized=True):
@@ -78,6 +81,37 @@ class TestDiscreteMeasure:
         assert np.array_equal(back.atoms, mu.atoms)
         assert np.array_equal(back.weights, mu.weights)
         assert back.half_line
+
+
+class TestFrozenFields:
+    # one valid input per class whose array fields go through the shared
+    # validator: lists, ints and scalars are accepted as float vectors
+    VALID = {
+        DiscreteMeasure: {"atoms": [0.5, -1.0], "weights": [1, 2]},
+        JacobiMatrix: {"diag": [0.0, 1.0], "offdiag": 0.5},
+        SpectralData: {"eigenvalues": [-1.0, 1.0], "masses": [0.25, 0.75]},
+        TodaStatePhysical: {"x": [0.0, 1.0], "y": [2, 3]},
+        TodaComponent: {"lambdas": [0.5, 0.2], "masses_tilde": [0.5, 0.5]},
+        IsoFlowComponent: {"lambdas": [0.5], "masses": 0.0},
+    }
+
+    @pytest.mark.parametrize("cls", list(VALID), ids=lambda cls: cls.__name__)
+    def test_read_only_float_vectors(self, cls):
+        obj = cls(**self.VALID[cls])
+        for name in self.VALID[cls]:
+            arr = getattr(obj, name)
+            assert arr.dtype == np.float64 and arr.ndim == 1 and not arr.flags.writeable
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("cls", list(VALID), ids=lambda cls: cls.__name__)
+    def test_nonfinite_entry_rejected(self, cls, bad):
+        # a class's own checks (order, sign, unit sum) can all be False for
+        # NaN, as SpectralData's are, so the shared finiteness check must fire
+        for name, value in self.VALID[cls].items():
+            broken = np.atleast_1d(np.array(value, dtype=float))
+            broken[0] = bad
+            with pytest.raises(ValueError, match=f"^{name} entries must be finite$"):
+                cls(**{**self.VALID[cls], name: broken})
 
 
 class TestMoments:

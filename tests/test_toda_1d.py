@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toda_kdq.errors import PositivityLossError
-from toda_kdq.moment_1d import spectral_data_from_jacobi
+from toda_kdq.moment_1d import JacobiMatrix, spectral_data_from_jacobi
 from toda_kdq.toda_1d import (
-    TodaStateFlaschka,
     TodaStatePhysical,
     asymptotics_check,
     flaschka_inverse,
@@ -23,10 +22,10 @@ from toda_kdq.toda_1d import (
 
 
 def random_state(rng, n):
-    return TodaStateFlaschka(a=rng.uniform(0.3, 1.0, size=n - 1), b=rng.uniform(-1.0, 1.0, size=n))
+    return JacobiMatrix(offdiag=rng.uniform(0.3, 1.0, size=n - 1), diag=rng.uniform(-1.0, 1.0, size=n))
 
 
-SYMMETRIC_N2 = TodaStateFlaschka(a=[0.5], b=[0.0, 0.0])
+SYMMETRIC_N2 = JacobiMatrix(offdiag=[0.5], diag=[0.0, 0.0])
 
 
 def closed_form_n2(t):
@@ -40,7 +39,7 @@ def reference_rk4(s0, t_final, dt):
         asq = a**2
         return a * (b[1:] - b[:-1]), 2.0 * (np.concatenate([asq, [0.0]]) - np.concatenate([[0.0], asq]))
 
-    a, b = s0.a.copy(), s0.b.copy()
+    a, b = s0.offdiag.copy(), s0.diag.copy()
     a_rows, b_rows = [a], [b]
     for _ in range(int(round(t_final / dt))):
         ka1, kb1 = rhs(a, b)
@@ -110,7 +109,7 @@ class TestHamiltonians:
 class TestFlaschkaMaps:
     def test_rest_state(self):
         s = flaschka_map(TodaStatePhysical(x=[0.0, 0.0], y=[0.0, 0.0]))
-        assert np.allclose(s.a, [0.5]) and np.allclose(s.b, [0.0, 0.0])
+        assert np.allclose(s.offdiag, [0.5]) and np.allclose(s.diag, [0.0, 0.0])
 
     def test_gauge_invariance(self):
         rng = np.random.default_rng(2)
@@ -118,12 +117,12 @@ class TestFlaschkaMaps:
         s1 = flaschka_map(TodaStatePhysical(x=x, y=y))
         s2 = flaschka_map(TodaStatePhysical(x=x + 3.7, y=y))
         # the shift perturbs the differences x_j - x_{j+1} by at most 1 ulp
-        assert np.allclose(s1.a, s2.a, rtol=1e-14, atol=0.0)
-        assert np.array_equal(s1.b, s2.b)
+        assert np.allclose(s1.offdiag, s2.offdiag, rtol=1e-14, atol=0.0)
+        assert np.array_equal(s1.diag, s2.diag)
 
     def test_momentum_sign(self):
         s = flaschka_map(TodaStatePhysical(x=[0.0, 0.0], y=[2.0, -2.0]))
-        assert np.allclose(s.b, [-1.0, 1.0])
+        assert np.allclose(s.diag, [-1.0, 1.0])
 
     def test_inverse_example(self):
         phys = flaschka_inverse(SYMMETRIC_N2, gauge=0.0)
@@ -135,8 +134,8 @@ class TestFlaschkaMaps:
         for n in (2, 5):
             s = random_state(rng, n)
             back = flaschka_map(flaschka_inverse(s, gauge=rng.normal()))
-            assert np.max(np.abs(back.a - s.a)) < 1e-12
-            assert np.max(np.abs(back.b - s.b)) < 1e-12
+            assert np.max(np.abs(back.offdiag - s.offdiag)) < 1e-12
+            assert np.max(np.abs(back.diag - s.diag)) < 1e-12
 
     def test_gauge_shift(self):
         phys0 = flaschka_inverse(SYMMETRIC_N2, gauge=0.0)
@@ -153,7 +152,7 @@ class TestFlaschkaMaps:
 
 class TestRhs:
     def test_equal_b_freezes_couplings(self):
-        s = TodaStateFlaschka(a=[0.3, 0.9], b=[0.7, 0.7, 0.7])
+        s = JacobiMatrix(offdiag=[0.3, 0.9], diag=[0.7, 0.7, 0.7])
         da, _ = toda_rhs(s)
         assert np.allclose(da, 0.0)
 
@@ -163,16 +162,16 @@ class TestRhs:
         assert np.allclose(db, [0.5, -0.5])
 
     def test_decoupled_limit(self):
-        s = TodaStateFlaschka(a=[1e-9, 1e-9], b=[0.1, -0.3, 0.5])
+        s = JacobiMatrix(offdiag=[1e-9, 1e-9], diag=[0.1, -0.3, 0.5])
         _, db = toda_rhs(s)
         assert np.max(np.abs(db)) < 1e-15
 
 
 class TestIntegration:
     def test_decoupled_state_is_static(self):
-        s = TodaStateFlaschka(a=[1e-8], b=[0.4, -0.6])
+        s = JacobiMatrix(offdiag=[1e-8], diag=[0.4, -0.6])
         traj = integrate_toda(s, 1.0, 1e-2)
-        assert np.max(np.abs(traj.b - s.b)) < 1e-12
+        assert np.max(np.abs(traj.b - s.diag)) < 1e-12
 
     def test_closed_form_n2(self):
         traj = integrate_toda(SYMMETRIC_N2, 5.0, 1e-3)
@@ -193,21 +192,23 @@ class TestIntegration:
             traj = integrate_toda(SYMMETRIC_N2, 2.0, dt)
             s_exact = spectral_solve(SYMMETRIC_N2, 2.0)
             last = traj.state(-1)
-            errs.append(max(np.max(np.abs(last.a - s_exact.a)), np.max(np.abs(last.b - s_exact.b))))
+            errs.append(
+                max(np.max(np.abs(last.offdiag - s_exact.offdiag)), np.max(np.abs(last.diag - s_exact.diag)))
+            )
         assert errs[0] / errs[1] > 12.0  # ~16x for order 4
 
     def test_positivity_loss_reported(self):
-        stiff = TodaStateFlaschka(a=[2.0], b=[-4.0, 4.0])
+        stiff = JacobiMatrix(offdiag=[2.0], diag=[-4.0, 4.0])
         with pytest.raises(PositivityLossError, match=r"^non-finite state at t = 1\.5$"):
             integrate_toda(stiff, 5.0, 0.5)
-        strong = TodaStateFlaschka(a=[1e3], b=[0.0, 0.0])
+        strong = JacobiMatrix(offdiag=[1e3], diag=[0.0, 0.0])
         with pytest.raises(PositivityLossError, match=r"^coupling left the positive cone at t = 0\.5; reduce dt$"):
             integrate_toda(strong, 5.0, 0.5)
 
     def test_ensemble_error_names_state(self):
-        calm = TodaStateFlaschka(a=[0.3, 0.2], b=[0.1, 0.0, -0.1])
-        stiff = TodaStateFlaschka(a=[2.0], b=[-4.0, 4.0])
-        strong = TodaStateFlaschka(a=[1e3], b=[0.0, 0.0])
+        calm = JacobiMatrix(offdiag=[0.3, 0.2], diag=[0.1, 0.0, -0.1])
+        stiff = JacobiMatrix(offdiag=[2.0], diag=[-4.0, 4.0])
+        strong = JacobiMatrix(offdiag=[1e3], diag=[0.0, 0.0])
         with pytest.raises(PositivityLossError, match=r"^state 1 \(N = 2\): non-finite state at t = 1\.5$"):
             integrate_ensemble([calm, stiff], 5.0, 0.5)
         with pytest.raises(
@@ -279,16 +280,16 @@ class TestSpectralSolve:
         rng = np.random.default_rng(8)
         s = random_state(rng, 6)
         back = spectral_solve(s, 0.0)
-        assert np.max(np.abs(back.a - s.a)) < 1e-12
-        assert np.max(np.abs(back.b - s.b)) < 1e-12
+        assert np.max(np.abs(back.offdiag - s.offdiag)) < 1e-12
+        assert np.max(np.abs(back.diag - s.diag)) < 1e-12
 
     def test_closed_form_n2(self):
         for t in (-3.0, 0.5, 4.0):
             s = spectral_solve(SYMMETRIC_N2, t)
             a_ref, b1_ref, b2_ref = closed_form_n2(t)
-            assert s.a[0] == pytest.approx(a_ref, abs=1e-12)
-            assert s.b[0] == pytest.approx(b1_ref, abs=1e-12)
-            assert s.b[1] == pytest.approx(b2_ref, abs=1e-12)
+            assert s.offdiag[0] == pytest.approx(a_ref, abs=1e-12)
+            assert s.diag[0] == pytest.approx(b1_ref, abs=1e-12)
+            assert s.diag[1] == pytest.approx(b2_ref, abs=1e-12)
 
     def test_matches_rk4(self):
         rng = np.random.default_rng(9)
@@ -298,8 +299,8 @@ class TestSpectralSolve:
             for i in range(0, len(traj), 300):
                 sp = spectral_solve(s, traj.times[i])
                 st = traj.state(i)
-                assert np.max(np.abs(sp.a - st.a)) < 1e-6
-                assert np.max(np.abs(sp.b - st.b)) < 1e-6
+                assert np.max(np.abs(sp.offdiag - st.offdiag)) < 1e-6
+                assert np.max(np.abs(sp.diag - st.diag)) < 1e-6
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -313,8 +314,8 @@ class TestSpectralSolve:
         assert len(many) == len(times)
         for t, sp in zip(times, many):
             one = spectral_solve(s, t)
-            assert isinstance(one, TodaStateFlaschka)
-            assert sp.a.tobytes() == one.a.tobytes() and sp.b.tobytes() == one.b.tobytes()
+            assert isinstance(one, JacobiMatrix)
+            assert sp.offdiag.tobytes() == one.offdiag.tobytes() and sp.diag.tobytes() == one.diag.tobytes()
 
     def test_mass_renormalization(self):
         # t is capped so the evolved off-diagonals e^{-sum(gaps) t} stay above
@@ -335,7 +336,7 @@ class TestAsymptotics:
     def test_b_limits_are_spectrum(self):
         # well-separated spectrum keeps the reconstruction at t = 12
         # representable while the scattering limit is already ~1e-4 deep
-        s = TodaStateFlaschka(a=[0.4, 0.4, 0.4], b=[-1.5, -0.5, 0.5, 1.5])
+        s = JacobiMatrix(offdiag=[0.4, 0.4, 0.4], diag=[-1.5, -0.5, 0.5, 1.5])
         rep = asymptotics_check(s, 12.0)
         assert rep.passed
         assert rep.trace_dev < 1e-10
