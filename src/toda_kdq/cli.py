@@ -150,10 +150,7 @@ def _measure_from_dict(d: dict) -> kdq.PseudoPositiveMeasure:
 def _run_transform_eval(cfg: RunConfig) -> int:
     data = _load_json(cfg.input_path)
     mu = _measure_from_dict(data.get("measure", {}))
-    # --kmax truncates the component series at the requested degree
-    kept = {key: meas for key, meas in mu.components.items() if key[0] <= cfg.k_max}
-    if len(kept) != len(mu.components):
-        mu = kdq.PseudoPositiveMeasure(mu.n, kept, k_max=cfg.k_max)
+    mu = mu.truncated(cfg.k_max)  # --kmax truncates the component series
     try:
         theta = as_direction(mu.n, data["theta"])
         zetas = [complex(re, im) for re, im in data["zetas"]]
@@ -193,7 +190,7 @@ def _run_nevanlinna(cfg: RunConfig) -> int:
             raise ConfigError(f"bad nevanlinna config: {exc}") from exc
         if n_trunc < 0 or not mods:
             raise ConfigError("bad nevanlinna config: need N >= 0 and a nonempty zeta_abs")
-        if idx not in mu.components:
+        if idx not in mu.family.keys:
             raise ConfigError(f"bad nevanlinna config: the measure has no component (k, ell) = {idx}")
         zetas = [m * np.exp(1j * np.pi / 4) for m in mods]
         res = kdq.multi_nevanlinna_check(mu, idx, n_trunc, zetas, cfg.quad_degree)

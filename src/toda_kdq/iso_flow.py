@@ -8,12 +8,12 @@ weighted tails S_{k,l}(t) = sum_j r_j^2(t)/lambda_j^k decrease monotonically,
 with dS/dt = -2 sum_j r_j^3(t)/lambda_j^{k-1}.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kdq import PseudoPositiveMeasure
-from .moment_1d import DiscreteMeasure, _freeze_fields
+from .kdq import ComponentFamily, PseudoPositiveMeasure, _Packed
+from .moment_1d import _freeze_fields
 
 __all__ = [
     "IsoFlowComponent",
@@ -30,6 +30,18 @@ __all__ = [
 ]
 
 
+_FIELDS = ("lambdas", "masses")
+
+
+def _iso_family(family: ComponentFamily) -> ComponentFamily:
+    # at least one atom per component; radii and masses >= 0
+    if (family.sizes < 1).any():
+        raise ValueError("lambdas and masses must be matching 1-d arrays")
+    if (family.radii < 0.0).any() or (family.masses < 0.0).any():
+        raise ValueError("radii and masses must be nonnegative")
+    return family
+
+
 @dataclass(frozen=True)
 class IsoFlowComponent:
     """Fixed radii lambda_j >= 0 with masses r_j^2 >= 0."""
@@ -38,46 +50,47 @@ class IsoFlowComponent:
     masses: np.ndarray
 
     def __post_init__(self):
-        lam, m = _freeze_fields(self, lambdas=self.lambdas, masses=self.masses)
-        if lam.shape != m.shape or lam.size < 1:
-            raise ValueError("lambdas and masses must be matching 1-d arrays")
-        if (lam < 0.0).any() or (m < 0.0).any():
-            raise ValueError("radii and masses must be nonnegative")
+        fam = _iso_family(ComponentFamily.pack([((0, 1), self.lambdas, self.masses)], _FIELDS, 1))
+        _freeze_fields(self, lambdas=fam.radii, masses=fam.masses)
 
 
-@dataclass(frozen=True)
-class IsoFlowState:
-    """Component map (k, l) -> IsoFlowComponent at a common time."""
+class IsoFlowState(_Packed):
+    """Components (k, l) of fixed radii and masses r^2 at a common time: a map
+    (k, l) -> IsoFlowComponent or (lambdas, masses), or a `family`."""
 
-    components: dict = field(default_factory=dict)
-    time: float = 0.0
+    _VIEW, _FIELDS = IsoFlowComponent, _FIELDS
 
-    def __post_init__(self):
-        comps = {}
-        for key, comp in self.components.items():
-            k, ell = int(key[0]), int(key[1])
+    def __init__(self, components=None, time: float = 0.0, *, family=None):
+        family = ComponentFamily.pack(self._items(components), _FIELDS, 1) if family is None else family
+        for k, ell in family.keys:
             if k < 0 or ell < 1:
                 raise ValueError(f"invalid component index {(k, ell)}")
-            if not isinstance(comp, IsoFlowComponent):
-                comp = IsoFlowComponent(*comp)
-            comps[(k, ell)] = comp
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "time", float(self.time))
-
-    def sorted_items(self):
-        return sorted(self.components.items(), key=lambda kv: kv[0])
+        self.family, self.time = _iso_family(family), float(time)
 
 
 def blow_up_time(state: IsoFlowState) -> float:
     """Largest backward time the closed form tolerates (exclusive); -inf if none."""
-    worst = -np.inf
-    for _, comp in state.sorted_items():
-        r0 = np.sqrt(comp.masses)
-        prod = comp.lambdas * r0
-        active = prod > 0.0
-        if np.any(active):
-            worst = max(worst, float(np.max(-1.0 / prod[active])))
-    return worst
+    prod = state.family.radii * np.sqrt(state.family.masses)
+    active = prod > 0.0
+    return float(np.max(-1.0 / prod[active])) if active.any() else -np.inf
+
+
+def _riccati(state: IsoFlowState, times, allow_backward: bool) -> np.ndarray:
+    # masses r(t)^2 at every time, shape (times, atoms), as `riccati_evolve`
+    times = np.asarray(times, dtype=float)
+    if (times < 0.0).any():
+        if not allow_backward:
+            raise ValueError("backward evolution must be enabled explicitly")
+        t_blow = blow_up_time(state)
+        beyond = times[times <= t_blow]
+        if beyond.size:
+            raise ValueError(f"t = {float(beyond[0])} is at or beyond the backward blow-up time {t_blow}")
+    r0 = np.sqrt(state.family.masses)
+    r_t = r0 / (1.0 + state.family.radii * r0 * times[:, None])
+    masses = r_t**2
+    if not np.isfinite(masses).all():
+        raise ValueError("masses entries must be finite")
+    return masses
 
 
 def riccati_evolve(state: IsoFlowState, t: float, allow_backward: bool = False) -> IsoFlowState:
@@ -86,38 +99,35 @@ def riccati_evolve(state: IsoFlowState, t: float, allow_backward: bool = False) 
     Radii stay fixed.  Negative t must be enabled explicitly and must stay
     strictly after the blow-up time of every atom.
     """
-    if t < 0.0:
-        if not allow_backward:
-            raise ValueError("backward evolution must be enabled explicitly")
-        t_blow = blow_up_time(state)
-        if t <= t_blow:
-            raise ValueError(f"t = {t} is at or beyond the backward blow-up time {t_blow}")
-    comps = {}
-    for key, comp in state.components.items():
-        r0 = np.sqrt(comp.masses)
-        r_t = r0 / (1.0 + comp.lambdas * r0 * t)
-        comps[key] = IsoFlowComponent(comp.lambdas, r_t**2)
-    return IsoFlowState(components=comps, time=state.time + t)
+    masses = _riccati(state, [t], allow_backward)[0]
+    return IsoFlowState(time=state.time + t, family=replace(state.family, masses=masses))
+
+
+def _functionals(family: ComponentFamily, masses: np.ndarray) -> np.ndarray:
+    # S_{k,l} of every component for masses (..., atoms); division error at
+    # lambda = 0 with k > 0 and a positive mass
+    hit = ((family.radii == 0.0) & (family.atom_degrees > 0) & (masses > 0.0)).reshape(-1, masses.shape[-1])
+    if hit.any():
+        k, ell = family.keys[np.searchsorted(family.offsets, np.argmax(hit.any(axis=0)), side="right") - 1]
+        raise ZeroDivisionError(f"component {(k, ell)} divides by lambda^{k} at lambda = 0")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(masses > 0.0, masses / family.degree_powers(family.radii), 0.0)
+    return family.block_sums(terms)
+
+
+def _ds_dt(family: ComponentFamily, masses: np.ndarray) -> np.ndarray:
+    # dS/dt = -2 sum_j r_j^3 / lambda_j^{k-1} of every component
+    r = np.sqrt(masses)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(r > 0.0, r**3 / family.degree_powers(family.radii, -1), 0.0)
+    return -2.0 * family.block_sums(terms)
 
 
 def integrability_functional(state: IsoFlowState, idx) -> float:
     """S_{k,l} = sum_j r_j^2 / lambda_j^k; division error at lambda = 0 with k > 0."""
-    k, ell = int(idx[0]), int(idx[1])
-    comp = state.components.get((k, ell))
-    if comp is None:
-        raise KeyError(f"no component at index {(k, ell)}")
-    if k > 0 and np.any((comp.lambdas == 0.0) & (comp.masses > 0.0)):
-        raise ZeroDivisionError(f"component {(k, ell)} divides by lambda^{k} at lambda = 0")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(comp.masses > 0.0, comp.masses / comp.lambdas ** float(k), 0.0)
-    return float(np.sum(terms))
-
-
-def _ds_dt(comp: IsoFlowComponent, k: int) -> float:
-    r = np.sqrt(comp.masses)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(r > 0.0, r**3 / comp.lambdas ** float(k - 1), 0.0)
-    return float(-2.0 * np.sum(terms))
+    lambdas, masses = state.family.component(idx)
+    one = ComponentFamily(((int(idx[0]), int(idx[1])),), np.array([0, masses.size]), lambdas, masses)
+    return float(_functionals(one, masses)[0])
 
 
 @dataclass(frozen=True)
@@ -139,8 +149,8 @@ def integrability_check(state: IsoFlowState, ratio_tol: float = 1.0) -> Integrab
     partial sums - a tail ratio above `ratio_tol` flags divergence.
     """
     per_k: dict[int, float] = {}
-    for (k, ell), _ in state.sorted_items():
-        per_k[k] = per_k.get(k, 0.0) + integrability_functional(state, (k, ell))
+    for (k, _), val in zip(state.family.keys, _functionals(state.family, state.family.masses).tolist()):
+        per_k[k] = per_k.get(k, 0.0) + val
     table = tuple(sorted(per_k.items()))
     total = float(sum(v for _, v in table))
     ratios = [
@@ -175,45 +185,35 @@ def monotonicity_check(state: IsoFlowState, t_grid, dt: float = 1e-4, tol: float
     times = np.asarray(sorted(float(t) for t in t_grid))
     if times.size < 2 or times[0] < 0.0:
         raise ValueError("need at least two grid times with t >= 0")
-    keys = [key for key, _ in state.sorted_items()]
-    values = {key: np.empty(times.size) for key in keys}
-    max_resid = 0.0
-    for i, t in enumerate(times):
-        st = riccati_evolve(state, t - state.time, allow_backward=True)
-        st_m = riccati_evolve(state, t - dt - state.time, allow_backward=True)
-        st_p = riccati_evolve(state, t + dt - state.time)
-        for key in keys:
-            values[key][i] = integrability_functional(st, key)
-            ds_num = (
-                integrability_functional(st_p, key) - integrability_functional(st_m, key)
-            ) / (2.0 * dt)
-            max_resid = max(max_resid, abs(ds_num - _ds_dt(st.components[key], key[0])))
-    max_inc = 0.0
-    for key in keys:
-        max_inc = max(max_inc, float(np.max(np.diff(values[key]), initial=0.0)))
-    passed = max_inc <= tol
+    fam = state.family
+    masses = _riccati(state, times - state.time, True)
+    masses_m = _riccati(state, times - dt - state.time, True)
+    masses_p = _riccati(state, times + dt - state.time, False)
+    values = _functionals(fam, masses)
+    ds_num = (_functionals(fam, masses_p) - _functionals(fam, masses_m)) / (2.0 * dt)
+    max_resid = _max_positive(np.abs(ds_num - _ds_dt(fam, masses)))
+    max_inc = _max_positive(np.diff(values, axis=0))
     return MonotonicityReport(
         times=times,
-        values=values,
+        values={key: values[:, i] for i, key in enumerate(fam.keys)},
         max_increase=max_inc,
         max_derivative_residual=max_resid,
-        passed=passed,
+        passed=max_inc <= tol,
     )
+
+
+def _max_positive(values: np.ndarray) -> float:
+    # max(0.0, v_1, v_2, ...) folded with Python's max, which keeps 0.0 over
+    # -0.0 and skips NaN: the largest entry above 0, else 0.0
+    above = values[values > 0.0]
+    return float(above.max()) if above.size else 0.0
 
 
 def state_to_measure(state: IsoFlowState, n: int, k_max: int = -1) -> PseudoPositiveMeasure:
     """Serialize through the shared radial-component schema (zero-mass atoms drop)."""
-    comps = {}
-    for key, comp in state.sorted_items():
-        keep = comp.masses > 0.0
-        if np.any(keep):
-            comps[key] = DiscreteMeasure(comp.lambdas[keep], comp.masses[keep], half_line=True)
-    return PseudoPositiveMeasure(n=n, components=comps, k_max=k_max)
+    kept = state.family.compress(state.family.masses > 0.0)
+    return PseudoPositiveMeasure.from_atoms(n, kept, k_max=k_max)
 
 
 def state_from_measure(mu: PseudoPositiveMeasure) -> IsoFlowState:
-    comps = {
-        key: IsoFlowComponent(meas.atoms, meas.weights)
-        for key, meas in mu.sorted_items()
-    }
-    return IsoFlowState(components=comps)
+    return IsoFlowState(family=mu.family)

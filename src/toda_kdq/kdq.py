@@ -33,18 +33,20 @@ bitwise reproducible.
 import cmath
 import math
 import operator
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import DivergenceRegionError, PoleError
-from .moment_1d import DiscreteMeasure, _freeze_fields, stieltjes_transform
+from .moment_1d import DiscreteMeasure, _as_vector, _freeze_fields, _sorted_atoms, _view
 from .sphere import (
     as_direction,
     check_index,
+    check_indices,
     dim_harmonics,
     eval_harmonic,
+    harmonic_table,
     sphere_nodes,
     solid_harmonic,
 )
@@ -55,6 +57,7 @@ from scipy.special import eval_chebyt, eval_legendre
 
 __all__ = [
     "KDQPoint",
+    "ComponentFamily",
     "PseudoPositiveMeasure",
     "AlmansiPolynomial",
     "GrowthReport",
@@ -108,66 +111,196 @@ def _antipodal_flip(z: complex, th: np.ndarray) -> bool:
     return nonzero.size > 0 and nonzero[0] < 0.0
 
 
-@dataclass(frozen=True)
-class PseudoPositiveMeasure:
+@dataclass(frozen=True, eq=False)
+class ComponentFamily:
+    """Radial components indexed by (k, ell), packed into flat read-only arrays.
+
+    `keys` ascend; component keys[i] owns radii[offsets[i]:offsets[i+1]] and
+    the masses at the same positions.  Each owner (`PseudoPositiveMeasure`,
+    `pseudo_toda.PseudoTodaState`, `iso_flow.IsoFlowState`) checks the
+    arrays once, and per-component quantities are array expressions on them.
+    """
+
+    keys: tuple
+    offsets: np.ndarray
+    radii: np.ndarray
+    masses: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.offsets, self.radii, self.masses):
+            arr.setflags(write=False)
+
+    @classmethod
+    def pack(cls, items, names=("radii", "masses"), min_size: int = 0) -> "ComponentFamily":
+        """Pack ((k, ell), radii, masses) items; a repeated index keeps its last item.
+
+        Arrays of different sizes or with fewer than `min_size` atoms, or with
+        an entry that is not finite, raise ValueError naming the field.
+        """
+        table = {}
+        for key, *arrays in items:
+            r, m = (_as_vector(name, arr) for name, arr in zip(names, arrays))
+            if r.shape != m.shape or r.size < min_size:
+                raise ValueError(f"{names[0]} and {names[1]} must be matching 1-d arrays")
+            table[(int(key[0]), int(key[1]))] = (r, m)
+        keys = tuple(sorted(table))
+        flat = [np.concatenate([np.empty(0)] + [table[key][i] for key in keys]) for i in (0, 1)]
+        for name, arr in zip(names, flat):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} entries must be finite")
+        return cls(keys, np.cumsum([0] + [table[key][0].size for key in keys]), *flat)
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        return np.array([k for k, _ in self.keys], dtype=int)
+
+    @cached_property
+    def atom_degrees(self) -> np.ndarray:
+        return np.repeat(self.degrees, self.sizes)
+
+    @cached_property
+    def blocks(self) -> list:
+        """(positions, atom indices of shape (C_m, m)) of the components with m atoms, per m > 0."""
+        counts = np.unique(self.sizes[self.sizes > 0]).tolist()
+        return [(pos, self.offsets[pos][:, None] + np.arange(m)) for m in counts for pos in [np.flatnonzero(self.sizes == m)]]
+
+    def index(self, idx) -> int:
+        """Position of component idx = (k, ell) in `keys`; KeyError if it is absent."""
+        key = (int(idx[0]), int(idx[1]))
+        if key not in self.keys:
+            raise KeyError(f"no component at index {key}")
+        return self.keys.index(key)
+
+    def component(self, idx) -> tuple:
+        """(radii, masses) views of component idx = (k, ell); KeyError if it is absent."""
+        i = self.index(idx)
+        span = slice(self.offsets[i], self.offsets[i + 1])
+        return self.radii[span], self.masses[span]
+
+    def items(self) -> list:
+        """(key, radii, masses) per component, in ascending (k, ell) order."""
+        bounds = self.offsets.tolist()
+        return [(key, self.radii[i:j], self.masses[i:j]) for key, i, j in zip(self.keys, bounds, bounds[1:])]
+
+    def compress(self, keep, masses=None) -> "ComponentFamily":
+        """The atoms where `keep` holds, with `masses` if given; a component left empty drops."""
+        counts = np.diff(np.concatenate([[0], np.cumsum(keep)])[self.offsets])
+        keys = tuple(key for key, c in zip(self.keys, counts.tolist()) if c)
+        masses = self.masses if masses is None else masses
+        return ComponentFamily(keys, np.cumsum([0] + counts[counts > 0].tolist()), self.radii[keep], masses[keep])
+
+    def block_sums(self, values) -> np.ndarray:
+        """Sums of `values` (..., atoms) over each component: shape (..., components).
+
+        The components with m atoms are summed as one C-contiguous (..., C_m, m)
+        block along its last axis, which numpy reduces row by row exactly as
+        `np.sum` reduces one component.  `values[..., idx]` would put the index
+        axes first in memory, and numpy would then sum in another order.
+        """
+        values = np.asarray(values)
+        out = np.zeros(values.shape[:-1] + (len(self.keys),), dtype=values.dtype)
+        for pos, idx in self.blocks:
+            out[..., pos] = np.take(values, idx, axis=-1).sum(axis=-1)
+        return out
+
+    def degree_powers(self, base, shift: int = 0) -> np.ndarray:
+        """base ** (k + shift) per atom, k its component's degree, as one scalar
+        power per degree: an array of exponents takes another numpy path and
+        moves the last bit (k = 2 is a square only for a scalar 2)."""
+        out = np.empty(base.shape)
+        for k in np.unique(self.degrees).tolist():
+            at = self.atom_degrees == k
+            out[at] = base[at] ** (k + shift)
+        return out
+
+
+class _Packed:
+    """A container stored as one `ComponentFamily`, `family`: `components`
+    maps each index to a `_VIEW` of it, built on access."""
+
+    _VIEW, _FIELDS, _EXTRA = None, (), {}
+
+    @classmethod
+    def _items(cls, components) -> list:
+        # (key, radii, masses) from views or from pairs of arrays
+        return [
+            (key, *(getattr(comp, f) for f in cls._FIELDS)) if isinstance(comp, cls._VIEW) else (key, *comp)
+            for key, comp in (components or {}).items()
+        ]
+
+    @property
+    def components(self) -> dict:
+        return {key: _view(self._VIEW, **dict(zip(self._FIELDS, arrays)), **self._EXTRA) for key, *arrays in self.family.items()}
+
+    def sorted_items(self):
+        return list(self.components.items())
+
+
+class PseudoPositiveMeasure(_Packed):
     """Sparse family of nonnegative radial component measures indexed by (k, ell).
 
     Absent indices mean a zero component.  Every stored component lives on
     the half-line (atoms >= 0) and k runs up to the truncation degree k_max.
+    Pass `components`, a map (k, ell) -> DiscreteMeasure, or a `family` of
+    sorted and merged components (see `from_atoms`).
     """
 
-    n: int
-    components: dict = field(default_factory=dict)
-    k_max: int = -1  # -1: infer from the stored components
+    _VIEW, _FIELDS, _EXTRA = DiscreteMeasure, ("atoms", "weights"), {"half_line": True}
 
-    def __post_init__(self):
-        if self.n not in (2, 3):
-            raise ValueError(f"unsupported ambient dimension n={self.n}")
-        comps = {}
-        for key, meas in self.components.items():
-            k, ell = int(key[0]), int(key[1])
-            check_index(self.n, k, ell)
-            if not isinstance(meas, DiscreteMeasure):
+    def __init__(self, n: int, components=None, k_max: int = -1, *, family=None):
+        if n not in (2, 3):
+            raise ValueError(f"unsupported ambient dimension n={n}")
+        if family is None:
+            components = components or {}
+            if not all(isinstance(meas, DiscreteMeasure) for meas in components.values()):
                 raise TypeError("components must map (k, ell) to DiscreteMeasure")
-            if not meas.half_line:
-                meas = DiscreteMeasure(meas.atoms, meas.weights, half_line=True)
-            comps[(k, ell)] = meas
-        k_max = self.k_max
-        if k_max < 0:
-            k_max = max((k for k, _ in comps), default=0)
-        if any(k > k_max for k, _ in comps):
+            # a measure not flagged half-line is checked (and merged) again as one
+            comps = {key: m if m.half_line else DiscreteMeasure(m.atoms, m.weights, True) for key, m in components.items()}
+            family = ComponentFamily.pack(self._items(comps), self._FIELDS)
+        check_indices(n, family.keys)
+        top = family.keys[-1][0] if family.keys else 0
+        if top > k_max >= 0:
             raise ValueError("component degree exceeds k_max")
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "k_max", int(k_max))
+        self.n, self.family, self.k_max = int(n), family, int(k_max if k_max >= 0 else top)
 
-    def sorted_items(self):
-        return sorted(self.components.items(), key=lambda kv: kv[0])
+    @classmethod
+    def from_atoms(cls, n: int, family: ComponentFamily, k_max: int = -1) -> "PseudoPositiveMeasure":
+        """Measure from raw atoms and weights, each component checked, sorted
+        and merged as a `DiscreteMeasure` of its own."""
+        atoms, weights, offsets = _sorted_atoms(family.radii, family.masses, family.offsets, half_line=True)
+        return cls(n, k_max=k_max, family=ComponentFamily(family.keys, offsets, atoms, weights))
 
     @property
     def support_radius(self) -> float:
-        radius = 0.0
-        for meas in self.components.values():
-            if len(meas):
-                radius = max(radius, float(meas.atoms[-1]))
-        return radius
+        return max(0.0, float(self.family.radii.max())) if self.family.radii.size else 0.0
+
+    def truncated(self, k_max: int) -> "PseudoPositiveMeasure":
+        """The components of degree <= k_max, at truncation degree k_max; self if none is above."""
+        fam = self.family
+        count = int(np.sum(fam.degrees <= k_max))
+        if count == len(fam.keys):
+            return self
+        head = ComponentFamily(fam.keys[:count], fam.offsets[: count + 1], *(a[: fam.offsets[count]] for a in (fam.radii, fam.masses)))
+        return PseudoPositiveMeasure(self.n, k_max=k_max, family=head)
 
     def to_dict(self) -> dict:
         return {
             "n": int(self.n),
             "k_max": int(self.k_max),
             "components": [
-                {"k": k, "ell": ell, **{key: val for key, val in meas.to_dict().items() if key != "half_line"}}
-                for (k, ell), meas in self.sorted_items()
+                {"k": k, "ell": ell, "atoms": atoms.tolist(), "weights": weights.tolist()}
+                for (k, ell), atoms, weights in self.family.items()
             ],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "PseudoPositiveMeasure":
-        comps = {
-            (int(c["k"]), int(c["ell"])): DiscreteMeasure(c["atoms"], c["weights"], half_line=True)
-            for c in d["components"]
-        }
-        return cls(n=int(d["n"]), components=comps, k_max=int(d.get("k_max", -1)))
+        items = (((c["k"], c["ell"]), c["atoms"], c["weights"]) for c in d["components"])
+        return cls.from_atoms(int(d["n"]), ComponentFamily.pack(items, cls._FIELDS), k_max=int(d.get("k_max", -1)))
 
 
 def aronszajn_r_pow_n(p: KDQPoint, x) -> complex:
@@ -326,9 +459,13 @@ def cauchy_reproduce(
     """Reproduce poly(x), |x| < 1, from the kernel double integral.
 
     (1/2·pi·i) of the contour integral over the unit circle in zeta of the
-    sphere average of kernel(zeta theta; x) * poly(zeta theta).  The contour
-    uses the trapezoid rule (exact for the Laurent orders present up to an
-    |x|^M aliasing tail); the sphere uses `sphere_nodes`.
+    sphere average of kernel(zeta theta; x) * poly(zeta theta).  The sphere
+    uses `sphere_nodes`; the contour uses the M-point trapezoid rule, which
+    takes the Laurent term zeta^q of the integrand for q = 0 and aliases it
+    onto 0 for every other q divisible by M.  The polynomial reaches
+    zeta^D, D = max(2j + k), and the kernel's terms past degree k_tail are
+    below the 1e-12 tail target, so M = k_tail + D + 1 leaves only aliased
+    terms past that tail.
     """
     xv = np.asarray(x, dtype=float)
     if xv.shape != (poly.n,):
@@ -341,7 +478,7 @@ def cauchy_reproduce(
     if sphere_degree is None:
         sphere_degree = k_tail + poly.max_harmonic_degree
     if n_zeta is None:
-        n_zeta = 4 * (k_tail + 1)
+        n_zeta = k_tail + max((2 * j + k for j, k, _ in poly.terms), default=0) + 1
     pts, wts = sphere_nodes(poly.n, sphere_degree)
     zeta = np.exp(2j * np.pi * np.arange(n_zeta) / n_zeta)
     kern = _kernel_on_grid(poly.n, zeta, pts @ xv, r * r)
@@ -350,14 +487,18 @@ def cauchy_reproduce(
     return complex(np.sum(zeta * sphere_avg) / n_zeta)
 
 
-def _tilde_component(meas: DiscreteMeasure, k: int) -> DiscreteMeasure | None:
-    # pushforward of r^k dmu(r) under rho = r^2; a k>0 atom at r=0 carries
-    # zero tilde weight and is dropped
-    w = meas.weights * meas.atoms**k
-    keep = w > 0.0
-    if not np.any(keep):
-        return None
-    return DiscreteMeasure(meas.atoms[keep] ** 2, w[keep], half_line=True)
+def _tilde_family(mu: PseudoPositiveMeasure) -> ComponentFamily:
+    # pushforward of r^k dmu_{k,l}(r) under rho = r^2 for every component,
+    # sorted and merged as a DiscreteMeasure of its own; an atom at r = 0
+    # with k > 0 carries zero tilde weight and drops, and so does a
+    # component left without atoms
+    fam = mu.family
+    w = fam.masses * fam.degree_powers(fam.radii)
+    if not np.isfinite(w).all():
+        raise OverflowError("a tilde weight w r^k of the measure overflows")
+    kept = fam.compress(w > 0.0, w)
+    rho, w, offsets = _sorted_atoms(kept.radii**2, kept.masses, kept.offsets, half_line=True)
+    return ComponentFamily(kept.keys, offsets, rho, w)
 
 
 def _check_outside_support(mu: PseudoPositiveMeasure, zeta: complex) -> None:
@@ -371,13 +512,17 @@ def _check_outside_support(mu: PseudoPositiveMeasure, zeta: complex) -> None:
         raise OverflowError(f"zeta^2 is not finite at zeta = {zeta}")
 
 
-def _component_terms(mu: PseudoPositiveMeasure, thetas: np.ndarray):
-    # (k, tilde measure, Y_{k,l}(thetas)) per component with tilde mass, in
-    # ascending (k, l); each is built once and shared by every zeta of a call
-    for (k, ell), meas in mu.sorted_items():
-        tilde = _tilde_component(meas, k)
-        if tilde is not None:
-            yield k, tilde, eval_harmonic(mu.n, (k, ell), thetas)
+def _tilde_transforms(tilde: ComponentFamily, z2: np.ndarray) -> np.ndarray:
+    # T[i, c] = sum_j w_cj / (z2[i] - rho_cj), the Stieltjes transform of
+    # every tilde component at every point, shape (points, components);
+    # PoleError at an atom, for the first such component and then point
+    diffs = z2[:, None] - tilde.radii
+    poles = diffs == 0.0
+    if poles.any():
+        c = np.searchsorted(tilde.offsets, np.flatnonzero(poles.any(axis=0))[0], side="right") - 1
+        i = np.flatnonzero(poles[:, tilde.offsets[c] : tilde.offsets[c + 1]].any(axis=1))[0]
+        raise PoleError(f"Stieltjes transform evaluated at an atom: {complex(z2[i])}")
+    return tilde.block_sums(tilde.masses / diffs)
 
 
 def markov_stieltjes(mu: PseudoPositiveMeasure, p):
@@ -386,9 +531,10 @@ def markov_stieltjes(mu: PseudoPositiveMeasure, p):
     T_{k,l} is the one-dimensional Stieltjes transform of the pushforward of
     r^k dmu_{k,l} under rho = r^2, evaluated at zeta^2; needs |zeta| larger
     than the support radius.  `p` is one KDQPoint (a complex is returned) or
-    a sequence of them (a complex array is returned); the pushforwards and
-    harmonic values are built once per call, and each point's sum runs in
-    the same ascending (k, l) order either way.
+    a sequence of them (a complex array is returned).  Every T_{k,l} at
+    every point is one array expression over all atoms; the products and
+    each point's sum, in ascending (k, l) order, run on Python complex
+    numbers, which numpy's complex multiply does not match bit for bit.
     """
     points = [p] if isinstance(p, KDQPoint) else list(p)
     for q in points:
@@ -396,32 +542,45 @@ def markov_stieltjes(mu: PseudoPositiveMeasure, p):
             raise ValueError("dimension mismatch between measure and point")
         _check_outside_support(mu, q.zeta)
     thetas = np.array([q.theta for q in points]).reshape(len(points), mu.n)
-    totals = [0.0 + 0.0j] * len(points)
-    for k, tilde, ys in _component_terms(mu, thetas):
-        for i, (q, y_val) in enumerate(zip(points, ys.tolist())):
-            z = q.zeta
-            totals[i] += z ** (1 - k) * y_val * stieltjes_transform(tilde, z * z)
+    tilde = _tilde_family(mu)
+    ks = tilde.degrees.tolist()
+    zs = [q.zeta for q in points]
+    t_vals = _tilde_transforms(tilde, np.array([z * z for z in zs], dtype=complex)).tolist()
+    totals = []
+    for z, ys, ts in zip(zs, harmonic_table(mu.n, tilde.keys, thetas).tolist(), t_vals):
+        powers = [z ** (1 - k) for k in range(ks[-1] + 1)] if ks else []
+        total = 0.0 + 0.0j
+        for k, y_val, t_val in zip(ks, ys, ts):
+            total += powers[k] * y_val * t_val
+        totals.append(total)
     if isinstance(p, KDQPoint):
         return complex(totals[0])
     return np.array(totals, dtype=complex)
 
 
 def _markov_on_nodes(mu: PseudoPositiveMeasure, zetas: list, pts: np.ndarray) -> np.ndarray:
-    # row i: transform values at every node for zetas[i]
+    # row i: transform values at every node for zetas[i], accumulated over
+    # the components in ascending (k, l) order
+    tilde = _tilde_family(mu)
+    t_vals = _tilde_transforms(tilde, np.array([z * z for z in zetas], dtype=complex)).tolist()
+    ks = tilde.degrees.tolist()
+    coefs = np.array([[z ** (1 - k) * t for k, t in zip(ks, ts)] for z, ts in zip(zetas, t_vals)], dtype=complex)
+    coefs = coefs.reshape(len(zetas), len(ks)).T.copy()
+    ys = np.ascontiguousarray(harmonic_table(mu.n, tilde.keys, pts).T)
     vals = np.zeros((len(zetas), pts.shape[0]), dtype=complex)
-    for k, tilde, ys in _component_terms(mu, pts):
-        for i, zeta in enumerate(zetas):
-            vals[i] += zeta ** (1 - k) * stieltjes_transform(tilde, zeta * zeta) * ys
+    for coef, y in zip(coefs, ys):
+        vals += coef[:, None] * y
     return vals
 
 
 def component_moment(mu: PseudoPositiveMeasure, idx, j: int) -> float:
     """Moment s_{k,l;j} = int r^{k+2j} dmu_{k,l}(r); zero for an absent component."""
     k, ell = idx
-    meas = mu.components.get((int(k), int(ell)))
-    if meas is None or len(meas) == 0:
+    try:
+        atoms, weights = mu.family.component(idx)
+    except KeyError:
         return 0.0
-    return float(np.sum(meas.weights * meas.atoms ** (k + 2 * j)))
+    return float(np.sum(weights * atoms ** (k + 2 * j))) if atoms.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -443,9 +602,9 @@ def growth_condition_check(mu: PseudoPositiveMeasure) -> GrowthReport:
     range (the per-degree ratios m_k^{1/k} still rising at the largest
     degrees) is reported as a failed fit rather than an exception.
     """
+    fam = mu.family
     m: dict[int, float] = {}
-    for (k, _), meas in mu.sorted_items():
-        val = float(np.sum(meas.weights * meas.atoms**k))
+    for (k, _), val in zip(fam.keys, fam.block_sums(fam.masses * fam.degree_powers(fam.radii)).tolist()):
         m[k] = max(m.get(k, 0.0), val)
     table = tuple(sorted(m.items()))
     positive = [(k, v) for k, v in table if v > 0.0]
@@ -465,7 +624,7 @@ def growth_condition_check(mu: PseudoPositiveMeasure) -> GrowthReport:
 
 
 def _projection_degree(mu: PseudoPositiveMeasure, k: int) -> int:
-    stored = max((kk for kk, _ in mu.components), default=0)
+    stored = max((kk for kk, _ in mu.family.keys), default=0)
     return stored + k + 2
 
 

@@ -39,29 +39,43 @@ _MERGE_TOL = 1e-12
 _MASS_TOL = 1e-8
 
 
+def _as_vector(name: str, value) -> np.ndarray:
+    # a scalar becomes length 1 and an empty array of any shape length 0
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim != 1:
+        if arr.ndim and arr.size:
+            raise ValueError(f"{name} must be a 1-d array, got shape {arr.shape}")
+        arr = arr.reshape(arr.size)
+    return arr
+
+
 def _freeze_fields(obj, **fields) -> list:
     """Store each field on the frozen dataclass `obj` as a read-only float array.
 
-    Every value goes through `np.asarray(value, dtype=float)`; a scalar
-    becomes a length-1 array and an empty array of any shape a length-0 one.
-    Raises ValueError, naming the field, if a value has more than one
-    dimension or an entry that is not finite.  Checks that tie the fields
-    together (sizes, signs, order, sums) stay with each class.  Returns the
-    stored arrays in argument order.
+    Every value goes through `np.asarray(value, dtype=float)` (`_as_vector`);
+    a scalar becomes a length-1 array and an empty array of any shape a
+    length-0 one.  Raises ValueError, naming the field, if a value has more
+    than one dimension or an entry that is not finite.  Checks that tie the
+    fields together (sizes, signs, order, sums) stay with each class.
+    Returns the stored arrays in argument order.
     """
     arrays = []
     for name, value in fields.items():
-        arr = np.asarray(value, dtype=float)
-        if arr.ndim != 1:
-            if arr.ndim and arr.size:
-                raise ValueError(f"{name} must be a 1-d array, got shape {arr.shape}")
-            arr = arr.reshape(arr.size)
+        arr = _as_vector(name, value)
         if not np.isfinite(arr).all():
             raise ValueError(f"{name} entries must be finite")
         arr.setflags(write=False)
         object.__setattr__(obj, name, arr)
         arrays.append(arr)
     return arrays
+
+
+def _view(cls, **fields):
+    # an instance of `cls` holding `fields` as given, not validated again
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -81,15 +95,7 @@ class DiscreteMeasure:
         atoms, weights = _freeze_fields(self, atoms=self.atoms, weights=self.weights)
         if atoms.shape != weights.shape:
             raise ValueError("atoms and weights must be 1-d arrays of equal length")
-        if (weights <= 0.0).any():
-            raise ValueError("weights must be strictly positive")
-        order = atoms.argsort()
-        atoms, weights = atoms[order], weights[order]
-        if atoms.size > 1:
-            atoms, weights = _merge_coincident(atoms, weights)
-        if self.half_line and (atoms < 0.0).any():
-            raise ValueError("half-line measure requires nonnegative atoms")
-        # store the sorted, merged arrays; a merged weight that overflows is rejected
+        atoms, weights, _ = _sorted_atoms(atoms, weights, np.array([0, atoms.size]), self.half_line)
         _freeze_fields(self, atoms=atoms, weights=weights)
 
     def __len__(self) -> int:
@@ -115,20 +121,46 @@ class DiscreteMeasure:
         )
 
 
-def _merge_coincident(atoms: np.ndarray, weights: np.ndarray):
-    # sorted input; groups closer than the collision tolerance collapse to
-    # their weight-averaged position
-    out_a, out_w = [], []
-    i = 0
-    while i < atoms.size:
-        j = i + 1
-        while j < atoms.size and atoms[j] - atoms[j - 1] <= _MERGE_TOL:
-            j += 1
-        w = weights[i:j].sum()
-        out_a.append(float(atoms[i:j] @ weights[i:j] / w))
-        out_w.append(float(w))
-        i = j
-    return np.asarray(out_a), np.asarray(out_w)
+def _sorted_atoms(atoms: np.ndarray, weights: np.ndarray, offsets: np.ndarray, half_line: bool):
+    # DiscreteMeasure's checks, sort and merge on each segment
+    # atoms[offsets[i]:offsets[i+1]]; returns the new atoms, weights, offsets
+    if (weights <= 0.0).any():
+        raise ValueError("weights must be strictly positive")
+    if offsets.size == 2:
+        order = atoms.argsort(kind="stable")
+    else:
+        order = np.lexsort((atoms, np.repeat(np.arange(offsets.size - 1), offsets[1:] - offsets[:-1])))
+    atoms, weights, offsets = _merge_coincident(atoms[order], weights[order], offsets)
+    if half_line and (atoms < 0.0).any():
+        raise ValueError("half-line measure requires nonnegative atoms")
+    if not np.isfinite(weights).all():  # a merged weight that overflows
+        raise ValueError("weights entries must be finite")
+    return atoms, weights, offsets
+
+
+def _merge_coincident(atoms: np.ndarray, weights: np.ndarray, offsets: np.ndarray):
+    # in each sorted segment, a group of atoms with gaps <= 1e-12 collapses to
+    # (atoms . weights) / sum(weights); any other atom of a segment of two or
+    # more is rewritten as (a w)/w, that average for a group of one, and a
+    # segment of one atom is kept as given
+    n = atoms.size
+    sizes = offsets[1:] - offsets[:-1]
+    edges = np.ones(n + 1, dtype=bool)  # a group starts at i; edges[n] closes the last
+    np.greater(atoms[1:] - atoms[:-1], _MERGE_TOL, out=edges[1:n])
+    edges[offsets[:-1][sizes > 0]] = True
+    bounds = edges.nonzero()[0]
+    heads = bounds[:-1]
+    out_w = weights[heads]
+    out_a = atoms[heads] * out_w / out_w
+    for g in (bounds[1:] - heads > 1).nonzero()[0]:
+        group = slice(bounds[g], bounds[g + 1])
+        out_w[g] = weights[group].sum()
+        out_a[g] = atoms[group] @ weights[group] / out_w[g]
+    groups_before = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(edges[:n], out=groups_before[1:])
+    lone = offsets[:-1][sizes == 1]
+    out_a[groups_before[lone]] = atoms[lone]
+    return out_a, out_w, groups_before[offsets]
 
 
 @dataclass(frozen=True)

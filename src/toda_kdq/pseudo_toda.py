@@ -16,14 +16,16 @@ C = D = 1, so the transform of the associated measure converges for
 |zeta| > 1, Im zeta^2 > 0 at every time.
 """
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kdq import PseudoPositiveMeasure
+from .errors import PositivityLossError
+from .kdq import ComponentFamily, PseudoPositiveMeasure, _Packed
 from .moment_1d import DiscreteMeasure, JacobiMatrix, _freeze_fields, jacobi_from_measure
-from .sphere import check_index, eval_harmonic
+from .sphere import check_indices, eval_harmonic
 from .toda_1d import _csv_text, _evolved_masses, toda_rhs
 
 __all__ = [
@@ -44,6 +46,23 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-12
+_FIELDS = ("lambdas", "masses_tilde")
+
+
+def _toda_family(family: ComponentFamily) -> ComponentFamily:
+    # radii >= 0 and tilde masses > 0 summing to one per component; each
+    # component is then sorted by radius
+    if (family.radii < 0.0).any():
+        raise ValueError("radii must be finite and nonnegative")
+    if (family.masses <= 0.0).any():
+        raise ValueError("tilde masses must be finite and strictly positive")
+    sums = family.block_sums(family.masses)
+    off = np.abs(sums - 1.0) > _NORM_TOL
+    if off.any():
+        raise ValueError(f"tilde masses must sum to 1 within {_NORM_TOL}, got {sums[off][0]!r}")
+    segment = np.repeat(np.arange(len(family.keys)), family.sizes)
+    order = np.lexsort((family.radii, segment))
+    return ComponentFamily(family.keys, family.offsets, family.radii[order], family.masses[order])
 
 
 @dataclass(frozen=True)
@@ -54,49 +73,27 @@ class TodaComponent:
     masses_tilde: np.ndarray
 
     def __post_init__(self):
-        lam, m = _freeze_fields(self, lambdas=self.lambdas, masses_tilde=self.masses_tilde)
-        if lam.shape != m.shape or lam.size < 1:
-            raise ValueError("lambdas and masses_tilde must be matching 1-d arrays")
-        if (lam < 0.0).any():
-            raise ValueError("radii must be finite and nonnegative")
-        if (m <= 0.0).any():
-            raise ValueError("tilde masses must be finite and strictly positive")
-        if abs(m.sum() - 1.0) > _NORM_TOL:
-            raise ValueError(f"tilde masses must sum to 1 within {_NORM_TOL}, got {m.sum()!r}")
-        order = lam.argsort()
-        _freeze_fields(self, lambdas=lam[order], masses_tilde=m[order])
-
-    @property
-    def size(self) -> int:
-        return self.lambdas.size
+        fam = _toda_family(ComponentFamily.pack([((0, 1), self.lambdas, self.masses_tilde)], _FIELDS, 1))
+        _freeze_fields(self, lambdas=fam.radii, masses_tilde=fam.masses)
 
 
-@dataclass(frozen=True)
-class PseudoTodaState:
-    """Component map (k, l) -> TodaComponent at a common time."""
+class PseudoTodaState(_Packed):
+    """Components (k, l) of radii and tilde masses at a common time: a map
+    (k, l) -> TodaComponent or (lambdas, masses_tilde), or a `family`."""
 
-    n: int
-    components: dict = field(default_factory=dict)
-    time: float = 0.0
+    _VIEW, _FIELDS = TodaComponent, _FIELDS
 
-    def __post_init__(self):
-        if self.n not in (2, 3):
-            raise ValueError(f"unsupported ambient dimension n={self.n}")
-        comps = {}
-        for key, comp in self.components.items():
-            k, ell = int(key[0]), int(key[1])
-            check_index(self.n, k, ell)
-            if not isinstance(comp, TodaComponent):
-                comp = TodaComponent(*comp)
-            comps[(k, ell)] = comp
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "time", float(self.time))
-
-    def sorted_items(self):
-        return sorted(self.components.items(), key=lambda kv: kv[0])
+    def __init__(self, n: int, components=None, time: float = 0.0, *, family=None):
+        if n not in (2, 3):
+            raise ValueError(f"unsupported ambient dimension n={n}")
+        if not math.isfinite(time):
+            raise ValueError(f"state time must be finite, got {time!r}")
+        family = ComponentFamily.pack(self._items(components), _FIELDS, 1) if family is None else family
+        check_indices(n, family.keys)
+        self.n, self.family, self.time = n, _toda_family(family), float(time)
 
     def common_size(self) -> int:
-        sizes = {comp.size for comp in self.components.values()}
+        sizes = set(self.family.sizes.tolist())
         if not sizes:
             raise ValueError("state has no components")
         if len(sizes) != 1:
@@ -108,24 +105,17 @@ class PseudoTodaState:
             "n": int(self.n),
             "N": self.common_size(),
             "components": [
-                {
-                    "k": k,
-                    "ell": ell,
-                    "lambdas": [float(v) for v in comp.lambdas],
-                    "masses_tilde": [float(v) for v in comp.masses_tilde],
-                }
-                for (k, ell), comp in self.sorted_items()
+                {"k": k, "ell": ell, "lambdas": lam.tolist(), "masses_tilde": m.tolist()}
+                for (k, ell), lam, m in self.family.items()
             ],
             "t": float(self.time),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "PseudoTodaState":
-        comps = {
-            (int(c["k"]), int(c["ell"])): TodaComponent(c["lambdas"], c["masses_tilde"])
-            for c in d["components"]
-        }
-        return cls(n=int(d["n"]), components=comps, time=float(d.get("t", 0.0)))
+        items = (((c["k"], c["ell"]), c["lambdas"], c["masses_tilde"]) for c in d["components"])
+        family = ComponentFamily.pack(items, _FIELDS, 1)
+        return cls(n=int(d["n"]), time=float(d.get("t", 0.0)), family=family)
 
 
 def tilde_transform(k: int, lambdas, masses):
@@ -157,31 +147,43 @@ def tilde_inverse(k: int, lambdas_tilde, masses_tilde):
     return lam, mt / lam**k
 
 
+def _evolved(state: PseudoTodaState, times) -> np.ndarray:
+    """Tilde masses at each of `times` after the state's time, shape (times, atoms).
+
+    The components with m atoms form one (times, C_m, m) block.  A mass that
+    underflows to 0 or is NaN raises PositivityLossError, naming the first
+    such component and time.
+    """
+    fam = state.family
+    dts = np.asarray(times, dtype=float)[:, None, None]
+    out = np.empty((dts.shape[0], fam.radii.size))
+    with np.errstate(all="ignore"):
+        x = fam.radii**2
+        for _, idx in fam.blocks:
+            out[:, idx] = _evolved_masses(fam.masses[idx], x[idx], dts)
+    bad = ~(out > 0.0)
+    if bad.any():
+        row, atom = divmod(int(np.flatnonzero(bad)[0]), out.shape[1])
+        key = fam.keys[np.searchsorted(fam.offsets, atom, side="right") - 1]
+        time = state.time + float(dts[row, 0, 0])
+        raise PositivityLossError(f"tilde mass of component {key} is {float(out[row, atom])!r} at t = {time!r}")
+    return out
+
+
 def evolve(state: PseudoTodaState, t: float) -> PseudoTodaState:
     """Advance every component by time t; radii fixed, masses reweighted.
 
     The reweighting denominator restores sum rt2 = 1 exactly, and composing
     evolutions adds their times (the flow is a semigroup in t).
     """
-    comps = {
-        key: TodaComponent(comp.lambdas, _evolved_masses(comp.masses_tilde, comp.lambdas**2, t))
-        for key, comp in state.components.items()
-    }
-    return PseudoTodaState(n=state.n, components=comps, time=state.time + t)
-
-
-def _component(state: PseudoTodaState, idx) -> TodaComponent:
-    key = (int(idx[0]), int(idx[1]))
-    comp = state.components.get(key)
-    if comp is None:
-        raise KeyError(f"no component at index {key}")
-    return comp
+    masses = _evolved(state, [t])[0]
+    return PseudoTodaState(state.n, time=state.time + t, family=replace(state.family, masses=masses))
 
 
 def component_jacobi(state: PseudoTodaState, idx) -> JacobiMatrix:
     """Jacobi matrix of the tilde measure sum_j rt2_j delta(rho - lambda_j^2)."""
-    comp = _component(state, idx)
-    mu = DiscreteMeasure(comp.lambdas**2, comp.masses_tilde, half_line=True)
+    lambdas, masses_tilde = state.family.component(idx)
+    mu = DiscreteMeasure(lambdas**2, masses_tilde, half_line=True)
     return jacobi_from_measure(mu)
 
 
@@ -191,19 +193,22 @@ def component_hamiltonian(state: PseudoTodaState, idx) -> float:
     It equals `toda_1d.hamiltonian_ab(component_jacobi(state, idx))`, the
     Hamiltonian 4 (sum at^2 + 1/2 sum bt^2) of the component's Jacobi matrix.
     """
-    comp = _component(state, idx)
-    return float(2.0 * np.sum(comp.lambdas**4))
+    return _hamiltonians(state)[state.family.index(idx)]
+
+
+def _hamiltonians(state: PseudoTodaState) -> list:
+    # H_{k,l} of every component, ascending (k, l)
+    return (2.0 * state.family.block_sums(state.family.radii**4)).tolist()
 
 
 def total_hamiltonian(state: PseudoTodaState) -> float:
     """Sum of the component Hamiltonians; constant in time by construction."""
-    return float(sum(component_hamiltonian(state, key) for key, _ in state.sorted_items()))
+    return float(sum(_hamiltonians(state)))
 
 
 def normalization_invariant(state: PseudoTodaState) -> float:
     """max_{k,l} |sum_j rt2_j - 1|; this is the growth bound with C = D = 1."""
-    devs = [abs(float(comp.masses_tilde.sum()) - 1.0) for _, comp in state.sorted_items()]
-    return max(devs, default=0.0)
+    return float(np.max(np.abs(state.family.block_sums(state.family.masses) - 1.0), initial=0.0))
 
 
 def component_ode_residual(state: PseudoTodaState, idx, t: float, dt: float = 1e-4) -> float:
@@ -309,13 +314,9 @@ def state_to_measure(state: PseudoTodaState) -> PseudoPositiveMeasure:
 def state_trajectory_csv(state: PseudoTodaState, times) -> str:
     """CSV of tilde masses and the total Hamiltonian at the given times."""
     n_sites = state.common_size()
-    keys = [key for key, _ in state.sorted_items()]
     header = ["t", "H_total"] + [
-        f"rt2_k{k}_l{ell}_j{j}" for (k, ell) in keys for j in range(1, n_sites + 1)
+        f"rt2_k{k}_l{ell}_j{j}" for (k, ell) in state.family.keys for j in range(1, n_sites + 1)
     ]
-    rows = []
-    for t in times:
-        st = evolve(state, float(t) - state.time)
-        masses = [st.components[key].masses_tilde for key in keys]
-        rows.append(np.concatenate([[float(t), total_hamiltonian(st)], *masses]))
-    return _csv_text(header, rows)
+    times = np.array([float(t) for t in times])
+    masses = _evolved(state, times - state.time)
+    return _csv_text(header, np.column_stack([times, np.full(times.size, total_hamiltonian(state)), masses]))

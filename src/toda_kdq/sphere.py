@@ -17,7 +17,9 @@ from scipy.special import gammaln, lpmv, roots_legendre
 __all__ = [
     "dim_harmonics",
     "check_index",
+    "check_indices",
     "as_direction",
+    "harmonic_table",
     "eval_harmonic",
     "harmonic_basis",
     "solid_harmonic",
@@ -63,31 +65,45 @@ def as_direction(n: int, coords) -> np.ndarray:
     return v
 
 
-def _circle_harmonic(k: int, ell: int, theta: np.ndarray) -> np.ndarray:
-    # theta: (..., 2); Fourier basis, sqrt(2) factor normalizes under dphi/2pi
-    phi = np.arctan2(theta[..., 1], theta[..., 0])
-    if k == 0:
-        return np.ones(phi.shape)
-    if ell == 1:
-        return math.sqrt(2.0) * np.cos(k * phi)
-    return math.sqrt(2.0) * np.sin(k * phi)
+def check_indices(n: int, keys) -> tuple[np.ndarray, np.ndarray]:
+    """`check_index` on a sequence of (k, ell) at once; returns the k and ell arrays."""
+    ks, ells = np.array(keys, dtype=int).reshape(-1, 2).T
+    bad = (ks < 0) | (ells < 1) | (ells > np.where(ks == 0, 1, 2 if n == 2 else 2 * ks + 1))
+    if n not in (2, 3) or bad.any():
+        check_index(n, *(keys[np.argmax(bad)] if bad.any() else (0, 1)))
+    return ks, ells
 
 
+@lru_cache(maxsize=None)
 def _legendre_norm(k: int, m: int) -> float:
     # sqrt((2k+1) (k-m)!/(k+m)!); gammaln keeps large k finite
     return math.sqrt(2 * k + 1) * math.exp(0.5 * (gammaln(k - m + 1) - gammaln(k + m + 1)))
 
 
-def _s2_harmonic(k: int, ell: int, theta: np.ndarray) -> np.ndarray:
-    # theta: (..., 3); m runs -k..k with ell = m + k + 1 (zonal harmonic at ell = k+1)
-    m = ell - k - 1
-    z = np.clip(theta[..., 2], -1.0, 1.0)
-    if m == 0:
-        return _legendre_norm(k, 0) * lpmv(0, k, z)
-    phi = np.arctan2(theta[..., 1], theta[..., 0])
-    am = abs(m)
-    radial = math.sqrt(2.0) * _legendre_norm(k, am) * lpmv(am, k, z)
-    return radial * (np.cos(am * phi) if m > 0 else np.sin(am * phi))
+def harmonic_table(n: int, keys, theta) -> np.ndarray:
+    """Y_{k,ell}(theta) for every (k, ell) in `keys` at unit vectors theta (..., n): (..., len(keys)).
+
+    On S^1 the basis is 1, sqrt(2) cos(k phi), sqrt(2) sin(k phi).  On S^2
+    ell = 1..2k+1 maps to the order m = ell-k-1 (the zonal harmonic
+    sqrt(2k+1) P_k(cos(gamma)) at ell = k+1), and one broadcast
+    `lpmv(|m|, k, cos gamma)` call gives every associated Legendre value.
+    """
+    ks, ells = check_indices(n, keys)
+    th = np.asarray(theta, dtype=float)
+    phi = np.arctan2(th[..., 1], th[..., 0])[..., None]
+    if n == 2:
+        out = np.ones(phi.shape[:-1] + ks.shape)
+        cos, sin = (ks > 0) & (ells == 1), (ks > 0) & (ells == 2)
+        out[..., cos] = math.sqrt(2.0) * np.cos(ks[cos] * phi)
+        out[..., sin] = math.sqrt(2.0) * np.sin(ks[sin] * phi)
+        return out
+    m = ells - ks - 1
+    am = np.abs(m)
+    coef = [_legendre_norm(k, 0) if a == 0 else math.sqrt(2.0) * _legendre_norm(k, a) for k, a in zip(ks.tolist(), am.tolist())]
+    out = np.array(coef) * lpmv(am, ks, np.clip(th[..., 2], -1.0, 1.0)[..., None])
+    out[..., m > 0] *= np.cos(am[m > 0] * phi)
+    out[..., m < 0] *= np.sin(am[m < 0] * phi)
+    return out
 
 
 def eval_harmonic(n: int, idx, theta) -> np.ndarray | float:
@@ -101,24 +117,16 @@ def eval_harmonic(n: int, idx, theta) -> np.ndarray | float:
 
     Orthonormality is with respect to the probability measure on S^{n-1}.
     For n = 3 the index ell = 1..2k+1 maps to the order m = ell-k-1; the
-    zonal harmonic sqrt(2k+1) P_k(cos(gamma)) sits at ell = k+1.
+    zonal harmonic sqrt(2k+1) P_k(cos(gamma)) sits at ell = k+1.  The
+    values are a column of `harmonic_table`.
     """
-    k, ell = idx
-    check_index(n, k, ell)
-    th = np.asarray(theta, dtype=float)
-    scalar = th.ndim == 1
-    vals = _circle_harmonic(k, ell, th) if n == 2 else _s2_harmonic(k, ell, th)
-    return float(vals) if scalar else vals
+    vals = harmonic_table(n, [idx], theta)[..., 0]
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def harmonic_basis(n: int, k: int, theta) -> np.ndarray:
     """All d_k basis values at theta; shape (..., d_k)."""
-    d = dim_harmonics(n, k)
-    th = np.asarray(theta, dtype=float)
-    out = np.empty(th.shape[:-1] + (d,))
-    for ell in range(1, d + 1):
-        out[..., ell - 1] = eval_harmonic(n, (k, ell), th)
-    return out
+    return harmonic_table(n, [(k, ell) for ell in range(1, dim_harmonics(n, k) + 1)], theta)
 
 
 def solid_harmonic(n: int, idx, x) -> np.ndarray | float:

@@ -212,13 +212,14 @@ def lax_matrices(s: JacobiMatrix):
 def _evolved_masses(masses: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
     """Masses reweighted by e^{-2 x t} and renormalized to total mass one.
 
-    Shared by the spectral solution here (x = eigenvalues) and the
-    pseudo-Toda components (x = lambda^2).
+    Works along the last axis, with `t` broadcast against `x`.  Shared by
+    the spectral solution here (x = eigenvalues) and the pseudo-Toda
+    components (x = lambda^2).
     """
     # exponent shifted by its maximum so the reweighting never overflows
     e = -2.0 * x * t
-    w = masses * np.exp(e - e.max())
-    return w / w.sum()
+    w = masses * np.exp(e - e.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def spectral_solve(s0: JacobiMatrix, t):

@@ -6,9 +6,11 @@ and runtime budgets.  Run with `pytest tests/test_acceptance.py -v -s` to see
 each observed value next to its pinned tolerance.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -97,9 +99,12 @@ def test_criterion_11_iso_monotonicity():
 
 def test_criterion_12_cli_determinism():
     cmd = [sys.executable, "-m", "toda_kdq.cli", "verify-all"]
+    # the child imports the package from this tree's src/, installed or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     t_start = time.perf_counter()
-    run1 = subprocess.run(cmd, capture_output=True)
-    run2 = subprocess.run(cmd, capture_output=True)
+    run1 = subprocess.run(cmd, capture_output=True, env=env)
+    run2 = subprocess.run(cmd, capture_output=True, env=env)
     runtime = time.perf_counter() - t_start
     print(f"verify-all twice: runtime {runtime:.2f} s (budget 60 s)")
     assert run1.returncode == 0 and run2.returncode == 0

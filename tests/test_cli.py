@@ -350,6 +350,38 @@ _MEASURE_3 = {
 }
 
 
+
+def _ragged(count, k, ell, lo, hi, phase):
+    # irrational-step radii in [lo, hi) and weights in [0.1, 1), distinct per component
+    atoms = [lo + (hi - lo) * ((phase + 0.6180339887 * j) % 1.0) for j in range(count)]
+    weights = [0.1 + 0.9 * ((phase + 0.4142135623 * j) % 1.0) for j in range(count)]
+    return {"k": k, "ell": ell, "atoms": atoms, "weights": weights}
+
+
+# atom counts 1 to 17 (numpy's pairwise summation starts at 8), atoms that
+# merge within 1e-12, and zero radii with k > 0
+_MEASURE_RAGGED_2 = {
+    "n": 2,
+    "k_max": 3,
+    "components": [
+        {"k": 0, "ell": 1, "atoms": [0.0, 0.3, 0.3 + 4e-13, 0.6], "weights": [0.2, 0.5, 0.25, 1.0]},
+        _ragged(9, 1, 1, 0.05, 0.95, 0.11),
+        {"k": 1, "ell": 2, "atoms": [0.0], "weights": [0.7]},
+        _ragged(17, 2, 1, 0.05, 0.95, 0.37),
+        {"k": 3, "ell": 2, "atoms": [0.0, 0.45, 0.8], "weights": [0.3, 0.6, 0.9]},
+    ],
+}
+_MEASURE_RAGGED_3 = {
+    "n": 3,
+    "k_max": 2,
+    "components": [
+        _ragged(1, 0, 1, 0.3, 2.0, 0.5),
+        _ragged(8, 1, 1, 0.3, 2.0, 0.23),
+        _ragged(17, 1, 3, 0.3, 2.0, 0.71),
+        _ragged(3, 2, 4, 0.3, 2.0, 0.05),
+    ],
+}
+
 class TestPinnedOutputs:
     """CSV text and stdout of every command on tiny inputs, byte for byte.
 
@@ -445,6 +477,29 @@ class TestPinnedOutputs:
                 "2.0,0.47743588370726076,1.1006569007045863\n"
             ),
             "monotone=True max_increase=0.0 max_derivative_residual=3.6201464936880257e-08\n",
+        ),
+        "transform-eval-ragged": (
+            ["transform-eval"],
+            {"measure": _MEASURE_RAGGED_2, "theta": [0.6, 0.8], "zetas": [[1.2, 0.4], [-0.3, 1.1], [2.5, -1.5]]},
+            (
+                "zeta_re,zeta_im,value_re,value_im\n"
+                "1.2,0.4,2.332819163141011,-1.4506053981213258\n"
+                "-0.3,1.1,1.5726252830826088,1.4724210491488006\n"
+                "2.5,-1.5,0.672864780192697,0.535038163377828\n"
+            ),
+            "",
+        ),
+        "iso-flow-ragged": (
+            ["iso-flow"],
+            {"measure": _MEASURE_RAGGED_3, "t_grid": [0.0, 0.5, 1.5, 4.0]},
+            (
+                "t,S_k0_l1,S_k1_l1,S_k1_l3,S_k2_l4\n"
+                "0.0,0.55,3.767358954158353,9.454001367229075,2.6698563600864627\n"
+                "0.5,0.27030924580629784,2.128278717842502,5.308853838019995,1.7247021789099897\n"
+                "1.5,0.10586731626671982,1.0950850449557634,2.667461543438254,1.018582164552777\n"
+                "4.0,0.02826179294326708,0.40753012050189247,0.9669977826540996,0.48970917577019324\n"
+            ),
+            "monotone=True max_increase=0.0 max_derivative_residual=4.575828178587926e-07\n",
         ),
     }
 
