@@ -4,7 +4,7 @@ Commands
 --------
 simulate-1d     RK4 trajectory of a Flaschka state; CSV t, a_*, b_*, H, lambda_*.
                 input: {"schema": 1, "a": [...], "b": [...]}
-spectral-solve  Same sampling computed through the spectral solution.
+spectral-solve  Same sampling computed through the exact (QR) solution.
 simulate-pseudo Tilde-mass trajectories and total Hamiltonian of a state file
                 ({"schema": 1, "n":, "N":, "components": [...], "t":}).
 transform-eval  Transform values of a measure at given points:
@@ -122,9 +122,7 @@ def _run_simulate_1d(cfg: RunConfig) -> int:
 def _run_spectral_solve(cfg: RunConfig) -> int:
     state = _flaschka_from_config(_load_json(cfg.input_path))
     times = _sample_times(cfg)
-    states = toda_1d.spectral_solve(state, times)
-    a_rows = np.array([s.offdiag for s in states])
-    b_rows = np.array([s.diag for s in states])
+    b_rows, a_rows = toda_1d._qr_flow(state.diag, state.offdiag, times)
     traj = toda_1d.Trajectory(times=times, a=a_rows, b=b_rows)
     _emit(toda_1d.trajectory_to_csv(traj), cfg.output_path)
     return 0

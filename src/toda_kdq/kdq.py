@@ -411,10 +411,6 @@ class AlmansiPolynomial:
             clean[(int(j), int(k), int(ell))] = float(coeff)
         object.__setattr__(self, "terms", clean)
 
-    @property
-    def max_harmonic_degree(self) -> int:
-        return max((k for (_, k, _) in self.terms), default=0)
-
     def eval(self, x) -> float:
         xv = np.asarray(x, dtype=float)
         r2 = float(xv @ xv)
@@ -459,13 +455,16 @@ def cauchy_reproduce(
     """Reproduce poly(x), |x| < 1, from the kernel double integral.
 
     (1/2·pi·i) of the contour integral over the unit circle in zeta of the
-    sphere average of kernel(zeta theta; x) * poly(zeta theta).  The sphere
-    uses `sphere_nodes`; the contour uses the M-point trapezoid rule, which
-    takes the Laurent term zeta^q of the integrand for q = 0 and aliases it
-    onto 0 for every other q divisible by M.  The polynomial reaches
-    zeta^D, D = max(2j + k), and the kernel's terms past degree k_tail are
-    below the 1e-12 tail target, so M = k_tail + D + 1 leaves only aliased
-    terms past that tail.
+    sphere average of kernel(zeta theta; x) * poly(zeta theta).  The kernel
+    is sum_m zeta^{-m-1} |x|^m C_m(theta . x/|x|), C_m the Gegenbauer
+    polynomial of index n/2, and a term (j, k) of the polynomial is
+    zeta^D Y_k(theta) with D = 2j + k.  The M-point trapezoid rule in zeta
+    keeps the kernel terms m = D + qM, q >= 0, once M > D: m = D is the
+    reproducing one, exact on a sphere rule of degree D + k (`sphere_nodes`),
+    and the first aliased one is at most |C_M| |x|^M, with |C_M| = M + 1 on
+    S^1 and (M + 1)(M + 2)/2 on S^2.  M is the smallest count past the
+    largest D that puts that bound below 1e-16, so the result does not
+    depend on how the two rules' node counts relate.
     """
     xv = np.asarray(x, dtype=float)
     if xv.shape != (poly.n,):
@@ -473,12 +472,12 @@ def cauchy_reproduce(
     r = float(np.linalg.norm(xv))
     if r >= 1.0:
         raise DivergenceRegionError("reproduction contour is the unit circle; need |x| < 1")
-    # degree beyond which the kernel's harmonic content is below ~1e-12 at |x|
-    k_tail = max(40, int(math.ceil(math.log(1e-12) / math.log(max(r, 0.3)))))
     if sphere_degree is None:
-        sphere_degree = k_tail + poly.max_harmonic_degree
+        sphere_degree = max((2 * j + 2 * k for j, k, _ in poly.terms), default=0)
     if n_zeta is None:
-        n_zeta = k_tail + max((2 * j + k for j, k, _ in poly.terms), default=0) + 1
+        n_zeta = max((2 * j + k for j, k, _ in poly.terms), default=0) + 1
+        while (n_zeta + 1) * (n_zeta + 2 if poly.n == 3 else 2) / 2 * r**n_zeta > 1e-16:
+            n_zeta += 1
     pts, wts = sphere_nodes(poly.n, sphere_degree)
     zeta = np.exp(2j * np.pi * np.arange(n_zeta) / n_zeta)
     kern = _kernel_on_grid(poly.n, zeta, pts @ xv, r * r)

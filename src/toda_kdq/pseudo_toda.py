@@ -26,7 +26,7 @@ from .errors import PositivityLossError
 from .kdq import ComponentFamily, PseudoPositiveMeasure, _Packed
 from .moment_1d import DiscreteMeasure, JacobiMatrix, _freeze_fields, jacobi_from_measure
 from .sphere import check_indices, eval_harmonic
-from .toda_1d import _csv_text, _evolved_masses, toda_rhs
+from .toda_1d import _csv_text, _evolved_masses, _qr_flow, toda_rhs
 
 __all__ = [
     "TodaComponent",
@@ -181,10 +181,22 @@ def evolve(state: PseudoTodaState, t: float) -> PseudoTodaState:
 
 
 def component_jacobi(state: PseudoTodaState, idx) -> JacobiMatrix:
-    """Jacobi matrix of the tilde measure sum_j rt2_j delta(rho - lambda_j^2)."""
-    lambdas, masses_tilde = state.family.component(idx)
-    mu = DiscreteMeasure(lambdas**2, masses_tilde, half_line=True)
-    return jacobi_from_measure(mu)
+    """Jacobi matrix of the tilde measure sum_j rt2_j delta(rho - lambda_j^2).
+
+    Lanczos runs once, at time 0 or at the state's time, whichever has the
+    larger smallest mass (the state's time on a tie, so at time 0 the masses
+    are used as given); from time 0 the exact QR flow of `toda_1d` carries
+    the matrix to the state's time.  The tiny late masses of an evolved
+    state thus never meet Lanczos's rank threshold.
+    """
+    lambdas, masses = state.family.component(idx)
+    x = lambdas**2
+    at_zero = _evolved_masses(masses, x, -state.time) if state.time != 0.0 else masses
+    if not at_zero.min() > masses.min():
+        return jacobi_from_measure(DiscreteMeasure(x, masses, half_line=True))
+    jac = jacobi_from_measure(DiscreteMeasure(x, at_zero, half_line=True))
+    diag, offdiag = _qr_flow(jac.diag, jac.offdiag, [state.time])
+    return JacobiMatrix(diag=diag[0], offdiag=offdiag[0])
 
 
 def component_hamiltonian(state: PseudoTodaState, idx) -> float:

@@ -9,23 +9,18 @@ a_j = e^{(x_j - x_{j+1})/2}/2, b_j = -y_j/2 turns the flow into
 with the free-end convention a_0 = a_N = 0.  The same data form the Jacobi
 matrix L (diag b, off-diagonal a), so a Flaschka state is a
 `moment_1d.JacobiMatrix`.  Its spectrum is conserved, and its spectral
-measure evolves by an explicit exponential reweighting - which gives a
-second, quadrature-free solver to test the ODE integrator against.
+measure evolves by an explicit exponential reweighting.  The QR
+factorisation of exp(t L) (Kostant, Symes) turns that into an exact
+solver, the second one to test the ODE integrator against.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import PositivityLossError
-from .moment_1d import (
-    DiscreteMeasure,
-    JacobiMatrix,
-    _freeze_fields,
-    jacobi_eigenvalues,
-    jacobi_from_measure,
-    spectral_data_from_jacobi,
-)
+from .moment_1d import JacobiMatrix, _freeze_fields, jacobi_eigenvalues
 
 __all__ = [
     "TodaStatePhysical",
@@ -43,6 +38,13 @@ __all__ = [
     "asymptotics_check",
     "trajectory_to_csv",
 ]
+
+# |s| (lambda_max - lambda_min) <= _SPAN for every QR step, and at most
+# _MAX_CHECKPOINTS steps of that length per call; at most _BLOCK doubles
+# in one stacked factorisation
+_SPAN = 8.0
+_MAX_CHECKPOINTS = 2**16
+_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -212,9 +214,9 @@ def lax_matrices(s: JacobiMatrix):
 def _evolved_masses(masses: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
     """Masses reweighted by e^{-2 x t} and renormalized to total mass one.
 
-    Works along the last axis, with `t` broadcast against `x`.  Shared by
-    the spectral solution here (x = eigenvalues) and the pseudo-Toda
-    components (x = lambda^2).
+    Works along the last axis, with `t` broadcast against `x`.  These are
+    the corner masses of L(t) for x = eigenvalues; the pseudo-Toda
+    components use it with x = lambda^2, forward in time and back to 0.
     """
     # exponent shifted by its maximum so the reweighting never overflows
     e = -2.0 * x * t
@@ -222,20 +224,103 @@ def _evolved_masses(masses: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def spectral_solve(s0: JacobiMatrix, t):
-    """Solve the flow exactly through the spectral measure of L(0).
+def _qr_flow(diag, offdiag, times):
+    """Diagonals (T, N) and couplings (T, N-1) of the flow at each of `times`.
 
-    Eigenvalues stay fixed; masses evolve by r_j^2(t) proportional to
-    r_j^2(0) e^{-2 lambda_j t}, renormalized to total mass one; the state at
-    time t is the Jacobi matrix rebuilt from the evolved measure.
-    `t` is one time (a state is returned) or a sequence of times (a list of
-    states is returned); L(0) is diagonalized once per call either way.
+    The Kostant-Symes solution: with exp(s L) = Q R, R having a positive
+    diagonal, the state at time s is L(s) = Q^T L Q.  As exp(s L) commutes
+    with L, Q^T L Q = R L R^{-1}, whose entries are read off R alone:
+
+        a_j(s) = a_j R_{j+1,j+1} / R_{jj},
+        b_j(s) = b_j + a_j R_{j,j+1} / R_{jj} - a_{j-1} R_{j-1,j} / R_{j-1,j-1}.
+
+    The couplings are products of positive factors, so they keep their
+    relative digits however small they get.  exp(s L) = V e^{s Lambda} V^T
+    comes from one `eigh_tridiagonal` of a checkpoint state, shifted by the
+    largest eigenvalue for s >= 0 and the smallest for s < 0; the leading V
+    is orthogonal and leaves R unchanged, so e^{s (Lambda - shift)} V^T is
+    what is factored, every offset s of a checkpoint in one stacked
+    `np.linalg.qr` call (in blocks of at most _BLOCK doubles).  Offsets obey |s| (lambda_max - lambda_min) <=
+    _SPAN, so each factored matrix is within a condition number of e^8 of
+    orthogonal; longer horizons chain checkpoints k * h apart, forward and
+    backward from the input, so each time's result does not depend on the
+    other times asked for.  A time on a checkpoint, t = 0 among them,
+    returns the checkpoint's entries as they are.  Raises
+    PositivityLossError when a coupling underflows to 0, and OverflowError
+    when the spectrum's width or the number of checkpoints is out of range.
     """
-    sd = spectral_data_from_jacobi(s0)
-    states = [
-        jacobi_from_measure(DiscreteMeasure(sd.eigenvalues, _evolved_masses(sd.masses, sd.eigenvalues, ti)))
-        for ti in np.atleast_1d(t)
-    ]
+    diag = np.asarray(diag, dtype=float)
+    offdiag = np.asarray(offdiag, dtype=float)
+    times = np.asarray(times, dtype=float).reshape(-1)
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
+    b_out = np.empty((times.size, diag.size))
+    a_out = np.empty((times.size, offdiag.size))
+    if diag.size == 1:
+        b_out[:] = diag
+        return b_out, a_out
+    lam = eigh_tridiagonal(diag, offdiag, eigvals_only=True)
+    width = float(lam[-1]) - float(lam[0])
+    if not 0.0 < width < np.inf:
+        raise OverflowError(f"the spectrum of L has width {width!r}, outside what double precision resolves")
+    h = _SPAN / width
+    steps = np.floor(np.abs(times) / h)
+    if times.size and steps.max() > _MAX_CHECKPOINTS:
+        raise OverflowError(
+            f"|t| = {float(np.abs(times).max())!r} at spectral width {width!r} "
+            f"needs more than {_MAX_CHECKPOINTS} QR checkpoints"
+        )
+    for sign in (1.0, -1.0):
+        rows = np.flatnonzero(np.signbit(times) == (sign < 0.0))
+        last = int(steps[rows].max()) if rows.size else -1
+        b, a = diag, offdiag
+        for k in range(last + 1):
+            # the rows of checkpoint k, then the next checkpoint, in one stack
+            here = rows[steps[rows] == k]
+            s = times[here] - sign * k * h
+            sb, sa = _qr_steps(b, a, np.append(s, sign * h) if k < last else s)
+            b_out[here], a_out[here] = sb[: here.size], sa[: here.size]
+            b, a = sb[-1], sa[-1]
+    if not (a_out > 0.0).all():
+        row = np.flatnonzero(~(a_out > 0.0).all(axis=1))[0]
+        raise PositivityLossError(f"a coupling underflowed to 0 at t = {float(times[row])!r}")
+    return b_out, a_out
+
+
+def _qr_steps(b: np.ndarray, a: np.ndarray, s: np.ndarray):
+    # the flow from (b, a) over offsets s of one sign, |s| <= h; see _qr_flow
+    b_out = np.empty((s.size, b.size))
+    a_out = np.empty((s.size, a.size))
+    lam, v = eigh_tridiagonal(b, a)
+    shifted = lam - (lam[0] if (s < 0.0).any() else lam[-1])
+    block = max(1, _BLOCK // b.size**2)  # doubles per (B, N, N) stack
+    for lo in range(0, s.size, block):
+        sb = s[lo : lo + block]
+        r = np.linalg.qr(np.exp(sb[:, None] * shifted)[:, :, None] * v.T, mode="r")
+        d = np.diagonal(r, axis1=1, axis2=2)
+        step = a * np.diagonal(r, offset=1, axis1=1, axis2=2) / d[:, :-1]
+        d = np.abs(d)
+        a_out[lo : lo + block] = a * (d[:, 1:] / d[:, :-1])
+        b_out[lo : lo + block] = b
+        b_out[lo : lo + block, :-1] += step
+        b_out[lo : lo + block, 1:] -= step
+    at_checkpoint = s == 0.0
+    b_out[at_checkpoint], a_out[at_checkpoint] = b, a
+    return b_out, a_out
+
+
+def spectral_solve(s0: JacobiMatrix, t):
+    """Solve the flow exactly: the state at time t from L(0) by `_qr_flow`.
+
+    Eigenvalues stay fixed and the corner masses move as r_j^2(t)
+    proportional to r_j^2(0) e^{-2 lambda_j t}; the QR factorisation of
+    exp(t L(0)) carries these data without rebuilding L(t) from them.
+    `t` is one time (a state is returned) or a sequence of times (a list
+    of states is returned); all times come from one call either way, and
+    t = 0 returns the entries of s0 bit for bit.
+    """
+    diag, offdiag = _qr_flow(s0.diag, s0.offdiag, np.atleast_1d(t))
+    states = [JacobiMatrix(diag=b, offdiag=a) for b, a in zip(diag, offdiag)]
     return states[0] if np.ndim(t) == 0 else states
 
 
@@ -262,7 +347,7 @@ def asymptotics_check(s0: JacobiMatrix, t_large: float, slack: float = 10.0) -> 
     """
     if t_large <= 0.0:
         raise ValueError("t_large must be positive")
-    lam = spectral_data_from_jacobi(s0).eigenvalues
+    lam = jacobi_eigenvalues(s0.diag[None], s0.offdiag[None])[0]
     gap = float(np.min(np.diff(lam))) if lam.size > 1 else np.inf
     tol = max(float(slack * np.exp(-gap * t_large)), 1e-12)
     s_fw, s_bw = spectral_solve(s0, [t_large, -t_large])

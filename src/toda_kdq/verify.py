@@ -304,12 +304,10 @@ def check_pseudo_toda(seed: int, ode_times) -> list[CheckResult]:
     norm_dev = max(
         pseudo_toda.normalization_invariant(pseudo_toda.evolve(state, t)) for t in (0.0, 1.0, 10.0, 100.0)
     )
-    # H = 4 (sum at^2 + 1/2 sum bt^2) from the rebuilt Jacobi entries against
-    # 2 sum lambda^4; not at t = 100, where the smallest masses fall below the
-    # Lanczos rank threshold
+    # H = 4 (sum at^2 + 1/2 sum bt^2) from the Jacobi entries against 2 sum lambda^4
     h_reference = 2.0 * sum(float(np.sum(c.lambdas**4)) for c in comps.values())
     h_dev = 0.0
-    for t in (0.0, 1.0, 10.0):
+    for t in (0.0, 1.0, 10.0, 100.0):
         ev = pseudo_toda.evolve(state, t)
         h = sum(toda_1d.hamiltonian_ab(pseudo_toda.component_jacobi(ev, key)) for key, _ in ev.sorted_items())
         h_dev = max(h_dev, abs(h - h_reference) / h_reference)

@@ -80,6 +80,39 @@ class TestSpectralSolveCommand:
         )
         assert dev < 1e-6
 
+    @pytest.mark.parametrize("n", [96, 128])
+    def test_disordered_large_states(self, tmp_path, n):
+        # the corner masses of these states underflow, which stopped the
+        # solver when it rebuilt L(t) from them
+        rng = np.random.default_rng(n)
+        a = rng.uniform(0.3, 1.0, n - 1)
+        b = rng.uniform(-1.0, 1.0, n)
+        cfg = write_json(tmp_path / "state.json", {"a": a.tolist(), "b": b.tolist()})
+        spec, rk4 = tmp_path / "spec.csv", tmp_path / "rk4.csv"
+        assert main(["spectral-solve", "--input", cfg, "--output", str(spec), "--t-final", "1", "--dt", "0.1"]) == 0
+        assert main(["simulate-1d", "--input", cfg, "--output", str(rk4), "--t-final", "1", "--dt", "1e-3"]) == 0
+        table = np.loadtxt(spec, delimiter=",", skiprows=1)
+        assert table.shape == (11, 1 + (n - 1) + n + 1 + n)
+        lam0 = np.linalg.eigvalsh(np.diag(b) + np.diag(a, 1) + np.diag(a, -1))
+        assert np.max(np.abs(table[:, -n:] - lam0)) < 1e-10
+        last_rk4 = np.loadtxt(rk4, delimiter=",", skiprows=1)[-1]
+        assert last_rk4[0] == table[-1, 0] == 1.0
+        assert np.max(np.abs(table[-1, 1 : 2 * n] - last_rk4[1 : 2 * n])) < 1e-8
+
+    @pytest.mark.parametrize(
+        "state, t_final, message",
+        [
+            ({"a": [1.0], "b": [0.0, 1.0]}, "5000", "numeric failure: a coupling underflowed to 0 at t = "),
+            ({"a": [1.0], "b": [1e21, 0.0]}, "5", "numeric failure: |t| = 5.0 at spectral width 1e+21 needs"),
+        ],
+        ids=["coupling-underflow", "horizon-past-checkpoints"],
+    )
+    def test_unreachable_horizon_is_numeric_failure(self, tmp_path, capsys, state, t_final, message):
+        cfg = write_json(tmp_path / "state.json", state)
+        argv = ["spectral-solve", "--input", cfg, "--output", str(tmp_path / "o.csv"), "--t-final", t_final, "--dt", "1"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith(message)
+
 
 class TestSimulatePseudo:
     def test_mass_columns(self, tmp_path):
@@ -408,12 +441,11 @@ class TestPinnedOutputs:
             _STATE_1D,
             (
                 "t,a_1,a_2,b_1,b_2,b_3,H,lambda_1,lambda_2,lambda_3\n"
-                "0.0,0.5,0.3000000000000001,0.09999999999999966,3.5549978033124205e-16,-0.20000000000000007,"
-                "1.4600000000000002,-0.5914611189303554,-0.11441297378477064,0.605874092715126\n"
-                "0.01,0.4994797818307592,0.299402697487975,0.1049948669278331,-0.0031984537514609945,"
-                "-0.20179641317637215,1.46,-0.5914611189303556,-0.11441297378477064,0.605874092715126\n"
-                "0.02,0.49891926059645975,0.2988107790144309,0.1099789375835869,-0.0063932323652411,"
-                "-0.20358570521834568,1.46,-0.5914611189303552,-0.1144129737847707,0.6058740927151263\n"
+                "0.0,0.5,0.3,0.1,0.0,-0.2,1.46,-0.5914611189303555,-0.11441297378477062,0.6058740927151262\n"
+                "0.01,0.4994797818307594,0.2994026974879749,0.10499486692783343,-0.0031984537514614447,"
+                "-0.20179641317637198,1.4600000000000006,-0.5914611189303559,-0.11441297378477043,0.6058740927151264\n"
+                "0.02,0.4989192605964599,0.29881077901443087,0.10997893758358718,-0.006393232365241454,"
+                "-0.20358570521834574,1.4600000000000006,-0.5914611189303554,-0.11441297378477068,0.6058740927151263\n"
             ),
             "",
         ),

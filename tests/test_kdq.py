@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import sph_harm_y
 
-from toda_kdq import sphere
+from toda_kdq import sphere, verify
 from toda_kdq.errors import DivergenceRegionError, PoleError
 from toda_kdq.kdq import (
     AlmansiPolynomial,
@@ -321,6 +321,21 @@ class TestCauchyReproduce:
         poly = AlmansiPolynomial(2, {(0, 0, 1): 1.0})
         with pytest.raises(DivergenceRegionError):
             cauchy_reproduce(poly, np.array([1.0, 0.5]))
+
+    @pytest.mark.parametrize("offset", range(6, 11))
+    def test_verify_seeds_at_rounding_level(self, offset):
+        # offset 7 holds the case (n = 2, k = 0, j = 0, |x| = 0.495) where a
+        # contour count equal to the S^1 azimuth count read 4.0e-13
+        (result,) = verify.check_kdq_cauchy(verify._SEED + offset, k_max=3, j_max=2)
+        assert result.observed < 1e-14
+
+    def test_far_point_and_high_degree(self):
+        rng = np.random.default_rng(9)
+        for n in (2, 3):
+            poly = AlmansiPolynomial(n, {(3, 4, 1): 1.0, (0, 6, 2): -0.5, (1, 0, 1): 2.0})
+            x = rng.normal(size=n)
+            x *= 0.9 / np.linalg.norm(x)
+            assert abs(cauchy_reproduce(poly, x) - poly.eval(x)) < 1e-13
 
 
 class TestMarkovStieltjes:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from toda_kdq import kdq, pseudo_toda, sphere, verify
-from toda_kdq.moment_1d import JacobiMatrix, spectral_data_from_jacobi
+from toda_kdq.errors import RankDeficiencyError
+from toda_kdq.moment_1d import DiscreteMeasure, JacobiMatrix, jacobi_from_measure, spectral_data_from_jacobi
+from toda_kdq.toda_1d import hamiltonian_ab
 from toda_kdq.pseudo_toda import (
     PseudoTodaState,
     TodaComponent,
@@ -119,6 +121,45 @@ class TestComponentJacobi:
         jac = component_jacobi(TWO_ATOM, (0, 1))
         assert jac.diag[-1] == pytest.approx(0.625)
         assert jac.offdiag[0] ** 2 == pytest.approx(0.140625)
+
+    def test_time_zero_uses_masses_as_given(self):
+        st = PseudoTodaState(3, {(0, 1): TodaComponent([0.2, 0.5, 0.9], [0.3, 0.3, 0.4])})
+        ref = jacobi_from_measure(DiscreteMeasure([0.2**2, 0.5**2, 0.9**2], [0.3, 0.3, 0.4], half_line=True))
+        jac = component_jacobi(st, (0, 1))
+        assert jac.diag.tobytes() == ref.diag.tobytes() and jac.offdiag.tobytes() == ref.offdiag.tobytes()
+
+    def test_matches_lanczos_on_evolved_masses(self):
+        # where Lanczos on the late masses still holds its digits
+        rng = np.random.default_rng(8)
+        st = full_state(rng, kmax=1, atoms=4)
+        for t in (-0.7, 0.3, 2.0):
+            ev = evolve(st, t)
+            for key, comp in ev.sorted_items():
+                ref = jacobi_from_measure(DiscreteMeasure(comp.lambdas**2, comp.masses_tilde, half_line=True))
+                jac = component_jacobi(ev, key)
+                assert np.max(np.abs(jac.diag - ref.diag)) < 1e-12
+                assert np.max(np.abs(jac.offdiag - ref.offdiag)) < 1e-12
+
+    def test_late_time_keeps_hamiltonian(self):
+        # at t = 100 the smallest tilde mass is e^{-2 * 100 * (1.44 - 0.04)} of
+        # the largest, below Lanczos's rank threshold
+        st = PseudoTodaState(3, {(0, 1): TodaComponent([0.2, 0.5, 0.9, 1.2], [0.1, 0.2, 0.3, 0.4])})
+        ev = evolve(st, 100.0)
+        lambdas, masses = ev.family.component((0, 1))
+        with pytest.raises(RankDeficiencyError):
+            jacobi_from_measure(DiscreteMeasure(lambdas**2, masses, half_line=True))
+        jac = component_jacobi(ev, (0, 1))
+        h = component_hamiltonian(ev, (0, 1))
+        assert abs(hamiltonian_ab(jac) - h) / h < 1e-12
+        assert np.max(np.abs(np.linalg.eigvalsh(jac.to_dense()) - lambdas**2)) < 1e-12
+
+    def test_masses_given_at_a_late_time(self):
+        # reweighted back to time 0 these masses span e^{-280}: Lanczos runs on
+        # them as given, and nothing is flowed
+        st = PseudoTodaState(3, {(0, 1): TodaComponent([0.2, 0.5, 0.9, 1.2], [0.25] * 4)}, time=100.0)
+        ref = jacobi_from_measure(DiscreteMeasure(np.array([0.2, 0.5, 0.9, 1.2]) ** 2, [0.25] * 4, half_line=True))
+        jac = component_jacobi(st, (0, 1))
+        assert jac.diag.tobytes() == ref.diag.tobytes() and jac.offdiag.tobytes() == ref.offdiag.tobytes()
 
     def test_isospectral_along_evolution(self):
         rng = np.random.default_rng(3)

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toda_kdq import toda_1d
 from toda_kdq.errors import PositivityLossError
-from toda_kdq.moment_1d import JacobiMatrix, spectral_data_from_jacobi
+from toda_kdq.moment_1d import DiscreteMeasure, JacobiMatrix, jacobi_from_measure, spectral_data_from_jacobi
 from toda_kdq.toda_1d import (
     TodaStatePhysical,
     asymptotics_check,
@@ -70,6 +73,13 @@ def reference_csv(traj):
         row = [traj.times[i]] + list(traj.a[i]) + list(traj.b[i]) + [hamiltonian_ab(state)] + list(lam)
         lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def reference_spectral_solve(s0, t):
+    """The spectral-measure route: corner masses reweighted by e^{-2 lambda t}, then Lanczos."""
+    sd = spectral_data_from_jacobi(s0)
+    masses = toda_1d._evolved_masses(sd.masses, sd.eigenvalues, t)
+    return jacobi_from_measure(DiscreteMeasure(sd.eigenvalues, masses))
 
 
 class TestHamiltonians:
@@ -325,6 +335,98 @@ class TestSpectralSolve:
         for t in (0.5, 5.0, 10.0):
             sd = spectral_data_from_jacobi(lax_matrices(spectral_solve(s, t))[0])
             assert abs(np.sum(sd.masses) - 1.0) < 1e-12
+
+
+class TestQrFlow:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        times=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=8),
+    )
+    def test_matches_spectral_measure_route(self, n, seed, times):
+        # spread spectra (gaps >= 0.1 in [-2, 2]) and masses in [0.2, 1] keep the
+        # reweighted masses of the oracle above 1e-8, where its Lanczos run
+        # holds its digits; the worst seen over 24000 such pairs was 1.9e-13
+        rng = np.random.default_rng(seed)
+        while True:
+            lam = np.sort(rng.uniform(-2.0, 2.0, n))
+            if n < 2 or np.min(np.diff(lam)) >= 0.1:
+                break
+        masses = rng.uniform(0.2, 1.0, n)
+        s0 = jacobi_from_measure(DiscreteMeasure(lam, masses / masses.sum()))
+        diag, offdiag = toda_1d._qr_flow(s0.diag, s0.offdiag, times)
+        assert diag.shape == (len(times), n) and offdiag.shape == (len(times), n - 1)
+        for t, b, a in zip(times, diag, offdiag):
+            ref = reference_spectral_solve(s0, t)
+            assert np.max(np.abs(b - ref.diag)) < 1e-11
+            assert np.max(np.abs(a - ref.offdiag), initial=0.0) < 1e-11
+
+    def test_closed_form_n2_long_horizon(self):
+        # about 2 * 20 / 8 = 5 checkpoints each way
+        t = np.linspace(-20.0, 20.0, 801)
+        diag, offdiag = toda_1d._qr_flow([0.0, 0.0], [0.5], t)
+        a_ref, b1_ref, b2_ref = closed_form_n2(t)
+        assert np.max(np.abs(offdiag[:, 0] - a_ref)) < 1e-14
+        assert np.max(np.abs(diag[:, 0] - b1_ref)) < 1e-14
+        assert np.max(np.abs(diag[:, 1] - b2_ref)) < 1e-14
+        assert np.max(np.abs(offdiag[:, 0] / a_ref - 1.0)) < 1e-12  # relative, down to a = 4e-9
+
+    def test_time_zero_is_the_input(self):
+        s = JacobiMatrix(offdiag=[0.5, 0.3], diag=[0.1, 0.0, -0.2])
+        back = spectral_solve(s, 0.0)
+        assert back.diag.tobytes() == s.diag.tobytes() and back.offdiag.tobytes() == s.offdiag.tobytes()
+        diag, offdiag = toda_1d._qr_flow(s.diag, s.offdiag, [-0.0, 1.0, 0.0])
+        assert diag[0].tobytes() == diag[2].tobytes() == s.diag.tobytes()
+        assert offdiag[0].tobytes() == offdiag[2].tobytes() == s.offdiag.tobytes()
+
+    def test_unsorted_and_repeated_times(self):
+        s = random_state(np.random.default_rng(11), 7)
+        times = np.array([3.0, -7.5, 0.25, 3.0, -0.1, 12.0, 0.0, -7.5])
+        diag, offdiag = toda_1d._qr_flow(s.diag, s.offdiag, times)
+        order = np.argsort(times, kind="stable")
+        d_sorted, o_sorted = toda_1d._qr_flow(s.diag, s.offdiag, times[order])
+        assert diag[order].tobytes() == d_sorted.tobytes() and offdiag[order].tobytes() == o_sorted.tobytes()
+        assert diag[0].tobytes() == diag[3].tobytes() and diag[1].tobytes() == diag[7].tobytes()
+
+    def test_isospectral_far_out(self):
+        # many checkpoints each way; the spectrum and the trace hold to rounding
+        s = random_state(np.random.default_rng(12), 10)
+        lam0 = np.linalg.eigvalsh(s.to_dense())
+        diag, offdiag = toda_1d._qr_flow(s.diag, s.offdiag, np.linspace(-40.0, 40.0, 81))
+        lam = np.array([np.linalg.eigvalsh(JacobiMatrix(b, a).to_dense()) for b, a in zip(diag, offdiag)])
+        assert np.max(np.abs(lam - lam0)) < 1e-12
+        assert np.max(np.abs(diag.sum(axis=1) - lam0.sum())) < 1e-12
+
+    def test_one_site(self):
+        diag, offdiag = toda_1d._qr_flow([0.7], [], [-1.0, 0.0, 5.0])
+        assert diag.tolist() == [[0.7]] * 3 and offdiag.shape == (3, 0)
+
+    def test_bad_times_and_horizons(self):
+        with pytest.raises(ValueError, match="times must be finite"):
+            toda_1d._qr_flow([0.0, 0.0], [0.5], [0.0, np.nan])
+        with pytest.raises(OverflowError, match="QR checkpoints"):
+            toda_1d._qr_flow([1e21, 0.0], [1.0], [5.0])
+        with pytest.raises(OverflowError, match=r"^the spectrum of L has width 0\.0, outside"):
+            toda_1d._qr_flow([1e21, 1e21], [1.0], [5.0])
+        with pytest.raises(OverflowError, match=r"^the spectrum of L has width inf, outside"):
+            toda_1d._qr_flow([1e308, -1e308], [1.0], [5.0])
+        with pytest.raises(PositivityLossError, match=r"^a coupling underflowed to 0 at t = -3000\.0$"):
+            toda_1d._qr_flow([0.0, 1.0], [1.0], [1.0, -3000.0])
+
+    def test_peak_memory_is_blocked(self):
+        # the perfbench N = 64 state at 101 times: stacking all 101 (64 x 64)
+        # matrices at once would hold 3.3 MB per copy
+        rng = np.random.default_rng(5)
+        a = rng.uniform(0.3, 1.0, 63)
+        b = rng.uniform(-1.0, 1.0, 64)
+        tracemalloc.start()
+        try:
+            spectral_solve(JacobiMatrix(b, a), 0.01 * np.arange(101))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestAsymptotics:
