@@ -12,7 +12,9 @@ transform-eval  Transform values of a measure at given points:
                  "zetas": [[re, im], ...]}.
 nevanlinna-check  Residual table; {"kind": "1d", "measure": {...}, "N":, "y": [...]}
                 or {"kind": "multi", "measure": <measure dict>, "k":, "ell":,
-                "N":, "zeta_abs": [...]} (ray arg zeta^2 = pi/2).
+                "N":, "zeta_abs": [...]} (ray arg zeta^2 = pi/2), each residual
+                the exact moment remainder; exit 3 unless they decrease (and,
+                with --tol, end at or below it).
 iso-flow        Functional values on a time grid plus monotonicity verdict;
                 {"schema": 1, "measure": <measure dict>, "t_grid": [...]}.
 verify-all      Run the bundled invariant suite; prints one PASS/FAIL line
@@ -67,7 +69,6 @@ class RunConfig:
     t_final: float = 5.0
     dt: float = 1e-3
     k_max: int = kdq.DEFAULT_KMAX
-    quad_degree: int | None = None
     tol: float | None = None
 
     def validate(self):
@@ -170,12 +171,12 @@ def _run_nevanlinna(cfg: RunConfig) -> int:
             mu = DiscreteMeasure.from_dict(data["measure"])
             n_trunc = int(data["N"])
             ys = [float(y) for y in data["y"]]
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"bad nevanlinna config: {exc}") from exc
         if n_trunc < 0 or not ys:
             raise ConfigError("bad nevanlinna config: need N >= 0 and a nonempty y")
-        if not all(y > 0.0 for y in ys):
-            raise ConfigError(f"bad nevanlinna config: y values must be positive, got {ys}")
+        if not all(0.0 < y < np.inf for y in ys):
+            raise ConfigError(f"bad nevanlinna config: y values must be positive and finite, got {ys}")
         res = nevanlinna_limit_check(mu, n_trunc, ys)
         _emit(toda_1d._csv_text(["y", "residual"], np.column_stack([ys, res])), cfg.output_path)
     elif kind == "multi":
@@ -184,14 +185,16 @@ def _run_nevanlinna(cfg: RunConfig) -> int:
             idx = (int(data["k"]), int(data["ell"]))
             n_trunc = int(data["N"])
             mods = [float(m) for m in data["zeta_abs"]]
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"bad nevanlinna config: {exc}") from exc
         if n_trunc < 0 or not mods:
             raise ConfigError("bad nevanlinna config: need N >= 0 and a nonempty zeta_abs")
+        if not all(0.0 < m < np.inf for m in mods):
+            raise ConfigError(f"bad nevanlinna config: zeta_abs must be positive and finite, got {mods}")
         if idx not in mu.family.keys:
             raise ConfigError(f"bad nevanlinna config: the measure has no component (k, ell) = {idx}")
         zetas = [m * np.exp(1j * np.pi / 4) for m in mods]
-        res = kdq.multi_nevanlinna_check(mu, idx, n_trunc, zetas, cfg.quad_degree)
+        res = kdq.multi_nevanlinna_check(mu, idx, n_trunc, zetas)
         _emit(toda_1d._csv_text(["zeta_abs", "residual"], np.column_stack([mods, res])), cfg.output_path)
     else:
         raise ConfigError(f"unknown nevanlinna kind {kind!r}")
@@ -275,7 +278,6 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--t-final", dest="t_final", type=float, default=5.0)
     parser.add_argument("--dt", dest="dt", type=float, default=1e-3)
     parser.add_argument("--kmax", dest="k_max", type=int, default=kdq.DEFAULT_KMAX)
-    parser.add_argument("--quad-degree", dest="quad_degree", type=int, default=None)
     parser.add_argument("--tol", dest="tol", type=float, default=None)
     return parser
 

@@ -12,11 +12,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kdq import ComponentFamily, PseudoPositiveMeasure, _Packed
-from .moment_1d import _freeze_fields
+from .kdq import ComponentFamily, PseudoPositiveMeasure
 
 __all__ = [
-    "IsoFlowComponent",
     "IsoFlowState",
     "IntegrabilityReport",
     "MonotonicityReport",
@@ -42,26 +40,13 @@ def _iso_family(family: ComponentFamily) -> ComponentFamily:
     return family
 
 
-@dataclass(frozen=True)
-class IsoFlowComponent:
-    """Fixed radii lambda_j >= 0 with masses r_j^2 >= 0."""
-
-    lambdas: np.ndarray
-    masses: np.ndarray
-
-    def __post_init__(self):
-        fam = _iso_family(ComponentFamily.pack([((0, 1), self.lambdas, self.masses)], _FIELDS, 1))
-        _freeze_fields(self, lambdas=fam.radii, masses=fam.masses)
-
-
-class IsoFlowState(_Packed):
-    """Components (k, l) of fixed radii and masses r^2 at a common time: a map
-    (k, l) -> IsoFlowComponent or (lambdas, masses), or a `family`."""
-
-    _VIEW, _FIELDS = IsoFlowComponent, _FIELDS
+class IsoFlowState:
+    """Components (k, l) of fixed radii lambda_j >= 0 and masses r_j^2 >= 0
+    at a common time: a map (k, l) -> (lambdas, masses), or a `family`."""
 
     def __init__(self, components=None, time: float = 0.0, *, family=None):
-        family = ComponentFamily.pack(self._items(components), _FIELDS, 1) if family is None else family
+        if family is None:
+            family = ComponentFamily.pack(((key, *arrays) for key, arrays in (components or {}).items()), _FIELDS, 1)
         for k, ell in family.keys:
             if k < 0 or ell < 1:
                 raise ValueError(f"invalid component index {(k, ell)}")

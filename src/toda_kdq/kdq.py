@@ -39,7 +39,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DivergenceRegionError, PoleError
-from .moment_1d import DiscreteMeasure, _as_vector, _freeze_fields, _sorted_atoms, _view
+from .moment_1d import DiscreteMeasure, _as_vector, _freeze_fields, _moment_remainder, _sorted_atoms
 from .sphere import (
     as_direction,
     check_index,
@@ -75,6 +75,7 @@ __all__ = [
 ]
 
 DEFAULT_KMAX = 24
+_FIELDS = ("atoms", "weights")
 
 
 @dataclass(frozen=True)
@@ -218,29 +219,7 @@ class ComponentFamily:
         return out
 
 
-class _Packed:
-    """A container stored as one `ComponentFamily`, `family`: `components`
-    maps each index to a `_VIEW` of it, built on access."""
-
-    _VIEW, _FIELDS, _EXTRA = None, (), {}
-
-    @classmethod
-    def _items(cls, components) -> list:
-        # (key, radii, masses) from views or from pairs of arrays
-        return [
-            (key, *(getattr(comp, f) for f in cls._FIELDS)) if isinstance(comp, cls._VIEW) else (key, *comp)
-            for key, comp in (components or {}).items()
-        ]
-
-    @property
-    def components(self) -> dict:
-        return {key: _view(self._VIEW, **dict(zip(self._FIELDS, arrays)), **self._EXTRA) for key, *arrays in self.family.items()}
-
-    def sorted_items(self):
-        return list(self.components.items())
-
-
-class PseudoPositiveMeasure(_Packed):
+class PseudoPositiveMeasure:
     """Sparse family of nonnegative radial component measures indexed by (k, ell).
 
     Absent indices mean a zero component.  Every stored component lives on
@@ -248,8 +227,6 @@ class PseudoPositiveMeasure(_Packed):
     Pass `components`, a map (k, ell) -> DiscreteMeasure, or a `family` of
     sorted and merged components (see `from_atoms`).
     """
-
-    _VIEW, _FIELDS, _EXTRA = DiscreteMeasure, ("atoms", "weights"), {"half_line": True}
 
     def __init__(self, n: int, components=None, k_max: int = -1, *, family=None):
         if n not in (2, 3):
@@ -260,7 +237,7 @@ class PseudoPositiveMeasure(_Packed):
                 raise TypeError("components must map (k, ell) to DiscreteMeasure")
             # a measure not flagged half-line is checked (and merged) again as one
             comps = {key: m if m.half_line else DiscreteMeasure(m.atoms, m.weights, True) for key, m in components.items()}
-            family = ComponentFamily.pack(self._items(comps), self._FIELDS)
+            family = ComponentFamily.pack(((key, m.atoms, m.weights) for key, m in comps.items()), _FIELDS)
         check_indices(n, family.keys)
         top = family.keys[-1][0] if family.keys else 0
         if top > k_max >= 0:
@@ -300,7 +277,7 @@ class PseudoPositiveMeasure(_Packed):
     @classmethod
     def from_dict(cls, d: dict) -> "PseudoPositiveMeasure":
         items = (((c["k"], c["ell"]), c["atoms"], c["weights"]) for c in d["components"])
-        return cls.from_atoms(int(d["n"]), ComponentFamily.pack(items, cls._FIELDS), k_max=int(d.get("k_max", -1)))
+        return cls.from_atoms(int(d["n"]), ComponentFamily.pack(items, _FIELDS), k_max=int(d.get("k_max", -1)))
 
 
 def aronszajn_r_pow_n(p: KDQPoint, x) -> complex:
@@ -627,62 +604,53 @@ def _projection_degree(mu: PseudoPositiveMeasure, k: int) -> int:
     return stored + k + 2
 
 
-def project_transform(mu: PseudoPositiveMeasure, idx, zeta, quad_degree: int | None = None):
+def project_transform(mu: PseudoPositiveMeasure, idx, zeta):
     """zeta^{k-1} * sphere average of mu_hat(zeta, .) Y_{k,l}; equals T_{k,l}(zeta^2).
 
-    The quadrature degree must resolve products of Y_{k,l} with every stored
-    harmonic degree; an insufficient explicit degree is rejected.  `zeta` is
-    one complex (a complex is returned) or a sequence (a complex array is
-    returned); the node harmonics are built once for all of them.
+    The projection identity, a cross-check: the quadrature resolves products
+    of Y_{k,l} with every stored harmonic degree.  `zeta` is one complex (a
+    complex is returned) or a sequence (a complex array is returned); the
+    node harmonics are built once for all of them.
     """
     k, ell = int(idx[0]), int(idx[1])
     check_index(mu.n, k, ell)
-    needed = _projection_degree(mu, k)
-    if quad_degree is None:
-        quad_degree = needed
-    elif quad_degree < needed:
-        raise ValueError(f"quadrature degree {quad_degree} insufficient; need >= {needed}")
     single = np.ndim(zeta) == 0
     zetas = [complex(zeta)] if single else [complex(z) for z in zeta]
     for z in zetas:
         _check_outside_support(mu, z)
-    pts, wts = sphere_nodes(mu.n, quad_degree)
+    pts, wts = sphere_nodes(mu.n, _projection_degree(mu, k))
     y_idx = eval_harmonic(mu.n, (k, ell), pts)
     vals = _markov_on_nodes(mu, zetas, pts)
     out = [complex(z ** (k - 1) * np.sum(wts * row * y_idx)) for z, row in zip(zetas, vals)]
     return out[0] if single else np.array(out, dtype=complex)
 
 
-def multi_nevanlinna_check(
-    mu: PseudoPositiveMeasure,
-    idx,
-    n_trunc: int,
-    zeta_list,
-    quad_degree: int | None = None,
-) -> np.ndarray:
+def multi_nevanlinna_check(mu: PseudoPositiveMeasure, idx, n_trunc: int, zeta_list) -> np.ndarray:
     """Residuals of the componentwise moment expansion along a ray in zeta.
 
-    With T(zeta^2) the projected transform of the (k, l) component and
-    s_j = int r^{k+2j} dmu_{k,l}, the residual at each zeta is
+    With T(zeta^2) the Stieltjes transform of the (k, l) tilde measure
+    (weights w r^k at rho = r^2) and s_j = int r^{k+2j} dmu_{k,l}, the
+    residual at each zeta is
 
         | zeta^{4n+2} ( T(zeta^2) - sum_{j=0}^{2n-1} s_j zeta^{-2j-2} ) - s_{2n} |,
 
-    i.e. the classical truncated-moment limit in the variable z = zeta^2.
-    Points should march outward along a fixed ray with Im zeta^2 > 0
-    (arg zeta^2 = pi/2 in the standard setup); residuals then decrease
-    like |zeta|^{-2}.
+    the truncated-moment limit in z = zeta^2, as the exact remainder
+    `moment_1d._moment_remainder` of the component's own atoms (zeros for an
+    absent one).  Along a ray with Im zeta^2 > 0 (arg zeta^2 = pi/2 in the
+    standard setup) the residuals decrease like |zeta|^{-2}.
     """
     if n_trunc < 0:
         raise ValueError("n_trunc must be nonnegative")
     k, ell = int(idx[0]), int(idx[1])
-    s = [component_moment(mu, (k, ell), j) for j in range(2 * n_trunc + 1)]
+    check_index(mu.n, k, ell)
     zetas = [complex(z) for z in zeta_list]
-    t_vals = project_transform(mu, (k, ell), zetas, quad_degree)
-    out = np.empty(len(zetas))
-    for i, (z, t_val) in enumerate(zip(zetas, t_vals.tolist())):
-        bracket = t_val - sum(s[j] * z ** (-2 * j - 2) for j in range(2 * n_trunc))
-        out[i] = abs(z ** (4 * n_trunc + 2) * bracket - s[2 * n_trunc])
-    return out
+    for z in zetas:
+        _check_outside_support(mu, z)
+    try:
+        radii, masses = mu.family.component((k, ell))
+    except KeyError:
+        return np.zeros(len(zetas))
+    return _moment_remainder(radii**2, masses * radii**k, n_trunc, np.array([z * z for z in zetas], dtype=complex))
 
 
 def divergent_partial_sums(mu: PseudoPositiveMeasure, n_trunc: int, p: KDQPoint):
@@ -699,7 +667,7 @@ def divergent_partial_sums(mu: PseudoPositiveMeasure, n_trunc: int, p: KDQPoint)
     z = p.zeta
     f_val = 0.0 + 0.0j
     g_val = 0.0 + 0.0j
-    for (k, ell), _ in mu.sorted_items():
+    for k, ell in mu.family.keys:
         y_val = eval_harmonic(mu.n, (k, ell), p.theta)
         for j in range(2 * n_trunc):
             f_val += component_moment(mu, (k, ell), j) * z ** (-(k + 2 * j)) * y_val

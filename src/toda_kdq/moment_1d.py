@@ -1,9 +1,9 @@
 """Atomic measures on the line, Jacobi matrices, and their transforms.
 
 The canonical Stieltjes transform here is f(lambda) = sum_m w_m/(lambda - u_m)
-(integration variable in the denominator with a minus sign).  The asymptotic
-moment checker `nevanlinna_limit_check` internally switches to the opposite
-sign convention f(z) = int dmu/(u - z), which is what its limit formula uses.
+(integration variable in the denominator with a minus sign).  The limit of
+`nevanlinna_limit_check` is stated for f(z) = int dmu/(u - z) but evaluated
+as an exact remainder in which neither f nor the moments appear.
 
 A measure with N atoms corresponds to an N x N symmetric tridiagonal (Jacobi)
 matrix filled from the bottom-right corner: if (alpha_i, beta_i) are the
@@ -12,6 +12,7 @@ b_{N-i} = alpha_i and a_{N-1-i} = sqrt(beta_{i+1}), so that the corner
 resolvent entry <(lambda I - L)^{-1} e_N, e_N> equals the Stieltjes transform.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,14 +69,6 @@ def _freeze_fields(obj, **fields) -> list:
         object.__setattr__(obj, name, arr)
         arrays.append(arr)
     return arrays
-
-
-def _view(cls, **fields):
-    # an instance of `cls` holding `fields` as given, not validated again
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 @dataclass(frozen=True)
@@ -324,8 +317,10 @@ def jacobi_eigenvalues(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
         lam[i], _, info = stevd(diag[i], offdiag[i], compute_v=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"?stevd failed on row {i} (info = {info})")
-    if np.any(np.diff(lam, axis=1) <= 0.0):
-        raise ValueError("eigenvalues must be strictly increasing")
+    rows = np.flatnonzero((np.diff(lam, axis=1) <= 0.0).any(axis=1))
+    if rows.size:
+        # distinct eigenvalues of an unreduced Jacobi matrix that round to one double
+        raise RankDeficiencyError(f"eigenvalues must be strictly increasing; row {rows[0]} repeats one")
     return lam
 
 
@@ -413,6 +408,56 @@ def second_kind_poly(mu: DiscreteMeasure, n: int, tau) -> float | complex:
     return complex(out) if np.iscomplexobj(np.asarray(tau_c)) else float(out.real)
 
 
+def _dd_times(x, y):
+    # product of double-double pairs (hi, lo) to about 1e-32 relative; the
+    # rounding error of hi * hi is exact by Dekker's split at 2^27 + 1
+    (xh, xl), (yh, yl) = x, y
+    p = xh * yh
+    sx, sy = 134217729.0 * xh, 134217729.0 * yh
+    ah, bh = sx - (sx - xh), sy - (sy - yh)
+    e = ((ah * bh - p) + ah * (yh - bh) + (xh - ah) * bh) + (xh - ah) * (yh - bh) + (xh * yl + xl * yh)
+    hi = p + e
+    return hi, e - (hi - p)
+
+
+def _odd_moment(atoms: np.ndarray, weights: np.ndarray, n: int) -> float:
+    # s_{2n+1} = sum w u^{2n+1}: each term a double-double (the power by
+    # repeated squaring), the terms added exactly by math.fsum, so a moment
+    # that cancels between atoms of both signs keeps its digits
+    term, base, k = (weights, 0.0 * atoms), (atoms, 0.0 * atoms), 2 * n + 1
+    while k:
+        term = _dd_times(term, base) if k & 1 else term
+        base, k = _dd_times(base, base), k >> 1
+    terms = np.concatenate(term)
+    return math.fsum(terms.tolist()) if np.isfinite(terms).all() else math.nan
+
+
+def _moment_remainder(atoms: np.ndarray, weights: np.ndarray, n: int, z) -> np.ndarray:
+    """|sum_m w_m u_m^{2n+1} / (z - u_m)| at each point of the array z.
+
+    This equals |z^{2n+1} (f(z) + sum_{j<2n} s_j z^{-j-1}) + s_{2n}| for
+    f(z) = sum_m w_m/(u_m - z) and moments s_j, without that form's terms
+    of size |z|^{2n} s_0, which cancel.
+    Where |z| >= max |u_m| it is summed as (s_{2n+1} + sum_m w_m u_m^{2n+2}
+    /(z - u_m)) / z, with s_{2n+1} from `_odd_moment`.  OverflowError if a
+    value is not finite.
+    """
+    z = np.asarray(z, dtype=complex)
+    if not atoms.size:
+        return np.zeros(z.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = weights * np.copysign(np.abs(atoms) ** (2 * n + 1), atoms)
+        diffs = z[:, None] - atoms
+        out = np.abs(np.sum(c / diffs, axis=1))
+        far = np.abs(z) >= np.abs(atoms).max()
+        if far.any():
+            tail = np.sum(c * atoms / diffs[far], axis=1)
+            out[far] = np.abs(_odd_moment(atoms, weights, n) + tail) / np.abs(z[far])
+    if not np.isfinite(out).all():
+        raise OverflowError(f"the moment remainder of order n = {n} is not finite")
+    return out
+
+
 def nevanlinna_limit_check(mu: DiscreteMeasure, n: int, y_list) -> np.ndarray:
     """Residuals of the truncated-moment asymptotic expansion along z = iy.
 
@@ -421,17 +466,12 @@ def nevanlinna_limit_check(mu: DiscreteMeasure, n: int, y_list) -> np.ndarray:
 
         | z^{2n+1} ( f(z) + sum_{j=0}^{2n-1} s_j z^{-j-1} ) + s_{2n} |,
 
-    which tends to 0 as y grows when the s_j are the moments of mu.
+    which tends to 0 as y grows when the s_j are the moments of mu.  It is
+    evaluated as the exact remainder `_moment_remainder`.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    s = moments(mu, 2 * n)
-    out = np.empty(len(y_list))
-    for i, y in enumerate(y_list):
-        if y <= 0:
-            raise ValueError("y values must be positive")
-        z = 1j * float(y)
-        f = -stieltjes_transform(mu, z) if len(mu) else 0.0
-        series = sum(s[j] * z ** (-j - 1) for j in range(2 * n))
-        out[i] = abs(z ** (2 * n + 1) * (f + series) + s[2 * n])
-    return out
+    ys = np.array([float(y) for y in y_list])
+    if not ((ys > 0.0) & (ys < np.inf)).all():
+        raise ValueError("y values must be positive and finite")
+    return _moment_remainder(mu.atoms, mu.weights, n, 1j * ys)

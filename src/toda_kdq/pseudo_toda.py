@@ -23,13 +23,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import PositivityLossError
-from .kdq import ComponentFamily, PseudoPositiveMeasure, _Packed
-from .moment_1d import DiscreteMeasure, JacobiMatrix, _freeze_fields, jacobi_from_measure
+from .kdq import ComponentFamily, PseudoPositiveMeasure
+from .moment_1d import DiscreteMeasure, JacobiMatrix, jacobi_from_measure
 from .sphere import check_indices, eval_harmonic
 from .toda_1d import _csv_text, _evolved_masses, _qr_flow, toda_rhs
 
 __all__ = [
-    "TodaComponent",
     "PseudoTodaState",
     "PhysicalSurface",
     "tilde_transform",
@@ -65,30 +64,18 @@ def _toda_family(family: ComponentFamily) -> ComponentFamily:
     return ComponentFamily(family.keys, family.offsets, family.radii[order], family.masses[order])
 
 
-@dataclass(frozen=True)
-class TodaComponent:
-    """Radii lambda_j >= 0 (ascending) with tilde masses summing to one."""
-
-    lambdas: np.ndarray
-    masses_tilde: np.ndarray
-
-    def __post_init__(self):
-        fam = _toda_family(ComponentFamily.pack([((0, 1), self.lambdas, self.masses_tilde)], _FIELDS, 1))
-        _freeze_fields(self, lambdas=fam.radii, masses_tilde=fam.masses)
-
-
-class PseudoTodaState(_Packed):
-    """Components (k, l) of radii and tilde masses at a common time: a map
-    (k, l) -> TodaComponent or (lambdas, masses_tilde), or a `family`."""
-
-    _VIEW, _FIELDS = TodaComponent, _FIELDS
+class PseudoTodaState:
+    """Components (k, l) of radii lambda_j >= 0 and tilde masses summing to
+    one, at a common time: a map (k, l) -> (lambdas, masses_tilde), or a
+    `family`.  Each component is stored sorted by radius in `family`."""
 
     def __init__(self, n: int, components=None, time: float = 0.0, *, family=None):
         if n not in (2, 3):
             raise ValueError(f"unsupported ambient dimension n={n}")
         if not math.isfinite(time):
             raise ValueError(f"state time must be finite, got {time!r}")
-        family = ComponentFamily.pack(self._items(components), _FIELDS, 1) if family is None else family
+        if family is None:
+            family = ComponentFamily.pack(((key, *arrays) for key, arrays in (components or {}).items()), _FIELDS, 1)
         check_indices(n, family.keys)
         self.n, self.family, self.time = n, _toda_family(family), float(time)
 
@@ -243,7 +230,7 @@ def component_ode_residual(state: PseudoTodaState, idx, t: float, dt: float = 1e
 
 
 def _jacobi_table(state: PseudoTodaState) -> dict:
-    return {key: component_jacobi(state, key) for key, _ in state.sorted_items()}
+    return {key: component_jacobi(state, key) for key in state.family.keys}
 
 
 def flaschka_surfaces(state: PseudoTodaState, j: int, theta):
@@ -317,8 +304,8 @@ def state_to_measure(state: PseudoTodaState) -> PseudoPositiveMeasure:
     zero radius).
     """
     comps = {}
-    for (k, ell), comp in state.sorted_items():
-        lam, r2 = tilde_inverse(k, comp.lambdas**2, comp.masses_tilde)
+    for (k, ell), lambdas, masses in state.family.items():
+        lam, r2 = tilde_inverse(k, lambdas**2, masses)
         comps[(k, ell)] = DiscreteMeasure(lam, r2, half_line=True)
     return PseudoPositiveMeasure(n=state.n, components=comps)
 

@@ -90,7 +90,7 @@ def test_criterion_09_pseudo_toda():
 
 
 def test_criterion_10_multi_nevanlinna():
-    assert_passed(verify.check_kdq_multi_nevanlinna())
+    assert_passed(verify.check_kdq_multi_nevanlinna(6666))
 
 
 def test_criterion_11_iso_monotonicity():

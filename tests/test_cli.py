@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from toda_kdq import kdq
+from toda_kdq import kdq, sphere
 from toda_kdq.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -59,6 +64,15 @@ class TestSimulate1d:
         assert table.shape == (1001, 1 + 63 + 64 + 1 + 64)
         lam0 = np.linalg.eigvalsh(np.diag(b) + np.diag(a, 1) + np.diag(a, -1))
         assert np.max(np.abs(table[:, -64:] - lam0)) < 1e-10
+
+    def test_coincident_eigenvalues_are_numeric_failure(self, tmp_path, capsys):
+        # the eigenvalues 1e21 +- 1 round to one double
+        cfg = write_json(tmp_path / "big.json", {"a": [1.0], "b": [1e21, 1e21]})
+        code = main(["simulate-1d", "--input", cfg, "--output", str(tmp_path / "o.csv"), "--t-final", "0.01", "--dt", "0.01"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numeric failure: eigenvalues must be strictly increasing; row 0")
+        assert "Traceback" not in err
 
     def test_missing_input_is_config_error(self, tmp_path):
         assert main(["simulate-1d", "--input", str(tmp_path / "nope.json")]) == 2
@@ -351,6 +365,69 @@ class TestNevanlinnaCommand:
         assert main(["nevanlinna-check", "--input", cfg, "--output", str(out), "--tol", "1e-4"]) == 0
 
 
+def run_in_process(argv, config):
+    """Exit code and stderr of `main` on `config`, written to a temporary file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.json"
+        path.write_text(json.dumps(config))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main([argv[0], "--input", str(path), "--output", str(Path(tmp) / "out.csv"), *argv[1:]])
+    return code, stderr.getvalue()
+
+
+# truncation orders up to 10^30; y and zeta_abs entries that are NaN,
+# infinite, zero or negative besides valid ones, and zeta_abs inside the support
+_ORDERS = st.one_of(st.integers(-2, 6), st.integers(0, 10**30), st.just(10**30))
+_BAD = st.sampled_from([float("nan"), float("inf"), 0.0, -1.0])
+_TOL = st.sampled_from([[], ["--tol", "1e-4"]])
+
+
+@st.composite
+def nevanlinna_1d_configs(draw):
+    atoms = draw(st.lists(st.floats(-3.0, 3.0), max_size=5))
+    count = draw(st.sampled_from([len(atoms), len(atoms) + 1]))
+    weights = draw(st.lists(st.one_of(st.floats(0.1, 1.0), st.just(-0.5)), min_size=count, max_size=count))
+    ys = draw(st.lists(st.one_of(st.floats(1e-3, 1e6), _BAD), max_size=4))
+    return {"kind": "1d", "measure": {"atoms": atoms, "weights": weights}, "N": draw(_ORDERS), "y": ys}
+
+
+@st.composite
+def nevanlinna_multi_configs(draw):
+    n = draw(st.sampled_from([2, 3]))
+    indices = [(k, ell) for k in range(3) for ell in range(1, sphere.dim_harmonics(n, k) + 1)]
+    comps = []
+    for k, ell in draw(st.lists(st.sampled_from(indices), max_size=4, unique=True)):
+        atoms = draw(st.lists(st.floats(0.0, 1.5), min_size=1, max_size=4))
+        weights = draw(st.lists(st.floats(0.1, 1.0), min_size=len(atoms), max_size=len(atoms)))
+        comps.append({"k": k, "ell": ell, "atoms": atoms, "weights": weights})
+    # a stored component, or an index the measure does not hold
+    k, ell = draw(st.sampled_from([(c["k"], c["ell"]) for c in comps] + [(3, 1), (0, 2)]))
+    mods = draw(st.lists(st.one_of(st.floats(0.0, 64.0), _BAD), max_size=4))
+    measure = {"n": n, "k_max": 2, "components": comps}
+    return {"kind": "multi", "measure": measure, "k": k, "ell": ell, "N": draw(_ORDERS), "zeta_abs": mods}
+
+
+class TestNevanlinnaExitCodes:
+    @settings(max_examples=150, deadline=None)
+    @given(config=st.one_of(nevanlinna_1d_configs(), nevanlinna_multi_configs()), tol=_TOL)
+    def test_exit_code_contract(self, config, tol):
+        code, err = run_in_process(["nevanlinna-check", *tol], config)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("config error: ")
+        else:
+            assert err == "" or err.startswith("numeric failure: ")
+
+    def test_quad_degree_flag_is_gone(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "m.json", {"kind": "multi", "measure": _MEASURE_3, "k": 0, "ell": 1, "N": 1, "zeta_abs": [4.0]})
+        with pytest.raises(SystemExit) as exc:
+            main(["nevanlinna-check", "--input", cfg, "--quad-degree", "8"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --quad-degree 8" in capsys.readouterr().err
+
+
 class TestIsoFlowCommand:
     def test_monotone_run(self, tmp_path, capsys):
         cfg = write_json(
@@ -485,7 +562,7 @@ class TestPinnedOutputs:
                 "N": 1,
                 "y": [10.0, 100.0, 1000.0],
             },
-            "y,residual\n10.0,0.2607466063348314\n100.0,0.002751585185474248\n1000.0,2.7531024413995908e-05\n",
+            "y,residual\n10.0,0.2607466063348416\n100.0,0.0027515851872867343\n1000.0,2.7531095930578434e-05\n",
             "",
         ),
         "nevanlinna-check-multi": (
@@ -493,9 +570,9 @@ class TestPinnedOutputs:
             {"kind": "multi", "measure": _MEASURE_3, "k": 0, "ell": 1, "N": 1, "zeta_abs": [4.0, 8.0, 16.0]},
             (
                 "zeta_abs,residual\n"
-                "4.0,0.007351615942910244\n"
-                "8.0,0.00183871173674067\n"
-                "16.0,0.00045969056367494343\n"
+                "4.0,0.007351615942970456\n"
+                "8.0,0.001838711737037216\n"
+                "16.0,0.0004596905642158774\n"
             ),
             "",
         ),
@@ -560,6 +637,7 @@ class TestVerifyAll:
         ("kdq-kernel-series-vs-closed", 1e-10),
         ("kdq-cauchy-reproduction", 1e-8),
         ("kdq-multi-nevanlinna", 1e-4),
+        ("kdq-projection-identity", 1e-10),
         ("pseudo-normalization", 1e-12),
         ("pseudo-hamiltonian-constant", 1e-12),
         ("pseudo-ode-residual", 1e-6),
@@ -573,7 +651,7 @@ class TestVerifyAll:
         rows = [line.split() for line in lines]
         assert [(name, float(tol.removeprefix("tol="))) for _, name, _, tol in rows] == self.TABLE
         assert all(status == "PASS" for status, *_ in rows)
-        assert summary == "18/18 checks passed"
+        assert summary == "19/19 checks passed"
 
     def test_module_entry_point_runs_without_warnings(self):
         # the package does not import cli, so runpy executes it fresh

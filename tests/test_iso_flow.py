@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from toda_kdq.iso_flow import (
-    IsoFlowComponent,
     IsoFlowState,
     blow_up_time,
     integrability_check,
@@ -13,28 +12,28 @@ from toda_kdq.iso_flow import (
     state_to_measure,
 )
 
-SINGLE = IsoFlowState({(1, 1): IsoFlowComponent([1.0], [1.0])})
+SINGLE = IsoFlowState({(1, 1): ([1.0], [1.0])})
 
 
 class TestRiccatiEvolve:
     def test_closed_form_value(self):
         ev = riccati_evolve(SINGLE, 1.0)
-        assert np.sqrt(ev.components[(1, 1)].masses[0]) == pytest.approx(0.5)
+        assert np.sqrt(ev.family.component((1, 1))[1][0]) == pytest.approx(0.5)
 
     def test_zero_radius_constant(self):
-        st = IsoFlowState({(0, 1): IsoFlowComponent([0.0], [0.81])})
+        st = IsoFlowState({(0, 1): ([0.0], [0.81])})
         ev = riccati_evolve(st, 7.0)
-        assert ev.components[(0, 1)].masses[0] == pytest.approx(0.81)
+        assert ev.family.component((0, 1))[1][0] == pytest.approx(0.81)
 
     def test_flow_property(self):
         rng = np.random.default_rng(0)
         st = IsoFlowState(
-            {(k, 1): IsoFlowComponent(rng.uniform(0.2, 2.0, 3), rng.uniform(0.1, 1.0, 3)) for k in range(3)}
+            {(k, 1): (rng.uniform(0.2, 2.0, 3), rng.uniform(0.1, 1.0, 3)) for k in range(3)}
         )
         two_step = riccati_evolve(riccati_evolve(st, 0.6), 1.1)
         one_step = riccati_evolve(st, 1.7)
-        for key in st.components:
-            dev = np.max(np.abs(two_step.components[key].masses - one_step.components[key].masses))
+        for key in st.family.keys:
+            dev = np.max(np.abs(two_step.family.component(key)[1] - one_step.family.component(key)[1]))
             assert dev < 1e-14
 
     def test_backward_guarded(self):
@@ -44,26 +43,26 @@ class TestRiccatiEvolve:
         with pytest.raises(ValueError):
             riccati_evolve(SINGLE, -1.0, allow_backward=True)
         ev = riccati_evolve(SINGLE, -0.5, allow_backward=True)
-        assert np.sqrt(ev.components[(1, 1)].masses[0]) == pytest.approx(2.0)
+        assert np.sqrt(ev.family.component((1, 1))[1][0]) == pytest.approx(2.0)
 
 
 class TestIntegrabilityFunctional:
     def test_degree_zero_total_mass(self):
-        st = IsoFlowState({(0, 1): IsoFlowComponent([0.5, 2.0], [0.3, 0.9])})
+        st = IsoFlowState({(0, 1): ([0.5, 2.0], [0.3, 0.9])})
         assert integrability_functional(st, (0, 1)) == pytest.approx(1.2)
 
     def test_inverse_power(self):
-        st = IsoFlowState({(2, 1): IsoFlowComponent([2.0], [1.0])})
+        st = IsoFlowState({(2, 1): ([2.0], [1.0])})
         assert integrability_functional(st, (2, 1)) == pytest.approx(0.25)
 
     def test_zero_radius_division_error(self):
-        st = IsoFlowState({(1, 1): IsoFlowComponent([0.0], [0.5])})
+        st = IsoFlowState({(1, 1): ([0.0], [0.5])})
         with pytest.raises(ZeroDivisionError):
             integrability_functional(st, (1, 1))
 
     def test_decreasing_along_flow(self):
         rng = np.random.default_rng(1)
-        st = IsoFlowState({(2, 1): IsoFlowComponent(rng.uniform(0.5, 2.0, 4), rng.uniform(0.1, 1.0, 4))})
+        st = IsoFlowState({(2, 1): (rng.uniform(0.5, 2.0, 4), rng.uniform(0.1, 1.0, 4))})
         values = [
             integrability_functional(riccati_evolve(st, t), (2, 1)) for t in (0.0, 0.5, 1.0, 4.0)
         ]
@@ -76,13 +75,13 @@ class TestIntegrabilityCheck:
         assert rep.passed and rep.total == pytest.approx(1.0)
 
     def test_geometric_profile(self):
-        st = IsoFlowState({(k, 1): IsoFlowComponent([2.0], [1.0]) for k in range(6)})
+        st = IsoFlowState({(k, 1): ([2.0], [1.0]) for k in range(6)})
         rep = integrability_check(st)
         assert rep.passed and not rep.divergence_trend
         assert rep.tail_ratio == pytest.approx(0.5)
 
     def test_divergence_trend_flagged(self):
-        st = IsoFlowState({(k, 1): IsoFlowComponent([0.5], [1.0]) for k in range(6)})
+        st = IsoFlowState({(k, 1): ([0.5], [1.0]) for k in range(6)})
         rep = integrability_check(st)
         assert rep.divergence_trend
         assert rep.tail_ratio == pytest.approx(2.0)
@@ -105,7 +104,7 @@ class TestMonotonicity:
         rng = np.random.default_rng(2)
         for _ in range(5):
             comps = {
-                (k, 1): IsoFlowComponent(rng.uniform(0.3, 2.0, 3), rng.uniform(0.1, 1.0, 3))
+                (k, 1): (rng.uniform(0.3, 2.0, 3), rng.uniform(0.1, 1.0, 3))
                 for k in range(3)
             }
             rep = monotonicity_check(IsoFlowState(comps), np.linspace(0.0, 10.0, 21), dt=1e-5)
@@ -116,10 +115,10 @@ class TestMonotonicity:
 class TestSharedSchema:
     def test_measure_roundtrip(self):
         st = IsoFlowState(
-            {(0, 1): IsoFlowComponent([0.5, 1.0], [0.2, 0.0]), (2, 1): IsoFlowComponent([0.7], [0.4])}
+            {(0, 1): ([0.5, 1.0], [0.2, 0.0]), (2, 1): ([0.7], [0.4])}
         )
         mu = state_to_measure(st, n=3)
         back = state_from_measure(mu)
         # zero-mass atom dropped on serialization
-        assert np.array_equal(back.components[(0, 1)].lambdas, [0.5])
-        assert np.array_equal(back.components[(2, 1)].masses, [0.4])
+        assert np.array_equal(back.family.component((0, 1))[0], [0.5])
+        assert np.array_equal(back.family.component((2, 1))[1], [0.4])

@@ -7,7 +7,6 @@ from toda_kdq.moment_1d import DiscreteMeasure, JacobiMatrix, jacobi_from_measur
 from toda_kdq.toda_1d import hamiltonian_ab
 from toda_kdq.pseudo_toda import (
     PseudoTodaState,
-    TodaComponent,
     component_hamiltonian,
     component_jacobi,
     component_ode_residual,
@@ -24,7 +23,7 @@ from toda_kdq.pseudo_toda import (
 
 E3 = np.array([0.0, 0.0, 1.0])
 
-TWO_ATOM = PseudoTodaState(3, {(0, 1): TodaComponent([0.5, 1.0], [0.5, 0.5])})
+TWO_ATOM = PseudoTodaState(3, {(0, 1): ([0.5, 1.0], [0.5, 0.5])})
 
 
 def full_state(rng, n=3, kmax=2, atoms=4, lam_hi=1.2):
@@ -35,7 +34,7 @@ def full_state(rng, n=3, kmax=2, atoms=4, lam_hi=1.2):
             while np.min(np.diff(lam)) < 1e-3:
                 lam = np.sort(rng.uniform(0.2, lam_hi, size=atoms))
             m = rng.uniform(0.2, 1.0, size=atoms)
-            comps[(k, ell)] = TodaComponent(lam, m / m.sum())
+            comps[(k, ell)] = (lam, m / m.sum())
     return PseudoTodaState(n, comps)
 
 
@@ -79,20 +78,20 @@ class TestTildeTransform:
 class TestEvolve:
     def test_time_zero_identity(self):
         ev = evolve(TWO_ATOM, 0.0)
-        comp = ev.components[(0, 1)]
-        assert np.array_equal(comp.lambdas, TWO_ATOM.components[(0, 1)].lambdas)
-        assert np.allclose(comp.masses_tilde, [0.5, 0.5])
+        lambdas, masses_tilde = ev.family.component((0, 1))
+        assert np.array_equal(lambdas, TWO_ATOM.family.component((0, 1))[0])
+        assert np.allclose(masses_tilde, [0.5, 0.5])
 
     def test_equal_tilde_radii_static(self):
         # duplicate lambdas are allowed in a component; equal exponents cancel
-        st = PseudoTodaState(3, {(0, 1): TodaComponent([0.5, 0.5], [0.4, 0.6])})
+        st = PseudoTodaState(3, {(0, 1): ([0.5, 0.5], [0.4, 0.6])})
         ev = evolve(st, 3.0)
-        assert np.allclose(ev.components[(0, 1)].masses_tilde, [0.4, 0.6])
+        assert np.allclose(ev.family.component((0, 1))[1], [0.4, 0.6])
 
     def test_two_atom_closed_form(self):
         for t in (0.5, 2.0, 10.0):
             ev = evolve(TWO_ATOM, t)
-            assert ev.components[(0, 1)].masses_tilde[0] == pytest.approx(
+            assert ev.family.component((0, 1))[1][0] == pytest.approx(
                 1.0 / (1.0 + np.exp(-1.5 * t))
             )
 
@@ -101,19 +100,19 @@ class TestEvolve:
         st = full_state(rng, kmax=1, atoms=3)
         ev_a = evolve(evolve(st, 0.8), 1.7)
         ev_b = evolve(st, 2.5)
-        for key in st.components:
-            dev = np.max(np.abs(ev_a.components[key].masses_tilde - ev_b.components[key].masses_tilde))
+        for key in st.family.keys:
+            dev = np.max(np.abs(ev_a.family.component(key)[1] - ev_b.family.component(key)[1]))
             assert dev < 1e-12
         assert ev_a.time == pytest.approx(ev_b.time)
 
     def test_eigenvalues_fixed(self):
         ev = evolve(TWO_ATOM, 5.0)
-        assert np.array_equal(ev.components[(0, 1)].lambdas, TWO_ATOM.components[(0, 1)].lambdas)
+        assert np.array_equal(ev.family.component((0, 1))[0], TWO_ATOM.family.component((0, 1))[0])
 
 
 class TestComponentJacobi:
     def test_single_atom(self):
-        st = PseudoTodaState(3, {(0, 1): TodaComponent([0.7], [1.0])})
+        st = PseudoTodaState(3, {(0, 1): ([0.7], [1.0])})
         jac = component_jacobi(st, (0, 1))
         assert jac.n == 1 and jac.diag[0] == pytest.approx(0.49)  # tilde radius 0.7^2
 
@@ -123,7 +122,7 @@ class TestComponentJacobi:
         assert jac.offdiag[0] ** 2 == pytest.approx(0.140625)
 
     def test_time_zero_uses_masses_as_given(self):
-        st = PseudoTodaState(3, {(0, 1): TodaComponent([0.2, 0.5, 0.9], [0.3, 0.3, 0.4])})
+        st = PseudoTodaState(3, {(0, 1): ([0.2, 0.5, 0.9], [0.3, 0.3, 0.4])})
         ref = jacobi_from_measure(DiscreteMeasure([0.2**2, 0.5**2, 0.9**2], [0.3, 0.3, 0.4], half_line=True))
         jac = component_jacobi(st, (0, 1))
         assert jac.diag.tobytes() == ref.diag.tobytes() and jac.offdiag.tobytes() == ref.offdiag.tobytes()
@@ -134,8 +133,8 @@ class TestComponentJacobi:
         st = full_state(rng, kmax=1, atoms=4)
         for t in (-0.7, 0.3, 2.0):
             ev = evolve(st, t)
-            for key, comp in ev.sorted_items():
-                ref = jacobi_from_measure(DiscreteMeasure(comp.lambdas**2, comp.masses_tilde, half_line=True))
+            for key, lambdas, masses_tilde in ev.family.items():
+                ref = jacobi_from_measure(DiscreteMeasure(lambdas**2, masses_tilde, half_line=True))
                 jac = component_jacobi(ev, key)
                 assert np.max(np.abs(jac.diag - ref.diag)) < 1e-12
                 assert np.max(np.abs(jac.offdiag - ref.offdiag)) < 1e-12
@@ -143,7 +142,7 @@ class TestComponentJacobi:
     def test_late_time_keeps_hamiltonian(self):
         # at t = 100 the smallest tilde mass is e^{-2 * 100 * (1.44 - 0.04)} of
         # the largest, below Lanczos's rank threshold
-        st = PseudoTodaState(3, {(0, 1): TodaComponent([0.2, 0.5, 0.9, 1.2], [0.1, 0.2, 0.3, 0.4])})
+        st = PseudoTodaState(3, {(0, 1): ([0.2, 0.5, 0.9, 1.2], [0.1, 0.2, 0.3, 0.4])})
         ev = evolve(st, 100.0)
         lambdas, masses = ev.family.component((0, 1))
         with pytest.raises(RankDeficiencyError):
@@ -156,7 +155,7 @@ class TestComponentJacobi:
     def test_masses_given_at_a_late_time(self):
         # reweighted back to time 0 these masses span e^{-280}: Lanczos runs on
         # them as given, and nothing is flowed
-        st = PseudoTodaState(3, {(0, 1): TodaComponent([0.2, 0.5, 0.9, 1.2], [0.25] * 4)}, time=100.0)
+        st = PseudoTodaState(3, {(0, 1): ([0.2, 0.5, 0.9, 1.2], [0.25] * 4)}, time=100.0)
         ref = jacobi_from_measure(DiscreteMeasure(np.array([0.2, 0.5, 0.9, 1.2]) ** 2, [0.25] * 4, half_line=True))
         jac = component_jacobi(st, (0, 1))
         assert jac.diag.tobytes() == ref.diag.tobytes() and jac.offdiag.tobytes() == ref.offdiag.tobytes()
@@ -164,7 +163,7 @@ class TestComponentJacobi:
     def test_isospectral_along_evolution(self):
         rng = np.random.default_rng(3)
         st = full_state(rng, kmax=1, atoms=4)
-        for key in st.components:
+        for key in st.family.keys:
             lam0 = spectral_data_from_jacobi(component_jacobi(st, key)).eigenvalues
             for t in (0.5, 2.0, 8.0):
                 lam = spectral_data_from_jacobi(component_jacobi(evolve(st, t), key)).eigenvalues
@@ -173,7 +172,7 @@ class TestComponentJacobi:
 
 class TestHamiltonians:
     def test_single_atom(self):
-        st = PseudoTodaState(3, {(0, 1): TodaComponent([1.0], [1.0])})
+        st = PseudoTodaState(3, {(0, 1): ([1.0], [1.0])})
         assert component_hamiltonian(st, (0, 1)) == 2.0
 
     def test_two_atom(self):
@@ -182,7 +181,7 @@ class TestHamiltonians:
     def test_total_sum(self):
         st = PseudoTodaState(
             3,
-            {(0, 1): TodaComponent([1.0], [1.0]), (1, 1): TodaComponent([0.5, 1.0], [0.5, 0.5])},
+            {(0, 1): ([1.0], [1.0]), (1, 1): ([0.5, 1.0], [0.5, 0.5])},
         )
         assert total_hamiltonian(st) == pytest.approx(4.125)
 
@@ -193,7 +192,7 @@ class TestHamiltonians:
         # H = 4 (sum at^2 + 1/2 sum bt^2) via the trace identity on L_{k,l}
         rng = np.random.default_rng(4)
         st = full_state(rng, kmax=2, atoms=3)
-        for key in st.components:
+        for key in st.family.keys:
             jac = component_jacobi(st, key)
             h_entries = 4.0 * (np.sum(jac.offdiag**2) + 0.5 * np.sum(jac.diag**2))
             assert abs(h_entries - component_hamiltonian(st, key)) < 1e-10
@@ -225,7 +224,7 @@ class TestNormalization:
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
-            TodaComponent([0.5, 1.0], [0.5, 0.6])
+            PseudoTodaState(3, {(0, 1): ([0.5, 1.0], [0.5, 0.6])})
 
     def test_empty(self):
         assert normalization_invariant(PseudoTodaState(3, {})) == 0.0
@@ -233,7 +232,7 @@ class TestNormalization:
 
 class TestOdeResidual:
     def test_equal_radii_static(self):
-        st = PseudoTodaState(3, {(0, 1): TodaComponent([0.5, 0.5 + 1e-15], [0.5, 0.5])})
+        st = PseudoTodaState(3, {(0, 1): ([0.5, 0.5 + 1e-15], [0.5, 0.5])})
         # coincident tilde atoms merge; dynamics of the merged 1x1 system is frozen
         assert component_ode_residual(st, (0, 1), 0.0, 1e-4) < 1e-12
 
@@ -260,8 +259,8 @@ class TestSurfaces:
         st = PseudoTodaState(
             3,
             {
-                (0, 1): TodaComponent([0.5, 1.0], [0.5, 0.5]),
-                (1, 2): TodaComponent([0.3, 0.8], [0.4, 0.6]),
+                (0, 1): ([0.5, 1.0], [0.5, 0.5]),
+                (1, 2): ([0.3, 0.8], [0.4, 0.6]),
             },
         )
         th = np.array([np.sin(1.0), 0.0, np.cos(1.0)])
@@ -287,8 +286,8 @@ class TestSurfaces:
         st = PseudoTodaState(
             3,
             {
-                (0, 1): TodaComponent([0.5], [1.0]),
-                (1, 1): TodaComponent([0.3, 0.8], [0.5, 0.5]),
+                (0, 1): ([0.5], [1.0]),
+                (1, 1): ([0.3, 0.8], [0.5, 0.5]),
             },
         )
         with pytest.raises(ValueError):
@@ -302,7 +301,7 @@ class TestSurfaces:
         assert surf.x_partials[-1] == surf.x
 
     def test_physical_product_form(self):
-        st = PseudoTodaState(3, {(1, 1): TodaComponent([0.5, 1.0], [0.5, 0.5])})
+        st = PseudoTodaState(3, {(1, 1): ([0.5, 1.0], [0.5, 0.5])})
         jac = component_jacobi(st, (1, 1))
         surf = physical_surfaces(st, 2, E3)
         y1 = sphere.eval_harmonic(3, (1, 1), E3)
@@ -320,7 +319,7 @@ class TestSurfaces:
                 while np.min(np.diff(lam)) < 1e-6:
                     lam = np.sort(rng.uniform(0.1, 0.4, 2)) * scale
                 m = rng.uniform(0.2, 1.0, 2)
-                comps[(k, ell)] = TodaComponent(lam, m / m.sum())
+                comps[(k, ell)] = (lam, m / m.sum())
         st = PseudoTodaState(2, comps)
         th = np.array([np.cos(0.9), np.sin(0.9)])
         surf = physical_surfaces(st, 2, th)
@@ -352,10 +351,10 @@ class TestSerialization:
         rng = np.random.default_rng(11)
         st = full_state(rng, kmax=1, atoms=3)
         back = PseudoTodaState.from_dict(st.to_dict())
-        assert set(back.components) == set(st.components)
-        for key in st.components:
-            assert np.allclose(back.components[key].lambdas, st.components[key].lambdas)
-            assert np.allclose(back.components[key].masses_tilde, st.components[key].masses_tilde)
+        assert back.family.keys == st.family.keys
+        for key in st.family.keys:
+            assert np.allclose(back.family.component(key)[0], st.family.component(key)[0])
+            assert np.allclose(back.family.component(key)[1], st.family.component(key)[1])
 
     def test_csv_header(self):
         text = state_trajectory_csv(TWO_ATOM, [0.0, 1.0])

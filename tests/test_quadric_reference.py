@@ -1,14 +1,22 @@
-"""CLI bytes of the quadric commands against a per-component reference loop.
+"""CLI bytes of the quadric commands against a per-component reference loop,
+and both moment residuals against a high-precision oracle.
 
 The library stores every component family packed into flat arrays and
 evaluates the transforms, the pseudo-Toda reweighting and the Riccati flow
 as array expressions over all atoms.  The reference below does the same
 arithmetic one component at a time, the way the package did before it was
 packed: one measure, one harmonic and one Stieltjes sum per component.  The
-CSV text, stdout, stderr and exit code of `transform-eval`, `iso-flow`,
-`simulate-pseudo` and `nevanlinna-check` (kind multi) must match it byte for
-byte on ragged atom counts (1 to 17: numpy's pairwise summation starts at
-8), atoms that merge within 1e-12, and zero radii with k > 0.
+CSV text, stdout, stderr and exit code of `transform-eval`, `iso-flow` and
+`simulate-pseudo` must match it byte for byte on ragged atom counts (1 to
+17: numpy's pairwise summation starts at 8), atoms that merge within 1e-12,
+and zero radii with k > 0.
+
+The truncated-moment residuals are compared with `mp_residual`, their
+subtraction-form definition evaluated in mpmath with at least 20 digits
+left after its cancellation, to 1e-13 relative: `nevanlinna_limit_check`
+on mixed-sign atoms, `multi_nevanlinna_check` on ragged components, and the
+`nevanlinna-check` (kind multi) CSV, whose zeta_abs column, stderr and exit
+code must match exactly.
 """
 
 import contextlib
@@ -18,6 +26,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import mpmath
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +34,11 @@ from scipy.special import gammaln, lpmv
 
 from toda_kdq import sphere
 from toda_kdq.cli import main
-from toda_kdq.kdq import KDQPoint
+from toda_kdq.kdq import KDQPoint, PseudoPositiveMeasure, multi_nevanlinna_check
+from toda_kdq.moment_1d import DiscreteMeasure, nevanlinna_limit_check
+
+RAY = complex(np.exp(1j * np.pi / 4))  # arg zeta^2 = pi/2
+RESIDUAL_RTOL = 1e-13
 
 
 def ref_harmonic(n, k, ell, theta):
@@ -96,24 +109,51 @@ def ref_transform(measure, theta, zetas, k_max):
     return 0, csv(["zeta_re", "zeta_im", "value_re", "value_im"], rows), "", ""
 
 
+def mp_residual(atoms, weights, n, z, k=None):
+    """|z^{2n+1} (f(z) + sum_{j<2n} s_j z^{-j-1}) + s_{2n}|, f(z) = sum w/(u - z).
+
+    With k given, the atoms are radii r and the residual is that of the
+    tilde measure w r^k at u = r^2, taken at z = zeta^2 for the given zeta.
+    Every input is an exact double, every step runs in mpmath, and the
+    working precision grows until 20 digits survive the cancellation (the
+    scale is the largest term with every inner sum taken over |terms|); a
+    sum that cancels past 1000 digits is taken as 0.
+    """
+    dps = 30
+    while True:
+        with mpmath.workdps(dps):
+            u = [mpmath.mpf(float(a)) for a in atoms]
+            w = [mpmath.mpf(float(b)) for b in weights]
+            zz = mpmath.mpc(complex(z))
+            if k is not None:
+                w = [wi * ui**k for ui, wi in zip(u, w)]
+                u = [ui**2 for ui in u]
+                zz = zz**2
+            s = [mpmath.fsum(wi * ui**j for ui, wi in zip(u, w)) for j in range(2 * n + 1)]
+            terms = [zz ** (2 * n + 1) * mpmath.fsum(wi / (ui - zz) for ui, wi in zip(u, w))]
+            terms += [s[j] * zz ** (2 * n - j) for j in range(2 * n)] + [s[2 * n]]
+            value = abs(mpmath.fsum(terms))
+            scale = max(
+                [abs(zz) ** (2 * n + 1) * mpmath.fsum(abs(wi / (ui - zz)) for ui, wi in zip(u, w))]
+                + [mpmath.fsum(abs(wi * ui**j) for ui, wi in zip(u, w)) * abs(zz) ** (2 * n - j) for j in range(2 * n + 1)]
+            )
+            if value == 0 or dps > 1000:
+                return 0.0
+            lost = float(mpmath.log10(scale / value))
+            if dps - lost >= 20:
+                return float(value)
+        dps = int(lost) + 40
+
+
+def assert_residuals_close(got, want):
+    for g, o in zip(got, want):
+        assert abs(g - o) <= RESIDUAL_RTOL * o, (g, o)
+
+
 def ref_multi(measure, idx, mods):
-    comps = ref_components(measure)
-    n, (k, ell) = measure["n"], idx
-    atoms, weights = comps[idx]
-    s = [float(np.sum(weights * atoms ** (k + 2 * j))) if atoms.size else 0.0 for j in range(3)]
-    pts, wts = sphere.sphere_nodes(n, max(kk for kk, _ in comps) + k + 2)
-    y_idx = ref_harmonic(n, k, ell, pts)
-    res = []
-    for m in mods:
-        zeta = complex(m * np.exp(1j * np.pi / 4))
-        vals = np.zeros(pts.shape[0], dtype=complex)
-        for (kk, ll), (a, w) in sorted(comps.items()):
-            t_val = ref_stieltjes(a, w, kk, zeta)
-            if t_val is not None:
-                vals += zeta ** (1 - kk) * t_val * ref_harmonic(n, kk, ll, pts)
-        t_val = complex(zeta ** (k - 1) * np.sum(wts * vals * y_idx))
-        bracket = t_val - sum(s[j] * zeta ** (-2 * j - 2) for j in range(2))
-        res.append(abs(zeta ** 6 * bracket - s[2]))
+    """The CSV of `nevanlinna-check` (kind multi, N = 1) with mpmath residuals."""
+    atoms, weights = ref_components(measure)[idx]
+    res = [mp_residual(atoms, weights, 1, m * RAY, k=idx[0]) for m in mods]
     code = 0 if np.all(np.diff(res) < 0.0) else 3
     return code, csv(["zeta_abs", "residual"], zip(mods, res)), "", ""
 
@@ -248,7 +288,12 @@ class TestAgainstPerComponentLoop:
     def test_nevanlinna_multi(self, measure):
         idx = (measure["components"][0]["k"], measure["components"][0]["ell"])
         config = {"kind": "multi", "measure": measure, "k": idx[0], "ell": idx[1], "N": 1, "zeta_abs": [2.0, 4.0, 8.0]}
-        _matches(run_cli(["nevanlinna-check"], config), ref_multi(measure, idx, [2.0, 4.0, 8.0]))
+        code, text, stdout, stderr = run_cli(["nevanlinna-check"], config)
+        ref_code, ref_text, ref_stdout, ref_stderr = ref_multi(measure, idx, [2.0, 4.0, 8.0])
+        assert (code, stdout, stderr) == (ref_code, ref_stdout, ref_stderr)
+        got, want = (np.loadtxt(io.StringIO(t), delimiter=",", skiprows=1) for t in (text, ref_text))
+        assert got[:, 0].tobytes() == want[:, 0].tobytes()
+        assert_residuals_close(got[:, 1], want[:, 1])
 
     @settings(max_examples=30, deadline=None)
     @given(measure=measures(2.0), t_grid=st.lists(st.floats(0.0, 5.0), min_size=2, max_size=6))
@@ -267,3 +312,40 @@ class TestAgainstPerComponentLoop:
         state = {"n": n, "N": size, "components": comps, "t": 0.0}
         got = run_cli(["simulate-pseudo", "--t-final", "1", "--dt", "0.25"], state)
         _matches(got, ref_pseudo(state, 0.25 * np.arange(5)))
+
+
+@st.composite
+def signed_atoms(draw):
+    """1 to 8 atoms of either sign with |u| in [1e-3, 2], or 0."""
+    count = draw(st.integers(1, 8))
+    magnitude = st.one_of(st.just(0.0), st.floats(1e-3, 2.0))
+    return [draw(st.sampled_from([-1.0, 1.0])) * draw(magnitude) for _ in range(count)]
+
+
+class TestMomentResidualOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        atoms=signed_atoms(),
+        n=st.integers(0, 3),
+        ys=st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=4),
+    )
+    def test_one_dimensional(self, data, atoms, n, ys):
+        weights = data.draw(st.lists(st.floats(1e-2, 10.0), min_size=len(atoms), max_size=len(atoms)))
+        mu = DiscreteMeasure(atoms, weights)
+        got = nevanlinna_limit_check(mu, n, ys)
+        assert_residuals_close(got, [mp_residual(mu.atoms, mu.weights, n, 1j * y) for y in ys])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        measure=measures(0.95),
+        n=st.integers(0, 3),
+        mods=st.lists(st.floats(1.0, 64.0), min_size=1, max_size=4),
+    )
+    def test_multi(self, data, measure, n, mods):
+        idx = data.draw(st.sampled_from([(c["k"], c["ell"]) for c in measure["components"]]))
+        mu = PseudoPositiveMeasure.from_dict(measure)
+        atoms, weights = mu.family.component(idx)
+        got = multi_nevanlinna_check(mu, idx, n, [m * RAY for m in mods])
+        assert_residuals_close(got, [mp_residual(atoms, weights, n, m * RAY, k=idx[0]) for m in mods])
