@@ -21,7 +21,8 @@ verify-all      Run the bundled invariant suite; prints one PASS/FAIL line
                 per check.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure (positivity
-loss, divergence region, pole, or a failed check).  Outputs are byte-identical
+loss, divergence region, pole, overflow, an eigensolver that does not
+converge, or a failed check).  Outputs are byte-identical
 across runs for identical inputs: fixed seeds, fixed summation order, floats
 rendered with shortest round-trip repr.
 """
@@ -122,9 +123,7 @@ def _run_simulate_1d(cfg: RunConfig) -> int:
 
 def _run_spectral_solve(cfg: RunConfig) -> int:
     state = _flaschka_from_config(_load_json(cfg.input_path))
-    times = _sample_times(cfg)
-    b_rows, a_rows = toda_1d._qr_flow(state.diag, state.offdiag, times)
-    traj = toda_1d.Trajectory(times=times, a=a_rows, b=b_rows)
+    traj = toda_1d.spectral_solve(state, _sample_times(cfg))
     _emit(toda_1d.trajectory_to_csv(traj), cfg.output_path)
     return 0
 
@@ -265,6 +264,7 @@ def run(cfg: RunConfig) -> int:
         RankDeficiencyError,
         OverflowError,
         ZeroDivisionError,
+        np.linalg.LinAlgError,
     ) as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return 3

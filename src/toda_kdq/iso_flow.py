@@ -126,12 +126,12 @@ class IntegrabilityReport:
     passed: bool
 
 
-def integrability_check(state: IsoFlowState, ratio_tol: float = 1.0) -> IntegrabilityReport:
+def integrability_check(state: IsoFlowState) -> IntegrabilityReport:
     """Sum the functionals over all stored components and report the k-profile.
 
     A finite component map always yields a finite sum (pass); the useful
     output for parameterized families is the geometric trend of the per-k
-    partial sums - a tail ratio above `ratio_tol` flags divergence.
+    partial sums - a tail ratio above 1 flags divergence.
     """
     per_k: dict[int, float] = {}
     for (k, _), val in zip(state.family.keys, _functionals(state.family, state.family.masses).tolist()):
@@ -144,7 +144,7 @@ def integrability_check(state: IsoFlowState, ratio_tol: float = 1.0) -> Integrab
         if a > 0.0
     ]
     tail_ratio = float(np.exp(np.mean(np.log(ratios)))) if ratios and min(ratios) > 0 else None
-    trend = tail_ratio is not None and tail_ratio > ratio_tol and len(ratios) >= 2
+    trend = tail_ratio is not None and tail_ratio > 1.0 and len(ratios) >= 2
     return IntegrabilityReport(
         total=total, per_k=table, tail_ratio=tail_ratio, divergence_trend=trend, passed=True
     )
@@ -197,7 +197,7 @@ def _max_positive(values: np.ndarray) -> float:
 def state_to_measure(state: IsoFlowState, n: int, k_max: int = -1) -> PseudoPositiveMeasure:
     """Serialize through the shared radial-component schema (zero-mass atoms drop)."""
     kept = state.family.compress(state.family.masses > 0.0)
-    return PseudoPositiveMeasure.from_atoms(n, kept, k_max=k_max)
+    return PseudoPositiveMeasure(n, {key: (r, m) for key, r, m in kept.items()}, k_max=k_max)
 
 
 def state_from_measure(mu: PseudoPositiveMeasure) -> IsoFlowState:

@@ -39,7 +39,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DivergenceRegionError, PoleError
-from .moment_1d import DiscreteMeasure, _as_vector, _freeze_fields, _moment_remainder, _sorted_atoms
+from .moment_1d import _as_vector, _freeze_fields, _moment_remainder, _sorted_atoms
 from .sphere import (
     as_direction,
     check_index,
@@ -224,32 +224,23 @@ class PseudoPositiveMeasure:
 
     Absent indices mean a zero component.  Every stored component lives on
     the half-line (atoms >= 0) and k runs up to the truncation degree k_max.
-    Pass `components`, a map (k, ell) -> DiscreteMeasure, or a `family` of
-    sorted and merged components (see `from_atoms`).
+    Pass `components`, a map (k, ell) -> (atoms, weights), each component
+    checked, sorted and merged as a `DiscreteMeasure` of its own; or a
+    `family` of components already sorted and merged.
     """
 
     def __init__(self, n: int, components=None, k_max: int = -1, *, family=None):
         if n not in (2, 3):
             raise ValueError(f"unsupported ambient dimension n={n}")
         if family is None:
-            components = components or {}
-            if not all(isinstance(meas, DiscreteMeasure) for meas in components.values()):
-                raise TypeError("components must map (k, ell) to DiscreteMeasure")
-            # a measure not flagged half-line is checked (and merged) again as one
-            comps = {key: m if m.half_line else DiscreteMeasure(m.atoms, m.weights, True) for key, m in components.items()}
-            family = ComponentFamily.pack(((key, m.atoms, m.weights) for key, m in comps.items()), _FIELDS)
+            raw = ComponentFamily.pack(((key, *arrays) for key, arrays in (components or {}).items()), _FIELDS)
+            atoms, weights, offsets = _sorted_atoms(raw.radii, raw.masses, raw.offsets, half_line=True)
+            family = ComponentFamily(raw.keys, offsets, atoms, weights)
         check_indices(n, family.keys)
         top = family.keys[-1][0] if family.keys else 0
         if top > k_max >= 0:
             raise ValueError("component degree exceeds k_max")
         self.n, self.family, self.k_max = int(n), family, int(k_max if k_max >= 0 else top)
-
-    @classmethod
-    def from_atoms(cls, n: int, family: ComponentFamily, k_max: int = -1) -> "PseudoPositiveMeasure":
-        """Measure from raw atoms and weights, each component checked, sorted
-        and merged as a `DiscreteMeasure` of its own."""
-        atoms, weights, offsets = _sorted_atoms(family.radii, family.masses, family.offsets, half_line=True)
-        return cls(n, k_max=k_max, family=ComponentFamily(family.keys, offsets, atoms, weights))
 
     @property
     def support_radius(self) -> float:
@@ -276,8 +267,8 @@ class PseudoPositiveMeasure:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PseudoPositiveMeasure":
-        items = (((c["k"], c["ell"]), c["atoms"], c["weights"]) for c in d["components"])
-        return cls.from_atoms(int(d["n"]), ComponentFamily.pack(items, _FIELDS), k_max=int(d.get("k_max", -1)))
+        comps = {(int(c["k"]), int(c["ell"])): (c["atoms"], c["weights"]) for c in d["components"]}
+        return cls(int(d["n"]), comps, k_max=int(d.get("k_max", -1)))
 
 
 def aronszajn_r_pow_n(p: KDQPoint, x) -> complex:
@@ -423,12 +414,7 @@ def _kernel_on_grid(n: int, zeta: np.ndarray, dots: np.ndarray, r2: float) -> np
     return 1.0 / (u * np.sqrt(u) * z)
 
 
-def cauchy_reproduce(
-    poly: AlmansiPolynomial,
-    x,
-    n_zeta: int | None = None,
-    sphere_degree: int | None = None,
-) -> complex:
+def cauchy_reproduce(poly: AlmansiPolynomial, x) -> complex:
     """Reproduce poly(x), |x| < 1, from the kernel double integral.
 
     (1/2·pi·i) of the contour integral over the unit circle in zeta of the
@@ -449,12 +435,10 @@ def cauchy_reproduce(
     r = float(np.linalg.norm(xv))
     if r >= 1.0:
         raise DivergenceRegionError("reproduction contour is the unit circle; need |x| < 1")
-    if sphere_degree is None:
-        sphere_degree = max((2 * j + 2 * k for j, k, _ in poly.terms), default=0)
-    if n_zeta is None:
-        n_zeta = max((2 * j + k for j, k, _ in poly.terms), default=0) + 1
-        while (n_zeta + 1) * (n_zeta + 2 if poly.n == 3 else 2) / 2 * r**n_zeta > 1e-16:
-            n_zeta += 1
+    sphere_degree = max((2 * j + 2 * k for j, k, _ in poly.terms), default=0)
+    n_zeta = max((2 * j + k for j, k, _ in poly.terms), default=0) + 1
+    while (n_zeta + 1) * (n_zeta + 2 if poly.n == 3 else 2) / 2 * r**n_zeta > 1e-16:
+        n_zeta += 1
     pts, wts = sphere_nodes(poly.n, sphere_degree)
     zeta = np.exp(2j * np.pi * np.arange(n_zeta) / n_zeta)
     kern = _kernel_on_grid(poly.n, zeta, pts @ xv, r * r)

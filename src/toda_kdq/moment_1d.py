@@ -16,14 +16,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, get_lapack_funcs, solve_banded
+from scipy.linalg import get_lapack_funcs, solve_banded
 
 from .errors import PoleError, RankDeficiencyError
 
 __all__ = [
     "DiscreteMeasure",
     "JacobiMatrix",
-    "SpectralData",
     "moments",
     "stieltjes_transform",
     "recurrence_coefficients",
@@ -189,28 +188,6 @@ class JacobiMatrix:
         return m
 
 
-@dataclass(frozen=True)
-class SpectralData:
-    """Eigenvalues (ascending) with corner masses r_j^2 summing to one."""
-
-    eigenvalues: np.ndarray
-    masses: np.ndarray
-
-    def __post_init__(self):
-        lam, r2 = _freeze_fields(self, eigenvalues=self.eigenvalues, masses=self.masses)
-        if lam.shape != r2.shape or lam.size < 1:
-            raise ValueError("eigenvalues and masses must be matching 1-d arrays")
-        if (np.diff(lam) <= 0.0).any():
-            raise ValueError("eigenvalues must be strictly increasing")
-        if (r2 <= 0.0).any():
-            raise ValueError("masses must be strictly positive")
-        if abs(r2.sum() - 1.0) > 1e-12:
-            raise ValueError(f"masses must sum to 1 within 1e-12, got {r2.sum()!r}")
-
-    def to_measure(self, half_line: bool = False) -> DiscreteMeasure:
-        return DiscreteMeasure(self.eigenvalues, self.masses, half_line=half_line)
-
-
 def moments(mu: DiscreteMeasure, jmax: int) -> np.ndarray:
     """Power moments s_j = sum_m w_m u_m^j for j = 0..jmax (exact finite sums)."""
     if jmax < 0:
@@ -289,12 +266,17 @@ def jacobi_from_measure(mu: DiscreteMeasure) -> JacobiMatrix:
     return JacobiMatrix(diag=alphas[::-1].copy(), offdiag=np.sqrt(betas)[::-1].copy())
 
 
-def spectral_data_from_jacobi(jac: JacobiMatrix) -> SpectralData:
-    """Eigenvalues and squared last eigenvector components (corner masses)."""
-    if jac.n == 1:
-        return SpectralData(np.array([jac.diag[0]]), np.array([1.0]))
-    lam, vec = eigh_tridiagonal(jac.diag, jac.offdiag)
-    return SpectralData(lam, vec[-1, :] ** 2)
+def spectral_data_from_jacobi(jac: JacobiMatrix):
+    """(eigenvalues, masses): the ascending eigenvalues of jac and its corner
+    masses r_j^2, the squared last components of the eigenvectors.
+
+    Both come from the ?stevd call that `jacobi_eigenvalues` makes, so the
+    eigenvalues equal that function's bit for bit.  The masses sum to 1 up
+    to rounding; they are >= 0, and may underflow to 0 in a lattice evolved
+    far from time 0.
+    """
+    lam, last = _stevd_rows(jac.diag[None], jac.offdiag[None])
+    return lam[0], last[0] ** 2
 
 
 def jacobi_eigenvalues(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
@@ -302,26 +284,34 @@ def jacobi_eigenvalues(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
 
     `diag` has shape (T, N) and `offdiag` (T, N-1).  Each row goes through
     LAPACK ?stevd with eigenvectors, the routine and options that
-    `eigh_tridiagonal` uses, so row i equals the eigenvalues of
-    `spectral_data_from_jacobi` on that row bit for bit.  The vectors are
-    computed only for that reason: without them (?sterf) the eigenvalues
-    move in the last digits.
+    `eigh_tridiagonal` uses.  The vectors are computed because
+    `spectral_data_from_jacobi` reads its masses from them: without them
+    (?sterf) the eigenvalues move in the last digits.
     """
+    return _stevd_rows(diag, offdiag)[0]
+
+
+def _stevd_rows(diag, offdiag):
+    # eigenvalues and last eigenvector rows, both (T, N), of each row's
+    # Jacobi matrix; RankDeficiencyError where two eigenvalues round to one
+    # double, LinAlgError where ?stevd does not converge
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
     if diag.shape[1] == 1:
-        return diag.copy()
+        return diag.copy(), np.ones(diag.shape)
     stevd = get_lapack_funcs(("stevd",), (diag,))[0]
     lam = np.empty(diag.shape)
+    last = np.empty(diag.shape)
     for i in range(diag.shape[0]):
-        lam[i], _, info = stevd(diag[i], offdiag[i], compute_v=1)
+        lam[i], v, info = stevd(diag[i], offdiag[i], compute_v=1)
         if info != 0:
-            raise np.linalg.LinAlgError(f"?stevd failed on row {i} (info = {info})")
+            raise np.linalg.LinAlgError(f"?stevd did not converge on the Jacobi matrix of row {i} (info = {info})")
+        last[i] = v[-1]
     rows = np.flatnonzero((np.diff(lam, axis=1) <= 0.0).any(axis=1))
     if rows.size:
         # distinct eigenvalues of an unreduced Jacobi matrix that round to one double
         raise RankDeficiencyError(f"eigenvalues must be strictly increasing; row {rows[0]} repeats one")
-    return lam
+    return lam, last
 
 
 def continued_fraction_eval(jac: JacobiMatrix, lam: complex) -> complex:

@@ -26,7 +26,7 @@ from .errors import PositivityLossError
 from .kdq import ComponentFamily, PseudoPositiveMeasure
 from .moment_1d import DiscreteMeasure, JacobiMatrix, jacobi_from_measure
 from .sphere import check_indices, eval_harmonic
-from .toda_1d import _csv_text, _evolved_masses, _qr_flow, toda_rhs
+from .toda_1d import _csv_text, _evolved_masses, spectral_solve, toda_rhs
 
 __all__ = [
     "PseudoTodaState",
@@ -182,8 +182,7 @@ def component_jacobi(state: PseudoTodaState, idx) -> JacobiMatrix:
     if not at_zero.min() > masses.min():
         return jacobi_from_measure(DiscreteMeasure(x, masses, half_line=True))
     jac = jacobi_from_measure(DiscreteMeasure(x, at_zero, half_line=True))
-    diag, offdiag = _qr_flow(jac.diag, jac.offdiag, [state.time])
-    return JacobiMatrix(diag=diag[0], offdiag=offdiag[0])
+    return spectral_solve(jac, [state.time]).state(0)
 
 
 def component_hamiltonian(state: PseudoTodaState, idx) -> float:
@@ -264,19 +263,17 @@ class PhysicalSurface:
     y_partials: tuple
 
 
-def physical_surfaces(state: PseudoTodaState, j: int, theta, gauge=None) -> PhysicalSurface:
+def physical_surfaces(state: PseudoTodaState, j: int, theta) -> PhysicalSurface:
     """Displacement/momentum surfaces X_j, Y_j at direction theta.
 
     X_j = 4^{j-1} sum_{k,l} (prod_{m<j} at_{k,l;m}^2) g(k) Y_{k,l}(theta) with
     the per-component gauge g(k) = e^{-x_{k,l;1}}; Y_j sums y = -2 bt at site
-    j.  The default gauge g(k) = max(k,1)^{-(n-2)} tames the growth of the
+    j.  The gauge g(k) = max(k,1)^{-(n-2)} tames the growth of the
     harmonics; any per-component constant is an equally valid representative.
     """
     n_sites = state.common_size()
     if not 1 <= j <= n_sites:
         raise ValueError(f"site j must be in 1..{n_sites}")
-    if gauge is None:
-        gauge = lambda k: float(max(k, 1)) ** (-(state.n - 2))
     table = _jacobi_table(state)
     x_total, y_total = 0.0, 0.0
     x_partials, y_partials = [], []
@@ -288,7 +285,7 @@ def physical_surfaces(state: PseudoTodaState, j: int, theta, gauge=None) -> Phys
         current_k = k
         y_harm = float(eval_harmonic(state.n, (k, ell), theta))
         prod = float(np.prod(jac.offdiag[: j - 1] ** 2)) if j > 1 else 1.0
-        x_total += 4.0 ** (j - 1) * prod * gauge(k) * y_harm
+        x_total += 4.0 ** (j - 1) * prod * float(max(k, 1)) ** (-(state.n - 2)) * y_harm
         y_total += -2.0 * float(jac.diag[j - 1]) * y_harm
     x_partials.append(x_total)
     y_partials.append(y_total)
@@ -303,10 +300,7 @@ def state_to_measure(state: PseudoTodaState) -> PseudoPositiveMeasure:
     Requires lambda > 0 wherever k > 0 (the tilde map is not invertible at
     zero radius).
     """
-    comps = {}
-    for (k, ell), lambdas, masses in state.family.items():
-        lam, r2 = tilde_inverse(k, lambdas**2, masses)
-        comps[(k, ell)] = DiscreteMeasure(lam, r2, half_line=True)
+    comps = {key: tilde_inverse(key[0], lambdas**2, masses) for key, lambdas, masses in state.family.items()}
     return PseudoPositiveMeasure(n=state.n, components=comps)
 
 

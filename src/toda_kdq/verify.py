@@ -120,8 +120,8 @@ def check_moment_roundtrip(seed: int, sizes) -> list[CheckResult]:
         atoms = _spread_uniform(rng, -2.0, 2.0, n, 5e-2)
         w = rng.uniform(0.2, 1.0, size=n)
         mu = DiscreteMeasure(atoms, w / w.sum())
-        sd = spectral_data_from_jacobi(jacobi_from_measure(mu))
-        worst = max(worst, _max_abs(sd.eigenvalues - mu.atoms), _max_abs(sd.masses - mu.weights))
+        lam, masses = spectral_data_from_jacobi(jacobi_from_measure(mu))
+        worst = max(worst, _max_abs(lam - mu.atoms), _max_abs(masses - mu.weights))
     return [_result("moment-inverse-roundtrip", worst, 1e-10)]
 
 
@@ -132,7 +132,7 @@ def check_moment_triple(seed: int, trials: int) -> list[CheckResult]:
     for _ in range(trials):
         n = int(rng.integers(2, 9))
         jac = JacobiMatrix(diag=rng.uniform(-1, 1, n), offdiag=rng.uniform(0.3, 1.0, n - 1))
-        mu = spectral_data_from_jacobi(jac).to_measure()
+        mu = DiscreteMeasure(*spectral_data_from_jacobi(jac))
         lam = complex(rng.uniform(-3, 3), rng.uniform(0.5, 2.0))
         vals = [continued_fraction_eval(jac, lam), resolvent_NN(jac, lam), stieltjes_transform(mu, lam)]
         scale = max(abs(v) for v in vals)
@@ -199,8 +199,7 @@ def check_toda_spectral(ensemble, closed_t_final: float, closed_dt: float) -> li
     dev = 0.0
     for state, traj in ensemble:
         sampled = toda_1d.spectral_solve(state, traj.times[::_STRIDE])
-        for sp, a, b in zip(sampled, traj.a[::_STRIDE], traj.b[::_STRIDE]):
-            dev = max(dev, _max_abs(sp.offdiag - a), _max_abs(sp.diag - b))
+        dev = max(dev, _max_abs(sampled.a - traj.a[::_STRIDE]), _max_abs(sampled.b - traj.b[::_STRIDE]))
 
     s0 = JacobiMatrix(diag=[0.0, 0.0], offdiag=[0.5])
     traj = toda_1d.integrate_toda(s0, closed_t_final, closed_dt)
@@ -211,12 +210,13 @@ def check_toda_spectral(ensemble, closed_t_final: float, closed_dt: float) -> li
         _max_abs(traj.b[:, 0] - b_exact),
         _max_abs(traj.b[:, 1] + b_exact),
     )
-    for t, sp in zip(_CLOSED_FORM_TIMES, toda_1d.spectral_solve(s0, _CLOSED_FORM_TIMES)):
+    exact = toda_1d.spectral_solve(s0, _CLOSED_FORM_TIMES)
+    for t, a, b in zip(exact.times, exact.a, exact.b):
         closed_dev = max(
             closed_dev,
-            abs(sp.offdiag[0] - 0.5 / np.cosh(t)),
-            abs(sp.diag[0] - 0.5 * np.tanh(t)),
-            abs(sp.diag[1] + 0.5 * np.tanh(t)),
+            abs(a[0] - 0.5 / np.cosh(t)),
+            abs(b[0] - 0.5 * np.tanh(t)),
+            abs(b[1] + 0.5 * np.tanh(t)),
         )
     return [
         _result("toda-spectral-vs-rk4", dev, 1e-6),
@@ -277,7 +277,7 @@ def check_kdq_multi_nevanlinna(seed: int) -> list[CheckResult]:
     worst_final = 0.0
     order_ok = True
     for idx in ((0, 1), (1, 1)):
-        mu = kdq.PseudoPositiveMeasure(3, {idx: DiscreteMeasure([0.5], [1.0], half_line=True)})
+        mu = kdq.PseudoPositiveMeasure(3, {idx: ([0.5], [1.0])})
         res = kdq.multi_nevanlinna_check(mu, idx, 1, zetas)
         ratios = res[:-1] / res[1:]
         order_ok = order_ok and bool(np.all((ratios > 3.5) & (ratios < 4.5)))
@@ -285,9 +285,7 @@ def check_kdq_multi_nevanlinna(seed: int) -> list[CheckResult]:
 
     rng = np.random.default_rng(seed)
     keys = [(k, ell) for k in range(4) for ell in range(1, sphere.dim_harmonics(3, k) + 1)]
-    mu = kdq.PseudoPositiveMeasure(
-        3, {key: DiscreteMeasure(rng.uniform(0.05, 0.95, 3), rng.uniform(0.1, 1.0, 3), half_line=True) for key in keys}
-    )
+    mu = kdq.PseudoPositiveMeasure(3, {key: (rng.uniform(0.05, 0.95, 3), rng.uniform(0.1, 1.0, 3)) for key in keys})
     zetas = [m * np.exp(1j * np.pi / 4) for m in (2.0, 4.0, 8.0)]
     worst_rel = 0.0
     for key, atoms, weights in mu.family.items():

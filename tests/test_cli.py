@@ -428,6 +428,63 @@ class TestNevanlinnaExitCodes:
         assert "unrecognized arguments: --quad-degree 8" in capsys.readouterr().err
 
 
+# lattice entries: ordinary values, 1e21 to 1e300 of either sign, NaN,
+# infinities, zero and a negative value; --t-final <= 1 and --dt >= 1e-2
+_LATTICE_ENTRY = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.floats(1e21, 1e300),
+    st.floats(-1e300, -1e21),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 0.0, -1.0]),
+)
+_HORIZONS = st.tuples(st.sampled_from(["0.01", "0.25", "1"]), st.sampled_from(["0.01", "0.1", "0.5"]))
+
+
+@st.composite
+def lattice_configs(draw):
+    n = draw(st.integers(0, 8))
+    b = draw(st.lists(_LATTICE_ENTRY, min_size=n, max_size=n))
+    if n >= 2 and draw(st.booleans()):
+        b[0] = b[1] = draw(st.floats(9e20, 1.1e21))  # equal b near 1e21
+    count = draw(st.sampled_from([max(n - 1, 0), n, max(n - 2, 0)]))
+    a = draw(st.lists(st.one_of(st.floats(0.1, 1.0), _LATTICE_ENTRY), min_size=count, max_size=count))
+    nested = draw(st.sampled_from(["", "a", "b"]))
+    return {"a": [a] if nested == "a" else a, "b": [b] if nested == "b" else b}
+
+
+class TestLatticeExitCodes:
+    # a RuntimeWarning (numpy's overflow report) would reach stderr outside pytest
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(
+        command=st.sampled_from(["simulate-1d", "spectral-solve"]),
+        config=lattice_configs(),
+        horizon=_HORIZONS,
+    )
+    def test_exit_code_contract(self, command, config, horizon):
+        code, err = run_in_process([command, "--t-final", horizon[0], "--dt", horizon[1]], config)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("config error: ")
+        else:
+            assert err == "" or err.startswith("numeric failure: ")
+
+    @pytest.mark.parametrize("command", ["simulate-1d", "spectral-solve"])
+    def test_overflowing_hamiltonian(self, command):
+        code, err = run_in_process([command, "--t-final", "0.01", "--dt", "0.01"], {"a": [], "b": [2e215]})
+        assert (code, err) == (3, "numeric failure: the Hamiltonian H overflows at t = 0.0\n")
+
+    @pytest.mark.parametrize("command", ["simulate-1d", "spectral-solve"])
+    def test_eigensolver_without_convergence(self, command):
+        # entries from 1e-300 to 1e152 on which LAPACK ?stevd stops with info = 2
+        state = {
+            "a": [8.67814044e-300, 7.50153419e104, 1.40684734e-075, 3.05678001e-125, 4.05273160e-169],
+            "b": [0.0, -0.0, 0.0, -0.0, -1.04417894e020, 1.01732046e152],
+        }
+        code, err = run_in_process([command, "--t-final", "0.01", "--dt", "0.5"], state)
+        assert code == 3 and err.startswith("numeric failure: ") and "did not converge" in err
+
+
 class TestIsoFlowCommand:
     def test_monotone_run(self, tmp_path, capsys):
         cfg = write_json(

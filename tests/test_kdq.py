@@ -132,13 +132,13 @@ def random_measure(rng, n, k_max, lo=0.05, hi=0.95):
     for k in range(k_max + 1):
         for ell in range(1, sphere.dim_harmonics(n, k) + 1):
             atoms = rng.uniform(lo, hi, size=3)
-            comps[(k, ell)] = DiscreteMeasure(atoms, rng.uniform(0.1, 1.0, size=3), half_line=True)
+            comps[(k, ell)] = (atoms, rng.uniform(0.1, 1.0, size=3))
     return PseudoPositiveMeasure(n, comps)
 
 
 def single_component(n, k, ell, atoms, weights):
     return PseudoPositiveMeasure(
-        n, {(k, ell): DiscreteMeasure(atoms, weights, half_line=True)}
+        n, {(k, ell): (atoms, weights)}
     )
 
 
@@ -380,8 +380,8 @@ class TestMarkovStieltjes:
         mu = PseudoPositiveMeasure(
             2,
             {
-                (0, 1): DiscreteMeasure([0.3], [1.0], half_line=True),
-                (2, 2): DiscreteMeasure([0.1, 0.8], [0.5, 0.5], half_line=True),
+                (0, 1): ([0.3], [1.0]),
+                (2, 2): ([0.1, 0.8], [0.5, 0.5]),
             },
             k_max=5,
         )
@@ -396,7 +396,7 @@ class TestGrowthCondition:
         comps = {}
         for k in range(3):
             for ell in range(1, sphere.dim_harmonics(3, k) + 1):
-                comps[(k, ell)] = DiscreteMeasure([1.0], [1.0], half_line=True)
+                comps[(k, ell)] = ([1.0], [1.0])
         rep = growth_condition_check(PseudoPositiveMeasure(3, comps))
         assert rep.ok
         assert rep.C == pytest.approx(1.0, abs=1e-10)
@@ -406,7 +406,7 @@ class TestGrowthCondition:
         rng = np.random.default_rng(19)
         for _ in range(20):
             comps = {
-                key: DiscreteMeasure(atoms, weights, half_line=True)
+                key: (atoms, weights)
                 for key, atoms, weights in random_measure(rng, 3, 6, 0.1, 2.0).family.items()
                 if rng.uniform() < 0.7
             }
@@ -421,7 +421,7 @@ class TestGrowthCondition:
         assert rep.ok and rep.C == 0.0
 
     def test_geometric_radius(self):
-        comps = {(k, 1): DiscreteMeasure([2.0], [1.0], half_line=True) for k in range(6)}
+        comps = {(k, 1): ([2.0], [1.0]) for k in range(6)}
         rep = growth_condition_check(PseudoPositiveMeasure(3, comps))
         assert rep.ok
         assert rep.D == pytest.approx(2.0, rel=1e-9)
@@ -429,7 +429,7 @@ class TestGrowthCondition:
     def test_super_geometric_flagged(self):
         # moment m_k = k^k grows faster than any geometric envelope
         comps = {
-            (k, 1): DiscreteMeasure([float(max(k, 1))], [1.0], half_line=True)
+            (k, 1): ([float(max(k, 1))], [1.0])
             for k in range(8)
         }
         rep = growth_condition_check(PseudoPositiveMeasure(3, comps))
@@ -445,7 +445,7 @@ class TestProjection:
             for ell in range(1, sphere.dim_harmonics(3, k) + 1):
                 atoms = np.sort(rng.uniform(0.1, 0.9, size=2))
                 w = rng.uniform(0.2, 1.0, size=2)
-                comps[(k, ell)] = DiscreteMeasure(atoms, w, half_line=True)
+                comps[(k, ell)] = (atoms, w)
         mu = PseudoPositiveMeasure(3, comps)
         zeta = 4.0 * RAY
         for idx in ((0, 1), (1, 2), (2, 4)):
@@ -526,9 +526,7 @@ class TestDivergentPartialSums:
         comps = {}
         for k in range(3):
             for ell in range(1, sphere.dim_harmonics(3, k) + 1):
-                comps[(k, ell)] = DiscreteMeasure(
-                    np.sort(rng.uniform(0.2, 0.9, 2)), rng.uniform(0.2, 1.0, 2), half_line=True
-                )
+                comps[(k, ell)] = (np.sort(rng.uniform(0.2, 0.9, 2)), rng.uniform(0.2, 1.0, 2))
         mu = PseudoPositiveMeasure(3, comps)
         th = unit(rng.normal(size=3))
         prev = np.inf

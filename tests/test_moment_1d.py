@@ -11,7 +11,6 @@ from toda_kdq.iso_flow import IsoFlowState
 from toda_kdq.moment_1d import (
     DiscreteMeasure,
     JacobiMatrix,
-    SpectralData,
     continued_fraction_eval,
     jacobi_eigenvalues,
     jacobi_from_measure,
@@ -103,7 +102,6 @@ class TestFrozenFields:
     VALID = {
         DiscreteMeasure: {"atoms": [0.5, -1.0], "weights": [1, 2]},
         JacobiMatrix: {"diag": [0.0, 1.0], "offdiag": 0.5},
-        SpectralData: {"eigenvalues": [-1.0, 1.0], "masses": [0.25, 0.75]},
         TodaStatePhysical: {"x": [0.0, 1.0], "y": [2, 3]},
         TodaComponent: {"lambdas": [0.5, 0.2], "masses_tilde": [0.5, 0.5]},
         IsoFlowComponent: {"lambdas": [0.5], "masses": 0.0},
@@ -120,7 +118,7 @@ class TestFrozenFields:
     @pytest.mark.parametrize("cls", list(VALID), ids=lambda cls: cls.__name__)
     def test_nonfinite_entry_rejected(self, cls, bad):
         # a class's own checks (order, sign, unit sum) can all be False for
-        # NaN, as SpectralData's are, so the shared finiteness check must fire
+        # NaN, so the shared finiteness check must fire
         for name, value in self.VALID[cls].items():
             broken = np.atleast_1d(np.array(value, dtype=float))
             broken[0] = bad
@@ -219,45 +217,40 @@ class TestJacobiFromMeasure:
         rng = np.random.default_rng(5)
         for n in (2, 5, 8):
             mu = random_measure(rng, n)
-            sd = spectral_data_from_jacobi(jacobi_from_measure(mu))
-            assert np.max(np.abs(sd.eigenvalues - mu.atoms)) < 1e-10
-            assert np.max(np.abs(sd.masses - mu.weights)) < 1e-10
+            eigenvalues, masses = spectral_data_from_jacobi(jacobi_from_measure(mu))
+            assert np.max(np.abs(eigenvalues - mu.atoms)) < 1e-10
+            assert np.max(np.abs(masses - mu.weights)) < 1e-10
 
 
 class TestSpectralData:
     def test_two_by_two(self):
         jac = JacobiMatrix(diag=[0.0, 0.0], offdiag=[0.5])
-        sd = spectral_data_from_jacobi(jac)
-        assert np.allclose(sd.eigenvalues, [-0.5, 0.5])
-        assert np.allclose(sd.masses, [0.5, 0.5])
+        eigenvalues, masses = spectral_data_from_jacobi(jac)
+        assert np.allclose(eigenvalues, [-0.5, 0.5])
+        assert np.allclose(masses, [0.5, 0.5])
 
     def test_scalar(self):
-        sd = spectral_data_from_jacobi(JacobiMatrix(diag=[1.3], offdiag=[]))
-        assert sd.eigenvalues[0] == 1.3 and sd.masses[0] == 1.0
+        eigenvalues, masses = spectral_data_from_jacobi(JacobiMatrix(diag=[1.3], offdiag=[]))
+        assert eigenvalues[0] == 1.3 and masses[0] == 1.0
 
     def test_trace_identity(self):
         rng = np.random.default_rng(6)
         for n in (3, 6, 8):
             jac = random_jacobi(rng, n)
-            sd = spectral_data_from_jacobi(jac)
+            eigenvalues, _ = spectral_data_from_jacobi(jac)
             tr2 = float(np.sum(jac.diag**2) + 2.0 * np.sum(jac.offdiag**2))
-            assert abs(np.sum(sd.eigenvalues**2) - tr2) < 1e-10
+            assert abs(np.sum(eigenvalues**2) - tr2) < 1e-10
 
     def test_corner_moment_identity(self):
         # s_j = (L^j)_{N,N} for j <= 2N-1
         rng = np.random.default_rng(7)
         jac = random_jacobi(rng, 5)
-        sd = spectral_data_from_jacobi(jac)
-        mom = moments(sd.to_measure(), 9)
+        mom = moments(DiscreteMeasure(*spectral_data_from_jacobi(jac)), 9)
         dense = jac.to_dense()
         power = np.eye(jac.n)
         for j in range(10):
             assert abs(mom[j] - power[-1, -1]) < 1e-10
             power = power @ dense
-
-    def test_mass_sum_validation(self):
-        with pytest.raises(ValueError):
-            SpectralData([0.0, 1.0], [0.4, 0.4])
 
 
 class TestJacobiEigenvalues:
@@ -290,7 +283,7 @@ class TestContinuedFraction:
         rng = np.random.default_rng(8)
         for n in (2, 4, 8):
             jac = random_jacobi(rng, n)
-            mu = spectral_data_from_jacobi(jac).to_measure()
+            mu = DiscreteMeasure(*spectral_data_from_jacobi(jac))
             for _ in range(10):
                 lam = complex(rng.uniform(-3, 3), rng.uniform(0.5, 2.0))
                 vals = [

@@ -152,6 +152,13 @@ class TestComponentJacobi:
         assert abs(hamiltonian_ab(jac) - h) / h < 1e-12
         assert np.max(np.abs(np.linalg.eigvalsh(jac.to_dense()) - lambdas**2)) < 1e-12
 
+    def test_spectral_data_of_a_late_state(self):
+        # the corner masses of the t = 100 matrix underflow: 1.1e-18, then 0.0
+        st = PseudoTodaState(3, {(0, 1): ([0.2, 0.5, 0.9, 1.2], [0.1, 0.2, 0.3, 0.4])})
+        eigenvalues, masses = spectral_data_from_jacobi(component_jacobi(evolve(st, 100.0), (0, 1)))
+        assert np.max(np.abs(eigenvalues - np.array([0.2, 0.5, 0.9, 1.2]) ** 2)) < 1e-12
+        assert (masses >= 0.0).all() and abs(masses.sum() - 1.0) < 1e-12
+
     def test_masses_given_at_a_late_time(self):
         # reweighted back to time 0 these masses span e^{-280}: Lanczos runs on
         # them as given, and nothing is flowed
@@ -164,9 +171,9 @@ class TestComponentJacobi:
         rng = np.random.default_rng(3)
         st = full_state(rng, kmax=1, atoms=4)
         for key in st.family.keys:
-            lam0 = spectral_data_from_jacobi(component_jacobi(st, key)).eigenvalues
+            lam0 = spectral_data_from_jacobi(component_jacobi(st, key))[0]
             for t in (0.5, 2.0, 8.0):
-                lam = spectral_data_from_jacobi(component_jacobi(evolve(st, t), key)).eigenvalues
+                lam = spectral_data_from_jacobi(component_jacobi(evolve(st, t), key))[0]
                 assert np.max(np.abs(lam - lam0)) < 1e-10
 
 

@@ -69,7 +69,7 @@ def reference_csv(traj):
     lines = [",".join(header)]
     for i in range(len(traj)):
         state = traj.state(i)
-        lam = spectral_data_from_jacobi(lax_matrices(state)[0]).eigenvalues
+        lam = spectral_data_from_jacobi(lax_matrices(state)[0])[0]
         row = [traj.times[i]] + list(traj.a[i]) + list(traj.b[i]) + [hamiltonian_ab(state)] + list(lam)
         lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
@@ -77,9 +77,15 @@ def reference_csv(traj):
 
 def reference_spectral_solve(s0, t):
     """The spectral-measure route: corner masses reweighted by e^{-2 lambda t}, then Lanczos."""
-    sd = spectral_data_from_jacobi(s0)
-    masses = toda_1d._evolved_masses(sd.masses, sd.eigenvalues, t)
-    return jacobi_from_measure(DiscreteMeasure(sd.eigenvalues, masses))
+    eigenvalues, masses = spectral_data_from_jacobi(s0)
+    masses = toda_1d._evolved_masses(masses, eigenvalues, t)
+    return jacobi_from_measure(DiscreteMeasure(eigenvalues, masses))
+
+
+def qr_rows(diag, offdiag, times):
+    """Diagonals (T, N) and couplings (T, N-1) of `spectral_solve` at `times`."""
+    traj = spectral_solve(JacobiMatrix(diag, offdiag), times)
+    return traj.b, traj.a
 
 
 class TestHamiltonians:
@@ -200,7 +206,7 @@ class TestIntegration:
         errs = []
         for dt in (4e-2, 2e-2):
             traj = integrate_toda(SYMMETRIC_N2, 2.0, dt)
-            s_exact = spectral_solve(SYMMETRIC_N2, 2.0)
+            s_exact = spectral_solve(SYMMETRIC_N2, [2.0]).state(0)
             last = traj.state(-1)
             errs.append(
                 max(np.max(np.abs(last.offdiag - s_exact.offdiag)), np.max(np.abs(last.diag - s_exact.diag)))
@@ -248,11 +254,11 @@ class TestIntegration:
         rng = np.random.default_rng(5)
         s = random_state(rng, 5)
         traj = integrate_toda(s, 2.0, 1e-3)
-        lam0 = spectral_data_from_jacobi(lax_matrices(s)[0]).eigenvalues
+        lam0 = spectral_data_from_jacobi(lax_matrices(s)[0])[0]
         h0 = hamiltonian_ab(s)
         for i in range(0, len(traj), 100):
             state = traj.state(i)
-            lam = spectral_data_from_jacobi(lax_matrices(state)[0]).eigenvalues
+            lam = spectral_data_from_jacobi(lax_matrices(state)[0])[0]
             assert np.max(np.abs(lam - lam0)) < 1e-8
             assert abs(hamiltonian_ab(state) - h0) < 1e-8
 
@@ -277,8 +283,8 @@ class TestLax:
         rng = np.random.default_rng(7)
         s = random_state(rng, 4)
         dt = 1e-5
-        plus = spectral_solve(s, dt)
-        minus = spectral_solve(s, -dt)
+        plus = spectral_solve(s, [dt]).state(0)
+        minus = spectral_solve(s, [-dt]).state(0)
         l_dot = (lax_matrices(plus)[0].to_dense() - lax_matrices(minus)[0].to_dense()) / (2 * dt)
         lax, bmat = lax_matrices(s)
         comm = bmat @ lax.to_dense() - lax.to_dense() @ bmat
@@ -289,13 +295,13 @@ class TestSpectralSolve:
     def test_time_zero_roundtrip(self):
         rng = np.random.default_rng(8)
         s = random_state(rng, 6)
-        back = spectral_solve(s, 0.0)
+        back = spectral_solve(s, [0.0]).state(0)
         assert np.max(np.abs(back.offdiag - s.offdiag)) < 1e-12
         assert np.max(np.abs(back.diag - s.diag)) < 1e-12
 
     def test_closed_form_n2(self):
         for t in (-3.0, 0.5, 4.0):
-            s = spectral_solve(SYMMETRIC_N2, t)
+            s = spectral_solve(SYMMETRIC_N2, [t]).state(0)
             a_ref, b1_ref, b2_ref = closed_form_n2(t)
             assert s.offdiag[0] == pytest.approx(a_ref, abs=1e-12)
             assert s.diag[0] == pytest.approx(b1_ref, abs=1e-12)
@@ -307,7 +313,7 @@ class TestSpectralSolve:
             s = random_state(rng, n)
             traj = integrate_toda(s, 3.0, 1e-3)
             for i in range(0, len(traj), 300):
-                sp = spectral_solve(s, traj.times[i])
+                sp = spectral_solve(s, [traj.times[i]]).state(0)
                 st = traj.state(i)
                 assert np.max(np.abs(sp.offdiag - st.offdiag)) < 1e-6
                 assert np.max(np.abs(sp.diag - st.diag)) < 1e-6
@@ -322,8 +328,8 @@ class TestSpectralSolve:
         s = random_state(np.random.default_rng(seed), n)
         many = spectral_solve(s, times)
         assert len(many) == len(times)
-        for t, sp in zip(times, many):
-            one = spectral_solve(s, t)
+        for t, sp in zip(times, map(many.state, range(len(many)))):
+            one = spectral_solve(s, [t]).state(0)
             assert isinstance(one, JacobiMatrix)
             assert sp.offdiag.tobytes() == one.offdiag.tobytes() and sp.diag.tobytes() == one.diag.tobytes()
 
@@ -333,8 +339,8 @@ class TestSpectralSolve:
         rng = np.random.default_rng(10)
         s = random_state(rng, 5)
         for t in (0.5, 5.0, 10.0):
-            sd = spectral_data_from_jacobi(lax_matrices(spectral_solve(s, t))[0])
-            assert abs(np.sum(sd.masses) - 1.0) < 1e-12
+            _, masses = spectral_data_from_jacobi(lax_matrices(spectral_solve(s, [t]).state(0))[0])
+            assert abs(np.sum(masses) - 1.0) < 1e-12
 
 
 class TestQrFlow:
@@ -355,7 +361,7 @@ class TestQrFlow:
                 break
         masses = rng.uniform(0.2, 1.0, n)
         s0 = jacobi_from_measure(DiscreteMeasure(lam, masses / masses.sum()))
-        diag, offdiag = toda_1d._qr_flow(s0.diag, s0.offdiag, times)
+        diag, offdiag = qr_rows(s0.diag, s0.offdiag, times)
         assert diag.shape == (len(times), n) and offdiag.shape == (len(times), n - 1)
         for t, b, a in zip(times, diag, offdiag):
             ref = reference_spectral_solve(s0, t)
@@ -365,7 +371,7 @@ class TestQrFlow:
     def test_closed_form_n2_long_horizon(self):
         # about 2 * 20 / 8 = 5 checkpoints each way
         t = np.linspace(-20.0, 20.0, 801)
-        diag, offdiag = toda_1d._qr_flow([0.0, 0.0], [0.5], t)
+        diag, offdiag = qr_rows([0.0, 0.0], [0.5], t)
         a_ref, b1_ref, b2_ref = closed_form_n2(t)
         assert np.max(np.abs(offdiag[:, 0] - a_ref)) < 1e-14
         assert np.max(np.abs(diag[:, 0] - b1_ref)) < 1e-14
@@ -374,18 +380,18 @@ class TestQrFlow:
 
     def test_time_zero_is_the_input(self):
         s = JacobiMatrix(offdiag=[0.5, 0.3], diag=[0.1, 0.0, -0.2])
-        back = spectral_solve(s, 0.0)
+        back = spectral_solve(s, [0.0]).state(0)
         assert back.diag.tobytes() == s.diag.tobytes() and back.offdiag.tobytes() == s.offdiag.tobytes()
-        diag, offdiag = toda_1d._qr_flow(s.diag, s.offdiag, [-0.0, 1.0, 0.0])
+        diag, offdiag = qr_rows(s.diag, s.offdiag, [-0.0, 1.0, 0.0])
         assert diag[0].tobytes() == diag[2].tobytes() == s.diag.tobytes()
         assert offdiag[0].tobytes() == offdiag[2].tobytes() == s.offdiag.tobytes()
 
     def test_unsorted_and_repeated_times(self):
         s = random_state(np.random.default_rng(11), 7)
         times = np.array([3.0, -7.5, 0.25, 3.0, -0.1, 12.0, 0.0, -7.5])
-        diag, offdiag = toda_1d._qr_flow(s.diag, s.offdiag, times)
+        diag, offdiag = qr_rows(s.diag, s.offdiag, times)
         order = np.argsort(times, kind="stable")
-        d_sorted, o_sorted = toda_1d._qr_flow(s.diag, s.offdiag, times[order])
+        d_sorted, o_sorted = qr_rows(s.diag, s.offdiag, times[order])
         assert diag[order].tobytes() == d_sorted.tobytes() and offdiag[order].tobytes() == o_sorted.tobytes()
         assert diag[0].tobytes() == diag[3].tobytes() and diag[1].tobytes() == diag[7].tobytes()
 
@@ -393,26 +399,26 @@ class TestQrFlow:
         # many checkpoints each way; the spectrum and the trace hold to rounding
         s = random_state(np.random.default_rng(12), 10)
         lam0 = np.linalg.eigvalsh(s.to_dense())
-        diag, offdiag = toda_1d._qr_flow(s.diag, s.offdiag, np.linspace(-40.0, 40.0, 81))
+        diag, offdiag = qr_rows(s.diag, s.offdiag, np.linspace(-40.0, 40.0, 81))
         lam = np.array([np.linalg.eigvalsh(JacobiMatrix(b, a).to_dense()) for b, a in zip(diag, offdiag)])
         assert np.max(np.abs(lam - lam0)) < 1e-12
         assert np.max(np.abs(diag.sum(axis=1) - lam0.sum())) < 1e-12
 
     def test_one_site(self):
-        diag, offdiag = toda_1d._qr_flow([0.7], [], [-1.0, 0.0, 5.0])
+        diag, offdiag = qr_rows([0.7], [], [-1.0, 0.0, 5.0])
         assert diag.tolist() == [[0.7]] * 3 and offdiag.shape == (3, 0)
 
     def test_bad_times_and_horizons(self):
         with pytest.raises(ValueError, match="times must be finite"):
-            toda_1d._qr_flow([0.0, 0.0], [0.5], [0.0, np.nan])
+            qr_rows([0.0, 0.0], [0.5], [0.0, np.nan])
         with pytest.raises(OverflowError, match="QR checkpoints"):
-            toda_1d._qr_flow([1e21, 0.0], [1.0], [5.0])
+            qr_rows([1e21, 0.0], [1.0], [5.0])
         with pytest.raises(OverflowError, match=r"^the spectrum of L has width 0\.0, outside"):
-            toda_1d._qr_flow([1e21, 1e21], [1.0], [5.0])
+            qr_rows([1e21, 1e21], [1.0], [5.0])
         with pytest.raises(OverflowError, match=r"^the spectrum of L has width inf, outside"):
-            toda_1d._qr_flow([1e308, -1e308], [1.0], [5.0])
+            qr_rows([1e308, -1e308], [1.0], [5.0])
         with pytest.raises(PositivityLossError, match=r"^a coupling underflowed to 0 at t = -3000\.0$"):
-            toda_1d._qr_flow([0.0, 1.0], [1.0], [1.0, -3000.0])
+            qr_rows([0.0, 1.0], [1.0], [1.0, -3000.0])
 
     def test_peak_memory_is_blocked(self):
         # the perfbench N = 64 state at 101 times: stacking all 101 (64 x 64)
