@@ -56,6 +56,12 @@ _COMMANDS = (
     "iso-flow",
     "verify-all",
 )
+# the commands whose CSV has one row per time 0, dt, ..., round(t_final/dt) dt
+_TIMED = ("simulate-1d", "spectral-solve", "simulate-pseudo")
+# largest rows x width of such a grid, width the lattice size N or the atom
+# count of a pseudo state; a larger grid is a configuration error, raised
+# before anything is allocated (10^7 cells are 80 MB per stored array)
+_MAX_CELLS = 10**7
 
 
 class ConfigError(ValueError):
@@ -75,12 +81,28 @@ class RunConfig:
     def validate(self):
         if self.command not in _COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        if self.t_final <= 0.0 or self.dt <= 0.0:
-            raise ConfigError("t-final and dt must be positive")
+        if not (0.0 < self.t_final < np.inf and 0.0 < self.dt < np.inf):
+            raise ConfigError(f"t-final and dt must be positive and finite, got {self.t_final!r} and {self.dt!r}")
+        if self.command in _TIMED:
+            self.rows(1)
         if self.k_max < 0:
             raise ConfigError("kmax must be nonnegative")
         if self.command != "verify-all" and self.input_path is None:
             raise ConfigError(f"{self.command} requires --input")
+
+    def rows(self, width: int) -> int:
+        """Row count of the time grid; ConfigError if rows x width exceeds
+        _MAX_CELLS or the last time round(t_final/dt) dt overflows."""
+        steps = self.t_final / self.dt
+        rows = round(steps) + 1 if steps < _MAX_CELLS else np.inf
+        if rows * width > _MAX_CELLS:
+            raise ConfigError(
+                f"a grid of t-final / dt = {steps!r} steps and {width} values a row "
+                f"exceeds {_MAX_CELLS} cells"
+            )
+        if not (rows - 1) * self.dt < np.inf:
+            raise ConfigError(f"the last time {rows - 1} * dt of the grid overflows")
+        return rows
 
 
 def _load_json(path: str) -> dict:
@@ -102,9 +124,8 @@ def _emit(text: str, output_path: str | None):
             fh.write(text)
 
 
-def _sample_times(cfg: RunConfig) -> np.ndarray:
-    n_steps = int(round(cfg.t_final / cfg.dt))
-    return cfg.dt * np.arange(n_steps + 1)
+def _sample_times(cfg: RunConfig, width: int) -> np.ndarray:
+    return cfg.dt * np.arange(cfg.rows(width))
 
 
 def _flaschka_from_config(data: dict) -> JacobiMatrix:
@@ -116,6 +137,7 @@ def _flaschka_from_config(data: dict) -> JacobiMatrix:
 
 def _run_simulate_1d(cfg: RunConfig) -> int:
     state = _flaschka_from_config(_load_json(cfg.input_path))
+    cfg.rows(state.n)  # before integrate_toda allocates the grid
     traj = toda_1d.integrate_toda(state, cfg.t_final, cfg.dt)
     _emit(toda_1d.trajectory_to_csv(traj), cfg.output_path)
     return 0
@@ -123,7 +145,7 @@ def _run_simulate_1d(cfg: RunConfig) -> int:
 
 def _run_spectral_solve(cfg: RunConfig) -> int:
     state = _flaschka_from_config(_load_json(cfg.input_path))
-    traj = toda_1d.spectral_solve(state, _sample_times(cfg))
+    traj = toda_1d.spectral_solve(state, _sample_times(cfg, state.n))
     _emit(toda_1d.trajectory_to_csv(traj), cfg.output_path)
     return 0
 
@@ -134,7 +156,8 @@ def _run_simulate_pseudo(cfg: RunConfig) -> int:
         state.common_size()  # the CSV needs one atom count shared by all components
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad pseudo state: {exc}") from exc
-    _emit(pseudo_toda.state_trajectory_csv(state, _sample_times(cfg)), cfg.output_path)
+    times = _sample_times(cfg, state.family.radii.size)
+    _emit(pseudo_toda.state_trajectory_csv(state, times), cfg.output_path)
     return 0
 
 
@@ -168,7 +191,7 @@ def _run_nevanlinna(cfg: RunConfig) -> int:
     if kind == "1d":
         try:
             mu = DiscreteMeasure.from_dict(data["measure"])
-            n_trunc = int(data["N"])
+            n_trunc = kdq._json_int(data, "N")
             ys = [float(y) for y in data["y"]]
         except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"bad nevanlinna config: {exc}") from exc
@@ -181,8 +204,8 @@ def _run_nevanlinna(cfg: RunConfig) -> int:
     elif kind == "multi":
         mu = _measure_from_dict(data.get("measure", {}))
         try:
-            idx = (int(data["k"]), int(data["ell"]))
-            n_trunc = int(data["N"])
+            idx = (kdq._json_int(data, "k"), kdq._json_int(data, "ell"))
+            n_trunc = kdq._json_int(data, "N")
             mods = [float(m) for m in data["zeta_abs"]]
         except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"bad nevanlinna config: {exc}") from exc
@@ -207,7 +230,7 @@ def _run_iso_flow(cfg: RunConfig) -> int:
     mu = _measure_from_dict(data.get("measure", {}))
     t_grid = data.get("t_grid")
     if t_grid is None:
-        t_grid = _sample_times(cfg)
+        t_grid = _sample_times(cfg, len(mu.family.keys))
     try:
         state = iso_flow.state_from_measure(mu)  # every component needs an atom
         times = [float(t) for t in t_grid]

@@ -51,10 +51,6 @@ from .sphere import (
     solid_harmonic,
 )
 
-# imported after .moment_1d on purpose: loading scipy.special before
-# scipy.linalg made `import toda_kdq.cli` about 3% slower
-from scipy.special import eval_chebyt, eval_legendre
-
 __all__ = [
     "KDQPoint",
     "ComponentFamily",
@@ -267,8 +263,21 @@ class PseudoPositiveMeasure:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PseudoPositiveMeasure":
-        comps = {(int(c["k"]), int(c["ell"])): (c["atoms"], c["weights"]) for c in d["components"]}
-        return cls(int(d["n"]), comps, k_max=int(d.get("k_max", -1)))
+        comps = {(_json_int(c, "k"), _json_int(c, "ell")): (c["atoms"], c["weights"]) for c in d["components"]}
+        return cls(_json_int(d, "n"), comps, k_max=_json_int(d, "k_max", -1))
+
+
+def _json_int(d: dict, name: str, *default) -> int:
+    """d[name], or `default` where given and the name is absent, as an int.
+
+    TypeError unless the value is an integer: a JSON number with a fraction
+    or an exponent (1.7, 1e999, which reads as inf) and a boolean are not
+    truncated but rejected.  KeyError if the name is absent without a default.
+    """
+    value = d.get(name, *default) if default else d[name]
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def aronszajn_r_pow_n(p: KDQPoint, x) -> complex:
@@ -315,8 +324,8 @@ def hua_kernel(p: KDQPoint, x, k_max: int = DEFAULT_KMAX) -> complex:
     By the addition theorem the sum over l is d_k G_k(c), c = <theta, x>/|x|,
     with G_k = P_k (Legendre) on S^2, where d_k G_k = (2k+1) P_k, and
     G_k = T_k (Chebyshev) on S^1, where d_k G_k = 2 T_k = 2 cos(k phi) for
-    k >= 1.  All G_k(c) come from one vectorised call of the compiled
-    three-term recurrence.  Requires |zeta| > |x| (the convergence region);
+    k >= 1.  All G_k(c) come from one three-term recurrence over the
+    degrees (`_zonal`).  Requires |zeta| > |x| (the convergence region);
     the geometric tail left off is bounded by `hua_tail_bound`.
     """
     n = p.n
@@ -331,9 +340,17 @@ def hua_kernel(p: KDQPoint, x, k_max: int = DEFAULT_KMAX) -> complex:
     if r != 0.0:
         c = min(max(sum(map(operator.mul, p.theta.tolist(), xs)) / r, -1.0), 1.0)
         k, d_k = _degrees(n, k_max)
-        zonal = eval_chebyt(k, c) if n == 2 else eval_legendre(k, c)
-        acc = complex((r / z) ** k @ (d_k * zonal))
+        acc = complex((r / z) ** k @ (d_k * _zonal(n, k_max, c)))
     return complex(z / (z * z - r * r) * acc)
+
+
+def _zonal(n: int, k_max: int, c: float) -> np.ndarray:
+    # G_0..G_{k_max} at c: Chebyshev T_{j+1} = 2c T_j - T_{j-1} for n = 2,
+    # Legendre (j+1) P_{j+1} = (2j+1) c P_j - j P_{j-1} for n = 3
+    g = [1.0, c]
+    for j in range(1, k_max):
+        g.append(2.0 * c * g[j] - g[j - 1] if n == 2 else ((2 * j + 1) * c * g[j] - j * g[j - 1]) / (j + 1))
+    return np.array(g[: k_max + 1])
 
 
 def hua_tail_bound(n: int, zeta: complex, x, k_max: int) -> float:

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, solve_banded
 
 from .errors import PoleError, RankDeficiencyError
 
@@ -37,6 +36,8 @@ __all__ = [
 
 _MERGE_TOL = 1e-12
 _MASS_TOL = 1e-8
+# at most _BLOCK doubles in one stack of dense matrices
+_BLOCK = 2**15
 
 
 def _as_vector(name: str, value) -> np.ndarray:
@@ -270,48 +271,68 @@ def spectral_data_from_jacobi(jac: JacobiMatrix):
     """(eigenvalues, masses): the ascending eigenvalues of jac and its corner
     masses r_j^2, the squared last components of the eigenvectors.
 
-    Both come from the ?stevd call that `jacobi_eigenvalues` makes, so the
-    eigenvalues equal that function's bit for bit.  The masses sum to 1 up
-    to rounding; they are >= 0, and may underflow to 0 in a lattice evolved
-    far from time 0.
+    Both come from one `np.linalg.eigh` of the dense matrix (LAPACK ?syevd
+    with vectors).  `jacobi_eigenvalues` computes no vectors, so the two
+    eigenvalue arrays may differ in the last digits; both solvers are
+    backward stable, and the tests hold them within 2 N eps max|lambda| of
+    each other and of LAPACK ?stevd.  The masses sum to 1 up to rounding;
+    they are >= 0, and may underflow to 0 in a lattice evolved far from
+    time 0.  RankDeficiencyError if two eigenvalues round to one double,
+    LinAlgError if the solver does not converge.
     """
-    lam, last = _stevd_rows(jac.diag[None], jac.offdiag[None])
-    return lam[0], last[0] ** 2
+    lam, vec = np.linalg.eigh(_dense_rows(jac.diag[None], jac.offdiag[None])[0])
+    _check_distinct(lam[None])
+    return lam, vec[-1] ** 2
 
 
 def jacobi_eigenvalues(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of stacked Jacobi matrices, one per row.
 
-    `diag` has shape (T, N) and `offdiag` (T, N-1).  Each row goes through
-    LAPACK ?stevd with eigenvectors, the routine and options that
-    `eigh_tridiagonal` uses.  The vectors are computed because
-    `spectral_data_from_jacobi` reads its masses from them: without them
-    (?sterf) the eigenvalues move in the last digits.
+    `diag` has shape (T, N) and `offdiag` (T, N-1).  The rows go through
+    `np.linalg.eigvalsh` as dense (B, N, N) stacks of at most _BLOCK
+    doubles.  LAPACK ?syevd reduces a tridiagonal matrix exactly, so each
+    row's eigenvalues are those of ?sterf on its diagonals, bit for bit, in
+    any stack.  They are within 2 N eps max|lambda| of the eigenvalues of
+    `spectral_data_from_jacobi` (see there).  RankDeficiencyError where two
+    eigenvalues of a row round to one double, LinAlgError naming the first
+    row on which the solver does not converge.
     """
-    return _stevd_rows(diag, offdiag)[0]
-
-
-def _stevd_rows(diag, offdiag):
-    # eigenvalues and last eigenvector rows, both (T, N), of each row's
-    # Jacobi matrix; RankDeficiencyError where two eigenvalues round to one
-    # double, LinAlgError where ?stevd does not converge
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
-    if diag.shape[1] == 1:
-        return diag.copy(), np.ones(diag.shape)
-    stevd = get_lapack_funcs(("stevd",), (diag,))[0]
     lam = np.empty(diag.shape)
-    last = np.empty(diag.shape)
-    for i in range(diag.shape[0]):
-        lam[i], v, info = stevd(diag[i], offdiag[i], compute_v=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"?stevd did not converge on the Jacobi matrix of row {i} (info = {info})")
-        last[i] = v[-1]
+    block = max(1, _BLOCK // max(diag.shape[1], 1) ** 2)
+    for lo in range(0, diag.shape[0], block):
+        stack = _dense_rows(diag[lo : lo + block], offdiag[lo : lo + block])
+        try:
+            lam[lo : lo + block] = np.linalg.eigvalsh(stack)
+        except np.linalg.LinAlgError:
+            for i, mat in enumerate(stack, lo):
+                try:
+                    np.linalg.eigvalsh(mat)
+                except np.linalg.LinAlgError as exc:
+                    raise np.linalg.LinAlgError(
+                        f"the eigensolver did not converge on the Jacobi matrix of row {i}"
+                    ) from exc
+    _check_distinct(lam)
+    return lam
+
+
+def _dense_rows(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
+    # (T, N, N) lower triangles of each row's Jacobi matrix, the part that
+    # `np.linalg.eigh` and `eigvalsh` read; the strict upper triangle is 0
+    n = diag.shape[-1]
+    out = np.zeros(diag.shape + (n,))
+    i = np.arange(n)
+    out[:, i, i] = diag
+    out[:, i[1:], i[:-1]] = offdiag
+    return out
+
+
+def _check_distinct(lam: np.ndarray) -> None:
+    # distinct eigenvalues of an unreduced Jacobi matrix that round to one double
     rows = np.flatnonzero((np.diff(lam, axis=1) <= 0.0).any(axis=1))
     if rows.size:
-        # distinct eigenvalues of an unreduced Jacobi matrix that round to one double
         raise RankDeficiencyError(f"eigenvalues must be strictly increasing; row {rows[0]} repeats one")
-    return lam, last
 
 
 def continued_fraction_eval(jac: JacobiMatrix, lam: complex) -> complex:
@@ -333,18 +354,12 @@ def continued_fraction_eval(jac: JacobiMatrix, lam: complex) -> complex:
 
 
 def resolvent_NN(jac: JacobiMatrix, lam: complex) -> complex:
-    """Corner resolvent entry <(lambda I - L)^{-1} e_N, e_N> by tridiagonal solve."""
+    """Corner resolvent entry <(lambda I - L)^{-1} e_N, e_N> by a dense LU solve."""
     lam = complex(lam)
-    n = jac.n
-    ab = np.zeros((3, n), dtype=complex)
-    ab[1, :] = lam - jac.diag
-    if n > 1:
-        ab[0, 1:] = -jac.offdiag
-        ab[2, :-1] = -jac.offdiag
-    rhs = np.zeros(n, dtype=complex)
+    rhs = np.zeros(jac.n, dtype=complex)
     rhs[-1] = 1.0
     try:
-        sol = solve_banded((1, 1), ab, rhs)
+        sol = np.linalg.solve(lam * np.eye(jac.n) - jac.to_dense(), rhs)
     except np.linalg.LinAlgError as exc:
         raise PoleError(f"lambda in the spectrum: {lam}") from exc
     if not np.all(np.isfinite(sol.view(float))):

@@ -9,10 +9,8 @@ used elsewhere in the library hold term by term.
 
 import math
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, lpmv, roots_legendre
 
 __all__ = [
     "dim_harmonics",
@@ -24,10 +22,12 @@ __all__ = [
     "harmonic_basis",
     "solid_harmonic",
     "sphere_nodes",
-    "quadrature_sphere",
 ]
 
 _DIRECTION_NORM_TOL = 1e-12
+# largest S^2 degree: past about 1,470 the recurrence's values at a pole
+# overflow, and its coefficient tables grow as the degree squared
+_MAX_DEGREE = 1000
 
 
 def dim_harmonics(n: int, k: int) -> int:
@@ -46,10 +46,12 @@ def dim_harmonics(n: int, k: int) -> int:
 
 
 def check_index(n: int, k: int, ell: int) -> None:
-    """Raise ValueError unless 1 <= ell <= d_k(n, k)."""
+    """Raise ValueError unless 1 <= ell <= d_k(n, k), and on S^2 k <= _MAX_DEGREE."""
     d = dim_harmonics(n, k)
     if not 1 <= ell <= d:
         raise ValueError(f"invalid harmonic index (k={k}, ell={ell}); need 1 <= ell <= {d}")
+    if n == 3 and k > _MAX_DEGREE:
+        raise ValueError(f"harmonic degree k={k} on S^2 exceeds {_MAX_DEGREE}")
 
 
 def as_direction(n: int, coords) -> np.ndarray:
@@ -69,15 +71,55 @@ def check_indices(n: int, keys) -> tuple[np.ndarray, np.ndarray]:
     """`check_index` on a sequence of (k, ell) at once; returns the k and ell arrays."""
     ks, ells = np.array(keys, dtype=int).reshape(-1, 2).T
     bad = (ks < 0) | (ells < 1) | (ells > np.where(ks == 0, 1, 2 if n == 2 else 2 * ks + 1))
+    bad |= (n == 3) & (ks > _MAX_DEGREE)
     if n not in (2, 3) or bad.any():
         check_index(n, *(keys[np.argmax(bad)] if bad.any() else (0, 1)))
     return ks, ells
 
 
-@lru_cache(maxsize=None)
-def _legendre_norm(k: int, m: int) -> float:
-    # sqrt((2k+1) (k-m)!/(k+m)!); gammaln keeps large k finite
-    return math.sqrt(2 * k + 1) * math.exp(0.5 * (gammaln(k - m + 1) - gammaln(k + m + 1)))
+@lru_cache(maxsize=16)
+def _legendre_recurrence(k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # read-only (k_max+1, k_max+1) tables a, b and the diagonal seeds of
+    #   q_k^m = a[k, m] z q_{k-1}^m - b[k, m] q_{k-2}^m  (m < k),  q_m^m = seed[m],
+    # where q_k^m = Pbar_k^m(z) / sin^m(gamma) and Pbar the fully normalised
+    # Legendre function with the Condon-Shortley sign (Holmes & Featherstone
+    # 2002), whose factor sqrt(2) for m > 0 is in the seeds:
+    # seed[m] = -sqrt((2m+1)/(2m)) seed[m-1] for m >= 2, seed[1] = -sqrt(3)
+    k = np.arange(k_max + 1.0)[:, None]
+    m = np.arange(k_max + 1.0)[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.sqrt((2 * k - 1) * (2 * k + 1) / ((k - m) * (k + m)))
+        b = np.sqrt((2 * k + 1) * (k + m - 1) * (k - m - 1) / ((k - m) * (k + m) * (2 * k - 3)))
+    a = np.where(m < k, a, 0.0)
+    b = np.where(m < k - 1, b, 0.0)
+    steps = [1.0, -math.sqrt(3.0)] + [-math.sqrt((2 * j + 1) / (2 * j)) for j in range(2, k_max + 1)]
+    seed = np.cumprod(steps[: k_max + 1])
+    for arr in (a, b, seed):
+        arr.setflags(write=False)
+    return a, b, seed
+
+
+def _legendre_columns(ks: np.ndarray, am: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # q_k^m(z) of `_legendre_recurrence` for each (k, m) in zip(ks, am):
+    # (keys, z.size), holding two degrees of the recurrence at a time
+    a, b, seed = _legendre_recurrence(int(ks.max(initial=0)))
+    top = int(am.max(initial=0)) + 1
+    order = np.argsort(ks, kind="stable")
+    bounds = np.searchsorted(ks[order], np.arange(seed.size + 1)).tolist()
+    out = np.empty((ks.size, z.size))
+    prev = here = np.zeros((top, z.size))
+    for k in range(seed.size):
+        j = min(k, top)
+        new = np.zeros((top, z.size))
+        np.multiply(a[k, :j, None] * z, here[:j], out=new[:j])
+        new[:j] -= b[k, :j, None] * prev[:j]
+        if k < top:
+            new[k] = seed[k]
+        if bounds[k] < bounds[k + 1]:
+            rows = order[bounds[k] : bounds[k + 1]]
+            out[rows] = new[am[rows]]
+        prev, here = here, new
+    return out
 
 
 def harmonic_table(n: int, keys, theta) -> np.ndarray:
@@ -85,13 +127,17 @@ def harmonic_table(n: int, keys, theta) -> np.ndarray:
 
     On S^1 the basis is 1, sqrt(2) cos(k phi), sqrt(2) sin(k phi).  On S^2
     ell = 1..2k+1 maps to the order m = ell-k-1 (the zonal harmonic
-    sqrt(2k+1) P_k(cos(gamma)) at ell = k+1), and one broadcast
-    `lpmv(|m|, k, cos gamma)` call gives every associated Legendre value.
+    sqrt(2k+1) P_k(cos(gamma)) at ell = k+1).  There it is computed in
+    Cartesian form, without an angle: with theta = (x, y, z), the three-term
+    recurrence in k gives Pbar_k^|m|(z) / sin^|m|(gamma), a polynomial in z,
+    and Re (m >= 0) or Im (m < 0) of (x + iy)^|m| supplies
+    sin^|m|(gamma) cos or sin of |m| phi.  No sqrt(1 - z^2) is formed, so
+    values near the poles keep their relative digits.
     """
     ks, ells = check_indices(n, keys)
     th = np.asarray(theta, dtype=float)
-    phi = np.arctan2(th[..., 1], th[..., 0])[..., None]
     if n == 2:
+        phi = np.arctan2(th[..., 1], th[..., 0])[..., None]
         out = np.ones(phi.shape[:-1] + ks.shape)
         cos, sin = (ks > 0) & (ells == 1), (ks > 0) & (ells == 2)
         out[..., cos] = math.sqrt(2.0) * np.cos(ks[cos] * phi)
@@ -99,11 +145,19 @@ def harmonic_table(n: int, keys, theta) -> np.ndarray:
         return out
     m = ells - ks - 1
     am = np.abs(m)
-    coef = [_legendre_norm(k, 0) if a == 0 else math.sqrt(2.0) * _legendre_norm(k, a) for k, a in zip(ks.tolist(), am.tolist())]
-    out = np.array(coef) * lpmv(am, ks, np.clip(th[..., 2], -1.0, 1.0)[..., None])
-    out[..., m > 0] *= np.cos(am[m > 0] * phi)
-    out[..., m < 0] *= np.sin(am[m < 0] * phi)
-    return out
+    pts = th.reshape(-1, 3)
+    q = _legendre_columns(ks, am, pts[:, 2])
+    # c[j] = (Re, Im) of (x + iy)^j for j = 0..max |m|, from the recurrence
+    # c[j] = 2x c[j-1] - (x^2 + y^2) c[j-2] of the powers of a pair of roots
+    x, y = pts[:, 0], pts[:, 1]
+    c = np.zeros((int(am.max(initial=0)) + 2, 2, pts.shape[0]))
+    c[0, 0] = 1.0
+    c[1] = x, y
+    two_x, r2 = 2.0 * x, x * x + y * y
+    for j in range(2, c.shape[0] - 1):
+        c[j] = two_x * c[j - 1] - r2 * c[j - 2]
+    trig = c[am, (m < 0).astype(np.intp)]
+    return (q * trig).T.reshape(th.shape[:-1] + ks.shape)
 
 
 def eval_harmonic(n: int, idx, theta) -> np.ndarray | float:
@@ -166,7 +220,7 @@ def sphere_nodes(n: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
         wts = np.full(m_az, 1.0 / m_az)
     else:
         n_gl = max((degree + 2) // 2, 1)
-        t, w_gl = roots_legendre(n_gl)
+        t, w_gl = np.polynomial.legendre.leggauss(n_gl)
         s = np.sqrt(1.0 - t**2)
         pts = np.concatenate(
             [
@@ -178,16 +232,3 @@ def sphere_nodes(n: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     pts.setflags(write=False)
     wts.setflags(write=False)
     return pts, wts
-
-
-def quadrature_sphere(n: int, f: Callable, degree: int) -> float:
-    """Integrate f over S^{n-1} against the probability measure.
-
-    `f` is called with the full (S, n) node array and should return (S,)
-    values; a scalar-valued f is evaluated pointwise as a fallback.
-    """
-    pts, wts = sphere_nodes(n, degree)
-    vals = np.asarray(f(pts))
-    if vals.shape != wts.shape:
-        vals = np.asarray([f(p) for p in pts])
-    return float(wts @ vals)

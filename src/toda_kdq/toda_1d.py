@@ -17,10 +17,9 @@ solver, the second one to test the ODE integrator against.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import PositivityLossError
-from .moment_1d import JacobiMatrix, _freeze_fields, jacobi_eigenvalues
+from .moment_1d import _BLOCK, JacobiMatrix, _dense_rows, _freeze_fields, jacobi_eigenvalues
 
 __all__ = [
     "TodaStatePhysical",
@@ -40,11 +39,9 @@ __all__ = [
 ]
 
 # |s| (lambda_max - lambda_min) <= _SPAN for every QR step, and at most
-# _MAX_CHECKPOINTS steps of that length per call; at most _BLOCK doubles
-# in one stacked factorisation
+# _MAX_CHECKPOINTS steps of that length per call
 _SPAN = 8.0
 _MAX_CHECKPOINTS = 2**16
-_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -245,7 +242,7 @@ def spectral_solve(s0: JacobiMatrix, times) -> Trajectory:
 
     The couplings are products of positive factors, so they keep their
     relative digits however small they get.  exp(s L) = V e^{s Lambda} V^T
-    comes from one `eigh_tridiagonal` of a checkpoint state, shifted by the
+    comes from one `np.linalg.eigh` of a checkpoint state, shifted by the
     largest eigenvalue for s >= 0 and the smallest for s < 0; the leading V
     is orthogonal and leaves R unchanged, so e^{s (Lambda - shift)} V^T is
     what is factored, every offset s of a checkpoint in one stacked
@@ -271,7 +268,7 @@ def spectral_solve(s0: JacobiMatrix, times) -> Trajectory:
     if diag.size == 1:
         b_out[:] = diag
         return Trajectory(times=times, a=a_out, b=b_out)
-    lam = eigh_tridiagonal(diag, offdiag, eigvals_only=True)
+    lam = np.linalg.eigvalsh(_dense_rows(diag[None], offdiag[None])[0])
     width = float(lam[-1]) - float(lam[0])
     if not 0.0 < width < np.inf:
         raise OverflowError(f"the spectrum of L has width {width!r}, outside what double precision resolves")
@@ -303,7 +300,7 @@ def _qr_steps(b: np.ndarray, a: np.ndarray, s: np.ndarray):
     # the flow from (b, a) over offsets s of one sign, |s| <= h; see spectral_solve
     b_out = np.empty((s.size, b.size))
     a_out = np.empty((s.size, a.size))
-    lam, v = eigh_tridiagonal(b, a)
+    lam, v = np.linalg.eigh(_dense_rows(b[None], a[None])[0])
     shifted = lam - (lam[0] if (s < 0.0).any() else lam[-1])
     block = max(1, _BLOCK // b.size**2)  # doubles per (B, N, N) stack
     for lo in range(0, s.size, block):

@@ -1,18 +1,20 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toda_kdq import kdq, sphere
+from toda_kdq import cli, kdq, sphere
 from toda_kdq.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -261,6 +263,12 @@ class TestConfigErrors:
         cfg = write_json(tmp_path / "t.json", {"measure": self.MEASURE, "theta": theta, "zetas": [[2.0, 0.0]]})
         assert _config_error(capsys, ["transform-eval", "--input", cfg])
 
+    def test_degree_past_the_cap(self, tmp_path, capsys):
+        component = {"k": 1001, "ell": 1, "atoms": [0.5], "weights": [1.0]}
+        measure = dict(self.MEASURE, k_max=1001, components=[component])
+        cfg = write_json(tmp_path / "t.json", {"measure": measure, "theta": [0.0, 0.0, 1.0], "zetas": [[2.0, 0.0]]})
+        assert _config_error(capsys, ["transform-eval", "--input", cfg])
+
     @pytest.mark.parametrize("zeta", [[float("nan"), 0.0], [2.0, float("inf")]])
     def test_nonfinite_zeta(self, tmp_path, capsys, zeta):
         cfg = write_json(tmp_path / "t.json", {"measure": self.MEASURE, "theta": [0.0, 0.0, 1.0], "zetas": [zeta]})
@@ -475,14 +483,25 @@ class TestLatticeExitCodes:
         assert (code, err) == (3, "numeric failure: the Hamiltonian H overflows at t = 0.0\n")
 
     @pytest.mark.parametrize("command", ["simulate-1d", "spectral-solve"])
-    def test_eigensolver_without_convergence(self, command):
-        # entries from 1e-300 to 1e152 on which LAPACK ?stevd stops with info = 2
+    def test_eigensolver_without_convergence(self, command, monkeypatch):
+        # entries from 1e-300 to 1e152 on which LAPACK ?syevd with vectors (the
+        # QR checkpoints of spectral-solve) stops
         state = {
             "a": [8.67814044e-300, 7.50153419e104, 1.40684734e-075, 3.05678001e-125, 4.05273160e-169],
             "b": [0.0, -0.0, 0.0, -0.0, -1.04417894e020, 1.01732046e152],
         }
+        if command == "simulate-1d":
+            # the CSV's eigenvalue-only ?sterf converges on it, to a triple 0
+            code, err = run_in_process([command, "--t-final", "0.01", "--dt", "0.5"], state)
+            assert (code, err) == (3, "numeric failure: eigenvalues must be strictly increasing; row 0 repeats one\n")
+            # no state is known on which ?sterf stops, so a solver that stops stands in
+            monkeypatch.setattr(np.linalg, "eigvalsh", _unconverged)
         code, err = run_in_process([command, "--t-final", "0.01", "--dt", "0.5"], state)
         assert code == 3 and err.startswith("numeric failure: ") and "did not converge" in err
+
+
+def _unconverged(a, UPLO="L"):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
 class TestIsoFlowCommand:
@@ -562,11 +581,11 @@ class TestPinnedOutputs:
             _STATE_1D,
             (
                 "t,a_1,a_2,b_1,b_2,b_3,H,lambda_1,lambda_2,lambda_3\n"
-                "0.0,0.5,0.3,0.1,0.0,-0.2,1.46,-0.5914611189303555,-0.11441297378477062,0.6058740927151262\n"
+                "0.0,0.5,0.3,0.1,0.0,-0.2,1.46,-0.5914611189303556,-0.11441297378477064,0.6058740927151262\n"
                 "0.01,0.49947978183082725,0.29940269748792603,0.10499486692657073,-0.003198453749914661,"
-                "-0.20179641317665606,1.459999999999834,-0.5914611189300194,-0.11441297378527157,0.605874092715291\n"
+                "-0.20179641317665606,1.459999999999834,-0.5914611189300198,-0.11441297378527131,0.6058740927152909\n"
                 "0.02,0.49891926059661557,0.2988107790143198,0.10997893758107326,-0.006393232362163059,"
-                "-0.2035857052189102,1.4599999999996316,-0.5914611189296786,-0.1144129737857679,0.6058740927154466\n"
+                "-0.2035857052189102,1.4599999999996316,-0.5914611189296788,-0.11441297378576794,0.6058740927154466\n"
             ),
             "",
         ),
@@ -575,11 +594,11 @@ class TestPinnedOutputs:
             _STATE_1D,
             (
                 "t,a_1,a_2,b_1,b_2,b_3,H,lambda_1,lambda_2,lambda_3\n"
-                "0.0,0.5,0.3,0.1,0.0,-0.2,1.46,-0.5914611189303555,-0.11441297378477062,0.6058740927151262\n"
+                "0.0,0.5,0.3,0.1,0.0,-0.2,1.46,-0.5914611189303556,-0.11441297378477064,0.6058740927151262\n"
                 "0.01,0.4994797818307594,0.2994026974879749,0.10499486692783343,-0.0031984537514614447,"
-                "-0.20179641317637198,1.4600000000000006,-0.5914611189303559,-0.11441297378477043,0.6058740927151264\n"
+                "-0.20179641317637198,1.4600000000000006,-0.5914611189303558,-0.11441297378477047,0.6058740927151262\n"
                 "0.02,0.4989192605964599,0.29881077901443087,0.10997893758358718,-0.006393232365241454,"
-                "-0.20358570521834574,1.4600000000000006,-0.5914611189303554,-0.11441297378477068,0.6058740927151263\n"
+                "-0.20358570521834574,1.4600000000000006,-0.5914611189303556,-0.11441297378477072,0.6058740927151263\n"
             ),
             "",
         ),
@@ -679,6 +698,102 @@ class TestPinnedOutputs:
         assert capsys.readouterr().out == stdout
 
 
+# --t-final and --dt from every double: NaN, infinities, zeros, subnormals
+# and negatives included
+_TIMES = st.floats(allow_nan=True, allow_infinity=True)
+_PSEUDO_STATE = {
+    "n": 3,
+    "components": [{"k": 0, "ell": 1, "lambdas": [0.5, 1.0], "masses_tilde": [0.25, 0.75]}],
+}
+
+
+class TestTimeArguments:
+    """The time grid 0, dt, ..., round(t_final/dt) dt of the commands that
+    sample one.  Both times must be positive and finite, the grid's last time
+    finite, and its rows times its width (lattice sites, or atoms of a pseudo
+    state) at most `cli._MAX_CELLS`; anything else is a configuration error,
+    found before a row is allocated or stepped."""
+
+    CONFIGS = {"simulate-1d": (_STATE_1D, 3), "spectral-solve": (_STATE_1D, 3), "simulate-pseudo": (_PSEUDO_STATE, 2)}
+
+    @pytest.mark.parametrize("command", ["simulate-1d", "spectral-solve", "simulate-pseudo"])
+    @pytest.mark.parametrize(
+        "times",
+        [
+            ["--t-final", "nan"],
+            ["--dt", "nan"],
+            ["--t-final", "1e300"],
+            ["--dt", "1e-300"],
+            ["--t-final", "inf"],
+            ["--dt", "inf"],
+            ["--t-final=-inf"],
+            ["--dt", "0"],
+            ["--t-final", "1e3", "--dt", "1e-4"],
+            ["--t-final", "1.5e308", "--dt", "1e308"],
+        ],
+    )
+    def test_refused_at_the_real_cap(self, command, times):
+        code, err = run_in_process([command, *times], self.CONFIGS[command][0])
+        assert code == 2 and err.startswith("config error: ") and "Traceback" not in err
+
+    @settings(max_examples=300, deadline=None)
+    @given(command=st.sampled_from(list(CONFIGS)), t_final=_TIMES, dt=_TIMES)
+    def test_exit_code_contract(self, command, t_final, dt):
+        # a cap of 64 cells keeps every grid that passes tiny
+        config, width = self.CONFIGS[command]
+        with mock.patch.object(cli, "_MAX_CELLS", 64):
+            code, err = run_in_process([command, f"--t-final={t_final!r}", f"--dt={dt!r}"], config)
+        assert "Traceback" not in err
+        steps = t_final / dt if 0.0 < t_final < math.inf and 0.0 < dt < math.inf else math.inf
+        if steps < 64 and (round(steps) + 1) * width <= 64 and round(steps) * dt < math.inf:
+            assert code in (0, 3) and (err == "" or err.startswith("numeric failure: "))
+        else:
+            assert code == 2 and err.startswith("config error: ")
+
+
+class TestIntegerIndices:
+    """A component index (k, ell), the dimension n, k_max and a truncation
+    order N must be JSON integers: 1e999 (read as inf), 1.7, 1.0 and true are
+    configuration errors, not truncated."""
+
+    MEASURE = {"n": 3, "k_max": 1, "components": [{"k": "K", "ell": "L", "atoms": [0.5], "weights": [1.0]}]}
+    CONFIGS = {
+        "transform-eval": {"measure": MEASURE, "theta": [0.0, 0.0, 1.0], "zetas": [[2.0, 0.0]]},
+        "nevanlinna-check": {"kind": "multi", "measure": MEASURE, "k": 1, "ell": 1, "N": 1, "zeta_abs": [4.0]},
+        "nevanlinna-check-target": {
+            "kind": "multi",
+            "measure": dict(MEASURE, components=[{"k": 1, "ell": 1, "atoms": [0.5], "weights": [1.0]}]),
+            "k": "K",
+            "ell": "L",
+            "N": 1,
+            "zeta_abs": [4.0],
+        },
+        "iso-flow": {"measure": MEASURE, "t_grid": [0.0, 1.0]},
+        "simulate-pseudo": {
+            "n": 3,
+            "components": [{"k": "K", "ell": "L", "lambdas": [0.5, 1.0], "masses_tilde": [0.25, 0.75]}],
+        },
+    }
+
+    @pytest.mark.parametrize("value", ["1e999", "1.7", "1.0", "true"])
+    @pytest.mark.parametrize("field", ["k", "ell"])
+    @pytest.mark.parametrize("case", list(CONFIGS))
+    def test_non_integer_index(self, tmp_path, capsys, case, field, value):
+        text = json.dumps(self.CONFIGS[case]).replace('"K"', value if field == "k" else "1")
+        text = text.replace('"L"', value if field == "ell" else "1")
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        assert main([case.removesuffix("-target"), "--input", str(path), "--t-final", "1", "--dt", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{field} must be an integer, got " in err
+
+    @pytest.mark.parametrize("case", list(CONFIGS))
+    def test_integer_index(self, tmp_path, capsys, case):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(self.CONFIGS[case]).replace('"K"', "1").replace('"L"', "1"))
+        assert main([case.removesuffix("-target"), "--input", str(path), "--t-final", "1", "--dt", "0.5"]) == 0
+
+
 class TestVerifyAll:
     TABLE = [
         ("sphere-orthonormality", 1e-10),
@@ -720,3 +835,21 @@ class TestVerifyAll:
         )
         assert proc.returncode == 0, proc.stderr.decode()[-500:]
         assert proc.stderr == b""
+
+
+class TestNumpyOnlyRuntime:
+    def test_cli_runs_without_scipy(self):
+        # scipy is a test dependency only: the CLI neither imports it nor
+        # pulls it in while it runs
+        code = (
+            "import sys\n"
+            "import toda_kdq.cli as cli\n"
+            "loaded = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not loaded(), loaded()\n"
+            "status = cli.main(['verify-all'])\n"
+            "assert not loaded(), loaded()\n"
+            "sys.exit(status)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr.decode()[-500:]

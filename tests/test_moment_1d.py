@@ -256,12 +256,35 @@ class TestSpectralData:
 class TestJacobiEigenvalues:
     @settings(max_examples=60, deadline=None)
     @given(rows=st.integers(0, 20), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
-    def test_equals_eigh_tridiagonal_per_row(self, rows, n, seed):
+    def test_equals_sterf_per_row(self, rows, n, seed):
+        # bit for bit LAPACK ?sterf of each row's diagonals; both that and the
+        # eigenvalues that come with the masses are backward stable, within
+        # 2 N eps max|lambda| of scipy's ?stevd
         rng = np.random.default_rng(seed)
         diag = rng.uniform(-1.0, 1.0, size=(rows, n))
         offdiag = rng.uniform(0.3, 1.0, size=(rows, n - 1))
+        lam = jacobi_eigenvalues(diag, offdiag)
+        sterf = [eigh_tridiagonal(d, e, eigvals_only=True, lapack_driver="sterf") for d, e in zip(diag, offdiag)]
+        assert lam.tobytes() == np.reshape(sterf, (rows, n)).tobytes()
         ref = np.array([eigh_tridiagonal(d, e)[0] for d, e in zip(diag, offdiag)]).reshape(rows, n)
-        assert jacobi_eigenvalues(diag, offdiag).tobytes() == ref.tobytes()
+        bound = 2 * n * np.finfo(float).eps * np.abs(ref).max(axis=1, keepdims=True, initial=0.0)
+        assert (np.abs(lam - ref) <= bound).all()
+        with_masses = [spectral_data_from_jacobi(JacobiMatrix(d, e))[0] for d, e in zip(diag, offdiag)]
+        assert (np.abs(lam - np.reshape(with_masses, (rows, n))) <= bound).all()
+
+    def test_blocks_equal_rows_alone(self):
+        # 1,100 rows of N = 8 make three stacks; each row's bits do not depend on its stack
+        rng = np.random.default_rng(5)
+        diag = rng.uniform(-1.0, 1.0, size=(1100, 8))
+        offdiag = rng.uniform(0.3, 1.0, size=(1100, 7))
+        alone = [jacobi_eigenvalues(d[None], e[None])[0] for d, e in zip(diag, offdiag)]
+        assert jacobi_eigenvalues(diag, offdiag).tobytes() == np.array(alone).tobytes()
+
+    def test_no_convergence_names_the_row(self):
+        diag = np.zeros((700, 8))
+        diag[600, 3] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge on the Jacobi matrix of row 600"):
+            jacobi_eigenvalues(diag, np.ones((700, 7)))
 
     def test_coincident_eigenvalues_rejected(self):
         # 1 +- 1e-300 rounds to one double

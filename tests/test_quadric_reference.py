@@ -30,7 +30,6 @@ import mpmath
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln, lpmv
 
 from toda_kdq import sphere
 from toda_kdq.cli import main
@@ -42,20 +41,9 @@ RESIDUAL_RTOL = 1e-13
 
 
 def ref_harmonic(n, k, ell, theta):
-    """Y_{k,ell} from one `lpmv` (or cos/sin) call per component."""
-    phi = np.arctan2(theta[..., 1], theta[..., 0])
-    if n == 2:
-        if k == 0:
-            return np.ones(phi.shape)
-        return math.sqrt(2.0) * (np.cos(k * phi) if ell == 1 else np.sin(k * phi))
-    m = ell - k - 1
-    am = abs(m)
-    norm = math.sqrt(2 * k + 1) * math.exp(0.5 * (gammaln(k - am + 1) - gammaln(k + am + 1)))
-    z = np.clip(theta[..., 2], -1.0, 1.0)
-    if m == 0:
-        return norm * lpmv(0, k, z)
-    radial = math.sqrt(2.0) * norm * lpmv(am, k, z)
-    return radial * (np.cos(am * phi) if m > 0 else np.sin(am * phi))
+    """Y_{k,ell} of one component alone (its values are held against
+    `scipy.special.sph_harm_y` in tests/test_sphere.py)."""
+    return sphere.eval_harmonic(n, (k, ell), theta)
 
 
 def ref_measure(atoms, weights):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import sph_harm_y
 
 from toda_kdq import sphere
 
@@ -83,25 +84,66 @@ class TestOrthonormality:
 
 
 class TestQuadrature:
+    # the rule integrates f against the probability measure as wts @ f(pts)
     @pytest.mark.parametrize("n", [2, 3])
     def test_total_mass(self, n):
-        assert sphere.quadrature_sphere(n, lambda p: np.ones(len(p)), 8) == pytest.approx(1.0)
+        pts, wts = sphere.sphere_nodes(n, 8)
+        assert wts @ np.ones(len(pts)) == pytest.approx(1.0)
 
     def test_cos_squared(self):
-        val = sphere.quadrature_sphere(3, lambda p: p[:, 2] ** 2, 4)
-        assert val == pytest.approx(1.0 / 3.0, abs=1e-13)
-
-    def test_scalar_fallback(self):
-        val = sphere.quadrature_sphere(2, lambda p: 1.0, 4)
-        assert val == pytest.approx(1.0)
+        pts, wts = sphere.sphere_nodes(3, 4)
+        assert wts @ pts[:, 2] ** 2 == pytest.approx(1.0 / 3.0, abs=1e-13)
 
     def test_trig_exactness(self):
         # int cos^2(k phi) d(phi)/2pi = 1/2 exactly at sufficient degree
         for k in (1, 3, 5):
-            val = sphere.quadrature_sphere(
-                2, lambda p, k=k: np.cos(k * np.arctan2(p[:, 1], p[:, 0])) ** 2, 2 * k
-            )
+            pts, wts = sphere.sphere_nodes(2, 2 * k)
+            val = wts @ np.cos(k * np.arctan2(pts[:, 1], pts[:, 0])) ** 2
             assert val == pytest.approx(0.5, abs=1e-14)
+
+
+class TestHarmonicsNearThePoles:
+    """S^2 harmonics at 1e-10, 1e-8 and 1e-4 rad from either pole, every
+    (k, ell) with k <= 24, against `scipy.special.sph_harm_y` scaled to the
+    probability measure as perfbench's reference is.  The oracle takes the
+    polar angle delta itself; the south pole's values follow by the parity
+    Y_k^m(pi - delta, phi) = (-1)^(k+m) Y_k^m(delta, phi), since pi - delta
+    would not keep delta's digits.  A value there is of size delta^|m|, so
+    it is compared relative to itself."""
+
+    KEYS = [(k, ell) for k in range(25) for ell in range(1, 2 * k + 2)]
+
+    @staticmethod
+    def oracle(delta, phi, sign):
+        ks = np.array([k for k, _ in TestHarmonicsNearThePoles.KEYS])
+        ms = np.array([ell - k - 1 for k, ell in TestHarmonicsNearThePoles.KEYS])
+        y = np.sqrt(4.0 * np.pi) * sph_harm_y(ks, np.abs(ms), delta, phi)
+        vals = np.where(ms == 0, y.real, np.sqrt(2.0) * np.where(ms > 0, y.real, y.imag))
+        return vals * (1.0 if sign > 0 else (-1.0) ** (ks + ms))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("delta", [1e-10, 1e-8, 1e-4])
+    def test_against_sph_harm_y(self, sign, delta):
+        for phi in (0.3, 2.1, -1.3):
+            theta = np.array([np.sin(delta) * np.cos(phi), np.sin(delta) * np.sin(phi), sign * np.cos(delta)])
+            ref = self.oracle(delta, phi, sign)
+            table = sphere.harmonic_table(3, self.KEYS, theta)
+            assert np.max(np.abs(table - ref) / np.abs(ref)) < 1e-12
+            one = [sphere.eval_harmonic(3, key, theta) for key in self.KEYS[::37]]
+            assert np.max(np.abs(np.array(one) - ref[::37]) / np.abs(ref[::37])) < 1e-12
+
+    def test_degree_cap(self):
+        # S^2 degrees stop at 1000, where the values at a pole are near 1e209
+        theta = np.array([0.0, 0.0, 1.0])
+        assert np.isfinite(sphere.harmonic_table(3, [(1000, 1), (1000, 1001), (1000, 2001)], theta)).all()
+        with pytest.raises(ValueError, match="exceeds 1000"):
+            sphere.check_indices(3, [(0, 1), (1001, 1)])
+        assert sphere.harmonic_table(2, [(5000, 1)], np.array([1.0, 0.0])) == pytest.approx(np.sqrt(2.0))
+
+    def test_degree_one_at_1e_8_rad(self):
+        # -sqrt(3) sin(delta): the Condon-Shortley sign, and no digit lost
+        theta = np.array([np.sin(1e-8), 0.0, np.cos(1e-8)])
+        assert sphere.eval_harmonic(3, (1, 3), theta) == pytest.approx(-np.sqrt(3.0) * 1e-8, rel=1e-14)
 
 
 class TestSolidHarmonic:
