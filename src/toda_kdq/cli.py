@@ -41,7 +41,7 @@ from .errors import (
     PositivityLossError,
     RankDeficiencyError,
 )
-from .moment_1d import DiscreteMeasure, JacobiMatrix, nevanlinna_limit_check
+from .moment_1d import DiscreteMeasure, JacobiMatrix, _json_float, _json_int, nevanlinna_limit_check
 from .sphere import as_direction
 from .verify import format_table, run_all
 
@@ -130,7 +130,7 @@ def _sample_times(cfg: RunConfig, width: int) -> np.ndarray:
 
 def _flaschka_from_config(data: dict) -> JacobiMatrix:
     try:
-        return JacobiMatrix(offdiag=data["a"], diag=data["b"])
+        return JacobiMatrix(offdiag=_json_float(data, "a"), diag=_json_float(data, "b"))
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad 1-d state: {exc}") from exc
 
@@ -173,8 +173,8 @@ def _run_transform_eval(cfg: RunConfig) -> int:
     mu = _measure_from_dict(data.get("measure", {}))
     mu = mu.truncated(cfg.k_max)  # --kmax truncates the component series
     try:
-        theta = as_direction(mu.n, data["theta"])
-        zetas = [complex(re, im) for re, im in data["zetas"]]
+        theta = as_direction(mu.n, _json_float(data, "theta"))
+        zetas = [complex(re, im) for re, im in _json_float(data, "zetas").tolist()]
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad transform-eval config: {exc}") from exc
     if not np.all(np.isfinite(zetas)):
@@ -191,8 +191,8 @@ def _run_nevanlinna(cfg: RunConfig) -> int:
     if kind == "1d":
         try:
             mu = DiscreteMeasure.from_dict(data["measure"])
-            n_trunc = kdq._json_int(data, "N")
-            ys = [float(y) for y in data["y"]]
+            n_trunc = _json_int(data, "N")
+            ys = [float(y) for y in _json_float(data, "y").tolist()]
         except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"bad nevanlinna config: {exc}") from exc
         if n_trunc < 0 or not ys:
@@ -204,9 +204,9 @@ def _run_nevanlinna(cfg: RunConfig) -> int:
     elif kind == "multi":
         mu = _measure_from_dict(data.get("measure", {}))
         try:
-            idx = (kdq._json_int(data, "k"), kdq._json_int(data, "ell"))
-            n_trunc = kdq._json_int(data, "N")
-            mods = [float(m) for m in data["zeta_abs"]]
+            idx = (_json_int(data, "k"), _json_int(data, "ell"))
+            n_trunc = _json_int(data, "N")
+            mods = [float(m) for m in _json_float(data, "zeta_abs").tolist()]
         except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"bad nevanlinna config: {exc}") from exc
         if n_trunc < 0 or not mods:
@@ -228,12 +228,10 @@ def _run_nevanlinna(cfg: RunConfig) -> int:
 def _run_iso_flow(cfg: RunConfig) -> int:
     data = _load_json(cfg.input_path)
     mu = _measure_from_dict(data.get("measure", {}))
-    t_grid = data.get("t_grid")
-    if t_grid is None:
-        t_grid = _sample_times(cfg, len(mu.family.keys))
+    t_grid = _sample_times(cfg, len(mu.family.keys)) if "t_grid" not in data else None
     try:
         state = iso_flow.state_from_measure(mu)  # every component needs an atom
-        times = [float(t) for t in t_grid]
+        times = [float(t) for t in (_json_float(data, "t_grid").tolist() if t_grid is None else t_grid)]
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad iso-flow config: {exc}") from exc
     try:

@@ -39,7 +39,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DivergenceRegionError, PoleError
-from .moment_1d import _as_vector, _freeze_fields, _moment_remainder, _sorted_atoms
+from .moment_1d import _as_vector, _freeze_fields, _json_float, _json_int, _moment_remainder, _sorted_atoms
 from .sphere import (
     as_direction,
     check_index,
@@ -263,21 +263,11 @@ class PseudoPositiveMeasure:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PseudoPositiveMeasure":
-        comps = {(_json_int(c, "k"), _json_int(c, "ell")): (c["atoms"], c["weights"]) for c in d["components"]}
+        comps = {
+            (_json_int(c, "k"), _json_int(c, "ell")): (_json_float(c, "atoms"), _json_float(c, "weights"))
+            for c in d["components"]
+        }
         return cls(_json_int(d, "n"), comps, k_max=_json_int(d, "k_max", -1))
-
-
-def _json_int(d: dict, name: str, *default) -> int:
-    """d[name], or `default` where given and the name is absent, as an int.
-
-    TypeError unless the value is an integer: a JSON number with a fraction
-    or an exponent (1.7, 1e999, which reads as inf) and a boolean are not
-    truncated but rejected.  KeyError if the name is absent without a default.
-    """
-    value = d.get(name, *default) if default else d[name]
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def aronszajn_r_pow_n(p: KDQPoint, x) -> complex:

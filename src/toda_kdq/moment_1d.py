@@ -50,6 +50,46 @@ def _as_vector(name: str, value) -> np.ndarray:
     return arr
 
 
+def _json_int(d: dict, name: str, *default) -> int:
+    """d[name], or `default` where given and the name is absent, as an int.
+
+    TypeError unless the value is an integer: a JSON number with a fraction
+    or an exponent (1.7, 1e999, which reads as inf) and a boolean are not
+    truncated but rejected.  KeyError if the name is absent without a default.
+    """
+    value = d.get(name, *default) if default else d[name]
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+# the types json gives numbers; type(True) is bool, which is not among them
+_JSON_NUMBERS = {int, float}
+
+
+def _json_float(d: dict, name: str, *default):
+    """d[name], or `default` where given and the name is absent, as a float
+    array: 0-d for a number, 1-d or more for a list (of lists).
+
+    TypeError unless every entry is a JSON number: a boolean, a string such
+    as "2.5" and null are not converted but rejected.  ValueError if the
+    lists are ragged or an integer is too large for a double.  KeyError if
+    the name is absent without a default.
+    """
+    value = d.get(name, *default) if default else d[name]
+    # one level of the lists at a time, in a loop rather than by recursion
+    entries = value if type(value) is list else [value]
+    while not _JSON_NUMBERS.issuperset(map(type, entries)):
+        for entry in entries:
+            if type(entry) not in (int, float, list):
+                raise TypeError(f"{name} must hold JSON numbers only, got {entry!r}")
+        entries = [v for entry in entries if type(entry) is list for v in entry]
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError as exc:
+        raise ValueError(f"{name} holds an integer too large for a double") from exc
+
+
 def _freeze_fields(obj, **fields) -> list:
     """Store each field on the frozen dataclass `obj` as a read-only float array.
 
@@ -108,8 +148,8 @@ class DiscreteMeasure:
     @classmethod
     def from_dict(cls, d: dict) -> "DiscreteMeasure":
         return cls(
-            atoms=np.asarray(d["atoms"], dtype=float),
-            weights=np.asarray(d["weights"], dtype=float),
+            atoms=_json_float(d, "atoms"),
+            weights=_json_float(d, "weights"),
             half_line=bool(d.get("half_line", False)),
         )
 

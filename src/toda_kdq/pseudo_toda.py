@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import PositivityLossError
-from .kdq import ComponentFamily, PseudoPositiveMeasure, _json_int
-from .moment_1d import DiscreteMeasure, JacobiMatrix, jacobi_from_measure
+from .kdq import ComponentFamily, PseudoPositiveMeasure
+from .moment_1d import DiscreteMeasure, JacobiMatrix, _json_float, _json_int, jacobi_from_measure
 from .sphere import check_indices, eval_harmonic
 from .toda_1d import _csv_text, _evolved_masses, spectral_solve, toda_rhs
 
@@ -100,9 +100,12 @@ class PseudoTodaState:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PseudoTodaState":
-        items = (((_json_int(c, "k"), _json_int(c, "ell")), c["lambdas"], c["masses_tilde"]) for c in d["components"])
+        items = (
+            ((_json_int(c, "k"), _json_int(c, "ell")), _json_float(c, "lambdas"), _json_float(c, "masses_tilde"))
+            for c in d["components"]
+        )
         family = ComponentFamily.pack(items, _FIELDS, 1)
-        return cls(n=_json_int(d, "n"), time=float(d.get("t", 0.0)), family=family)
+        return cls(n=_json_int(d, "n"), time=float(_json_float(d, "t", 0.0)), family=family)
 
 
 def tilde_transform(k: int, lambdas, masses):

@@ -42,6 +42,8 @@ __all__ = [
 # _MAX_CHECKPOINTS steps of that length per call
 _SPAN = 8.0
 _MAX_CHECKPOINTS = 2**16
+# RK4 steps between two scans of the output for a failure
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -101,20 +103,29 @@ def hamiltonian_ab(s: JacobiMatrix) -> float:
     return float(_hamiltonian(s.offdiag, s.diag))
 
 
-def _rhs(a: np.ndarray, b: np.ndarray, asq: np.ndarray, da: np.ndarray, db: np.ndarray):
-    # rows of (B, N) arrays; a is zero beyond each row's couplings, and asq is
-    # a (B, N + 1) buffer whose first and last columns stay 0 (a_0 = a_N = 0)
-    np.multiply(a, np.subtract(b[:, 1:], b[:, :-1]), out=da)
-    np.square(a, out=asq[:, 1:-1])
-    np.multiply(2.0, np.subtract(asq[:, 1:], asq[:, :-1]), out=db)
-    return da, db
+def _rhs(a, b_next, b_prev, da, db, sq, live):
+    # (a', b') into da and db for couplings a between the sites b_prev and
+    # b_next; sq = (middle, upper, lower) views of an a^2 buffer one longer
+    # than b whose ends stay 0 (a_0 = a_N = 0).  Couplings off `live` keep
+    # what da holds; x + x is 2 x exactly.
+    middle, upper, lower = sq
+    np.subtract(b_next, b_prev, out=da, where=live)
+    np.multiply(a, da, out=da, where=live)
+    np.square(a, out=middle)
+    np.subtract(upper, lower, out=db)
+    np.add(db, db, out=db)
+
+
+def _square_views(n: int):
+    sq = np.zeros(n + 1)
+    return sq[1:-1], sq[1:], sq[:-1]
 
 
 def toda_rhs(s: JacobiMatrix):
     """Right-hand sides (a', b') of the flow, with the a_0 = a_N = 0 convention."""
-    a, b = s.offdiag[None, :], s.diag[None, :]
-    da, db = _rhs(a, b, np.zeros((1, s.n + 1)), np.empty(a.shape), np.empty(b.shape))
-    return da[0], db[0]
+    da, db = np.empty(s.n - 1), np.empty(s.n)
+    _rhs(s.offdiag, s.diag[1:], s.diag[:-1], da, db, _square_views(s.n), True)
+    return da, db
 
 
 @dataclass(frozen=True)
@@ -140,14 +151,26 @@ class Trajectory:
 def integrate_ensemble(states, t_final: float, dt: float = 1e-3) -> list:
     """Classical fixed-step RK4 integration of many states at once.
 
-    Returns one `Trajectory` per state, sampled at multiples of dt.  States
-    of smaller N are padded to the largest N with zero couplings, which is
-    exact: a zero coupling stays zero under the flow, so the padded sites
-    never act on the live ones, and each trajectory is bit-identical to a
-    run of its state alone.  Positivity of the live couplings is checked
-    after every step: the exact flow preserves a_j > 0, so a crossing means
-    dt is too large for that state.  With more than one state, the error
-    names the index and the size of the state that failed.
+    Returns one `Trajectory` per state, sampled at multiples of dt.  The
+    states are laid end to end as one chain of M sites, their total size,
+    with a zero coupling at each joint, and the chain is integrated as one
+    lattice packed as y = [a | b] of length 2 M - 1.  A zero coupling stays
+    zero under the flow, so no state acts on another and each trajectory is
+    bit-identical to a run of its state alone; each is a view of its own
+    columns of one (T, 2 M - 1) output.  The couplings at the joints are
+    masked out of a' rather than computed as 0 (b_{j+1} - b_j): once a state
+    blows up, that product is 0 * inf = NaN, which would spread into its
+    neighbours and blame the wrong state.
+
+    The exact flow preserves a_j > 0, so a coupling at or below 0, or an
+    entry that is not finite, means dt is too large for that state; either
+    raises PositivityLossError.  Rather than after every step, the output is
+    scanned for both once every _CHUNK = 64 steps and at the end, in one
+    array pass.  The error names the first step that fails and the first
+    state that fails there, as a check after every step would, non-finite
+    entries taking precedence over non-positive couplings; a failing run
+    stops within 64 steps of its failure.  With more than one state, the
+    error names the index and the size of the state.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -155,49 +178,76 @@ def integrate_ensemble(states, t_final: float, dt: float = 1e-3) -> list:
     if n_steps < 0:
         raise ValueError("t_final must be nonnegative")
     sizes = [s.n for s in states]
-    n_states, n = len(sizes), max(sizes)
-    a = np.zeros((n_states, n - 1))
-    b = np.zeros((n_states, n))
-    for i, s in enumerate(states):
-        a[i, : s.n - 1], b[i, : s.n] = s.offdiag, s.diag
-    live = np.arange(n - 1) < np.array(sizes)[:, None] - 1
-    asq = np.zeros((n_states, n + 1))
-    ka = [np.empty_like(a) for _ in range(4)]
-    kb = [np.empty_like(b) for _ in range(4)]
-    a_out = np.empty((n_states, n_steps + 1, n - 1))
-    b_out = np.empty((n_states, n_steps + 1, n))
-    a_out[:, 0], b_out[:, 0] = a, b
-    # blow-ups surface as non-finite entries and are reported below
+    ends = np.cumsum(sizes)
+    m = int(ends[-1])
+    y = np.zeros(2 * m - 1)  # [a | b] at the present step
+    for s, end in zip(states, ends.tolist()):
+        y[end - s.n : end - 1], y[m - 1 + end - s.n : m - 1 + end] = s.offdiag, s.diag
+    live = np.ones(m - 1, dtype=bool)
+    live[ends[:-1] - 1] = False  # the joints
+    # stage input, RHS values k1..k4 and their weighted sum; the k stay 0 at the joints
+    stage, acc = np.empty(2 * m - 1), np.empty(2 * m - 1)
+    k = np.zeros((4, 2 * m - 1))
+    k1, k2, k3, k4 = k
+    sq = _square_views(m)
+    where = True if live.all() else live  # a mask costs a ufunc call about 1 us
+    # (a, b_next, b_prev) of y and of the stage, (a', b') of each k
+    y_views, stage_views = ((v[: m - 1], v[m:], v[m - 1 : -1]) for v in (y, stage))
+    k_views = [(v[: m - 1], v[m - 1 :]) for v in k]
+    half, full, sixth = (np.array(c) for c in (0.5 * dt, dt, dt / 6.0))
+    # stages 2, 3 and 4: the step and the k that form their input, the k they give
+    stages = ((half, k1, k_views[1]), (half, k2, k_views[2]), (full, k3, k_views[3]))
+    out = np.empty((n_steps + 1, 2 * m - 1))
+    out[0] = y
+    # blow-ups surface as non-finite entries and are reported by _check_rows
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(n_steps):
-            ka1, kb1 = _rhs(a, b, asq, ka[0], kb[0])
-            ka2, kb2 = _rhs(a + 0.5 * dt * ka1, b + 0.5 * dt * kb1, asq, ka[1], kb[1])
-            ka3, kb3 = _rhs(a + 0.5 * dt * ka2, b + 0.5 * dt * kb2, asq, ka[2], kb[2])
-            ka4, kb4 = _rhs(a + dt * ka3, b + dt * kb3, asq, ka[3], kb[3])
-            a = a + (dt / 6.0) * (ka1 + 2.0 * ka2 + 2.0 * ka3 + ka4)
-            b = b + (dt / 6.0) * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
-            if not (np.isfinite(a).all() and np.isfinite(b).all()):
-                bad = ~(np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1))
-                raise PositivityLossError(
-                    _at_state(bad, sizes) + f"non-finite state at t = {(step + 1) * dt}"
-                )
-            if (a[live] <= 0.0).any():
-                raise PositivityLossError(
-                    _at_state(((a <= 0.0) & live).any(axis=1), sizes)
-                    + f"coupling left the positive cone at t = {(step + 1) * dt}; reduce dt"
-                )
-            a_out[:, step + 1], b_out[:, step + 1] = a, b
+        for lo in range(0, n_steps, _CHUNK):
+            hi = min(lo + _CHUNK, n_steps)
+            for step in range(lo + 1, hi + 1):
+                _rhs(*y_views, *k_views[0], sq, where)
+                for h, k_in, k_out in stages:
+                    np.multiply(h, k_in, out=stage)
+                    np.add(y, stage, out=stage)
+                    _rhs(*stage_views, *k_out, sq, where)
+                # y + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4)
+                np.add(k2, k2, out=acc)
+                np.add(k1, acc, out=acc)
+                np.add(k3, k3, out=stage)
+                np.add(acc, stage, out=acc)
+                np.add(acc, k4, out=acc)
+                np.multiply(sixth, acc, out=acc)
+                np.add(y, acc, out=y)
+                out[step] = y
+            _check_rows(out[lo + 1 : hi + 1], lo + 1, live, ends, dt)
     times = dt * np.arange(n_steps + 1)
-    # views into the padded output: a smaller state's rows are strided
-    return [Trajectory(times=times, a=a_out[i, :, : m - 1], b=b_out[i, :, :m]) for i, m in enumerate(sizes)]
+    return [
+        Trajectory(times=times, a=out[:, end - n : end - 1], b=out[:, m - 1 + end - n : m - 1 + end])
+        for n, end in zip(sizes, ends.tolist())
+    ]
 
 
-def _at_state(bad: np.ndarray, sizes: list) -> str:
-    # error prefix naming the first failing state; none for a single state
-    if len(sizes) == 1:
-        return ""
-    i = int(np.flatnonzero(bad)[0])
-    return f"state {i} (N = {sizes[i]}): "
+def _check_rows(rows: np.ndarray, first: int, live: np.ndarray, ends: np.ndarray, dt: float):
+    # PositivityLossError at the first of the output rows `rows`, which are
+    # steps first, first + 1, ..., that holds a non-finite entry or a live
+    # coupling <= 0, naming the first state that fails there
+    finite = np.isfinite(rows)
+    low = (rows[:, : live.size] <= 0.0) & live
+    bad = ~finite.all(axis=1) | low.any(axis=1)
+    if not bad.any():
+        return
+    r = int(bad.argmax())
+    t = (first + r) * dt
+    if finite[r].all():
+        # coupling j joins sites j and j + 1 of one state
+        site, message = int(low[r].argmax()), f"coupling left the positive cone at t = {t}; reduce dt"
+    else:
+        sites = ~finite[r, live.size :]
+        sites[: live.size] |= ~finite[r, : live.size]
+        site, message = int(sites.argmax()), f"non-finite state at t = {t}"
+    if ends.size > 1:
+        i = int(np.searchsorted(ends, site, side="right"))
+        message = f"state {i} (N = {int(np.diff(ends, prepend=0)[i])}): " + message
+    raise PositivityLossError(message)
 
 
 def integrate_toda(s0: JacobiMatrix, t_final: float, dt: float = 1e-3) -> Trajectory:

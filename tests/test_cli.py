@@ -500,6 +500,60 @@ class TestLatticeExitCodes:
         assert code == 3 and err.startswith("numeric failure: ") and "did not converge" in err
 
 
+# quadric component values: the fuzz's special values (zero, negative, tiny,
+# huge, NaN, infinite, a boolean, a numeric string) among ordinary ones
+_SPECIAL = st.sampled_from([0.0, -1.0, 1e-300, 1e300, 1e21, float("nan"), float("inf"), True, "2.5"])
+_QUADRIC_VALUE = st.one_of(_SPECIAL, st.floats(0.05, 2.0))
+
+
+@st.composite
+def quadric_measures(draw):
+    n = draw(st.sampled_from([2, 3]))
+    indices = [(k, ell) for k in range(3) for ell in range(1, sphere.dim_harmonics(n, k) + 1)]
+    comps = []
+    for k, ell in draw(st.lists(st.sampled_from(indices), max_size=3, unique=True)):
+        count = draw(st.integers(0, 3))
+        atoms = draw(st.lists(_QUADRIC_VALUE, min_size=count, max_size=count))
+        weights = draw(st.lists(_QUADRIC_VALUE, min_size=count, max_size=count))
+        comps.append({"k": k, "ell": ell, "atoms": atoms, "weights": weights})
+    return {"n": n, "k_max": 2, "components": comps}
+
+
+@st.composite
+def transform_eval_configs(draw):
+    measure = draw(quadric_measures())
+    theta = [0.0] * (measure["n"] - 1) + [draw(st.one_of(st.just(1.0), _SPECIAL))]
+    zetas = draw(st.lists(st.lists(_QUADRIC_VALUE, min_size=2, max_size=2), max_size=3))
+    return {"measure": measure, "theta": theta, "zetas": zetas}
+
+
+@st.composite
+def iso_flow_configs(draw):
+    config = {"measure": draw(quadric_measures())}
+    if draw(st.booleans()):  # else the grid 0, dt, ..., t_final
+        config["t_grid"] = draw(st.lists(st.one_of(st.floats(0.0, 5.0), _SPECIAL), max_size=4))
+    return config
+
+
+class TestQuadricExitCodes:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=st.one_of(
+            st.tuples(st.just("transform-eval"), transform_eval_configs()),
+            st.tuples(st.just("iso-flow"), iso_flow_configs()),
+        )
+    )
+    def test_exit_code_contract(self, case):
+        command, config = case
+        code, err = run_in_process([command, "--t-final", "1", "--dt", "0.25"], config)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("config error: ")
+        else:
+            assert err == "" or err.startswith("numeric failure: ")
+
+
 def _unconverged(a, UPLO="L"):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
@@ -792,6 +846,58 @@ class TestIntegerIndices:
         path = tmp_path / "in.json"
         path.write_text(json.dumps(self.CONFIGS[case]).replace('"K"', "1").replace('"L"', "1"))
         assert main([case.removesuffix("-target"), "--input", str(path), "--t-final", "1", "--dt", "0.5"]) == 0
+
+
+class TestFloatFields:
+    """Every float field read from JSON holds JSON numbers only: true and
+    "2.5" are configuration errors that name the field, not read as 1.0 and
+    2.5.  Each config holds "X" where one value of the field goes."""
+
+    MEASURE = {"n": 3, "k_max": 1, "components": [{"k": 0, "ell": 1, "atoms": [0.5], "weights": [1.0]}]}
+    MEASURE_1D = {"atoms": [-2.0, 2.0], "weights": [0.5, 0.5]}
+    PSEUDO = {"n": 3, "components": [{"k": 0, "ell": 1, "lambdas": [0.5, 1.0], "masses_tilde": [0.25, 0.75]}]}
+    TRANSFORM = {"measure": MEASURE, "theta": [0.0, 0.0, 1.0], "zetas": [[2.0, 0.5]]}
+    # (field, command, config with "X", a number that takes its place and exits 0)
+    CASES = [
+        ("a", "simulate-1d", {"a": [0.5, "X"], "b": [0.1, 0.0, -0.2]}, "0.3"),
+        ("b", "spectral-solve", {"a": [0.5, 0.3], "b": [0.1, "X", -0.2]}, "0"),
+        ("t", "simulate-pseudo", dict(PSEUDO, t="X"), "0.5"),
+        ("lambdas", "simulate-pseudo", json.loads(json.dumps(PSEUDO).replace("0.5,", '"X",')), "0.5"),
+        ("masses_tilde", "simulate-pseudo", json.loads(json.dumps(PSEUDO).replace("0.25", '"X"')), "0.25"),
+        ("theta", "transform-eval", dict(TRANSFORM, theta=[0.0, 0.0, "X"]), "1"),
+        ("zetas", "transform-eval", dict(TRANSFORM, zetas=[[2.0, "X"]]), "0.5"),
+        ("atoms", "transform-eval", json.loads(json.dumps(TRANSFORM).replace("[0.5]", '["X"]')), "0.5"),
+        ("weights", "iso-flow", {"measure": json.loads(json.dumps(MEASURE).replace("[1.0]", '["X"]'))}, "1"),
+        ("t_grid", "iso-flow", {"measure": MEASURE, "t_grid": [0.0, "X"]}, "1"),
+        ("y", "nevanlinna-check", {"kind": "1d", "measure": MEASURE_1D, "N": 1, "y": [10.0, "X"]}, "100"),
+        ("atoms", "nevanlinna-check", {"kind": "1d", "measure": dict(MEASURE_1D, atoms=["X", 2]), "N": 1, "y": [10]}, "-2"),
+        (
+            "zeta_abs",
+            "nevanlinna-check",
+            {"kind": "multi", "measure": MEASURE, "k": 0, "ell": 1, "N": 1, "zeta_abs": ["X", 8.0]},
+            "4",
+        ),
+    ]
+    IDS = [f"{command}-{field}" for field, command, _, _ in CASES]
+
+    def run(self, tmp_path, case, value):
+        _, command, config, _ = case
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(config).replace('"X"', value))
+        argv = [command, "--input", str(path), "--output", str(tmp_path / "out.csv"), "--t-final", "1", "--dt", "0.5"]
+        return main(argv)
+
+    @pytest.mark.parametrize("value", ["true", '"2.5"'])
+    @pytest.mark.parametrize("case", CASES, ids=IDS)
+    def test_non_number(self, tmp_path, capsys, case, value):
+        assert self.run(tmp_path, case, value) == 2
+        err = capsys.readouterr().err
+        shown = "True" if value == "true" else "'2.5'"
+        assert err.startswith("config error: ") and f"{case[0]} must hold JSON numbers only, got {shown}" in err
+
+    @pytest.mark.parametrize("case", CASES, ids=IDS)
+    def test_number(self, tmp_path, capsys, case):
+        assert self.run(tmp_path, case, case[3]) == 0
 
 
 class TestVerifyAll:

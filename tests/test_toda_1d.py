@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -41,25 +42,53 @@ def closed_form_n2(t):
     return 0.5 / np.cosh(t), 0.5 * np.tanh(t), -0.5 * np.tanh(t)
 
 
-def reference_rk4(s0, t_final, dt):
-    """One state at a time, as integrate_toda ran before the ensemble engine."""
+def reference_steps(s0, n_steps, dt):
+    """The states (a, b) after steps 1..n_steps, one state alone, as
+    integrate_toda ran before the ensemble engine."""
 
     def rhs(a, b):
         asq = a**2
         return a * (b[1:] - b[:-1]), 2.0 * (np.concatenate([asq, [0.0]]) - np.concatenate([[0.0], asq]))
 
     a, b = s0.offdiag.copy(), s0.diag.copy()
-    a_rows, b_rows = [a], [b]
-    for _ in range(int(round(t_final / dt))):
-        ka1, kb1 = rhs(a, b)
-        ka2, kb2 = rhs(a + 0.5 * dt * ka1, b + 0.5 * dt * kb1)
-        ka3, kb3 = rhs(a + 0.5 * dt * ka2, b + 0.5 * dt * kb2)
-        ka4, kb4 = rhs(a + dt * ka3, b + dt * kb3)
-        a = a + (dt / 6.0) * (ka1 + 2.0 * ka2 + 2.0 * ka3 + ka4)
-        b = b + (dt / 6.0) * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            ka1, kb1 = rhs(a, b)
+            ka2, kb2 = rhs(a + 0.5 * dt * ka1, b + 0.5 * dt * kb1)
+            ka3, kb3 = rhs(a + 0.5 * dt * ka2, b + 0.5 * dt * kb2)
+            ka4, kb4 = rhs(a + dt * ka3, b + dt * kb3)
+            a = a + (dt / 6.0) * (ka1 + 2.0 * ka2 + 2.0 * ka3 + ka4)
+            b = b + (dt / 6.0) * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
+            yield a, b
+
+
+def reference_rk4(s0, t_final, dt):
+    a_rows, b_rows = [s0.offdiag], [s0.diag]
+    for a, b in reference_steps(s0, int(round(t_final / dt)), dt):
         a_rows.append(a)
         b_rows.append(b)
     return np.array(a_rows).reshape(len(a_rows), s0.n - 1), np.array(b_rows)
+
+
+def reference_error(states, n_steps, dt):
+    """The PositivityLossError message of a check after every step, or None.
+
+    Each state fails at its first step with a non-finite entry or else a
+    coupling <= 0; the ensemble fails at the first such step, naming the first
+    state with a non-finite entry there, or else the first with a coupling <= 0."""
+    failures = []
+    for i, s in enumerate(states):
+        for step, (a, b) in enumerate(reference_steps(s, n_steps, dt), start=1):
+            if not (np.isfinite(a).all() and np.isfinite(b).all()):
+                failures.append((step, 0, i, f"non-finite state at t = {step * dt}"))
+                break
+            if (a <= 0.0).any():
+                failures.append((step, 1, i, f"coupling left the positive cone at t = {step * dt}; reduce dt"))
+                break
+    if not failures:
+        return None
+    _, _, i, message = min(failures)
+    return message if len(states) == 1 else f"state {i} (N = {states[i].n}): " + message
 
 
 def reference_csv(traj):
@@ -238,12 +267,44 @@ class TestIntegration:
             PositivityLossError, match=r"^state 2 \(N = 2\): coupling left the positive cone at t = 0\.5; reduce dt$"
         ):
             integrate_ensemble([calm, calm, strong], 5.0, 0.5)
+        # the joints on both sides of the stiff state stay out of a' as it blows up
+        with pytest.raises(PositivityLossError, match=r"^state 1 \(N = 2\): non-finite state at t = 1\.5$"):
+            integrate_ensemble([calm, stiff, calm], 5.0, 0.5)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(["calm", "stiff", "strong", "huge", "late"]), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+        late=st.floats(9.49, 9.51),
+        n_steps=st.integers(1, 200),
+        dt=st.sampled_from([0.1, 0.25, 0.5]),
+    )
+    def test_ensemble_error_equals_check_after_every_step(self, kinds, seed, late, n_steps, dt):
+        # failing states anywhere among calm ones, next to each other too:
+        # "strong" leaves the cone and "huge" overflows at step 1, and at
+        # dt = 0.1 "late" first fails anywhere from step 30 to past 200
+        rng = np.random.default_rng(seed)
+        fixed = {
+            "stiff": JacobiMatrix(offdiag=[2.0], diag=[-4.0, 4.0]),
+            "strong": JacobiMatrix(offdiag=[1e3], diag=[0.0, 0.0]),
+            "huge": JacobiMatrix(offdiag=[1e200], diag=[0.0, 0.0]),
+            "late": JacobiMatrix(offdiag=[2.0], diag=[-late, late]),
+        }
+        states = [fixed[k] if k in fixed else random_state(rng, int(rng.integers(1, 6))) for k in kinds]
+        expected = reference_error(states, n_steps, dt)
+        if expected is None:
+            trajs = integrate_ensemble(states, n_steps * dt, dt)
+            for s, traj in zip(states, trajs):
+                assert traj.a.tobytes() == reference_rk4(s, n_steps * dt, dt)[0].tobytes()
+        else:
+            with pytest.raises(PositivityLossError, match=f"^{re.escape(expected)}$"):
+                integrate_ensemble(states, n_steps * dt, dt)
 
     @settings(max_examples=60, deadline=None)
     @given(
         sizes=st.lists(st.integers(1, 12), min_size=1, max_size=6),
         seed=st.integers(0, 2**32 - 1),
-        n_steps=st.integers(0, 40),
+        n_steps=st.integers(0, 200),
         dt=st.sampled_from([1e-3, 1e-2, 5e-2]),
     )
     def test_ensemble_equals_one_state_loop(self, sizes, seed, n_steps, dt):
@@ -475,7 +536,7 @@ class TestCsv:
         n_steps=st.integers(0, 30),
     )
     def test_equals_row_by_row_rendering(self, sizes, seed, n_steps):
-        # ensemble trajectories of the smaller states are strided views
+        # ensemble trajectories are strided views of one output
         rng = np.random.default_rng(seed)
         for traj in integrate_ensemble([random_state(rng, n) for n in sizes], n_steps * 1e-2, 1e-2):
             assert trajectory_to_csv(traj) == reference_csv(traj)
