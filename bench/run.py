@@ -5,8 +5,10 @@
 Imports the program from `--src` (default: `src/` of this tree), so the same
 script measures any checkout.  BLAS runs on one thread.  The file records the
 machine (cores, Python, numpy and its BLAS), the import time of
-`toda_kdq.cli` in fresh interpreters, and the median time of one RK4 step of
-`toda_1d.integrate_ensemble` over the ensemble size B and the lattice size N.
+`toda_kdq.cli` in fresh interpreters, the median time of one RK4 step of
+`toda_1d.integrate_ensemble` over the ensemble size B and the lattice size N,
+and the median time of one in-process `verify.run_all()`, the checks of
+`toda-kdq verify-all`.
 """
 
 import os
@@ -32,6 +34,7 @@ SIZES = (2, 8, 32, 128)
 RK4_STEPS = 200  # per sample; the time of a step is the sample's time over this
 RK4_SAMPLES = 15
 DT = 1e-3
+VERIFY_SAMPLES = 15
 
 _IMPORT_CODE = (
     "import time\n"
@@ -89,6 +92,24 @@ def rk4_step_curve(toda_1d, jacobi_matrix) -> list:
     return [{"B": b, "N": n, "step_us": 1e6 * statistics.median(samples[b, n])} for b, n in ensembles]
 
 
+def verify_seconds(verify) -> dict:
+    """Seconds of one in-process `verify.run_all()`, after one warm-up run;
+    `checks` is the number of lines it returns and `passed` how many pass."""
+    results = verify.run_all()
+    samples = []
+    for _ in range(VERIFY_SAMPLES):
+        t = time.perf_counter()
+        verify.run_all()
+        samples.append(time.perf_counter() - t)
+    return {
+        "median_s": statistics.median(samples),
+        "min_s": min(samples),
+        "samples": len(samples),
+        "checks": len(results),
+        "passed": sum(r.passed for r in results),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path)
@@ -96,7 +117,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     src = args.src.resolve()
     sys.path.insert(0, str(src))
-    from toda_kdq import toda_1d
+    from toda_kdq import toda_1d, verify
     from toda_kdq.moment_1d import JacobiMatrix
 
     if not Path(toda_1d.__file__).resolve().is_relative_to(src):
@@ -107,10 +128,13 @@ def main(argv=None) -> int:
         "rk4_step": {"dt": DT, "steps_per_sample": RK4_STEPS, "samples": RK4_SAMPLES},
     }
     report["rk4_step"]["curve"] = rk4_step_curve(toda_1d, JacobiMatrix)
+    report["verify_run_all"] = verify_seconds(verify)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     for row in report["rk4_step"]["curve"]:
         print(f"B = {row['B']:3d}  N = {row['N']:4d}  {row['step_us']:8.1f} us/step")
     print(f"import toda_kdq.cli: {report['import_toda_kdq_cli']['median_s']:.3f} s (median)")
+    run_all = report["verify_run_all"]
+    print(f"verify.run_all(): {run_all['median_s']:.3f} s (median), {run_all['passed']}/{run_all['checks']} checks passed")
     return 0
 
 

@@ -16,12 +16,9 @@ from .kdq import ComponentFamily, PseudoPositiveMeasure
 
 __all__ = [
     "IsoFlowState",
-    "IntegrabilityReport",
     "MonotonicityReport",
     "blow_up_time",
     "riccati_evolve",
-    "integrability_functional",
-    "integrability_check",
     "monotonicity_check",
     "state_to_measure",
     "state_from_measure",
@@ -71,8 +68,9 @@ def _riccati(state: IsoFlowState, times, allow_backward: bool) -> np.ndarray:
         if beyond.size:
             raise ValueError(f"t = {float(beyond[0])} is at or beyond the backward blow-up time {t_blow}")
     r0 = np.sqrt(state.family.masses)
-    r_t = r0 / (1.0 + state.family.radii * r0 * times[:, None])
-    masses = r_t**2
+    with np.errstate(over="ignore", invalid="ignore"):  # a mass that is not finite is refused below
+        r_t = r0 / (1.0 + state.family.radii * r0 * times[:, None])
+        masses = r_t**2
     if not np.isfinite(masses).all():
         raise ValueError("masses entries must be finite")
     return masses
@@ -95,59 +93,26 @@ def _functionals(family: ComponentFamily, masses: np.ndarray) -> np.ndarray:
     if hit.any():
         k, ell = family.keys[np.searchsorted(family.offsets, np.argmax(hit.any(axis=0)), side="right") - 1]
         raise ZeroDivisionError(f"component {(k, ell)} divides by lambda^{k} at lambda = 0")
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = np.where(masses > 0.0, masses / family.degree_powers(family.radii), 0.0)
-    return family.block_sums(terms)
+        return _finite(family, family.block_sums(terms), "S_{k,l}")
 
 
 def _ds_dt(family: ComponentFamily, masses: np.ndarray) -> np.ndarray:
     # dS/dt = -2 sum_j r_j^3 / lambda_j^{k-1} of every component
     r = np.sqrt(masses)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = np.where(r > 0.0, r**3 / family.degree_powers(family.radii, -1), 0.0)
-    return -2.0 * family.block_sums(terms)
+        return -2.0 * _finite(family, family.block_sums(terms), "dS/dt")
 
 
-def integrability_functional(state: IsoFlowState, idx) -> float:
-    """S_{k,l} = sum_j r_j^2 / lambda_j^k; division error at lambda = 0 with k > 0."""
-    lambdas, masses = state.family.component(idx)
-    one = ComponentFamily(((int(idx[0]), int(idx[1])),), np.array([0, masses.size]), lambdas, masses)
-    return float(_functionals(one, masses)[0])
-
-
-@dataclass(frozen=True)
-class IntegrabilityReport:
-    """Truncated double sum sum_{k,l} S_{k,l} with its per-degree profile."""
-
-    total: float
-    per_k: tuple  # ((k, sum_l S_{k,l}), ...) ascending in k
-    tail_ratio: float | None
-    divergence_trend: bool
-    passed: bool
-
-
-def integrability_check(state: IsoFlowState) -> IntegrabilityReport:
-    """Sum the functionals over all stored components and report the k-profile.
-
-    A finite component map always yields a finite sum (pass); the useful
-    output for parameterized families is the geometric trend of the per-k
-    partial sums - a tail ratio above 1 flags divergence.
-    """
-    per_k: dict[int, float] = {}
-    for (k, _), val in zip(state.family.keys, _functionals(state.family, state.family.masses).tolist()):
-        per_k[k] = per_k.get(k, 0.0) + val
-    table = tuple(sorted(per_k.items()))
-    total = float(sum(v for _, v in table))
-    ratios = [
-        b / a
-        for (_, a), (_, b) in zip(table, table[1:])
-        if a > 0.0
-    ]
-    tail_ratio = float(np.exp(np.mean(np.log(ratios)))) if ratios and min(ratios) > 0 else None
-    trend = tail_ratio is not None and tail_ratio > 1.0 and len(ratios) >= 2
-    return IntegrabilityReport(
-        total=total, per_k=table, tail_ratio=tail_ratio, divergence_trend=trend, passed=True
-    )
+def _finite(family: ComponentFamily, sums: np.ndarray, name: str) -> np.ndarray:
+    # `sums` (..., components); OverflowError naming the first component with
+    # an entry that is not finite
+    bad = ~np.isfinite(sums).reshape(-1, sums.shape[-1]).all(axis=0)
+    if bad.any():
+        raise OverflowError(f"{name} of component {family.keys[np.argmax(bad)]} overflows")
+    return sums
 
 
 @dataclass(frozen=True)

@@ -63,9 +63,7 @@ __all__ = [
     "hua_tail_bound",
     "cauchy_reproduce",
     "markov_stieltjes",
-    "component_moment",
     "growth_condition_check",
-    "project_transform",
     "multi_nevanlinna_check",
     "divergent_partial_sums",
 ]
@@ -460,11 +458,16 @@ def _tilde_family(mu: PseudoPositiveMeasure) -> ComponentFamily:
     # with k > 0 carries zero tilde weight and drops, and so does a
     # component left without atoms
     fam = mu.family
-    w = fam.masses * fam.degree_powers(fam.radii)
+    with np.errstate(over="ignore"):
+        w = fam.masses * fam.degree_powers(fam.radii)
     if not np.isfinite(w).all():
         raise OverflowError("a tilde weight w r^k of the measure overflows")
     kept = fam.compress(w > 0.0, w)
-    rho, w, offsets = _sorted_atoms(kept.radii**2, kept.masses, kept.offsets, half_line=True)
+    with np.errstate(over="ignore"):
+        rho = kept.radii**2
+    if not np.isfinite(rho).all():
+        raise OverflowError("a tilde atom r^2 of the measure overflows")
+    rho, w, offsets = _sorted_atoms(rho, kept.masses, kept.offsets, half_line=True)
     return ComponentFamily(kept.keys, offsets, rho, w)
 
 
@@ -525,31 +528,6 @@ def markov_stieltjes(mu: PseudoPositiveMeasure, p):
     return np.array(totals, dtype=complex)
 
 
-def _markov_on_nodes(mu: PseudoPositiveMeasure, zetas: list, pts: np.ndarray) -> np.ndarray:
-    # row i: transform values at every node for zetas[i], accumulated over
-    # the components in ascending (k, l) order
-    tilde = _tilde_family(mu)
-    t_vals = _tilde_transforms(tilde, np.array([z * z for z in zetas], dtype=complex)).tolist()
-    ks = tilde.degrees.tolist()
-    coefs = np.array([[z ** (1 - k) * t for k, t in zip(ks, ts)] for z, ts in zip(zetas, t_vals)], dtype=complex)
-    coefs = coefs.reshape(len(zetas), len(ks)).T.copy()
-    ys = np.ascontiguousarray(harmonic_table(mu.n, tilde.keys, pts).T)
-    vals = np.zeros((len(zetas), pts.shape[0]), dtype=complex)
-    for coef, y in zip(coefs, ys):
-        vals += coef[:, None] * y
-    return vals
-
-
-def component_moment(mu: PseudoPositiveMeasure, idx, j: int) -> float:
-    """Moment s_{k,l;j} = int r^{k+2j} dmu_{k,l}(r); zero for an absent component."""
-    k, ell = idx
-    try:
-        atoms, weights = mu.family.component(idx)
-    except KeyError:
-        return 0.0
-    return float(np.sum(weights * atoms ** (k + 2 * j))) if atoms.size else 0.0
-
-
 @dataclass(frozen=True)
 class GrowthReport:
     """Fitted constants for the bound int r^k dmu_{k,l} <= C D^k."""
@@ -588,32 +566,6 @@ def growth_condition_check(mu: PseudoPositiveMeasure) -> GrowthReport:
         and growth[-1] == max(growth)
     )
     return GrowthReport(C=float(c), D=float(d), ok=not trend, moments_by_k=table)
-
-
-def _projection_degree(mu: PseudoPositiveMeasure, k: int) -> int:
-    stored = max((kk for kk, _ in mu.family.keys), default=0)
-    return stored + k + 2
-
-
-def project_transform(mu: PseudoPositiveMeasure, idx, zeta):
-    """zeta^{k-1} * sphere average of mu_hat(zeta, .) Y_{k,l}; equals T_{k,l}(zeta^2).
-
-    The projection identity, a cross-check: the quadrature resolves products
-    of Y_{k,l} with every stored harmonic degree.  `zeta` is one complex (a
-    complex is returned) or a sequence (a complex array is returned); the
-    node harmonics are built once for all of them.
-    """
-    k, ell = int(idx[0]), int(idx[1])
-    check_index(mu.n, k, ell)
-    single = np.ndim(zeta) == 0
-    zetas = [complex(zeta)] if single else [complex(z) for z in zeta]
-    for z in zetas:
-        _check_outside_support(mu, z)
-    pts, wts = sphere_nodes(mu.n, _projection_degree(mu, k))
-    y_idx = eval_harmonic(mu.n, (k, ell), pts)
-    vals = _markov_on_nodes(mu, zetas, pts)
-    out = [complex(z ** (k - 1) * np.sum(wts * row * y_idx)) for z, row in zip(zetas, vals)]
-    return out[0] if single else np.array(out, dtype=complex)
 
 
 def multi_nevanlinna_check(mu: PseudoPositiveMeasure, idx, n_trunc: int, zeta_list) -> np.ndarray:
@@ -655,12 +607,14 @@ def divergent_partial_sums(mu: PseudoPositiveMeasure, n_trunc: int, p: KDQPoint)
     """
     if n_trunc < 0:
         raise ValueError("n_trunc must be nonnegative")
+    fam = mu.family
+    # s_{k,l;j} = int r^{k+2j} dmu_{k,l} of every component, for j = 0..2N
+    moments = [fam.block_sums(fam.masses * fam.degree_powers(fam.radii, 2 * j)).tolist() for j in range(2 * n_trunc + 1)]
     z = p.zeta
     f_val = 0.0 + 0.0j
     g_val = 0.0 + 0.0j
-    for k, ell in mu.family.keys:
-        y_val = eval_harmonic(mu.n, (k, ell), p.theta)
+    for i, (k, y_val) in enumerate(zip(fam.degrees.tolist(), harmonic_table(mu.n, fam.keys, p.theta).tolist())):
         for j in range(2 * n_trunc):
-            f_val += component_moment(mu, (k, ell), j) * z ** (-(k + 2 * j)) * y_val
-        g_val += component_moment(mu, (k, ell), 2 * n_trunc) * z ** (-k) * y_val
+            f_val += moments[j][i] * z ** (-(k + 2 * j)) * y_val
+        g_val += moments[-1][i] * z ** (-k) * y_val
     return complex(f_val / z), complex(g_val)

@@ -147,11 +147,11 @@ class DiscreteMeasure:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DiscreteMeasure":
-        return cls(
-            atoms=_json_float(d, "atoms"),
-            weights=_json_float(d, "weights"),
-            half_line=bool(d.get("half_line", False)),
-        )
+        """TypeError unless `half_line`, where given, is a JSON boolean."""
+        half_line = d.get("half_line", False)
+        if type(half_line) is not bool:
+            raise TypeError(f"half_line must be true or false, got {half_line!r}")
+        return cls(atoms=_json_float(d, "atoms"), weights=_json_float(d, "weights"), half_line=half_line)
 
 
 def _sorted_atoms(atoms: np.ndarray, weights: np.ndarray, offsets: np.ndarray, half_line: bool):
@@ -173,22 +173,29 @@ def _sorted_atoms(atoms: np.ndarray, weights: np.ndarray, offsets: np.ndarray, h
 
 def _merge_coincident(atoms: np.ndarray, weights: np.ndarray, offsets: np.ndarray):
     # in each sorted segment, a group of atoms with gaps <= 1e-12 collapses to
-    # (atoms . weights) / sum(weights); any other atom of a segment of two or
-    # more is rewritten as (a w)/w, that average for a group of one, and a
-    # segment of one atom is kept as given
+    # (atoms . weights) / sum(weights), or atoms . (weights / sum(weights)) where
+    # the first overflows; any other atom of a segment of two or more is
+    # rewritten as (a w)/w, that average for a group of one, unless a w
+    # overflows or is below the normal range, and a segment of one atom is
+    # kept as given.  A sum of weights that overflows is left to the caller.
     n = atoms.size
     sizes = offsets[1:] - offsets[:-1]
     edges = np.ones(n + 1, dtype=bool)  # a group starts at i; edges[n] closes the last
-    np.greater(atoms[1:] - atoms[:-1], _MERGE_TOL, out=edges[1:n])
-    edges[offsets[:-1][sizes > 0]] = True
-    bounds = edges.nonzero()[0]
-    heads = bounds[:-1]
-    out_w = weights[heads]
-    out_a = atoms[heads] * out_w / out_w
-    for g in (bounds[1:] - heads > 1).nonzero()[0]:
-        group = slice(bounds[g], bounds[g + 1])
-        out_w[g] = weights[group].sum()
-        out_a[g] = atoms[group] @ weights[group] / out_w[g]
+    with np.errstate(over="ignore"):
+        np.greater(atoms[1:] - atoms[:-1], _MERGE_TOL, out=edges[1:n])
+        edges[offsets[:-1][sizes > 0]] = True
+        bounds = edges.nonzero()[0]
+        heads = bounds[:-1]
+        out_w = weights[heads]
+        out_a = atoms[heads] * out_w
+        normal = np.isfinite(out_a) & (np.abs(out_a) >= np.finfo(float).tiny)
+        out_a = np.where(normal, out_a / out_w, atoms[heads])
+        for g in (bounds[1:] - heads > 1).nonzero()[0]:
+            group = slice(bounds[g], bounds[g + 1])
+            out_w[g] = weights[group].sum()
+            out_a[g] = atoms[group] @ weights[group] / out_w[g]
+            if not np.isfinite(out_a[g]):
+                out_a[g] = atoms[group] @ (weights[group] / out_w[g])
     groups_before = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(edges[:n], out=groups_before[1:])
     lone = offsets[:-1][sizes == 1]

@@ -61,7 +61,8 @@ def as_direction(n: int, coords) -> np.ndarray:
         raise ValueError(f"direction must have shape ({n},), got {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"direction entries must be finite, got {v.tolist()}")
-    norm = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):  # an overflowing norm fails the unit-length check
+        norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > _DIRECTION_NORM_TOL:
         raise ValueError(f"direction must be unit length within {_DIRECTION_NORM_TOL}; |v| = {norm}")
     return v

@@ -24,7 +24,6 @@ from .moment_1d import _BLOCK, JacobiMatrix, _dense_rows, _freeze_fields, jacobi
 __all__ = [
     "TodaStatePhysical",
     "Trajectory",
-    "AsymptoticsReport",
     "hamiltonian_xy",
     "flaschka_map",
     "flaschka_inverse",
@@ -34,7 +33,6 @@ __all__ = [
     "integrate_ensemble",
     "lax_matrices",
     "spectral_solve",
-    "asymptotics_check",
     "trajectory_to_csv",
 ]
 
@@ -366,49 +364,6 @@ def _qr_steps(b: np.ndarray, a: np.ndarray, s: np.ndarray):
     at_checkpoint = s == 0.0
     b_out[at_checkpoint], a_out[at_checkpoint] = b, a
     return b_out, a_out
-
-
-@dataclass(frozen=True)
-class AsymptoticsReport:
-    """Scattering-limit diagnostics at +-t_large."""
-
-    t_large: float
-    tolerance: float
-    max_a_forward: float
-    max_a_backward: float
-    b_spectrum_dev_forward: float
-    b_spectrum_dev_backward: float
-    trace_dev: float
-    passed: bool
-
-
-def asymptotics_check(s0: JacobiMatrix, t_large: float) -> AsymptoticsReport:
-    """Check a_j(+-t) -> 0 and that b(+-t) tends to the spectrum of L(0).
-
-    The limits are approached like e^{-gap * t} with gap the smallest
-    eigenvalue spacing, so the pass tolerance is 10 e^{-gap * t_large}.
-    The b-limits are compared with the eigenvalues as multisets (sorted).
-    """
-    if t_large <= 0.0:
-        raise ValueError("t_large must be positive")
-    lam = jacobi_eigenvalues(s0.diag[None], s0.offdiag[None])[0]
-    gap = float(np.min(np.diff(lam))) if lam.size > 1 else np.inf
-    tol = max(float(10.0 * np.exp(-gap * t_large)), 1e-12)
-    traj = spectral_solve(s0, [t_large, -t_large])
-    max_a_fw, max_a_bw = (float(np.max(a)) if a.size else 0.0 for a in traj.a)
-    dev_fw, dev_bw = (float(np.max(np.abs(np.sort(b) - lam))) for b in traj.b)
-    trace_dev = max(abs(float(np.sum(b)) - float(np.sum(lam))) for b in traj.b)
-    passed = max(max_a_fw, max_a_bw, dev_fw, dev_bw) <= tol and trace_dev <= 1e-9
-    return AsymptoticsReport(
-        t_large=float(t_large),
-        tolerance=tol,
-        max_a_forward=max_a_fw,
-        max_a_backward=max_a_bw,
-        b_spectrum_dev_forward=dev_fw,
-        b_spectrum_dev_backward=dev_bw,
-        trace_dev=trace_dev,
-        passed=passed,
-    )
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

@@ -4,8 +4,6 @@ import pytest
 from toda_kdq.iso_flow import (
     IsoFlowState,
     blow_up_time,
-    integrability_check,
-    integrability_functional,
     monotonicity_check,
     riccati_evolve,
     state_from_measure,
@@ -47,44 +45,26 @@ class TestRiccatiEvolve:
 
 
 class TestIntegrabilityFunctional:
+    """S_{k,l} = sum_j r_j^2 / lambda_j^k, read from `monotonicity_check(...).values`."""
+
     def test_degree_zero_total_mass(self):
         st = IsoFlowState({(0, 1): ([0.5, 2.0], [0.3, 0.9])})
-        assert integrability_functional(st, (0, 1)) == pytest.approx(1.2)
+        assert monotonicity_check(st, [0.0, 1.0]).values[(0, 1)][0] == pytest.approx(1.2)
 
     def test_inverse_power(self):
         st = IsoFlowState({(2, 1): ([2.0], [1.0])})
-        assert integrability_functional(st, (2, 1)) == pytest.approx(0.25)
+        assert monotonicity_check(st, [0.0, 1.0]).values[(2, 1)][0] == pytest.approx(0.25)
 
     def test_zero_radius_division_error(self):
         st = IsoFlowState({(1, 1): ([0.0], [0.5])})
         with pytest.raises(ZeroDivisionError):
-            integrability_functional(st, (1, 1))
+            monotonicity_check(st, [0.0, 1.0])
 
     def test_decreasing_along_flow(self):
         rng = np.random.default_rng(1)
         st = IsoFlowState({(2, 1): (rng.uniform(0.5, 2.0, 4), rng.uniform(0.1, 1.0, 4))})
-        values = [
-            integrability_functional(riccati_evolve(st, t), (2, 1)) for t in (0.0, 0.5, 1.0, 4.0)
-        ]
+        values = monotonicity_check(st, [0.0, 0.5, 1.0, 4.0]).values[(2, 1)]
         assert np.all(np.diff(values) < 0.0)
-
-
-class TestIntegrabilityCheck:
-    def test_finite_passes(self):
-        rep = integrability_check(SINGLE)
-        assert rep.passed and rep.total == pytest.approx(1.0)
-
-    def test_geometric_profile(self):
-        st = IsoFlowState({(k, 1): ([2.0], [1.0]) for k in range(6)})
-        rep = integrability_check(st)
-        assert rep.passed and not rep.divergence_trend
-        assert rep.tail_ratio == pytest.approx(0.5)
-
-    def test_divergence_trend_flagged(self):
-        st = IsoFlowState({(k, 1): ([0.5], [1.0]) for k in range(6)})
-        rep = integrability_check(st)
-        assert rep.divergence_trend
-        assert rep.tail_ratio == pytest.approx(2.0)
 
 
 class TestMonotonicity:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import sph_harm_y
 
-from toda_kdq import kdq, sphere, verify
+from toda_kdq import sphere, verify
 from toda_kdq.errors import DivergenceRegionError, PoleError
 from toda_kdq.kdq import (
     AlmansiPolynomial,
@@ -13,14 +13,12 @@ from toda_kdq.kdq import (
     _kernel_on_grid,
     aronszajn_r_pow_n,
     cauchy_reproduce,
-    component_moment,
     divergent_partial_sums,
     growth_condition_check,
     hua_kernel,
     hua_tail_bound,
     markov_stieltjes,
     multi_nevanlinna_check,
-    project_transform,
     singular_roots,
 )
 from toda_kdq.moment_1d import DiscreteMeasure, stieltjes_transform
@@ -111,20 +109,6 @@ def per_point_transform(mu, p):
         t_val = stieltjes_transform(tilde, z * z)
         total += z ** (1 - k) * sphere.eval_harmonic(mu.n, (k, ell), p.theta) * t_val
     return complex(total)
-
-
-def per_point_projection(mu, idx, zeta, quad_degree):
-    """project_transform at one zeta, the node transform rebuilt for it."""
-    pts, wts = sphere.sphere_nodes(mu.n, quad_degree)
-    vals = np.zeros(pts.shape[0], dtype=complex)
-    for (k, ell), atoms, weights in mu.family.items():
-        tilde = tilde_measure(atoms, weights, k)
-        if tilde is None:
-            continue
-        t_val = stieltjes_transform(tilde, zeta * zeta)
-        vals += zeta ** (1 - k) * t_val * sphere.eval_harmonic(mu.n, (k, ell), pts)
-    proj = np.sum(wts * vals * sphere.eval_harmonic(mu.n, idx, pts))
-    return complex(zeta ** (idx[0] - 1) * proj)
 
 
 def random_measure(rng, n, k_max, lo=0.05, hi=0.95):
@@ -438,7 +422,9 @@ class TestGrowthCondition:
 
 class TestProjection:
     def test_projection_identity(self):
-        # sphere-quadrature projection equals the 1-d transform of r^k dmu_{k,l}
+        # zeta^{k-1} times the sphere average of mu_hat(zeta, .) Y_{k,l}, under a
+        # rule exact for the products of Y_{k,l} with every stored degree,
+        # equals the 1-d transform of r^k dmu_{k,l} at zeta^2
         rng = np.random.default_rng(5)
         comps = {}
         for k in range(3):
@@ -448,39 +434,29 @@ class TestProjection:
                 comps[(k, ell)] = (atoms, w)
         mu = PseudoPositiveMeasure(3, comps)
         zeta = 4.0 * RAY
+        pts, wts = sphere.sphere_nodes(3, 2 + 2 + 2)
+        values = markov_stieltjes(mu, [KDQPoint(zeta, th) for th in pts])
         for idx in ((0, 1), (1, 2), (2, 4)):
             atoms, weights = mu.family.component(idx)
             tilde = DiscreteMeasure(atoms**2, weights * atoms ** idx[0], half_line=True)
             direct = stieltjes_transform(tilde, zeta**2)
-            assert abs(project_transform(mu, idx, zeta) - direct) < 1e-10
-
-    def test_many_zetas_match_per_zeta_projection(self):
-        rng = np.random.default_rng(17)
-        mu = random_measure(rng, 3, 4, 0.5, 0.95)
-        zetas = [m * RAY for m in (2.0, 3.0, 4.0, 6.0, 8.0)]
-        for idx in ((0, 1), (2, 3)):
-            degree = 4 + idx[0] + 2
-            many = project_transform(mu, idx, zetas)
-            assert np.array_equal(many, [per_point_projection(mu, idx, complex(z), degree) for z in zetas])
-            assert np.array_equal(many, [project_transform(mu, idx, complex(z)) for z in zetas])
+            projected = zeta ** (idx[0] - 1) * np.sum(wts * values * sphere.eval_harmonic(3, idx, pts))
+            assert abs(projected - direct) < 1e-10
 
     def test_verify_check_fails_on_one_skewed_harmonic(self, monkeypatch):
-        # one harmonic off by 1e-9 must fail kdq-projection-identity
-        def skewed(n, idx, theta):
-            vals = sphere.eval_harmonic(n, idx, theta)
-            return vals * (1.0 + 1e-9) if tuple(idx) == (2, 3) else vals
+        # Y_{2,3} on S^2 off by 1e-9 fails both sphere checks of verify-all
+        table = sphere.harmonic_table
 
-        monkeypatch.setattr(kdq, "eval_harmonic", skewed)
-        results = {r.name: r for r in verify.check_kdq_multi_nevanlinna(verify._SEED + 9)}
-        assert results["kdq-multi-nevanlinna"].passed
-        assert not results["kdq-projection-identity"].passed
+        def skewed(n, keys, theta):
+            vals = table(n, keys, theta)
+            if n == 3:
+                vals = vals * np.where([tuple(key) == (2, 3) for key in keys], 1.0 + 1e-9, 1.0)
+            return vals
 
-    def test_verify_check_margin(self):
-        # the projection identity holds at every seed at least 5x below its
-        # tolerance (worst of these 20: 1.1e-11, seed 2)
-        for seed in range(20):
-            _, result = verify.check_kdq_multi_nevanlinna(seed)
-            assert result.observed <= 0.2 * result.tolerance, seed
+        monkeypatch.setattr(sphere, "harmonic_table", skewed)
+        (orthonormality,) = verify.check_sphere_orthonormality(5)
+        (addition,) = verify.check_sphere_addition(verify._SEED, 20, 8)
+        assert not orthonormality.passed and not addition.passed
 
 
 class TestMultiNevanlinna:
@@ -505,13 +481,47 @@ class TestMultiNevanlinna:
         assert res[-1] <= 1e-4
 
 
+def per_key_partial_sums(mu, n_trunc, p):
+    """divergent_partial_sums one key at a time: one harmonic and one moment sum per key and j."""
+    z = p.zeta
+    f_val = g_val = 0.0 + 0.0j
+    for (k, ell), atoms, weights in mu.family.items():
+        y_val = sphere.eval_harmonic(mu.n, (k, ell), p.theta)
+        moments = [float(np.sum(weights * atoms ** (k + 2 * j))) if atoms.size else 0.0 for j in range(2 * n_trunc + 1)]
+        for j in range(2 * n_trunc):
+            f_val += moments[j] * z ** (-(k + 2 * j)) * y_val
+        g_val += moments[-1] * z ** (-k) * y_val
+    return complex(f_val / z), complex(g_val)
+
+
 class TestDivergentPartialSums:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3]),
+        k_max=st.integers(0, 5),
+        n_trunc=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_per_key_loop(self, n, k_max, n_trunc, seed):
+        # bit for bit, components of 0 to 3 atoms with some keys absent
+        rng = np.random.default_rng(seed)
+        comps = {}
+        for k in range(k_max + 1):
+            for ell in range(1, sphere.dim_harmonics(n, k) + 1):
+                if rng.random() < 0.7:
+                    size = int(rng.integers(0, 4))
+                    comps[(k, ell)] = (rng.uniform(0.0, 1.5, size), rng.uniform(0.0, 1.0, size))
+        mu = PseudoPositiveMeasure(n, comps)
+        p = KDQPoint(rng.uniform(1.0, 5.0) * np.exp(1j * rng.uniform(-np.pi, np.pi)), unit(rng.normal(size=n)))
+        assert divergent_partial_sums(mu, n_trunc, p) == per_key_partial_sums(mu, n_trunc, p)
+
     def test_n_zero(self):
         mu = single_component(3, 0, 1, [0.7], [1.0])
         p = KDQPoint(3.0 * RAY, E3)
         f0, g0 = divergent_partial_sums(mu, 0, p)
         assert f0 == 0.0
-        assert g0 == pytest.approx(component_moment(mu, (0, 1), 0) * sphere.eval_harmonic(3, (0, 1), E3))
+        # s_{0,1;0} is the mass 1.0 of the one atom
+        assert g0 == pytest.approx(sphere.eval_harmonic(3, (0, 1), E3))
 
     def test_f_is_geometric_truncation(self):
         mu = single_component(3, 0, 1, [0.5], [1.0])

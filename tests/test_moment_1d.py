@@ -70,6 +70,19 @@ class TestDiscreteMeasure:
         assert len(mu) == 2
         assert mu.weights[-1] == pytest.approx(0.5)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("atom, weight", [(1e-300, 1e-300), (1e-160, 1e-160), (1e300, 1e300), (-1e300, 1e300)])
+    def test_atom_kept_where_a_w_leaves_the_normal_range(self, atom, weight):
+        # a lone atom beside another is rewritten as (a w)/w only where a w is
+        # a finite normal number
+        mu = DiscreteMeasure([atom, 0.5], [weight, 1.0])
+        assert mu.atoms.tolist() == sorted([atom, 0.5])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_merged_group_whose_dot_overflows(self):
+        mu = DiscreteMeasure([1e300, 1e300, 0.5], [1e10, 3e10, 1.0])
+        assert mu.atoms.tolist() == [0.5, 1e300] and mu.weights.tolist() == [1.0, 4e10]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             DiscreteMeasure([0.0], [0.0])

@@ -17,7 +17,6 @@ from toda_kdq.moment_1d import (
 )
 from toda_kdq.toda_1d import (
     TodaStatePhysical,
-    asymptotics_check,
     flaschka_inverse,
     flaschka_map,
     hamiltonian_ab,
@@ -504,19 +503,29 @@ class TestQrFlow:
 
 
 class TestAsymptotics:
+    @staticmethod
+    def limits(s0, t):
+        """spectral_solve at +-t, the scattering tolerance 10 e^{-gap t} (gap the
+        smallest eigenvalue spacing) and the trace deviation; sorted b holds the
+        spectrum within that tolerance."""
+        lam = jacobi_eigenvalues(s0.diag[None], s0.offdiag[None])[0]
+        tol = max(float(10.0 * np.exp(-np.min(np.diff(lam)) * t)), 1e-12)
+        traj = spectral_solve(s0, [t, -t])
+        assert np.max(np.abs(np.sort(traj.b, axis=1) - lam)) <= tol
+        return traj, tol, np.max(np.abs(traj.b.sum(axis=1) - lam.sum()))
+
     def test_n2_values(self):
-        rep = asymptotics_check(SYMMETRIC_N2, 10.0)
-        assert rep.passed
-        assert rep.max_a_forward == pytest.approx(0.5 / np.cosh(10.0), rel=1e-9)
+        traj, tol, trace_dev = self.limits(SYMMETRIC_N2, 10.0)
+        assert np.max(traj.a) <= tol and trace_dev <= 1e-9
+        assert traj.a[0, 0] == pytest.approx(0.5 / np.cosh(10.0), rel=1e-9)
 
     def test_b_limits_are_spectrum(self):
         # well-separated spectrum keeps the reconstruction at t = 12
         # representable while the scattering limit is already ~1e-4 deep
         s = JacobiMatrix(offdiag=[0.4, 0.4, 0.4], diag=[-1.5, -0.5, 0.5, 1.5])
-        rep = asymptotics_check(s, 12.0)
-        assert rep.passed
-        assert rep.trace_dev < 1e-10
-        assert max(rep.max_a_forward, rep.max_a_backward) < rep.tolerance
+        traj, tol, trace_dev = self.limits(s, 12.0)
+        assert trace_dev < 1e-10
+        assert np.max(traj.a) < tol
 
 
 class TestCsv:
