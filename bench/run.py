@@ -6,9 +6,11 @@ Imports the program from `--src` (default: `src/` of this tree), so the same
 script measures any checkout.  BLAS runs on one thread.  The file records the
 machine (cores, Python, numpy and its BLAS), the import time of
 `toda_kdq.cli` in fresh interpreters, the median time of one RK4 step of
-`toda_1d.integrate_ensemble` over the ensemble size B and the lattice size N,
-and the median time of one in-process `verify.run_all()`, the checks of
-`toda-kdq verify-all`.
+`toda_1d.integrate_ensemble` over the ensemble size B and the lattice size N
+(and for the ensemble of `verify-all`, one state of each N from 2 to 6), the
+median time of one in-process `verify.run_all()`, the checks of
+`toda-kdq verify-all`, and the median time of one in-process
+`toda-kdq simulate-1d` over N.
 """
 
 import os
@@ -22,6 +24,7 @@ import platform  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -31,10 +34,14 @@ ROOT = Path(__file__).resolve().parents[1]
 IMPORT_SAMPLES = 7
 ENSEMBLES = (1, 5, 20)
 SIZES = (2, 8, 32, 128)
+VERIFY_ENSEMBLE = (2, 3, 4, 5, 6)  # the lattice sizes of the RK4 ensemble of `verify-all`
 RK4_STEPS = 200  # per sample; the time of a step is the sample's time over this
 RK4_SAMPLES = 15
 DT = 1e-3
 VERIFY_SAMPLES = 15
+SIMULATE_SIZES = (2, 8, 32, 64)
+SIMULATE_T_FINAL = 1.0
+SIMULATE_SAMPLES = 7
 
 _IMPORT_CODE = (
     "import time\n"
@@ -74,14 +81,17 @@ def import_seconds(src: Path) -> dict:
 
 def rk4_step_curve(toda_1d, jacobi_matrix) -> list:
     """Median seconds of one RK4 step, for each ensemble size B and lattice
-    size N.  The samples go round the (B, N) pairs in turn, so that a burst
-    of load on a shared machine spreads over all of them."""
+    size N, and for one ensemble shaped like that of `verify-all` (N is then
+    the list of its sizes).  The samples go round the ensembles in turn, so
+    that a burst of load on a shared machine spreads over all of them."""
+
+    def state(rng, n):
+        return jacobi_matrix(offdiag=rng.uniform(0.3, 1.0, n - 1), diag=rng.uniform(-1.0, 1.0, n))
+
     rng = np.random.default_rng(0)
-    ensembles = {
-        (b, n): [jacobi_matrix(offdiag=rng.uniform(0.3, 1.0, n - 1), diag=rng.uniform(-1.0, 1.0, n)) for _ in range(b)]
-        for b in ENSEMBLES
-        for n in SIZES
-    }
+    ensembles = {(b, n): [state(rng, n) for _ in range(b)] for b in ENSEMBLES for n in SIZES}
+    rng = np.random.default_rng(1)
+    ensembles[len(VERIFY_ENSEMBLE), VERIFY_ENSEMBLE] = [state(rng, n) for n in VERIFY_ENSEMBLE]
     samples = {key: [] for key in ensembles}
     for i in range(RK4_SAMPLES + 1):
         for key, states in ensembles.items():
@@ -89,7 +99,10 @@ def rk4_step_curve(toda_1d, jacobi_matrix) -> list:
             toda_1d.integrate_ensemble(states, RK4_STEPS * DT, DT)
             if i:  # the first round is a warm-up
                 samples[key].append((time.perf_counter() - t) / RK4_STEPS)
-    return [{"B": b, "N": n, "step_us": 1e6 * statistics.median(samples[b, n])} for b, n in ensembles]
+    return [
+        {"B": b, "N": n if isinstance(n, int) else list(n), "step_us": 1e6 * statistics.median(samples[b, n])}
+        for b, n in ensembles
+    ]
 
 
 def verify_seconds(verify) -> dict:
@@ -110,6 +123,32 @@ def verify_seconds(verify) -> dict:
     }
 
 
+def simulate_1d_seconds(cli) -> list:
+    """Seconds of one in-process `toda-kdq simulate-1d` (`cli.main`) at
+    t = SIMULATE_T_FINAL and dt = DT, for each lattice size N, writing the
+    CSV to a temporary file; the samples go round the sizes in turn, and the
+    first round is a warm-up."""
+    rng = np.random.default_rng(2)
+    samples = {n: [] for n in SIMULATE_SIZES}
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = {}
+        for n in SIMULATE_SIZES:
+            inputs[n] = Path(tmp) / f"state_{n}.json"
+            state = {"a": rng.uniform(0.3, 1.0, n - 1).tolist(), "b": rng.uniform(-1.0, 1.0, n).tolist()}
+            inputs[n].write_text(json.dumps(state))
+        out = str(Path(tmp) / "trajectory.csv")
+        for i in range(SIMULATE_SAMPLES + 1):
+            for n in SIMULATE_SIZES:
+                argv = ["simulate-1d", "--input", str(inputs[n]), "--output", out]
+                argv += ["--t-final", repr(SIMULATE_T_FINAL), "--dt", repr(DT)]
+                t = time.perf_counter()
+                if cli.main(argv) != 0:
+                    raise RuntimeError(f"simulate-1d failed at N = {n}")
+                if i:
+                    samples[n].append(time.perf_counter() - t)
+    return [{"N": n, "median_s": statistics.median(samples[n]), "min_s": min(samples[n])} for n in SIMULATE_SIZES]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path)
@@ -117,7 +156,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     src = args.src.resolve()
     sys.path.insert(0, str(src))
-    from toda_kdq import toda_1d, verify
+    from toda_kdq import cli, toda_1d, verify
     from toda_kdq.moment_1d import JacobiMatrix
 
     if not Path(toda_1d.__file__).resolve().is_relative_to(src):
@@ -129,12 +168,20 @@ def main(argv=None) -> int:
     }
     report["rk4_step"]["curve"] = rk4_step_curve(toda_1d, JacobiMatrix)
     report["verify_run_all"] = verify_seconds(verify)
+    report["simulate_1d"] = {
+        "t_final": SIMULATE_T_FINAL,
+        "dt": DT,
+        "samples": SIMULATE_SAMPLES,
+        "curve": simulate_1d_seconds(cli),
+    }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     for row in report["rk4_step"]["curve"]:
-        print(f"B = {row['B']:3d}  N = {row['N']:4d}  {row['step_us']:8.1f} us/step")
+        print(f"B = {row['B']:3d}  N = {str(row['N']):>15}  {row['step_us']:8.1f} us/step")
     print(f"import toda_kdq.cli: {report['import_toda_kdq_cli']['median_s']:.3f} s (median)")
     run_all = report["verify_run_all"]
     print(f"verify.run_all(): {run_all['median_s']:.3f} s (median), {run_all['passed']}/{run_all['checks']} checks passed")
+    for row in report["simulate_1d"]["curve"]:
+        print(f"simulate-1d N = {row['N']:3d}: {row['median_s']:.3f} s (median)")
     return 0
 
 

@@ -52,7 +52,8 @@ class IsoFlowState:
 
 def blow_up_time(state: IsoFlowState) -> float:
     """Largest backward time the closed form tolerates (exclusive); -inf if none."""
-    prod = state.family.radii * np.sqrt(state.family.masses)
+    with np.errstate(over="ignore"):  # lambda r(0) = inf puts the blow-up at -0.0
+        prod = state.family.radii * np.sqrt(state.family.masses)
     active = prod > 0.0
     return float(np.max(-1.0 / prod[active])) if active.any() else -np.inf
 
@@ -70,6 +71,7 @@ def _riccati(state: IsoFlowState, times, allow_backward: bool) -> np.ndarray:
     r0 = np.sqrt(state.family.masses)
     with np.errstate(over="ignore", invalid="ignore"):  # a mass that is not finite is refused below
         r_t = r0 / (1.0 + state.family.radii * r0 * times[:, None])
+        r_t[times == 0.0] = r0  # the bits of r0 / (1 + 0), where lambda r(0) t may be inf * 0
         masses = r_t**2
     if not np.isfinite(masses).all():
         raise ValueError("masses entries must be finite")

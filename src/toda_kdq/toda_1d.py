@@ -15,6 +15,7 @@ solver, the second one to test the ODE integrator against.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -42,6 +43,9 @@ _SPAN = 8.0
 _MAX_CHECKPOINTS = 2**16
 # RK4 steps between two scans of the output for a failure
 _CHUNK = 64
+# the ufuncs of an RK4 step, bound once: a step costs what its numpy calls
+# cost, and looking each up on `np` made it about 8% slower
+_add, _subtract, _multiply, _square = np.add, np.subtract, np.multiply, np.square
 
 
 @dataclass(frozen=True)
@@ -101,17 +105,19 @@ def hamiltonian_ab(s: JacobiMatrix) -> float:
     return float(_hamiltonian(s.offdiag, s.diag))
 
 
-def _rhs(a, b_next, b_prev, da, db, sq, live):
-    # (a', b') into da and db for couplings a between the sites b_prev and
-    # b_next; sq = (middle, upper, lower) views of an a^2 buffer one longer
-    # than b whose ends stay 0 (a_0 = a_N = 0).  Couplings off `live` keep
-    # what da holds; x + x is 2 x exactly.
+def _rhs(views, k, sq):
+    # (a', b') into k = (da, db) for views = (a, b_next, b_prev), couplings a
+    # between the sites b_prev and b_next; sq = (middle, upper, lower) views
+    # of an a^2 buffer one longer than b whose ends stay 0 (a_0 = a_N = 0).
+    # x + x is 2 x exactly.
+    a, b_next, b_prev = views
+    da, db = k
     middle, upper, lower = sq
-    np.subtract(b_next, b_prev, out=da, where=live)
-    np.multiply(a, da, out=da, where=live)
-    np.square(a, out=middle)
-    np.subtract(upper, lower, out=db)
-    np.add(db, db, out=db)
+    _subtract(b_next, b_prev, da)
+    _multiply(a, da, da)
+    _square(a, middle)
+    _subtract(upper, lower, db)
+    _add(db, db, db)
 
 
 def _square_views(n: int):
@@ -122,7 +128,7 @@ def _square_views(n: int):
 def toda_rhs(s: JacobiMatrix):
     """Right-hand sides (a', b') of the flow, with the a_0 = a_N = 0 convention."""
     da, db = np.empty(s.n - 1), np.empty(s.n)
-    _rhs(s.offdiag, s.diag[1:], s.diag[:-1], da, db, _square_views(s.n), True)
+    _rhs((s.offdiag, s.diag[1:], s.diag[:-1]), (da, db), _square_views(s.n))
     return da, db
 
 
@@ -150,45 +156,53 @@ def integrate_ensemble(states, t_final: float, dt: float = 1e-3) -> list:
     """Classical fixed-step RK4 integration of many states at once.
 
     Returns one `Trajectory` per state, sampled at multiples of dt.  The
-    states are laid end to end as one chain of M sites, their total size,
-    with a zero coupling at each joint, and the chain is integrated as one
-    lattice packed as y = [a | b] of length 2 M - 1.  A zero coupling stays
-    zero under the flow, so no state acts on another and each trajectory is
-    bit-identical to a run of its state alone; each is a view of its own
-    columns of one (T, 2 M - 1) output.  The couplings at the joints are
-    masked out of a' rather than computed as 0 (b_{j+1} - b_j): once a state
-    blows up, that product is 0 * inf = NaN, which would spread into its
-    neighbours and blame the wrong state.
+    states are laid end to end as one chain, with one ghost site between
+    consecutive states: its b is 0 and so are its two couplings.  The chain
+    is integrated as one lattice of M sites, ghosts included, packed as
+    y = [a | b] of length 2 M - 1.  A coupling at a joint gets
+    a' = 0 (b - 0) = +-0 for any finite b, so it stays +0 and the ghost's
+    b' = 2 (0 - 0) stays 0: no state acts on another, each trajectory is
+    bit-identical to a run of its state alone, and each is a view of its own
+    columns of one (T, 2 M - 1) output.  Without the ghost, a joint would
+    take the difference of two states' sites, which overflows for sites
+    near +-1.7e308 of opposite signs and makes the joint NaN.
 
     The exact flow preserves a_j > 0, so a coupling at or below 0, or an
     entry that is not finite, means dt is too large for that state; either
-    raises PositivityLossError.  Rather than after every step, the output is
-    scanned for both once every _CHUNK = 64 steps and at the end, in one
-    array pass.  The error names the first step that fails and the first
-    state that fails there, as a check after every step would, non-finite
-    entries taking precedence over non-positive couplings; a failing run
-    stops within 64 steps of its failure.  With more than one state, the
-    error names the index and the size of the state.
+    raises PositivityLossError.  Rather than after every step, the states'
+    own columns are scanned for both once every _CHUNK = 64 steps and at
+    the end, in one array pass.  The error names the first step that fails
+    and the first state that fails there, as a check after every step would,
+    non-finite entries taking precedence over non-positive couplings; a
+    failing run stops within 64 steps of its failure.  Once a state blows
+    up, NaN spreads one position per evaluation of the right-hand side along
+    the chain of sites and couplings: at most 3 positions in the step where
+    it appears, while the next state's first site is 4 positions away, so
+    the row that fails first holds no NaN of another state.  With more than
+    one state, the error names the index and the size of the state.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not states:
+        raise ValueError("states must hold at least one state")
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not np.isfinite(t_final):
+        raise ValueError(f"t_final must be finite, got {t_final!r}")
     n_steps = int(round(t_final / dt))
     if n_steps < 0:
         raise ValueError("t_final must be nonnegative")
     sizes = [s.n for s in states]
-    ends = np.cumsum(sizes)
-    m = int(ends[-1])
-    y = np.zeros(2 * m - 1)  # [a | b] at the present step
-    for s, end in zip(states, ends.tolist()):
-        y[end - s.n : end - 1], y[m - 1 + end - s.n : m - 1 + end] = s.offdiag, s.diag
-    live = np.ones(m - 1, dtype=bool)
-    live[ends[:-1] - 1] = False  # the joints
-    # stage input, RHS values k1..k4 and their weighted sum; the k stay 0 at the joints
+    starts = list(accumulate((n + 1 for n in sizes[:-1]), initial=0))  # the first site of each state
+    m = starts[-1] + sizes[-1]
+    y = np.zeros(2 * m - 1)  # [a | b] at the present step; the ghosts and joints stay 0
+    own = np.zeros(m, dtype=bool)  # the states' sites, not the ghosts
+    for s, start in zip(states, starts):
+        y[start : start + s.n - 1], y[m - 1 + start : m - 1 + start + s.n] = s.offdiag, s.diag
+        own[start : start + s.n] = True
+    # stage input, RHS values k1..k4 and their weighted sum
     stage, acc = np.empty(2 * m - 1), np.empty(2 * m - 1)
-    k = np.zeros((4, 2 * m - 1))
+    k = np.empty((4, 2 * m - 1))
     k1, k2, k3, k4 = k
     sq = _square_views(m)
-    where = True if live.all() else live  # a mask costs a ufunc call about 1 us
     # (a, b_next, b_prev) of y and of the stage, (a', b') of each k
     y_views, stage_views = ((v[: m - 1], v[m:], v[m - 1 : -1]) for v in (y, stage))
     k_views = [(v[: m - 1], v[m - 1 :]) for v in k]
@@ -202,49 +216,54 @@ def integrate_ensemble(states, t_final: float, dt: float = 1e-3) -> list:
         for lo in range(0, n_steps, _CHUNK):
             hi = min(lo + _CHUNK, n_steps)
             for step in range(lo + 1, hi + 1):
-                _rhs(*y_views, *k_views[0], sq, where)
+                _rhs(y_views, k_views[0], sq)
                 for h, k_in, k_out in stages:
-                    np.multiply(h, k_in, out=stage)
-                    np.add(y, stage, out=stage)
-                    _rhs(*stage_views, *k_out, sq, where)
+                    _multiply(h, k_in, stage)
+                    _add(y, stage, stage)
+                    _rhs(stage_views, k_out, sq)
                 # y + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4)
-                np.add(k2, k2, out=acc)
-                np.add(k1, acc, out=acc)
-                np.add(k3, k3, out=stage)
-                np.add(acc, stage, out=acc)
-                np.add(acc, k4, out=acc)
-                np.multiply(sixth, acc, out=acc)
-                np.add(y, acc, out=y)
+                _add(k2, k2, acc)
+                _add(k1, acc, acc)
+                _add(k3, k3, stage)
+                _add(acc, stage, acc)
+                _add(acc, k4, acc)
+                _multiply(sixth, acc, acc)
+                _add(y, acc, y)
                 out[step] = y
-            _check_rows(out[lo + 1 : hi + 1], lo + 1, live, ends, dt)
+            _check_rows(out[lo + 1 : hi + 1], lo + 1, own, sizes, dt)
     times = dt * np.arange(n_steps + 1)
     return [
-        Trajectory(times=times, a=out[:, end - n : end - 1], b=out[:, m - 1 + end - n : m - 1 + end])
-        for n, end in zip(sizes, ends.tolist())
+        Trajectory(times=times, a=out[:, start : start + n - 1], b=out[:, m - 1 + start : m - 1 + start + n])
+        for n, start in zip(sizes, starts)
     ]
 
 
-def _check_rows(rows: np.ndarray, first: int, live: np.ndarray, ends: np.ndarray, dt: float):
+def _check_rows(rows: np.ndarray, first: int, own: np.ndarray, sizes: list, dt: float):
     # PositivityLossError at the first of the output rows `rows`, which are
-    # steps first, first + 1, ..., that holds a non-finite entry or a live
-    # coupling <= 0, naming the first state that fails there
-    finite = np.isfinite(rows)
-    low = (rows[:, : live.size] <= 0.0) & live
-    bad = ~finite.all(axis=1) | low.any(axis=1)
+    # steps first, first + 1, ..., that holds a non-finite entry or a coupling
+    # <= 0 among the states' own columns: the sites `own` and the couplings
+    # between two of them; names the first state that fails there
+    m = own.size
+    inner = own[:-1] & own[1:]  # the couplings of the states, not the joints
+    a, b = rows[:, : m - 1], rows[:, m - 1 :]
+    bad_a, bad_b = ~np.isfinite(a) & inner, ~np.isfinite(b) & own
+    low = (a <= 0.0) & inner
+    broken = bad_a.any(axis=1) | bad_b.any(axis=1)
+    bad = broken | low.any(axis=1)
     if not bad.any():
         return
     r = int(bad.argmax())
     t = (first + r) * dt
-    if finite[r].all():
-        # coupling j joins sites j and j + 1 of one state
-        site, message = int(low[r].argmax()), f"coupling left the positive cone at t = {t}; reduce dt"
-    else:
-        sites = ~finite[r, live.size :]
-        sites[: live.size] |= ~finite[r, : live.size]
+    # coupling j counts at site j, its left site
+    if broken[r]:
+        sites = bad_b[r]
+        sites[:-1] |= bad_a[r]
         site, message = int(sites.argmax()), f"non-finite state at t = {t}"
-    if ends.size > 1:
-        i = int(np.searchsorted(ends, site, side="right"))
-        message = f"state {i} (N = {int(np.diff(ends, prepend=0)[i])}): " + message
+    else:
+        site, message = int(low[r].argmax()), f"coupling left the positive cone at t = {t}; reduce dt"
+    if len(sizes) > 1:
+        i = int(np.count_nonzero(~own[:site]))  # the ghosts before the site
+        message = f"state {i} (N = {sizes[i]}): " + message
     raise PositivityLossError(message)
 
 

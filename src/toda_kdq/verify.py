@@ -160,6 +160,8 @@ def check_moment_nevanlinna(seed: int, n_measures: int) -> list[CheckResult]:
 
 def toda_ensemble(seed: int, sizes, t_final: float) -> list:
     """(state, RK4 trajectory) pairs of random Flaschka states, one per size N."""
+    if not sizes:
+        raise ValueError("sizes must hold at least one lattice size")
     rng = np.random.default_rng(seed)
     states = [
         JacobiMatrix(offdiag=rng.uniform(0.3, 1.0, size=n - 1), diag=rng.uniform(-1.0, 1.0, size=n))

@@ -34,6 +34,13 @@ class TestRiccatiEvolve:
             dev = np.max(np.abs(two_step.family.component(key)[1] - one_step.family.component(key)[1]))
             assert dev < 1e-14
 
+    def test_time_zero_returns_the_masses(self):
+        # lambda r(0) = 1e300 * 1e150 overflows, and inf * 0 must not reach t = 0
+        st = IsoFlowState({(1, 1): ([1e300, 0.5], [1e300, 0.3])})
+        masses = riccati_evolve(st, 0.0).family.masses
+        assert masses.tobytes() == (np.sqrt(st.family.masses) ** 2).tobytes()
+        np.testing.assert_allclose(masses, st.family.masses, rtol=1e-15)
+
     def test_backward_guarded(self):
         with pytest.raises(ValueError):
             riccati_evolve(SINGLE, -0.1)

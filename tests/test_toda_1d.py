@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toda_kdq import toda_1d
+from toda_kdq import toda_1d, verify
 from toda_kdq.errors import PositivityLossError
 from toda_kdq.moment_1d import (
     DiscreteMeasure,
@@ -272,7 +272,9 @@ class TestIntegration:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        kinds=st.lists(st.sampled_from(["calm", "stiff", "strong", "huge", "late"]), min_size=1, max_size=6),
+        kinds=st.lists(
+            st.sampled_from(["calm", "stiff", "strong", "huge", "late", "bigpos", "bigneg", "lone"]), min_size=1, max_size=6
+        ),
         seed=st.integers(0, 2**32 - 1),
         late=st.floats(9.49, 9.51),
         n_steps=st.integers(1, 200),
@@ -281,15 +283,26 @@ class TestIntegration:
     def test_ensemble_error_equals_check_after_every_step(self, kinds, seed, late, n_steps, dt):
         # failing states anywhere among calm ones, next to each other too:
         # "strong" leaves the cone and "huge" overflows at step 1, and at
-        # dt = 0.1 "late" first fails anywhere from step 30 to past 200
+        # dt = 0.1 "late" first fails anywhere from step 30 to past 200.
+        # "bigpos", "bigneg" and "lone" never fail, but the difference of
+        # their sites and a neighbour's overflows, so a joint between two
+        # states that takes that difference turns NaN
         rng = np.random.default_rng(seed)
         fixed = {
             "stiff": JacobiMatrix(offdiag=[2.0], diag=[-4.0, 4.0]),
             "strong": JacobiMatrix(offdiag=[1e3], diag=[0.0, 0.0]),
             "huge": JacobiMatrix(offdiag=[1e200], diag=[0.0, 0.0]),
             "late": JacobiMatrix(offdiag=[2.0], diag=[-late, late]),
+            "bigpos": JacobiMatrix(offdiag=[1e-10], diag=[1.7e308, 1.7e308]),
+            "bigneg": JacobiMatrix(offdiag=[1e-10], diag=[-1.7e308, -1.7e308]),
         }
-        states = [fixed[k] if k in fixed else random_state(rng, int(rng.integers(1, 6))) for k in kinds]
+
+        def state(kind):
+            if kind == "lone":
+                return JacobiMatrix(offdiag=[], diag=[rng.choice([-1.7e308, 1.7e308])])
+            return fixed[kind] if kind in fixed else random_state(rng, int(rng.integers(1, 6)))
+
+        states = [state(k) for k in kinds]
         expected = reference_error(states, n_steps, dt)
         if expected is None:
             trajs = integrate_ensemble(states, n_steps * dt, dt)
@@ -298,6 +311,21 @@ class TestIntegration:
         else:
             with pytest.raises(PositivityLossError, match=f"^{re.escape(expected)}$"):
                 integrate_ensemble(states, n_steps * dt, dt)
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: integrate_ensemble([], 1.0, 0.1), "states"),
+            (lambda: verify.toda_ensemble(0, (), 1.0), "sizes"),
+            (lambda: integrate_ensemble([SYMMETRIC_N2], 1.0, float("nan")), "dt"),
+            (lambda: integrate_ensemble([SYMMETRIC_N2], 1.0, float("inf")), "dt"),
+            (lambda: integrate_ensemble([SYMMETRIC_N2], float("nan"), 0.1), "t_final"),
+            (lambda: integrate_ensemble([SYMMETRIC_N2], float("inf"), 0.1), "t_final"),
+        ],
+    )
+    def test_bad_arguments_name_the_argument(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must "):
+            call()
 
     @settings(max_examples=60, deadline=None)
     @given(
