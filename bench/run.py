@@ -9,8 +9,10 @@ machine (cores, Python, numpy and its BLAS), the import time of
 `toda_1d.integrate_ensemble` over the ensemble size B and the lattice size N
 (and for the ensemble of `verify-all`, one state of each N from 2 to 6), the
 median time of one in-process `verify.run_all()`, the checks of
-`toda-kdq verify-all`, and the median time of one in-process
-`toda-kdq simulate-1d` over N.
+`toda-kdq verify-all`, the median time of one in-process
+`toda-kdq simulate-1d` over N, and the median time of one
+`sphere.harmonic_table` call with every S^2 key of degree <= k_max, at one
+point and on the `sphere_nodes(3, 2 k_max)` grid, over k_max.
 """
 
 import os
@@ -42,6 +44,8 @@ VERIFY_SAMPLES = 15
 SIMULATE_SIZES = (2, 8, 32, 64)
 SIMULATE_T_FINAL = 1.0
 SIMULATE_SAMPLES = 7
+HARMONIC_KMAX = (2, 4, 8, 16, 24, 32)
+HARMONIC_SAMPLES = 15
 
 _IMPORT_CODE = (
     "import time\n"
@@ -149,6 +153,39 @@ def simulate_1d_seconds(cli) -> list:
     return [{"N": n, "median_s": statistics.median(samples[n]), "min_s": min(samples[n])} for n in SIMULATE_SIZES]
 
 
+def harmonic_table_seconds(sphere) -> list:
+    """Median seconds of one `sphere.harmonic_table` call on S^2 with all
+    (k_max + 1)^2 keys of degree <= k_max, at one point and on the nodes of
+    `sphere_nodes(3, 2 k_max)`, for each k_max; the samples go round the
+    cases in turn, the first round is a warm-up, and each timed call comes
+    right after an untimed one with the same arguments, so that a small
+    case is not timed on the caches left cold by the large one before it."""
+    point = np.array([0.36, 0.48, 0.8])
+    cases = {}
+    for k_max in HARMONIC_KMAX:
+        keys = [(k, ell) for k in range(k_max + 1) for ell in range(1, 2 * k + 2)]
+        cases[k_max, "point"] = (keys, point)
+        cases[k_max, "grid"] = (keys, sphere.sphere_nodes(3, 2 * k_max)[0])
+    samples = {case: [] for case in cases}
+    for i in range(HARMONIC_SAMPLES + 1):
+        for case, (keys, theta) in cases.items():
+            sphere.harmonic_table(3, keys, theta)
+            t = time.perf_counter()
+            sphere.harmonic_table(3, keys, theta)
+            if i:
+                samples[case].append(time.perf_counter() - t)
+    return [
+        {
+            "k_max": k_max,
+            "keys": len(cases[k_max, "point"][0]),
+            "point_us": 1e6 * statistics.median(samples[k_max, "point"]),
+            "grid_points": len(cases[k_max, "grid"][1]),
+            "grid_ms": 1e3 * statistics.median(samples[k_max, "grid"]),
+        }
+        for k_max in HARMONIC_KMAX
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path)
@@ -156,7 +193,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     src = args.src.resolve()
     sys.path.insert(0, str(src))
-    from toda_kdq import cli, toda_1d, verify
+    from toda_kdq import cli, sphere, toda_1d, verify
     from toda_kdq.moment_1d import JacobiMatrix
 
     if not Path(toda_1d.__file__).resolve().is_relative_to(src):
@@ -174,6 +211,7 @@ def main(argv=None) -> int:
         "samples": SIMULATE_SAMPLES,
         "curve": simulate_1d_seconds(cli),
     }
+    report["harmonic_table"] = {"n": 3, "samples": HARMONIC_SAMPLES, "curve": harmonic_table_seconds(sphere)}
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     for row in report["rk4_step"]["curve"]:
         print(f"B = {row['B']:3d}  N = {str(row['N']):>15}  {row['step_us']:8.1f} us/step")
@@ -182,6 +220,11 @@ def main(argv=None) -> int:
     print(f"verify.run_all(): {run_all['median_s']:.3f} s (median), {run_all['passed']}/{run_all['checks']} checks passed")
     for row in report["simulate_1d"]["curve"]:
         print(f"simulate-1d N = {row['N']:3d}: {row['median_s']:.3f} s (median)")
+    for row in report["harmonic_table"]["curve"]:
+        print(
+            f"harmonic_table k_max = {row['k_max']:2d} ({row['keys']} keys): {row['point_us']:8.1f} us at one point, "
+            f"{row['grid_ms']:7.2f} ms on {row['grid_points']} nodes (median)"
+        )
     return 0
 
 

@@ -70,9 +70,8 @@ def _riccati(state: IsoFlowState, times, allow_backward: bool) -> np.ndarray:
             raise ValueError(f"t = {float(beyond[0])} is at or beyond the backward blow-up time {t_blow}")
     r0 = np.sqrt(state.family.masses)
     with np.errstate(over="ignore", invalid="ignore"):  # a mass that is not finite is refused below
-        r_t = r0 / (1.0 + state.family.radii * r0 * times[:, None])
-        r_t[times == 0.0] = r0  # the bits of r0 / (1 + 0), where lambda r(0) t may be inf * 0
-        masses = r_t**2
+        masses = (r0 / (1.0 + state.family.radii * r0 * times[:, None])) ** 2
+    masses[times == 0.0] = state.family.masses  # the masses themselves, where lambda r(0) t may be inf * 0
     if not np.isfinite(masses).all():
         raise ValueError("masses entries must be finite")
     return masses

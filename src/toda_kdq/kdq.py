@@ -40,16 +40,7 @@ import numpy as np
 
 from .errors import DivergenceRegionError, PoleError
 from .moment_1d import _as_vector, _freeze_fields, _json_float, _json_int, _moment_remainder, _sorted_atoms
-from .sphere import (
-    as_direction,
-    check_index,
-    check_indices,
-    dim_harmonics,
-    eval_harmonic,
-    harmonic_table,
-    sphere_nodes,
-    solid_harmonic,
-)
+from .sphere import as_direction, check_indices, dim_harmonics, harmonic_table, solid_harmonic, sphere_nodes
 
 __all__ = [
     "KDQPoint",
@@ -224,8 +215,6 @@ class PseudoPositiveMeasure:
     """
 
     def __init__(self, n: int, components=None, k_max: int = -1, *, family=None):
-        if n not in (2, 3):
-            raise ValueError(f"unsupported ambient dimension n={n}")
         if family is None:
             raw = ComponentFamily.pack(((key, *arrays) for key, arrays in (components or {}).items()), _FIELDS)
             atoms, weights, offsets = _sorted_atoms(raw.radii, raw.masses, raw.offsets, half_line=True)
@@ -376,20 +365,20 @@ class AlmansiPolynomial:
     terms: dict
 
     def __post_init__(self):
-        clean = {}
-        for (j, k, ell), coeff in self.terms.items():
-            if j < 0:
-                raise ValueError("radial exponent j must be nonnegative")
-            check_index(self.n, k, ell)
-            clean[(int(j), int(k), int(ell))] = float(coeff)
+        # kept in ascending (j, k, ell) order, the order of every sum over the terms
+        if any(j < 0 for j, _, _ in self.terms):
+            raise ValueError("radial exponent j must be nonnegative")
+        clean = dict(sorted(((int(j), int(k), int(ell)), float(coeff)) for (j, k, ell), coeff in self.terms.items()))
+        check_indices(self.n, [key[1:] for key in clean])
         object.__setattr__(self, "terms", clean)
 
     def eval(self, x) -> float:
         xv = np.asarray(x, dtype=float)
         r2 = float(xv @ xv)
         total = 0.0
-        for (j, k, ell), coeff in sorted(self.terms.items()):
-            total += coeff * r2**j * solid_harmonic(self.n, (k, ell), xv)
+        solid = solid_harmonic(self.n, [key[1:] for key in self.terms], xv).tolist()
+        for ((j, _, _), coeff), y_val in zip(self.terms.items(), solid):
+            total += coeff * r2**j * y_val
         return total
 
     def eval_kdq(self, zeta, theta) -> np.ndarray:
@@ -397,8 +386,9 @@ class AlmansiPolynomial:
         z = np.asarray(zeta, dtype=complex)
         th = np.asarray(theta, dtype=float)
         total = np.zeros(np.broadcast_shapes(z.shape, th.shape[:-1]), dtype=complex)
-        for (j, k, ell), coeff in sorted(self.terms.items()):
-            total += coeff * z ** (2 * j + k) * eval_harmonic(self.n, (k, ell), th)
+        ys = harmonic_table(self.n, [key[1:] for key in self.terms], th)
+        for i, ((j, k, _), coeff) in enumerate(self.terms.items()):
+            total += coeff * z ** (2 * j + k) * ys[..., i]
         return total
 
 
@@ -585,7 +575,7 @@ def multi_nevanlinna_check(mu: PseudoPositiveMeasure, idx, n_trunc: int, zeta_li
     if n_trunc < 0:
         raise ValueError("n_trunc must be nonnegative")
     k, ell = int(idx[0]), int(idx[1])
-    check_index(mu.n, k, ell)
+    check_indices(mu.n, [(k, ell)])
     zetas = [complex(z) for z in zeta_list]
     for z in zetas:
         _check_outside_support(mu, z)

@@ -147,7 +147,9 @@ class DiscreteMeasure:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DiscreteMeasure":
-        """TypeError unless `half_line`, where given, is a JSON boolean."""
+        """TypeError unless `d` is a JSON object and `half_line`, where given, a JSON boolean."""
+        if type(d) is not dict:
+            raise TypeError(f"measure must be a JSON object, got {d!r}")
         half_line = d.get("half_line", False)
         if type(half_line) is not bool:
             raise TypeError(f"half_line must be true or false, got {half_line!r}")

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import PositivityLossError
 from .kdq import ComponentFamily, PseudoPositiveMeasure
 from .moment_1d import DiscreteMeasure, JacobiMatrix, _json_float, _json_int, jacobi_from_measure
-from .sphere import check_indices, eval_harmonic
+from .sphere import check_indices, harmonic_table
 from .toda_1d import _csv_text, _evolved_masses, spectral_solve, toda_rhs
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "tilde_inverse",
     "evolve",
     "component_jacobi",
-    "component_hamiltonian",
     "total_hamiltonian",
     "normalization_invariant",
     "component_ode_residual",
@@ -70,8 +69,6 @@ class PseudoTodaState:
     `family`.  Each component is stored sorted by radius in `family`."""
 
     def __init__(self, n: int, components=None, time: float = 0.0, *, family=None):
-        if n not in (2, 3):
-            raise ValueError(f"unsupported ambient dimension n={n}")
         if not math.isfinite(time):
             raise ValueError(f"state time must be finite, got {time!r}")
         if family is None:
@@ -188,23 +185,14 @@ def component_jacobi(state: PseudoTodaState, idx) -> JacobiMatrix:
     return spectral_solve(jac, [state.time]).state(0)
 
 
-def component_hamiltonian(state: PseudoTodaState, idx) -> float:
-    """H_{k,l} = 2 sum_j lambda_j^4.
+def total_hamiltonian(state: PseudoTodaState) -> float:
+    """Sum of the component Hamiltonians H_{k,l} = 2 sum_j lambda_j^4, in
+    ascending (k, l) order; constant in time by construction.
 
-    It equals `toda_1d.hamiltonian_ab(component_jacobi(state, idx))`, the
+    H_{k,l} equals `toda_1d.hamiltonian_ab(component_jacobi(state, idx))`, the
     Hamiltonian 4 (sum at^2 + 1/2 sum bt^2) of the component's Jacobi matrix.
     """
-    return _hamiltonians(state)[state.family.index(idx)]
-
-
-def _hamiltonians(state: PseudoTodaState) -> list:
-    # H_{k,l} of every component, ascending (k, l)
-    return (2.0 * state.family.block_sums(state.family.radii**4)).tolist()
-
-
-def total_hamiltonian(state: PseudoTodaState) -> float:
-    """Sum of the component Hamiltonians; constant in time by construction."""
-    return float(sum(_hamiltonians(state)))
+    return float(sum((2.0 * state.family.block_sums(state.family.radii**4)).tolist()))
 
 
 def normalization_invariant(state: PseudoTodaState) -> float:
@@ -231,8 +219,15 @@ def component_ode_residual(state: PseudoTodaState, idx, t: float, dt: float = 1e
     return max(res_a, res_b)
 
 
-def _jacobi_table(state: PseudoTodaState) -> dict:
-    return {key: component_jacobi(state, key) for key in state.family.keys}
+def _site_terms(state: PseudoTodaState, j: int, theta) -> tuple:
+    # the site count N, after checking 1 <= j <= N, and per component in
+    # ascending (k, l) order its key, Jacobi matrix and Y_{k,l}(theta)
+    n_sites = state.common_size()
+    if not 1 <= j <= n_sites:
+        raise ValueError(f"site j must be in 1..{n_sites}")
+    keys = state.family.keys
+    jacs = [component_jacobi(state, key) for key in keys]
+    return n_sites, zip(keys, jacs, harmonic_table(state.n, keys, theta).tolist())
 
 
 def flaschka_surfaces(state: PseudoTodaState, j: int, theta):
@@ -242,14 +237,9 @@ def flaschka_surfaces(state: PseudoTodaState, j: int, theta):
     with A_N = 0 by the free-end convention.  Summation runs in ascending
     (k, l) order.
     """
-    n_sites = state.common_size()
-    if not 1 <= j <= n_sites:
-        raise ValueError(f"site j must be in 1..{n_sites}")
-    table = _jacobi_table(state)
-    a_val = 0.0
-    b_val = 0.0
-    for key, jac in table.items():
-        y_val = float(eval_harmonic(state.n, key, theta))
+    n_sites, terms = _site_terms(state, j, theta)
+    a_val = b_val = 0.0
+    for _, jac, y_val in terms:
         if j <= n_sites - 1:
             a_val += float(jac.offdiag[j - 1]) * y_val
         b_val += float(jac.diag[j - 1]) * y_val
@@ -274,19 +264,15 @@ def physical_surfaces(state: PseudoTodaState, j: int, theta) -> PhysicalSurface:
     j.  The gauge g(k) = max(k,1)^{-(n-2)} tames the growth of the
     harmonics; any per-component constant is an equally valid representative.
     """
-    n_sites = state.common_size()
-    if not 1 <= j <= n_sites:
-        raise ValueError(f"site j must be in 1..{n_sites}")
-    table = _jacobi_table(state)
+    _, terms = _site_terms(state, j, theta)
     x_total, y_total = 0.0, 0.0
     x_partials, y_partials = [], []
     current_k = None
-    for (k, ell), jac in sorted(table.items()):
+    for (k, _), jac, y_harm in terms:
         if current_k is not None and k != current_k:
             x_partials.append(x_total)
             y_partials.append(y_total)
         current_k = k
-        y_harm = float(eval_harmonic(state.n, (k, ell), theta))
         prod = float(np.prod(jac.offdiag[: j - 1] ** 2)) if j > 1 else 1.0
         x_total += 4.0 ** (j - 1) * prod * float(max(k, 1)) ** (-(state.n - 2)) * y_harm
         y_total += -2.0 * float(jac.diag[j - 1]) * y_harm

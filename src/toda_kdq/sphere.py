@@ -14,12 +14,9 @@ import numpy as np
 
 __all__ = [
     "dim_harmonics",
-    "check_index",
     "check_indices",
     "as_direction",
     "harmonic_table",
-    "eval_harmonic",
-    "harmonic_basis",
     "solid_harmonic",
     "sphere_nodes",
 ]
@@ -33,25 +30,14 @@ _MAX_DEGREE = 1000
 def dim_harmonics(n: int, k: int) -> int:
     """Dimension d_k of the degree-k spherical harmonics on S^{n-1}.
 
-    d_k = (2k+n-2)(n+k-3)! / ((n-2)! k!), with d_0 = 1 in every dimension
-    (the k = 0, n = 2 factorial is resolved by that convention).
+    d_k = (2k+n-2)(n+k-3)! / ((n-2)! k!) with d_0 = 1: 2 on S^1 and 2k + 1
+    on S^2 for k >= 1.
     """
     if n not in (2, 3):
         raise ValueError(f"unsupported ambient dimension n={n}; only 2 and 3")
     if k < 0:
         raise ValueError(f"degree must be nonnegative, got k={k}")
-    if k == 0:
-        return 1
-    return (2 * k + n - 2) * math.factorial(n + k - 3) // (math.factorial(n - 2) * math.factorial(k))
-
-
-def check_index(n: int, k: int, ell: int) -> None:
-    """Raise ValueError unless 1 <= ell <= d_k(n, k), and on S^2 k <= _MAX_DEGREE."""
-    d = dim_harmonics(n, k)
-    if not 1 <= ell <= d:
-        raise ValueError(f"invalid harmonic index (k={k}, ell={ell}); need 1 <= ell <= {d}")
-    if n == 3 and k > _MAX_DEGREE:
-        raise ValueError(f"harmonic degree k={k} on S^2 exceeds {_MAX_DEGREE}")
+    return 1 if k == 0 else 2 if n == 2 else 2 * k + 1
 
 
 def as_direction(n: int, coords) -> np.ndarray:
@@ -69,12 +55,20 @@ def as_direction(n: int, coords) -> np.ndarray:
 
 
 def check_indices(n: int, keys) -> tuple[np.ndarray, np.ndarray]:
-    """`check_index` on a sequence of (k, ell) at once; returns the k and ell arrays."""
+    """The k and ell arrays of the (k, ell) in `keys`; ValueError naming the
+    first bad one unless 1 <= ell <= d_k(n, k), and on S^2 k <= _MAX_DEGREE."""
+    if n not in (2, 3):
+        raise ValueError(f"unsupported ambient dimension n={n}; only 2 and 3")
     ks, ells = np.array(keys, dtype=int).reshape(-1, 2).T
-    bad = (ks < 0) | (ells < 1) | (ells > np.where(ks == 0, 1, 2 if n == 2 else 2 * ks + 1))
-    bad |= (n == 3) & (ks > _MAX_DEGREE)
-    if n not in (2, 3) or bad.any():
-        check_index(n, *(keys[np.argmax(bad)] if bad.any() else (0, 1)))
+    dims = np.where(ks == 0, 1, 2 if n == 2 else 2 * ks + 1)
+    bad = (ks < 0) | (ells < 1) | (ells > dims) | ((n == 3) & (ks > _MAX_DEGREE))
+    if bad.any():
+        k, ell, d = (int(arr[np.argmax(bad)]) for arr in (ks, ells, dims))
+        if k < 0:
+            raise ValueError(f"degree must be nonnegative, got k={k}")
+        if not 1 <= ell <= d:
+            raise ValueError(f"invalid harmonic index (k={k}, ell={ell}); need 1 <= ell <= {d}")
+        raise ValueError(f"harmonic degree k={k} on S^2 exceeds {_MAX_DEGREE}")
     return ks, ells
 
 
@@ -161,45 +155,25 @@ def harmonic_table(n: int, keys, theta) -> np.ndarray:
     return (q * trig).T.reshape(th.shape[:-1] + ks.shape)
 
 
-def eval_harmonic(n: int, idx, theta) -> np.ndarray | float:
-    """Evaluate the real orthonormal harmonic Y_{k,ell} at unit vector(s) theta.
+def solid_harmonic(n: int, keys, x) -> np.ndarray:
+    """|x|^k Y_{k,ell}(x/|x|) for every (k, ell) in `keys` at points x (..., n): (..., len(keys)).
 
-    Parameters
-    ----------
-    n : 2 or 3
-    idx : (k, ell) pair
-    theta : array of shape (n,) or (..., n) of unit vectors
-
-    Orthonormality is with respect to the probability measure on S^{n-1}.
-    For n = 3 the index ell = 1..2k+1 maps to the order m = ell-k-1; the
-    zonal harmonic sqrt(2k+1) P_k(cos(gamma)) sits at ell = k+1.  The
-    values are a column of `harmonic_table`.
+    The homogeneous extension of each harmonic: 1 at x = 0 for k = 0, and 0
+    there for k > 0.  |x|^k is one scalar power per degree, as an array of
+    exponents would take another numpy path and move the last bit.
     """
-    vals = harmonic_table(n, [idx], theta)[..., 0]
-    return float(vals) if vals.ndim == 0 else vals
-
-
-def harmonic_basis(n: int, k: int, theta) -> np.ndarray:
-    """All d_k basis values at theta; shape (..., d_k)."""
-    return harmonic_table(n, [(k, ell) for ell in range(1, dim_harmonics(n, k) + 1)], theta)
-
-
-def solid_harmonic(n: int, idx, x) -> np.ndarray | float:
-    """Homogeneous extension |x|^k Y_{k,ell}(x/|x|), defined as 0 at x = 0 for k > 0."""
-    k, ell = idx
-    check_index(n, k, ell)
+    ks, _ = check_indices(n, keys)
     xv = np.asarray(x, dtype=float)
-    scalar = xv.ndim == 1
-    xv = np.atleast_2d(xv)
-    r = np.linalg.norm(xv, axis=-1)
-    out = np.zeros(r.shape)
+    pts = np.atleast_2d(xv)
+    r = np.linalg.norm(pts, axis=-1)
     pos = r > 0.0
-    if np.any(pos):
-        unit = xv[pos] / r[pos, None]
-        out[pos] = r[pos] ** k * eval_harmonic(n, (k, ell), unit)
-    if k == 0:
-        out[~pos] = 1.0
-    return float(out[0]) if scalar else out
+    vals = harmonic_table(n, keys, pts[pos] / r[pos, None])
+    for k in np.unique(ks).tolist():
+        vals[:, ks == k] *= r[pos, None] ** k
+    out = np.empty(r.shape + ks.shape)
+    out[pos] = vals
+    out[~pos] = ks == 0
+    return out[0] if xv.ndim == 1 else out
 
 
 @lru_cache(maxsize=None)

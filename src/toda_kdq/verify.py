@@ -85,12 +85,19 @@ def _inside_ball(rng, n: int) -> np.ndarray:
     return x * (rng.uniform(0.2, 0.5) / np.linalg.norm(x))
 
 
+def _bases(n: int, k_max: int, theta) -> list[np.ndarray]:
+    # the columns of each degree k = 0..k_max of one harmonic table at theta
+    dims = [sphere.dim_harmonics(n, k) for k in range(k_max + 1)]
+    keys = [(k, ell) for k, d in enumerate(dims) for ell in range(1, d + 1)]
+    return np.split(sphere.harmonic_table(n, keys, theta), np.cumsum(dims[:-1]), axis=-1)
+
+
 def check_sphere_orthonormality(k_max: int) -> list[CheckResult]:
     """Gram matrices of the degree <= k_max bases under exact quadrature."""
     worst = 0.0
     for n in (2, 3):
         pts, wts = sphere.sphere_nodes(n, 2 * k_max + 2)
-        mats = [sphere.harmonic_basis(n, k, pts) for k in range(k_max + 1)]
+        mats = _bases(n, k_max, pts)
         for i, bi in enumerate(mats):
             for j, bj in enumerate(mats):
                 gram = (bi * wts[:, None]).T @ bj
@@ -106,8 +113,8 @@ def check_sphere_addition(seed: int, n_dirs: int, k_max: int) -> list[CheckResul
     for n in (2, 3):
         dirs = rng.normal(size=(n_dirs, n))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        for k in range(k_max + 1):
-            sums = (sphere.harmonic_basis(n, k, dirs) ** 2).sum(axis=1)
+        for k, basis in enumerate(_bases(n, k_max, dirs)):
+            sums = (basis**2).sum(axis=1)
             worst = max(worst, _max_abs(sums - sphere.dim_harmonics(n, k)))
     return [_result("sphere-addition-theorem", worst, 1e-10)]
 

@@ -397,7 +397,9 @@ def nevanlinna_1d_configs(draw):
     count = draw(st.sampled_from([len(atoms), len(atoms) + 1]))
     weights = draw(st.lists(st.one_of(st.floats(0.1, 1.0), st.just(-0.5)), min_size=count, max_size=count))
     ys = draw(st.lists(st.one_of(st.floats(1e-3, 1e6), _BAD), max_size=4))
-    return {"kind": "1d", "measure": {"atoms": atoms, "weights": weights}, "N": draw(_ORDERS), "y": ys}
+    # now and then a measure that is not a JSON object
+    measure = draw(st.one_of(st.just({"atoms": atoms, "weights": weights}), st.sampled_from([atoms, 5, None, "m"])))
+    return {"kind": "1d", "measure": measure, "N": draw(_ORDERS), "y": ys}
 
 
 @st.composite
@@ -427,6 +429,11 @@ class TestNevanlinnaExitCodes:
             assert err.startswith("config error: ")
         else:
             assert err == "" or err.startswith("numeric failure: ")
+
+    @pytest.mark.parametrize("measure", [[1], 5])
+    def test_measure_not_an_object(self, measure):
+        code, err = run_in_process(["nevanlinna-check"], {"kind": "1d", "measure": measure, "N": 1, "y": [1.0]})
+        assert (code, err) == (2, f"config error: bad nevanlinna config: measure must be a JSON object, got {measure!r}\n")
 
     def test_quad_degree_flag_is_gone(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "m.json", {"kind": "multi", "measure": _MEASURE_3, "k": 0, "ell": 1, "N": 1, "zeta_abs": [4.0]})
@@ -756,7 +763,7 @@ class TestPinnedOutputs:
             {"measure": _MEASURE_3, "t_grid": [0.0, 1.0, 2.0]},
             (
                 "t,S_k0_l1,S_k1_l3\n"
-                "0.0,1.5,5.000000000000001\n"
+                "0.0,1.5,5.0\n"
                 "1.0,0.7297969417565979,2.0396750659766862\n"
                 "2.0,0.47743588370726076,1.1006569007045863\n"
             ),
@@ -778,7 +785,7 @@ class TestPinnedOutputs:
             {"measure": _MEASURE_RAGGED_3, "t_grid": [0.0, 0.5, 1.5, 4.0]},
             (
                 "t,S_k0_l1,S_k1_l1,S_k1_l3,S_k2_l4\n"
-                "0.0,0.55,3.767358954158353,9.454001367229075,2.6698563600864627\n"
+                "0.0,0.55,3.7673589541583525,9.454001367229075,2.6698563600864627\n"
                 "0.5,0.27030924580629784,2.128278717842502,5.308853838019995,1.7247021789099897\n"
                 "1.5,0.10586731626671982,1.0950850449557634,2.667461543438254,1.018582164552777\n"
                 "4.0,0.02826179294326708,0.40753012050189247,0.9669977826540996,0.48970917577019324\n"

@@ -107,7 +107,7 @@ def per_point_transform(mu, p):
         if tilde is None:
             continue
         t_val = stieltjes_transform(tilde, z * z)
-        total += z ** (1 - k) * sphere.eval_harmonic(mu.n, (k, ell), p.theta) * t_val
+        total += z ** (1 - k) * float(sphere.harmonic_table(mu.n, [(k, ell)], p.theta)[0]) * t_val
     return complex(total)
 
 
@@ -337,7 +337,7 @@ class TestMarkovStieltjes:
         # k=1 term: Y_{1,ell}(theta) * r/(zeta^2 - r^2) with r = 0.5
         mu = single_component(3, 1, 2, [0.5], [1.0])
         p = KDQPoint(3.0 + 1.0j, E3)
-        y_val = sphere.eval_harmonic(3, (1, 2), E3)
+        y_val = float(sphere.harmonic_table(3, [(1, 2)], E3)[0])
         expected = y_val * 0.5 / (p.zeta**2 - 0.25)
         assert markov_stieltjes(mu, p) == pytest.approx(expected)
 
@@ -440,7 +440,7 @@ class TestProjection:
             atoms, weights = mu.family.component(idx)
             tilde = DiscreteMeasure(atoms**2, weights * atoms ** idx[0], half_line=True)
             direct = stieltjes_transform(tilde, zeta**2)
-            projected = zeta ** (idx[0] - 1) * np.sum(wts * values * sphere.eval_harmonic(3, idx, pts))
+            projected = zeta ** (idx[0] - 1) * np.sum(wts * values * sphere.harmonic_table(3, [idx], pts)[:, 0])
             assert abs(projected - direct) < 1e-10
 
     def test_verify_check_fails_on_one_skewed_harmonic(self, monkeypatch):
@@ -486,7 +486,7 @@ def per_key_partial_sums(mu, n_trunc, p):
     z = p.zeta
     f_val = g_val = 0.0 + 0.0j
     for (k, ell), atoms, weights in mu.family.items():
-        y_val = sphere.eval_harmonic(mu.n, (k, ell), p.theta)
+        y_val = float(sphere.harmonic_table(mu.n, [(k, ell)], p.theta)[0])
         moments = [float(np.sum(weights * atoms ** (k + 2 * j))) if atoms.size else 0.0 for j in range(2 * n_trunc + 1)]
         for j in range(2 * n_trunc):
             f_val += moments[j] * z ** (-(k + 2 * j)) * y_val
@@ -521,7 +521,7 @@ class TestDivergentPartialSums:
         f0, g0 = divergent_partial_sums(mu, 0, p)
         assert f0 == 0.0
         # s_{0,1;0} is the mass 1.0 of the one atom
-        assert g0 == pytest.approx(sphere.eval_harmonic(3, (0, 1), E3))
+        assert g0 == pytest.approx(sphere.harmonic_table(3, [(0, 1)], E3)[0])
 
     def test_f_is_geometric_truncation(self):
         mu = single_component(3, 0, 1, [0.5], [1.0])
@@ -550,13 +550,66 @@ class TestDivergentPartialSums:
         assert prev < 1e-2
 
 
+def per_key_solid(n, key, x):
+    """|x|^k Y_{k,ell}(x/|x|) at one point from a one-key table, in the
+    arithmetic of `sphere.solid_harmonic` for a single key."""
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    r = np.linalg.norm(pts, axis=-1)
+    if not r[0] > 0.0:
+        return float(key[0] == 0)
+    return float((r ** key[0] * sphere.harmonic_table(n, [key], pts / r[:, None])[:, 0])[0])
+
+
+def per_key_almansi(poly, x, zeta, theta):
+    """`AlmansiPolynomial.eval` at x and `eval_kdq` at (zeta, theta), one term
+    and one one-key harmonic table at a time, in ascending (j, k, ell)."""
+    xv = np.asarray(x, dtype=float)
+    r2 = float(xv @ xv)
+    value = 0.0
+    z = np.asarray(zeta, dtype=complex)
+    th = np.asarray(theta, dtype=float)
+    kdq_values = np.zeros(np.broadcast_shapes(z.shape, th.shape[:-1]), dtype=complex)
+    for (j, k, ell), coeff in sorted(poly.terms.items()):
+        value += coeff * r2**j * per_key_solid(poly.n, (k, ell), xv)
+        y_val = sphere.harmonic_table(poly.n, [(k, ell)], th)[..., 0]
+        kdq_values += coeff * z ** (2 * j + k) * (float(y_val) if y_val.ndim == 0 else y_val)
+    return value, kdq_values
+
+
 class TestAlmansiPolynomial:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3]),
+        count=st.integers(1, 6),
+        at_origin=st.booleans(),
+        one_point=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_per_key_loop(self, n, count, at_origin, one_point, seed):
+        # bit for bit, several terms in any order, at one point and on a
+        # (zeta, node) grid, and at x = 0
+        rng = np.random.default_rng(seed)
+        terms = {}
+        for _ in range(count):
+            k = int(rng.integers(0, 6))
+            terms[(int(rng.integers(0, 4)), k, int(rng.integers(1, sphere.dim_harmonics(n, k) + 1)))] = rng.normal()
+        poly = AlmansiPolynomial(n, terms)
+        x = np.zeros(n) if at_origin else rng.normal(size=n)
+        if one_point:
+            zeta, theta = np.complex128(rng.normal() + 1j * rng.normal()), unit(rng.normal(size=n))
+        else:
+            zeta = (rng.normal(size=3) + 1j * rng.normal(size=3))[:, None]
+            theta = sphere.sphere_nodes(n, 4)[0][None, :, :]
+        value, kdq_values = per_key_almansi(poly, x, zeta, theta)
+        assert poly.eval(x) == value
+        assert poly.eval_kdq(zeta, theta).tobytes() == kdq_values.tobytes()
+
     def test_eval_matches_monomial(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=3)
         poly = AlmansiPolynomial(3, {(2, 1, 2): 1.0})
         r2 = float(x @ x)
-        expected = r2**2 * sphere.solid_harmonic(3, (1, 2), x)
+        expected = r2**2 * sphere.solid_harmonic(3, [(1, 2)], x)[0]
         assert poly.eval(x) == pytest.approx(expected)
 
     def test_kdq_extension_on_real_points(self):

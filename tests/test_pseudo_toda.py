@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toda_kdq import kdq, pseudo_toda, sphere, verify
 from toda_kdq.errors import RankDeficiencyError
 from toda_kdq.moment_1d import DiscreteMeasure, JacobiMatrix, jacobi_from_measure, spectral_data_from_jacobi
 from toda_kdq.toda_1d import hamiltonian_ab
 from toda_kdq.pseudo_toda import (
+    PhysicalSurface,
     PseudoTodaState,
-    component_hamiltonian,
     component_jacobi,
     component_ode_residual,
     evolve,
@@ -148,7 +150,7 @@ class TestComponentJacobi:
         with pytest.raises(RankDeficiencyError):
             jacobi_from_measure(DiscreteMeasure(lambdas**2, masses, half_line=True))
         jac = component_jacobi(ev, (0, 1))
-        h = component_hamiltonian(ev, (0, 1))
+        h = 2.0 * np.sum(lambdas**4)
         assert abs(hamiltonian_ab(jac) - h) / h < 1e-12
         assert np.max(np.abs(np.linalg.eigvalsh(jac.to_dense()) - lambdas**2)) < 1e-12
 
@@ -179,11 +181,12 @@ class TestComponentJacobi:
 
 class TestHamiltonians:
     def test_single_atom(self):
+        # H_{k,l} = 2 sum_j lambda_j^4 is the Jacobi matrix's Hamiltonian
         st = PseudoTodaState(3, {(0, 1): ([1.0], [1.0])})
-        assert component_hamiltonian(st, (0, 1)) == 2.0
+        assert hamiltonian_ab(component_jacobi(st, (0, 1))) == 2.0
 
     def test_two_atom(self):
-        assert component_hamiltonian(TWO_ATOM, (0, 1)) == pytest.approx(2.125)
+        assert hamiltonian_ab(component_jacobi(TWO_ATOM, (0, 1))) == pytest.approx(2.0 * (0.5**4 + 1.0**4))
 
     def test_total_sum(self):
         st = PseudoTodaState(
@@ -199,10 +202,8 @@ class TestHamiltonians:
         # H = 4 (sum at^2 + 1/2 sum bt^2) via the trace identity on L_{k,l}
         rng = np.random.default_rng(4)
         st = full_state(rng, kmax=2, atoms=3)
-        for key in st.family.keys:
-            jac = component_jacobi(st, key)
-            h_entries = 4.0 * (np.sum(jac.offdiag**2) + 0.5 * np.sum(jac.diag**2))
-            assert abs(h_entries - component_hamiltonian(st, key)) < 1e-10
+        for key, lambdas, _ in st.family.items():
+            assert abs(hamiltonian_ab(component_jacobi(st, key)) - 2.0 * np.sum(lambdas**4)) < 1e-10
 
     def test_verify_check_reads_jacobi_entries(self, monkeypatch):
         # a Jacobi matrix off by 1e-9 must fail pseudo-hamiltonian-constant
@@ -273,7 +274,7 @@ class TestSurfaces:
         th = np.array([np.sin(1.0), 0.0, np.cos(1.0)])
         jac0 = component_jacobi(st, (0, 1))
         jac1 = component_jacobi(st, (1, 2))
-        y1 = sphere.eval_harmonic(3, (1, 2), th)
+        y1 = float(sphere.harmonic_table(3, [(1, 2)], th)[0])
         a1, b1 = flaschka_surfaces(st, 1, th)
         assert a1 == pytest.approx(jac0.offdiag[0] + jac1.offdiag[0] * y1)
         assert b1 == pytest.approx(jac0.diag[0] + jac1.diag[0] * y1)
@@ -283,9 +284,9 @@ class TestSurfaces:
         st = full_state(rng, kmax=2, atoms=3)
         pts, wts = sphere.sphere_nodes(3, 8)
         surf = np.array([flaschka_surfaces(st, 1, p)[0] for p in pts])
-        for key in ((0, 1), (1, 3), (2, 5)):
+        keys = ((0, 1), (1, 3), (2, 5))
+        for key, y_vals in zip(keys, sphere.harmonic_table(3, keys, pts).T):
             jac = component_jacobi(st, key)
-            y_vals = np.array([sphere.eval_harmonic(3, key, p) for p in pts])
             coeff = float(np.sum(wts * surf * y_vals))
             assert abs(coeff - jac.offdiag[0]) < 1e-10
 
@@ -311,7 +312,7 @@ class TestSurfaces:
         st = PseudoTodaState(3, {(1, 1): ([0.5, 1.0], [0.5, 0.5])})
         jac = component_jacobi(st, (1, 1))
         surf = physical_surfaces(st, 2, E3)
-        y1 = sphere.eval_harmonic(3, (1, 1), E3)
+        y1 = float(sphere.harmonic_table(3, [(1, 1)], E3)[0])
         expected = 4.0 * jac.offdiag[0] ** 2 * 1.0 * y1  # gauge max(1,1)^{-1} = 1
         assert surf.x == pytest.approx(expected)
 
@@ -332,6 +333,52 @@ class TestSurfaces:
         surf = physical_surfaces(st, 2, th)
         increments = np.abs(np.diff(np.asarray(surf.x_partials)))
         assert increments[-1] < 1e-3 * max(abs(surf.x), 1e-30) + 1e-12
+
+
+def per_key_surfaces(state, j, theta):
+    """`flaschka_surfaces` and `physical_surfaces` one component and one
+    one-key harmonic table at a time, in ascending (k, l)."""
+    n_sites = state.common_size()
+    a_val = b_val = x_total = y_total = 0.0
+    x_partials, y_partials = [], []
+    for i, key in enumerate(state.family.keys):
+        jac = component_jacobi(state, key)
+        y_val = float(sphere.harmonic_table(state.n, [key], theta)[0])
+        if j <= n_sites - 1:
+            a_val += float(jac.offdiag[j - 1]) * y_val
+        b_val += float(jac.diag[j - 1]) * y_val
+        if i and key[0] != state.family.keys[i - 1][0]:
+            x_partials.append(x_total)
+            y_partials.append(y_total)
+        prod = float(np.prod(jac.offdiag[: j - 1] ** 2)) if j > 1 else 1.0
+        x_total += 4.0 ** (j - 1) * prod * float(max(key[0], 1)) ** (-(state.n - 2)) * y_val
+        y_total += -2.0 * float(jac.diag[j - 1]) * y_val
+    x_partials.append(x_total)
+    y_partials.append(y_total)
+    return (a_val, b_val), PhysicalSurface(x_total, y_total, tuple(x_partials), tuple(y_partials))
+
+
+class TestSurfacesPerKey:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3]),
+        kmax=st.integers(0, 3),
+        atoms=st.integers(2, 4),
+        t=st.sampled_from([0.0, 0.7]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_per_key_loop(self, n, kmax, atoms, t, seed):
+        # bit for bit at every site, values and partial sums, with some keys absent
+        rng = np.random.default_rng(seed)
+        st_full = full_state(rng, n=n, kmax=kmax, atoms=atoms)
+        keep = [key for key in st_full.family.keys if rng.random() < 0.7] or [(0, 1)]
+        state = evolve(PseudoTodaState(n, {key: st_full.family.component(key) for key in keep}), t)
+        theta = rng.normal(size=n)
+        theta /= np.linalg.norm(theta)
+        for j in range(1, atoms + 1):
+            flaschka, physical = per_key_surfaces(state, j, theta)
+            assert flaschka_surfaces(state, j, theta) == flaschka
+            assert physical_surfaces(state, j, theta) == physical
 
 
 class TestMeasureBridge:

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import mpmath
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toda_kdq import sphere
@@ -43,7 +43,7 @@ RESIDUAL_RTOL = 1e-13
 def ref_harmonic(n, k, ell, theta):
     """Y_{k,ell} of one component alone (its values are held against
     `scipy.special.sph_harm_y` in tests/test_sphere.py)."""
-    return sphere.eval_harmonic(n, (k, ell), theta)
+    return sphere.harmonic_table(n, [(k, ell)], theta)[..., 0]
 
 
 def ref_measure(atoms, weights):
@@ -158,6 +158,8 @@ def ref_iso(measure, t_grid, dt=1e-4):
             return float(np.sum(np.where(masses > 0.0, masses / lam ** float(k), 0.0)))
 
     def riccati(lam, masses, t):
+        if t == 0.0:  # the masses themselves
+            return masses
         r0 = np.sqrt(masses)
         return (r0 / (1.0 + lam * r0 * t)) ** 2
 
@@ -285,6 +287,7 @@ class TestAgainstPerComponentLoop:
 
     @settings(max_examples=30, deadline=None)
     @given(measure=measures(2.0), t_grid=st.lists(st.floats(0.0, 5.0), min_size=2, max_size=6))
+    @example(measure={"n": 2, "k_max": 0, "components": [{"k": 0, "ell": 1, "atoms": [1.0], "weights": [0.5]}]}, t_grid=[0.0, 0.0])
     def test_iso_flow(self, measure, t_grid):
         _matches(run_cli(["iso-flow"], {"measure": measure, "t_grid": t_grid}), ref_iso(measure, t_grid))
 

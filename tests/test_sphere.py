@@ -29,31 +29,49 @@ class TestDimHarmonics:
             sphere.dim_harmonics(3, -1)
 
 
+def basis(n, k, theta):
+    """The d_k columns of degree k of the harmonic table."""
+    return sphere.harmonic_table(n, [(k, ell) for ell in range(1, sphere.dim_harmonics(n, k) + 1)], theta)
+
+
 class TestEvalHarmonic:
+    """Values of `harmonic_table`, and the index check `check_indices` it runs."""
+
     def test_constant(self):
         rng = np.random.default_rng(0)
         for n in (2, 3):
-            for th in random_directions(rng, n, 5):
-                assert sphere.eval_harmonic(n, (0, 1), th) == pytest.approx(1.0)
+            assert np.all(sphere.harmonic_table(n, [(0, 1)], random_directions(rng, n, 5)) == 1.0)
 
     def test_circle_degree_one(self):
         phi = 0.83
         th = np.array([np.cos(phi), np.sin(phi)])
-        assert sphere.eval_harmonic(2, (1, 1), th) == pytest.approx(np.sqrt(2) * np.cos(phi))
-        assert sphere.eval_harmonic(2, (1, 2), th) == pytest.approx(np.sqrt(2) * np.sin(phi))
+        expected = np.sqrt(2) * np.array([np.cos(phi), np.sin(phi)])
+        np.testing.assert_allclose(sphere.harmonic_table(2, [(1, 1), (1, 2)], th), expected)
 
     def test_zonal_degree_one_s2(self):
         # zonal index is ell = k+1; value sqrt(3) cos(gamma)
-        for gamma in (0.2, 1.1, 2.5):
-            th = np.array([np.sin(gamma), 0.0, np.cos(gamma)])
-            assert sphere.eval_harmonic(3, (1, 2), th) == pytest.approx(np.sqrt(3) * np.cos(gamma))
+        gammas = np.array([0.2, 1.1, 2.5])
+        th = np.column_stack([np.sin(gammas), np.zeros(3), np.cos(gammas)])
+        np.testing.assert_allclose(sphere.harmonic_table(3, [(1, 2)], th)[:, 0], np.sqrt(3) * np.cos(gammas))
 
     def test_invalid_index(self):
-        th = np.array([1.0, 0.0])
-        with pytest.raises(ValueError):
-            sphere.eval_harmonic(2, (1, 3), th)
-        with pytest.raises(ValueError):
-            sphere.eval_harmonic(2, (0, 2), th)
+        # the message names the first bad key, here always the second
+        ks, ells = sphere.check_indices(3, [(0, 1), (2, 5), (1000, 2001)])
+        assert ks.tolist() == [0, 2, 1000] and ells.tolist() == [1, 5, 2001]
+        cases = [
+            (2, (1, 3), "invalid harmonic index (k=1, ell=3); need 1 <= ell <= 2"),
+            (2, (0, 2), "invalid harmonic index (k=0, ell=2); need 1 <= ell <= 1"),
+            (3, (2, 0), "invalid harmonic index (k=2, ell=0); need 1 <= ell <= 5"),
+            (3, (-1, 1), "degree must be nonnegative, got k=-1"),
+            (3, (1001, 1), "harmonic degree k=1001 on S^2 exceeds 1000"),
+            (4, (0, 1), "unsupported ambient dimension n=4; only 2 and 3"),
+        ]
+        for n, bad, message in cases:
+            keys = [(0, 1), bad, (1, 2), (-3, 9)]
+            for check in (sphere.check_indices, lambda n, keys: sphere.harmonic_table(n, keys, np.eye(n)[0])):
+                with pytest.raises(ValueError) as exc:
+                    check(n, keys)
+                assert str(exc.value) == message
 
     def test_direction_validation(self):
         with pytest.raises(ValueError):
@@ -67,7 +85,7 @@ class TestOrthonormality:
     def test_gram_matrix(self, n):
         kmax = 6
         pts, wts = sphere.sphere_nodes(n, 2 * kmax)
-        bases = [sphere.harmonic_basis(n, k, pts) for k in range(kmax + 1)]
+        bases = [basis(n, k, pts) for k in range(kmax + 1)]
         for i, bi in enumerate(bases):
             for j, bj in enumerate(bases):
                 gram = (bi * wts[:, None]).T @ bj
@@ -79,7 +97,7 @@ class TestOrthonormality:
         rng = np.random.default_rng(7)
         dirs = random_directions(rng, n, 30)
         for k in range(9):
-            sums = (sphere.harmonic_basis(n, k, dirs) ** 2).sum(axis=1)
+            sums = (basis(n, k, dirs) ** 2).sum(axis=1)
             assert np.max(np.abs(sums - sphere.dim_harmonics(n, k))) < 1e-10
 
 
@@ -129,8 +147,8 @@ class TestHarmonicsNearThePoles:
             ref = self.oracle(delta, phi, sign)
             table = sphere.harmonic_table(3, self.KEYS, theta)
             assert np.max(np.abs(table - ref) / np.abs(ref)) < 1e-12
-            one = [sphere.eval_harmonic(3, key, theta) for key in self.KEYS[::37]]
-            assert np.max(np.abs(np.array(one) - ref[::37]) / np.abs(ref[::37])) < 1e-12
+            one = [sphere.harmonic_table(3, [key], theta)[0] for key in self.KEYS[::37]]
+            assert np.array(one).tobytes() == table[::37].tobytes()
 
     def test_degree_cap(self):
         # S^2 degrees stop at 1000, where the values at a pole are near 1e209
@@ -143,18 +161,29 @@ class TestHarmonicsNearThePoles:
     def test_degree_one_at_1e_8_rad(self):
         # -sqrt(3) sin(delta): the Condon-Shortley sign, and no digit lost
         theta = np.array([np.sin(1e-8), 0.0, np.cos(1e-8)])
-        assert sphere.eval_harmonic(3, (1, 3), theta) == pytest.approx(-np.sqrt(3.0) * 1e-8, rel=1e-14)
+        assert sphere.harmonic_table(3, [(1, 3)], theta)[0] == pytest.approx(-np.sqrt(3.0) * 1e-8, rel=1e-14)
 
 
 class TestSolidHarmonic:
+    KEYS = [(0, 1), (1, 3), (2, 5), (3, 2)]
+
     def test_homogeneity(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=3)
-        for k, ell in [(0, 1), (1, 3), (2, 5), (3, 2)]:
-            v1 = sphere.solid_harmonic(3, (k, ell), x)
-            v2 = sphere.solid_harmonic(3, (k, ell), 2.0 * x)
-            assert v2 == pytest.approx(2.0**k * v1)
+        v1 = sphere.solid_harmonic(3, self.KEYS, x)
+        v2 = sphere.solid_harmonic(3, self.KEYS, 2.0 * x)
+        np.testing.assert_allclose(v2, 2.0 ** np.array([k for k, _ in self.KEYS]) * v1, rtol=1e-14)
 
     def test_origin(self):
-        assert sphere.solid_harmonic(3, (0, 1), np.zeros(3)) == 1.0
-        assert sphere.solid_harmonic(3, (2, 1), np.zeros(3)) == 0.0
+        assert sphere.solid_harmonic(3, [(0, 1), (2, 1)], np.zeros(3)).tolist() == [1.0, 0.0]
+
+    def test_columns_match_one_key_tables(self):
+        # bit for bit at 500 points and the origin: each column is |x|^k, one
+        # scalar power, times the key's own one-key table at x/|x|
+        rng = np.random.default_rng(4)
+        x = np.vstack([rng.normal(size=(500, 3)), np.zeros(3)])
+        r = np.linalg.norm(x[:-1], axis=-1)
+        out = sphere.solid_harmonic(3, self.KEYS, x)
+        for i, (k, ell) in enumerate(self.KEYS):
+            assert out[:-1, i].tobytes() == (r**k * sphere.harmonic_table(3, [(k, ell)], x[:-1] / r[:, None])[:, 0]).tobytes()
+            assert out[-1, i] == (k == 0)
