@@ -12,7 +12,10 @@ median time of one in-process `verify.run_all()`, the checks of
 `toda-kdq verify-all`, the median time of one in-process
 `toda-kdq simulate-1d` over N, and the median time of one
 `sphere.harmonic_table` call with every S^2 key of degree <= k_max, at one
-point and on the `sphere_nodes(3, 2 k_max)` grid, over k_max.
+point and on the `sphere_nodes(3, 2 k_max)` grid, over k_max, the median
+time of one `pseudo_toda.flaschka_surfaces(state, 1, theta)` over the
+component count K and the atom count N, at t = 0 and t = 100, and the median
+time of one `verify.check_pseudo_toda` at its `verify-all` size.
 """
 
 import os
@@ -46,6 +49,11 @@ SIMULATE_T_FINAL = 1.0
 SIMULATE_SAMPLES = 7
 HARMONIC_KMAX = (2, 4, 8, 16, 24, 32)
 HARMONIC_SAMPLES = 15
+SURFACE_KMAX = (2, 4, 8, 16)  # K = (k_max + 1)^2 = 9, 25, 81, 289 components on S^2
+SURFACE_ATOMS = (4, 6)
+SURFACE_TIMES = (0.0, 100.0)
+SURFACE_SAMPLES = 5
+PSEUDO_CHECK_SAMPLES = 15
 
 _IMPORT_CODE = (
     "import time\n"
@@ -186,6 +194,53 @@ def harmonic_table_seconds(sphere) -> list:
     ]
 
 
+def surfaces_seconds(pseudo_toda) -> list:
+    """Median seconds of one `pseudo_toda.flaschka_surfaces(state, 1, theta)`
+    on S^2 states with every key of degree <= k_max, each component of N atoms
+    with radii in [0.2, 1.2] and masses in [0.2, 1] before normalization, at
+    time 0 and evolved to t = 100; the samples go round the cases in turn,
+    and the first round is a warm-up."""
+    rng = np.random.default_rng(3)
+    theta = np.array([0.36, 0.48, 0.8])
+    cases = {}
+    for k_max in SURFACE_KMAX:
+        for n_atoms in SURFACE_ATOMS:
+            comps = {}
+            for key in [(k, ell) for k in range(k_max + 1) for ell in range(1, 2 * k + 2)]:
+                lam = np.sort(rng.uniform(0.2, 1.2, n_atoms))
+                while np.min(np.diff(lam)) < 1e-3:
+                    lam = np.sort(rng.uniform(0.2, 1.2, n_atoms))
+                m = rng.uniform(0.2, 1.0, n_atoms)
+                comps[key] = (lam, m / m.sum())
+            state = pseudo_toda.PseudoTodaState(3, comps)
+            for t in SURFACE_TIMES:
+                cases[k_max, n_atoms, t] = pseudo_toda.evolve(state, t)
+    samples = {case: [] for case in cases}
+    for i in range(SURFACE_SAMPLES + 1):
+        for case, state in cases.items():
+            t = time.perf_counter()
+            pseudo_toda.flaschka_surfaces(state, 1, theta)
+            if i:
+                samples[case].append(time.perf_counter() - t)
+    return [
+        {"K": (k_max + 1) ** 2, "N": n_atoms, "t": t, "median_ms": 1e3 * statistics.median(samples[k_max, n_atoms, t])}
+        for k_max, n_atoms, t in cases
+    ]
+
+
+def check_pseudo_toda_seconds(verify) -> dict:
+    """Seconds of one `verify.check_pseudo_toda` with the seed and times of
+    `verify.run_all`, after one warm-up run."""
+    run = lambda: verify.check_pseudo_toda(verify._SEED + 7, ode_times=(0.5,))  # noqa: E731
+    run()
+    samples = []
+    for _ in range(PSEUDO_CHECK_SAMPLES):
+        t = time.perf_counter()
+        run()
+        samples.append(time.perf_counter() - t)
+    return {"median_s": statistics.median(samples), "min_s": min(samples), "samples": len(samples)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path)
@@ -193,7 +248,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     src = args.src.resolve()
     sys.path.insert(0, str(src))
-    from toda_kdq import cli, sphere, toda_1d, verify
+    from toda_kdq import cli, pseudo_toda, sphere, toda_1d, verify
     from toda_kdq.moment_1d import JacobiMatrix
 
     if not Path(toda_1d.__file__).resolve().is_relative_to(src):
@@ -212,6 +267,8 @@ def main(argv=None) -> int:
         "curve": simulate_1d_seconds(cli),
     }
     report["harmonic_table"] = {"n": 3, "samples": HARMONIC_SAMPLES, "curve": harmonic_table_seconds(sphere)}
+    report["flaschka_surfaces"] = {"n": 3, "j": 1, "samples": SURFACE_SAMPLES, "curve": surfaces_seconds(pseudo_toda)}
+    report["check_pseudo_toda"] = check_pseudo_toda_seconds(verify)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     for row in report["rk4_step"]["curve"]:
         print(f"B = {row['B']:3d}  N = {str(row['N']):>15}  {row['step_us']:8.1f} us/step")
@@ -225,6 +282,12 @@ def main(argv=None) -> int:
             f"harmonic_table k_max = {row['k_max']:2d} ({row['keys']} keys): {row['point_us']:8.1f} us at one point, "
             f"{row['grid_ms']:7.2f} ms on {row['grid_points']} nodes (median)"
         )
+    for row in report["flaschka_surfaces"]["curve"]:
+        print(
+            f"flaschka_surfaces K = {row['K']:3d}  N = {row['N']}  t = {row['t']:5.1f}: "
+            f"{row['median_ms']:8.2f} ms (median)"
+        )
+    print(f"check_pseudo_toda: {1e3 * report['check_pseudo_toda']['median_s']:.1f} ms (median)")
     return 0
 
 

@@ -224,8 +224,7 @@ class JacobiMatrix:
             raise ValueError("diag must be a nonempty 1-d array")
         if offdiag.size != diag.size - 1:
             raise ValueError("offdiag must have length len(diag) - 1")
-        if (offdiag <= 0.0).any():
-            raise ValueError("off-diagonal entries must be strictly positive (unreduced)")
+        _check_unreduced(offdiag[None])
 
     @property
     def n(self) -> int:
@@ -236,6 +235,17 @@ class JacobiMatrix:
         if self.offdiag.size:
             m += np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1)
         return m
+
+
+def _check_unreduced(offdiag: np.ndarray, labels=("",)) -> None:
+    # ValueError naming the first coupling of the rows (R, N-1) that is not > 0
+    bad = ~(offdiag > 0.0)
+    if bad.any():
+        r, j = (int(i) for i in np.unravel_index(bad.argmax(), bad.shape))
+        raise ValueError(
+            f"{labels[r]}off-diagonal entries must be strictly positive (unreduced), "
+            f"got offdiag[{j}] = {float(offdiag[r, j])!r}"
+        )
 
 
 def moments(mu: DiscreteMeasure, jmax: int) -> np.ndarray:
@@ -262,8 +272,7 @@ def stieltjes_transform(mu: DiscreteMeasure, lam: complex) -> complex:
 def recurrence_coefficients(mu: DiscreteMeasure, n: int):
     """Three-term recurrence coefficients of the orthonormal polynomials of mu.
 
-    Runs the Lanczos process with full reorthogonalization on diag(atoms)
-    with starting vector proportional to sqrt(weights).
+    The first n steps of `_lanczos` on the atoms and weights of mu.
 
     Returns
     -------
@@ -275,45 +284,69 @@ def recurrence_coefficients(mu: DiscreteMeasure, n: int):
         raise ValueError("n must be >= 1")
     if n > m:
         raise RankDeficiencyError(f"measure has {m} atoms; cannot produce {n} recurrence steps")
-    a = mu.atoms
-    scale = max(1.0, float(np.max(np.abs(a))) if m else 1.0)
-    q = np.sqrt(mu.weights)
-    q /= np.linalg.norm(q)
-    big_q = np.zeros((m, n))
+    alphas, sb = _lanczos(mu.atoms[None], mu.weights[None], n)
+    return alphas[0], sb[0] ** 2
+
+
+def _lanczos(atoms: np.ndarray, weights: np.ndarray, n: int, labels=("",)):
+    """n Lanczos steps on each row of (K, M) atoms and weights at once.
+
+    Runs the Lanczos process with full reorthogonalization on diag(atoms)
+    with starting vector proportional to sqrt(weights), for n <= M.  Every
+    sum runs along the last axis of a fresh C-contiguous array, or
+    elementwise along the middle one, so a row's bits do not depend on the
+    other rows.  Returns alphas (K, n) and sqrt(beta) (K, n-1), all > 0;
+    RankDeficiencyError, prefixed with the row's `labels` entry, at the
+    first step where a row's next vector falls below 1e-14 max(1, max|atom|).
+    """
+    scale = np.maximum(1.0, np.abs(atoms).max(axis=1))
+    q = np.sqrt(weights)
+    q /= np.sqrt((q * q).sum(axis=1))[:, None]
+    big_q = np.zeros((atoms.shape[0], n, atoms.shape[1]))  # the vectors of each row, one per q_i
     big_q[:, 0] = q
-    alphas = np.zeros(n)
-    sb = np.zeros(max(n - 1, 0))  # sqrt(beta)
+    alphas = np.empty((atoms.shape[0], n))
+    sb = np.empty((atoms.shape[0], n - 1))  # sqrt(beta)
     for i in range(n):
-        u = a * big_q[:, i]
+        u = atoms * big_q[:, i]
         if i > 0:
-            u -= sb[i - 1] * big_q[:, i - 1]
-        alphas[i] = big_q[:, i] @ u
-        u -= alphas[i] * big_q[:, i]
+            u -= sb[:, i - 1, None] * big_q[:, i - 1]
+        alphas[:, i] = (big_q[:, i] * u).sum(axis=1)
+        u -= alphas[:, i, None] * big_q[:, i]
         # two Gram-Schmidt passes against everything computed so far
-        u -= big_q[:, : i + 1] @ (big_q[:, : i + 1].T @ u)
-        u -= big_q[:, : i + 1] @ (big_q[:, : i + 1].T @ u)
+        basis = big_q[:, : i + 1]
+        for _ in range(2):
+            u -= (basis * (basis * u[:, None]).sum(axis=2)[:, :, None]).sum(axis=1)
         if i < n - 1:
-            norm_u = np.linalg.norm(u)
-            if norm_u <= 1e-14 * scale:
-                raise RankDeficiencyError(f"effective rank deficiency at Lanczos step {i + 1}")
-            sb[i] = norm_u
-            big_q[:, i + 1] = u / norm_u
-    return alphas, sb**2
+            sb[:, i] = np.sqrt((u * u).sum(axis=1))
+            low = sb[:, i] <= 1e-14 * scale
+            if low.any():
+                label = labels[int(low.argmax())]
+                raise RankDeficiencyError(f"{label}effective rank deficiency at Lanczos step {i + 1}")
+            big_q[:, i + 1] = u / sb[:, i, None]
+    return alphas, sb
+
+
+def _check_mass(totals: np.ndarray, labels=("",)) -> None:
+    # the unit total mass that a Jacobi matrix's corner entry needs, for the
+    # total of each row; ValueError, prefixed with its label, at the first off
+    off = np.abs(totals - 1.0) > _MASS_TOL
+    if off.any():
+        r = int(off.argmax())
+        raise ValueError(f"{labels[r]}measure must have total mass 1, got {float(totals[r])!r}")
 
 
 def jacobi_from_measure(mu: DiscreteMeasure) -> JacobiMatrix:
     """Jacobi matrix whose corner resolvent entry is the Stieltjes transform of mu.
 
-    Requires total mass 1.  The recurrence coefficients fill the matrix from
-    the bottom-right corner upward (see module docstring).
+    Requires total mass 1.  The recurrence coefficients of `_lanczos` fill
+    the matrix from the bottom-right corner upward (see module docstring).
     """
-    if abs(mu.total_mass - 1.0) > _MASS_TOL:
-        raise ValueError(f"measure must have total mass 1, got {mu.total_mass!r}")
+    _check_mass(np.array([mu.total_mass]))
     n = len(mu)
     if n == 0:
         raise ValueError("measure has no atoms")
-    alphas, betas = recurrence_coefficients(mu, n)
-    return JacobiMatrix(diag=alphas[::-1].copy(), offdiag=np.sqrt(betas)[::-1].copy())
+    alphas, sb = _lanczos(mu.atoms[None], mu.weights[None], n)
+    return JacobiMatrix(diag=alphas[0, ::-1].copy(), offdiag=sb[0, ::-1].copy())
 
 
 def spectral_data_from_jacobi(jac: JacobiMatrix):

@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import PositivityLossError
 from .kdq import ComponentFamily, PseudoPositiveMeasure
-from .moment_1d import DiscreteMeasure, JacobiMatrix, _json_float, _json_int, jacobi_from_measure
+from .moment_1d import JacobiMatrix, _check_mass, _check_unreduced, _json_float, _json_int, _lanczos, _merge_coincident
 from .sphere import check_indices, harmonic_table
-from .toda_1d import _csv_text, _evolved_masses, spectral_solve, toda_rhs
+from .toda_1d import _csv_text, _evolved_masses, _flow_rows, _rhs_rows
 
 __all__ = [
     "PseudoTodaState",
@@ -34,6 +34,7 @@ __all__ = [
     "tilde_transform",
     "tilde_inverse",
     "evolve",
+    "family_jacobi",
     "component_jacobi",
     "total_hamiltonian",
     "normalization_invariant",
@@ -57,7 +58,10 @@ def _toda_family(family: ComponentFamily) -> ComponentFamily:
     sums = family.block_sums(family.masses)
     off = np.abs(sums - 1.0) > _NORM_TOL
     if off.any():
-        raise ValueError(f"tilde masses must sum to 1 within {_NORM_TOL}, got {sums[off][0]!r}")
+        i = int(off.argmax())
+        raise ValueError(
+            f"tilde masses of component {family.keys[i]} must sum to 1 within {_NORM_TOL}, got {float(sums[i])!r}"
+        )
     segment = np.repeat(np.arange(len(family.keys)), family.sizes)
     order = np.lexsort((family.radii, segment))
     return ComponentFamily(family.keys, family.offsets, family.radii[order], family.masses[order])
@@ -167,22 +171,64 @@ def evolve(state: PseudoTodaState, t: float) -> PseudoTodaState:
     return PseudoTodaState(state.n, time=state.time + t, family=replace(state.family, masses=masses))
 
 
-def component_jacobi(state: PseudoTodaState, idx) -> JacobiMatrix:
-    """Jacobi matrix of the tilde measure sum_j rt2_j delta(rho - lambda_j^2).
+def family_jacobi(state: PseudoTodaState) -> tuple:
+    """Jacobi matrices of the tilde measures sum_j rt2_j delta(rho - lambda_j^2)
+    of every component: diagonals (K, N) and couplings (K, N-1), one row
+    per component in ascending (k, l) order, N the largest atom count.
 
-    Lanczos runs once, at time 0 or at the state's time, whichever has the
-    larger smallest mass (the state's time on a tie, so at time 0 the masses
-    are used as given); from time 0 the exact QR flow of `toda_1d` carries
-    the matrix to the state's time.  The tiny late masses of an evolved
-    state thus never meet Lanczos's rank threshold.
+    A component whose tilde atoms merge (within 1e-12), or that has fewer
+    atoms, has a Jacobi matrix of m < N sites; its row holds it in sites
+    1..m and 0 past them, a free end.  Each row's Lanczos runs at time 0
+    or at the state's time, whichever has the larger smallest mass (the
+    state's time on a tie, so at time 0 the masses are used as given);
+    from time 0 the exact QR flow of `toda_1d` carries the matrix to the
+    state's time.  The tiny late masses of an evolved state thus never meet
+    Lanczos's rank threshold.  The rows of each size m take one stacked
+    Lanczos and one stacked flow, and each row gets the bits it would get
+    alone (`component_jacobi`).  Errors name the component.
     """
-    lambdas, masses = state.family.component(idx)
-    x = lambdas**2
-    at_zero = _evolved_masses(masses, x, -state.time) if state.time != 0.0 else masses
-    if not at_zero.min() > masses.min():
-        return jacobi_from_measure(DiscreteMeasure(x, masses, half_line=True))
-    jac = jacobi_from_measure(DiscreteMeasure(x, at_zero, half_line=True))
-    return spectral_solve(jac, [state.time]).state(0)
+    return _jacobi_rows(state.family, state.time)[:2]
+
+
+def _jacobi_rows(family: ComponentFamily, time: float) -> tuple:
+    # family_jacobi's diagonals and couplings, and each row's size m
+    labels = np.array([f"component {key}: " for key in family.keys], dtype=object)
+    x = family.radii**2
+    masses = family.masses
+    from_zero = np.zeros(len(family.keys), dtype=bool)
+    if time != 0.0:
+        at_zero = np.empty(masses.shape)
+        with np.errstate(all="ignore"):
+            for pos, idx in family.blocks:
+                at_zero[idx] = _evolved_masses(masses[idx], x[idx], -time)
+                from_zero[pos] = at_zero[idx].min(axis=1) > masses[idx].min(axis=1)
+        masses = np.where(np.repeat(from_zero, family.sizes), at_zero, masses)
+    # the tilde measures, coincident atoms merged, as a family of tilde radii
+    atoms, weights, offsets = _merge_coincident(x, masses, family.offsets)
+    merged = ComponentFamily(family.keys, offsets, atoms, weights)
+    _check_mass(merged.block_sums(weights), labels)
+    width = int(family.sizes.max(initial=1))
+    diag, offdiag = np.zeros((len(family.keys), width)), np.zeros((len(family.keys), width - 1))
+    for pos, idx in merged.blocks:
+        m = idx.shape[1]
+        alphas, sb = _lanczos(merged.radii[idx], merged.masses[idx], m, labels[pos])
+        b, a = alphas[:, ::-1], sb[:, ::-1]
+        flow = from_zero[pos] & (m > 1)
+        if flow.any():
+            b[flow], a[flow] = _flow_rows(b[flow], a[flow], time, labels[pos[flow]])
+        _check_unreduced(a, labels[pos])
+        diag[pos, :m], offdiag[pos, : m - 1] = b, a
+    return diag, offdiag, merged.sizes
+
+
+def component_jacobi(state: PseudoTodaState, idx) -> JacobiMatrix:
+    """Jacobi matrix of the tilde measure of component idx: its row of
+    `family_jacobi`, bit for bit, cut to its m sites."""
+    family = state.family
+    keep = np.repeat(np.arange(len(family.keys)) == family.index(idx), family.sizes)
+    diag, offdiag, sizes = _jacobi_rows(family.compress(keep), state.time)
+    m = int(sizes[0])
+    return JacobiMatrix(diag=diag[0, :m], offdiag=offdiag[0, : m - 1])
 
 
 def total_hamiltonian(state: PseudoTodaState) -> float:
@@ -200,34 +246,32 @@ def normalization_invariant(state: PseudoTodaState) -> float:
     return float(np.max(np.abs(state.family.block_sums(state.family.masses) - 1.0), initial=0.0))
 
 
-def component_ode_residual(state: PseudoTodaState, idx, t: float, dt: float = 1e-4) -> float:
-    """Central-difference check that (at, bt)(t) obeys the 1-d Toda equations.
+def component_ode_residual(state: PseudoTodaState, t: float, dt: float = 1e-4) -> np.ndarray:
+    """Central-difference check that each component's (at, bt)(t) obeys the
+    1-d Toda equations: one residual per component, shape (K,).
 
-    Differences the Jacobi entries of the component at t +- dt against the
-    right-hand sides evaluated at t; the residual is O(dt^2).
+    Differences the `family_jacobi` rows at t +- dt against the right-hand
+    sides evaluated at t; the residual is O(dt^2).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    jac_m = component_jacobi(evolve(state, t - dt), idx)
-    jac_0 = component_jacobi(evolve(state, t), idx)
-    jac_p = component_jacobi(evolve(state, t + dt), idx)
-    da_num = (jac_p.offdiag - jac_m.offdiag) / (2.0 * dt)
-    db_num = (jac_p.diag - jac_m.diag) / (2.0 * dt)
-    da, db = toda_rhs(jac_0)
-    res_a = float(np.max(np.abs(da_num - da))) if da.size else 0.0
-    res_b = float(np.max(np.abs(db_num - db)))
-    return max(res_a, res_b)
+    b_m, a_m = family_jacobi(evolve(state, t - dt))
+    b_0, a_0 = family_jacobi(evolve(state, t))
+    b_p, a_p = family_jacobi(evolve(state, t + dt))
+    da, db = _rhs_rows(b_0, a_0)
+    res_a = np.max(np.abs((a_p - a_m) / (2.0 * dt) - da), axis=1, initial=0.0)
+    res_b = np.max(np.abs((b_p - b_m) / (2.0 * dt) - db), axis=1, initial=0.0)
+    return np.maximum(res_a, res_b)
 
 
 def _site_terms(state: PseudoTodaState, j: int, theta) -> tuple:
-    # the site count N, after checking 1 <= j <= N, and per component in
-    # ascending (k, l) order its key, Jacobi matrix and Y_{k,l}(theta)
+    # the site count N, after checking 1 <= j <= N, the `family_jacobi` rows
+    # and Y_{k,l}(theta) per component, in ascending (k, l) order
     n_sites = state.common_size()
     if not 1 <= j <= n_sites:
         raise ValueError(f"site j must be in 1..{n_sites}")
-    keys = state.family.keys
-    jacs = [component_jacobi(state, key) for key in keys]
-    return n_sites, zip(keys, jacs, harmonic_table(state.n, keys, theta).tolist())
+    diag, offdiag = family_jacobi(state)
+    return n_sites, diag, offdiag, harmonic_table(state.n, state.family.keys, theta)
 
 
 def flaschka_surfaces(state: PseudoTodaState, j: int, theta):
@@ -237,13 +281,11 @@ def flaschka_surfaces(state: PseudoTodaState, j: int, theta):
     with A_N = 0 by the free-end convention.  Summation runs in ascending
     (k, l) order.
     """
-    n_sites, terms = _site_terms(state, j, theta)
-    a_val = b_val = 0.0
-    for _, jac, y_val in terms:
-        if j <= n_sites - 1:
-            a_val += float(jac.offdiag[j - 1]) * y_val
-        b_val += float(jac.diag[j - 1]) * y_val
-    return a_val, b_val
+    n_sites, diag, offdiag, y = _site_terms(state, j, theta)
+    # np.cumsum adds the terms one at a time in key order, as a loop over the
+    # components does; np.sum would add them pairwise
+    a_val = float(np.cumsum(offdiag[:, j - 1] * y)[-1]) if j < n_sites else 0.0
+    return a_val, float(np.cumsum(diag[:, j - 1] * y)[-1])
 
 
 @dataclass(frozen=True)
@@ -264,22 +306,19 @@ def physical_surfaces(state: PseudoTodaState, j: int, theta) -> PhysicalSurface:
     j.  The gauge g(k) = max(k,1)^{-(n-2)} tames the growth of the
     harmonics; any per-component constant is an equally valid representative.
     """
-    _, terms = _site_terms(state, j, theta)
-    x_total, y_total = 0.0, 0.0
-    x_partials, y_partials = [], []
-    current_k = None
-    for (k, _), jac, y_harm in terms:
-        if current_k is not None and k != current_k:
-            x_partials.append(x_total)
-            y_partials.append(y_total)
-        current_k = k
-        prod = float(np.prod(jac.offdiag[: j - 1] ** 2)) if j > 1 else 1.0
-        x_total += 4.0 ** (j - 1) * prod * float(max(k, 1)) ** (-(state.n - 2)) * y_harm
-        y_total += -2.0 * float(jac.diag[j - 1]) * y_harm
-    x_partials.append(x_total)
-    y_partials.append(y_total)
+    _, diag, offdiag, y = _site_terms(state, j, theta)
+    degrees = state.family.degrees
+    gauge = np.array([float(max(k, 1)) ** (-(state.n - 2)) for k in degrees.tolist()])
+    prod = np.prod(offdiag[:, : j - 1] ** 2, axis=1)
+    # running sums in key order, as in flaschka_surfaces
+    x_sums = np.cumsum(4.0 ** (j - 1) * prod * gauge * y)
+    y_sums = np.cumsum(-2.0 * diag[:, j - 1] * y)
+    ends = np.flatnonzero(np.append(degrees[1:] != degrees[:-1], True))  # the last key of each degree
     return PhysicalSurface(
-        x=x_total, y=y_total, x_partials=tuple(x_partials), y_partials=tuple(y_partials)
+        x=float(x_sums[-1]),
+        y=float(y_sums[-1]),
+        x_partials=tuple(x_sums[ends].tolist()),
+        y_partials=tuple(y_sums[ends].tolist()),
     )
 
 

@@ -56,10 +56,15 @@ def as_direction(n: int, coords) -> np.ndarray:
 
 def check_indices(n: int, keys) -> tuple[np.ndarray, np.ndarray]:
     """The k and ell arrays of the (k, ell) in `keys`; ValueError naming the
-    first bad one unless 1 <= ell <= d_k(n, k), and on S^2 k <= _MAX_DEGREE."""
+    first bad one unless 1 <= ell <= d_k(n, k), and on S^2 k <= _MAX_DEGREE,
+    or naming the first that does not fit a 64-bit integer."""
     if n not in (2, 3):
         raise ValueError(f"unsupported ambient dimension n={n}; only 2 and 3")
-    ks, ells = np.array(keys, dtype=int).reshape(-1, 2).T
+    try:
+        ks, ells = np.array(keys, dtype=int).reshape(-1, 2).T
+    except OverflowError:
+        k, ell = next(key for key in keys if not all(-(2**63) <= int(v) < 2**63 for v in key))
+        raise ValueError(f"harmonic index (k={k}, ell={ell}) does not fit a 64-bit integer") from None
     dims = np.where(ks == 0, 1, 2 if n == 2 else 2 * ks + 1)
     bad = (ks < 0) | (ells < 1) | (ells > dims) | ((n == 3) & (ks > _MAX_DEGREE))
     if bad.any():

@@ -120,16 +120,22 @@ def _rhs(views, k, sq):
     _add(db, db, db)
 
 
-def _square_views(n: int):
-    sq = np.zeros(n + 1)
-    return sq[1:-1], sq[1:], sq[:-1]
+def _square_views(shape: tuple):
+    # for sites of `shape`, an a^2 buffer one longer along the last axis
+    sq = np.zeros(shape[:-1] + (shape[-1] + 1,))
+    return sq[..., 1:-1], sq[..., 1:], sq[..., :-1]
+
+
+def _rhs_rows(b: np.ndarray, a: np.ndarray):
+    # (a', b') of stacked rows b (..., N) and a (..., N-1)
+    da, db = np.empty(a.shape), np.empty(b.shape)
+    _rhs((a, b[..., 1:], b[..., :-1]), (da, db), _square_views(b.shape))
+    return da, db
 
 
 def toda_rhs(s: JacobiMatrix):
     """Right-hand sides (a', b') of the flow, with the a_0 = a_N = 0 convention."""
-    da, db = np.empty(s.n - 1), np.empty(s.n)
-    _rhs((s.offdiag, s.diag[1:], s.diag[:-1]), (da, db), _square_views(s.n))
-    return da, db
+    return _rhs_rows(s.diag, s.offdiag)
 
 
 @dataclass(frozen=True)
@@ -202,7 +208,7 @@ def integrate_ensemble(states, t_final: float, dt: float = 1e-3) -> list:
     stage, acc = np.empty(2 * m - 1), np.empty(2 * m - 1)
     k = np.empty((4, 2 * m - 1))
     k1, k2, k3, k4 = k
-    sq = _square_views(m)
+    sq = _square_views((m,))
     # (a, b_next, b_prev) of y and of the stage, (a', b') of each k
     y_views, stage_views = ((v[: m - 1], v[m:], v[m - 1 : -1]) for v in (y, stage))
     k_views = [(v[: m - 1], v[m - 1 :]) for v in k]
@@ -326,63 +332,110 @@ def spectral_solve(s0: JacobiMatrix, times) -> Trajectory:
     coupling underflows to 0, and OverflowError when the spectrum's width or
     the number of checkpoints is out of range.
     """
-    diag, offdiag = s0.diag, s0.offdiag
     times = np.asarray(times, dtype=float).reshape(-1)
     if not np.isfinite(times).all():
         raise ValueError("times must be finite")
-    b_out = np.empty((times.size, diag.size))
-    a_out = np.empty((times.size, offdiag.size))
-    if diag.size == 1:
-        b_out[:] = diag
-        return Trajectory(times=times, a=a_out, b=b_out)
-    lam = np.linalg.eigvalsh(_dense_rows(diag[None], offdiag[None])[0])
-    width = float(lam[-1]) - float(lam[0])
-    if not 0.0 < width < np.inf:
-        raise OverflowError(f"the spectrum of L has width {width!r}, outside what double precision resolves")
-    h = _SPAN / width
-    steps = np.floor(np.abs(times) / h)
-    if times.size and steps.max() > _MAX_CHECKPOINTS:
-        raise OverflowError(
-            f"|t| = {float(np.abs(times).max())!r} at spectral width {width!r} "
-            f"needs more than {_MAX_CHECKPOINTS} QR checkpoints"
-        )
+    if s0.n == 1:
+        return Trajectory(times=times, a=np.empty((times.size, 0)), b=np.tile(s0.diag, (times.size, 1)))
+    b_out = np.empty((times.size, s0.n))
+    a_out = np.empty((times.size, s0.n - 1))
+    (h,), (steps,) = _checkpoints(s0.diag[None], s0.offdiag[None], times[None], ("",))
     for sign in (1.0, -1.0):
         rows = np.flatnonzero(np.signbit(times) == (sign < 0.0))
         last = int(steps[rows].max()) if rows.size else -1
-        b, a = diag, offdiag
+        b, a = s0.diag[None], s0.offdiag[None]
         for k in range(last + 1):
             # the rows of checkpoint k, then the next checkpoint, in one stack
             here = rows[steps[rows] == k]
             s = times[here] - sign * k * h
-            sb, sa = _qr_steps(b, a, np.append(s, sign * h) if k < last else s)
+            (sb,), (sa,) = _qr_steps(b, a, (np.append(s, sign * h) if k < last else s)[None])
             b_out[here], a_out[here] = sb[: here.size], sa[: here.size]
-            b, a = sb[-1], sa[-1]
-    if not (a_out > 0.0).all():
-        row = np.flatnonzero(~(a_out > 0.0).all(axis=1))[0]
-        raise PositivityLossError(f"a coupling underflowed to 0 at t = {float(times[row])!r}")
+            b, a = sb[None, -1], sa[None, -1]
+    _check_positive(a_out, times, ("",) * times.size)
     return Trajectory(times=times, a=a_out, b=b_out)
 
 
+def _flow_rows(b: np.ndarray, a: np.ndarray, t: float, labels):
+    """`spectral_solve` at the one time t of each of the Jacobi rows b (R, N)
+    and a (R, N-1), N > 1: the row-stacked form, in which each row keeps its
+    own checkpoint length h = _SPAN / width and at checkpoint k the rows
+    with at least k checkpoints take one `_qr_steps` call together.  A row
+    thus gets the bits `spectral_solve` gives it alone.  The errors of
+    `spectral_solve`, prefixed with the row's `labels` entry.
+    """
+    h, steps = _checkpoints(b, a, np.full((b.shape[0], 1), t), labels)
+    steps = steps[:, 0]
+    sign = -1.0 if np.signbit(t) else 1.0
+    b, a = b.copy(), a.copy()
+    for k in range(int(steps.max(initial=-1.0)) + 1):
+        live = np.flatnonzero(steps >= k)
+        # a whole checkpoint, or the rest of the way to t
+        s = np.where(steps[live] > k, sign * h[live], t - sign * k * h[live])
+        sb, sa = _qr_steps(b[live], a[live], s[:, None])
+        b[live], a[live] = sb[:, 0], sa[:, 0]
+    _check_positive(a, np.full(b.shape[0], t), labels)
+    return b, a
+
+
+def _checkpoints(b: np.ndarray, a: np.ndarray, times: np.ndarray, labels):
+    # the checkpoint length h = _SPAN / width of each of the Jacobi rows
+    # b (R, N) and a (R, N-1), and floor(|times| / h) for its row of times
+    # (R, T); OverflowError, prefixed with the row's label, when a width or
+    # a count is out of range
+    lam = np.linalg.eigvalsh(_dense_rows(b, a))
+    with np.errstate(over="ignore"):
+        width = lam[:, -1] - lam[:, 0]
+    r = int(np.argmin((width > 0.0) & (width < np.inf)))
+    if not 0.0 < width[r] < np.inf:
+        raise OverflowError(
+            f"{labels[r]}the spectrum of L has width {float(width[r])!r}, outside what double precision resolves"
+        )
+    h = _SPAN / width
+    steps = np.floor(np.abs(times) / h[:, None])
+    r = int(np.argmax(steps.max(axis=1, initial=0.0)))
+    if steps[r].max(initial=0.0) > _MAX_CHECKPOINTS:
+        raise OverflowError(
+            f"{labels[r]}|t| = {float(np.abs(times[r]).max())!r} at spectral width {float(width[r])!r} "
+            f"needs more than {_MAX_CHECKPOINTS} QR checkpoints"
+        )
+    return h, steps
+
+
+def _check_positive(a: np.ndarray, times: np.ndarray, labels) -> None:
+    # PositivityLossError, prefixed with its label, at the first row of the
+    # couplings a with one not > 0; row r is the state at times[r]
+    bad = ~(a > 0.0).all(axis=1)
+    if bad.any():
+        r = int(bad.argmax())
+        raise PositivityLossError(f"{labels[r]}a coupling underflowed to 0 at t = {float(times[r])!r}")
+
+
 def _qr_steps(b: np.ndarray, a: np.ndarray, s: np.ndarray):
-    # the flow from (b, a) over offsets s of one sign, |s| <= h; see spectral_solve
-    b_out = np.empty((s.size, b.size))
-    a_out = np.empty((s.size, a.size))
-    lam, v = np.linalg.eigh(_dense_rows(b[None], a[None])[0])
-    shifted = lam - (lam[0] if (s < 0.0).any() else lam[-1])
-    block = max(1, _BLOCK // b.size**2)  # doubles per (B, N, N) stack
+    # the flow from each of the Jacobi rows b (R, N) and a (R, N-1) over its
+    # row of offsets s (R, S), of one sign, |s| <= h: (R, S, N) and
+    # (R, S, N-1); see spectral_solve
+    shape, n = s.shape, b.shape[1]
+    lam, v = np.linalg.eigh(_dense_rows(b, a))
+    shifted = lam - np.where((s < 0.0).any(axis=1), lam[:, 0], lam[:, -1])[:, None]
+    vt = v.transpose(0, 2, 1)
+    row, s = np.repeat(np.arange(shape[0]), shape[1]), s.reshape(-1)
+    b_out = np.empty((s.size, n))
+    a_out = np.empty((s.size, n - 1))
+    block = max(1, _BLOCK // n**2)  # doubles per (B, N, N) stack
     for lo in range(0, s.size, block):
-        sb = s[lo : lo + block]
-        r = np.linalg.qr(np.exp(sb[:, None] * shifted)[:, :, None] * v.T, mode="r")
+        rb, sb = row[lo : lo + block], s[lo : lo + block]
+        r = np.linalg.qr(np.exp(sb[:, None] * shifted[rb])[:, :, None] * vt[rb], mode="r")
         d = np.diagonal(r, axis1=1, axis2=2)
-        step = a * np.diagonal(r, offset=1, axis1=1, axis2=2) / d[:, :-1]
+        ab = a[rb]
+        step = ab * np.diagonal(r, offset=1, axis1=1, axis2=2) / d[:, :-1]
         d = np.abs(d)
-        a_out[lo : lo + block] = a * (d[:, 1:] / d[:, :-1])
-        b_out[lo : lo + block] = b
+        a_out[lo : lo + block] = ab * (d[:, 1:] / d[:, :-1])
+        b_out[lo : lo + block] = b[rb]
         b_out[lo : lo + block, :-1] += step
         b_out[lo : lo + block, 1:] -= step
     at_checkpoint = s == 0.0
-    b_out[at_checkpoint], a_out[at_checkpoint] = b, a
-    return b_out, a_out
+    b_out[at_checkpoint], a_out[at_checkpoint] = b[row[at_checkpoint]], a[row[at_checkpoint]]
+    return b_out.reshape(shape + (n,)), a_out.reshape(shape + (n - 1,))
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

@@ -324,6 +324,31 @@ class TestConfigErrors:
         assert _config_error(capsys, ["iso-flow", "--input", cfg])
 
     @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            (
+                "simulate-1d",
+                {"a": [0.5, -0.3], "b": [0.0, 0.0, 0.0]},
+                "bad 1-d state: off-diagonal entries must be strictly positive (unreduced), got offdiag[1] = -0.3",
+            ),
+            (
+                "simulate-pseudo",
+                {
+                    "n": 3,
+                    "components": [
+                        {"k": 0, "ell": 1, "lambdas": [0.5, 1.0], "masses_tilde": [0.25, 0.75]},
+                        {"k": 1, "ell": 2, "lambdas": [0.5, 1.0], "masses_tilde": [0.35, 0.75]},
+                    ],
+                },
+                "bad pseudo state: tilde masses of component (1, 2) must sum to 1 within 1e-12, got 1.1",
+            ),
+        ],
+        ids=["coupling", "tilde-masses"],
+    )
+    def test_message_names_the_item(self, command, config, message):
+        assert run_in_process([command], config) == (2, f"config error: {message}\n")
+
+    @pytest.mark.parametrize(
         "sizes, message", [([], "has no components"), ([2, 3], "heterogeneous atom counts")]
     )
     def test_pseudo_components_without_common_size(self, tmp_path, capsys, sizes, message):
@@ -535,6 +560,16 @@ def transform_eval_configs(draw):
 
 
 @st.composite
+def simulate_pseudo_configs(draw):
+    measure = draw(quadric_measures())
+    comps = [
+        {"k": c["k"], "ell": c["ell"], "lambdas": c["atoms"], "masses_tilde": c["weights"]}
+        for c in measure["components"]
+    ]
+    return {"n": measure["n"], "components": comps}
+
+
+@st.composite
 def iso_flow_configs(draw):
     config = {"measure": draw(quadric_measures())}
     if draw(st.booleans()):  # else the grid 0, dt, ..., t_final
@@ -550,6 +585,7 @@ class TestQuadricExitCodes:
         case=st.one_of(
             st.tuples(st.just("transform-eval"), transform_eval_configs()),
             st.tuples(st.just("iso-flow"), iso_flow_configs()),
+            st.tuples(st.just("simulate-pseudo"), simulate_pseudo_configs()),
         )
     )
     def test_exit_code_contract(self, case):
@@ -557,6 +593,7 @@ class TestQuadricExitCodes:
         code, err = run_in_process([command, "--t-final", "1", "--dt", "0.25"], config)
         assert code in (0, 2, 3)
         assert "Traceback" not in err
+        assert "np." not in err  # plain numbers, not numpy reprs
         if code == 2:
             assert err.startswith("config error: ")
         else:
@@ -599,8 +636,34 @@ class TestQuadricExitCodes:
                 {"measure": measure([1e-300, 1.5], [1.0, 0.9], k=2), "t_grid": [0.0, 1.0]},
                 (3, "numeric failure: S_{k,l} of component (2, 1) overflows\n"),
             ),
+            (
+                "transform-eval",
+                {"measure": measure([0.5], [1.0], k=10**30), "theta": [0.0, 0.0, 1.0], "zetas": [[2.0, 0.5]]},
+                (
+                    2,
+                    "config error: bad measure: harmonic index (k=1000000000000000000000000000000, ell=1) "
+                    "does not fit a 64-bit integer\n",
+                ),
+            ),
+            (
+                "transform-eval",
+                {
+                    "measure": {
+                        "n": 3,
+                        "k_max": 2,
+                        "components": [{"k": 1, "ell": 10**23, "atoms": [0.5], "weights": [1.0]}],
+                    },
+                    "theta": [0.0, 0.0, 1.0],
+                    "zetas": [[2.0, 0.5]],
+                },
+                (
+                    2,
+                    "config error: bad measure: harmonic index (k=1, ell=100000000000000000000000) "
+                    "does not fit a 64-bit integer\n",
+                ),
+            ),
         ],
-        ids=["theta", "merged-atom", "riccati", "ds-dt", "functional"],
+        ids=["theta", "merged-atom", "riccati", "ds-dt", "functional", "k-past-int64", "ell-past-int64"],
     )
     def test_huge_values(self, command, config, expected):
         assert run_in_process([command], config) == expected

@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -126,6 +127,11 @@ class TestFrozenFields:
         for name in self.VALID[cls]:
             arr = getattr(obj, name)
             assert arr.dtype == np.float64 and arr.ndim == 1 and not arr.flags.writeable
+
+    @pytest.mark.parametrize("offdiag, item", [([0.5, -0.3], "offdiag[1] = -0.3"), ([0.0, -1.0], "offdiag[0] = 0.0")])
+    def test_jacobi_names_the_first_coupling_not_positive(self, offdiag, item):
+        with pytest.raises(ValueError, match=rf"\(unreduced\), got {re.escape(item)}$"):
+            JacobiMatrix(diag=[0.0, 0.0, 0.0], offdiag=offdiag)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("cls", list(VALID), ids=lambda cls: cls.__name__)
