@@ -14,8 +14,11 @@ median time of one in-process `verify.run_all()`, the checks of
 `sphere.harmonic_table` call with every S^2 key of degree <= k_max, at one
 point and on the `sphere_nodes(3, 2 k_max)` grid, over k_max, the median
 time of one `pseudo_toda.flaschka_surfaces(state, 1, theta)` over the
-component count K and the atom count N, at t = 0 and t = 100, and the median
-time of one `verify.check_pseudo_toda` at its `verify-all` size.
+component count K and the atom count N, at t = 0 and t = 100, the median
+time of one `verify.check_pseudo_toda` at its `verify-all` size, and over the
+component count K the median time of reading a JSON `components` list into
+a `kdq.PseudoPositiveMeasure` and a `pseudo_toda.PseudoTodaState`
+(`from_dict`) and of one `pseudo_toda.evolve` and one `iso_flow.riccati_evolve`.
 """
 
 import os
@@ -54,6 +57,9 @@ SURFACE_ATOMS = (4, 6)
 SURFACE_TIMES = (0.0, 100.0)
 SURFACE_SAMPLES = 5
 PSEUDO_CHECK_SAMPLES = 15
+FAMILY_KMAX = (2, 4, 8, 16, 24)  # K = 9, 25, 81, 289, 625 components on S^2
+FAMILY_ATOMS = 4
+FAMILY_SAMPLES = 15
 
 _IMPORT_CODE = (
     "import time\n"
@@ -241,6 +247,47 @@ def check_pseudo_toda_seconds(verify) -> dict:
     return {"median_s": statistics.median(samples), "min_s": min(samples), "samples": len(samples)}
 
 
+def family_seconds(kdq, pseudo_toda, iso_flow) -> list:
+    """Median seconds of `PseudoPositiveMeasure.from_dict` and
+    `PseudoTodaState.from_dict` on a JSON-decoded config of K components with
+    FAMILY_ATOMS atoms each (every S^2 key of degree <= k_max), and of one
+    `pseudo_toda.evolve(state, 1.0)` and one `iso_flow.riccati_evolve(state,
+    1.0)` on the states they make; the samples go round the cases in turn,
+    and the first round is a warm-up."""
+    rng = np.random.default_rng(4)
+    cases = {}
+    for k_max in FAMILY_KMAX:
+        measure, pseudo = [], []
+        for k in range(k_max + 1):
+            for ell in range(1, 2 * k + 2):
+                lam = np.sort(rng.uniform(0.2, 1.2, FAMILY_ATOMS))
+                m = rng.uniform(0.2, 1.0, FAMILY_ATOMS)
+                measure.append({"k": k, "ell": ell, "atoms": lam.tolist(), "weights": m.tolist()})
+                pseudo.append({"k": k, "ell": ell, "lambdas": lam.tolist(), "masses_tilde": (m / m.sum()).tolist()})
+        measure = json.loads(json.dumps({"n": 3, "k_max": k_max, "components": measure}))
+        pseudo = json.loads(json.dumps({"n": 3, "components": pseudo, "t": 0.0}))
+        state = pseudo_toda.PseudoTodaState.from_dict(pseudo)
+        iso = iso_flow.state_from_measure(kdq.PseudoPositiveMeasure.from_dict(measure))
+        cases[k_max] = {
+            "measure_from_dict": lambda d=measure: kdq.PseudoPositiveMeasure.from_dict(d),
+            "pseudo_from_dict": lambda d=pseudo: pseudo_toda.PseudoTodaState.from_dict(d),
+            "evolve": lambda s=state: pseudo_toda.evolve(s, 1.0),
+            "riccati_evolve": lambda s=iso: iso_flow.riccati_evolve(s, 1.0),
+        }
+    samples = {(k_max, name): [] for k_max, ops in cases.items() for name in ops}
+    for i in range(FAMILY_SAMPLES + 1):
+        for k_max, ops in cases.items():
+            for name, op in ops.items():
+                t = time.perf_counter()
+                op()
+                if i:
+                    samples[k_max, name].append(time.perf_counter() - t)
+    return [
+        {"K": (k_max + 1) ** 2, **{f"{name}_us": 1e6 * statistics.median(samples[k_max, name]) for name in ops}}
+        for k_max, ops in cases.items()
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path)
@@ -248,7 +295,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     src = args.src.resolve()
     sys.path.insert(0, str(src))
-    from toda_kdq import cli, pseudo_toda, sphere, toda_1d, verify
+    from toda_kdq import cli, iso_flow, kdq, pseudo_toda, sphere, toda_1d, verify
     from toda_kdq.moment_1d import JacobiMatrix
 
     if not Path(toda_1d.__file__).resolve().is_relative_to(src):
@@ -269,6 +316,8 @@ def main(argv=None) -> int:
     report["harmonic_table"] = {"n": 3, "samples": HARMONIC_SAMPLES, "curve": harmonic_table_seconds(sphere)}
     report["flaschka_surfaces"] = {"n": 3, "j": 1, "samples": SURFACE_SAMPLES, "curve": surfaces_seconds(pseudo_toda)}
     report["check_pseudo_toda"] = check_pseudo_toda_seconds(verify)
+    report["family"] = {"n": 3, "atoms": FAMILY_ATOMS, "samples": FAMILY_SAMPLES}
+    report["family"]["curve"] = family_seconds(kdq, pseudo_toda, iso_flow)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     for row in report["rk4_step"]["curve"]:
         print(f"B = {row['B']:3d}  N = {str(row['N']):>15}  {row['step_us']:8.1f} us/step")
@@ -288,6 +337,12 @@ def main(argv=None) -> int:
             f"{row['median_ms']:8.2f} ms (median)"
         )
     print(f"check_pseudo_toda: {1e3 * report['check_pseudo_toda']['median_s']:.1f} ms (median)")
+    for row in report["family"]["curve"]:
+        print(
+            f"family K = {row['K']:3d}: from_dict {row['measure_from_dict_us']:8.1f} us (measure), "
+            f"{row['pseudo_from_dict_us']:8.1f} us (pseudo state); evolve {row['evolve_us']:7.1f} us, "
+            f"riccati_evolve {row['riccati_evolve_us']:7.1f} us (median)"
+        )
     return 0
 
 

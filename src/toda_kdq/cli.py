@@ -13,8 +13,8 @@ transform-eval  Transform values of a measure at given points:
 nevanlinna-check  Residual table; {"kind": "1d", "measure": {...}, "N":, "y": [...]}
                 or {"kind": "multi", "measure": <measure dict>, "k":, "ell":,
                 "N":, "zeta_abs": [...]} (ray arg zeta^2 = pi/2), each residual
-                the exact moment remainder; exit 3 unless they decrease (and,
-                with --tol, end at or below it).
+                the exact moment remainder; exit 3, naming the point, unless
+                they decrease (and, with --tol, end at or below it).
 iso-flow        Functional values on a time grid plus monotonicity verdict;
                 {"schema": 1, "measure": <measure dict>, "t_grid": [...]}.
 verify-all      Run the bundled invariant suite; prints one PASS/FAIL line
@@ -30,6 +30,7 @@ rendered with shortest round-trip repr.
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +106,15 @@ class RunConfig:
         return rows
 
 
+@contextmanager
+def _stage(prefix: str, errors=(KeyError, ValueError, TypeError)):
+    """One reading stage: any of `errors` the block raises becomes a ConfigError prefixed by `prefix`."""
+    try:
+        yield
+    except errors as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -129,10 +139,8 @@ def _sample_times(cfg: RunConfig, width: int) -> np.ndarray:
 
 
 def _flaschka_from_config(data: dict) -> JacobiMatrix:
-    try:
+    with _stage("bad 1-d state: "):
         return JacobiMatrix(offdiag=_json_float(data, "a"), diag=_json_float(data, "b"))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad 1-d state: {exc}") from exc
 
 
 def _run_simulate_1d(cfg: RunConfig) -> int:
@@ -151,34 +159,28 @@ def _run_spectral_solve(cfg: RunConfig) -> int:
 
 
 def _run_simulate_pseudo(cfg: RunConfig) -> int:
-    try:
+    with _stage("bad pseudo state: "):  # around _load_json too, whose ConfigError is a ValueError
         state = pseudo_toda.PseudoTodaState.from_dict(_load_json(cfg.input_path))
         state.common_size()  # the CSV needs one atom count shared by all components
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad pseudo state: {exc}") from exc
     times = _sample_times(cfg, state.family.radii.size)
     _emit(pseudo_toda.state_trajectory_csv(state, times), cfg.output_path)
     return 0
 
 
 def _measure_from_dict(d: dict) -> kdq.PseudoPositiveMeasure:
-    try:
+    with _stage("bad measure: "):
         return kdq.PseudoPositiveMeasure.from_dict(d)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad measure: {exc}") from exc
 
 
 def _run_transform_eval(cfg: RunConfig) -> int:
     data = _load_json(cfg.input_path)
     mu = _measure_from_dict(data.get("measure", {}))
     mu = mu.truncated(cfg.k_max)  # --kmax truncates the component series
-    try:
+    with _stage("bad transform-eval config: "):
         theta = as_direction(mu.n, _json_float(data, "theta"))
         zetas = [complex(re, im) for re, im in _json_float(data, "zetas").tolist()]
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad transform-eval config: {exc}") from exc
-    if not np.all(np.isfinite(zetas)):
-        raise ConfigError(f"bad transform-eval config: zetas must be finite, got {zetas}")
+        if not np.all(np.isfinite(zetas)):
+            raise ValueError(f"zetas must be finite, got {zetas}")
     vals = kdq.markov_stieltjes(mu, [kdq.KDQPoint(z, theta) for z in zetas])
     rows = [[z.real, z.imag, val.real, val.imag] for z, val in zip(zetas, vals)]
     _emit(toda_1d._csv_text(["zeta_re", "zeta_im", "value_re", "value_im"], rows), cfg.output_path)
@@ -188,56 +190,56 @@ def _run_transform_eval(cfg: RunConfig) -> int:
 def _run_nevanlinna(cfg: RunConfig) -> int:
     data = _load_json(cfg.input_path)
     kind = data.get("kind", "1d")
-    if kind == "1d":
-        try:
-            mu = DiscreteMeasure.from_dict(data["measure"])
-            n_trunc = _json_int(data, "N")
-            ys = [float(y) for y in _json_float(data, "y").tolist()]
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
-            raise ConfigError(f"bad nevanlinna config: {exc}") from exc
-        if n_trunc < 0 or not ys:
-            raise ConfigError("bad nevanlinna config: need N >= 0 and a nonempty y")
-        if not all(0.0 < y < np.inf for y in ys):
-            raise ConfigError(f"bad nevanlinna config: y values must be positive and finite, got {ys}")
-        res = nevanlinna_limit_check(mu, n_trunc, ys)
-        _emit(toda_1d._csv_text(["y", "residual"], np.column_stack([ys, res])), cfg.output_path)
-    elif kind == "multi":
-        mu = _measure_from_dict(data.get("measure", {}))
-        try:
-            idx = (_json_int(data, "k"), _json_int(data, "ell"))
-            n_trunc = _json_int(data, "N")
-            mods = [float(m) for m in _json_float(data, "zeta_abs").tolist()]
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
-            raise ConfigError(f"bad nevanlinna config: {exc}") from exc
-        if n_trunc < 0 or not mods:
-            raise ConfigError("bad nevanlinna config: need N >= 0 and a nonempty zeta_abs")
-        if not all(0.0 < m < np.inf for m in mods):
-            raise ConfigError(f"bad nevanlinna config: zeta_abs must be positive and finite, got {mods}")
-        if idx not in mu.family.keys:
-            raise ConfigError(f"bad nevanlinna config: the measure has no component (k, ell) = {idx}")
-        zetas = [m * np.exp(1j * np.pi / 4) for m in mods]
-        res = kdq.multi_nevanlinna_check(mu, idx, n_trunc, zetas)
-        _emit(toda_1d._csv_text(["zeta_abs", "residual"], np.column_stack([mods, res])), cfg.output_path)
-    else:
+    if kind not in ("1d", "multi"):
         raise ConfigError(f"unknown nevanlinna kind {kind!r}")
-    decreasing = bool(np.all(np.diff(res) < 0.0))
-    below = cfg.tol is None or res[-1] <= cfg.tol
-    return 0 if decreasing and below else 3
+    grid, values = ("y", "y values") if kind == "1d" else ("zeta_abs", "zeta_abs")
+    mu = _measure_from_dict(data.get("measure", {})) if kind == "multi" else None
+    with _stage("bad nevanlinna config: ", (KeyError, ValueError, TypeError, OverflowError)):
+        if kind == "1d":
+            mu = DiscreteMeasure.from_dict(data["measure"])
+        else:
+            idx = (_json_int(data, "k"), _json_int(data, "ell"))
+        n_trunc = _json_int(data, "N")
+        points = [float(v) for v in _json_float(data, grid).tolist()]
+        if n_trunc < 0 or not points:
+            raise ValueError(f"need N >= 0 and a nonempty {grid}")
+        if not all(0.0 < v < np.inf for v in points):
+            raise ValueError(f"{values} must be positive and finite, got {points}")
+        # every residual of a target without (tilde) mass is 0
+        if kind == "1d" and not len(mu):
+            raise ValueError("the measure has no atoms")
+        if kind == "multi" and not (
+            idx in mu.family.keys and ((mu.family.component(idx)[0] > 0.0) | (idx[0] == 0)).any()
+        ):
+            raise ValueError(f"the measure has no component (k, ell) = {idx} with tilde mass r^k w > 0")
+    if kind == "1d":
+        res = nevanlinna_limit_check(mu, n_trunc, points)
+    else:
+        res = kdq.multi_nevanlinna_check(mu, idx, n_trunc, [v * np.exp(1j * np.pi / 4) for v in points])
+    _emit(toda_1d._csv_text([grid, "residual"], np.column_stack([points, res])), cfg.output_path)
+    res = res.tolist()
+    rise = next((i for i in range(1, len(res)) if not res[i] < res[i - 1]), None)
+    if rise is not None:
+        failure = f"at {grid} = {points[rise]!r} the residual {res[rise]!r} does not decrease from {res[rise - 1]!r}"
+    elif cfg.tol is not None and not res[-1] <= cfg.tol:
+        failure = f"at {grid} = {points[-1]!r} the last residual {res[-1]!r} is above --tol {cfg.tol!r}"
+    else:
+        return 0
+    sys.stderr.write(f"numeric failure: {failure}\n")
+    return 3
 
 
 def _run_iso_flow(cfg: RunConfig) -> int:
     data = _load_json(cfg.input_path)
     mu = _measure_from_dict(data.get("measure", {}))
     t_grid = _sample_times(cfg, len(mu.family.keys)) if "t_grid" not in data else None
-    try:
+    with _stage("bad iso-flow config: ", (ValueError, TypeError)):
+        if not mu.family.keys:
+            raise ValueError("the measure has no components")
         state = iso_flow.state_from_measure(mu)  # every component needs an atom
         times = [float(t) for t in (_json_float(data, "t_grid").tolist() if t_grid is None else t_grid)]
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad iso-flow config: {exc}") from exc
-    try:
+    with _stage("", (ValueError,)):  # a grid time at or past the backward blow-up
         rep = iso_flow.monotonicity_check(state, times, tol=cfg.tol if cfg.tol is not None else 1e-12)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     keys = sorted(rep.values)
     header = ["t"] + [f"S_k{k}_l{ell}" for k, ell in keys]
     table = np.column_stack([rep.times] + [rep.values[key] for key in keys])

@@ -28,26 +28,18 @@ __all__ = [
 _FIELDS = ("lambdas", "masses")
 
 
-def _iso_family(family: ComponentFamily) -> ComponentFamily:
-    # at least one atom per component; radii and masses >= 0
-    if (family.sizes < 1).any():
-        raise ValueError("lambdas and masses must be matching 1-d arrays")
-    if (family.radii < 0.0).any() or (family.masses < 0.0).any():
-        raise ValueError("radii and masses must be nonnegative")
-    return family
-
-
 class IsoFlowState:
     """Components (k, l) of fixed radii lambda_j >= 0 and masses r_j^2 >= 0
-    at a common time: a map (k, l) -> (lambdas, masses), or a `family`."""
+    at a common time: a map (k, l) -> (lambdas, masses), each with an atom."""
 
-    def __init__(self, components=None, time: float = 0.0, *, family=None):
-        if family is None:
-            family = ComponentFamily.pack(((key, *arrays) for key, arrays in (components or {}).items()), _FIELDS, 1)
+    def __init__(self, components=None, time: float = 0.0):
+        family = ComponentFamily.pack(components or {}, _FIELDS, 1)
         for k, ell in family.keys:
             if k < 0 or ell < 1:
                 raise ValueError(f"invalid component index {(k, ell)}")
-        self.family, self.time = _iso_family(family), float(time)
+        if (family.radii < 0.0).any() or (family.masses < 0.0).any():
+            raise ValueError("radii and masses must be nonnegative")
+        self.family, self.time = family, float(time)
 
 
 def blow_up_time(state: IsoFlowState) -> float:
@@ -83,8 +75,10 @@ def riccati_evolve(state: IsoFlowState, t: float, allow_backward: bool = False) 
     Radii stay fixed.  Negative t must be enabled explicitly and must stay
     strictly after the blow-up time of every atom.
     """
-    masses = _riccati(state, [t], allow_backward)[0]
-    return IsoFlowState(time=state.time + t, family=replace(state.family, masses=masses))
+    # the radii stay, and `_riccati` checked the new masses
+    out = object.__new__(IsoFlowState)
+    out.family, out.time = replace(state.family, masses=_riccati(state, [t], allow_backward)[0]), state.time + t
+    return out
 
 
 def _functionals(family: ComponentFamily, masses: np.ndarray) -> np.ndarray:
@@ -137,6 +131,8 @@ def monotonicity_check(state: IsoFlowState, t_grid, dt: float = 1e-4, tol: float
     if times.size < 2 or times[0] < 0.0:
         raise ValueError("need at least two grid times with t >= 0")
     fam = state.family
+    if not fam.keys:
+        raise ValueError("state has no components")
     masses = _riccati(state, times - state.time, True)
     masses_m = _riccati(state, times - dt - state.time, True)
     masses_p = _riccati(state, times + dt - state.time, False)
@@ -167,4 +163,9 @@ def state_to_measure(state: IsoFlowState, n: int, k_max: int = -1) -> PseudoPosi
 
 
 def state_from_measure(mu: PseudoPositiveMeasure) -> IsoFlowState:
-    return IsoFlowState(family=mu.family)
+    """The measure's components as a state at time 0; ValueError if one has no atoms."""
+    if (mu.family.sizes < 1).any():  # the measure checked indices, radii and weights
+        raise ValueError("lambdas and masses must be matching 1-d arrays")
+    out = object.__new__(IsoFlowState)
+    out.family, out.time = mu.family, 0.0
+    return out

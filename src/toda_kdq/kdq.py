@@ -117,14 +117,14 @@ class ComponentFamily:
             arr.setflags(write=False)
 
     @classmethod
-    def pack(cls, items, names=("radii", "masses"), min_size: int = 0) -> "ComponentFamily":
-        """Pack ((k, ell), radii, masses) items; a repeated index keeps its last item.
+    def pack(cls, components: dict, names=("radii", "masses"), min_size: int = 0) -> "ComponentFamily":
+        """Pack a map (k, ell) -> (radii, masses) in ascending (k, ell) order.
 
         Arrays of different sizes or with fewer than `min_size` atoms, or with
         an entry that is not finite, raise ValueError naming the field.
         """
         table = {}
-        for key, *arrays in items:
+        for key, arrays in components.items():
             r, m = (_as_vector(name, arr) for name, arr in zip(names, arrays))
             if r.shape != m.shape or r.size < min_size:
                 raise ValueError(f"{names[0]} and {names[1]} must be matching 1-d arrays")
@@ -209,16 +209,14 @@ class PseudoPositiveMeasure:
 
     Absent indices mean a zero component.  Every stored component lives on
     the half-line (atoms >= 0) and k runs up to the truncation degree k_max.
-    Pass `components`, a map (k, ell) -> (atoms, weights), each component
-    checked, sorted and merged as a `DiscreteMeasure` of its own; or a
-    `family` of components already sorted and merged.
+    `components` maps (k, ell) -> (atoms, weights); each component is
+    checked, sorted and merged as a `DiscreteMeasure` of its own.
     """
 
-    def __init__(self, n: int, components=None, k_max: int = -1, *, family=None):
-        if family is None:
-            raw = ComponentFamily.pack(((key, *arrays) for key, arrays in (components or {}).items()), _FIELDS)
-            atoms, weights, offsets = _sorted_atoms(raw.radii, raw.masses, raw.offsets, half_line=True)
-            family = ComponentFamily(raw.keys, offsets, atoms, weights)
+    def __init__(self, n: int, components=None, k_max: int = -1):
+        raw = ComponentFamily.pack(components or {}, _FIELDS)
+        atoms, weights, offsets = _sorted_atoms(raw.radii, raw.masses, raw.offsets, half_line=True)
+        family = ComponentFamily(raw.keys, offsets, atoms, weights)
         check_indices(n, family.keys)
         top = family.keys[-1][0] if family.keys else 0
         if top > k_max >= 0:
@@ -236,25 +234,37 @@ class PseudoPositiveMeasure:
         if count == len(fam.keys):
             return self
         head = ComponentFamily(fam.keys[:count], fam.offsets[: count + 1], *(a[: fam.offsets[count]] for a in (fam.radii, fam.masses)))
-        return PseudoPositiveMeasure(self.n, k_max=k_max, family=head)
+        out = object.__new__(PseudoPositiveMeasure)  # a prefix of checked components: nothing to check again
+        out.n, out.family, out.k_max = self.n, head, max(int(k_max), 0)
+        return out
 
     def to_dict(self) -> dict:
-        return {
-            "n": int(self.n),
-            "k_max": int(self.k_max),
-            "components": [
-                {"k": k, "ell": ell, "atoms": atoms.tolist(), "weights": weights.tolist()}
-                for (k, ell), atoms, weights in self.family.items()
-            ],
-        }
+        return {"n": int(self.n), "k_max": int(self.k_max), "components": _write_components(self.family, _FIELDS)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PseudoPositiveMeasure":
-        comps = {
-            (_json_int(c, "k"), _json_int(c, "ell")): (_json_float(c, "atoms"), _json_float(c, "weights"))
-            for c in d["components"]
-        }
+        comps = _read_components(d, _FIELDS)
         return cls(_json_int(d, "n"), comps, k_max=_json_int(d, "k_max", -1))
+
+
+def _read_components(d: dict, names: tuple) -> dict:
+    """The JSON list d["components"] of {"k", "ell", *names} objects as a map
+    (k, ell) -> the two float arrays, a repeated index keeping its last entry;
+    TypeError naming `components` or `components[i]` if it is not a list or not an object."""
+    comps = d["components"]
+    if type(comps) is not list:
+        raise TypeError(f"components must be a JSON list, got {comps!r}")
+    out = {}
+    for i, c in enumerate(comps):
+        if type(c) is not dict:
+            raise TypeError(f"components[{i}] must be a JSON object, got {c!r}")
+        out[(_json_int(c, "k"), _json_int(c, "ell"))] = (_json_float(c, names[0]), _json_float(c, names[1]))
+    return out
+
+
+def _write_components(family: ComponentFamily, names: tuple) -> list:
+    # the JSON list `_read_components` reads, in ascending (k, ell) order
+    return [{"k": k, "ell": ell, names[0]: r.tolist(), names[1]: m.tolist()} for (k, ell), r, m in family.items()]
 
 
 def aronszajn_r_pow_n(p: KDQPoint, x) -> complex:

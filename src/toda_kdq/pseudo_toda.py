@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import PositivityLossError
-from .kdq import ComponentFamily, PseudoPositiveMeasure
+from .kdq import ComponentFamily, PseudoPositiveMeasure, _read_components, _write_components
 from .moment_1d import JacobiMatrix, _check_mass, _check_unreduced, _json_float, _json_int, _lanczos, _merge_coincident
 from .sphere import check_indices, harmonic_table
 from .toda_1d import _csv_text, _evolved_masses, _flow_rows, _rhs_rows
@@ -69,14 +69,13 @@ def _toda_family(family: ComponentFamily) -> ComponentFamily:
 
 class PseudoTodaState:
     """Components (k, l) of radii lambda_j >= 0 and tilde masses summing to
-    one, at a common time: a map (k, l) -> (lambdas, masses_tilde), or a
-    `family`.  Each component is stored sorted by radius in `family`."""
+    one, at a common time: a map (k, l) -> (lambdas, masses_tilde).  Each
+    component is stored sorted by radius in `family`."""
 
-    def __init__(self, n: int, components=None, time: float = 0.0, *, family=None):
+    def __init__(self, n: int, components=None, time: float = 0.0):
         if not math.isfinite(time):
             raise ValueError(f"state time must be finite, got {time!r}")
-        if family is None:
-            family = ComponentFamily.pack(((key, *arrays) for key, arrays in (components or {}).items()), _FIELDS, 1)
+        family = ComponentFamily.pack(components or {}, _FIELDS, 1)
         check_indices(n, family.keys)
         self.n, self.family, self.time = n, _toda_family(family), float(time)
 
@@ -89,24 +88,13 @@ class PseudoTodaState:
         return sizes.pop()
 
     def to_dict(self) -> dict:
-        return {
-            "n": int(self.n),
-            "N": self.common_size(),
-            "components": [
-                {"k": k, "ell": ell, "lambdas": lam.tolist(), "masses_tilde": m.tolist()}
-                for (k, ell), lam, m in self.family.items()
-            ],
-            "t": float(self.time),
-        }
+        comps = _write_components(self.family, _FIELDS)
+        return {"n": int(self.n), "N": self.common_size(), "components": comps, "t": float(self.time)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PseudoTodaState":
-        items = (
-            ((_json_int(c, "k"), _json_int(c, "ell")), _json_float(c, "lambdas"), _json_float(c, "masses_tilde"))
-            for c in d["components"]
-        )
-        family = ComponentFamily.pack(items, _FIELDS, 1)
-        return cls(n=_json_int(d, "n"), time=float(_json_float(d, "t", 0.0)), family=family)
+        comps = _read_components(d, _FIELDS)
+        return cls(_json_int(d, "n"), comps, float(_json_float(d, "t", 0.0)))
 
 
 def tilde_transform(k: int, lambdas, masses):
@@ -167,8 +155,10 @@ def evolve(state: PseudoTodaState, t: float) -> PseudoTodaState:
     The reweighting denominator restores sum rt2 = 1 exactly, and composing
     evolutions adds their times (the flow is a semigroup in t).
     """
-    masses = _evolved(state, [t])[0]
-    return PseudoTodaState(state.n, time=state.time + t, family=replace(state.family, masses=masses))
+    # the radii and their order stay, and `_evolved` checked the new masses
+    out = object.__new__(PseudoTodaState)
+    out.n, out.family, out.time = state.n, replace(state.family, masses=_evolved(state, [t])[0]), state.time + t
+    return out
 
 
 def family_jacobi(state: PseudoTodaState) -> tuple:

@@ -309,16 +309,12 @@ def check_pseudo_toda(seed: int, ode_times) -> list[CheckResult]:
             comps[(k, ell)] = (lam, m / m.sum())
     state = pseudo_toda.PseudoTodaState(3, comps)
 
-    norm_dev = max(
-        pseudo_toda.normalization_invariant(pseudo_toda.evolve(state, t)) for t in (0.0, 1.0, 10.0, 100.0)
-    )
+    evolved = [pseudo_toda.evolve(state, t) for t in (0.0, 1.0, 10.0, 100.0)]
+    norm_dev = max(pseudo_toda.normalization_invariant(ev) for ev in evolved)
     # H = 4 (sum at^2 + 1/2 sum bt^2) from the Jacobi entries against 2 sum lambda^4
     h_reference = 2.0 * sum(float(np.sum(lam**4)) for lam, _ in comps.values())
-    h_dev = 0.0
-    for t in (0.0, 1.0, 10.0, 100.0):
-        diag, offdiag = pseudo_toda.family_jacobi(pseudo_toda.evolve(state, t))
-        h = float(np.sum(toda_1d._hamiltonian(offdiag, diag)))
-        h_dev = max(h_dev, abs(h - h_reference) / h_reference)
+    hs = [float(np.sum(toda_1d._hamiltonian(a, b))) for b, a in map(pseudo_toda.family_jacobi, evolved)]
+    h_dev = max(abs(h - h_reference) / h_reference for h in hs)
     ode_res = max(float(np.max(pseudo_toda.component_ode_residual(state, t, 1e-4))) for t in ode_times)
     rep = kdq.growth_condition_check(pseudo_toda.state_to_measure(pseudo_toda.evolve(state, 2.0)))
     return [

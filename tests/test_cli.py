@@ -342,11 +342,72 @@ class TestConfigErrors:
                 },
                 "bad pseudo state: tilde masses of component (1, 2) must sum to 1 within 1e-12, got 1.1",
             ),
+            (
+                "simulate-pseudo",
+                {"n": 3, "components": [{"k": 0, "ell": 1, "lambdas": [0.5], "masses_tilde": [1.0]}], "t": float("nan")},
+                "bad pseudo state: state time must be finite, got nan",
+            ),
+            (
+                "simulate-pseudo",
+                {"n": 3, "components": [{"k": 0, "ell": 1, "lambdas": [0.5], "masses_tilde": [1.0]}, 5]},
+                "bad pseudo state: components[1] must be a JSON object, got 5",
+            ),
+            (
+                "transform-eval",
+                {
+                    "measure": dict(MEASURE, components=[dict(MEASURE["components"][0], k=1)]),
+                    "theta": [0.0, 0.0, 1.0],
+                    "zetas": [[2.0, 0.0]],
+                },
+                "bad measure: component degree exceeds k_max",
+            ),
+            (
+                "transform-eval",
+                {"measure": dict(MEASURE, components={"k": 0}), "theta": [0.0, 0.0, 1.0], "zetas": [[2.0, 0.0]]},
+                "bad measure: components must be a JSON list, got {'k': 0}",
+            ),
+            (
+                "iso-flow",
+                {"measure": dict(MEASURE, components=[]), "t_grid": [0.0, 1.0]},
+                "bad iso-flow config: the measure has no components",
+            ),
+            (
+                "iso-flow",
+                {
+                    "measure": dict(
+                        MEASURE, k_max=1, components=[*MEASURE["components"], {"k": 1, "ell": 1, "atoms": [], "weights": []}]
+                    ),
+                    "t_grid": [0.0, 1.0],
+                },
+                "bad iso-flow config: lambdas and masses must be matching 1-d arrays",
+            ),
+            ("nevanlinna-check", {"kind": "2d"}, "unknown nevanlinna kind '2d'"),
         ],
-        ids=["coupling", "tilde-masses"],
+        ids=[
+            "coupling",
+            "tilde-masses",
+            "nan-time",
+            "component-not-object",
+            "degree-past-k-max",
+            "components-not-list",
+            "iso-no-components",
+            "iso-empty-component",
+            "kind-2d",
+        ],
     )
     def test_message_names_the_item(self, command, config, message):
         assert run_in_process([command], config) == (2, f"config error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify-all", "--kmax", "-1"], "kmax must be nonnegative"),
+            (["simulate-1d"], "simulate-1d requires --input"),
+        ],
+    )
+    def test_bad_flags(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize(
         "sizes, message", [([], "has no components"), ([2, 3], "heterogeneous atom counts")]
@@ -443,6 +504,13 @@ def nevanlinna_multi_configs(draw):
     return {"kind": "multi", "measure": measure, "k": k, "ell": ell, "N": draw(_ORDERS), "zeta_abs": mods}
 
 
+def _multi_config(k, ell, atoms, zeta_abs):
+    # kind multi on a measure of one component (k, ell) with unit weights
+    component = {"k": k, "ell": ell, "atoms": atoms, "weights": [1.0] * len(atoms)}
+    measure = {"n": 3, "k_max": 2, "components": [component]}
+    return {"kind": "multi", "measure": measure, "k": k, "ell": ell, "N": 1, "zeta_abs": zeta_abs}
+
+
 class TestNevanlinnaExitCodes:
     @settings(max_examples=150, deadline=None)
     @given(config=st.one_of(nevanlinna_1d_configs(), nevanlinna_multi_configs()), tol=_TOL)
@@ -452,8 +520,52 @@ class TestNevanlinnaExitCodes:
         assert "Traceback" not in err
         if code == 2:
             assert err.startswith("config error: ")
+        elif code == 3:
+            assert err.startswith("numeric failure: ") and err.count("\n") == 1
         else:
-            assert err == "" or err.startswith("numeric failure: ")
+            assert err == ""
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (
+                {"kind": "1d", "measure": {"atoms": [], "weights": []}, "N": 1, "y": [1.0, 2.0]},
+                "the measure has no atoms",
+            ),
+            (
+                _multi_config(0, 1, [], [4.0, 8.0]),
+                "the measure has no component (k, ell) = (0, 1) with tilde mass r^k w > 0",
+            ),
+            (
+                _multi_config(1, 3, [0.0], [4.0, 8.0]),
+                "the measure has no component (k, ell) = (1, 3) with tilde mass r^k w > 0",
+            ),
+        ],
+        ids=["1d-no-atoms", "multi-no-atoms", "multi-atom-at-zero"],
+    )
+    def test_massless_target(self, config, message):
+        assert run_in_process(["nevanlinna-check"], config) == (2, f"config error: bad nevanlinna config: {message}\n")
+
+    @pytest.mark.parametrize(
+        "config, tol, message",
+        [
+            (
+                {"kind": "1d", "measure": {"atoms": [0.0], "weights": [1.0]}, "N": 1, "y": [1.0, 2.0]},
+                [],
+                "at y = 2.0 the residual 0.0 does not decrease from 0.0",
+            ),
+            (
+                {"kind": "1d", "measure": {"atoms": [-1.0, 1.0], "weights": [1.0, 1.0]}, "N": 1, "y": [10.0, 100.0]},
+                ["--tol", "1e-9"],
+                "at y = 100.0 the last residual 0.0001999800019998 is above --tol 1e-09",
+            ),
+            (_multi_config(0, 1, [0.5], [8.0, 4.0]), [], "at zeta_abs = 4.0 the residual "),
+        ],
+        ids=["flat", "above-tol", "rising"],
+    )
+    def test_numeric_failure_names_the_point(self, config, tol, message):
+        code, err = run_in_process(["nevanlinna-check", *tol], config)
+        assert code == 3 and err.startswith(f"numeric failure: {message}") and err.endswith("\n")
 
     @pytest.mark.parametrize("measure", [[1], 5])
     def test_measure_not_an_object(self, measure):
@@ -1060,6 +1172,11 @@ class TestVerifyAll:
         assert [(name, float(tol.removeprefix("tol="))) for _, name, _, tol in rows] == self.TABLE
         assert all(status == "PASS" for status, *_ in rows)
         assert summary == "18/18 checks passed"
+
+    def test_output_file_holds_the_table(self, tmp_path, capsys):
+        out = tmp_path / "table.txt"
+        assert main(["verify-all", "--output", str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out
 
     def test_module_entry_point_runs_without_warnings(self):
         # the package does not import cli, so runpy executes it fresh

@@ -51,6 +51,25 @@ class TestRiccatiEvolve:
         assert np.sqrt(ev.family.component((1, 1))[1][0]) == pytest.approx(2.0)
 
 
+class TestStateChecks:
+    @pytest.mark.parametrize(
+        "components, message",
+        [
+            ({(0, 1): ([-0.5], [1.0])}, "radii and masses must be nonnegative"),
+            ({(0, 1): ([0.5], [-1.0])}, "radii and masses must be nonnegative"),
+            ({(0, 0): ([0.5], [1.0])}, r"invalid component index \(0, 0\)"),
+            ({(0, 1): ([], [])}, "lambdas and masses must be matching 1-d arrays"),
+        ],
+    )
+    def test_refused(self, components, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            IsoFlowState(components)
+
+    def test_no_components(self):
+        with pytest.raises(ValueError, match="^state has no components$"):
+            monotonicity_check(IsoFlowState({}), [0.0, 1.0])
+
+
 class TestIntegrabilityFunctional:
     """S_{k,l} = sum_j r_j^2 / lambda_j^k, read from `monotonicity_check(...).values`."""
 

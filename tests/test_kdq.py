@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import sph_harm_y
 
-from toda_kdq import sphere, verify
+from toda_kdq import iso_flow, kdq, pseudo_toda, sphere, verify
 from toda_kdq.errors import DivergenceRegionError, PoleError
 from toda_kdq.kdq import (
     AlmansiPolynomial,
@@ -22,6 +22,7 @@ from toda_kdq.kdq import (
     singular_roots,
 )
 from toda_kdq.moment_1d import DiscreteMeasure, stieltjes_transform
+from toda_kdq.toda_1d import _evolved_masses
 
 E3 = np.array([0.0, 0.0, 1.0])
 RAY = np.exp(1j * np.pi / 4)  # arg zeta^2 = pi/2
@@ -373,6 +374,69 @@ class TestMarkovStieltjes:
         assert back.n == 2 and back.k_max == 5
         assert back.family.keys == mu.family.keys
         assert np.array_equal(back.family.component((2, 2))[0], mu.family.component((2, 2))[0])
+
+
+class TestComponentsReader:
+    @pytest.mark.parametrize(
+        "components, message",
+        [
+            ({"k": 0}, "components must be a JSON list, got {'k': 0}"),
+            (
+                # entry 0 holds the fields of both schemas
+                [dict(k=0, ell=1, atoms=[0.5], weights=[1.0], lambdas=[0.5], masses_tilde=[1.0]), [0, 1]],
+                "components[1] must be a JSON object, got [0, 1]",
+            ),
+        ],
+    )
+    def test_names_the_list_or_the_entry(self, components, message):
+        for cls in (PseudoPositiveMeasure, pseudo_toda.PseudoTodaState):
+            with pytest.raises(TypeError) as exc:
+                cls.from_dict({"n": 3, "components": components})
+            assert str(exc.value) == message
+
+    def test_degree_above_k_max(self):
+        with pytest.raises(ValueError, match="^component degree exceeds k_max$"):
+            PseudoPositiveMeasure(3, {(0, 1): ([0.5], [1.0]), (2, 1): ([0.5], [1.0])}, k_max=1)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a derived state went through the ingest checks again")
+
+
+class TestDerivedStates:
+    """`evolve`, `riccati_evolve`, `truncated` and `iso_flow.state_from_measure`
+    reuse the parent's checked family: none of the ingest checks runs again,
+    and the arrays are those of a state built through the constructor."""
+
+    def test_no_ingest_checks(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        comps = {(k, 1): (np.sort(rng.uniform(0.2, 1.2, 4)), rng.dirichlet(np.ones(4))) for k in range(3)}
+        state = pseudo_toda.PseudoTodaState(3, comps)
+        iso = iso_flow.IsoFlowState(comps)
+        mu = PseudoPositiveMeasure(3, comps, k_max=2)
+        # the masses at t = 0.7 of each flow, component by component
+        toda = {key: (lam, _evolved_masses(m, lam**2, 0.7)) for key, (lam, m) in comps.items()}
+        riccati = {key: (lam, (np.sqrt(m) / (1.0 + lam * np.sqrt(m) * 0.7)) ** 2) for key, (lam, m) in comps.items()}
+        head = {key: comps[key] for key in [(0, 1), (1, 1)]}
+        cases = [
+            (lambda: pseudo_toda.evolve(state, 0.7), state, pseudo_toda.PseudoTodaState(3, toda, 0.7)),
+            (lambda: iso_flow.riccati_evolve(iso, 0.7), iso, iso_flow.IsoFlowState(riccati, 0.7)),
+            (lambda: mu.truncated(1), mu, PseudoPositiveMeasure(3, head, k_max=1)),
+            (lambda: iso_flow.state_from_measure(mu), mu, iso_flow.IsoFlowState({key: (r, m) for key, r, m in mu.family.items()})),
+        ]
+        for name in ("check_indices", "_sorted_atoms"):
+            monkeypatch.setattr(kdq, name, _refuse)
+        for name in ("check_indices", "_toda_family"):
+            monkeypatch.setattr(pseudo_toda, name, _refuse)
+        monkeypatch.setattr(kdq.ComponentFamily, "pack", _refuse)
+        for run, parent, want in cases:
+            got = run()
+            assert vars(got).keys() == vars(want).keys()
+            assert all(getattr(got, name) == getattr(want, name) for name in vars(want) if name != "family")
+            assert got.family.keys == want.family.keys
+            for field in ("offsets", "radii", "masses"):
+                assert getattr(got.family, field).tobytes() == getattr(want.family, field).tobytes()
+            assert np.shares_memory(got.family.radii, parent.family.radii)
 
 
 class TestGrowthCondition:

@@ -378,6 +378,11 @@ class TestOdeResidual:
     def test_two_atom_at_origin(self):
         assert component_ode_residual(TWO_ATOM, 0.0, 1e-4)[0] < 1e-6
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-4])
+    def test_step_must_be_positive(self, dt):
+        with pytest.raises(ValueError, match="^dt must be positive$"):
+            component_ode_residual(TWO_ATOM, 0.3, dt)
+
     def test_quadratic_in_dt(self):
         r_coarse = component_ode_residual(TWO_ATOM, 0.3, 2e-4)[0]
         r_fine = component_ode_residual(TWO_ATOM, 0.3, 1e-4)[0]
@@ -393,6 +398,11 @@ class TestSurfaces:
         a2, b2 = flaschka_surfaces(TWO_ATOM, 2, E3)
         assert a2 == 0.0  # free-end convention at the last site
         assert b2 == pytest.approx(jac.diag[1])
+
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_site_outside_the_lattice(self, j):
+        with pytest.raises(ValueError, match=r"^site j must be in 1\.\.2$"):
+            flaschka_surfaces(TWO_ATOM, j, E3)
 
     def test_two_component_sum(self):
         st = PseudoTodaState(

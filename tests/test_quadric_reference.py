@@ -15,8 +15,8 @@ The truncated-moment residuals are compared with `mp_residual`, their
 subtraction-form definition evaluated in mpmath with at least 20 digits
 left after its cancellation, to 1e-13 relative: `nevanlinna_limit_check`
 on mixed-sign atoms, `multi_nevanlinna_check` on ragged components, and the
-`nevanlinna-check` (kind multi) CSV, whose zeta_abs column, stderr and exit
-code must match exactly.
+`nevanlinna-check` (kind multi) CSV, whose zeta_abs column and exit code
+must match exactly, and its stderr up to the residual values it quotes.
 """
 
 import contextlib
@@ -139,11 +139,21 @@ def assert_residuals_close(got, want):
 
 
 def ref_multi(measure, idx, mods):
-    """The CSV of `nevanlinna-check` (kind multi, N = 1) with mpmath residuals."""
+    """The CSV of `nevanlinna-check` (kind multi, N = 1) with mpmath residuals.
+
+    A component without tilde mass exits 2; an exit-3 stderr is given up to
+    the residual values, which are held to RESIDUAL_RTOL through the CSV.
+    """
     atoms, weights = ref_components(measure)[idx]
+    if not np.any(atoms ** idx[0] > 0.0):
+        message = f"the measure has no component (k, ell) = {idx} with tilde mass r^k w > 0"
+        return 2, None, "", f"config error: bad nevanlinna config: {message}\n"
     res = [mp_residual(atoms, weights, 1, m * RAY, k=idx[0]) for m in mods]
-    code = 0 if np.all(np.diff(res) < 0.0) else 3
-    return code, csv(["zeta_abs", "residual"], zip(mods, res)), "", ""
+    text = csv(["zeta_abs", "residual"], zip(mods, res))
+    rise = next((i for i in range(1, len(res)) if not res[i] < res[i - 1]), None)
+    if rise is None:
+        return 0, text, "", ""
+    return 3, text, "", f"numeric failure: at zeta_abs = {mods[rise]!r} the residual "
 
 
 def ref_iso(measure, t_grid, dt=1e-4):
@@ -280,7 +290,13 @@ class TestAgainstPerComponentLoop:
         config = {"kind": "multi", "measure": measure, "k": idx[0], "ell": idx[1], "N": 1, "zeta_abs": [2.0, 4.0, 8.0]}
         code, text, stdout, stderr = run_cli(["nevanlinna-check"], config)
         ref_code, ref_text, ref_stdout, ref_stderr = ref_multi(measure, idx, [2.0, 4.0, 8.0])
-        assert (code, stdout, stderr) == (ref_code, ref_stdout, ref_stderr)
+        assert (code, stdout) == (ref_code, ref_stdout)
+        if code == 3:
+            assert stderr.startswith(ref_stderr)
+        else:
+            assert stderr == ref_stderr
+        if ref_text is None:
+            return
         got, want = (np.loadtxt(io.StringIO(t), delimiter=",", skiprows=1) for t in (text, ref_text))
         assert got[:, 0].tobytes() == want[:, 0].tobytes()
         assert_residuals_close(got[:, 1], want[:, 1])

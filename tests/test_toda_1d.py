@@ -17,6 +17,7 @@ from toda_kdq.moment_1d import (
 )
 from toda_kdq.toda_1d import (
     TodaStatePhysical,
+    Trajectory,
     flaschka_inverse,
     flaschka_map,
     hamiltonian_ab,
@@ -321,12 +322,12 @@ class TestIntegration:
             (lambda: integrate_ensemble([SYMMETRIC_N2], 1.0, float("inf")), "dt"),
             (lambda: integrate_ensemble([SYMMETRIC_N2], float("nan"), 0.1), "t_final"),
             (lambda: integrate_ensemble([SYMMETRIC_N2], float("inf"), 0.1), "t_final"),
+            (lambda: integrate_ensemble([SYMMETRIC_N2], -1.0, 0.1), "t_final"),
         ],
     )
     def test_bad_arguments_name_the_argument(self, call, name):
         with pytest.raises(ValueError, match=f"^{name} must "):
             call()
-
     @settings(max_examples=60, deadline=None)
     @given(
         sizes=st.lists(st.integers(1, 12), min_size=1, max_size=6),
@@ -557,6 +558,18 @@ class TestAsymptotics:
 
 
 class TestCsv:
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            ([[0.5], [float("nan")]], [[0.0, 0.0]] * 2, "state entries must be finite"),
+            ([[0.5], [0.0]], [[0.0, 0.0]] * 2, "couplings a_j must be strictly positive"),
+        ],
+    )
+    def test_refuses_a_row_outside_the_phase_space(self, a, b, message):
+        traj = Trajectory(times=np.array([0.0, 1.0]), a=np.array(a), b=np.array(b))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            trajectory_to_csv(traj)
+
     def test_header_and_rows(self):
         traj = integrate_toda(SYMMETRIC_N2, 0.01, 1e-2)
         text = trajectory_to_csv(traj)
