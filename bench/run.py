@@ -18,7 +18,9 @@ component count K and the atom count N, at t = 0 and t = 100, the median
 time of one `verify.check_pseudo_toda` at its `verify-all` size, and over the
 component count K the median time of reading a JSON `components` list into
 a `kdq.PseudoPositiveMeasure` and a `pseudo_toda.PseudoTodaState`
-(`from_dict`) and of one `pseudo_toda.evolve` and one `iso_flow.riccati_evolve`.
+(`from_dict`) and of one `pseudo_toda.evolve` and one `iso_flow.riccati_evolve`,
+and the median time of one `verify.check_kdq_cauchy` with the seed of
+`verify.run_all` over k_max at j_max = 2 (k_max = 3 is its `verify-all` size).
 """
 
 import os
@@ -60,6 +62,9 @@ PSEUDO_CHECK_SAMPLES = 15
 FAMILY_KMAX = (2, 4, 8, 16, 24)  # K = 9, 25, 81, 289, 625 components on S^2
 FAMILY_ATOMS = 4
 FAMILY_SAMPLES = 15
+CAUCHY_KMAX = (1, 2, 3, 4, 5)
+CAUCHY_JMAX = 2
+CAUCHY_SAMPLES = 15
 
 _IMPORT_CODE = (
     "import time\n"
@@ -288,6 +293,30 @@ def family_seconds(kdq, pseudo_toda, iso_flow) -> list:
     ]
 
 
+def check_kdq_cauchy_seconds(verify, sphere) -> list:
+    """Median seconds of one `verify.check_kdq_cauchy(seed, k_max, CAUCHY_JMAX)`
+    with the seed of `verify.run_all`, for each k_max, and the number of
+    Almansi monomials it reproduces; the samples go round the sizes in turn,
+    and the first round is a warm-up."""
+    seed = verify._SEED + 6
+    samples = {k_max: [] for k_max in CAUCHY_KMAX}
+    for i in range(CAUCHY_SAMPLES + 1):
+        for k_max in CAUCHY_KMAX:
+            t = time.perf_counter()
+            verify.check_kdq_cauchy(seed, k_max, CAUCHY_JMAX)
+            if i:
+                samples[k_max].append(time.perf_counter() - t)
+    return [
+        {
+            "k_max": k_max,
+            "cases": (CAUCHY_JMAX + 1) * sum(sphere.dim_harmonics(n, k) for n in (2, 3) for k in range(k_max + 1)),
+            "median_ms": 1e3 * statistics.median(samples[k_max]),
+            "min_ms": 1e3 * min(samples[k_max]),
+        }
+        for k_max in CAUCHY_KMAX
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path)
@@ -318,6 +347,8 @@ def main(argv=None) -> int:
     report["check_pseudo_toda"] = check_pseudo_toda_seconds(verify)
     report["family"] = {"n": 3, "atoms": FAMILY_ATOMS, "samples": FAMILY_SAMPLES}
     report["family"]["curve"] = family_seconds(kdq, pseudo_toda, iso_flow)
+    report["check_kdq_cauchy"] = {"j_max": CAUCHY_JMAX, "verify_all_k_max": 3, "samples": CAUCHY_SAMPLES}
+    report["check_kdq_cauchy"]["curve"] = check_kdq_cauchy_seconds(verify, sphere)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     for row in report["rk4_step"]["curve"]:
         print(f"B = {row['B']:3d}  N = {str(row['N']):>15}  {row['step_us']:8.1f} us/step")
@@ -342,6 +373,11 @@ def main(argv=None) -> int:
             f"family K = {row['K']:3d}: from_dict {row['measure_from_dict_us']:8.1f} us (measure), "
             f"{row['pseudo_from_dict_us']:8.1f} us (pseudo state); evolve {row['evolve_us']:7.1f} us, "
             f"riccati_evolve {row['riccati_evolve_us']:7.1f} us (median)"
+        )
+    for row in report["check_kdq_cauchy"]["curve"]:
+        print(
+            f"check_kdq_cauchy k_max = {row['k_max']} j_max = {CAUCHY_JMAX} ({row['cases']} cases): "
+            f"{row['median_ms']:6.2f} ms (median)"
         )
     return 0
 

@@ -16,7 +16,9 @@ nevanlinna-check  Residual table; {"kind": "1d", "measure": {...}, "N":, "y": [.
                 the exact moment remainder; exit 3, naming the point, unless
                 they decrease (and, with --tol, end at or below it).
 iso-flow        Functional values on a time grid plus monotonicity verdict;
-                {"schema": 1, "measure": <measure dict>, "t_grid": [...]}.
+                {"schema": 1, "measure": <measure dict>, "t_grid": [...]};
+                exit 3, naming the time and the component, if a functional
+                rises by more than --tol (default 1e-12).
 verify-all      Run the bundled invariant suite; prints one PASS/FAIL line
                 per check.
 
@@ -59,6 +61,7 @@ _COMMANDS = (
 )
 # the commands whose CSV has one row per time 0, dt, ..., round(t_final/dt) dt
 _TIMED = ("simulate-1d", "spectral-solve", "simulate-pseudo")
+_READS_TOL = ("nevanlinna-check", "iso-flow")
 # largest rows x width of such a grid, width the lattice size N or the atom
 # count of a pseudo state; a larger grid is a configuration error, raised
 # before anything is allocated (10^7 cells are 80 MB per stored array)
@@ -88,6 +91,8 @@ class RunConfig:
             self.rows(1)
         if self.k_max < 0:
             raise ConfigError("kmax must be nonnegative")
+        if self.tol is not None and self.command in _READS_TOL and not 0.0 <= self.tol < np.inf:
+            raise ConfigError(f"--tol must be nonnegative and finite, got {self.tol!r}")
         if self.command != "verify-all" and self.input_path is None:
             raise ConfigError(f"{self.command} requires --input")
 
@@ -159,8 +164,9 @@ def _run_spectral_solve(cfg: RunConfig) -> int:
 
 
 def _run_simulate_pseudo(cfg: RunConfig) -> int:
-    with _stage("bad pseudo state: "):  # around _load_json too, whose ConfigError is a ValueError
-        state = pseudo_toda.PseudoTodaState.from_dict(_load_json(cfg.input_path))
+    data = _load_json(cfg.input_path)
+    with _stage("bad pseudo state: "):
+        state = pseudo_toda.PseudoTodaState.from_dict(data)
         state.common_size()  # the CSV needs one atom count shared by all components
     times = _sample_times(cfg, state.family.radii.size)
     _emit(pseudo_toda.state_trajectory_csv(state, times), cfg.output_path)
@@ -238,8 +244,9 @@ def _run_iso_flow(cfg: RunConfig) -> int:
             raise ValueError("the measure has no components")
         state = iso_flow.state_from_measure(mu)  # every component needs an atom
         times = [float(t) for t in (_json_float(data, "t_grid").tolist() if t_grid is None else t_grid)]
+    tol = cfg.tol if cfg.tol is not None else 1e-12
     with _stage("", (ValueError,)):  # a grid time at or past the backward blow-up
-        rep = iso_flow.monotonicity_check(state, times, tol=cfg.tol if cfg.tol is not None else 1e-12)
+        rep = iso_flow.monotonicity_check(state, times, tol=tol)
     keys = sorted(rep.values)
     header = ["t"] + [f"S_k{k}_l{ell}" for k, ell in keys]
     table = np.column_stack([rep.times] + [rep.values[key] for key in keys])
@@ -249,7 +256,15 @@ def _run_iso_flow(cfg: RunConfig) -> int:
         f"max_derivative_residual={rep.max_derivative_residual!r}\n"
     )
     sys.stdout.write(summary)
-    return 0 if rep.passed else 3
+    if rep.passed:
+        return 0
+    rises = np.diff(table[:, 1:], axis=0)
+    i, c = np.argwhere(rises > tol)[0].tolist()
+    sys.stderr.write(
+        f"numeric failure: at t = {float(rep.times[i + 1])!r} S_{{k,l}} of component {keys[c]} "
+        f"rises by {float(rises[i, c])!r}, above --tol {tol!r}\n"
+    )
+    return 3
 
 
 def _run_verify_all(cfg: RunConfig) -> int:

@@ -53,6 +53,8 @@ __all__ = [
     "hua_kernel",
     "hua_tail_bound",
     "cauchy_reproduce",
+    "cauchy_reproduce_many",
+    "almansi_eval_many",
     "markov_stieltjes",
     "growth_condition_check",
     "multi_nevanlinna_check",
@@ -243,6 +245,9 @@ class PseudoPositiveMeasure:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PseudoPositiveMeasure":
+        """TypeError unless `d` is a JSON object."""
+        if type(d) is not dict:
+            raise TypeError(f"measure must be a JSON object, got {d!r}")
         comps = _read_components(d, _FIELDS)
         return cls(_json_int(d, "n"), comps, k_max=_json_int(d, "k_max", -1))
 
@@ -250,7 +255,8 @@ class PseudoPositiveMeasure:
 def _read_components(d: dict, names: tuple) -> dict:
     """The JSON list d["components"] of {"k", "ell", *names} objects as a map
     (k, ell) -> the two float arrays, a repeated index keeping its last entry;
-    TypeError naming `components` or `components[i]` if it is not a list or not an object."""
+    TypeError naming `components` or `components[i]` if it is not a list or not
+    an object, and ValueError naming `components[i]` and the field it lacks."""
     comps = d["components"]
     if type(comps) is not list:
         raise TypeError(f"components must be a JSON list, got {comps!r}")
@@ -258,7 +264,10 @@ def _read_components(d: dict, names: tuple) -> dict:
     for i, c in enumerate(comps):
         if type(c) is not dict:
             raise TypeError(f"components[{i}] must be a JSON object, got {c!r}")
-        out[(_json_int(c, "k"), _json_int(c, "ell"))] = (_json_float(c, names[0]), _json_float(c, names[1]))
+        try:
+            out[(_json_int(c, "k"), _json_int(c, "ell"))] = (_json_float(c, names[0]), _json_float(c, names[1]))
+        except KeyError as exc:  # raised by _json_int or _json_float, holding the missing name
+            raise ValueError(f"components[{i}] has no field {exc.args[0]!r}") from None
     return out
 
 
@@ -375,31 +384,72 @@ class AlmansiPolynomial:
     terms: dict
 
     def __post_init__(self):
-        # kept in ascending (j, k, ell) order, the order of every sum over the terms
-        if any(j < 0 for j, _, _ in self.terms):
-            raise ValueError("radial exponent j must be nonnegative")
-        clean = dict(sorted(((int(j), int(k), int(ell)), float(coeff)) for (j, k, ell), coeff in self.terms.items()))
-        check_indices(self.n, [key[1:] for key in clean])
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _clean_terms(self.terms))
+        check_indices(self.n, [key[1:] for key in self.terms])
+
+    @classmethod
+    def many(cls, n: int, term_maps) -> list:
+        """One polynomial of dimension n per map of terms, every harmonic
+        index of all of them checked in one `check_indices` call."""
+        polys = []
+        for terms in term_maps:
+            poly = object.__new__(cls)
+            object.__setattr__(poly, "n", n)
+            object.__setattr__(poly, "terms", _clean_terms(terms))
+            polys.append(poly)
+        check_indices(n, [key[1:] for poly in polys for key in poly.terms])
+        return polys
 
     def eval(self, x) -> float:
-        xv = np.asarray(x, dtype=float)
-        r2 = float(xv @ xv)
-        total = 0.0
-        solid = solid_harmonic(self.n, [key[1:] for key in self.terms], xv).tolist()
-        for ((j, _, _), coeff), y_val in zip(self.terms.items(), solid):
-            total += coeff * r2**j * y_val
-        return total
+        return float(almansi_eval_many([self], [x])[0])
 
     def eval_kdq(self, zeta, theta) -> np.ndarray:
         """Values on the quadric; zeta and the node axis of theta broadcast."""
-        z = np.asarray(zeta, dtype=complex)
-        th = np.asarray(theta, dtype=float)
-        total = np.zeros(np.broadcast_shapes(z.shape, th.shape[:-1]), dtype=complex)
-        ys = harmonic_table(self.n, [key[1:] for key in self.terms], th)
-        for i, ((j, k, _), coeff) in enumerate(self.terms.items()):
-            total += coeff * z ** (2 * j + k) * ys[..., i]
-        return total
+        ys = harmonic_table(self.n, [key[1:] for key in self.terms], np.asarray(theta, dtype=float))
+        return _quadric_sum(self.terms, np.asarray(zeta, dtype=complex), ys)
+
+
+def _clean_terms(terms: dict) -> dict:
+    # the terms in ascending (j, k, ell) order, the order of every sum over them
+    if any(j < 0 for j, _, _ in terms):
+        raise ValueError("radial exponent j must be nonnegative")
+    return dict(sorted(((int(j), int(k), int(ell)), float(coeff)) for (j, k, ell), coeff in terms.items()))
+
+
+def _quadric_sum(terms: dict, z: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    # sum of coeff zeta^{2j+k} Y_{k,l} over the terms in ascending (j, k, ell)
+    # order, ys[..., i] holding term i's Y_{k,l}
+    total = np.zeros(np.broadcast_shapes(z.shape, ys.shape[:-1]), dtype=complex)
+    for i, ((j, k, _), coeff) in enumerate(terms.items()):
+        total += coeff * z ** (2 * j + k) * ys[..., i]
+    return total
+
+
+def almansi_eval_many(polys, points) -> np.ndarray:
+    """poly(x) of every (poly, x) pair, all polynomials of one dimension n.
+
+    Every term's |x|^k Y_{k,l}(x/|x|) at every point comes from one
+    `solid_harmonic` table over the distinct (k, l); each value then sums
+    (coeff * |x|^{2j}) * Y over its terms in ascending (j, k, ell) order.
+    `AlmansiPolynomial.eval` is the one-pair call.
+    """
+    dims = {poly.n for poly in polys}
+    if len(dims) != 1:
+        raise ValueError(f"need polynomials of one dimension n, got {sorted(dims)}")
+    n = dims.pop()
+    xs = [np.asarray(x, dtype=float) for x in points]
+    if len(xs) != len(polys) or any(x.shape != (n,) for x in xs):
+        raise ValueError(f"need one point of shape ({n},) per polynomial")
+    keys = sorted({key[1:] for poly in polys for key in poly.terms})
+    column = {key: i for i, key in enumerate(keys)}
+    out = []
+    for poly, xv, solid in zip(polys, xs, solid_harmonic(n, keys, np.array(xs)).tolist()):
+        r2 = float(xv @ xv)
+        total = 0.0
+        for (j, k, ell), coeff in poly.terms.items():
+            total += coeff * r2**j * solid[column[k, ell]]
+        out.append(total)
+    return np.array(out)
 
 
 def _kernel_on_grid(n: int, zeta: np.ndarray, dots: np.ndarray, r2: float) -> np.ndarray:
@@ -413,14 +463,38 @@ def _kernel_on_grid(n: int, zeta: np.ndarray, dots: np.ndarray, r2: float) -> np
     (unlike the raw radicand).
     """
     z = zeta[:, None]
-    u = 1.0 - 2.0 * dots[None, :] / z + r2 / z**2
+    # 2<theta,x> made complex once per node, not once per grid point
+    u = 1.0 - (2.0 * dots).astype(complex)[None, :] / z + r2 / z**2
     if n == 2:
         return 1.0 / (u * z)
     return 1.0 / (u * np.sqrt(u) * z)
 
 
-def cauchy_reproduce(poly: AlmansiPolynomial, x) -> complex:
-    """Reproduce poly(x), |x| < 1, from the kernel double integral.
+@lru_cache(maxsize=64)
+def _contour(n_zeta: int) -> np.ndarray:
+    # the n_zeta-th roots of unity, the trapezoid nodes on |zeta| = 1; read-only
+    zeta = np.exp(2j * np.pi * np.arange(n_zeta) / n_zeta)
+    zeta.setflags(write=False)
+    return zeta
+
+
+@lru_cache(maxsize=32)
+def _node_table(n: int, degree: int) -> np.ndarray:
+    # Y_{k,l} at the nodes of sphere_nodes(n, degree) for every (k, l) with
+    # 2k <= degree, one read-only column each at `_node_column`
+    keys = [(k, ell) for k in range(degree // 2 + 1) for ell in range(1, dim_harmonics(n, k) + 1)]
+    table = harmonic_table(n, keys, sphere_nodes(n, degree)[0])
+    table.setflags(write=False)
+    return table
+
+
+def _node_column(n: int, k: int, ell: int) -> int:
+    # the columns of the degrees below k, d_0 + ... + d_{k-1}, come first
+    return (k * k if n == 3 else max(2 * k - 1, 0)) + ell - 1
+
+
+def cauchy_reproduce_many(polys, points) -> np.ndarray:
+    """Reproduce poly(x), |x| < 1, of every (poly, x) pair from the kernel double integral.
 
     (1/2·pi·i) of the contour integral over the unit circle in zeta of the
     sphere average of kernel(zeta theta; x) * poly(zeta theta).  The kernel
@@ -433,23 +507,40 @@ def cauchy_reproduce(poly: AlmansiPolynomial, x) -> complex:
     S^1 and (M + 1)(M + 2)/2 on S^2.  M is the smallest count past the
     largest D that puts that bound below 1e-16, so the result does not
     depend on how the two rules' node counts relate.
+
+    Each pair keeps its own M and sphere rule.  The Y_{k,l} at the nodes
+    are columns of one cached table per (n, rule degree), so no harmonic
+    index is checked again: the polynomials checked theirs.  Returns a
+    complex array; `cauchy_reproduce` is the one-pair call.
     """
-    xv = np.asarray(x, dtype=float)
-    if xv.shape != (poly.n,):
-        raise ValueError(f"x must have shape ({poly.n},)")
-    r = float(np.linalg.norm(xv))
-    if r >= 1.0:
-        raise DivergenceRegionError("reproduction contour is the unit circle; need |x| < 1")
-    sphere_degree = max((2 * j + 2 * k for j, k, _ in poly.terms), default=0)
-    n_zeta = max((2 * j + k for j, k, _ in poly.terms), default=0) + 1
-    while (n_zeta + 1) * (n_zeta + 2 if poly.n == 3 else 2) / 2 * r**n_zeta > 1e-16:
-        n_zeta += 1
-    pts, wts = sphere_nodes(poly.n, sphere_degree)
-    zeta = np.exp(2j * np.pi * np.arange(n_zeta) / n_zeta)
-    kern = _kernel_on_grid(poly.n, zeta, pts @ xv, r * r)
-    pvals = poly.eval_kdq(zeta[:, None], pts[None, :, :])
-    sphere_avg = (kern * pvals) @ wts
-    return complex(np.sum(zeta * sphere_avg) / n_zeta)
+    polys, points = list(polys), list(points)
+    if len(points) != len(polys):
+        raise ValueError(f"need one point per polynomial, got {len(points)} for {len(polys)}")
+    out = np.empty(len(polys), dtype=complex)
+    for i, (poly, x) in enumerate(zip(polys, points)):
+        n = poly.n
+        xv = np.asarray(x, dtype=float)
+        if xv.shape != (n,):
+            raise ValueError(f"x must have shape ({n},)")
+        r = math.sqrt(xv @ xv)
+        if r >= 1.0:
+            raise DivergenceRegionError("reproduction contour is the unit circle; need |x| < 1")
+        sphere_degree = max((2 * j + 2 * k for j, k, _ in poly.terms), default=0)
+        n_zeta = max((2 * j + k for j, k, _ in poly.terms), default=0) + 1
+        while (n_zeta + 1) * (n_zeta + 2 if n == 3 else 2) / 2 * r**n_zeta > 1e-16:
+            n_zeta += 1
+        pts, wts = sphere_nodes(n, sphere_degree)
+        ys = _node_table(n, sphere_degree)[:, [_node_column(n, k, ell) for _, k, ell in poly.terms]]
+        zeta = _contour(n_zeta)
+        kern = _kernel_on_grid(n, zeta, pts @ xv, r * r)
+        pvals = _quadric_sum(poly.terms, zeta[:, None], ys[None])
+        out[i] = (zeta * ((kern * pvals) @ wts)).sum() / n_zeta
+    return out
+
+
+def cauchy_reproduce(poly: AlmansiPolynomial, x) -> complex:
+    """poly(x), |x| < 1, from the kernel double integral: `cauchy_reproduce_many` of one pair."""
+    return complex(cauchy_reproduce_many([poly], [x])[0])
 
 
 def _tilde_family(mu: PseudoPositiveMeasure) -> ComponentFamily:

@@ -134,7 +134,11 @@ def harmonic_table(n: int, keys, theta) -> np.ndarray:
     sin^|m|(gamma) cos or sin of |m| phi.  No sqrt(1 - z^2) is formed, so
     values near the poles keep their relative digits.
     """
-    ks, ells = check_indices(n, keys)
+    return _harmonic_core(n, *check_indices(n, keys), theta)
+
+
+def _harmonic_core(n: int, ks: np.ndarray, ells: np.ndarray, theta) -> np.ndarray:
+    # `harmonic_table` on the k and ell arrays of keys `check_indices` passed
     th = np.asarray(theta, dtype=float)
     if n == 2:
         phi = np.arctan2(th[..., 1], th[..., 0])[..., None]
@@ -167,12 +171,12 @@ def solid_harmonic(n: int, keys, x) -> np.ndarray:
     there for k > 0.  |x|^k is one scalar power per degree, as an array of
     exponents would take another numpy path and move the last bit.
     """
-    ks, _ = check_indices(n, keys)
+    ks, ells = check_indices(n, keys)
     xv = np.asarray(x, dtype=float)
     pts = np.atleast_2d(xv)
     r = np.linalg.norm(pts, axis=-1)
     pos = r > 0.0
-    vals = harmonic_table(n, keys, pts[pos] / r[pos, None])
+    vals = _harmonic_core(n, ks, ells, pts[pos] / r[pos, None])
     for k in np.unique(ks).tolist():
         vals[:, ks == k] *= r[pos, None] ** k
     out = np.empty(r.shape + ks.shape)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -280,8 +281,20 @@ class TestConfigErrors:
     )
     @pytest.mark.parametrize("payload", [[1, 2], None])
     def test_config_not_an_object(self, tmp_path, capsys, command, payload):
+        # one message for every command, simulate-pseudo's without a stage prefix
         cfg = write_json(tmp_path / "c.json", payload)
-        assert _config_error(capsys, [command, "--input", cfg])
+        assert main([command, "--input", cfg]) == 2
+        message = f"config {cfg} must hold a JSON object, not {type(payload).__name__}"
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["nevanlinna-check", "iso-flow"])
+    @pytest.mark.parametrize("tol", ["-1", "-1e-300", "nan", "inf", "-inf"])
+    def test_tol_must_be_nonnegative_and_finite(self, command, tol):
+        config = {"kind": "1d", "measure": {"atoms": [1.0], "weights": [1.0]}, "N": 0, "y": [10.0]}
+        if command == "iso-flow":
+            config = {"measure": self.MEASURE, "t_grid": [0.0, 1.0]}
+        code, err = run_in_process([command, f"--tol={tol}"], config)
+        assert (code, err) == (2, f"config error: --tol must be nonnegative and finite, got {float(tol)!r}\n")
 
     @pytest.mark.parametrize("tol", [[], ["--tol", "1e-4"]])
     @pytest.mark.parametrize("n_trunc, grid", [(1, []), (-1, [10.0, 100.0]), (1, [10.0, -100.0])])
@@ -382,6 +395,41 @@ class TestConfigErrors:
                 "bad iso-flow config: lambdas and masses must be matching 1-d arrays",
             ),
             ("nevanlinna-check", {"kind": "2d"}, "unknown nevanlinna kind '2d'"),
+            (
+                "transform-eval",
+                {"measure": 5, "theta": [0.0, 0.0, 1.0], "zetas": [[2.0, 0.0]]},
+                "bad measure: measure must be a JSON object, got 5",
+            ),
+            ("iso-flow", {"measure": [1], "t_grid": [0.0, 1.0]}, "bad measure: measure must be a JSON object, got [1]"),
+            (
+                "nevanlinna-check",
+                {"kind": "multi", "measure": "m", "k": 0, "ell": 1, "N": 1, "zeta_abs": [4.0]},
+                "bad measure: measure must be a JSON object, got 'm'",
+            ),
+            (
+                "transform-eval",
+                {
+                    "measure": dict(MEASURE, components=[MEASURE["components"][0], {"k": 0, "ell": 2, "weights": [1.0]}]),
+                    "theta": [0.0, 0.0, 1.0],
+                    "zetas": [[2.0, 0.0]],
+                },
+                "bad measure: components[1] has no field 'atoms'",
+            ),
+            (
+                "iso-flow",
+                {"measure": dict(MEASURE, components=[{"ell": 1, "atoms": [0.5], "weights": [1.0]}]), "t_grid": [0.0, 1.0]},
+                "bad measure: components[0] has no field 'k'",
+            ),
+            (
+                "simulate-pseudo",
+                {"n": 3, "components": [{"k": 0, "ell": 1, "lambdas": [0.5]}]},
+                "bad pseudo state: components[0] has no field 'masses_tilde'",
+            ),
+            (
+                "simulate-pseudo",
+                {"n": 3, "components": [{"k": 0, "lambdas": [0.5], "masses_tilde": [1.0]}]},
+                "bad pseudo state: components[0] has no field 'ell'",
+            ),
         ],
         ids=[
             "coupling",
@@ -393,6 +441,13 @@ class TestConfigErrors:
             "iso-no-components",
             "iso-empty-component",
             "kind-2d",
+            "measure-not-object",
+            "iso-measure-not-object",
+            "multi-measure-not-object",
+            "no-atoms",
+            "no-k",
+            "no-masses-tilde",
+            "no-ell",
         ],
     )
     def test_message_names_the_item(self, command, config, message):
@@ -650,6 +705,12 @@ _SPECIAL = st.sampled_from([0.0, -1.0, 1e-300, 1e300, 1e21, float("nan"), float(
 _QUADRIC_VALUE = st.one_of(_SPECIAL, st.floats(0.05, 2.0))
 
 
+# a component field left out, now and then
+_DROPPED = st.sampled_from([None] * 4 + ["k", "ell", "atoms", "weights"])
+# a measure that is not a JSON object, now and then
+_MEASURES = st.sampled_from([None] * 9 + [5, [1], "m", True])
+
+
 @st.composite
 def quadric_measures(draw):
     n = draw(st.sampled_from([2, 3]))
@@ -660,6 +721,7 @@ def quadric_measures(draw):
         atoms = draw(st.lists(_QUADRIC_VALUE, min_size=count, max_size=count))
         weights = draw(st.lists(_QUADRIC_VALUE, min_size=count, max_size=count))
         comps.append({"k": k, "ell": ell, "atoms": atoms, "weights": weights})
+        comps[-1].pop(draw(_DROPPED), None)
     return {"n": n, "k_max": 2, "components": comps}
 
 
@@ -668,22 +730,20 @@ def transform_eval_configs(draw):
     measure = draw(quadric_measures())
     theta = [0.0] * (measure["n"] - 1) + [draw(st.one_of(st.just(1.0), _SPECIAL))]
     zetas = draw(st.lists(st.lists(_QUADRIC_VALUE, min_size=2, max_size=2), max_size=3))
-    return {"measure": measure, "theta": theta, "zetas": zetas}
+    return {"measure": draw(_MEASURES) or measure, "theta": theta, "zetas": zetas}
 
 
 @st.composite
 def simulate_pseudo_configs(draw):
     measure = draw(quadric_measures())
-    comps = [
-        {"k": c["k"], "ell": c["ell"], "lambdas": c["atoms"], "masses_tilde": c["weights"]}
-        for c in measure["components"]
-    ]
+    names = {"k": "k", "ell": "ell", "atoms": "lambdas", "weights": "masses_tilde"}
+    comps = [{names[field]: value for field, value in c.items()} for c in measure["components"]]
     return {"n": measure["n"], "components": comps}
 
 
 @st.composite
 def iso_flow_configs(draw):
-    config = {"measure": draw(quadric_measures())}
+    config = {"measure": draw(_MEASURES) or draw(quadric_measures())}
     if draw(st.booleans()):  # else the grid 0, dt, ..., t_final
         config["t_grid"] = draw(st.lists(st.one_of(st.floats(0.0, 5.0), _SPECIAL), max_size=4))
     return config
@@ -706,6 +766,8 @@ class TestQuadricExitCodes:
         assert code in (0, 2, 3)
         assert "Traceback" not in err
         assert "np." not in err  # plain numbers, not numpy reprs
+        # a KeyError's repr such as "bad measure: 'atoms'" names no item
+        assert "not subscriptable" not in err and not re.search(r": '[^']*'$", err.rstrip("\n"))
         if code == 2:
             assert err.startswith("config error: ")
         else:
@@ -806,6 +868,28 @@ class TestIsoFlowCommand:
         assert float(rows[2].split(",")[1]) == pytest.approx(0.25)
 
 
+    def test_rise_above_tol_names_component_and_time(self, tmp_path, capsys):
+        # at t = 1e-300 the mass 2 reads fl(sqrt(2))^2 = 2 + 4.4e-16: a rise
+        # of one ulp, above --tol 0 and below the default 1e-12
+        measure = {
+            "n": 3,
+            "k_max": 1,
+            "components": [
+                {"k": 0, "ell": 1, "atoms": [1.0], "weights": [2.0]},
+                {"k": 1, "ell": 1, "atoms": [1.0], "weights": [1.0]},
+            ],
+        }
+        cfg = write_json(tmp_path / "iso.json", {"measure": measure, "t_grid": [0.0, 1e-300, 1.0]})
+        summary = "max_increase=4.440892098500626e-16 max_derivative_residual=2.262738671987563e-07\n"
+        assert main(["iso-flow", "--input", cfg, "--output", str(tmp_path / "s.csv"), "--tol", "0"]) == 3
+        assert capsys.readouterr() == (
+            f"monotone=False {summary}",
+            "numeric failure: at t = 1e-300 S_{k,l} of component (0, 1) rises by 4.440892098500626e-16, above --tol 0.0\n",
+        )
+        assert main(["iso-flow", "--input", cfg, "--output", str(tmp_path / "s.csv")]) == 0
+        assert capsys.readouterr() == (f"monotone=True {summary}", "")
+
+
 _STATE_1D = {"a": [0.5, 0.3], "b": [0.1, 0.0, -0.2]}
 _MEASURE_3 = {
     "n": 3,
@@ -848,6 +932,29 @@ _MEASURE_RAGGED_3 = {
         _ragged(3, 2, 4, 0.3, 2.0, 0.05),
     ],
 }
+
+_VERIFY_ALL_TABLE = (
+    "PASS sphere-orthonormality observed=1.5543122344752192e-15 tol=1e-10\n"
+    "PASS sphere-addition-theorem observed=1.4921397450962104e-13 tol=1e-10\n"
+    "PASS moment-inverse-roundtrip observed=9.71445146547012e-16 tol=1e-10\n"
+    "PASS moment-cf-resolvent-eigen observed=1.5634623577627419e-15 tol=1e-11\n"
+    "PASS moment-nevanlinna-decay observed=0.00010084799371029036 tol=0.001\n"
+    "PASS toda-isospectral-rk4 observed=7.310818617156656e-14 tol=1e-08\n"
+    "PASS toda-energy-conservation observed=2.5579538487363607e-13 tol=1e-08\n"
+    "PASS toda-trace-identity observed=6.217248937900877e-15 tol=1e-12\n"
+    "PASS toda-spectral-vs-rk4 observed=3.5818570331969113e-13 tol=1e-06\n"
+    "PASS toda-closed-form-n2 observed=5.023798044234695e-11 tol=1e-06\n"
+    "PASS kdq-kernel-series-vs-closed observed=9.674251569319512e-15 tol=1e-10\n"
+    "PASS kdq-cauchy-reproduction observed=2.581545120445489e-16 tol=1e-08\n"
+    "PASS kdq-multi-nevanlinna observed=6.103512714619036e-05 tol=0.0001\n"
+    "PASS pseudo-normalization observed=2.220446049250313e-16 tol=1e-12\n"
+    "PASS pseudo-hamiltonian-constant observed=3.4128663216246534e-16 tol=1e-12\n"
+    "PASS pseudo-ode-residual observed=1.2565790075136363e-09 tol=1e-06\n"
+    "PASS pseudo-growth-c-d-one observed=4.440892098500626e-16 tol=1e-12\n"
+    "PASS iso-monotonicity observed=2.4805029141816703e-09 tol=1e-08\n"
+    "18/18 checks passed\n"
+)
+
 
 class TestPinnedOutputs:
     """CSV text and stdout of every command on tiny inputs, byte for byte.
@@ -967,6 +1074,8 @@ class TestPinnedOutputs:
             ),
             "monotone=True max_increase=0.0 max_derivative_residual=4.575828178587926e-07\n",
         ),
+        # the table goes to stdout and to --output; the input is not read
+        "verify-all": (["verify-all"], {}, _VERIFY_ALL_TABLE, _VERIFY_ALL_TABLE),
     }
 
     @pytest.mark.parametrize("case", list(CASES))

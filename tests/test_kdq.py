@@ -314,6 +314,76 @@ class TestCauchyReproduce:
         (result,) = verify.check_kdq_cauchy(verify._SEED + offset, k_max=3, j_max=2)
         assert result.observed < 1e-14
 
+    @pytest.mark.parametrize("seed", [verify._SEED + 6, 0, 1, 2, 3])
+    @pytest.mark.parametrize("k_max, j_max", [(3, 2), (4, 3), (1, 0)])
+    def test_verify_check_equals_per_case_loop(self, seed, k_max, j_max):
+        # one polynomial, one reproduction and one direct value per case, over
+        # the check's draws: the batched check reads the same worst case bit for bit
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for n in (2, 3):
+            for k in range(k_max + 1):
+                for ell in range(1, sphere.dim_harmonics(n, k) + 1):
+                    for j in range(j_max + 1):
+                        poly = AlmansiPolynomial(n, {(j, k, ell): 1.0})
+                        x = verify._inside_ball(rng, n)
+                        worst = max(worst, abs(cauchy_reproduce(poly, x) - poly.eval(x)))
+        (result,) = verify.check_kdq_cauchy(seed, k_max, j_max)
+        assert result.observed == worst
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.sampled_from([2, 3]), count=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_many_equals_one_pair_calls(self, n, count, seed):
+        # several terms per polynomial, and points at and near the origin
+        rng = np.random.default_rng(seed)
+        term_maps = []
+        for _ in range(count):
+            degrees = rng.integers(0, 4, 3).tolist()
+            keys = [(int(rng.integers(0, 3)), k, int(rng.integers(1, sphere.dim_harmonics(n, k) + 1))) for k in degrees]
+            term_maps.append({key: rng.normal() for key in keys})
+        polys = AlmansiPolynomial.many(n, term_maps)
+        points = [unit(rng.normal(size=n)) * rng.choice([0.0, 1e-9, 0.3, 0.8]) for _ in polys]
+        many = kdq.cauchy_reproduce_many(polys, points)
+        assert many.tobytes() == np.array([cauchy_reproduce(p, x) for p, x in zip(polys, points)]).tobytes()
+        values = kdq.almansi_eval_many(polys, points)
+        assert values.tobytes() == np.array([p.eval(x) for p, x in zip(polys, points)]).tobytes()
+
+    def test_many_rejects_mismatched_inputs(self):
+        polys = [AlmansiPolynomial(2, {(0, 1, 1): 1.0}), AlmansiPolynomial(3, {(0, 1, 1): 1.0})]
+        with pytest.raises(ValueError, match="one point per polynomial"):
+            kdq.cauchy_reproduce_many(polys, [np.zeros(2)])
+        with pytest.raises(ValueError, match=r"x must have shape \(3,\)"):
+            kdq.cauchy_reproduce_many(polys, [np.zeros(2), np.zeros(2)])
+        with pytest.raises(ValueError, match=r"one dimension n, got \[2, 3\]"):
+            kdq.almansi_eval_many(polys, [np.zeros(2), np.zeros(3)])
+        with pytest.raises(ValueError, match=r"one point of shape \(2,\) per polynomial"):
+            kdq.almansi_eval_many(polys[:1], [np.zeros(3)])
+
+    @pytest.mark.parametrize("defect, fails, passes", [("kernel", 2e-8, 5e-9), ("node-column", 5e-8, 2e-8)])
+    def test_verify_check_fails_on_a_skew(self, monkeypatch, defect, fails, passes):
+        # a relative skew of the kernel of every case, or of the column of
+        # Y_{1,2} in every cached S^2 node table, fails the verify-all line;
+        # the README records the smallest failing skew of 1, 2, 5 per decade
+        kernel, table = kdq._kernel_on_grid, kdq._node_table
+
+        def observed(skew):
+            if defect == "kernel":
+                monkeypatch.setattr(kdq, "_kernel_on_grid", lambda *args: kernel(*args) * (1.0 + skew))
+            else:
+
+                def skewed(n, degree):
+                    out = table(n, degree).copy()
+                    if n == 3 and degree >= 2:
+                        out[:, kdq._node_column(3, 1, 2)] *= 1.0 + skew
+                    return out
+
+                monkeypatch.setattr(kdq, "_node_table", skewed)
+            (result,) = verify.check_kdq_cauchy(verify._SEED + 6, k_max=3, j_max=2)
+            return result.passed
+
+        assert not observed(fails)
+        assert observed(passes)
+
     def test_far_point_and_high_degree(self):
         rng = np.random.default_rng(9)
         for n in (2, 3):
@@ -684,6 +754,14 @@ class TestAlmansiPolynomial:
         r = np.linalg.norm(x)
         val = poly.eval_kdq(np.complex128(r), x / r)
         assert complex(val) == pytest.approx(poly.eval(x))
+
+    def test_many_equals_constructor(self):
+        maps = [{(1, 2, 3): 0.5, (0, 0, 1): 2}, {}, {(2, 1, 1): -1.0}]
+        assert AlmansiPolynomial.many(3, maps) == [AlmansiPolynomial(3, terms) for terms in maps]
+        with pytest.raises(ValueError, match=r"invalid harmonic index \(k=1, ell=3\)"):
+            AlmansiPolynomial.many(2, [{(0, 0, 1): 1.0}, {(0, 1, 3): 1.0}])
+        with pytest.raises(ValueError, match="radial exponent"):
+            AlmansiPolynomial.many(2, [{(-1, 0, 1): 1.0}])
 
     def test_invalid_index_rejected(self):
         with pytest.raises(ValueError):
