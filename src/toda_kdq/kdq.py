@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DivergenceRegionError, PoleError
 from .moment_1d import _as_vector, _freeze_fields, _json_float, _json_int, _moment_remainder, _sorted_atoms
-from .sphere import as_direction, check_indices, dim_harmonics, harmonic_table, solid_harmonic, sphere_nodes
+from .sphere import _harmonic_core, as_direction, check_indices, dim_harmonics, harmonic_table, solid_harmonic, sphere_nodes
 
 __all__ = [
     "KDQPoint",
@@ -53,7 +53,6 @@ __all__ = [
     "hua_kernel",
     "hua_tail_bound",
     "cauchy_reproduce",
-    "cauchy_reproduce_many",
     "almansi_eval_many",
     "markov_stieltjes",
     "growth_condition_check",
@@ -384,21 +383,12 @@ class AlmansiPolynomial:
     terms: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", _clean_terms(self.terms))
-        check_indices(self.n, [key[1:] for key in self.terms])
-
-    @classmethod
-    def many(cls, n: int, term_maps) -> list:
-        """One polynomial of dimension n per map of terms, every harmonic
-        index of all of them checked in one `check_indices` call."""
-        polys = []
-        for terms in term_maps:
-            poly = object.__new__(cls)
-            object.__setattr__(poly, "n", n)
-            object.__setattr__(poly, "terms", _clean_terms(terms))
-            polys.append(poly)
-        check_indices(n, [key[1:] for poly in polys for key in poly.terms])
-        return polys
+        # kept in ascending (j, k, ell) order, the order of every sum over the terms
+        if any(j < 0 for j, _, _ in self.terms):
+            raise ValueError("radial exponent j must be nonnegative")
+        clean = dict(sorted(((int(j), int(k), int(ell)), float(coeff)) for (j, k, ell), coeff in self.terms.items()))
+        check_indices(self.n, [key[1:] for key in clean])
+        object.__setattr__(self, "terms", clean)
 
     def eval(self, x) -> float:
         return float(almansi_eval_many([self], [x])[0])
@@ -407,13 +397,6 @@ class AlmansiPolynomial:
         """Values on the quadric; zeta and the node axis of theta broadcast."""
         ys = harmonic_table(self.n, [key[1:] for key in self.terms], np.asarray(theta, dtype=float))
         return _quadric_sum(self.terms, np.asarray(zeta, dtype=complex), ys)
-
-
-def _clean_terms(terms: dict) -> dict:
-    # the terms in ascending (j, k, ell) order, the order of every sum over them
-    if any(j < 0 for j, _, _ in terms):
-        raise ValueError("radial exponent j must be nonnegative")
-    return dict(sorted(((int(j), int(k), int(ell)), float(coeff)) for (j, k, ell), coeff in terms.items()))
 
 
 def _quadric_sum(terms: dict, z: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -470,31 +453,19 @@ def _kernel_on_grid(n: int, zeta: np.ndarray, dots: np.ndarray, r2: float) -> np
     return 1.0 / (u * np.sqrt(u) * z)
 
 
-@lru_cache(maxsize=64)
-def _contour(n_zeta: int) -> np.ndarray:
-    # the n_zeta-th roots of unity, the trapezoid nodes on |zeta| = 1; read-only
-    zeta = np.exp(2j * np.pi * np.arange(n_zeta) / n_zeta)
-    zeta.setflags(write=False)
-    return zeta
-
-
-@lru_cache(maxsize=32)
-def _node_table(n: int, degree: int) -> np.ndarray:
-    # Y_{k,l} at the nodes of sphere_nodes(n, degree) for every (k, l) with
-    # 2k <= degree, one read-only column each at `_node_column`
-    keys = [(k, ell) for k in range(degree // 2 + 1) for ell in range(1, dim_harmonics(n, k) + 1)]
-    table = harmonic_table(n, keys, sphere_nodes(n, degree)[0])
+@lru_cache(maxsize=256)
+def _node_harmonics(n: int, degree: int, keys: tuple) -> np.ndarray:
+    # Y_{k,l} of each (k, l) in `keys`, indices a polynomial has checked, at
+    # the nodes of sphere_nodes(n, degree): read-only (nodes, len(keys)), the
+    # table one reproduction needs and no more
+    ks, ells = np.array(keys, dtype=int).reshape(-1, 2).T
+    table = _harmonic_core(n, ks, ells, sphere_nodes(n, degree)[0])
     table.setflags(write=False)
     return table
 
 
-def _node_column(n: int, k: int, ell: int) -> int:
-    # the columns of the degrees below k, d_0 + ... + d_{k-1}, come first
-    return (k * k if n == 3 else max(2 * k - 1, 0)) + ell - 1
-
-
-def cauchy_reproduce_many(polys, points) -> np.ndarray:
-    """Reproduce poly(x), |x| < 1, of every (poly, x) pair from the kernel double integral.
+def cauchy_reproduce(poly: AlmansiPolynomial, x) -> complex:
+    """Reproduce poly(x), |x| < 1, from the kernel double integral.
 
     (1/2·pi·i) of the contour integral over the unit circle in zeta of the
     sphere average of kernel(zeta theta; x) * poly(zeta theta).  The kernel
@@ -506,41 +477,27 @@ def cauchy_reproduce_many(polys, points) -> np.ndarray:
     and the first aliased one is at most |C_M| |x|^M, with |C_M| = M + 1 on
     S^1 and (M + 1)(M + 2)/2 on S^2.  M is the smallest count past the
     largest D that puts that bound below 1e-16, so the result does not
-    depend on how the two rules' node counts relate.
-
-    Each pair keeps its own M and sphere rule.  The Y_{k,l} at the nodes
-    are columns of one cached table per (n, rule degree), so no harmonic
-    index is checked again: the polynomials checked theirs.  Returns a
-    complex array; `cauchy_reproduce` is the one-pair call.
+    depend on how the two rules' node counts relate.  The polynomial checked
+    its harmonic indices, so its Y_{k,l} at the nodes are not checked again;
+    they are cached per (n, rule degree, indices).
     """
-    polys, points = list(polys), list(points)
-    if len(points) != len(polys):
-        raise ValueError(f"need one point per polynomial, got {len(points)} for {len(polys)}")
-    out = np.empty(len(polys), dtype=complex)
-    for i, (poly, x) in enumerate(zip(polys, points)):
-        n = poly.n
-        xv = np.asarray(x, dtype=float)
-        if xv.shape != (n,):
-            raise ValueError(f"x must have shape ({n},)")
-        r = math.sqrt(xv @ xv)
-        if r >= 1.0:
-            raise DivergenceRegionError("reproduction contour is the unit circle; need |x| < 1")
-        sphere_degree = max((2 * j + 2 * k for j, k, _ in poly.terms), default=0)
-        n_zeta = max((2 * j + k for j, k, _ in poly.terms), default=0) + 1
-        while (n_zeta + 1) * (n_zeta + 2 if n == 3 else 2) / 2 * r**n_zeta > 1e-16:
-            n_zeta += 1
-        pts, wts = sphere_nodes(n, sphere_degree)
-        ys = _node_table(n, sphere_degree)[:, [_node_column(n, k, ell) for _, k, ell in poly.terms]]
-        zeta = _contour(n_zeta)
-        kern = _kernel_on_grid(n, zeta, pts @ xv, r * r)
-        pvals = _quadric_sum(poly.terms, zeta[:, None], ys[None])
-        out[i] = (zeta * ((kern * pvals) @ wts)).sum() / n_zeta
-    return out
-
-
-def cauchy_reproduce(poly: AlmansiPolynomial, x) -> complex:
-    """poly(x), |x| < 1, from the kernel double integral: `cauchy_reproduce_many` of one pair."""
-    return complex(cauchy_reproduce_many([poly], [x])[0])
+    xv = np.asarray(x, dtype=float)
+    if xv.shape != (poly.n,):
+        raise ValueError(f"x must have shape ({poly.n},)")
+    r = math.sqrt(xv @ xv)
+    if r >= 1.0:
+        raise DivergenceRegionError("reproduction contour is the unit circle; need |x| < 1")
+    sphere_degree = max((2 * j + 2 * k for j, k, _ in poly.terms), default=0)
+    n_zeta = max((2 * j + k for j, k, _ in poly.terms), default=0) + 1
+    while (n_zeta + 1) * (n_zeta + 2 if poly.n == 3 else 2) / 2 * r**n_zeta > 1e-16:
+        n_zeta += 1
+    pts, wts = sphere_nodes(poly.n, sphere_degree)
+    ys = _node_harmonics(poly.n, sphere_degree, tuple(key[1:] for key in poly.terms))
+    zeta = np.exp(2j * np.pi * np.arange(n_zeta) / n_zeta)
+    kern = _kernel_on_grid(poly.n, zeta, pts @ xv, r * r)
+    pvals = _quadric_sum(poly.terms, zeta[:, None], ys[None])
+    sphere_avg = (kern * pvals) @ wts
+    return complex(np.sum(zeta * sphere_avg) / n_zeta)
 
 
 def _tilde_family(mu: PseudoPositiveMeasure) -> ComponentFamily:

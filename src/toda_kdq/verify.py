@@ -267,17 +267,17 @@ def check_kdq_kernel(seed: int, trials: int) -> list[CheckResult]:
 def check_kdq_cauchy(seed: int, k_max: int, j_max: int) -> list[CheckResult]:
     """Cauchy-type reproduction of every Almansi monomial with k <= k_max, j <= j_max.
 
-    One batched reproduction and one batched direct evaluation per n, over
-    the monomials and their points drawn in (k, ell, j) order.
+    The monomials and their points are drawn in (k, ell, j) order; the
+    direct values of each n come from one batched evaluation.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n in (2, 3):
         dims = [sphere.dim_harmonics(n, k) for k in range(k_max + 1)]
         keys = [(j, k, ell) for k, d in enumerate(dims) for ell in range(1, d + 1) for j in range(j_max + 1)]
-        polys = kdq.AlmansiPolynomial.many(n, [{key: 1.0} for key in keys])
+        polys = [kdq.AlmansiPolynomial(n, {key: 1.0}) for key in keys]
         points = [_inside_ball(rng, n) for _ in keys]
-        reproduced = kdq.cauchy_reproduce_many(polys, points).tolist()
+        reproduced = [kdq.cauchy_reproduce(poly, x) for poly, x in zip(polys, points)]
         for c, v in zip(reproduced, kdq.almansi_eval_many(polys, points).tolist()):
             worst = max(worst, abs(c - v))
     return [_result("kdq-cauchy-reproduction", worst, 1e-8)]

@@ -277,6 +277,39 @@ class TestKernelGrid:
             assert np.max(np.abs(grid - power) / np.abs(power)) <= 1e-14
 
 
+def reference_eval(poly, x):
+    # AlmansiPolynomial.eval written out term by term, one solid_harmonic
+    # table per polynomial
+    xv = np.asarray(x, dtype=float)
+    r2 = float(xv @ xv)
+    total = 0.0
+    solid = sphere.solid_harmonic(poly.n, [key[1:] for key in poly.terms], xv).tolist()
+    for ((j, _, _), coeff), y_val in zip(poly.terms.items(), solid):
+        total += coeff * r2**j * y_val
+    return total
+
+
+def reference_cauchy(poly, x):
+    # cauchy_reproduce written out with the checked harmonic_table, the
+    # norm, a fresh contour and the float kernel numerator
+    xv = np.asarray(x, dtype=float)
+    r = float(np.linalg.norm(xv))
+    sphere_degree = max((2 * j + 2 * k for j, k, _ in poly.terms), default=0)
+    n_zeta = max((2 * j + k for j, k, _ in poly.terms), default=0) + 1
+    while (n_zeta + 1) * (n_zeta + 2 if poly.n == 3 else 2) / 2 * r**n_zeta > 1e-16:
+        n_zeta += 1
+    pts, wts = sphere.sphere_nodes(poly.n, sphere_degree)
+    zeta = np.exp(2j * np.pi * np.arange(n_zeta) / n_zeta)
+    z = zeta[:, None]
+    u = 1.0 - 2.0 * (pts @ xv)[None, :] / z + r * r / z**2
+    kern = 1.0 / (u * z) if poly.n == 2 else 1.0 / (u * np.sqrt(u) * z)
+    ys = sphere.harmonic_table(poly.n, [key[1:] for key in poly.terms], pts[None, :, :])
+    pvals = np.zeros(np.broadcast_shapes(z.shape, ys.shape[:-1]), dtype=complex)
+    for i, ((j, k, _), coeff) in enumerate(poly.terms.items()):
+        pvals += coeff * z ** (2 * j + k) * ys[..., i]
+    return complex(np.sum(zeta * ((kern * pvals) @ wts)) / n_zeta)
+
+
 class TestCauchyReproduce:
     def test_constant(self):
         poly = AlmansiPolynomial(3, {(0, 0, 1): 1.0})
@@ -316,9 +349,10 @@ class TestCauchyReproduce:
 
     @pytest.mark.parametrize("seed", [verify._SEED + 6, 0, 1, 2, 3])
     @pytest.mark.parametrize("k_max, j_max", [(3, 2), (4, 3), (1, 0)])
-    def test_verify_check_equals_per_case_loop(self, seed, k_max, j_max):
-        # one polynomial, one reproduction and one direct value per case, over
-        # the check's draws: the batched check reads the same worst case bit for bit
+    def test_verify_check_equals_reference_loop(self, seed, k_max, j_max):
+        # one polynomial, one reference reproduction and one reference direct
+        # value per case, over the check's draws: the check reads the same
+        # worst case bit for bit
         rng = np.random.default_rng(seed)
         worst = 0.0
         for n in (2, 3):
@@ -327,57 +361,63 @@ class TestCauchyReproduce:
                     for j in range(j_max + 1):
                         poly = AlmansiPolynomial(n, {(j, k, ell): 1.0})
                         x = verify._inside_ball(rng, n)
-                        worst = max(worst, abs(cauchy_reproduce(poly, x) - poly.eval(x)))
+                        worst = max(worst, abs(reference_cauchy(poly, x) - reference_eval(poly, x)))
         (result,) = verify.check_kdq_cauchy(seed, k_max, j_max)
         assert result.observed == worst
 
     @settings(max_examples=50, deadline=None)
     @given(n=st.sampled_from([2, 3]), count=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
-    def test_many_equals_one_pair_calls(self, n, count, seed):
+    def test_equals_reference_formulas(self, n, count, seed):
         # several terms per polynomial, and points at and near the origin
         rng = np.random.default_rng(seed)
-        term_maps = []
+        polys = []
         for _ in range(count):
             degrees = rng.integers(0, 4, 3).tolist()
             keys = [(int(rng.integers(0, 3)), k, int(rng.integers(1, sphere.dim_harmonics(n, k) + 1))) for k in degrees]
-            term_maps.append({key: rng.normal() for key in keys})
-        polys = AlmansiPolynomial.many(n, term_maps)
+            polys.append(AlmansiPolynomial(n, {key: rng.normal() for key in keys}))
         points = [unit(rng.normal(size=n)) * rng.choice([0.0, 1e-9, 0.3, 0.8]) for _ in polys]
-        many = kdq.cauchy_reproduce_many(polys, points)
-        assert many.tobytes() == np.array([cauchy_reproduce(p, x) for p, x in zip(polys, points)]).tobytes()
+        for poly, x in zip(polys, points):
+            assert cauchy_reproduce(poly, x) == reference_cauchy(poly, x)
+            assert poly.eval(x) == reference_eval(poly, x)
         values = kdq.almansi_eval_many(polys, points)
-        assert values.tobytes() == np.array([p.eval(x) for p, x in zip(polys, points)]).tobytes()
+        assert values.tobytes() == np.array([reference_eval(p, x) for p, x in zip(polys, points)]).tobytes()
 
-    def test_many_rejects_mismatched_inputs(self):
+    def test_rejects_mismatched_inputs(self):
         polys = [AlmansiPolynomial(2, {(0, 1, 1): 1.0}), AlmansiPolynomial(3, {(0, 1, 1): 1.0})]
-        with pytest.raises(ValueError, match="one point per polynomial"):
-            kdq.cauchy_reproduce_many(polys, [np.zeros(2)])
         with pytest.raises(ValueError, match=r"x must have shape \(3,\)"):
-            kdq.cauchy_reproduce_many(polys, [np.zeros(2), np.zeros(2)])
+            cauchy_reproduce(polys[1], np.zeros(2))
         with pytest.raises(ValueError, match=r"one dimension n, got \[2, 3\]"):
             kdq.almansi_eval_many(polys, [np.zeros(2), np.zeros(3)])
         with pytest.raises(ValueError, match=r"one point of shape \(2,\) per polynomial"):
             kdq.almansi_eval_many(polys[:1], [np.zeros(3)])
 
+    def test_high_degree_caches_only_its_own_columns(self):
+        # a monomial of degree 50 on S^2 keeps one column over the 5151 nodes
+        # of its degree-100 rule, not the table of every degree up to 50
+        poly = AlmansiPolynomial(3, {(0, 50, 51): 1.0})
+        x = np.array([0.1, -0.2, 0.15])
+        assert abs(cauchy_reproduce(poly, x) - poly.eval(x)) < 1e-13
+        assert kdq._node_harmonics(3, 100, ((50, 51),)).shape == (5151, 1)
+
     @pytest.mark.parametrize("defect, fails, passes", [("kernel", 2e-8, 5e-9), ("node-column", 5e-8, 2e-8)])
     def test_verify_check_fails_on_a_skew(self, monkeypatch, defect, fails, passes):
-        # a relative skew of the kernel of every case, or of the column of
-        # Y_{1,2} in every cached S^2 node table, fails the verify-all line;
-        # the README records the smallest failing skew of 1, 2, 5 per decade
-        kernel, table = kdq._kernel_on_grid, kdq._node_table
+        # a relative skew of the kernel of every case, or of the cached node
+        # column of Y_{1,2} on S^2, fails the verify-all line; the README
+        # records the smallest failing skew of 1, 2, 5 per decade
+        kernel, table = kdq._kernel_on_grid, kdq._node_harmonics
 
         def observed(skew):
             if defect == "kernel":
                 monkeypatch.setattr(kdq, "_kernel_on_grid", lambda *args: kernel(*args) * (1.0 + skew))
             else:
 
-                def skewed(n, degree):
-                    out = table(n, degree).copy()
-                    if n == 3 and degree >= 2:
-                        out[:, kdq._node_column(3, 1, 2)] *= 1.0 + skew
+                def skewed(n, degree, keys):
+                    out = table(n, degree, keys).copy()
+                    if n == 3:
+                        out[:, [key == (1, 2) for key in keys]] *= 1.0 + skew
                     return out
 
-                monkeypatch.setattr(kdq, "_node_table", skewed)
+                monkeypatch.setattr(kdq, "_node_harmonics", skewed)
             (result,) = verify.check_kdq_cauchy(verify._SEED + 6, k_max=3, j_max=2)
             return result.passed
 
@@ -754,14 +794,6 @@ class TestAlmansiPolynomial:
         r = np.linalg.norm(x)
         val = poly.eval_kdq(np.complex128(r), x / r)
         assert complex(val) == pytest.approx(poly.eval(x))
-
-    def test_many_equals_constructor(self):
-        maps = [{(1, 2, 3): 0.5, (0, 0, 1): 2}, {}, {(2, 1, 1): -1.0}]
-        assert AlmansiPolynomial.many(3, maps) == [AlmansiPolynomial(3, terms) for terms in maps]
-        with pytest.raises(ValueError, match=r"invalid harmonic index \(k=1, ell=3\)"):
-            AlmansiPolynomial.many(2, [{(0, 0, 1): 1.0}, {(0, 1, 3): 1.0}])
-        with pytest.raises(ValueError, match="radial exponent"):
-            AlmansiPolynomial.many(2, [{(-1, 0, 1): 1.0}])
 
     def test_invalid_index_rejected(self):
         with pytest.raises(ValueError):
