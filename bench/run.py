@@ -20,7 +20,10 @@ component count K the median time of reading a JSON `components` list into
 a `kdq.PseudoPositiveMeasure` and a `pseudo_toda.PseudoTodaState`
 (`from_dict`) and of one `pseudo_toda.evolve` and one `iso_flow.riccati_evolve`,
 and the median time of one `verify.check_kdq_cauchy` with the seed of
-`verify.run_all` over k_max at j_max = 2 (k_max = 3 is its `verify-all` size).
+`verify.run_all` over k_max at j_max = 2 (k_max = 3 is its `verify-all` size),
+and of the QR (Kostant-Symes) flow: one `toda_1d.spectral_solve` over the
+lattice size N and over the number of times, and one
+`pseudo_toda.family_jacobi` at t = 100 over the component count K.
 """
 
 import os
@@ -65,6 +68,15 @@ FAMILY_SAMPLES = 15
 CAUCHY_KMAX = (1, 2, 3, 4, 5)
 CAUCHY_JMAX = 2
 CAUCHY_SAMPLES = 15
+QR_SIZES = (2, 4, 8, 16, 32, 64)  # at QR_TIMES_AT_SIZES times
+QR_TIMES_AT_SIZES = 101
+QR_TIME_COUNTS = (1, 11, 101, 1001)  # at N = QR_SIZE_AT_TIMES
+QR_SIZE_AT_TIMES = 8
+QR_T_FINAL = 10.0  # times evenly spaced in [0, QR_T_FINAL]
+QR_FAMILY_KMAX = (2, 4, 8, 16)  # K = 9, 25, 81, 289 components on S^2
+QR_FAMILY_ATOMS = 4
+QR_FAMILY_T = 100.0
+QR_SAMPLES = 15
 
 _IMPORT_CODE = (
     "import time\n"
@@ -317,6 +329,42 @@ def check_kdq_cauchy_seconds(verify, sphere) -> list:
     ]
 
 
+def qr_flow_seconds(toda_1d, pseudo_toda, jacobi_matrix) -> dict:
+    """Median seconds of one `toda_1d.spectral_solve` on a random state
+    (a in [0.3, 1], b in [-1, 1]) at times evenly spaced in [0, QR_T_FINAL],
+    over the lattice size N and over the number of times, and of one
+    `pseudo_toda.family_jacobi` on S^2 states with every key of degree
+    <= k_max, QR_FAMILY_ATOMS atoms each, evolved to t = QR_FAMILY_T; the
+    samples go round the cases in turn, and the first round is a warm-up."""
+    rng = np.random.default_rng(6)
+    cases = []  # (curve, parameters, op)
+    for n, count in [(n, QR_TIMES_AT_SIZES) for n in QR_SIZES] + [(QR_SIZE_AT_TIMES, c) for c in QR_TIME_COUNTS]:
+        state = jacobi_matrix(offdiag=rng.uniform(0.3, 1.0, n - 1), diag=rng.uniform(-1.0, 1.0, n))
+        times = np.linspace(0.0, QR_T_FINAL, count)
+        cases.append(("spectral_solve", {"N": n, "times": count}, lambda s=state, t=times: toda_1d.spectral_solve(s, t)))
+    for k_max in QR_FAMILY_KMAX:
+        comps = {}
+        for key in [(k, ell) for k in range(k_max + 1) for ell in range(1, 2 * k + 2)]:
+            lam = np.sort(rng.uniform(0.2, 1.2, QR_FAMILY_ATOMS))
+            while np.min(np.diff(lam)) < 1e-3:
+                lam = np.sort(rng.uniform(0.2, 1.2, QR_FAMILY_ATOMS))
+            m = rng.uniform(0.2, 1.0, QR_FAMILY_ATOMS)
+            comps[key] = (lam, m / m.sum())
+        state = pseudo_toda.evolve(pseudo_toda.PseudoTodaState(3, comps), QR_FAMILY_T)
+        cases.append(("family_jacobi", {"K": (k_max + 1) ** 2}, lambda s=state: pseudo_toda.family_jacobi(s)))
+    samples = [[] for _ in cases]
+    for i in range(QR_SAMPLES + 1):
+        for (_, _, op), out in zip(cases, samples):
+            t = time.perf_counter()
+            op()
+            if i:
+                out.append(time.perf_counter() - t)
+    report = {"spectral_solve": [], "family_jacobi": []}
+    for (curve, parameters, _), out in zip(cases, samples):
+        report[curve].append({**parameters, "median_ms": 1e3 * statistics.median(out)})
+    return report
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path)
@@ -349,6 +397,13 @@ def main(argv=None) -> int:
     report["family"]["curve"] = family_seconds(kdq, pseudo_toda, iso_flow)
     report["check_kdq_cauchy"] = {"j_max": CAUCHY_JMAX, "verify_all_k_max": 3, "samples": CAUCHY_SAMPLES}
     report["check_kdq_cauchy"]["curve"] = check_kdq_cauchy_seconds(verify, sphere)
+    report["qr_flow"] = {
+        "t_final": QR_T_FINAL,
+        "family_atoms": QR_FAMILY_ATOMS,
+        "family_t": QR_FAMILY_T,
+        "samples": QR_SAMPLES,
+        **qr_flow_seconds(toda_1d, pseudo_toda, JacobiMatrix),
+    }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     for row in report["rk4_step"]["curve"]:
         print(f"B = {row['B']:3d}  N = {str(row['N']):>15}  {row['step_us']:8.1f} us/step")
@@ -379,6 +434,10 @@ def main(argv=None) -> int:
             f"check_kdq_cauchy k_max = {row['k_max']} j_max = {CAUCHY_JMAX} ({row['cases']} cases): "
             f"{row['median_ms']:6.2f} ms (median)"
         )
+    for row in report["qr_flow"]["spectral_solve"]:
+        print(f"spectral_solve N = {row['N']:2d} at {row['times']:4d} times: {row['median_ms']:8.2f} ms (median)")
+    for row in report["qr_flow"]["family_jacobi"]:
+        print(f"family_jacobi K = {row['K']:3d} at t = {QR_FAMILY_T}: {row['median_ms']:7.2f} ms (median)")
     return 0
 
 

@@ -44,21 +44,12 @@ from .errors import (
     PositivityLossError,
     RankDeficiencyError,
 )
-from .moment_1d import DiscreteMeasure, JacobiMatrix, _json_float, _json_int, nevanlinna_limit_check
+from .moment_1d import DiscreteMeasure, JacobiMatrix, _as_vector, _json_field, _json_float, _json_int, nevanlinna_limit_check
 from .sphere import as_direction
 from .verify import format_table, run_all
 
 __all__ = ["RunConfig", "run", "main"]
 
-_COMMANDS = (
-    "simulate-1d",
-    "spectral-solve",
-    "simulate-pseudo",
-    "transform-eval",
-    "nevanlinna-check",
-    "iso-flow",
-    "verify-all",
-)
 # the commands whose CSV has one row per time 0, dt, ..., round(t_final/dt) dt
 _TIMED = ("simulate-1d", "spectral-solve", "simulate-pseudo")
 _READS_TOL = ("nevanlinna-check", "iso-flow")
@@ -83,7 +74,7 @@ class RunConfig:
     tol: float | None = None
 
     def validate(self):
-        if self.command not in _COMMANDS:
+        if self.command not in _RUNNERS:
             raise ConfigError(f"unknown command {self.command!r}")
         if not (0.0 < self.t_final < np.inf and 0.0 < self.dt < np.inf):
             raise ConfigError(f"t-final and dt must be positive and finite, got {self.t_final!r} and {self.dt!r}")
@@ -112,7 +103,7 @@ class RunConfig:
 
 
 @contextmanager
-def _stage(prefix: str, errors=(KeyError, ValueError, TypeError)):
+def _stage(prefix: str, errors=(ValueError, TypeError)):
     """One reading stage: any of `errors` the block raises becomes a ConfigError prefixed by `prefix`."""
     try:
         yield
@@ -145,7 +136,8 @@ def _sample_times(cfg: RunConfig, width: int) -> np.ndarray:
 
 def _flaschka_from_config(data: dict) -> JacobiMatrix:
     with _stage("bad 1-d state: "):
-        return JacobiMatrix(offdiag=_json_float(data, "a"), diag=_json_float(data, "b"))
+        a, b = (_as_vector(name, _json_float(data, name)) for name in ("a", "b"))
+        return JacobiMatrix(offdiag=a, diag=b)
 
 
 def _run_simulate_1d(cfg: RunConfig) -> int:
@@ -173,14 +165,14 @@ def _run_simulate_pseudo(cfg: RunConfig) -> int:
     return 0
 
 
-def _measure_from_dict(d: dict) -> kdq.PseudoPositiveMeasure:
+def _measure_from_config(data: dict) -> kdq.PseudoPositiveMeasure:
     with _stage("bad measure: "):
-        return kdq.PseudoPositiveMeasure.from_dict(d)
+        return kdq.PseudoPositiveMeasure.from_dict(_json_field(data, "measure"))
 
 
 def _run_transform_eval(cfg: RunConfig) -> int:
     data = _load_json(cfg.input_path)
-    mu = _measure_from_dict(data.get("measure", {}))
+    mu = _measure_from_config(data)
     mu = mu.truncated(cfg.k_max)  # --kmax truncates the component series
     with _stage("bad transform-eval config: "):
         theta = as_direction(mu.n, _json_float(data, "theta"))
@@ -199,10 +191,10 @@ def _run_nevanlinna(cfg: RunConfig) -> int:
     if kind not in ("1d", "multi"):
         raise ConfigError(f"unknown nevanlinna kind {kind!r}")
     grid, values = ("y", "y values") if kind == "1d" else ("zeta_abs", "zeta_abs")
-    mu = _measure_from_dict(data.get("measure", {})) if kind == "multi" else None
-    with _stage("bad nevanlinna config: ", (KeyError, ValueError, TypeError, OverflowError)):
+    mu = _measure_from_config(data) if kind == "multi" else None
+    with _stage("bad nevanlinna config: ", (ValueError, TypeError, OverflowError)):
         if kind == "1d":
-            mu = DiscreteMeasure.from_dict(data["measure"])
+            mu = DiscreteMeasure.from_dict(_json_field(data, "measure"))
         else:
             idx = (_json_int(data, "k"), _json_int(data, "ell"))
         n_trunc = _json_int(data, "N")
@@ -237,7 +229,7 @@ def _run_nevanlinna(cfg: RunConfig) -> int:
 
 def _run_iso_flow(cfg: RunConfig) -> int:
     data = _load_json(cfg.input_path)
-    mu = _measure_from_dict(data.get("measure", {}))
+    mu = _measure_from_config(data)
     t_grid = _sample_times(cfg, len(mu.family.keys)) if "t_grid" not in data else None
     with _stage("bad iso-flow config: ", (ValueError, TypeError)):
         if not mu.family.keys:
@@ -310,7 +302,7 @@ def run(cfg: RunConfig) -> int:
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="toda-kdq", description=__doc__.splitlines()[0])
-    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("command", choices=_RUNNERS)
     parser.add_argument("--input", dest="input_path", default=None)
     parser.add_argument("--output", dest="output_path", default=None)
     parser.add_argument("--t-final", dest="t_final", type=float, default=5.0)

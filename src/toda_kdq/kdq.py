@@ -39,7 +39,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DivergenceRegionError, PoleError
-from .moment_1d import _as_vector, _freeze_fields, _json_float, _json_int, _moment_remainder, _sorted_atoms
+from .moment_1d import _as_vector, _freeze_fields, _json_field, _json_float, _json_int, _moment_remainder, _sorted_atoms
 from .sphere import _harmonic_core, as_direction, check_indices, dim_harmonics, harmonic_table, solid_harmonic, sphere_nodes
 
 __all__ = [
@@ -255,8 +255,9 @@ def _read_components(d: dict, names: tuple) -> dict:
     """The JSON list d["components"] of {"k", "ell", *names} objects as a map
     (k, ell) -> the two float arrays, a repeated index keeping its last entry;
     TypeError naming `components` or `components[i]` if it is not a list or not
-    an object, and ValueError naming `components[i]` and the field it lacks."""
-    comps = d["components"]
+    an object, and an error naming `components[i]` and the field it lacks or
+    holds wrong."""
+    comps = _json_field(d, "components")
     if type(comps) is not list:
         raise TypeError(f"components must be a JSON list, got {comps!r}")
     out = {}
@@ -265,8 +266,10 @@ def _read_components(d: dict, names: tuple) -> dict:
             raise TypeError(f"components[{i}] must be a JSON object, got {c!r}")
         try:
             out[(_json_int(c, "k"), _json_int(c, "ell"))] = (_json_float(c, names[0]), _json_float(c, names[1]))
-        except KeyError as exc:  # raised by _json_int or _json_float, holding the missing name
-            raise ValueError(f"components[{i}] has no field {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            missing = [name for name in ("k", "ell", *names) if name not in c]
+            detail = f" has no field {missing[0]!r}" if missing else f": {exc}"
+            raise type(exc)(f"components[{i}]{detail}") from None
     return out
 
 

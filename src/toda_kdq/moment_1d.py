@@ -50,14 +50,21 @@ def _as_vector(name: str, value) -> np.ndarray:
     return arr
 
 
+def _json_field(d: dict, name: str, *default):
+    """d[name], or `default` where given and absent; ValueError naming the field if absent without one."""
+    if name in d or default:
+        return d.get(name, *default)
+    raise ValueError(f"missing field {name!r}")
+
+
 def _json_int(d: dict, name: str, *default) -> int:
-    """d[name], or `default` where given and the name is absent, as an int.
+    """`_json_field` as an int.
 
     TypeError unless the value is an integer: a JSON number with a fraction
     or an exponent (1.7, 1e999, which reads as inf) and a boolean are not
-    truncated but rejected.  KeyError if the name is absent without a default.
+    truncated but rejected.
     """
-    value = d.get(name, *default) if default else d[name]
+    value = d[name] if name in d else _json_field(d, name, *default)  # no call per field read
     if type(value) is not int and (isinstance(value, bool) or not isinstance(value, np.integer)):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     return int(value)
@@ -68,15 +75,14 @@ _JSON_NUMBERS = {int, float}
 
 
 def _json_float(d: dict, name: str, *default):
-    """d[name], or `default` where given and the name is absent, as a float
-    array: 0-d for a number, 1-d or more for a list (of lists).
+    """`_json_field` as a float array: 0-d for a number, 1-d or more for a
+    list (of lists).
 
     TypeError unless every entry is a JSON number: a boolean, a string such
     as "2.5" and null are not converted but rejected.  ValueError if the
-    lists are ragged or an integer is too large for a double.  KeyError if
-    the name is absent without a default.
+    lists are ragged or an integer is too large for a double.
     """
-    value = d.get(name, *default) if default else d[name]
+    value = d[name] if name in d else _json_field(d, name, *default)  # no call per field read
     # one level of the lists at a time, in a loop rather than by recursion
     entries = value if type(value) is list else [value]
     while not _JSON_NUMBERS.issuperset(map(type, entries)):
@@ -217,9 +223,7 @@ class JacobiMatrix:
     offdiag: np.ndarray
 
     def __post_init__(self):
-        # offdiag may also come as a row or a column: it is flattened
-        offdiag = np.asarray(self.offdiag, dtype=float).reshape(-1)
-        diag, offdiag = _freeze_fields(self, diag=self.diag, offdiag=offdiag)
+        diag, offdiag = _freeze_fields(self, diag=self.diag, offdiag=self.offdiag)
         if diag.size < 1:
             raise ValueError("diag must be a nonempty 1-d array")
         if offdiag.size != diag.size - 1:

@@ -26,7 +26,7 @@ from .errors import PositivityLossError
 from .kdq import ComponentFamily, PseudoPositiveMeasure, _read_components, _write_components
 from .moment_1d import JacobiMatrix, _check_mass, _check_unreduced, _json_float, _json_int, _lanczos, _merge_coincident
 from .sphere import check_indices, harmonic_table
-from .toda_1d import _csv_text, _evolved_masses, _flow_rows, _rhs_rows
+from .toda_1d import _csv_text, _evolved_masses, _flow, _rhs_rows
 
 __all__ = [
     "PseudoTodaState",
@@ -205,7 +205,8 @@ def _jacobi_rows(family: ComponentFamily, time: float) -> tuple:
         b, a = alphas[:, ::-1], sb[:, ::-1]
         flow = from_zero[pos] & (m > 1)
         if flow.any():
-            b[flow], a[flow] = _flow_rows(b[flow], a[flow], time, labels[pos[flow]])
+            sb, sa = _flow(b[flow], a[flow], np.array([time]), labels[pos[flow]])
+            b[flow], a[flow] = sb[:, 0], sa[:, 0]
         _check_unreduced(a, labels[pos])
         diag[pos, :m], offdiag[pos, : m - 1] = b, a
     return diag, offdiag, merged.sizes

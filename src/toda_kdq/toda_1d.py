@@ -323,7 +323,7 @@ def spectral_solve(s0: JacobiMatrix, times) -> Trajectory:
     obey |s| (lambda_max - lambda_min) <= _SPAN, so each factored matrix is
     within a condition number of e^8 of orthogonal; longer horizons chain
     checkpoints k * h apart, forward and backward from the input, so each
-    time's result does not depend on the other times asked for.
+    time's result does not depend on the other times asked for (`_flow`).
 
     `times` may be any finite values, in any order.  The result is a
     `Trajectory` with one row per time; a time on a checkpoint, t = 0 among
@@ -337,51 +337,22 @@ def spectral_solve(s0: JacobiMatrix, times) -> Trajectory:
         raise ValueError("times must be finite")
     if s0.n == 1:
         return Trajectory(times=times, a=np.empty((times.size, 0)), b=np.tile(s0.diag, (times.size, 1)))
-    b_out = np.empty((times.size, s0.n))
-    a_out = np.empty((times.size, s0.n - 1))
-    (h,), (steps,) = _checkpoints(s0.diag[None], s0.offdiag[None], times[None], ("",))
-    for sign in (1.0, -1.0):
-        rows = np.flatnonzero(np.signbit(times) == (sign < 0.0))
-        last = int(steps[rows].max()) if rows.size else -1
-        b, a = s0.diag[None], s0.offdiag[None]
-        for k in range(last + 1):
-            # the rows of checkpoint k, then the next checkpoint, in one stack
-            here = rows[steps[rows] == k]
-            s = times[here] - sign * k * h
-            (sb,), (sa,) = _qr_steps(b, a, (np.append(s, sign * h) if k < last else s)[None])
-            b_out[here], a_out[here] = sb[: here.size], sa[: here.size]
-            b, a = sb[None, -1], sa[None, -1]
-    _check_positive(a_out, times, ("",) * times.size)
-    return Trajectory(times=times, a=a_out, b=b_out)
+    (b,), (a,) = _flow(s0.diag[None], s0.offdiag[None], times, ("",))
+    return Trajectory(times=times, a=a, b=b)
 
 
-def _flow_rows(b: np.ndarray, a: np.ndarray, t: float, labels):
-    """`spectral_solve` at the one time t of each of the Jacobi rows b (R, N)
-    and a (R, N-1), N > 1: the row-stacked form, in which each row keeps its
-    own checkpoint length h = _SPAN / width and at checkpoint k the rows
-    with at least k checkpoints take one `_qr_steps` call together.  A row
-    thus gets the bits `spectral_solve` gives it alone.  The errors of
+def _flow(b: np.ndarray, a: np.ndarray, times: np.ndarray, labels):
+    """`spectral_solve` from each of the Jacobi rows b (R, N) and a (R, N-1),
+    N > 1, at each of `times` (T,): (R, T, N) and (R, T, N-1).
+
+    Each row keeps its own checkpoint length h = _SPAN / width.  Per sign
+    of time, at checkpoint k a row's offsets are t - sign k h for each of
+    its times with floor(|t| / h) = k, and a row with a later time also
+    takes the step sign h to checkpoint k + 1; all of these (row, offset)
+    pairs go to one `_qr_steps` call.  A row thus gets the bits it gets
+    alone, whatever the other rows and times.  The errors of
     `spectral_solve`, prefixed with the row's `labels` entry.
     """
-    h, steps = _checkpoints(b, a, np.full((b.shape[0], 1), t), labels)
-    steps = steps[:, 0]
-    sign = -1.0 if np.signbit(t) else 1.0
-    b, a = b.copy(), a.copy()
-    for k in range(int(steps.max(initial=-1.0)) + 1):
-        live = np.flatnonzero(steps >= k)
-        # a whole checkpoint, or the rest of the way to t
-        s = np.where(steps[live] > k, sign * h[live], t - sign * k * h[live])
-        sb, sa = _qr_steps(b[live], a[live], s[:, None])
-        b[live], a[live] = sb[:, 0], sa[:, 0]
-    _check_positive(a, np.full(b.shape[0], t), labels)
-    return b, a
-
-
-def _checkpoints(b: np.ndarray, a: np.ndarray, times: np.ndarray, labels):
-    # the checkpoint length h = _SPAN / width of each of the Jacobi rows
-    # b (R, N) and a (R, N-1), and floor(|times| / h) for its row of times
-    # (R, T); OverflowError, prefixed with the row's label, when a width or
-    # a count is out of range
     lam = np.linalg.eigvalsh(_dense_rows(b, a))
     with np.errstate(over="ignore"):
         width = lam[:, -1] - lam[:, 0]
@@ -395,47 +366,54 @@ def _checkpoints(b: np.ndarray, a: np.ndarray, times: np.ndarray, labels):
     r = int(np.argmax(steps.max(axis=1, initial=0.0)))
     if steps[r].max(initial=0.0) > _MAX_CHECKPOINTS:
         raise OverflowError(
-            f"{labels[r]}|t| = {float(np.abs(times[r]).max())!r} at spectral width {float(width[r])!r} "
+            f"{labels[r]}|t| = {float(np.abs(times).max())!r} at spectral width {float(width[r])!r} "
             f"needs more than {_MAX_CHECKPOINTS} QR checkpoints"
         )
-    return h, steps
-
-
-def _check_positive(a: np.ndarray, times: np.ndarray, labels) -> None:
-    # PositivityLossError, prefixed with its label, at the first row of the
-    # couplings a with one not > 0; row r is the state at times[r]
-    bad = ~(a > 0.0).all(axis=1)
+    b_out, a_out = np.empty(steps.shape + b.shape[1:]), np.empty(steps.shape + a.shape[1:])
+    for sign in (1.0, -1.0):
+        mine = np.where(np.signbit(times) == (sign < 0.0), steps, -1.0)  # -1 at the other sign's times
+        last = mine.max(axis=1, initial=-1.0)
+        ids = np.flatnonzero(last >= 0.0)  # the rows on their way, at_b and at_a their checkpoints
+        at_b, at_a = b[ids], a[ids]
+        for k in range(int(last.max()) + 1):
+            here, col = np.nonzero(mine[ids] == k)
+            on = np.flatnonzero(last[ids] > k)
+            row = ids[here]
+            s = np.concatenate([times[col] - sign * k * h[row], sign * h[ids[on]]])
+            sb, sa = _qr_steps(at_b, at_a, np.concatenate([here, on]), s)
+            b_out[row, col], a_out[row, col] = sb[: here.size], sa[: here.size]
+            ids, at_b, at_a = ids[on], sb[here.size :], sa[here.size :]
+    bad = ~(a_out > 0.0).all(axis=2)
     if bad.any():
-        r = int(bad.argmax())
-        raise PositivityLossError(f"{labels[r]}a coupling underflowed to 0 at t = {float(times[r])!r}")
+        r, i = divmod(int(bad.argmax()), bad.shape[1])
+        raise PositivityLossError(f"{labels[r]}a coupling underflowed to 0 at t = {float(times[i])!r}")
+    return b_out, a_out
 
 
-def _qr_steps(b: np.ndarray, a: np.ndarray, s: np.ndarray):
-    # the flow from each of the Jacobi rows b (R, N) and a (R, N-1) over its
-    # row of offsets s (R, S), of one sign, |s| <= h: (R, S, N) and
-    # (R, S, N-1); see spectral_solve
-    shape, n = s.shape, b.shape[1]
+def _qr_steps(b: np.ndarray, a: np.ndarray, rows: np.ndarray, s: np.ndarray):
+    # the flow over the (row, offset) pairs (rows[i], s[i]) from the Jacobi
+    # rows b (R, N) and a (R, N-1), each row in at least one pair, |s| <= h:
+    # (P, N) and (P, N-1).  One `eigh` per row, shifted by its smallest
+    # eigenvalue if any of its offsets is < 0; see spectral_solve
+    n = b.shape[1]
     lam, v = np.linalg.eigh(_dense_rows(b, a))
-    shifted = lam - np.where((s < 0.0).any(axis=1), lam[:, 0], lam[:, -1])[:, None]
+    negative = np.bincount(rows, s < 0.0, b.shape[0]) > 0.0
+    shifted = lam - np.where(negative, lam[:, 0], lam[:, -1])[:, None]
     vt = v.transpose(0, 2, 1)
-    row, s = np.repeat(np.arange(shape[0]), shape[1]), s.reshape(-1)
-    b_out = np.empty((s.size, n))
-    a_out = np.empty((s.size, n - 1))
+    b_out, a_out = b[rows], a[rows]
     block = max(1, _BLOCK // n**2)  # doubles per (B, N, N) stack
     for lo in range(0, s.size, block):
-        rb, sb = row[lo : lo + block], s[lo : lo + block]
-        r = np.linalg.qr(np.exp(sb[:, None] * shifted[rb])[:, :, None] * vt[rb], mode="r")
-        d = np.diagonal(r, axis1=1, axis2=2)
-        ab = a[rb]
-        step = ab * np.diagonal(r, offset=1, axis1=1, axis2=2) / d[:, :-1]
+        i, r = slice(lo, lo + block), rows[lo : lo + block]
+        q = np.linalg.qr(np.exp(s[i, None] * shifted[r])[:, :, None] * vt[r], mode="r")
+        d = np.diagonal(q, axis1=1, axis2=2)
+        step = a_out[i] * np.diagonal(q, offset=1, axis1=1, axis2=2) / d[:, :-1]
         d = np.abs(d)
-        a_out[lo : lo + block] = ab * (d[:, 1:] / d[:, :-1])
-        b_out[lo : lo + block] = b[rb]
-        b_out[lo : lo + block, :-1] += step
-        b_out[lo : lo + block, 1:] -= step
+        a_out[i] *= d[:, 1:] / d[:, :-1]
+        b_out[i, :-1] += step
+        b_out[i, 1:] -= step
     at_checkpoint = s == 0.0
-    b_out[at_checkpoint], a_out[at_checkpoint] = b[row[at_checkpoint]], a[row[at_checkpoint]]
-    return b_out.reshape(shape + (n,)), a_out.reshape(shape + (n - 1,))
+    b_out[at_checkpoint], a_out[at_checkpoint] = b[rows[at_checkpoint]], a[rows[at_checkpoint]]
+    return b_out, a_out
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

@@ -430,6 +430,47 @@ class TestConfigErrors:
                 {"n": 3, "components": [{"k": 0, "lambdas": [0.5], "masses_tilde": [1.0]}]},
                 "bad pseudo state: components[0] has no field 'ell'",
             ),
+            (
+                "transform-eval",
+                {"measure": {"n": 3, "k_max": 0}, "theta": [0.0, 0.0, 1.0], "zetas": [[2.0, 0.0]]},
+                "bad measure: missing field 'components'",
+            ),
+            (
+                "transform-eval",
+                {"measure": {"components": MEASURE["components"]}, "theta": [0.0, 0.0, 1.0], "zetas": [[2.0, 0.0]]},
+                "bad measure: missing field 'n'",
+            ),
+            ("simulate-1d", {"a": [0.5]}, "bad 1-d state: missing field 'b'"),
+            (
+                "nevanlinna-check",
+                {"kind": "1d", "N": 1, "y": [10.0]},
+                "bad nevanlinna config: missing field 'measure'",
+            ),
+            (
+                "simulate-pseudo",
+                {"components": [{"k": 0, "ell": 1, "lambdas": [0.5], "masses_tilde": [1.0]}]},
+                "bad pseudo state: missing field 'n'",
+            ),
+            (
+                "transform-eval",
+                {"theta": [0.0, 0.0, 1.0], "zetas": [[2.0, 0.0]]},
+                "bad measure: missing field 'measure'",
+            ),
+            ("iso-flow", {"t_grid": [0.0, 1.0]}, "bad measure: missing field 'measure'"),
+            (
+                "nevanlinna-check",
+                {"kind": "multi", "k": 0, "ell": 1, "N": 1, "zeta_abs": [4.0]},
+                "bad measure: missing field 'measure'",
+            ),
+            (
+                "transform-eval",
+                {
+                    "measure": dict(MEASURE, components=[dict(MEASURE["components"][0], weights=[True])]),
+                    "theta": [0.0, 0.0, 1.0],
+                    "zetas": [[2.0, 0.0]],
+                },
+                "bad measure: components[0]: weights must hold JSON numbers only, got True",
+            ),
         ],
         ids=[
             "coupling",
@@ -448,6 +489,15 @@ class TestConfigErrors:
             "no-k",
             "no-masses-tilde",
             "no-ell",
+            "no-components",
+            "no-n",
+            "no-b",
+            "1d-no-measure",
+            "pseudo-no-n",
+            "transform-no-measure",
+            "iso-no-measure",
+            "multi-no-measure",
+            "component-weights-not-numbers",
         ],
     )
     def test_message_names_the_item(self, command, config, message):
@@ -1234,6 +1284,20 @@ class TestFloatFields:
     @pytest.mark.parametrize("case", CASES, ids=IDS)
     def test_number(self, tmp_path, capsys, case):
         assert self.run(tmp_path, case, case[3]) == 0
+
+    @pytest.mark.parametrize("command", ["simulate-1d", "spectral-solve"])
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"a": [[0.5, 0.25]], "b": [0.0, 0.0, 0.0]}, "a must be a 1-d array, got shape (1, 2)"),
+            ({"a": [[0.5], [0.25]], "b": [0.0, 0.0, 0.0]}, "a must be a 1-d array, got shape (2, 1)"),
+            ({"a": [0.5, 0.25], "b": [[0.0, 0.0, 0.0]]}, "b must be a 1-d array, got shape (1, 3)"),
+        ],
+        ids=["a-row", "a-column", "b-row"],
+    )
+    def test_nested_lattice_field(self, command, config, message):
+        # a list of lists is refused, not flattened
+        assert run_in_process([command], config) == (2, f"config error: bad 1-d state: {message}\n")
 
 
 class TestHalfLine:

@@ -133,6 +133,14 @@ class TestFrozenFields:
         with pytest.raises(ValueError, match=rf"\(unreduced\), got {re.escape(item)}$"):
             JacobiMatrix(diag=[0.0, 0.0, 0.0], offdiag=offdiag)
 
+    @pytest.mark.parametrize("name", ["diag", "offdiag"])
+    def test_jacobi_refuses_a_nested_list(self, name):
+        # a row of either field is refused, not flattened
+        fields = {"diag": [0.0, 0.0, 0.0], "offdiag": [0.5, 0.25]}
+        fields[name] = [fields[name]]
+        with pytest.raises(ValueError, match=rf"^{name} must be a 1-d array, got shape \(1, \d\)$"):
+            JacobiMatrix(**fields)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("cls", list(VALID), ids=lambda cls: cls.__name__)
     def test_nonfinite_entry_rejected(self, cls, bad):

@@ -1,13 +1,13 @@
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toda_kdq import kdq, pseudo_toda, sphere, verify
 from toda_kdq.errors import RankDeficiencyError
 from toda_kdq.moment_1d import DiscreteMeasure, JacobiMatrix, jacobi_from_measure, spectral_data_from_jacobi
-from toda_kdq.toda_1d import _evolved_masses, hamiltonian_ab, spectral_solve
+from toda_kdq.toda_1d import _evolved_masses, hamiltonian_ab
 from toda_kdq.pseudo_toda import (
     PhysicalSurface,
     PseudoTodaState,
@@ -24,6 +24,7 @@ from toda_kdq.pseudo_toda import (
     tilde_transform,
     total_hamiltonian,
 )
+from test_toda_1d import written_out_flow
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -206,13 +207,16 @@ def per_key_lanczos(atoms, weights):
 
 def per_key_component_jacobi(state, key):
     """The per-key path `family_jacobi` replaced: `per_key_lanczos` at time 0
-    or at the state's time, by the same rule, and `spectral_solve` from 0."""
+    or at the state's time, by the same rule, and the QR flow from 0 as
+    `written_out_flow` takes it."""
     lambdas, masses = state.family.component(key)
     x = lambdas**2
     at_zero = _evolved_masses(masses, x, -state.time) if state.time != 0.0 else masses
     if not at_zero.min() > masses.min():
         return per_key_lanczos(x, masses)
-    return spectral_solve(per_key_lanczos(x, at_zero), [state.time]).state(0)
+    start = per_key_lanczos(x, at_zero)
+    (diag,), (offdiag,) = written_out_flow(start.diag, start.offdiag, [state.time])
+    return JacobiMatrix(diag, offdiag)
 
 
 def mp_jacobi(x, masses, t, dps=50):
@@ -300,6 +304,40 @@ class TestFamilyJacobi:
         assert worst["stacked"][0] < 1e-12 and worst["stacked"][1] < 5e-11
         # at most one digit behind the per-key path
         assert worst["stacked"][0] < 10.0 * worst["per-key"][0] and worst["stacked"][1] < 10.0 * worst["per-key"][1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        atoms=st.integers(2, 5),
+        t=st.one_of(st.floats(-20.0, -4.0), st.floats(4.0, 20.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_written_out_flow(self, atoms, t, seed):
+        # bit for bit, on components whose spectral widths differ, so that
+        # their rows take different numbers of QR checkpoints to t
+        rng = np.random.default_rng(seed)
+        keys, spreads = [(0, 1), (1, 1), (1, 2), (1, 3)], [0.3, 0.8, 1.4, 2.0]
+        comps = {}
+        for key, spread in zip(keys, spreads):
+            lam = np.sort(rng.uniform(0.2, 0.2 + spread, atoms))
+            while np.min(np.diff(lam)) < 1e-3:
+                lam = np.sort(rng.uniform(0.2, 0.2 + spread, atoms))
+            m = rng.uniform(0.2, 1.0, atoms)
+            comps[key] = (lam, m / m.sum())
+        state = evolve(PseudoTodaState(3, comps), t)
+        # the rows at time 0 that family_jacobi flows from: the masses it
+        # takes back to time 0, in one block as it does, then its Lanczos
+        lambdas = state.family.radii.reshape(len(keys), atoms)
+        masses = state.family.masses.reshape(len(keys), atoms)
+        at_zero = _evolved_masses(masses, lambdas**2, -t)
+        start_b, start_a = family_jacobi(PseudoTodaState(3, dict(zip(keys, zip(lambdas, at_zero)))))
+        diag, offdiag = family_jacobi(state)
+        checkpoints = []
+        for i in np.flatnonzero(at_zero.min(axis=1) > masses.min(axis=1)):
+            ref_b, ref_a = written_out_flow(start_b[i], start_a[i], [t])
+            assert diag[i].tobytes() == ref_b[0].tobytes() and offdiag[i].tobytes() == ref_a[0].tobytes()
+            lam = np.linalg.eigvalsh(JacobiMatrix(start_b[i], start_a[i]).to_dense())
+            checkpoints.append(np.floor(abs(t) / (8.0 / (lam[-1] - lam[0]))))
+        assume(len(set(checkpoints)) > 1)
 
     def test_errors_name_the_component(self):
         # the second atom of (1, 2) is below Lanczos's rank threshold

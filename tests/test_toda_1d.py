@@ -118,6 +118,50 @@ def reference_spectral_solve(s0, t):
     return jacobi_from_measure(DiscreteMeasure(eigenvalues, masses))
 
 
+def written_out_flow(diag, offdiag, times):
+    """`spectral_solve` written out with numpy alone, as its own loop before
+    `family_jacobi` shared it: diagonals (T, N) and couplings (T, N-1).
+
+    Per sign of time and per checkpoint k h (h = 8 / spectral width): one
+    `eigh` of the checkpoint state, shifted by its largest eigenvalue, or by
+    its smallest if an offset is < 0; per offset s, the times t with
+    floor(|t| / h) = k at s = t - sign k h and, if a later time follows, the
+    step s = sign h, one `qr(mode="r")` of e^{s (Lambda - shift)} V^T and the
+    R-ratio update of a and b; an offset of 0 keeps the checkpoint state.
+    """
+    diag, offdiag, times = (np.asarray(v, dtype=float) for v in (diag, offdiag, times))
+
+    def lower(b, a):  # the triangle that eigh and eigvalsh read
+        return np.diag(b) + np.diag(a, -1)
+
+    lam = np.linalg.eigvalsh(lower(diag, offdiag))
+    h = 8.0 / (lam[-1] - lam[0])
+    b_out, a_out = np.empty((times.size, diag.size)), np.empty((times.size, offdiag.size))
+    for sign in (1.0, -1.0):
+        steps = {i: np.floor(abs(t) / h) for i, t in enumerate(times) if np.signbit(t) == (sign < 0.0)}
+        b, a = diag, offdiag
+        for k in range(int(max(steps.values(), default=-1.0)) + 1):
+            here = [i for i, k_i in steps.items() if k_i == k]
+            offsets = [times[i] - sign * k * h for i in here]
+            if max(steps.values()) > k:
+                offsets.append(sign * h)
+            lam, v = np.linalg.eigh(lower(b, a))
+            shift = lam[0] if min(offsets) < 0.0 else lam[-1]
+            states = []
+            for s in offsets:
+                r = np.linalg.qr(np.exp(s * (lam - shift))[:, None] * v.T, mode="r")
+                d = np.diag(r)
+                step = a * np.diag(r, 1) / d[:-1]
+                new_b = b.copy()
+                new_b[:-1] += step
+                new_b[1:] -= step
+                states.append((new_b, a * (np.abs(d[1:]) / np.abs(d[:-1]))) if s != 0.0 else (b, a))
+            for i, (sb, sa) in zip(here, states):
+                b_out[i], a_out[i] = sb, sa
+            b, a = states[-1]
+    return b_out, a_out
+
+
 def qr_rows(diag, offdiag, times):
     """Diagonals (T, N) and couplings (T, N-1) of `spectral_solve` at `times`."""
     traj = spectral_solve(JacobiMatrix(diag, offdiag), times)
@@ -499,6 +543,40 @@ class TestQrFlow:
         lam = np.array([np.linalg.eigvalsh(JacobiMatrix(b, a).to_dense()) for b, a in zip(diag, offdiag)])
         assert np.max(np.abs(lam - lam0)) < 1e-12
         assert np.max(np.abs(diag.sum(axis=1) - lam0.sum())) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        fractions=st.lists(st.one_of(st.floats(-5.0, 5.0), st.integers(-5, 5).map(float)), min_size=1, max_size=10),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_equals_written_out_flow(self, n, seed, fractions, order):
+        # bit for bit, at times of both signs past 3 checkpoints, in any
+        # order, on and off checkpoints, 0 and a repeat among them
+        s = random_state(np.random.default_rng(seed), n)
+        lam = np.linalg.eigvalsh(s.to_dense())
+        h = 8.0 / (lam[-1] - lam[0])
+        times = [f * h for f in fractions] + [3.5 * h, -3.5 * h, 0.0, -0.0, fractions[0] * h]
+        order.shuffle(times)
+        traj = spectral_solve(s, times)
+        ref_b, ref_a = written_out_flow(s.diag, s.offdiag, times)
+        assert traj.b.tobytes() == ref_b.tobytes() and traj.a.tobytes() == ref_a.tobytes()
+
+    @pytest.mark.parametrize(
+        "b, a, times, message",
+        [
+            ([[1e21, 0.0]], [[1.0]], [5.0], r"\|t\| = 5\.0 at spectral width .* needs more than 65536 QR checkpoints$"),
+            ([[1e21, 1e21]], [[1.0]], [5.0], r"the spectrum of L has width 0\.0, outside what double precision resolves$"),
+            ([[0.0, 1.0]], [[1.0]], [1.0, -3000.0], r"a coupling underflowed to 0 at t = -3000\.0$"),
+        ],
+        ids=["checkpoints", "width", "underflow"],
+    )
+    def test_errors_name_the_row(self, b, a, times, message):
+        # the row that fails is named by its label, after a row that does not
+        b, a = np.array([[0.0, 0.0]] + b), np.array([[1e-3]] + a)
+        with pytest.raises((OverflowError, PositivityLossError), match="^component \\(1, 2\\): " + message):
+            toda_1d._flow(b, a, np.array(times), ["component (0, 1): ", "component (1, 2): "])
 
     def test_one_site(self):
         diag, offdiag = qr_rows([0.7], [], [-1.0, 0.0, 5.0])
