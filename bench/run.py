@@ -23,7 +23,10 @@ and the median time of one `verify.check_kdq_cauchy` with the seed of
 `verify.run_all` over k_max at j_max = 2 (k_max = 3 is its `verify-all` size),
 and of the QR (Kostant-Symes) flow: one `toda_1d.spectral_solve` over the
 lattice size N and over the number of times, and one
-`pseudo_toda.family_jacobi` at t = 100 over the component count K.
+`pseudo_toda.family_jacobi` at t = 100 over the component count K, and of
+the two stages of the CSV that follow the RK4 in `simulate-1d`: one
+`moment_1d.jacobi_eigenvalues` on the 1,001 rows of an RK4 trajectory over
+N, and one `toda_1d._csv_text` over the number of rows.
 """
 
 import os
@@ -77,6 +80,10 @@ QR_FAMILY_KMAX = (2, 4, 8, 16)  # K = 9, 25, 81, 289 components on S^2
 QR_FAMILY_ATOMS = 4
 QR_FAMILY_T = 100.0
 QR_SAMPLES = 15
+EIGEN_SIZES = (2, 8, 32, 64, 128)  # on the rows of one RK4 trajectory to t = SIMULATE_T_FINAL, step DT
+CSV_ROWS = (101, 1001, 10001)
+CSV_SIZE = 8  # a simulate-1d table of this N: 3 N + 1 columns
+STAGE_SAMPLES = 7  # for both CSV stages
 
 _IMPORT_CODE = (
     "import time\n"
@@ -365,6 +372,38 @@ def qr_flow_seconds(toda_1d, pseudo_toda, jacobi_matrix) -> dict:
     return report
 
 
+def csv_stage_seconds(toda_1d, moment_1d) -> dict:
+    """Median seconds of one `moment_1d.jacobi_eigenvalues` on the rows of
+    an RK4 trajectory (`integrate_toda` of a random state to
+    SIMULATE_T_FINAL at step DT, 1,001 rows) for each lattice size N, and of
+    one `toda_1d._csv_text` on a table of floats drawn from [-1, 1] as wide
+    as the `simulate-1d` table of N = CSV_SIZE (3 N + 1 columns) for each
+    row count; the samples go round the cases in turn, and the first round
+    is a warm-up."""
+    rng = np.random.default_rng(7)
+    cases = []  # (curve, parameters, op)
+    for n in EIGEN_SIZES:
+        state = moment_1d.JacobiMatrix(offdiag=rng.uniform(0.3, 1.0, n - 1), diag=rng.uniform(-1.0, 1.0, n))
+        traj = toda_1d.integrate_toda(state, SIMULATE_T_FINAL, DT)
+        op = lambda b=traj.b, a=traj.a: moment_1d.jacobi_eigenvalues(b, a)  # noqa: E731
+        cases.append(("jacobi_eigenvalues", {"N": n, "rows": len(traj)}, op))
+    header = ["c"] * (3 * CSV_SIZE + 1)
+    for rows in CSV_ROWS:
+        table = rng.uniform(-1.0, 1.0, (rows, len(header)))
+        cases.append(("csv_text", {"N": CSV_SIZE, "rows": rows}, lambda t=table: toda_1d._csv_text(header, t)))
+    samples = [[] for _ in cases]
+    for i in range(STAGE_SAMPLES + 1):
+        for (_, _, op), out in zip(cases, samples):
+            t = time.perf_counter()
+            op()
+            if i:
+                out.append(time.perf_counter() - t)
+    report = {"jacobi_eigenvalues": [], "csv_text": []}
+    for (curve, parameters, _), out in zip(cases, samples):
+        report[curve].append({**parameters, "median_ms": 1e3 * statistics.median(out)})
+    return report
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path)
@@ -372,7 +411,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     src = args.src.resolve()
     sys.path.insert(0, str(src))
-    from toda_kdq import cli, iso_flow, kdq, pseudo_toda, sphere, toda_1d, verify
+    from toda_kdq import cli, iso_flow, kdq, moment_1d, pseudo_toda, sphere, toda_1d, verify
     from toda_kdq.moment_1d import JacobiMatrix
 
     if not Path(toda_1d.__file__).resolve().is_relative_to(src):
@@ -404,6 +443,8 @@ def main(argv=None) -> int:
         "samples": QR_SAMPLES,
         **qr_flow_seconds(toda_1d, pseudo_toda, JacobiMatrix),
     }
+    report["csv_stages"] = {"t_final": SIMULATE_T_FINAL, "dt": DT, "samples": STAGE_SAMPLES}
+    report["csv_stages"].update(csv_stage_seconds(toda_1d, moment_1d))
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     for row in report["rk4_step"]["curve"]:
         print(f"B = {row['B']:3d}  N = {str(row['N']):>15}  {row['step_us']:8.1f} us/step")
@@ -438,6 +479,10 @@ def main(argv=None) -> int:
         print(f"spectral_solve N = {row['N']:2d} at {row['times']:4d} times: {row['median_ms']:8.2f} ms (median)")
     for row in report["qr_flow"]["family_jacobi"]:
         print(f"family_jacobi K = {row['K']:3d} at t = {QR_FAMILY_T}: {row['median_ms']:7.2f} ms (median)")
+    for row in report["csv_stages"]["jacobi_eigenvalues"]:
+        print(f"jacobi_eigenvalues N = {row['N']:3d} on {row['rows']} rows: {row['median_ms']:8.2f} ms (median)")
+    for row in report["csv_stages"]["csv_text"]:
+        print(f"_csv_text N = {row['N']} on {row['rows']:5d} rows: {row['median_ms']:8.2f} ms (median)")
     return 0
 
 

@@ -34,6 +34,7 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -104,9 +105,12 @@ class RunConfig:
 
 @contextmanager
 def _stage(prefix: str, errors=(ValueError, TypeError)):
-    """One reading stage: any of `errors` the block raises becomes a ConfigError prefixed by `prefix`."""
+    """One reading stage: any of `errors` the block raises becomes a ConfigError prefixed by `prefix`;
+    a ConfigError of a stage inside it keeps its own prefix."""
     try:
         yield
+    except ConfigError:
+        raise
     except errors as exc:
         raise ConfigError(f"{prefix}{exc}") from exc
 
@@ -194,7 +198,7 @@ def _run_nevanlinna(cfg: RunConfig) -> int:
     mu = _measure_from_config(data) if kind == "multi" else None
     with _stage("bad nevanlinna config: ", (ValueError, TypeError, OverflowError)):
         if kind == "1d":
-            mu = DiscreteMeasure.from_dict(_json_field(data, "measure"))
+            mu = DiscreteMeasure.from_dict(_json_field(data, "measure"), _stage("bad measure: "))
         else:
             idx = (_json_int(data, "k"), _json_int(data, "ell"))
         n_trunc = _json_int(data, "N")
@@ -300,6 +304,7 @@ def run(cfg: RunConfig) -> int:
         return 3
 
 
+@cache  # built on the first `main` call, not at import: one parser per process
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="toda-kdq", description=__doc__.splitlines()[0])
     parser.add_argument("command", choices=_RUNNERS)

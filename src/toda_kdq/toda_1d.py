@@ -46,6 +46,8 @@ _CHUNK = 64
 # the ufuncs of an RK4 step, bound once: a step costs what its numpy calls
 # cost, and looking each up on `np` made it about 8% slower
 _add, _subtract, _multiply, _square = np.add, np.subtract, np.multiply, np.square
+# the weight of b in a step where 2 dt overflows, dt >= 2^1023
+_MAX = np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -87,11 +89,9 @@ def flaschka_inverse(s: JacobiMatrix, gauge: float = 0.0) -> TodaStatePhysical:
     x_j = x_1 - 2(j-1) ln 2 - 2 sum_{m<j} ln a_m and y_j = -2 b_j; composing
     with flaschka_map returns the input exactly.
     """
-    n = s.n
-    x = np.empty(n)
+    x = np.empty(s.n)
     x[0] = gauge
-    if n > 1:
-        x[1:] = gauge - 2.0 * np.log(2.0) * np.arange(1, n) - 2.0 * np.cumsum(np.log(s.offdiag))
+    x[1:] = gauge - 2.0 * np.log(2.0) * np.arange(1, s.n) - 2.0 * np.cumsum(np.log(s.offdiag))
     return TodaStatePhysical(x=x, y=-2.0 * s.diag)
 
 
@@ -105,32 +105,30 @@ def hamiltonian_ab(s: JacobiMatrix) -> float:
     return float(_hamiltonian(s.offdiag, s.diag))
 
 
-def _rhs(views, k, sq):
-    # (a', b') into k = (da, db) for views = (a, b_next, b_prev), couplings a
-    # between the sites b_prev and b_next; sq = (middle, upper, lower) views
-    # of an a^2 buffer one longer than b whose ends stay 0 (a_0 = a_N = 0).
-    # x + x is 2 x exactly.
-    a, b_next, b_prev = views
-    da, db = k
-    middle, upper, lower = sq
-    _subtract(b_next, b_prev, da)
-    _multiply(a, da, da)
-    _square(a, middle)
-    _subtract(upper, lower, db)
-    _add(db, db, db)
+def _rhs(views, k):
+    # k = [a' | pad | b'/2] from x = [a | pad | b | 0, a^2, 0] along the last
+    # axis: views = (a, a^2, upper, lower) of x (`_views`), k = (k, its a').
+    # upper - lower over the tail [b | 0, a^2, 0] is b_{j+1} - b_j, the pad's
+    # -b_m, then a_j^2 - a_{j-1}^2 with the free ends a_0 = a_m = 0
+    a, sq, upper, lower = views
+    k, ka = k
+    _square(a, sq)
+    _subtract(upper, lower, k)
+    _multiply(a, ka, ka)
 
 
-def _square_views(shape: tuple):
-    # for sites of `shape`, an a^2 buffer one longer along the last axis
-    sq = np.zeros(shape[:-1] + (shape[-1] + 1,))
-    return sq[..., 1:-1], sq[..., 1:], sq[..., :-1]
+def _views(x: np.ndarray, m: int):
+    # (a, a^2, upper, lower) of x = [a | pad | b | 0, a^2, 0], m sites, for `_rhs`
+    return x[..., : m - 1], x[..., 2 * m + 1 : -1], x[..., m + 1 :], x[..., m:-1]
 
 
 def _rhs_rows(b: np.ndarray, a: np.ndarray):
-    # (a', b') of stacked rows b (..., N) and a (..., N-1)
-    da, db = np.empty(a.shape), np.empty(b.shape)
-    _rhs((a, b[..., 1:], b[..., :-1]), (da, db), _square_views(b.shape))
-    return da, db
+    # (a', b') of stacked rows b (..., N) and a (..., N-1); 2 x is exact
+    n = b.shape[-1]
+    x, k = np.zeros(b.shape[:-1] + (3 * n + 1,)), np.empty(b.shape[:-1] + (2 * n,))
+    x[..., : n - 1], x[..., n : 2 * n] = a, b
+    _rhs(_views(x, n), (k, k[..., : n - 1]))
+    return k[..., : n - 1], 2.0 * k[..., n:]
 
 
 def toda_rhs(s: JacobiMatrix):
@@ -162,28 +160,34 @@ def integrate_ensemble(states, t_final: float, dt: float = 1e-3) -> list:
     """Classical fixed-step RK4 integration of many states at once.
 
     Returns one `Trajectory` per state, sampled at multiples of dt.  The
-    states are laid end to end as one chain, with one ghost site between
-    consecutive states: its b is 0 and so are its two couplings.  The chain
-    is integrated as one lattice of M sites, ghosts included, packed as
-    y = [a | b] of length 2 M - 1.  A coupling at a joint gets
-    a' = 0 (b - 0) = +-0 for any finite b, so it stays +0 and the ghost's
-    b' = 2 (0 - 0) stays 0: no state acts on another, each trajectory is
-    bit-identical to a run of its state alone, and each is a view of its own
-    columns of one (T, 2 M - 1) output.  Without the ghost, a joint would
-    take the difference of two states' sites, which overflows for sites
-    near +-1.7e308 of opposite signs and makes the joint NaN.
+    states are laid end to end as one chain of M sites, each state followed
+    by a ghost site: its b is 0 and so are its two couplings.  A coupling at
+    a joint gets a' = 0 (b - 0) = +-0 for any finite b, so it stays +0 and
+    the ghost's b' = 2 (0 - 0) stays 0: no state acts on another, and each
+    trajectory is bit-identical to a run of its state alone.  Without the
+    ghost, a joint would take the difference of two states' sites, which
+    overflows for sites near +-1.7e308 of opposite signs.  The last ghost
+    keeps one N = 2 state's a from being a length-1 array, on which an
+    in-place ufunc costs 2-3 times more.
+
+    y = [a | pad | b], of length 2 M, is followed in one buffer by the a^2
+    of `_rhs`, whose one subtraction fills k = [a' | pad | b'/2] in line
+    with y; a step is 25 ufunc calls.  The weights 0.5 dt, dt and dt/6 are
+    vectors over y: c on a, 0 on the pad and 2 c on b.  2 c d and c (2 d)
+    are one real product, and sums of doubled terms are the doubled sums,
+    so the bits are those of the classical form while 2 d does not overflow
+    (couplings near 1e154; a test holds the errors to that form there too).
+    Each trajectory is a view of its own columns of one (T, 2 M) output.
 
     The exact flow preserves a_j > 0, so a coupling at or below 0, or an
     entry that is not finite, means dt is too large for that state; either
-    raises PositivityLossError.  Rather than after every step, the states'
-    own columns are scanned for both once every _CHUNK = 64 steps and at
-    the end, in one array pass.  The error names the first step that fails
-    and the first state that fails there, as a check after every step would,
-    non-finite entries taking precedence over non-positive couplings; a
-    failing run stops within 64 steps of its failure.  Once a state blows
-    up, NaN spreads one position per evaluation of the right-hand side along
-    the chain of sites and couplings: at most 3 positions in the step where
-    it appears, while the next state's first site is 4 positions away, so
+    raises PositivityLossError.  The states' own columns are scanned for
+    both once every _CHUNK = 64 steps and at the end, in one array pass; the
+    error names the first step that fails and the first state that fails
+    there, as a check after every step would, non-finite entries first.
+    Once a state blows up, NaN spreads one position per evaluation of the
+    right-hand side along the chain of sites and couplings: at most 3 in the
+    step where it appears, while the next state's first site is 4 away, so
     the row that fails first holds no NaN of another state.  With more than
     one state, the error names the index and the size of the state.
     """
@@ -197,36 +201,35 @@ def integrate_ensemble(states, t_final: float, dt: float = 1e-3) -> list:
     if n_steps < 0:
         raise ValueError("t_final must be nonnegative")
     sizes = [s.n for s in states]
-    starts = list(accumulate((n + 1 for n in sizes[:-1]), initial=0))  # the first site of each state
-    m = starts[-1] + sizes[-1]
-    y = np.zeros(2 * m - 1)  # [a | b] at the present step; the ghosts and joints stay 0
-    own = np.zeros(m, dtype=bool)  # the states' sites, not the ghosts
+    starts = list(accumulate((n + 1 for n in sizes), initial=0))  # the first site of each state, then M
+    m = starts.pop()
+    # [a | pad | b | 0, a^2, 0] at the present step and at a stage; the ghosts, joints and pad stay 0
+    y, stage = np.zeros(3 * m + 1), np.zeros(3 * m + 1)
+    own = np.zeros(2 * m, dtype=bool)  # the states' entries of [a | pad | b], not the ghosts, joints and pad
     for s, start in zip(states, starts):
-        y[start : start + s.n - 1], y[m - 1 + start : m - 1 + start + s.n] = s.offdiag, s.diag
-        own[start : start + s.n] = True
-    # stage input, RHS values k1..k4 and their weighted sum
-    stage, acc = np.empty(2 * m - 1), np.empty(2 * m - 1)
-    k = np.empty((4, 2 * m - 1))
+        y[start : start + s.n - 1], y[m + start : m + start + s.n] = s.offdiag, s.diag
+        own[start : start + s.n - 1] = own[m + start : m + start + s.n] = True
+    acc, k = np.empty(2 * m), np.empty((4, 2 * m))  # the weighted sum of k1..k4, and each k
     k1, k2, k3, k4 = k
-    sq = _square_views((m,))
-    # (a, b_next, b_prev) of y and of the stage, (a', b') of each k
-    y_views, stage_views = ((v[: m - 1], v[m:], v[m - 1 : -1]) for v in (y, stage))
-    k_views = [(v[: m - 1], v[m - 1 :]) for v in k]
-    half, full, sixth = (np.array(c) for c in (0.5 * dt, dt, dt / 6.0))
+    y_views, stage_views = _views(y, m), _views(stage, m)
+    k_views = [(v, v[: m - 1]) for v in k]
+    y, stage = y[: 2 * m], stage[: 2 * m]
+    # where 2 dt overflows, _MAX keeps b + w 0 = b, as b + dt (2 0) did
+    half, full, sixth = (np.repeat([c, 0.0, min(2.0 * c, _MAX)], [m - 1, 1, m]) for c in (0.5 * dt, dt, dt / 6.0))
     # stages 2, 3 and 4: the step and the k that form their input, the k they give
     stages = ((half, k1, k_views[1]), (half, k2, k_views[2]), (full, k3, k_views[3]))
-    out = np.empty((n_steps + 1, 2 * m - 1))
+    out = np.empty((n_steps + 1, 2 * m))
     out[0] = y
     # blow-ups surface as non-finite entries and are reported by _check_rows
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n_steps, _CHUNK):
             hi = min(lo + _CHUNK, n_steps)
             for step in range(lo + 1, hi + 1):
-                _rhs(y_views, k_views[0], sq)
+                _rhs(y_views, k_views[0])
                 for h, k_in, k_out in stages:
                     _multiply(h, k_in, stage)
                     _add(y, stage, stage)
-                    _rhs(stage_views, k_out, sq)
+                    _rhs(stage_views, k_out)
                 # y + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4)
                 _add(k2, k2, acc)
                 _add(k1, acc, acc)
@@ -239,36 +242,33 @@ def integrate_ensemble(states, t_final: float, dt: float = 1e-3) -> list:
             _check_rows(out[lo + 1 : hi + 1], lo + 1, own, sizes, dt)
     times = dt * np.arange(n_steps + 1)
     return [
-        Trajectory(times=times, a=out[:, start : start + n - 1], b=out[:, m - 1 + start : m - 1 + start + n])
+        Trajectory(times=times, a=out[:, start : start + n - 1], b=out[:, m + start : m + start + n])
         for n, start in zip(sizes, starts)
     ]
 
 
 def _check_rows(rows: np.ndarray, first: int, own: np.ndarray, sizes: list, dt: float):
-    # PositivityLossError at the first of the output rows `rows`, which are
-    # steps first, first + 1, ..., that holds a non-finite entry or a coupling
-    # <= 0 among the states' own columns: the sites `own` and the couplings
-    # between two of them; names the first state that fails there
-    m = own.size
-    inner = own[:-1] & own[1:]  # the couplings of the states, not the joints
-    a, b = rows[:, : m - 1], rows[:, m - 1 :]
-    bad_a, bad_b = ~np.isfinite(a) & inner, ~np.isfinite(b) & own
-    low = (a <= 0.0) & inner
-    broken = bad_a.any(axis=1) | bad_b.any(axis=1)
-    bad = broken | low.any(axis=1)
+    # PositivityLossError at the first of the output rows `rows` = [a | pad | b],
+    # which are steps first, first + 1, ..., that holds a non-finite entry or
+    # a coupling <= 0 among the states' own columns `own`: their sites and
+    # the couplings between two of them; names the first state that fails there
+    m = own.size // 2
+    broken = ~np.isfinite(rows) & own
+    low = (rows[:, : m - 1] <= 0.0) & own[: m - 1]
+    bad = broken.any(axis=1) | low.any(axis=1)
     if not bad.any():
         return
     r = int(bad.argmax())
     t = (first + r) * dt
     # coupling j counts at site j, its left site
-    if broken[r]:
-        sites = bad_b[r]
-        sites[:-1] |= bad_a[r]
+    if broken[r].any():
+        sites = broken[r, m:]
+        sites[:-1] |= broken[r, : m - 1]
         site, message = int(sites.argmax()), f"non-finite state at t = {t}"
     else:
         site, message = int(low[r].argmax()), f"coupling left the positive cone at t = {t}; reduce dt"
     if len(sizes) > 1:
-        i = int(np.count_nonzero(~own[:site]))  # the ghosts before the site
+        i = int(np.count_nonzero(~own[m : m + site]))  # the ghosts before the site
         message = f"state {i} (N = {sizes[i]}): " + message
     raise PositivityLossError(message)
 
@@ -280,10 +280,7 @@ def integrate_toda(s0: JacobiMatrix, t_final: float, dt: float = 1e-3) -> Trajec
 
 def lax_matrices(s: JacobiMatrix):
     """The pair (L, B): L is the state itself, B its antisymmetrized off-part."""
-    bmat = np.zeros((s.n, s.n))
-    if s.n > 1:
-        bmat += np.diag(s.offdiag, 1) - np.diag(s.offdiag, -1)
-    return s, bmat
+    return s, np.diag(s.offdiag, 1) - np.diag(s.offdiag, -1)
 
 
 def _evolved_masses(masses: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
@@ -371,7 +368,10 @@ def _flow(b: np.ndarray, a: np.ndarray, times: np.ndarray, labels):
         )
     b_out, a_out = np.empty(steps.shape + b.shape[1:]), np.empty(steps.shape + a.shape[1:])
     for sign in (1.0, -1.0):
-        mine = np.where(np.signbit(times) == (sign < 0.0), steps, -1.0)  # -1 at the other sign's times
+        side = np.signbit(times) == (sign < 0.0)
+        if not side.any():
+            continue
+        mine = np.where(side, steps, -1.0)  # -1 at the other sign's times
         last = mine.max(axis=1, initial=-1.0)
         ids = np.flatnonzero(last >= 0.0)  # the rows on their way, at_b and at_a their checkpoints
         at_b, at_a = b[ids], a[ids]

@@ -471,6 +471,16 @@ class TestConfigErrors:
                 },
                 "bad measure: components[0]: weights must hold JSON numbers only, got True",
             ),
+            (
+                "nevanlinna-check",
+                {"kind": "1d", "measure": {"weights": [1.0]}, "N": 1, "y": [10.0]},
+                "bad measure: missing field 'atoms'",
+            ),
+            (
+                "nevanlinna-check",
+                {"kind": "1d", "measure": {"atoms": [0.5, True], "weights": [0.5, 0.5]}, "N": 1, "y": [10.0]},
+                "bad measure: atoms must hold JSON numbers only, got True",
+            ),
         ],
         ids=[
             "coupling",
@@ -498,6 +508,8 @@ class TestConfigErrors:
             "iso-no-measure",
             "multi-no-measure",
             "component-weights-not-numbers",
+            "1d-measure-no-atoms",
+            "1d-measure-atoms-not-numbers",
         ],
     )
     def test_message_names_the_item(self, command, config, message):

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toda_kdq import toda_1d, verify
@@ -257,6 +257,27 @@ class TestRhs:
         assert np.allclose(da, [0.0])
         assert np.allclose(db, [0.5, -0.5])
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        rows=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1.0, 1e-170, 1e150, 1e154]),
+    )
+    def test_equals_the_written_out_formula(self, n, rows, seed, scale):
+        # bit for bit, one state and stacked rows, up to couplings whose 2 a^2 overflows
+        rng = np.random.default_rng(seed)
+        a, b = scale * rng.uniform(0.3, 1.0, (rows, n - 1)), rng.uniform(-1.0, 1.0, (rows, n))
+        zero = np.zeros((rows, 1))
+        with np.errstate(over="ignore"):
+            want_a = a * (b[:, 1:] - b[:, :-1])
+            want_b = 2.0 * (np.concatenate([a**2, zero], axis=1) - np.concatenate([zero, a**2], axis=1))
+            da, db = toda_1d._rhs_rows(b, a)
+            assert da.tobytes() == want_a.tobytes() and db.tobytes() == want_b.tobytes()
+            for i in range(rows):
+                da, db = toda_rhs(JacobiMatrix(offdiag=a[i], diag=b[i]))
+                assert da.tobytes() == want_a[i].tobytes() and db.tobytes() == want_b[i].tobytes()
+
     def test_decoupled_limit(self):
         s = JacobiMatrix(offdiag=[1e-9, 1e-9], diag=[0.1, -0.3, 0.5])
         _, db = toda_rhs(s)
@@ -318,7 +339,9 @@ class TestIntegration:
     @settings(max_examples=80, deadline=None)
     @given(
         kinds=st.lists(
-            st.sampled_from(["calm", "stiff", "strong", "huge", "late", "bigpos", "bigneg", "lone"]), min_size=1, max_size=6
+            st.sampled_from(["calm", "stiff", "strong", "huge", "late", "bigpos", "bigneg", "lone", "brink"]),
+            min_size=1,
+            max_size=6,
         ),
         seed=st.integers(0, 2**32 - 1),
         late=st.floats(9.49, 9.51),
@@ -331,7 +354,9 @@ class TestIntegration:
         # dt = 0.1 "late" first fails anywhere from step 30 to past 200.
         # "bigpos", "bigneg" and "lone" never fail, but the difference of
         # their sites and a neighbour's overflows, so a joint between two
-        # states that takes that difference turns NaN
+        # states that takes that difference turns NaN.  "brink" couplings
+        # have a^2 finite and 2 a^2 not, where the step's b'/2 with doubled
+        # weights and the classical 2 (a_j^2 - a_{j-1}^2) part ways
         rng = np.random.default_rng(seed)
         fixed = {
             "stiff": JacobiMatrix(offdiag=[2.0], diag=[-4.0, 4.0]),
@@ -345,6 +370,9 @@ class TestIntegration:
         def state(kind):
             if kind == "lone":
                 return JacobiMatrix(offdiag=[], diag=[rng.choice([-1.7e308, 1.7e308])])
+            if kind == "brink":
+                n = int(rng.integers(2, 6))
+                return JacobiMatrix(offdiag=rng.uniform(6.7e153, 1.35e154, n - 1), diag=rng.uniform(-1.0, 1.0, n))
             return fixed[kind] if kind in fixed else random_state(rng, int(rng.integers(1, 6)))
 
         states = [state(k) for k in kinds]
@@ -352,7 +380,8 @@ class TestIntegration:
         if expected is None:
             trajs = integrate_ensemble(states, n_steps * dt, dt)
             for s, traj in zip(states, trajs):
-                assert traj.a.tobytes() == reference_rk4(s, n_steps * dt, dt)[0].tobytes()
+                ref_a, ref_b = reference_rk4(s, n_steps * dt, dt)
+                assert traj.a.tobytes() == ref_a.tobytes() and traj.b.tobytes() == ref_b.tobytes()
         else:
             with pytest.raises(PositivityLossError, match=f"^{re.escape(expected)}$"):
                 integrate_ensemble(states, n_steps * dt, dt)
@@ -373,6 +402,8 @@ class TestIntegration:
         with pytest.raises(ValueError, match=f"^{name} must "):
             call()
     @settings(max_examples=60, deadline=None)
+    @example(sizes=[1], seed=1, n_steps=200, dt=1e-3)  # a lone site
+    @example(sizes=[2], seed=2, n_steps=200, dt=1e-3)  # one N = 2 state
     @given(
         sizes=st.lists(st.integers(1, 12), min_size=1, max_size=6),
         seed=st.integers(0, 2**32 - 1),
@@ -389,6 +420,25 @@ class TestIntegration:
             assert traj.a.tobytes() == ref_a.tobytes() and traj.a.shape == ref_a.shape
             assert traj.b.tobytes() == ref_b.tobytes() and traj.b.shape == ref_b.shape
             assert traj.times.tobytes() == (dt * np.arange(n_steps + 1)).tobytes()
+
+    @pytest.mark.parametrize("dt", [2.0**1023, 1.7e308])
+    def test_step_where_twice_dt_overflows(self, dt):
+        # b's weight 2 dt overflows; couplings whose squares underflow to 0
+        # keep the state still, as in the classical step
+        s = JacobiMatrix(offdiag=[1e-170, 1e-170], diag=[0.5, 0.5, 0.5])
+        traj = integrate_toda(s, dt, dt)
+        ref_a, ref_b = reference_rk4(s, dt, dt)
+        assert traj.a.tobytes() == ref_a.tobytes() and traj.b.tobytes() == ref_b.tobytes()
+
+    def test_step_is_25_calls_without_a_length_one_operand(self, monkeypatch):
+        # one N = 2 state: the last ghost keeps its couplings two long, and a
+        # step is 25 ufunc calls (3 per right-hand side)
+        sizes = []
+        for name in ("_add", "_subtract", "_multiply", "_square"):
+            ufunc = getattr(toda_1d, name)
+            monkeypatch.setattr(toda_1d, name, lambda *args, f=ufunc: (sizes.append(min(map(np.size, args))), f(*args))[1])
+        integrate_toda(SYMMETRIC_N2, 0.003, 1e-3)
+        assert len(sizes) == 3 * 25 and min(sizes) == 2
 
     def test_isospectrality_and_energy(self):
         rng = np.random.default_rng(5)
