@@ -15,8 +15,10 @@ median time of one in-process `verify.run_all()`, the checks of
 point and on the `sphere_nodes(3, 2 k_max)` grid, over k_max, the median
 time of one `pseudo_toda.flaschka_surfaces(state, 1, theta)` over the
 component count K and the atom count N, at t = 0 and t = 100, the median
-time of one `verify.check_pseudo_toda` at its `verify-all` size, and over the
-component count K the median time of reading a JSON `components` list into
+time of one `verify.check_pseudo_toda` and of one `verify.check_kdq_kernel`
+at their `verify-all` sizes and of one `kdq.hua_kernel` on S^1 and S^2 over
+k_max, and over the component count K the median time of reading a JSON
+`components` list into
 a `kdq.PseudoPositiveMeasure` and a `pseudo_toda.PseudoTodaState`
 (`from_dict`) and of one `pseudo_toda.evolve` and one `iso_flow.riccati_evolve`,
 and the median time of one `verify.check_kdq_cauchy` with the seed of
@@ -68,6 +70,10 @@ PSEUDO_CHECK_SAMPLES = 15
 FAMILY_KMAX = (2, 4, 8, 16, 24)  # K = 9, 25, 81, 289, 625 components on S^2
 FAMILY_ATOMS = 4
 FAMILY_SAMPLES = 15
+KERNEL_CHECK_TRIALS = 15  # the size of verify-all's kdq-kernel-series-vs-closed line
+KERNEL_CHECK_SAMPLES = 15
+HUA_KMAX = (5, 10, 20, 40, 80)  # 40 is the degree of the verify-all check
+HUA_SAMPLES = 15
 CAUCHY_KMAX = (1, 2, 3, 4, 5)
 CAUCHY_JMAX = 2
 CAUCHY_SAMPLES = 15
@@ -258,17 +264,45 @@ def surfaces_seconds(pseudo_toda) -> list:
     ]
 
 
-def check_pseudo_toda_seconds(verify) -> dict:
-    """Seconds of one `verify.check_pseudo_toda` with the seed and times of
-    `verify.run_all`, after one warm-up run."""
-    run = lambda: verify.check_pseudo_toda(verify._SEED + 7, ode_times=(0.5,))  # noqa: E731
+def call_seconds(run, samples: int) -> dict:
+    """Seconds of one `run()`, after one warm-up call."""
     run()
-    samples = []
-    for _ in range(PSEUDO_CHECK_SAMPLES):
+    out = []
+    for _ in range(samples):
         t = time.perf_counter()
         run()
-        samples.append(time.perf_counter() - t)
-    return {"median_s": statistics.median(samples), "min_s": min(samples), "samples": len(samples)}
+        out.append(time.perf_counter() - t)
+    return {"median_s": statistics.median(out), "min_s": min(out), "samples": len(out)}
+
+
+def check_pseudo_toda_seconds(verify) -> dict:
+    """Seconds of one `verify.check_pseudo_toda` with the seed and times of `verify.run_all`."""
+    return call_seconds(lambda: verify.check_pseudo_toda(verify._SEED + 7, ode_times=(0.5,)), PSEUDO_CHECK_SAMPLES)
+
+
+def check_kdq_kernel_seconds(verify) -> dict:
+    """Seconds of one `verify.check_kdq_kernel` with the seed and trial count of `verify.run_all`."""
+    run = lambda: verify.check_kdq_kernel(verify._SEED + 5, trials=KERNEL_CHECK_TRIALS)  # noqa: E731
+    return {"trials": KERNEL_CHECK_TRIALS, **call_seconds(run, KERNEL_CHECK_SAMPLES)}
+
+
+def hua_kernel_seconds(kdq) -> list:
+    """Median seconds of one `kdq.hua_kernel(p, x, k_max)` on S^1 and S^2 at
+    |zeta| = 2 |x|, for each k_max; the samples go round the cases in turn,
+    and the first round is a warm-up."""
+    cases = {}
+    for n, theta in ((2, [0.6, 0.8]), (3, [0.0, 0.6, 0.8])):
+        x = 0.4 * np.roll(np.asarray(theta), 1)
+        cases[n] = (kdq.KDQPoint(0.8 * np.exp(0.7j), theta), x)
+    samples = {(n, k_max): [] for n in cases for k_max in HUA_KMAX}
+    for i in range(HUA_SAMPLES + 1):
+        for (n, k_max), out in samples.items():
+            p, x = cases[n]
+            t = time.perf_counter()
+            kdq.hua_kernel(p, x, k_max)
+            if i:
+                out.append(time.perf_counter() - t)
+    return [{"n": n, "k_max": k_max, "median_us": 1e6 * statistics.median(out)} for (n, k_max), out in samples.items()]
 
 
 def family_seconds(kdq, pseudo_toda, iso_flow) -> list:
@@ -432,6 +466,8 @@ def main(argv=None) -> int:
     report["harmonic_table"] = {"n": 3, "samples": HARMONIC_SAMPLES, "curve": harmonic_table_seconds(sphere)}
     report["flaschka_surfaces"] = {"n": 3, "j": 1, "samples": SURFACE_SAMPLES, "curve": surfaces_seconds(pseudo_toda)}
     report["check_pseudo_toda"] = check_pseudo_toda_seconds(verify)
+    report["check_kdq_kernel"] = check_kdq_kernel_seconds(verify)
+    report["hua_kernel"] = {"zeta_over_x": 2.0, "samples": HUA_SAMPLES, "curve": hua_kernel_seconds(kdq)}
     report["family"] = {"n": 3, "atoms": FAMILY_ATOMS, "samples": FAMILY_SAMPLES}
     report["family"]["curve"] = family_seconds(kdq, pseudo_toda, iso_flow)
     report["check_kdq_cauchy"] = {"j_max": CAUCHY_JMAX, "verify_all_k_max": 3, "samples": CAUCHY_SAMPLES}
@@ -464,6 +500,9 @@ def main(argv=None) -> int:
             f"{row['median_ms']:8.2f} ms (median)"
         )
     print(f"check_pseudo_toda: {1e3 * report['check_pseudo_toda']['median_s']:.1f} ms (median)")
+    print(f"check_kdq_kernel: {1e3 * report['check_kdq_kernel']['median_s']:.2f} ms (median)")
+    for row in report["hua_kernel"]["curve"]:
+        print(f"hua_kernel n = {row['n']} k_max = {row['k_max']:2d}: {row['median_us']:7.1f} us (median)")
     for row in report["family"]["curve"]:
         print(
             f"family K = {row['K']:3d}: from_dict {row['measure_from_dict_us']:8.1f} us (measure), "

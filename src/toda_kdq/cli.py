@@ -169,9 +169,9 @@ def _run_simulate_pseudo(cfg: RunConfig) -> int:
     return 0
 
 
-def _measure_from_config(data: dict) -> kdq.PseudoPositiveMeasure:
+def _measure_from_config(data: dict, reader=kdq.PseudoPositiveMeasure.from_dict):
     with _stage("bad measure: "):
-        return kdq.PseudoPositiveMeasure.from_dict(_json_field(data, "measure"))
+        return reader(_json_field(data, "measure"))
 
 
 def _run_transform_eval(cfg: RunConfig) -> int:
@@ -195,11 +195,9 @@ def _run_nevanlinna(cfg: RunConfig) -> int:
     if kind not in ("1d", "multi"):
         raise ConfigError(f"unknown nevanlinna kind {kind!r}")
     grid, values = ("y", "y values") if kind == "1d" else ("zeta_abs", "zeta_abs")
-    mu = _measure_from_config(data) if kind == "multi" else None
+    mu = _measure_from_config(data, DiscreteMeasure.from_dict) if kind == "1d" else _measure_from_config(data)
     with _stage("bad nevanlinna config: ", (ValueError, TypeError, OverflowError)):
-        if kind == "1d":
-            mu = DiscreteMeasure.from_dict(_json_field(data, "measure"), _stage("bad measure: "))
-        else:
+        if kind == "multi":
             idx = (_json_int(data, "k"), _json_int(data, "ell"))
         n_trunc = _json_int(data, "N")
         points = [float(v) for v in _json_float(data, grid).tolist()]

@@ -63,7 +63,10 @@ def _riccati(state: IsoFlowState, times, allow_backward: bool) -> np.ndarray:
     r0 = np.sqrt(state.family.masses)
     with np.errstate(over="ignore", invalid="ignore"):  # a mass that is not finite is refused below
         masses = (r0 / (1.0 + state.family.radii * r0 * times[:, None])) ** 2
-    masses[times == 0.0] = state.family.masses  # the masses themselves, where lambda r(0) t may be inf * 0
+    # for t > 0 at most the masses themselves, which the exact flow only lowers but
+    # fl(sqrt(m))^2 may exceed; at t = 0, where lambda r(0) t may be inf * 0, the masses
+    np.minimum(masses, state.family.masses, out=masses, where=times[:, None] > 0.0)
+    masses[times == 0.0] = state.family.masses
     if not np.isfinite(masses).all():
         raise ValueError("masses entries must be finite")
     return masses

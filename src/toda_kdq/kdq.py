@@ -6,21 +6,23 @@ theta), so every operation is single-valued on the quadric by construction.
 
 The reproducing kernel zeta^{n-1} / r(zeta theta - x)^n, with
 
-    r(zeta theta - x)^n = (sqrt(zeta^2 - 2 zeta <theta,x> + |x|^2))^n,
+    r(zeta theta - x)^n = zeta^n u^{n/2},  u = 1 - 2<theta,x>/zeta + |x|^2/zeta^2,
 
 expands for |zeta| > |x| into the harmonic series
 
     zeta/(zeta^2 - |x|^2) * sum_k zeta^{-k} sum_l Y_{k,l}(theta) Y_{k,l}(x),
 
 where Y_{k,l}(x) = |x|^k Y_{k,l}(x/|x|).  By the addition theorem each
-inner sum over l is closed: for a unit vector u, sum_l Y_{k,l}(theta) Y_{k,l}(u)
-is (2k+1) P_k(<theta,u>) on S^2 and 2 T_k(<theta,u>) = 2 cos(k phi) on S^1
+inner sum over l is closed: for a unit vector v, sum_l Y_{k,l}(theta) Y_{k,l}(v)
+is (2k+1) P_k(<theta,v>) on S^2 and 2 T_k(<theta,v>) = 2 cos(k phi) on S^1
 (k >= 1), so the series needs one Legendre or Chebyshev value per degree.
-In closed form the kernel is zeta^{-1} u^{-n/2} with u = 1 - 2<theta,x>/zeta
-+ |x|^2/zeta^2, taken as 1/u for n = 2 and 1/(u sqrt(u)) for n = 3; that
-radical is the principal branch of u^{-3/2}.  Contour integration of the
-kernel against a polynomial reproduces the polynomial's values inside the
-unit ball, and integrating it against a measure gives the transform
+In closed form the kernel is zeta^{-1} u^{-n/2}, u^{n/2} taken as u (n = 2)
+or the principal u sqrt(u) (n = 3): u = (1 - a/zeta)(1 - b/zeta), a and b
+the roots of modulus |x| (`singular_roots`), is off the negative axis for
+|zeta| > |x|, where the principal root of zeta^2 u may flip sign.  Contour
+integration of the kernel against a polynomial reproduces the polynomial's
+values inside the unit ball, and integrating it against a measure gives the
+transform
 
     mu_hat(zeta, theta) = sum_{k,l} zeta^{1-k} Y_{k,l}(theta)
                           * int r^k dmu_{k,l}(r) / (zeta^2 - r^2),
@@ -278,21 +280,40 @@ def _write_components(family: ComponentFamily, names: tuple) -> list:
     return [{"k": k, "ell": ell, names[0]: r.tolist(), names[1]: m.tolist()} for (k, ell), r, m in family.items()]
 
 
-def aronszajn_r_pow_n(p: KDQPoint, x) -> complex:
-    """(zeta^2 - 2 zeta <theta,x> + |x|^2)^{n/2} at the canonical representative.
+def _u(zeta, dots, r2):
+    """u = 1 - 2<theta,x>/zeta + |x|^2/zeta^2 elementwise, zeta, dots = <theta,x> and r2 = |x|^2 broadcasting."""
+    return 1.0 - np.asarray(2.0 * dots, dtype=complex) / zeta + r2 / zeta**2  # complex once, not per zeta
 
-    Even n takes the literal integer power; odd n takes the principal square
-    root first.  A zero radicand is the singular set (the two roots whose
-    modulus is |x|).
+
+def _radical(n: int, u):
+    """u^{n/2}: u for n = 2, and u sqrt(u) = exp(1.5 Log u), the principal power, for n = 3."""
+    return u if n == 2 else u * np.sqrt(u)
+
+
+def _kernel(n: int, zeta, dots, r2):
+    """Closed-form kernel zeta^{-1} u^{-n/2}, its arguments broadcasting as in `_u`."""
+    return 1.0 / (_radical(n, _u(zeta, dots, r2)) * zeta)
+
+
+def aronszajn_r_pow_n(p: KDQPoint, x) -> complex:
+    """r(zeta theta - x)^n = zeta^n u^{n/2} at the canonical representative, n = 2 or 3.
+
+    For |zeta| > |x|, zeta^{n-1} / r^n is then the sum of the harmonic series
+    (`hua_kernel`); for |zeta| <= |x|, where the series diverges, the same
+    expression is on S^1 the raw radicand and on S^2 continuous in u.  u = 0
+    (zeta a root of modulus |x|, `singular_roots`) raises PoleError, and
+    zeta = 0, which has no u, DivergenceRegionError.
     """
     xv = np.asarray(x, dtype=float)
-    z = p.zeta
-    w = z * z - 2.0 * z * float(p.theta @ xv) + float(xv @ xv)
-    if w == 0.0:
+    z = np.complex128(p.zeta)
+    if p.n not in (2, 3):
+        raise ValueError(f"unsupported ambient dimension n={p.n}; only 2 and 3")
+    if z == 0.0:
+        raise DivergenceRegionError("r^n = zeta^n u^{n/2} needs zeta != 0")
+    u = _u(z, float(p.theta @ xv), float(xv @ xv))
+    if u == 0.0:
         raise PoleError("point lies on the singular set of the kernel")
-    if p.n % 2 == 0:
-        return complex(w ** (p.n // 2))
-    return complex(cmath.sqrt(w) ** p.n)
+    return complex(z**p.n * _radical(p.n, u))
 
 
 def singular_roots(theta, x):
@@ -438,24 +459,6 @@ def almansi_eval_many(polys, points) -> np.ndarray:
     return np.array(out)
 
 
-def _kernel_on_grid(n: int, zeta: np.ndarray, dots: np.ndarray, r2: float) -> np.ndarray:
-    """Closed-form kernel zeta^{-1} u^{-n/2} on a (zeta, node) grid.
-
-    u = 1 - 2<theta,x>/zeta + |x|^2/zeta^2 tends to 1 as |x|/|zeta| -> 0,
-    which is the branch of the series.  u^{-n/2} is taken as the radical
-    1/u (n = 2) or 1/(u sqrt(u)) (n = 3); u sqrt(u) = exp(1.5 Log u), so
-    this is the principal power.  u stays off the negative real axis for
-    |x| < |zeta|, so the branch is continuous along the whole contour
-    (unlike the raw radicand).
-    """
-    z = zeta[:, None]
-    # 2<theta,x> made complex once per node, not once per grid point
-    u = 1.0 - (2.0 * dots).astype(complex)[None, :] / z + r2 / z**2
-    if n == 2:
-        return 1.0 / (u * z)
-    return 1.0 / (u * np.sqrt(u) * z)
-
-
 @lru_cache(maxsize=256)
 def _node_harmonics(n: int, degree: int, keys: tuple) -> np.ndarray:
     # Y_{k,l} of each (k, l) in `keys`, indices a polynomial has checked, at
@@ -497,7 +500,7 @@ def cauchy_reproduce(poly: AlmansiPolynomial, x) -> complex:
     pts, wts = sphere_nodes(poly.n, sphere_degree)
     ys = _node_harmonics(poly.n, sphere_degree, tuple(key[1:] for key in poly.terms))
     zeta = np.exp(2j * np.pi * np.arange(n_zeta) / n_zeta)
-    kern = _kernel_on_grid(poly.n, zeta, pts @ xv, r * r)
+    kern = _kernel(poly.n, zeta[:, None], (pts @ xv)[None, :], r * r)
     pvals = _quadric_sum(poly.terms, zeta[:, None], ys[None])
     sphere_avg = (kern * pvals) @ wts
     return complex(np.sum(zeta * sphere_avg) / n_zeta)

@@ -13,7 +13,6 @@ resolvent entry <(lambda I - L)^{-1} e_N, e_N> equals the Stieltjes transform.
 """
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,16 +152,14 @@ class DiscreteMeasure:
         }
 
     @classmethod
-    def from_dict(cls, d: dict, fields=nullcontext()) -> "DiscreteMeasure":
-        """TypeError unless `d` is a JSON object and `half_line`, where given, a JSON
-        boolean; the atoms and weights are read and checked in the context `fields`."""
+    def from_dict(cls, d: dict) -> "DiscreteMeasure":
+        """TypeError unless `d` is a JSON object and `half_line`, where given, a JSON boolean."""
         if type(d) is not dict:
             raise TypeError(f"measure must be a JSON object, got {d!r}")
         half_line = d.get("half_line", False)
         if type(half_line) is not bool:
             raise TypeError(f"half_line must be true or false, got {half_line!r}")
-        with fields:
-            return cls(atoms=_json_float(d, "atoms"), weights=_json_float(d, "weights"), half_line=half_line)
+        return cls(atoms=_json_float(d, "atoms"), weights=_json_float(d, "weights"), half_line=half_line)
 
 
 def _sorted_atoms(atoms: np.ndarray, weights: np.ndarray, offsets: np.ndarray, half_line: bool):

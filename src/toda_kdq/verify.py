@@ -234,33 +234,29 @@ def check_toda_spectral(ensemble, closed_t_final: float, closed_dt: float) -> li
 
 
 def check_kdq_kernel(seed: int, trials: int) -> list[CheckResult]:
-    """Harmonic series of the reproducing kernel against its closed form."""
+    """Harmonic series of the reproducing kernel against its closed form: one `kdq._kernel` call
+    per n over draws with arg zeta in (-pi/2, pi/2] and aligned cases x = s theta, whose series also
+    meets zeta^{n-1}/(zeta - s)^n (on S^2 at zeta = 0.1 + i the raw radicand's root flips sign)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
+    th2 = np.array([np.cos(0.3), np.sin(0.3)])
+    e3 = np.array([0.0, 0.0, 1.0])
+    aligned = {2: [(2.0 + 0.4j, th2, 0.5)], 3: [(2.0 + 0.4j, e3, 0.5), (0.1 + 1.0j, e3, 0.3)]}
     for n in (2, 3):
+        points = []
         for _ in range(trials):
             x = _inside_ball(rng, n)
             theta = rng.normal(size=n)
             theta /= np.linalg.norm(theta)
-            zeta = (
-                np.linalg.norm(x)
-                * rng.uniform(2.0, 5.0)
-                * np.exp(1j * rng.uniform(-np.pi / 4, np.pi / 4))
-            )
+            zeta = np.linalg.norm(x) * rng.uniform(2.0, 5.0) * np.exp(1j * (np.pi / 2 - rng.uniform(0.0, np.pi)))
+            points.append((kdq.KDQPoint(zeta, theta), x))
+        for zeta, theta, s in aligned[n]:
             p = kdq.KDQPoint(zeta, theta)
-            series = kdq.hua_kernel(p, x, 40)
-            closed = p.zeta ** (n - 1) / kdq.aronszajn_r_pow_n(p, x)
-            worst = max(worst, abs(series - closed))
-    # aligned case x = s theta: closed forms zeta/(zeta-s)^2 and zeta^2/(zeta-s)^3
-    th2 = np.array([np.cos(0.3), np.sin(0.3)])
-    p2 = kdq.KDQPoint(2.0 + 0.4j, th2)
-    e3 = np.array([0.0, 0.0, 1.0])
-    p3 = kdq.KDQPoint(2.0 + 0.4j, e3)
-    worst = max(
-        worst,
-        abs(kdq.hua_kernel(p2, 0.5 * th2, 40) - p2.zeta / (p2.zeta - 0.5) ** 2),
-        abs(kdq.hua_kernel(p3, 0.5 * e3, 40) - p3.zeta**2 / (p3.zeta - 0.5) ** 3),
-    )
+            worst = max(worst, abs(kdq.hua_kernel(p, s * theta, 40) - zeta ** (n - 1) / (zeta - s) ** n))
+            points.append((p, s * theta))
+        series = np.array([kdq.hua_kernel(p, x, 40) for p, x in points])
+        zetas, dots, r2 = np.array([(p.zeta, p.theta @ x, x @ x) for p, x in points]).T
+        worst = max(worst, float(np.max(np.abs(series - kdq._kernel(n, zetas, dots.real, r2.real)))))
     return [_result("kdq-kernel-series-vs-closed", worst, 1e-10)]
 
 

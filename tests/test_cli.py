@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toda_kdq import cli, kdq, sphere
+from toda_kdq import cli, iso_flow, kdq, sphere
 from toda_kdq.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -444,7 +444,7 @@ class TestConfigErrors:
             (
                 "nevanlinna-check",
                 {"kind": "1d", "N": 1, "y": [10.0]},
-                "bad nevanlinna config: missing field 'measure'",
+                "bad measure: missing field 'measure'",
             ),
             (
                 "simulate-pseudo",
@@ -687,7 +687,7 @@ class TestNevanlinnaExitCodes:
     @pytest.mark.parametrize("measure", [[1], 5])
     def test_measure_not_an_object(self, measure):
         code, err = run_in_process(["nevanlinna-check"], {"kind": "1d", "measure": measure, "N": 1, "y": [1.0]})
-        assert (code, err) == (2, f"config error: bad nevanlinna config: measure must be a JSON object, got {measure!r}\n")
+        assert (code, err) == (2, f"config error: bad measure: measure must be a JSON object, got {measure!r}\n")
 
     def test_quad_degree_flag_is_gone(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "m.json", {"kind": "multi", "measure": _MEASURE_3, "k": 0, "ell": 1, "N": 1, "zeta_abs": [4.0]})
@@ -930,9 +930,18 @@ class TestIsoFlowCommand:
         assert float(rows[2].split(",")[1]) == pytest.approx(0.25)
 
 
-    def test_rise_above_tol_names_component_and_time(self, tmp_path, capsys):
-        # at t = 1e-300 the mass 2 reads fl(sqrt(2))^2 = 2 + 4.4e-16: a rise
-        # of one ulp, above --tol 0 and below the default 1e-12
+    def test_rise_above_tol_names_component_and_time(self, tmp_path, capsys, monkeypatch):
+        # the flow capped at the t = 0 masses cannot rise, so the closed form
+        # runs uncapped: at t = 1e-300 the mass 2 reads fl(sqrt(2))^2 =
+        # 2 + 4.4e-16, a rise of one ulp, above --tol 0 and below the default 1e-12
+        def uncapped(state, times, allow_backward):
+            times = np.asarray(times, dtype=float)
+            r0 = np.sqrt(state.family.masses)
+            masses = (r0 / (1.0 + state.family.radii * r0 * times[:, None])) ** 2
+            masses[times == 0.0] = state.family.masses
+            return masses
+
+        monkeypatch.setattr(iso_flow, "_riccati", uncapped)
         measure = {
             "n": 3,
             "k_max": 1,
@@ -950,6 +959,16 @@ class TestIsoFlowCommand:
         )
         assert main(["iso-flow", "--input", cfg, "--output", str(tmp_path / "s.csv")]) == 0
         assert capsys.readouterr() == (f"monotone=True {summary}", "")
+
+    def test_no_rise_of_a_large_mass_at_a_tiny_time(self, tmp_path, capsys):
+        # uncapped, the mass 20000.74 read fl(sqrt(m))^2 = m + 3.6e-12 at
+        # t = 1e-300, a rise above the default --tol 1e-12
+        measure = {"n": 3, "k_max": 0, "components": [{"k": 0, "ell": 1, "atoms": [1.0], "weights": [20000.74]}]}
+        cfg = write_json(tmp_path / "iso.json", {"measure": measure, "t_grid": [0.0, 1e-300, 1.0]})
+        out = tmp_path / "s.csv"
+        assert main(["iso-flow", "--input", cfg, "--output", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("monotone=True max_increase=0.0 ")
+        assert out.read_text().split("\n")[2] == "1e-300,20000.74"
 
 
 _STATE_1D = {"a": [0.5, 0.3], "b": [0.1, 0.0, -0.2]}
@@ -1006,7 +1025,7 @@ _VERIFY_ALL_TABLE = (
     "PASS toda-trace-identity observed=6.217248937900877e-15 tol=1e-12\n"
     "PASS toda-spectral-vs-rk4 observed=3.5818570331969113e-13 tol=1e-06\n"
     "PASS toda-closed-form-n2 observed=5.023798044234695e-11 tol=1e-06\n"
-    "PASS kdq-kernel-series-vs-closed observed=9.674251569319512e-15 tol=1e-10\n"
+    "PASS kdq-kernel-series-vs-closed observed=8.646307307647866e-15 tol=1e-10\n"
     "PASS kdq-cauchy-reproduction observed=2.581545120445489e-16 tol=1e-08\n"
     "PASS kdq-multi-nevanlinna observed=6.103512714619036e-05 tol=0.0001\n"
     "PASS pseudo-normalization observed=2.220446049250313e-16 tol=1e-12\n"
@@ -1321,7 +1340,7 @@ class TestHalfLine:
     @pytest.mark.parametrize("value", ["false", 0, None])
     def test_non_boolean(self, value):
         code, err = self.run([-0.5, 2.0], value)
-        assert code == 2 and err == f"config error: bad nevanlinna config: half_line must be true or false, got {value!r}\n"
+        assert code == 2 and err == f"config error: bad measure: half_line must be true or false, got {value!r}\n"
 
     @pytest.mark.parametrize("atoms, value", [([-0.5, 2.0], False), ([0.5, 2.0], True)])
     def test_boolean(self, atoms, value):

@@ -10,7 +10,7 @@ from toda_kdq.kdq import (
     AlmansiPolynomial,
     KDQPoint,
     PseudoPositiveMeasure,
-    _kernel_on_grid,
+    _kernel,
     aronszajn_r_pow_n,
     cauchy_reproduce,
     divergent_partial_sums,
@@ -34,16 +34,13 @@ def unit(v):
 
 
 def random_point_pair(rng, n, ratio_lo=2.0, ratio_hi=5.0):
-    """x and a kernel-expansion point with |zeta| >= ratio_lo |x|.
-
-    arg(zeta) is kept within +-pi/4 so the principal-branch radicand
-    stays off its cut and the literal closed form matches the series.
-    """
+    """x and a kernel-expansion point with |zeta| >= ratio_lo |x|, arg(zeta)
+    anywhere in the canonical half-plane (-pi/2, pi/2]."""
     x = rng.normal(size=n)
     x *= rng.uniform(0.2, 0.5) / np.linalg.norm(x)
     theta = unit(rng.normal(size=n))
     zeta = np.linalg.norm(x) * rng.uniform(ratio_lo, ratio_hi) * np.exp(
-        1j * rng.uniform(-np.pi / 4, np.pi / 4)
+        1j * (np.pi / 2 - rng.uniform(0.0, np.pi))
     )
     return KDQPoint(zeta, theta), x
 
@@ -176,6 +173,18 @@ class TestAronszajn:
         with pytest.raises(PoleError):
             aronszajn_r_pow_n(KDQPoint(0.5, th), 0.5 * th)
 
+    def test_series_branch_where_the_raw_radicand_flips(self):
+        # the principal root of zeta^2 - 2 zeta <theta,x> + |x|^2 gave
+        # +0.677486+0.669236i here, the negative of the series
+        p = KDQPoint(0.1 + 1.0j, E3)
+        exact = p.zeta**2 / (p.zeta - 0.3) ** 3
+        assert abs(p.zeta**2 / aronszajn_r_pow_n(p, 0.3 * E3) - exact) <= 1e-14 * abs(exact)
+
+    def test_zero_zeta_has_no_u(self):
+        for x in (np.zeros(3), 0.3 * E3):
+            with pytest.raises(DivergenceRegionError):
+                aronszajn_r_pow_n(KDQPoint(0.0, E3), x)
+
     def test_roots_have_modulus_x(self):
         rng = np.random.default_rng(1)
         for n in (2, 3):
@@ -273,7 +282,7 @@ class TestKernelGrid:
             z = zeta[:, None]
             u = 1.0 - 2.0 * dots[None, :] / z + r2 / z**2
             power = u ** (-0.5 * n) / z
-            grid = _kernel_on_grid(n, zeta, dots, r2)
+            grid = _kernel(n, zeta[:, None], dots[None, :], r2)
             assert np.max(np.abs(grid - power) / np.abs(power)) <= 1e-14
 
 
@@ -399,17 +408,27 @@ class TestCauchyReproduce:
         assert abs(cauchy_reproduce(poly, x) - poly.eval(x)) < 1e-13
         assert kdq._node_harmonics(3, 100, ((50, 51),)).shape == (5151, 1)
 
-    @pytest.mark.parametrize("defect, fails, passes", [("kernel", 2e-8, 5e-9), ("node-column", 5e-8, 2e-8)])
+    @pytest.mark.parametrize(
+        "defect, fails, passes",
+        [("kernel", 2e-8, 5e-9), ("node-column", 5e-8, 2e-8), ("radical", 1e-10, 5e-11), ("raw-radicand", None, None)],
+    )
     def test_verify_check_fails_on_a_skew(self, monkeypatch, defect, fails, passes):
         # a relative skew of the kernel of every case, or of the cached node
-        # column of Y_{1,2} on S^2, fails the verify-all line; the README
-        # records the smallest failing skew of 1, 2, 5 per decade
-        kernel, table = kdq._kernel_on_grid, kdq._node_harmonics
+        # column of Y_{1,2} on S^2, fails kdq-cauchy-reproduction; a skew of
+        # the shared radical u^{n/2}, or the closed form of the earlier
+        # aronszajn_r_pow_n, the principal root of the raw radicand, fails
+        # kdq-kernel-series-vs-closed; the README records the smallest
+        # failing skew of 1, 2, 5 per decade
+        kernel, table, radical = kdq._kernel, kdq._node_harmonics, kdq._radical
+
+        def raw_radicand(n, zeta, dots, r2):
+            w = zeta * zeta - 2.0 * zeta * dots + r2
+            return zeta ** (n - 1) / (w if n == 2 else np.sqrt(w) ** 3)
 
         def observed(skew):
             if defect == "kernel":
-                monkeypatch.setattr(kdq, "_kernel_on_grid", lambda *args: kernel(*args) * (1.0 + skew))
-            else:
+                monkeypatch.setattr(kdq, "_kernel", lambda *args: kernel(*args) * (1.0 + skew))
+            elif defect == "node-column":
 
                 def skewed(n, degree, keys):
                     out = table(n, degree, keys).copy()
@@ -418,11 +437,19 @@ class TestCauchyReproduce:
                     return out
 
                 monkeypatch.setattr(kdq, "_node_harmonics", skewed)
-            (result,) = verify.check_kdq_cauchy(verify._SEED + 6, k_max=3, j_max=2)
+            elif defect == "radical":
+                monkeypatch.setattr(kdq, "_radical", lambda n, u: radical(n, u) * (1.0 + skew))
+            else:
+                monkeypatch.setattr(kdq, "_kernel", raw_radicand)
+            if defect in ("kernel", "node-column"):
+                (result,) = verify.check_kdq_cauchy(verify._SEED + 6, k_max=3, j_max=2)
+            else:
+                (result,) = verify.check_kdq_kernel(verify._SEED + 5, trials=15)
             return result.passed
 
         assert not observed(fails)
-        assert observed(passes)
+        if passes is not None:
+            assert observed(passes)
 
     def test_far_point_and_high_degree(self):
         rng = np.random.default_rng(9)

@@ -171,7 +171,8 @@ def ref_iso(measure, t_grid, dt=1e-4):
         if t == 0.0:  # the masses themselves
             return masses
         r0 = np.sqrt(masses)
-        return (r0 / (1.0 + lam * r0 * t)) ** 2
+        flowed = (r0 / (1.0 + lam * r0 * t)) ** 2
+        return np.minimum(flowed, masses) if t > 0.0 else flowed  # forward, the exact flow only lowers them
 
     values = {key: np.empty(times.size) for key, _ in comps}
     max_resid = 0.0
