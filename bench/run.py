@@ -1,102 +1,113 @@
-"""Layer curves of `toda_kdq`, written to one JSON file.
+"""Layer curves of `toda_kdq`, alone or beside another tree, in one JSON file.
 
-    python3 bench/run.py OUT.json [--src PATH]
+    python3 bench/run.py OUT.json [--against PATH]
 
-Imports the program from `--src` (default: `src/` of this tree), so the same
-script measures any checkout.  BLAS runs on one thread.  The file records the
-machine (cores, Python, numpy and its BLAS), the import time of
-`toda_kdq.cli` in fresh interpreters, the median time of one RK4 step of
-`toda_1d.integrate_ensemble` over the ensemble size B and the lattice size N
-(and for the ensemble of `verify-all`, one state of each N from 2 to 6), the
-median time of one in-process `verify.run_all()`, the checks of
-`toda-kdq verify-all`, the median time of one in-process
-`toda-kdq simulate-1d` over N, and the median time of one
-`sphere.harmonic_table` call with every S^2 key of degree <= k_max, at one
-point and on the `sphere_nodes(3, 2 k_max)` grid, over k_max, the median
-time of one `pseudo_toda.flaschka_surfaces(state, 1, theta)` over the
-component count K and the atom count N, at t = 0 and t = 100, the median
-time of one `verify.check_pseudo_toda` and of one `verify.check_kdq_kernel`
-at their `verify-all` sizes and of one `kdq.hua_kernel` on S^1 and S^2 over
-k_max, and over the component count K the median time of reading a JSON
-`components` list into
-a `kdq.PseudoPositiveMeasure` and a `pseudo_toda.PseudoTodaState`
-(`from_dict`) and of one `pseudo_toda.evolve` and one `iso_flow.riccati_evolve`,
-and the median time of one `verify.check_kdq_cauchy` with the seed of
-`verify.run_all` over k_max at j_max = 2 (k_max = 3 is its `verify-all` size),
-and of the QR (Kostant-Symes) flow: one `toda_1d.spectral_solve` over the
-lattice size N and over the number of times, and one
-`pseudo_toda.family_jacobi` at t = 100 over the component count K, and of
-the two stages of the CSV that follow the RK4 in `simulate-1d`: one
-`moment_1d.jacobi_eigenvalues` on the 1,001 rows of an RK4 trajectory over
-N, and one `toda_1d._csv_text` over the number of rows.
+`CASES`, at the end, is the list of curves: a builder named after its curve,
+and its parameters.  From a loaded `toda_kdq` the builder makes one op to
+time, from inputs drawn with fixed seeds.  One sampler calls every op once,
+then runs ROUNDS rounds that visit every case in turn; each case records the
+median and quartiles of its seconds per call.  `--against PATH` loads the
+`toda_kdq` of PATH, a `src/` directory, a second time as `toda_kdq_against`.
+Each round then times each case on this checkout ("this") and on PATH
+("against") back to back, the first of the two alternating by round, and
+the case also records the median and quartiles of the ratio this / against
+and the wins of "this".  A tree that lacks a name a case needs
+(AttributeError) is recorded as absent (null).  BLAS runs on one thread.
 """
 
 import os
+import sys
 
-# one BLAS/OpenMP thread, set before numpy is first imported
-os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
+if __name__ == "__main__":
+    # one BLAS/OpenMP thread, set before numpy is first imported
+    os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 
 import argparse  # noqa: E402
+import importlib.util  # noqa: E402
+import itertools  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
-import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-ROOT = Path(__file__).resolve().parents[1]
-IMPORT_SAMPLES = 7
-ENSEMBLES = (1, 5, 20)
-SIZES = (2, 8, 32, 128)
-VERIFY_ENSEMBLE = (2, 3, 4, 5, 6)  # the lattice sizes of the RK4 ensemble of `verify-all`
-RK4_STEPS = 200  # per sample; the time of a step is the sample's time over this
-RK4_SAMPLES = 15
-DT = 1e-3
-VERIFY_SAMPLES = 15
-SIMULATE_SIZES = (2, 8, 32, 64)
-SIMULATE_T_FINAL = 1.0
-SIMULATE_SAMPLES = 7
-HARMONIC_KMAX = (2, 4, 8, 16, 24, 32)
-HARMONIC_SAMPLES = 15
-SURFACE_KMAX = (2, 4, 8, 16)  # K = (k_max + 1)^2 = 9, 25, 81, 289 components on S^2
-SURFACE_ATOMS = (4, 6)
-SURFACE_TIMES = (0.0, 100.0)
-SURFACE_SAMPLES = 5
-PSEUDO_CHECK_SAMPLES = 15
-FAMILY_KMAX = (2, 4, 8, 16, 24)  # K = 9, 25, 81, 289, 625 components on S^2
-FAMILY_ATOMS = 4
-FAMILY_SAMPLES = 15
-KERNEL_CHECK_TRIALS = 15  # the size of verify-all's kdq-kernel-series-vs-closed line
-KERNEL_CHECK_SAMPLES = 15
-HUA_KMAX = (5, 10, 20, 40, 80)  # 40 is the degree of the verify-all check
-HUA_SAMPLES = 15
-CAUCHY_KMAX = (1, 2, 3, 4, 5)
-CAUCHY_JMAX = 2
-CAUCHY_SAMPLES = 15
-QR_SIZES = (2, 4, 8, 16, 32, 64)  # at QR_TIMES_AT_SIZES times
-QR_TIMES_AT_SIZES = 101
-QR_TIME_COUNTS = (1, 11, 101, 1001)  # at N = QR_SIZE_AT_TIMES
-QR_SIZE_AT_TIMES = 8
-QR_T_FINAL = 10.0  # times evenly spaced in [0, QR_T_FINAL]
-QR_FAMILY_KMAX = (2, 4, 8, 16)  # K = 9, 25, 81, 289 components on S^2
-QR_FAMILY_ATOMS = 4
-QR_FAMILY_T = 100.0
-QR_SAMPLES = 15
-EIGEN_SIZES = (2, 8, 32, 64, 128)  # on the rows of one RK4 trajectory to t = SIMULATE_T_FINAL, step DT
-CSV_ROWS = (101, 1001, 10001)
-CSV_SIZE = 8  # a simulate-1d table of this N: 3 N + 1 columns
-STAGE_SAMPLES = 7  # for both CSV stages
+# timed rounds after the warm-up; in an A/A run a case wins 27 or more of 30
+# fair pairs with odds of about 4e-6, so a 9-of-10 win count means a change
+ROUNDS = 30
+# an op whose last timed call took less than this is called once untimed
+# before the next: run after a larger case, its first call met cold caches, and
+# in an A/A run a sub-millisecond ratio read about 0.6 or 1.7 by which tree went first
+PRIME_S = 0.01
+DT = 1e-3  # the step of every RK4 run here
+THETA = np.array([0.36, 0.48, 0.8])  # the S^2 point of harmonic_table and flaschka_surfaces
 
-_IMPORT_CODE = (
-    "import time\n"
-    "t = time.perf_counter()\n"
-    "import toda_kdq.cli\n"
-    "print(repr(time.perf_counter() - t), toda_kdq.cli.__file__)\n"
-)
+
+def load(name: str, src: Path):
+    """Import `src/toda_kdq`, with its `cli`, as the package `name`.  The
+    package's modules import each other relatively, so two trees load side
+    by side under two names."""
+    pkg = src / "toda_kdq"
+    spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    importlib.import_module(f"{name}.cli")
+    return module
+
+
+def measure(cases, trees: dict, rounds: int) -> list:
+    """One record per case: curve, parameters and, per tree, the median and
+    quartiles of its seconds per call (None where the tree lacks a name the
+    case needs); with two trees, the median and quartiles of the per-round
+    ratio first / second, and the first tree's wins out of the pairs run."""
+    ops = [{name: _warm(build, tk, params) for name, tk in trees.items()} for build, params in cases]
+    samples = [{name: [] for name, op in row.items() if op is not None} for row in ops]
+    for i in range(rounds):
+        for row, out in zip(ops, samples):
+            for name in out if i % 2 == 0 else reversed(out):
+                if out[name] and out[name][-1] < PRIME_S:
+                    row[name]()
+                t = time.perf_counter()
+                row[name]()
+                out[name].append(time.perf_counter() - t)
+    records = []
+    for (build, params), out in zip(cases, samples):
+        record = {"curve": build.__name__, "params": params}
+        record.update({name: _spread(out[name], "_s") if name in out else None for name in trees})
+        if len(out) == 2:
+            first, second = out.values()
+            wins = sum(a < b for a, b in zip(first, second))
+            record["ratio"] = {**_spread([a / b for a, b in zip(first, second)]), "wins": wins, "pairs": rounds}
+        records.append(record)
+    return records
+
+
+def _warm(build, tk, params: dict):
+    try:
+        op = build(tk, **params)
+        op()
+    except AttributeError:
+        return None
+    return op
+
+
+def _spread(samples: list, unit: str = "") -> dict:
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return {f"median{unit}": median, f"quartiles{unit}": [q1, q3]}
+
+
+def _text(record: dict, names: list) -> str:
+    cols = [" ".join([record["curve"], *(f"{k}={v}" for k, v in record["params"].items())]).ljust(50)]
+    cols += [f"{n} absent" if record[n] is None else f"{n} {1e3 * record[n]['median_s']:9.3f} ms" for n in names]
+    if "ratio" in record:
+        r = record["ratio"]
+        cols.append(f"ratio {r['median']:.3f} [{r['quartiles'][0]:.3f}, {r['quartiles'][1]:.3f}]")
+        cols.append(f"wins {r['wins']}/{r['pairs']}")
+    return "  ".join(cols)
 
 
 def machine() -> dict:
@@ -106,422 +117,175 @@ def machine() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
-        "blas_threads": 1,
     }
 
 
-def import_seconds(src: Path) -> dict:
-    """Seconds of `import toda_kdq.cli` in fresh interpreters; the first
-    sample only warms the file cache and is dropped."""
+def _jacobi(tk, rng, n: int):
+    # a random Flaschka state: couplings in [0.3, 1], diagonal in [-1, 1]
+    return tk.moment_1d.JacobiMatrix(offdiag=rng.uniform(0.3, 1.0, n - 1), diag=rng.uniform(-1.0, 1.0, n))
+
+
+def _s2_components(seed: int, K: int, atoms: int) -> dict:
+    # the first K keys (k, ell) of S^2 in degree order, each with `atoms` radii
+    # in [0.2, 1.2] at least 1e-3 apart and masses in [0.2, 1] scaled to sum to one
+    rng = np.random.default_rng(seed)
+    keys = ((k, ell) for k in itertools.count() for ell in range(1, 2 * k + 2))
+    comps = {}
+    for key in itertools.islice(keys, K):
+        lam = np.sort(rng.uniform(0.2, 1.2, atoms))
+        while np.min(np.diff(lam)) < 1e-3:
+            lam = np.sort(rng.uniform(0.2, 1.2, atoms))
+        m = rng.uniform(0.2, 1.0, atoms)
+        comps[key] = (lam, m / m.sum())
+    return comps
+
+
+def import_toda_kdq_cli(tk):
+    """A fresh interpreter that imports `toda_kdq.cli` from the tree's `src/`, start-up included."""
+    src = Path(tk.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    samples = []
-    for i in range(IMPORT_SAMPLES + 1):
-        proc = subprocess.run(
-            [sys.executable, "-c", _IMPORT_CODE], env=env, capture_output=True, text=True, timeout=60, check=True
-        )
-        seconds, path = proc.stdout.split()
+    argv = [sys.executable, "-c", "import toda_kdq.cli; print(toda_kdq.cli.__file__)"]
+
+    def op():
+        path = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60, check=True).stdout.strip()
         if not Path(path).resolve().is_relative_to(src):
             raise RuntimeError(f"a fresh interpreter imported toda_kdq from {path}, not from {src}")
-        if i:
-            samples.append(float(seconds))
-    return {"median_s": statistics.median(samples), "min_s": min(samples), "samples": len(samples)}
+
+    return op
 
 
-def rk4_step_curve(toda_1d, jacobi_matrix) -> list:
-    """Median seconds of one RK4 step, for each ensemble size B and lattice
-    size N, and for one ensemble shaped like that of `verify-all` (N is then
-    the list of its sizes).  The samples go round the ensembles in turn, so
-    that a burst of load on a shared machine spreads over all of them."""
-
-    def state(rng, n):
-        return jacobi_matrix(offdiag=rng.uniform(0.3, 1.0, n - 1), diag=rng.uniform(-1.0, 1.0, n))
-
+def rk4_step(tk, B, N, steps):
+    """`steps` RK4 steps of `toda_1d.integrate_ensemble` on B random states of N sites (a list N: one of each)."""
     rng = np.random.default_rng(0)
-    ensembles = {(b, n): [state(rng, n) for _ in range(b)] for b in ENSEMBLES for n in SIZES}
-    rng = np.random.default_rng(1)
-    ensembles[len(VERIFY_ENSEMBLE), VERIFY_ENSEMBLE] = [state(rng, n) for n in VERIFY_ENSEMBLE]
-    samples = {key: [] for key in ensembles}
-    for i in range(RK4_SAMPLES + 1):
-        for key, states in ensembles.items():
-            t = time.perf_counter()
-            toda_1d.integrate_ensemble(states, RK4_STEPS * DT, DT)
-            if i:  # the first round is a warm-up
-                samples[key].append((time.perf_counter() - t) / RK4_STEPS)
-    return [
-        {"B": b, "N": n if isinstance(n, int) else list(n), "step_us": 1e6 * statistics.median(samples[b, n])}
-        for b, n in ensembles
-    ]
+    states = [_jacobi(tk, rng, n) for n in (N if isinstance(N, list) else [N] * B)]
+    return lambda: tk.toda_1d.integrate_ensemble(states, steps * DT, DT)
 
 
-def verify_seconds(verify) -> dict:
-    """Seconds of one in-process `verify.run_all()`, after one warm-up run;
-    `checks` is the number of lines it returns and `passed` how many pass."""
-    results = verify.run_all()
-    samples = []
-    for _ in range(VERIFY_SAMPLES):
-        t = time.perf_counter()
-        verify.run_all()
-        samples.append(time.perf_counter() - t)
-    return {
-        "median_s": statistics.median(samples),
-        "min_s": min(samples),
-        "samples": len(samples),
-        "checks": len(results),
-        "passed": sum(r.passed for r in results),
-    }
+def verify(tk, check, seed=None, **kwargs):
+    """One in-process `verify.<check>`, its seed `verify._SEED + seed` as in `verify.run_all`."""
+    run = getattr(tk.verify, check)
+    args = () if seed is None else (tk.verify._SEED + seed,)
+    return lambda: run(*args, **kwargs)
 
 
-def simulate_1d_seconds(cli) -> list:
-    """Seconds of one in-process `toda-kdq simulate-1d` (`cli.main`) at
-    t = SIMULATE_T_FINAL and dt = DT, for each lattice size N, writing the
-    CSV to a temporary file; the samples go round the sizes in turn, and the
-    first round is a warm-up."""
+def simulate_1d(tk, N, t_final):
+    """One in-process `toda-kdq simulate-1d` (`cli.main`) of a random state, the CSV to a temporary file."""
     rng = np.random.default_rng(2)
-    samples = {n: [] for n in SIMULATE_SIZES}
-    with tempfile.TemporaryDirectory() as tmp:
-        inputs = {}
-        for n in SIMULATE_SIZES:
-            inputs[n] = Path(tmp) / f"state_{n}.json"
-            state = {"a": rng.uniform(0.3, 1.0, n - 1).tolist(), "b": rng.uniform(-1.0, 1.0, n).tolist()}
-            inputs[n].write_text(json.dumps(state))
-        out = str(Path(tmp) / "trajectory.csv")
-        for i in range(SIMULATE_SAMPLES + 1):
-            for n in SIMULATE_SIZES:
-                argv = ["simulate-1d", "--input", str(inputs[n]), "--output", out]
-                argv += ["--t-final", repr(SIMULATE_T_FINAL), "--dt", repr(DT)]
-                t = time.perf_counter()
-                if cli.main(argv) != 0:
-                    raise RuntimeError(f"simulate-1d failed at N = {n}")
-                if i:
-                    samples[n].append(time.perf_counter() - t)
-    return [{"N": n, "median_s": statistics.median(samples[n]), "min_s": min(samples[n])} for n in SIMULATE_SIZES]
+    tmp = tempfile.TemporaryDirectory()  # removed with the op that holds it
+    state, out = Path(tmp.name) / "state.json", Path(tmp.name) / "trajectory.csv"
+    state.write_text(json.dumps({"a": rng.uniform(0.3, 1.0, N - 1).tolist(), "b": rng.uniform(-1.0, 1.0, N).tolist()}))
+    argv = ["simulate-1d", "--input", str(state), "--output", str(out), "--t-final", repr(t_final), "--dt", repr(DT)]
+
+    def op(tmp=tmp):
+        if tk.cli.main(argv) != 0:
+            raise RuntimeError(f"simulate-1d failed at N = {N}")
+
+    return op
 
 
-def harmonic_table_seconds(sphere) -> list:
-    """Median seconds of one `sphere.harmonic_table` call on S^2 with all
-    (k_max + 1)^2 keys of degree <= k_max, at one point and on the nodes of
-    `sphere_nodes(3, 2 k_max)`, for each k_max; the samples go round the
-    cases in turn, the first round is a warm-up, and each timed call comes
-    right after an untimed one with the same arguments, so that a small
-    case is not timed on the caches left cold by the large one before it."""
-    point = np.array([0.36, 0.48, 0.8])
-    cases = {}
-    for k_max in HARMONIC_KMAX:
-        keys = [(k, ell) for k in range(k_max + 1) for ell in range(1, 2 * k + 2)]
-        cases[k_max, "point"] = (keys, point)
-        cases[k_max, "grid"] = (keys, sphere.sphere_nodes(3, 2 * k_max)[0])
-    samples = {case: [] for case in cases}
-    for i in range(HARMONIC_SAMPLES + 1):
-        for case, (keys, theta) in cases.items():
-            sphere.harmonic_table(3, keys, theta)
-            t = time.perf_counter()
-            sphere.harmonic_table(3, keys, theta)
-            if i:
-                samples[case].append(time.perf_counter() - t)
-    return [
-        {
-            "k_max": k_max,
-            "keys": len(cases[k_max, "point"][0]),
-            "point_us": 1e6 * statistics.median(samples[k_max, "point"]),
-            "grid_points": len(cases[k_max, "grid"][1]),
-            "grid_ms": 1e3 * statistics.median(samples[k_max, "grid"]),
-        }
-        for k_max in HARMONIC_KMAX
-    ]
+def harmonic_table(tk, k_max, at):
+    """One `sphere.harmonic_table` of every S^2 key of degree <= k_max, at THETA or on `sphere_nodes(3, 2 k_max)`."""
+    keys = [(k, ell) for k in range(k_max + 1) for ell in range(1, 2 * k + 2)]
+    theta = THETA if at == "point" else tk.sphere.sphere_nodes(3, 2 * k_max)[0]
+    return lambda: tk.sphere.harmonic_table(3, keys, theta)
 
 
-def surfaces_seconds(pseudo_toda) -> list:
-    """Median seconds of one `pseudo_toda.flaschka_surfaces(state, 1, theta)`
-    on S^2 states with every key of degree <= k_max, each component of N atoms
-    with radii in [0.2, 1.2] and masses in [0.2, 1] before normalization, at
-    time 0 and evolved to t = 100; the samples go round the cases in turn,
-    and the first round is a warm-up."""
-    rng = np.random.default_rng(3)
-    theta = np.array([0.36, 0.48, 0.8])
-    cases = {}
-    for k_max in SURFACE_KMAX:
-        for n_atoms in SURFACE_ATOMS:
-            comps = {}
-            for key in [(k, ell) for k in range(k_max + 1) for ell in range(1, 2 * k + 2)]:
-                lam = np.sort(rng.uniform(0.2, 1.2, n_atoms))
-                while np.min(np.diff(lam)) < 1e-3:
-                    lam = np.sort(rng.uniform(0.2, 1.2, n_atoms))
-                m = rng.uniform(0.2, 1.0, n_atoms)
-                comps[key] = (lam, m / m.sum())
-            state = pseudo_toda.PseudoTodaState(3, comps)
-            for t in SURFACE_TIMES:
-                cases[k_max, n_atoms, t] = pseudo_toda.evolve(state, t)
-    samples = {case: [] for case in cases}
-    for i in range(SURFACE_SAMPLES + 1):
-        for case, state in cases.items():
-            t = time.perf_counter()
-            pseudo_toda.flaschka_surfaces(state, 1, theta)
-            if i:
-                samples[case].append(time.perf_counter() - t)
-    return [
-        {"K": (k_max + 1) ** 2, "N": n_atoms, "t": t, "median_ms": 1e3 * statistics.median(samples[k_max, n_atoms, t])}
-        for k_max, n_atoms, t in cases
-    ]
+def flaschka_surfaces(tk, K, N, t):
+    """One `pseudo_toda.flaschka_surfaces(state, 1, THETA)` of K components of N atoms evolved to time t."""
+    state = tk.pseudo_toda.evolve(tk.pseudo_toda.PseudoTodaState(3, _s2_components(3, K, N)), t)
+    return lambda: tk.pseudo_toda.flaschka_surfaces(state, 1, THETA)
 
 
-def call_seconds(run, samples: int) -> dict:
-    """Seconds of one `run()`, after one warm-up call."""
-    run()
-    out = []
-    for _ in range(samples):
-        t = time.perf_counter()
-        run()
-        out.append(time.perf_counter() - t)
-    return {"median_s": statistics.median(out), "min_s": min(out), "samples": len(out)}
+def hua_kernel(tk, n, k_max):
+    """One `kdq.hua_kernel(p, x, k_max)` on S^(n-1) at |zeta| = 2 |x|."""
+    theta = [0.6, 0.8] if n == 2 else [0.0, 0.6, 0.8]
+    p, x = tk.kdq.KDQPoint(0.8 * np.exp(0.7j), theta), 0.4 * np.roll(theta, 1)
+    return lambda: tk.kdq.hua_kernel(p, x, k_max)
 
 
-def check_pseudo_toda_seconds(verify) -> dict:
-    """Seconds of one `verify.check_pseudo_toda` with the seed and times of `verify.run_all`."""
-    return call_seconds(lambda: verify.check_pseudo_toda(verify._SEED + 7, ode_times=(0.5,)), PSEUDO_CHECK_SAMPLES)
+def family(tk, K, N, op):
+    """One `op` on K components of N atoms: reading a JSON-decoded measure
+    (measure_from_dict) or pseudo-Toda state (pseudo_from_dict), or
+    `pseudo_toda.evolve` or `iso_flow.riccati_evolve` of such a state to t = 1."""
+    comps = _s2_components(4, K, N)
+
+    def config(atoms, weights, **fields):  # as decoded from a JSON file: lists of Python floats
+        items = [{"k": k, "ell": e, atoms: r.tolist(), weights: m.tolist()} for (k, e), (r, m) in comps.items()]
+        return {"n": 3, "components": items, **fields}
+
+    measure, pseudo = config("atoms", "weights"), config("lambdas", "masses_tilde", t=0.0)
+    state = tk.pseudo_toda.PseudoTodaState(3, comps)
+    riccati = tk.iso_flow.state_from_measure(tk.kdq.PseudoPositiveMeasure(3, comps))
+    return {
+        "measure_from_dict": lambda: tk.kdq.PseudoPositiveMeasure.from_dict(measure),
+        "pseudo_from_dict": lambda: tk.pseudo_toda.PseudoTodaState.from_dict(pseudo),
+        "evolve": lambda: tk.pseudo_toda.evolve(state, 1.0),
+        "riccati_evolve": lambda: tk.iso_flow.riccati_evolve(riccati, 1.0),
+    }[op]
 
 
-def check_kdq_kernel_seconds(verify) -> dict:
-    """Seconds of one `verify.check_kdq_kernel` with the seed and trial count of `verify.run_all`."""
-    run = lambda: verify.check_kdq_kernel(verify._SEED + 5, trials=KERNEL_CHECK_TRIALS)  # noqa: E731
-    return {"trials": KERNEL_CHECK_TRIALS, **call_seconds(run, KERNEL_CHECK_SAMPLES)}
+def spectral_solve(tk, N, times, t_final):
+    """One `toda_1d.spectral_solve` of a random state of N sites at `times` times evenly spaced in [0, t_final]."""
+    state = _jacobi(tk, np.random.default_rng(6), N)
+    grid = np.linspace(0.0, t_final, times)
+    return lambda: tk.toda_1d.spectral_solve(state, grid)
 
 
-def hua_kernel_seconds(kdq) -> list:
-    """Median seconds of one `kdq.hua_kernel(p, x, k_max)` on S^1 and S^2 at
-    |zeta| = 2 |x|, for each k_max; the samples go round the cases in turn,
-    and the first round is a warm-up."""
-    cases = {}
-    for n, theta in ((2, [0.6, 0.8]), (3, [0.0, 0.6, 0.8])):
-        x = 0.4 * np.roll(np.asarray(theta), 1)
-        cases[n] = (kdq.KDQPoint(0.8 * np.exp(0.7j), theta), x)
-    samples = {(n, k_max): [] for n in cases for k_max in HUA_KMAX}
-    for i in range(HUA_SAMPLES + 1):
-        for (n, k_max), out in samples.items():
-            p, x = cases[n]
-            t = time.perf_counter()
-            kdq.hua_kernel(p, x, k_max)
-            if i:
-                out.append(time.perf_counter() - t)
-    return [{"n": n, "k_max": k_max, "median_us": 1e6 * statistics.median(out)} for (n, k_max), out in samples.items()]
+def family_jacobi(tk, K, N, t):
+    """One `pseudo_toda.family_jacobi` of K components of N atoms evolved to time t."""
+    state = tk.pseudo_toda.evolve(tk.pseudo_toda.PseudoTodaState(3, _s2_components(6, K, N)), t)
+    return lambda: tk.pseudo_toda.family_jacobi(state)
 
 
-def family_seconds(kdq, pseudo_toda, iso_flow) -> list:
-    """Median seconds of `PseudoPositiveMeasure.from_dict` and
-    `PseudoTodaState.from_dict` on a JSON-decoded config of K components with
-    FAMILY_ATOMS atoms each (every S^2 key of degree <= k_max), and of one
-    `pseudo_toda.evolve(state, 1.0)` and one `iso_flow.riccati_evolve(state,
-    1.0)` on the states they make; the samples go round the cases in turn,
-    and the first round is a warm-up."""
-    rng = np.random.default_rng(4)
-    cases = {}
-    for k_max in FAMILY_KMAX:
-        measure, pseudo = [], []
-        for k in range(k_max + 1):
-            for ell in range(1, 2 * k + 2):
-                lam = np.sort(rng.uniform(0.2, 1.2, FAMILY_ATOMS))
-                m = rng.uniform(0.2, 1.0, FAMILY_ATOMS)
-                measure.append({"k": k, "ell": ell, "atoms": lam.tolist(), "weights": m.tolist()})
-                pseudo.append({"k": k, "ell": ell, "lambdas": lam.tolist(), "masses_tilde": (m / m.sum()).tolist()})
-        measure = json.loads(json.dumps({"n": 3, "k_max": k_max, "components": measure}))
-        pseudo = json.loads(json.dumps({"n": 3, "components": pseudo, "t": 0.0}))
-        state = pseudo_toda.PseudoTodaState.from_dict(pseudo)
-        iso = iso_flow.state_from_measure(kdq.PseudoPositiveMeasure.from_dict(measure))
-        cases[k_max] = {
-            "measure_from_dict": lambda d=measure: kdq.PseudoPositiveMeasure.from_dict(d),
-            "pseudo_from_dict": lambda d=pseudo: pseudo_toda.PseudoTodaState.from_dict(d),
-            "evolve": lambda s=state: pseudo_toda.evolve(s, 1.0),
-            "riccati_evolve": lambda s=iso: iso_flow.riccati_evolve(s, 1.0),
-        }
-    samples = {(k_max, name): [] for k_max, ops in cases.items() for name in ops}
-    for i in range(FAMILY_SAMPLES + 1):
-        for k_max, ops in cases.items():
-            for name, op in ops.items():
-                t = time.perf_counter()
-                op()
-                if i:
-                    samples[k_max, name].append(time.perf_counter() - t)
-    return [
-        {"K": (k_max + 1) ** 2, **{f"{name}_us": 1e6 * statistics.median(samples[k_max, name]) for name in ops}}
-        for k_max, ops in cases.items()
-    ]
+def jacobi_eigenvalues(tk, N, rows):
+    """One `moment_1d.jacobi_eigenvalues` on the rows of an RK4 trajectory of N sites: the CSV's lambda columns."""
+    traj = tk.toda_1d.integrate_toda(_jacobi(tk, np.random.default_rng(7), N), (rows - 1) * DT, DT)
+    return lambda: tk.moment_1d.jacobi_eigenvalues(traj.b, traj.a)
 
 
-def check_kdq_cauchy_seconds(verify, sphere) -> list:
-    """Median seconds of one `verify.check_kdq_cauchy(seed, k_max, CAUCHY_JMAX)`
-    with the seed of `verify.run_all`, for each k_max, and the number of
-    Almansi monomials it reproduces; the samples go round the sizes in turn,
-    and the first round is a warm-up."""
-    seed = verify._SEED + 6
-    samples = {k_max: [] for k_max in CAUCHY_KMAX}
-    for i in range(CAUCHY_SAMPLES + 1):
-        for k_max in CAUCHY_KMAX:
-            t = time.perf_counter()
-            verify.check_kdq_cauchy(seed, k_max, CAUCHY_JMAX)
-            if i:
-                samples[k_max].append(time.perf_counter() - t)
-    return [
-        {
-            "k_max": k_max,
-            "cases": (CAUCHY_JMAX + 1) * sum(sphere.dim_harmonics(n, k) for n in (2, 3) for k in range(k_max + 1)),
-            "median_ms": 1e3 * statistics.median(samples[k_max]),
-            "min_ms": 1e3 * min(samples[k_max]),
-        }
-        for k_max in CAUCHY_KMAX
-    ]
+def csv_text(tk, N, rows):
+    """One `toda_1d._csv_text` of floats in [-1, 1], as wide as the `simulate-1d` table of N sites."""
+    header = ["c"] * (3 * N + 1)
+    table = np.random.default_rng(7).uniform(-1.0, 1.0, (rows, len(header)))
+    return lambda: tk.toda_1d._csv_text(header, table)
 
 
-def qr_flow_seconds(toda_1d, pseudo_toda, jacobi_matrix) -> dict:
-    """Median seconds of one `toda_1d.spectral_solve` on a random state
-    (a in [0.3, 1], b in [-1, 1]) at times evenly spaced in [0, QR_T_FINAL],
-    over the lattice size N and over the number of times, and of one
-    `pseudo_toda.family_jacobi` on S^2 states with every key of degree
-    <= k_max, QR_FAMILY_ATOMS atoms each, evolved to t = QR_FAMILY_T; the
-    samples go round the cases in turn, and the first round is a warm-up."""
-    rng = np.random.default_rng(6)
-    cases = []  # (curve, parameters, op)
-    for n, count in [(n, QR_TIMES_AT_SIZES) for n in QR_SIZES] + [(QR_SIZE_AT_TIMES, c) for c in QR_TIME_COUNTS]:
-        state = jacobi_matrix(offdiag=rng.uniform(0.3, 1.0, n - 1), diag=rng.uniform(-1.0, 1.0, n))
-        times = np.linspace(0.0, QR_T_FINAL, count)
-        cases.append(("spectral_solve", {"N": n, "times": count}, lambda s=state, t=times: toda_1d.spectral_solve(s, t)))
-    for k_max in QR_FAMILY_KMAX:
-        comps = {}
-        for key in [(k, ell) for k in range(k_max + 1) for ell in range(1, 2 * k + 2)]:
-            lam = np.sort(rng.uniform(0.2, 1.2, QR_FAMILY_ATOMS))
-            while np.min(np.diff(lam)) < 1e-3:
-                lam = np.sort(rng.uniform(0.2, 1.2, QR_FAMILY_ATOMS))
-            m = rng.uniform(0.2, 1.0, QR_FAMILY_ATOMS)
-            comps[key] = (lam, m / m.sum())
-        state = pseudo_toda.evolve(pseudo_toda.PseudoTodaState(3, comps), QR_FAMILY_T)
-        cases.append(("family_jacobi", {"K": (k_max + 1) ** 2}, lambda s=state: pseudo_toda.family_jacobi(s)))
-    samples = [[] for _ in cases]
-    for i in range(QR_SAMPLES + 1):
-        for (_, _, op), out in zip(cases, samples):
-            t = time.perf_counter()
-            op()
-            if i:
-                out.append(time.perf_counter() - t)
-    report = {"spectral_solve": [], "family_jacobi": []}
-    for (curve, parameters, _), out in zip(cases, samples):
-        report[curve].append({**parameters, "median_ms": 1e3 * statistics.median(out)})
-    return report
-
-
-def csv_stage_seconds(toda_1d, moment_1d) -> dict:
-    """Median seconds of one `moment_1d.jacobi_eigenvalues` on the rows of
-    an RK4 trajectory (`integrate_toda` of a random state to
-    SIMULATE_T_FINAL at step DT, 1,001 rows) for each lattice size N, and of
-    one `toda_1d._csv_text` on a table of floats drawn from [-1, 1] as wide
-    as the `simulate-1d` table of N = CSV_SIZE (3 N + 1 columns) for each
-    row count; the samples go round the cases in turn, and the first round
-    is a warm-up."""
-    rng = np.random.default_rng(7)
-    cases = []  # (curve, parameters, op)
-    for n in EIGEN_SIZES:
-        state = moment_1d.JacobiMatrix(offdiag=rng.uniform(0.3, 1.0, n - 1), diag=rng.uniform(-1.0, 1.0, n))
-        traj = toda_1d.integrate_toda(state, SIMULATE_T_FINAL, DT)
-        op = lambda b=traj.b, a=traj.a: moment_1d.jacobi_eigenvalues(b, a)  # noqa: E731
-        cases.append(("jacobi_eigenvalues", {"N": n, "rows": len(traj)}, op))
-    header = ["c"] * (3 * CSV_SIZE + 1)
-    for rows in CSV_ROWS:
-        table = rng.uniform(-1.0, 1.0, (rows, len(header)))
-        cases.append(("csv_text", {"N": CSV_SIZE, "rows": rows}, lambda t=table: toda_1d._csv_text(header, t)))
-    samples = [[] for _ in cases]
-    for i in range(STAGE_SAMPLES + 1):
-        for (_, _, op), out in zip(cases, samples):
-            t = time.perf_counter()
-            op()
-            if i:
-                out.append(time.perf_counter() - t)
-    report = {"jacobi_eigenvalues": [], "csv_text": []}
-    for (curve, parameters, _), out in zip(cases, samples):
-        report[curve].append({**parameters, "median_ms": 1e3 * statistics.median(out)})
-    return report
+# every curve and size; a verify check's seed is its offset in verify.run_all
+CASES = [
+    (import_toda_kdq_cli, {}),
+    *[(rk4_step, {"B": b, "N": n, "steps": 200}) for b in (1, 5, 20) for n in (2, 8, 32, 128)],
+    (rk4_step, {"B": 5, "N": [2, 3, 4, 5, 6], "steps": 200}),  # the RK4 ensemble of verify-all
+    (verify, {"check": "run_all"}),
+    *[(simulate_1d, {"N": n, "t_final": 1.0}) for n in (2, 8, 32, 64)],
+    *[(harmonic_table, {"k_max": k, "at": at}) for k in (2, 4, 8, 16, 24, 32) for at in ("point", "grid")],
+    *[(flaschka_surfaces, {"K": K, "N": n, "t": t}) for K in (9, 25, 81, 289) for n in (4, 6) for t in (0.0, 100.0)],
+    (verify, {"check": "check_pseudo_toda", "seed": 7, "ode_times": [0.5]}),  # at its verify-all size
+    (verify, {"check": "check_kdq_kernel", "seed": 5, "trials": 15}),  # at its verify-all size
+    *[(hua_kernel, {"n": n, "k_max": k}) for n in (2, 3) for k in (5, 10, 20, 40, 80)],  # 40 in verify-all
+    *[(family, {"K": K, "N": 4, "op": op}) for K in (9, 25, 81, 289, 625)
+      for op in ("measure_from_dict", "pseudo_from_dict", "evolve", "riccati_evolve")],
+    *[(verify, {"check": "check_kdq_cauchy", "seed": 6, "k_max": k, "j_max": 2}) for k in (1, 2, 3, 4, 5)],
+    *[(spectral_solve, {"N": n, "times": 101, "t_final": 10.0}) for n in (2, 4, 8, 16, 32, 64)],
+    *[(spectral_solve, {"N": 8, "times": c, "t_final": 10.0}) for c in (1, 11, 1001)],  # and 101, above
+    *[(family_jacobi, {"K": K, "N": 4, "t": 100.0}) for K in (9, 25, 81, 289)],
+    *[(jacobi_eigenvalues, {"N": n, "rows": 1001}) for n in (2, 8, 32, 64, 128)],
+    *[(csv_text, {"N": 8, "rows": r}) for r in (101, 1001, 10001)],
+]
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path)
-    parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--against", type=Path, help="a src/ directory whose toda_kdq is timed beside this checkout's")
     args = parser.parse_args(argv)
-    src = args.src.resolve()
-    sys.path.insert(0, str(src))
-    from toda_kdq import cli, iso_flow, kdq, moment_1d, pseudo_toda, sphere, toda_1d, verify
-    from toda_kdq.moment_1d import JacobiMatrix
-
-    if not Path(toda_1d.__file__).resolve().is_relative_to(src):
-        raise RuntimeError(f"toda_kdq imported from {toda_1d.__file__}, not from {src}")
-    report = {
-        "machine": machine(),
-        "import_toda_kdq_cli": import_seconds(src),
-        "rk4_step": {"dt": DT, "steps_per_sample": RK4_STEPS, "samples": RK4_SAMPLES},
-    }
-    report["rk4_step"]["curve"] = rk4_step_curve(toda_1d, JacobiMatrix)
-    report["verify_run_all"] = verify_seconds(verify)
-    report["simulate_1d"] = {
-        "t_final": SIMULATE_T_FINAL,
-        "dt": DT,
-        "samples": SIMULATE_SAMPLES,
-        "curve": simulate_1d_seconds(cli),
-    }
-    report["harmonic_table"] = {"n": 3, "samples": HARMONIC_SAMPLES, "curve": harmonic_table_seconds(sphere)}
-    report["flaschka_surfaces"] = {"n": 3, "j": 1, "samples": SURFACE_SAMPLES, "curve": surfaces_seconds(pseudo_toda)}
-    report["check_pseudo_toda"] = check_pseudo_toda_seconds(verify)
-    report["check_kdq_kernel"] = check_kdq_kernel_seconds(verify)
-    report["hua_kernel"] = {"zeta_over_x": 2.0, "samples": HUA_SAMPLES, "curve": hua_kernel_seconds(kdq)}
-    report["family"] = {"n": 3, "atoms": FAMILY_ATOMS, "samples": FAMILY_SAMPLES}
-    report["family"]["curve"] = family_seconds(kdq, pseudo_toda, iso_flow)
-    report["check_kdq_cauchy"] = {"j_max": CAUCHY_JMAX, "verify_all_k_max": 3, "samples": CAUCHY_SAMPLES}
-    report["check_kdq_cauchy"]["curve"] = check_kdq_cauchy_seconds(verify, sphere)
-    report["qr_flow"] = {
-        "t_final": QR_T_FINAL,
-        "family_atoms": QR_FAMILY_ATOMS,
-        "family_t": QR_FAMILY_T,
-        "samples": QR_SAMPLES,
-        **qr_flow_seconds(toda_1d, pseudo_toda, JacobiMatrix),
-    }
-    report["csv_stages"] = {"t_final": SIMULATE_T_FINAL, "dt": DT, "samples": STAGE_SAMPLES}
-    report["csv_stages"].update(csv_stage_seconds(toda_1d, moment_1d))
+    trees = {"this": load("toda_kdq", Path(__file__).resolve().parents[1] / "src")}
+    if args.against:
+        trees["against"] = load("toda_kdq_against", args.against.resolve())
+    records = measure(CASES, trees, ROUNDS)
+    report = {"machine": machine(), "rounds": ROUNDS, "cases": records}
     args.out.write_text(json.dumps(report, indent=2) + "\n")
-    for row in report["rk4_step"]["curve"]:
-        print(f"B = {row['B']:3d}  N = {str(row['N']):>15}  {row['step_us']:8.1f} us/step")
-    print(f"import toda_kdq.cli: {report['import_toda_kdq_cli']['median_s']:.3f} s (median)")
-    run_all = report["verify_run_all"]
-    print(f"verify.run_all(): {run_all['median_s']:.3f} s (median), {run_all['passed']}/{run_all['checks']} checks passed")
-    for row in report["simulate_1d"]["curve"]:
-        print(f"simulate-1d N = {row['N']:3d}: {row['median_s']:.3f} s (median)")
-    for row in report["harmonic_table"]["curve"]:
-        print(
-            f"harmonic_table k_max = {row['k_max']:2d} ({row['keys']} keys): {row['point_us']:8.1f} us at one point, "
-            f"{row['grid_ms']:7.2f} ms on {row['grid_points']} nodes (median)"
-        )
-    for row in report["flaschka_surfaces"]["curve"]:
-        print(
-            f"flaschka_surfaces K = {row['K']:3d}  N = {row['N']}  t = {row['t']:5.1f}: "
-            f"{row['median_ms']:8.2f} ms (median)"
-        )
-    print(f"check_pseudo_toda: {1e3 * report['check_pseudo_toda']['median_s']:.1f} ms (median)")
-    print(f"check_kdq_kernel: {1e3 * report['check_kdq_kernel']['median_s']:.2f} ms (median)")
-    for row in report["hua_kernel"]["curve"]:
-        print(f"hua_kernel n = {row['n']} k_max = {row['k_max']:2d}: {row['median_us']:7.1f} us (median)")
-    for row in report["family"]["curve"]:
-        print(
-            f"family K = {row['K']:3d}: from_dict {row['measure_from_dict_us']:8.1f} us (measure), "
-            f"{row['pseudo_from_dict_us']:8.1f} us (pseudo state); evolve {row['evolve_us']:7.1f} us, "
-            f"riccati_evolve {row['riccati_evolve_us']:7.1f} us (median)"
-        )
-    for row in report["check_kdq_cauchy"]["curve"]:
-        print(
-            f"check_kdq_cauchy k_max = {row['k_max']} j_max = {CAUCHY_JMAX} ({row['cases']} cases): "
-            f"{row['median_ms']:6.2f} ms (median)"
-        )
-    for row in report["qr_flow"]["spectral_solve"]:
-        print(f"spectral_solve N = {row['N']:2d} at {row['times']:4d} times: {row['median_ms']:8.2f} ms (median)")
-    for row in report["qr_flow"]["family_jacobi"]:
-        print(f"family_jacobi K = {row['K']:3d} at t = {QR_FAMILY_T}: {row['median_ms']:7.2f} ms (median)")
-    for row in report["csv_stages"]["jacobi_eigenvalues"]:
-        print(f"jacobi_eigenvalues N = {row['N']:3d} on {row['rows']} rows: {row['median_ms']:8.2f} ms (median)")
-    for row in report["csv_stages"]["csv_text"]:
-        print(f"_csv_text N = {row['N']} on {row['rows']:5d} rows: {row['median_ms']:8.2f} ms (median)")
+    for record in records:
+        print(_text(record, list(trees)))
     return 0
 
 

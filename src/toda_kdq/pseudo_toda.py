@@ -115,10 +115,13 @@ def tilde_transform(k: int, lambdas, masses):
 def tilde_inverse(k: int, lambdas_tilde, masses_tilde):
     """Inverse map (lt, rt2) -> (sqrt(lt), rt2 lt^{-k/2}); requires lt > 0 when k > 0."""
     lt = np.asarray(lambdas_tilde, dtype=float)
-    mt = np.asarray(masses_tilde, dtype=float)
     if np.any(lt < 0.0):
         raise ValueError("tilde radii must be nonnegative")
-    lam = np.sqrt(lt)
+    return _untilde(k, np.sqrt(lt), np.asarray(masses_tilde, dtype=float))
+
+
+def _untilde(k: int, lam: np.ndarray, mt: np.ndarray):
+    # (lambda, rt2 lambda^{-k}) from the radii lambda themselves
     if k == 0:
         return lam, mt.copy()
     if np.any(lam == 0.0):
@@ -317,9 +320,10 @@ def state_to_measure(state: PseudoTodaState) -> PseudoPositiveMeasure:
     """Associated pseudo-positive measure: atoms lambda with untilded masses r^2.
 
     Requires lambda > 0 wherever k > 0 (the tilde map is not invertible at
-    zero radius).
+    zero radius).  The masses are r^2 = rt^2 / lambda^k from lambda itself,
+    so a radius whose square over- or underflows still maps.
     """
-    comps = {key: tilde_inverse(key[0], lambdas**2, masses) for key, lambdas, masses in state.family.items()}
+    comps = {key: _untilde(key[0], lambdas, masses) for key, lambdas, masses in state.family.items()}
     return PseudoPositiveMeasure(n=state.n, components=comps)
 
 

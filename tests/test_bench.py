@@ -1,0 +1,62 @@
+"""The layer-curve harness `bench/run.py`: its cases run on this tree, and a
+second tree loads as its own package."""
+
+import importlib.util
+import shutil
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+import toda_kdq
+import toda_kdq.cli  # noqa: F401  (the harness's cases reach cli through the package)
+from toda_kdq.moment_1d import JacobiMatrix
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def bench():
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_case_runs_on_src(bench):
+    # a name of src/ that a case needs and that is renamed or deleted fails here
+    for build, params in bench.CASES:
+        build(toda_kdq, **params)()
+
+
+def test_a_second_load_is_a_package_of_its_own(bench, tmp_path):
+    shutil.copytree(ROOT / "src" / "toda_kdq", tmp_path / "toda_kdq", ignore=shutil.ignore_patterns("__pycache__"))
+    try:
+        second = bench.load("toda_kdq_second", tmp_path)
+        for name in ("cli", "iso_flow", "kdq", "moment_1d", "pseudo_toda", "sphere", "toda_1d", "verify"):
+            module = getattr(second, name)
+            assert module is not getattr(toda_kdq, name)
+            assert module.__name__ == f"toda_kdq_second.{name}"
+            assert Path(module.__file__).resolve().is_relative_to(tmp_path.resolve())
+        assert second.toda_1d.JacobiMatrix is second.moment_1d.JacobiMatrix is not JacobiMatrix
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] == "toda_kdq_second"]:
+            del sys.modules[name]
+
+
+def test_a_case_is_absent_on_a_tree_that_lacks_its_name(bench):
+    state = JacobiMatrix(offdiag=[0.5], diag=[0.0, 0.0])
+
+    def solve(tk):
+        return lambda: tk.toda_1d.spectral_solve(state, [1.0])
+
+    def step(tk):
+        return lambda: tk.toda_1d.integrate_ensemble([state], 0.01)
+
+    older = SimpleNamespace(toda_1d=SimpleNamespace(spectral_solve=toda_kdq.toda_1d.spectral_solve))
+    solved, stepped = bench.measure([(solve, {}), (step, {})], {"this": toda_kdq, "against": older}, rounds=4)
+    assert solved["curve"] == "solve" and solved["against"]["median_s"] > 0.0
+    assert solved["ratio"]["pairs"] == 4 and 0 <= solved["ratio"]["wins"] <= 4
+    assert stepped["against"] is None and "ratio" not in stepped
+    assert stepped["this"]["median_s"] > 0.0

@@ -578,6 +578,21 @@ class TestMeasureBridge:
             val = kdq.markov_stieltjes(mu, p)
             assert np.isfinite(val.real) and np.isfinite(val.imag)
 
+    @pytest.mark.parametrize("lam", [[1e-170, 0.5], [0.5, 1e160]])
+    def test_radii_whose_square_leaves_the_double_range(self, lam):
+        # lambda^2 underflows to 0 or overflows to inf; r^2 = rt^2 / lambda
+        # comes from lambda itself
+        st = PseudoTodaState(3, {(1, 1): (lam, [0.5, 0.5])})
+        with np.errstate(all="raise"):
+            mu = state_to_measure(st)
+        assert mu.family.radii.tolist() == lam
+        assert mu.family.masses.tolist() == [0.5 / lam[0], 0.5 / lam[1]]
+
+    def test_zero_radius_at_positive_degree_raises(self):
+        st = PseudoTodaState(3, {(0, 1): ([0.0, 0.5], [0.5, 0.5]), (1, 1): ([0.0, 0.5], [0.5, 0.5])})
+        with pytest.raises(ZeroDivisionError, match="lambda = 0"):
+            state_to_measure(st)
+
 
 class TestSerialization:
     def test_json_roundtrip(self):

@@ -659,6 +659,53 @@ class TestQrFlow:
         assert peak < 2 * 2**20
 
 
+class TestVerifyLines:
+    @pytest.mark.parametrize(
+        "line, defect, fails, passes",
+        [
+            ("toda-isospectral-rk4", "rk4-step-weight", 1e-5, 5e-6),
+            ("toda-energy-conservation", "rk4-stage-weights", 1e-6, 5e-7),
+            ("toda-trace-identity", "eigenvalues", 1e-13, 5e-14),
+            ("toda-spectral-vs-rk4", "qr-couplings", 2e-6, 1e-6),
+            ("toda-closed-form-n2", "qr-offsets", 5e-6, 2e-6),
+        ],
+    )
+    def test_verify_line_fails_on_a_skew(self, monkeypatch, line, defect, fails, passes):
+        # a relative skew of the RK4 step weight dt/6 or of its stage weights
+        # dt/2 and dt, of the eigenvalues the check reads, or of the couplings
+        # or the time offsets of each QR step fails the verify-all line from
+        # `fails` up, and `passes` passes: the README records the smallest
+        # failing skew of 1, 2, 5 per decade
+        multiply, qr_steps, eigenvalues = toda_1d._multiply, toda_1d._qr_steps, verify.jacobi_eigenvalues
+
+        def observed(skew):
+            def rk4_multiply(w, x, out):
+                multiply(w, x, out)
+                # dt/6 scales the sum of the k's in place, an array of its own;
+                # the stage weights write h k into the stage buffer
+                if (x is out and out.base is None) if defect == "rk4-step-weight" else x is not out:
+                    out *= 1.0 + skew
+
+            def qr_couplings(*args):
+                b, a = qr_steps(*args)
+                return b, a * (1.0 + skew)
+
+            if defect.startswith("rk4"):
+                monkeypatch.setattr(toda_1d, "_multiply", rk4_multiply)
+            elif defect == "eigenvalues":
+                monkeypatch.setattr(verify, "jacobi_eigenvalues", lambda b, a: eigenvalues(b, a) * (1.0 + skew))
+            elif defect == "qr-couplings":
+                monkeypatch.setattr(toda_1d, "_qr_steps", qr_couplings)
+            else:
+                monkeypatch.setattr(toda_1d, "_qr_steps", lambda b, a, rows, s: qr_steps(b, a, rows, s * (1.0 + skew)))
+            ensemble = verify.toda_ensemble(verify._SEED + 4, (2, 3, 4, 5, 6), 2.0)
+            results = verify.check_toda_lax(ensemble) + verify.check_toda_spectral(ensemble, 2.0, 1e-2)
+            return {r.name: r for r in results}[line]
+
+        assert not observed(fails).passed
+        assert observed(passes).passed
+
+
 class TestAsymptotics:
     @staticmethod
     def limits(s0, t):
