@@ -154,6 +154,51 @@ def import_toda_kdq_cli(tk):
     return op
 
 
+# a small fixed input of each command (verify-all reads none) and its time flags
+_MEASURE = {
+    "n": 3,
+    "k_max": 1,
+    "components": [
+        {"k": 0, "ell": 1, "atoms": [0.5, 1.0], "weights": [0.5, 0.5]},
+        {"k": 1, "ell": 2, "atoms": [0.8], "weights": [1.0]},
+    ],
+}
+COMMANDS = {
+    "simulate-1d": ({"a": [0.5], "b": [0.0, 0.0]}, ["--t-final", "0.01"]),
+    "spectral-solve": ({"a": [0.5], "b": [0.0, 0.0]}, ["--t-final", "0.01"]),
+    "simulate-pseudo": (
+        {"n": 3, "components": [{"k": 0, "ell": 1, "lambdas": [0.5, 1.0], "masses_tilde": [0.25, 0.75]}]},
+        ["--t-final", "0.01"],
+    ),
+    "transform-eval": ({"measure": _MEASURE, "theta": [0.0, 0.0, 1.0], "zetas": [[2.0, 0.5]]}, []),
+    "nevanlinna-check": (
+        {"kind": "1d", "measure": {"atoms": [-1.0, 1.0], "weights": [0.5, 0.5]}, "N": 1, "y": [10.0, 100.0]},
+        [],
+    ),
+    "iso-flow": ({"measure": _MEASURE, "t_grid": [0.0, 1.0]}, []),
+    "verify-all": (None, []),
+}
+
+
+def cli_process(tk, command):
+    """A fresh interpreter that runs `python -m toda_kdq.cli command` from the
+    tree's `src/` on its input in COMMANDS, start-up included."""
+    src = Path(tk.__file__).resolve().parents[1]
+    config, flags = COMMANDS[command]
+    tmp = tempfile.TemporaryDirectory()  # removed with the op that holds it
+    argv = [sys.executable, "-m", "toda_kdq.cli", command, *flags, "--output", str(Path(tmp.name) / "out")]
+    if config is not None:
+        (Path(tmp.name) / "in.json").write_text(json.dumps(config))
+        argv += ["--input", str(Path(tmp.name) / "in.json")]
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def op(tmp=tmp):
+        # run in src/, the first entry of a -m interpreter's path
+        subprocess.run(argv, cwd=src, env=env, capture_output=True, timeout=60, check=True)
+
+    return op
+
+
 def rk4_step(tk, B, N, steps):
     """`steps` RK4 steps of `toda_1d.integrate_ensemble` on B random states of N sites (a list N: one of each)."""
     rng = np.random.default_rng(0)
@@ -253,6 +298,7 @@ def csv_text(tk, N, rows):
 # every curve and size; a verify check's seed is its offset in verify.run_all
 CASES = [
     (import_toda_kdq_cli, {}),
+    *[(cli_process, {"command": command}) for command in COMMANDS],
     *[(rk4_step, {"B": b, "N": n, "steps": 200}) for b in (1, 5, 20) for n in (2, 8, 32, 128)],
     (rk4_step, {"B": 5, "N": [2, 3, 4, 5, 6], "steps": 200}),  # the RK4 ensemble of verify-all
     (verify, {"check": "run_all"}),

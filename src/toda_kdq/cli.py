@@ -22,6 +22,9 @@ iso-flow        Functional values on a time grid plus monotonicity verdict;
 verify-all      Run the bundled invariant suite; prints one PASS/FAIL line
                 per check.
 
+Float fields hold JSON numbers only.  A list field takes a bare number as one
+entry and refuses a list of lists; zetas is a list of [re, im] pairs.
+
 Exit codes: 0 success, 2 configuration error, 3 numeric failure (positivity
 loss, divergence region, pole, overflow, an eigensolver that does not
 converge, or a failed check).  Outputs are byte-identical
@@ -33,7 +36,6 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -49,7 +51,7 @@ from .moment_1d import DiscreteMeasure, JacobiMatrix, _as_vector, _json_field, _
 from .sphere import as_direction
 from .verify import format_table, run_all
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["main"]
 
 # the commands whose CSV has one row per time 0, dt, ..., round(t_final/dt) dt
 _TIMED = ("simulate-1d", "spectral-solve", "simulate-pseudo")
@@ -60,47 +62,37 @@ _READS_TOL = ("nevanlinna-check", "iso-flow")
 _MAX_CELLS = 10**7
 
 
-class ConfigError(ValueError):
+class ConfigError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    output_path: str | None = None
-    t_final: float = 5.0
-    dt: float = 1e-3
-    k_max: int = kdq.DEFAULT_KMAX
-    tol: float | None = None
+def _validate(args: argparse.Namespace) -> None:
+    """ConfigError unless the parsed flags fit the command."""
+    if not (0.0 < args.t_final < np.inf and 0.0 < args.dt < np.inf):
+        raise ConfigError(f"t-final and dt must be positive and finite, got {args.t_final!r} and {args.dt!r}")
+    if args.command in _TIMED:
+        _rows(args, 1)
+    if args.k_max < 0:
+        raise ConfigError("kmax must be nonnegative")
+    if args.tol is not None and args.command in _READS_TOL and not 0.0 <= args.tol < np.inf:
+        raise ConfigError(f"--tol must be nonnegative and finite, got {args.tol!r}")
+    if args.command != "verify-all" and args.input_path is None:
+        raise ConfigError(f"{args.command} requires --input")
 
-    def validate(self):
-        if self.command not in _RUNNERS:
-            raise ConfigError(f"unknown command {self.command!r}")
-        if not (0.0 < self.t_final < np.inf and 0.0 < self.dt < np.inf):
-            raise ConfigError(f"t-final and dt must be positive and finite, got {self.t_final!r} and {self.dt!r}")
-        if self.command in _TIMED:
-            self.rows(1)
-        if self.k_max < 0:
-            raise ConfigError("kmax must be nonnegative")
-        if self.tol is not None and self.command in _READS_TOL and not 0.0 <= self.tol < np.inf:
-            raise ConfigError(f"--tol must be nonnegative and finite, got {self.tol!r}")
-        if self.command != "verify-all" and self.input_path is None:
-            raise ConfigError(f"{self.command} requires --input")
 
-    def rows(self, width: int) -> int:
-        """Row count of the time grid; ConfigError if rows x width exceeds
-        _MAX_CELLS or the last time round(t_final/dt) dt overflows."""
-        steps = self.t_final / self.dt
-        rows = round(steps) + 1 if steps < _MAX_CELLS else np.inf
-        if rows * width > _MAX_CELLS:
-            raise ConfigError(
-                f"a grid of t-final / dt = {steps!r} steps and {width} values a row "
-                f"exceeds {_MAX_CELLS} cells"
-            )
-        if not (rows - 1) * self.dt < np.inf:
-            raise ConfigError(f"the last time {rows - 1} * dt of the grid overflows")
-        return rows
+def _rows(args: argparse.Namespace, width: int) -> int:
+    """Row count of the time grid; ConfigError if rows x width exceeds
+    _MAX_CELLS or the last time round(t_final/dt) dt overflows."""
+    steps = args.t_final / args.dt
+    rows = round(steps) + 1 if steps < _MAX_CELLS else np.inf
+    if rows * width > _MAX_CELLS:
+        raise ConfigError(
+            f"a grid of t-final / dt = {steps!r} steps and {width} values a row "
+            f"exceeds {_MAX_CELLS} cells"
+        )
+    if not (rows - 1) * args.dt < np.inf:
+        raise ConfigError(f"the last time {rows - 1} * dt of the grid overflows")
+    return rows
 
 
 @contextmanager
@@ -109,8 +101,6 @@ def _stage(prefix: str, errors=(ValueError, TypeError)):
     a ConfigError of a stage inside it keeps its own prefix."""
     try:
         yield
-    except ConfigError:
-        raise
     except errors as exc:
         raise ConfigError(f"{prefix}{exc}") from exc
 
@@ -134,38 +124,31 @@ def _emit(text: str, output_path: str | None):
             fh.write(text)
 
 
-def _sample_times(cfg: RunConfig, width: int) -> np.ndarray:
-    return cfg.dt * np.arange(cfg.rows(width))
+def _sample_times(args: argparse.Namespace, width: int) -> np.ndarray:
+    return args.dt * np.arange(_rows(args, width))
 
 
-def _flaschka_from_config(data: dict) -> JacobiMatrix:
+def _run_lattice(args: argparse.Namespace) -> int:
+    data = _load_json(args.input_path)
     with _stage("bad 1-d state: "):
         a, b = (_as_vector(name, _json_float(data, name)) for name in ("a", "b"))
-        return JacobiMatrix(offdiag=a, diag=b)
-
-
-def _run_simulate_1d(cfg: RunConfig) -> int:
-    state = _flaschka_from_config(_load_json(cfg.input_path))
-    cfg.rows(state.n)  # before integrate_toda allocates the grid
-    traj = toda_1d.integrate_toda(state, cfg.t_final, cfg.dt)
-    _emit(toda_1d.trajectory_to_csv(traj), cfg.output_path)
+        state = JacobiMatrix(offdiag=a, diag=b)
+    if args.command == "simulate-1d":
+        _rows(args, state.n)  # before integrate_toda allocates the grid
+        traj = toda_1d.integrate_toda(state, args.t_final, args.dt)
+    else:
+        traj = toda_1d.spectral_solve(state, _sample_times(args, state.n))
+    _emit(toda_1d.trajectory_to_csv(traj), args.output_path)
     return 0
 
 
-def _run_spectral_solve(cfg: RunConfig) -> int:
-    state = _flaschka_from_config(_load_json(cfg.input_path))
-    traj = toda_1d.spectral_solve(state, _sample_times(cfg, state.n))
-    _emit(toda_1d.trajectory_to_csv(traj), cfg.output_path)
-    return 0
-
-
-def _run_simulate_pseudo(cfg: RunConfig) -> int:
-    data = _load_json(cfg.input_path)
+def _run_simulate_pseudo(args: argparse.Namespace) -> int:
+    data = _load_json(args.input_path)
     with _stage("bad pseudo state: "):
         state = pseudo_toda.PseudoTodaState.from_dict(data)
         state.common_size()  # the CSV needs one atom count shared by all components
-    times = _sample_times(cfg, state.family.radii.size)
-    _emit(pseudo_toda.state_trajectory_csv(state, times), cfg.output_path)
+    times = _sample_times(args, state.family.radii.size)
+    _emit(pseudo_toda.state_trajectory_csv(state, times), args.output_path)
     return 0
 
 
@@ -174,23 +157,25 @@ def _measure_from_config(data: dict, reader=kdq.PseudoPositiveMeasure.from_dict)
         return reader(_json_field(data, "measure"))
 
 
-def _run_transform_eval(cfg: RunConfig) -> int:
-    data = _load_json(cfg.input_path)
-    mu = _measure_from_config(data)
-    mu = mu.truncated(cfg.k_max)  # --kmax truncates the component series
+def _run_transform_eval(args: argparse.Namespace) -> int:
+    data = _load_json(args.input_path)
+    mu = _measure_from_config(data).truncated(args.k_max)  # --kmax truncates the component series
     with _stage("bad transform-eval config: "):
         theta = as_direction(mu.n, _json_float(data, "theta"))
-        zetas = [complex(re, im) for re, im in _json_float(data, "zetas").tolist()]
+        pairs = _json_float(data, "zetas")
+        if pairs.shape != (0,) and pairs.shape[1:] != (2,):
+            raise ValueError(f"zetas must be a list of [re, im] pairs, got shape {pairs.shape}")
+        zetas = pairs.reshape(-1, 2).view(complex)[:, 0].tolist()
         if not np.all(np.isfinite(zetas)):
             raise ValueError(f"zetas must be finite, got {zetas}")
     vals = kdq.markov_stieltjes(mu, [kdq.KDQPoint(z, theta) for z in zetas])
     rows = [[z.real, z.imag, val.real, val.imag] for z, val in zip(zetas, vals)]
-    _emit(toda_1d._csv_text(["zeta_re", "zeta_im", "value_re", "value_im"], rows), cfg.output_path)
+    _emit(toda_1d._csv_text(["zeta_re", "zeta_im", "value_re", "value_im"], rows), args.output_path)
     return 0
 
 
-def _run_nevanlinna(cfg: RunConfig) -> int:
-    data = _load_json(cfg.input_path)
+def _run_nevanlinna(args: argparse.Namespace) -> int:
+    data = _load_json(args.input_path)
     kind = data.get("kind", "1d")
     if kind not in ("1d", "multi"):
         raise ConfigError(f"unknown nevanlinna kind {kind!r}")
@@ -200,7 +185,7 @@ def _run_nevanlinna(cfg: RunConfig) -> int:
         if kind == "multi":
             idx = (_json_int(data, "k"), _json_int(data, "ell"))
         n_trunc = _json_int(data, "N")
-        points = [float(v) for v in _json_float(data, grid).tolist()]
+        points = _as_vector(grid, _json_float(data, grid)).tolist()
         if n_trunc < 0 or not points:
             raise ValueError(f"need N >= 0 and a nonempty {grid}")
         if not all(0.0 < v < np.inf for v in points):
@@ -216,40 +201,39 @@ def _run_nevanlinna(cfg: RunConfig) -> int:
         res = nevanlinna_limit_check(mu, n_trunc, points)
     else:
         res = kdq.multi_nevanlinna_check(mu, idx, n_trunc, [v * np.exp(1j * np.pi / 4) for v in points])
-    _emit(toda_1d._csv_text([grid, "residual"], np.column_stack([points, res])), cfg.output_path)
+    _emit(toda_1d._csv_text([grid, "residual"], np.column_stack([points, res])), args.output_path)
     res = res.tolist()
     rise = next((i for i in range(1, len(res)) if not res[i] < res[i - 1]), None)
     if rise is not None:
         failure = f"at {grid} = {points[rise]!r} the residual {res[rise]!r} does not decrease from {res[rise - 1]!r}"
-    elif cfg.tol is not None and not res[-1] <= cfg.tol:
-        failure = f"at {grid} = {points[-1]!r} the last residual {res[-1]!r} is above --tol {cfg.tol!r}"
+    elif args.tol is not None and not res[-1] <= args.tol:
+        failure = f"at {grid} = {points[-1]!r} the last residual {res[-1]!r} is above --tol {args.tol!r}"
     else:
         return 0
     sys.stderr.write(f"numeric failure: {failure}\n")
     return 3
 
 
-def _run_iso_flow(cfg: RunConfig) -> int:
-    data = _load_json(cfg.input_path)
+def _run_iso_flow(args: argparse.Namespace) -> int:
+    data = _load_json(args.input_path)
     mu = _measure_from_config(data)
-    t_grid = _sample_times(cfg, len(mu.family.keys)) if "t_grid" not in data else None
-    with _stage("bad iso-flow config: ", (ValueError, TypeError)):
+    times = _sample_times(args, len(mu.family.keys)) if "t_grid" not in data else None
+    with _stage("bad iso-flow config: "):
         if not mu.family.keys:
             raise ValueError("the measure has no components")
         state = iso_flow.state_from_measure(mu)  # every component needs an atom
-        times = [float(t) for t in (_json_float(data, "t_grid").tolist() if t_grid is None else t_grid)]
-    tol = cfg.tol if cfg.tol is not None else 1e-12
-    with _stage("", (ValueError,)):  # a grid time at or past the backward blow-up
+        times = iso_flow._grid_times(_json_float(data, "t_grid") if times is None else times)
+    tol = args.tol if args.tol is not None else 1e-12
+    with _stage("", (ValueError,)):  # a time whose central difference cannot stay after the blow-up
         rep = iso_flow.monotonicity_check(state, times, tol=tol)
     keys = sorted(rep.values)
     header = ["t"] + [f"S_k{k}_l{ell}" for k, ell in keys]
     table = np.column_stack([rep.times] + [rep.values[key] for key in keys])
-    _emit(toda_1d._csv_text(header, table), cfg.output_path)
-    summary = (
+    _emit(toda_1d._csv_text(header, table), args.output_path)
+    sys.stdout.write(
         f"monotone={rep.passed} max_increase={rep.max_increase!r} "
         f"max_derivative_residual={rep.max_derivative_residual!r}\n"
     )
-    sys.stdout.write(summary)
     if rep.passed:
         return 0
     rises = np.diff(table[:, 1:], axis=0)
@@ -261,45 +245,24 @@ def _run_iso_flow(cfg: RunConfig) -> int:
     return 3
 
 
-def _run_verify_all(cfg: RunConfig) -> int:
+def _run_verify_all(args: argparse.Namespace) -> int:
     results = run_all()
     table = format_table(results)
     sys.stdout.write(table)
-    if cfg.output_path is not None:
-        _emit(table, cfg.output_path)
+    if args.output_path is not None:
+        _emit(table, args.output_path)
     return 0 if all(r.passed for r in results) else 3
 
 
 _RUNNERS = {
-    "simulate-1d": _run_simulate_1d,
-    "spectral-solve": _run_spectral_solve,
+    "simulate-1d": _run_lattice,
+    "spectral-solve": _run_lattice,
     "simulate-pseudo": _run_simulate_pseudo,
     "transform-eval": _run_transform_eval,
     "nevanlinna-check": _run_nevanlinna,
     "iso-flow": _run_iso_flow,
     "verify-all": _run_verify_all,
 }
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute one command; returns the process exit code."""
-    try:
-        cfg.validate()
-        return _RUNNERS[cfg.command](cfg)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
-    except (
-        PositivityLossError,
-        DivergenceRegionError,
-        PoleError,
-        RankDeficiencyError,
-        OverflowError,
-        ZeroDivisionError,
-        np.linalg.LinAlgError,
-    ) as exc:
-        sys.stderr.write(f"numeric failure: {exc}\n")
-        return 3
 
 
 @cache  # built on the first `main` call, not at import: one parser per process
@@ -316,9 +279,25 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Parse `argv` (default: the process's arguments), check and run; returns the exit code."""
     args = _parser().parse_args(argv)
-    cfg = RunConfig(**vars(args))
-    return run(cfg)
+    try:
+        _validate(args)
+        return _RUNNERS[args.command](args)
+    except ConfigError as exc:
+        sys.stderr.write(f"config error: {exc}\n")
+        return 2
+    except (
+        PositivityLossError,
+        DivergenceRegionError,
+        PoleError,
+        RankDeficiencyError,
+        OverflowError,
+        ZeroDivisionError,
+        np.linalg.LinAlgError,
+    ) as exc:
+        sys.stderr.write(f"numeric failure: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kdq import ComponentFamily, PseudoPositiveMeasure
+from .moment_1d import _as_vector
 
 __all__ = [
     "IsoFlowState",
@@ -124,23 +125,39 @@ class MonotonicityReport:
     passed: bool
 
 
+def _grid_times(t_grid) -> np.ndarray:
+    """The times of `t_grid` in ascending order; ValueError naming `t_grid`
+    unless it holds at least two times, each >= 0."""
+    times = _as_vector("t_grid", t_grid)
+    if times.size < 2:
+        raise ValueError(f"t_grid must hold at least two times, got {times.tolist()}")
+    i = int(np.argmin(times >= 0.0))  # the first time that is not >= 0, NaN included
+    if not times[i] >= 0.0:
+        raise ValueError(f"t_grid entries must be >= 0, got t_grid[{i}] = {float(times[i])!r}")
+    return np.sort(times, kind="stable")
+
+
 def monotonicity_check(state: IsoFlowState, t_grid, dt: float = 1e-4, tol: float = 1e-12) -> MonotonicityReport:
     """Verify S_{k,l} never increases along the flow on the given grid.
 
     Also checks dS/dt = -2 sum r^3/lambda^{k-1} against central differences
     of the closed-form evolution at every grid point (O(dt^2) agreement).
+    At a time t whose backward point t - dt would reach the blow-up time,
+    the step is h = (t - t_blow)/2 instead, where t - h stays after it.
     """
-    times = np.asarray(sorted(float(t) for t in t_grid))
-    if times.size < 2 or times[0] < 0.0:
-        raise ValueError("need at least two grid times with t >= 0")
+    times = _grid_times(t_grid)
     fam = state.family
     if not fam.keys:
         raise ValueError("state has no components")
+    t_blow = blow_up_time(state)
+    half = (times - state.time - t_blow) / 2.0  # 0 where no step fits, as at t_blow = -0.0
+    h = np.where((times - dt - state.time <= t_blow) & (half > 0.0), half, dt)
     masses = _riccati(state, times - state.time, True)
-    masses_m = _riccati(state, times - dt - state.time, True)
-    masses_p = _riccati(state, times + dt - state.time, False)
+    masses_m = _riccati(state, times - h - state.time, True)
+    masses_p = _riccati(state, times + h - state.time, False)
     values = _functionals(fam, masses)
-    ds_num = (_functionals(fam, masses_p) - _functionals(fam, masses_m)) / (2.0 * dt)
+    with np.errstate(over="ignore"):  # a step h near 0 may overflow a difference quotient
+        ds_num = (_functionals(fam, masses_p) - _functionals(fam, masses_m)) / (2.0 * h[:, None])
     max_resid = _max_positive(np.abs(ds_num - _ds_dt(fam, masses)))
     max_inc = _max_positive(np.diff(values, axis=0))
     return MonotonicityReport(

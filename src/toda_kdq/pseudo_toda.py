@@ -94,7 +94,10 @@ class PseudoTodaState:
     @classmethod
     def from_dict(cls, d: dict) -> "PseudoTodaState":
         comps = _read_components(d, _FIELDS)
-        return cls(_json_int(d, "n"), comps, float(_json_float(d, "t", 0.0)))
+        n, t = _json_int(d, "n"), _json_float(d, "t", 0.0)
+        if t.ndim:
+            raise TypeError(f"t must be one JSON number, got shape {t.shape}")
+        return cls(n, comps, float(t))
 
 
 def tilde_transform(k: int, lambdas, masses):

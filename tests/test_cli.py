@@ -960,6 +960,16 @@ class TestIsoFlowCommand:
         assert main(["iso-flow", "--input", cfg, "--output", str(tmp_path / "s.csv")]) == 0
         assert capsys.readouterr() == (f"monotone=True {summary}", "")
 
+    def test_central_difference_stays_after_the_blow_up(self, tmp_path, capsys):
+        # lambda sqrt(m) = 1e4 = 1/dt puts the backward blow-up at -dt, the
+        # backward point of t = 0, which then takes the step dt/2
+        measure = {"n": 3, "k_max": 0, "components": [{"k": 0, "ell": 1, "atoms": [100.0], "weights": [1e4]}]}
+        cfg = write_json(tmp_path / "iso.json", {"measure": measure, "t_grid": [0.0, 1.0]})
+        out = tmp_path / "s.csv"
+        assert main(["iso-flow", "--input", cfg, "--output", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("monotone=True max_increase=0.0 ")
+        assert out.read_text() == "t,S_k0_l1\n0.0,10000.0\n1.0,9.998000299960007e-05\n"
+
     def test_no_rise_of_a_large_mass_at_a_tiny_time(self, tmp_path, capsys):
         # uncapped, the mass 20000.74 read fl(sqrt(m))^2 = m + 3.6e-12 at
         # t = 1e-300, a rise above the default --tol 1e-12
@@ -1329,6 +1339,55 @@ class TestFloatFields:
     def test_nested_lattice_field(self, command, config, message):
         # a list of lists is refused, not flattened
         assert run_in_process([command], config) == (2, f"config error: bad 1-d state: {message}\n")
+
+    MULTI = {"kind": "multi", "measure": MEASURE, "k": 0, "ell": 1, "N": 1}
+
+    @pytest.mark.parametrize(
+        "command, config, field, stage",
+        [
+            ("transform-eval", dict(TRANSFORM, zetas=[2.0, 0.0]), "zetas", "bad transform-eval config"),
+            ("transform-eval", dict(TRANSFORM, zetas=[[2.0, 0.0, 1.0]]), "zetas", "bad transform-eval config"),
+            ("transform-eval", dict(TRANSFORM, zetas=2.0), "zetas", "bad transform-eval config"),
+            ("nevanlinna-check", {"kind": "1d", "measure": MEASURE_1D, "N": 1, "y": [[10.0, 100.0]]}, "y", "bad nevanlinna config"),
+            ("nevanlinna-check", dict(MULTI, zeta_abs=[[4.0, 8.0]]), "zeta_abs", "bad nevanlinna config"),
+            ("iso-flow", {"measure": MEASURE, "t_grid": [[0.0, 1.0]]}, "t_grid", "bad iso-flow config"),
+            ("iso-flow", {"measure": MEASURE, "t_grid": 1.0}, "t_grid", "bad iso-flow config"),
+            ("iso-flow", {"measure": MEASURE, "t_grid": [0.0, float("nan")]}, "t_grid", "bad iso-flow config"),
+            ("iso-flow", {"measure": MEASURE, "t_grid": [0.0]}, "t_grid", "bad iso-flow config"),
+            ("iso-flow", {"measure": MEASURE, "t_grid": [-1.0, 1.0]}, "t_grid", "bad iso-flow config"),
+            ("simulate-pseudo", dict(PSEUDO, t=[0.0]), "t", "bad pseudo state"),
+        ],
+        ids=[
+            "zetas-one-pair-unnested",
+            "zetas-triple",
+            "zetas-number",
+            "y-nested",
+            "zeta_abs-nested",
+            "t_grid-nested",
+            "t_grid-number",
+            "t_grid-nan",
+            "t_grid-one-time",
+            "t_grid-negative",
+            "t-list",
+        ],
+    )
+    def test_wrong_shape(self, command, config, field, stage):
+        # each message starts with its stage and the field it names
+        code, err = run_in_process([command], config)
+        assert code == 2 and err.startswith(f"config error: {stage}: {field} "), err
+
+    @pytest.mark.parametrize(
+        "field, config",
+        [("y", {"kind": "1d", "measure": MEASURE_1D, "N": 1}), ("zeta_abs", MULTI)],
+    )
+    def test_bare_number_is_one_point(self, tmp_path, field, config):
+        # the reading of every 1-d float field: a bare number is one entry
+        tables = []
+        for value in (10.0, [10.0]):
+            path = write_json(tmp_path / "in.json", dict(config, **{field: value}))
+            assert main(["nevanlinna-check", "--input", path, "--output", str(tmp_path / "out.csv")]) == 0
+            tables.append((tmp_path / "out.csv").read_text())
+        assert tables[0] == tables[1] and tables[0].startswith(f"{field},residual\n10.0,")
 
 
 class TestHalfLine:

@@ -128,3 +128,15 @@ class TestSharedSchema:
         # zero-mass atom dropped on serialization
         assert np.array_equal(back.family.component((0, 1))[0], [0.5])
         assert np.array_equal(back.family.component((2, 1))[1], [0.4])
+
+
+class TestCentralDifference:
+    def test_step_halves_before_the_blow_up(self):
+        # lambda r(0) = 1e4 puts the blow-up at -1e-4, the backward point of
+        # t = 0 at dt = 1e-4: t = 0 takes h = 5e-5, t = 1 keeps dt
+        def mass(t):
+            return (100.0 / (1.0 + 1e4 * t)) ** 2
+
+        rep = monotonicity_check(IsoFlowState({(0, 1): ([100.0], [1e4])}), [0.0, 1.0])
+        at_zero = abs((mass(5e-5) - mass(-5e-5)) / 1e-4 + 2e8)  # dS/dt(0) = -2 r^3 lambda
+        assert rep.max_derivative_residual == pytest.approx(at_zero, rel=1e-12)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
+from toda_kdq import moment_1d, verify
 from toda_kdq.errors import PoleError, RankDeficiencyError
 from toda_kdq.iso_flow import IsoFlowState
 from toda_kdq.moment_1d import (
@@ -415,3 +416,43 @@ class TestNevanlinna:
             res = nevanlinna_limit_check(mu, n, [10.0, 100.0, 1000.0])
             assert np.all(np.diff(res) < 0.0)
             assert res[-1] <= 1e-3 * res[0]
+
+
+class TestVerifyLines:
+    @pytest.mark.parametrize(
+        "line, defect, fails, passes",
+        [
+            ("moment-inverse-roundtrip", "lanczos-alphas", 5e-11, 2e-11),
+            ("moment-cf-resolvent-eigen", "eigh-couplings", 2e-11, 1e-11),
+            ("moment-nevanlinna-decay", "remainder-weights", 2e-2, 1e-2),
+        ],
+    )
+    def test_verify_line_fails_on_a_skew(self, monkeypatch, line, defect, fails, passes):
+        # a relative skew of the Lanczos diagonal coefficients, of the
+        # couplings of the matrix that spectral_data_from_jacobi decomposes,
+        # or of the weights of the positive atoms that the moment remainder
+        # reads fails the verify-all line from `fails` up, and `passes`
+        # passes: the README records the smallest failing skew of 1, 2, 5
+        # per decade
+        lanczos, dense_rows, remainder = moment_1d._lanczos, moment_1d._dense_rows, moment_1d._moment_remainder
+
+        def observed(skew):
+            def skewed_lanczos(*args, **kwargs):
+                alphas, sb = lanczos(*args, **kwargs)
+                return alphas * (1.0 + skew), sb
+
+            def skewed_weights(atoms, weights, n, z):
+                return remainder(atoms, weights * np.where(atoms > 0.0, 1.0 + skew, 1.0), n, z)
+
+            if defect == "lanczos-alphas":
+                monkeypatch.setattr(moment_1d, "_lanczos", skewed_lanczos)
+                return verify.check_moment_roundtrip(verify._SEED + 1, sizes=(6,) * 5)[0]
+            if defect == "eigh-couplings":
+                monkeypatch.setattr(moment_1d, "_dense_rows", lambda diag, offdiag: dense_rows(diag, offdiag * (1.0 + skew)))
+                return verify.check_moment_triple(verify._SEED + 2, trials=20)[0]
+            monkeypatch.setattr(moment_1d, "_moment_remainder", skewed_weights)
+            return verify.check_moment_nevanlinna(verify._SEED + 3, n_measures=1)[0]
+
+        assert observed(0.0).name == line
+        assert not observed(fails).passed
+        assert observed(passes).passed
