@@ -250,8 +250,10 @@ def hua_kernel(tk, n, k_max):
 
 def family(tk, K, N, op):
     """One `op` on K components of N atoms: reading a JSON-decoded measure
-    (measure_from_dict) or pseudo-Toda state (pseudo_from_dict), or
-    `pseudo_toda.evolve` or `iso_flow.riccati_evolve` of such a state to t = 1."""
+    (measure_from_dict) or pseudo-Toda state (pseudo_from_dict),
+    `pseudo_toda.evolve` or `iso_flow.riccati_evolve` of such a state to t = 1,
+    or `kdq.markov_stieltjes` of the measure at 8 points zeta THETA with
+    |zeta| = 2 and arg zeta in [-1.2, 1.2]."""
     comps = _s2_components(4, K, N)
 
     def config(atoms, weights, **fields):  # as decoded from a JSON file: lists of Python floats
@@ -260,12 +262,15 @@ def family(tk, K, N, op):
 
     measure, pseudo = config("atoms", "weights"), config("lambdas", "masses_tilde", t=0.0)
     state = tk.pseudo_toda.PseudoTodaState(3, comps)
-    riccati = tk.iso_flow.state_from_measure(tk.kdq.PseudoPositiveMeasure(3, comps))
+    mu = tk.kdq.PseudoPositiveMeasure(3, comps)
+    riccati = tk.iso_flow.state_from_measure(mu)
+    points = [tk.kdq.KDQPoint(2.0 * np.exp(1j * a), THETA) for a in np.linspace(-1.2, 1.2, 8)]
     return {
         "measure_from_dict": lambda: tk.kdq.PseudoPositiveMeasure.from_dict(measure),
         "pseudo_from_dict": lambda: tk.pseudo_toda.PseudoTodaState.from_dict(pseudo),
         "evolve": lambda: tk.pseudo_toda.evolve(state, 1.0),
         "riccati_evolve": lambda: tk.iso_flow.riccati_evolve(riccati, 1.0),
+        "markov_stieltjes": lambda: tk.kdq.markov_stieltjes(mu, points),
     }[op]
 
 
@@ -309,7 +314,7 @@ CASES = [
     (verify, {"check": "check_kdq_kernel", "seed": 5, "trials": 15}),  # at its verify-all size
     *[(hua_kernel, {"n": n, "k_max": k}) for n in (2, 3) for k in (5, 10, 20, 40, 80)],  # 40 in verify-all
     *[(family, {"K": K, "N": 4, "op": op}) for K in (9, 25, 81, 289, 625)
-      for op in ("measure_from_dict", "pseudo_from_dict", "evolve", "riccati_evolve")],
+      for op in ("measure_from_dict", "pseudo_from_dict", "evolve", "riccati_evolve", "markov_stieltjes")],
     *[(verify, {"check": "check_kdq_cauchy", "seed": 6, "k_max": k, "j_max": 2}) for k in (1, 2, 3, 4, 5)],
     *[(spectral_solve, {"N": n, "times": 101, "t_final": 10.0}) for n in (2, 4, 8, 16, 32, 64)],
     *[(spectral_solve, {"N": 8, "times": c, "t_final": 10.0}) for c in (1, 11, 1001)],  # and 101, above

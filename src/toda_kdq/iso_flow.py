@@ -63,13 +63,18 @@ def _riccati(state: IsoFlowState, times, allow_backward: bool) -> np.ndarray:
             raise ValueError(f"t = {float(beyond[0])} is at or beyond the backward blow-up time {t_blow}")
     r0 = np.sqrt(state.family.masses)
     with np.errstate(over="ignore", invalid="ignore"):  # a mass that is not finite is refused below
-        masses = (r0 / (1.0 + state.family.radii * r0 * times[:, None])) ** 2
+        rate = state.family.radii * r0
+        masses = (r0 / (1.0 + rate * times[:, None])) ** 2
     # for t > 0 at most the masses themselves, which the exact flow only lowers but
     # fl(sqrt(m))^2 may exceed; at t = 0, where lambda r(0) t may be inf * 0, the masses
     np.minimum(masses, state.family.masses, out=masses, where=times[:, None] > 0.0)
     masses[times == 0.0] = state.family.masses
     if not np.isfinite(masses).all():
-        raise ValueError("masses entries must be finite")
+        # at t = inf, 1 + lambda r(0) t is 1 + 0 * inf = NaN where lambda r(0) = 0,
+        # whose r(0) stays; every other mass is 0 there
+        masses[np.isinf(times)] = np.where(rate == 0.0, np.minimum(r0**2, state.family.masses), 0.0)
+        if not np.isfinite(masses).all():
+            raise ValueError("masses entries must be finite")
     return masses
 
 

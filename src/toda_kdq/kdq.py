@@ -33,6 +33,7 @@ bitwise reproducible.
 """
 
 import cmath
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DivergenceRegionError, PoleError
-from .moment_1d import _as_vector, _freeze_fields, _json_field, _json_float, _json_int, _moment_remainder, _sorted_atoms
+from .moment_1d import _JSON_NUMBERS, _as_vector, _freeze_fields, _json_field, _json_float, _json_int, _merge_coincident, _moment_remainder, _sorted_atoms
 from .sphere import _harmonic_core, as_direction, check_indices, dim_harmonics, harmonic_table, solid_harmonic, sphere_nodes
 
 __all__ = [
@@ -120,24 +121,42 @@ class ComponentFamily:
             arr.setflags(write=False)
 
     @classmethod
-    def pack(cls, components: dict, names=("radii", "masses"), min_size: int = 0) -> "ComponentFamily":
-        """Pack a map (k, ell) -> (radii, masses) in ascending (k, ell) order.
+    def pack(cls, components, names=("radii", "masses"), min_size: int = 0) -> "ComponentFamily":
+        """Pack a map (k, ell) -> (radii, masses) in ascending (k, ell) order; a
+        family `_read_components` packed is returned as it is.
 
         Arrays of different sizes or with fewer than `min_size` atoms, or with
         an entry that is not finite, raise ValueError naming the field.
         """
-        table = {}
-        for key, arrays in components.items():
-            r, m = (_as_vector(name, arr) for name, arr in zip(names, arrays))
-            if r.shape != m.shape or r.size < min_size:
-                raise ValueError(f"{names[0]} and {names[1]} must be matching 1-d arrays")
-            table[(int(key[0]), int(key[1]))] = (r, m)
-        keys = tuple(sorted(table))
-        flat = [np.concatenate([np.empty(0)] + [table[key][i] for key in keys]) for i in (0, 1)]
+        if isinstance(components, ComponentFamily):
+            return components
+        vectors = [[_as_vector(name, arr) for name, arr in zip(names, arrays)] for arrays in components.values()]
+        keys = [(int(k), int(ell)) for k, ell in components]
+        sizes = [[pair[i].size for pair in vectors] for i in (0, 1)]
+        flat = [np.concatenate([np.empty(0)] + [pair[i] for pair in vectors]) for i in (0, 1)]
+        return cls._gather(keys, sizes, flat, names, min_size)
+
+    @classmethod
+    def _gather(cls, keys: list, sizes: list, flat: list, names: tuple, min_size: int) -> "ComponentFamily":
+        # entry i of keys owns the next sizes[0][i] radii and sizes[1][i]
+        # masses of the two flat arrays; a repeated key keeps its last entry,
+        # and the kept entries go in ascending key order
+        last = dict(zip(keys, range(len(keys))))
+        order = sorted(last)
+        counts = np.array(sizes, dtype=np.intp).reshape(2, len(keys))
+        take = None if order == keys else [last[key] for key in order]
+        kept = counts if take is None else counts[:, take]
+        if (kept[0] != kept[1]).any() or (kept[0] < min_size).any():
+            raise ValueError(f"{names[0]} and {names[1]} must be matching 1-d arrays")
+        offsets = np.zeros(len(order) + 1, dtype=np.int64)
+        np.cumsum(kept[0], out=offsets[1:])
+        if take is not None:
+            starts = np.cumsum(counts, axis=1) - counts
+            flat = [arr[np.repeat(starts[i, take] - offsets[:-1], kept[0]) + np.arange(offsets[-1])] for i, arr in enumerate(flat)]
         for name, arr in zip(names, flat):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} entries must be finite")
-        return cls(keys, np.cumsum([0] + [table[key][0].size for key in keys]), *flat)
+        return cls(tuple(order), offsets, *flat)
 
     @cached_property
     def sizes(self) -> np.ndarray:
@@ -178,7 +197,7 @@ class ComponentFamily:
     def compress(self, keep, masses=None) -> "ComponentFamily":
         """The atoms where `keep` holds, with `masses` if given; a component left empty drops."""
         counts = np.diff(np.concatenate([[0], np.cumsum(keep)])[self.offsets])
-        keys = tuple(key for key, c in zip(self.keys, counts.tolist()) if c)
+        keys = tuple(itertools.compress(self.keys, counts.tolist()))
         masses = self.masses if masses is None else masses
         return ComponentFamily(keys, np.cumsum([0] + counts[counts > 0].tolist()), self.radii[keep], masses[keep])
 
@@ -212,8 +231,9 @@ class PseudoPositiveMeasure:
 
     Absent indices mean a zero component.  Every stored component lives on
     the half-line (atoms >= 0) and k runs up to the truncation degree k_max.
-    `components` maps (k, ell) -> (atoms, weights); each component is
-    checked, sorted and merged as a `DiscreteMeasure` of its own.
+    `components` maps (k, ell) -> (atoms, weights), or is the family
+    `_read_components` packed; each component is checked, sorted and merged
+    as a `DiscreteMeasure` of its own.
     """
 
     def __init__(self, n: int, components=None, k_max: int = -1):
@@ -253,26 +273,55 @@ class PseudoPositiveMeasure:
         return cls(_json_int(d, "n"), comps, k_max=_json_int(d, "k_max", -1))
 
 
-def _read_components(d: dict, names: tuple) -> dict:
-    """The JSON list d["components"] of {"k", "ell", *names} objects as a map
-    (k, ell) -> the two float arrays, a repeated index keeping its last entry;
-    TypeError naming `components` or `components[i]` if it is not a list or not
-    an object, and an error naming `components[i]` and the field it lacks or
-    holds wrong."""
+def _read_components(d: dict, names: tuple, min_size: int = 0) -> ComponentFamily:
+    """The JSON list d["components"] of {"k", "ell", *names} objects, packed
+    in one pass as `ComponentFamily.pack` packs a map (a repeated index keeps
+    its last entry); TypeError naming `components` or `components[i]` if it
+    is not a list or not an object, and an error naming `components[i]` and
+    the field it lacks or holds wrong."""
     comps = _json_field(d, "components")
     if type(comps) is not list:
         raise TypeError(f"components must be a JSON list, got {comps!r}")
-    out = {}
+    fields = ("k", "ell", *names)
+    entries = []
     for i, c in enumerate(comps):
         if type(c) is not dict:
             raise TypeError(f"components[{i}] must be a JSON object, got {c!r}")
-        try:
-            out[(_json_int(c, "k"), _json_int(c, "ell"))] = (_json_float(c, names[0]), _json_float(c, names[1]))
-        except (TypeError, ValueError) as exc:
-            missing = [name for name in ("k", "ell", *names) if name not in c]
-            detail = f" has no field {missing[0]!r}" if missing else f": {exc}"
-            raise type(exc)(f"components[{i}]{detail}") from None
-    return out
+        entry = tuple(map(c.get, fields))
+        if type(entry[0]) is not int or type(entry[1]) is not int or type(entry[2]) is not list or type(entry[3]) is not list:
+            entry = _read_entry(i, c, names)
+        entries.append(entry)
+    keys, sizes, flat = _columns(entries)
+    try:
+        if not all(_JSON_NUMBERS.issuperset(map(type, values)) for values in flat):
+            raise TypeError("a list holds more than JSON numbers")
+        arrays = [np.array(values, dtype=float) for values in flat]
+    except (TypeError, OverflowError):
+        # a value that is not a number, a list of lists, or an integer too
+        # large for a double: read entry by entry, which names the entry at
+        # fault (or reads a nested empty list as no atoms)
+        keys, sizes, flat = _columns([_read_entry(i, c, names) for i, c in enumerate(comps)])
+        arrays = [np.array(values, dtype=float) for values in flat]
+    return ComponentFamily._gather(keys, sizes, arrays, names, min_size)
+
+
+def _columns(entries: list) -> tuple:
+    # (k, ell, radii list, masses list) per entry -> the keys, the two lists
+    # of sizes and the two flat lists of values
+    k, ell, radii, masses = zip(*entries) if entries else ((),) * 4
+    sizes = [list(map(len, radii)), list(map(len, masses))]
+    return list(zip(k, ell)), sizes, [list(itertools.chain.from_iterable(radii)), list(itertools.chain.from_iterable(masses))]
+
+
+def _read_entry(i: int, c: dict, names: tuple) -> tuple:
+    # components[i] read field by field, (k, ell, radii list, masses list), or
+    # the error that names it and the field it lacks or holds wrong
+    try:
+        return (_json_int(c, "k"), _json_int(c, "ell"), *(_as_vector(name, _json_float(c, name)).tolist() for name in names))
+    except (TypeError, ValueError) as exc:
+        missing = [name for name in ("k", "ell", *names) if name not in c]
+        detail = f" has no field {missing[0]!r}" if missing else f": {exc}"
+        raise type(exc)(f"components[{i}]{detail}") from None
 
 
 def _write_components(family: ComponentFamily, names: tuple) -> list:
@@ -508,9 +557,10 @@ def cauchy_reproduce(poly: AlmansiPolynomial, x) -> complex:
 
 def _tilde_family(mu: PseudoPositiveMeasure) -> ComponentFamily:
     # pushforward of r^k dmu_{k,l}(r) under rho = r^2 for every component,
-    # sorted and merged as a DiscreteMeasure of its own; an atom at r = 0
-    # with k > 0 carries zero tilde weight and drops, and so does a
-    # component left without atoms
+    # merged as a DiscreteMeasure of its own: the measure's atoms are sorted
+    # and >= 0, so rho is in order already.  An atom at r = 0 with k > 0
+    # carries zero tilde weight and drops, and so does a component left
+    # without atoms
     fam = mu.family
     with np.errstate(over="ignore"):
         w = fam.masses * fam.degree_powers(fam.radii)
@@ -521,7 +571,9 @@ def _tilde_family(mu: PseudoPositiveMeasure) -> ComponentFamily:
         rho = kept.radii**2
     if not np.isfinite(rho).all():
         raise OverflowError("a tilde atom r^2 of the measure overflows")
-    rho, w, offsets = _sorted_atoms(rho, kept.masses, kept.offsets, half_line=True)
+    rho, w, offsets = _merge_coincident(rho, kept.masses, kept.offsets)
+    if not np.isfinite(w).all():  # a merged weight that overflows
+        raise ValueError("weights entries must be finite")
     return ComponentFamily(kept.keys, offsets, rho, w)
 
 
@@ -555,10 +607,14 @@ def markov_stieltjes(mu: PseudoPositiveMeasure, p):
     T_{k,l} is the one-dimensional Stieltjes transform of the pushforward of
     r^k dmu_{k,l} under rho = r^2, evaluated at zeta^2; needs |zeta| larger
     than the support radius.  `p` is one KDQPoint (a complex is returned) or
-    a sequence of them (a complex array is returned).  Every T_{k,l} at
-    every point is one array expression over all atoms; the products and
-    each point's sum, in ascending (k, l) order, run on Python complex
-    numbers, which numpy's complex multiply does not match bit for bit.
+    a sequence of them (a complex array is returned).  Every term at every
+    point is one array expression, with the bits of Python complex
+    arithmetic: the powers zeta^{1-k} are Python `**`, one per degree;
+    u = zeta^{1-k} Y is (Re u, Im u) = (p.re Y - p.im 0, p.re 0 + p.im Y), as
+    Python multiplies a complex by a float; u T takes the four products; and
+    each point's terms are added left to right in ascending (k, l) order
+    after a leading zero (`np.cumsum`).  numpy's own complex multiply does
+    not match these bits.
     """
     points = [p] if isinstance(p, KDQPoint) else list(p)
     for q in points:
@@ -567,19 +623,21 @@ def markov_stieltjes(mu: PseudoPositiveMeasure, p):
         _check_outside_support(mu, q.zeta)
     thetas = np.array([q.theta for q in points]).reshape(len(points), mu.n)
     tilde = _tilde_family(mu)
-    ks = tilde.degrees.tolist()
     zs = [q.zeta for q in points]
-    t_vals = _tilde_transforms(tilde, np.array([z * z for z in zs], dtype=complex)).tolist()
-    totals = []
-    for z, ys, ts in zip(zs, harmonic_table(mu.n, tilde.keys, thetas).tolist(), t_vals):
-        powers = [z ** (1 - k) for k in range(ks[-1] + 1)] if ks else []
-        total = 0.0 + 0.0j
-        for k, y_val, t_val in zip(ks, ys, ts):
-            total += powers[k] * y_val * t_val
-        totals.append(total)
+    t_vals = _tilde_transforms(tilde, np.array([z * z for z in zs], dtype=complex))
+    top = tilde.keys[-1][0] if tilde.keys else 0
+    powers = np.array([[z ** (1 - k) for k in range(top + 1)] for z in zs], dtype=complex).reshape(len(zs), top + 1)
+    powers = powers[:, tilde.degrees]
+    ys = harmonic_table(mu.n, tilde.keys, thetas)
+    u_re = powers.real * ys - powers.imag * 0.0
+    u_im = powers.real * 0.0 + powers.imag * ys
+    terms = np.zeros((len(zs), len(tilde.keys) + 1), dtype=complex)
+    terms.real[:, 1:] = u_re * t_vals.real - u_im * t_vals.imag
+    terms.imag[:, 1:] = u_re * t_vals.imag + u_im * t_vals.real
+    totals = np.cumsum(terms, axis=1)[:, -1]
     if isinstance(p, KDQPoint):
         return complex(totals[0])
-    return np.array(totals, dtype=complex)
+    return totals
 
 
 @dataclass(frozen=True)

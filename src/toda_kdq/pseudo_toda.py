@@ -69,8 +69,9 @@ def _toda_family(family: ComponentFamily) -> ComponentFamily:
 
 class PseudoTodaState:
     """Components (k, l) of radii lambda_j >= 0 and tilde masses summing to
-    one, at a common time: a map (k, l) -> (lambdas, masses_tilde).  Each
-    component is stored sorted by radius in `family`."""
+    one, at a common time: a map (k, l) -> (lambdas, masses_tilde), or the
+    family `kdq._read_components` packed.  Each component is stored sorted
+    by radius in `family`."""
 
     def __init__(self, n: int, components=None, time: float = 0.0):
         if not math.isfinite(time):
@@ -93,7 +94,7 @@ class PseudoTodaState:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PseudoTodaState":
-        comps = _read_components(d, _FIELDS)
+        comps = _read_components(d, _FIELDS, 1)
         n, t = _json_int(d, "n"), _json_float(d, "t", 0.0)
         if t.ndim:
             raise TypeError(f"t must be one JSON number, got shape {t.shape}")

@@ -981,6 +981,17 @@ class TestIsoFlowCommand:
         assert out.read_text().split("\n")[2] == "1e-300,20000.74"
 
 
+    def test_infinite_time_with_an_atom_at_zero(self, tmp_path, capsys):
+        # 1 + lambda r(0) t is 1 + 0 * inf at lambda = 0, t = inf; the atom
+        # keeps its mass there, as at every finite time
+        measure = {"n": 3, "k_max": 0, "components": [{"k": 0, "ell": 1, "atoms": [0.0], "weights": [1.0]}]}
+        cfg = tmp_path / "iso.json"
+        cfg.write_text(json.dumps({"measure": measure, "t_grid": [0, 1e999]}).replace("Infinity", "1e999"))
+        out = tmp_path / "s.csv"
+        assert main(["iso-flow", "--input", str(cfg), "--output", str(out)]) == 0
+        assert capsys.readouterr() == ("monotone=True max_increase=0.0 max_derivative_residual=0.0\n", "")
+        assert out.read_text() == "t,S_k0_l1\n0.0,1.0\ninf,1.0\n"
+
 _STATE_1D = {"a": [0.5, 0.3], "b": [0.1, 0.0, -0.2]}
 _MEASURE_3 = {
     "n": 3,

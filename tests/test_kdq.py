@@ -124,6 +124,35 @@ def single_component(n, k, ell, atoms, weights):
     )
 
 
+def python_complex_transform(mu, points):
+    """markov_stieltjes as a loop of Python complex numbers over the same
+    T_{k,l} and Y_{k,l}: zeta^{1-k} * Y * T summed in ascending (k, l) order."""
+    tilde = kdq._tilde_family(mu)
+    zs = [p.zeta for p in points]
+    t_rows = kdq._tilde_transforms(tilde, np.array([z * z for z in zs], dtype=complex)).tolist()
+    y_rows = sphere.harmonic_table(mu.n, tilde.keys, np.array([p.theta for p in points])).tolist()
+    totals = []
+    for z, ys, ts in zip(zs, y_rows, t_rows):
+        total = 0.0 + 0.0j
+        for (k, _), y_val, t_val in zip(tilde.keys, ys, ts):
+            total += z ** (1 - k) * y_val * t_val
+        totals.append(total)
+    return totals
+
+
+# JSON numbers: floats of any size and integers, some past 2^53
+_JSON_NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**60), 2**60))
+
+
+def pack_each_entry(components, names):
+    """keys, offsets, radii and masses of `components` packed entry by entry:
+    one array per field and entry, the last entry of a key kept."""
+    table = {(c["k"], c["ell"]): [np.atleast_1d(np.array(c[name], dtype=float)) for name in names] for c in components}
+    keys = tuple(sorted(table))
+    offsets = np.cumsum([0] + [table[key][0].size for key in keys])
+    return (keys, offsets, *(np.concatenate([np.empty(0)] + [table[key][i] for key in keys]) for i in (0, 1)))
+
+
 class TestKDQPoint:
     def test_canonicalization(self):
         th = unit([0.3, -0.4, 0.5])
@@ -512,6 +541,44 @@ class TestMarkovStieltjes:
         assert back.family.keys == mu.family.keys
         assert np.array_equal(back.family.component((2, 2))[0], mu.family.component((2, 2))[0])
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3]),
+        k_max=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+        on_axis=st.booleans(),
+        args=st.lists(st.sampled_from([0.0, np.pi / 2, -np.pi / 2, np.pi, 0.3, -1.1, 2.0]), min_size=1, max_size=4),
+    )
+    def test_equals_python_complex_sums(self, n, k_max, seed, on_axis, args):
+        # the array passes give the bits of a loop of Python complex numbers;
+        # an axis theta and zeta on the real or imaginary axis give terms
+        # that are 0.0 and -0.0
+        rng = np.random.default_rng(seed)
+        comps = {
+            key: (atoms, weights)
+            for key, atoms, weights in random_measure(rng, n, k_max, 0.0, 0.9).family.items()
+            if rng.uniform() < 0.8
+        }
+        mu = PseudoPositiveMeasure(n, comps)
+        theta = np.eye(n)[rng.integers(n)] * rng.choice([-1.0, 1.0]) if on_axis else unit(rng.normal(size=n))
+        points = [KDQPoint(rng.uniform(1.0, 3.0) * np.exp(1j * a), theta) for a in args]
+        many = markov_stieltjes(mu, points)
+        assert many.tobytes() == np.array(python_complex_transform(mu, points), dtype=complex).tobytes()
+        one = markov_stieltjes(mu, points[0])
+        assert type(one) is complex
+        assert np.array([one]).tobytes() == many[:1].tobytes()
+
+    @pytest.mark.parametrize("theta", [[1.0, -0.0], [-1.0, 0.0], [1.0, 0.0]])
+    def test_terms_of_zero(self, theta):
+        # sin(k phi) is 0.0 or -0.0 on the axis, so each point's one term has
+        # zero parts, some -0.0: Python's sum starts at 0.0 + 0.0j, whose
+        # 0.0 + -0.0 = 0.0, and the array sum starts there too
+        mu = single_component(2, 1, 2, [0.5], [1.0])
+        points = [KDQPoint(z, theta) for z in (2.0, 2.0 + 1j, 2.0 - 1j, 2j, 0.5 + 2j)]
+        want = np.array(python_complex_transform(mu, points), dtype=complex)
+        assert markov_stieltjes(mu, points).tobytes() == want.tobytes()
+        assert np.array([markov_stieltjes(mu, p) for p in points]).tobytes() == want.tobytes()
+
 
 class TestComponentsReader:
     @pytest.mark.parametrize(
@@ -530,6 +597,53 @@ class TestComponentsReader:
             with pytest.raises(TypeError) as exc:
                 cls.from_dict({"n": 3, "components": components})
             assert str(exc.value) == message
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        names=st.sampled_from([("atoms", "weights"), ("lambdas", "masses_tilde")]),
+        entries=st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.integers(1, 3),
+                st.lists(st.tuples(_JSON_NUMBER, _JSON_NUMBER), max_size=5),
+                st.booleans(),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_one_pass_equals_packing_each_entry(self, names, entries):
+        # shuffled entries, repeated keys (the last one kept), empty lists and
+        # a lone value written as a bare number
+        components = []
+        for k, ell, pairs, bare in entries:
+            radii, masses = [[pair[i] for pair in pairs] for i in (0, 1)]
+            if bare and len(pairs) == 1:
+                radii, masses = radii[0], masses[0]
+            components.append({"k": k, "ell": ell, names[0]: radii, names[1]: masses})
+        family = kdq._read_components({"components": components}, names)
+        keys, offsets, radii, masses = pack_each_entry(components, names)
+        assert family.keys == keys
+        assert family.offsets.tobytes() == offsets.tobytes()
+        assert family.radii.tobytes() == radii.tobytes()
+        assert family.masses.tobytes() == masses.tobytes()
+
+    @pytest.mark.parametrize(
+        "entry, error, message",
+        [
+            ({"atoms": [0.5, 10**400], "weights": [1.0, 1.0]}, ValueError, "atoms holds an integer too large for a double"),
+            ({"atoms": [[0.5, 1.0]], "weights": [1.0, 1.0]}, ValueError, "atoms must be a 1-d array, got shape (1, 2)"),
+            ({"atoms": [0.5], "weights": [None]}, TypeError, "weights must hold JSON numbers only, got None"),
+        ],
+    )
+    def test_names_the_entry_at_fault(self, entry, error, message):
+        good = {"k": 0, "ell": 1, "atoms": [0.5], "weights": [1.0]}
+        with pytest.raises(error) as exc:
+            PseudoPositiveMeasure.from_dict({"n": 3, "components": [good, dict(entry, k=1, ell=1)]})
+        assert str(exc.value) == f"components[1]: {message}"
+
+    def test_nested_empty_list_reads_as_no_atoms(self):
+        family = kdq._read_components({"components": [{"k": 0, "ell": 1, "atoms": [[]], "weights": []}]}, ("atoms", "weights"))
+        assert family.keys == ((0, 1),) and family.offsets.tolist() == [0, 0]
 
     def test_degree_above_k_max(self):
         with pytest.raises(ValueError, match="^component degree exceeds k_max$"):
@@ -681,6 +795,22 @@ class TestMultiNevanlinna:
         assert np.all((ratios > 3.5) & (ratios < 4.5))
         assert res[-1] <= 1e-4
 
+    def test_verify_line_fails_on_a_skew(self, monkeypatch):
+        # a relative skew of the tilde atoms rho = r^2 that kdq hands the
+        # moment remainder fails kdq-multi-nevanlinna from 0.2 up, and 0.1
+        # passes: the README records the smallest failing skew of 1, 2, 5 per
+        # decade.  The residual grows like (1 + skew)^3, against a
+        # tolerance 1.6 times the reading
+        remainder = kdq._moment_remainder
+
+        def observed(skew):
+            monkeypatch.setattr(kdq, "_moment_remainder", lambda atoms, weights, n, z: remainder(atoms * (1.0 + skew), weights, n, z))
+            (result,) = verify.check_kdq_multi_nevanlinna()
+            assert result.name == "kdq-multi-nevanlinna"
+            return result.passed
+
+        assert not observed(0.2)
+        assert observed(0.1)
 
 def per_key_partial_sums(mu, n_trunc, p):
     """divergent_partial_sums one key at a time: one harmonic and one moment sum per key and j."""

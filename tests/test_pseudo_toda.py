@@ -609,3 +609,30 @@ class TestSerialization:
         lines = text.strip().split("\n")
         assert lines[0] == "t,H_total,rt2_k0_l1_j1,rt2_k0_l1_j2"
         assert len(lines) == 3
+
+
+class TestVerifyLines:
+    @pytest.mark.parametrize(
+        "line, defect, fails, passes",
+        [
+            ("pseudo-normalization", "evolved-masses", 1e-12, 5e-13),
+            ("pseudo-growth-c-d-one", "untilded-masses", 1e-12, 5e-13),
+        ],
+    )
+    def test_verify_line_fails_on_a_skew(self, monkeypatch, line, defect, fails, passes):
+        # a relative skew of the tilde masses that evolve writes, or of the
+        # masses r^2 = rt^2 / lambda^k of the associated measure, fails the
+        # verify-all line from `fails` up, and `passes` passes: the README
+        # records the smallest failing skew of 1, 2, 5 per decade
+        evolved, untilde = pseudo_toda._evolved_masses, pseudo_toda._untilde
+
+        def observed(skew):
+            if defect == "evolved-masses":
+                monkeypatch.setattr(pseudo_toda, "_evolved_masses", lambda m, x, t: evolved(m, x, t) * (1.0 + skew))
+            else:
+                monkeypatch.setattr(pseudo_toda, "_untilde", lambda k, lam, mt: (lam, untilde(k, lam, mt)[1] * (1.0 + skew)))
+            results = {r.name: r for r in verify.check_pseudo_toda(verify._SEED + 7, ode_times=(0.5,))}
+            return results[line]
+
+        assert not observed(fails).passed
+        assert observed(passes).passed
