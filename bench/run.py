@@ -6,8 +6,10 @@
 and its parameters.  From a loaded `toda_kdq` the builder makes one op to
 time, from inputs drawn with fixed seeds.  One sampler calls every op once,
 then runs ROUNDS rounds that visit every case in turn; each case records the
-median and quartiles of its seconds per call.  `--against PATH` loads the
-`toda_kdq` of PATH, a `src/` directory, a second time as `toda_kdq_against`.
+median and quartiles of its seconds per call; a sample of an op shorter than
+MIN_SAMPLE_S times enough back-to-back calls to last that long.
+`--against PATH` loads the `toda_kdq` of PATH, a `src/` directory, a second
+time as `toda_kdq_against`.
 Each round then times each case on this checkout ("this") and on PATH
 ("against") back to back, the first of the two alternating by round, and
 the case also records the median and quartiles of the ratio this / against
@@ -26,6 +28,7 @@ import argparse  # noqa: E402
 import importlib.util  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
@@ -42,6 +45,10 @@ ROUNDS = 30
 # before the next: run after a larger case, its first call met cold caches, and
 # in an A/A run a sub-millisecond ratio read about 0.6 or 1.7 by which tree went first
 PRIME_S = 0.01
+# one sample times back-to-back calls of an op for at least this long, as many
+# on both trees, and records seconds per call: in an A/A run, samples of one
+# call of under 0.1 ms read per-round ratios with quartiles about [0.78, 1.30]
+MIN_SAMPLE_S = 1e-3
 DT = 1e-3  # the step of every RK4 run here
 THETA = np.array([0.36, 0.48, 0.8])  # the S^2 point of harmonic_table and flaschka_surfaces
 
@@ -62,21 +69,24 @@ def load(name: str, src: Path):
 def measure(cases, trees: dict, rounds: int) -> list:
     """One record per case: curve, parameters and, per tree, the median and
     quartiles of its seconds per call (None where the tree lacks a name the
-    case needs); with two trees, the median and quartiles of the per-round
-    ratio first / second, and the first tree's wins out of the pairs run."""
+    case needs), and the calls per sample; with two trees, the median and
+    quartiles of the per-round ratio first / second, and the first tree's
+    wins out of the pairs run."""
     ops = [{name: _warm(build, tk, params) for name, tk in trees.items()} for build, params in cases]
     samples = [{name: [] for name, op in row.items() if op is not None} for row in ops]
+    calls = [_calls_per_sample([op for op in row.values() if op is not None]) for row in ops]
     for i in range(rounds):
-        for row, out in zip(ops, samples):
+        for row, out, n in zip(ops, samples, calls):
             for name in out if i % 2 == 0 else reversed(out):
                 if out[name] and out[name][-1] < PRIME_S:
                     row[name]()
                 t = time.perf_counter()
-                row[name]()
-                out[name].append(time.perf_counter() - t)
+                for _ in range(n):
+                    row[name]()
+                out[name].append((time.perf_counter() - t) / n)
     records = []
-    for (build, params), out in zip(cases, samples):
-        record = {"curve": build.__name__, "params": params}
+    for (build, params), out, n in zip(cases, samples, calls):
+        record = {"curve": build.__name__, "params": params, "calls_per_sample": n}
         record.update({name: _spread(out[name], "_s") if name in out else None for name in trees})
         if len(out) == 2:
             first, second = out.values()
@@ -93,6 +103,18 @@ def _warm(build, tk, params: dict):
     except AttributeError:
         return None
     return op
+
+
+def _calls_per_sample(ops: list) -> int:
+    """Calls that make one sample last MIN_SAMPLE_S on the fastest of `ops`,
+    each timed by the shortest of three calls."""
+    fastest = MIN_SAMPLE_S
+    for op in ops:
+        for _ in range(3):
+            t = time.perf_counter()
+            op()
+            fastest = min(fastest, time.perf_counter() - t)
+    return math.ceil(MIN_SAMPLE_S / fastest)
 
 
 def _spread(samples: list, unit: str = "") -> dict:

@@ -40,7 +40,9 @@ from functools import cache
 
 import numpy as np
 
-from . import iso_flow, kdq, pseudo_toda, toda_1d
+# every command reads its JSON fields through moment_1d and writes CSV through
+# toda_1d; the other layers stay unloaded until a runner reaches into them
+from . import iso_flow, kdq, pseudo_toda, sphere, verify
 from .errors import (
     DivergenceRegionError,
     PoleError,
@@ -48,8 +50,7 @@ from .errors import (
     RankDeficiencyError,
 )
 from .moment_1d import DiscreteMeasure, JacobiMatrix, _as_vector, _json_field, _json_float, _json_int, nevanlinna_limit_check
-from .sphere import as_direction
-from .verify import format_table, run_all
+from .toda_1d import _csv_text, integrate_toda, spectral_solve, trajectory_to_csv
 
 __all__ = ["main"]
 
@@ -72,7 +73,7 @@ def _validate(args: argparse.Namespace) -> None:
         raise ConfigError(f"t-final and dt must be positive and finite, got {args.t_final!r} and {args.dt!r}")
     if args.command in _TIMED:
         _rows(args, 1)
-    if args.k_max < 0:
+    if args.k_max is not None and args.k_max < 0:
         raise ConfigError("kmax must be nonnegative")
     if args.tol is not None and args.command in _READS_TOL and not 0.0 <= args.tol < np.inf:
         raise ConfigError(f"--tol must be nonnegative and finite, got {args.tol!r}")
@@ -135,10 +136,10 @@ def _run_lattice(args: argparse.Namespace) -> int:
         state = JacobiMatrix(offdiag=a, diag=b)
     if args.command == "simulate-1d":
         _rows(args, state.n)  # before integrate_toda allocates the grid
-        traj = toda_1d.integrate_toda(state, args.t_final, args.dt)
+        traj = integrate_toda(state, args.t_final, args.dt)
     else:
-        traj = toda_1d.spectral_solve(state, _sample_times(args, state.n))
-    _emit(toda_1d.trajectory_to_csv(traj), args.output_path)
+        traj = spectral_solve(state, _sample_times(args, state.n))
+    _emit(trajectory_to_csv(traj), args.output_path)
     return 0
 
 
@@ -152,16 +153,17 @@ def _run_simulate_pseudo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _measure_from_config(data: dict, reader=kdq.PseudoPositiveMeasure.from_dict):
+def _measure_from_config(data: dict, reader=None):  # None: the quadric measure's reader
     with _stage("bad measure: "):
-        return reader(_json_field(data, "measure"))
+        return (reader or kdq.PseudoPositiveMeasure.from_dict)(_json_field(data, "measure"))
 
 
 def _run_transform_eval(args: argparse.Namespace) -> int:
     data = _load_json(args.input_path)
-    mu = _measure_from_config(data).truncated(args.k_max)  # --kmax truncates the component series
+    # --kmax truncates the component series
+    mu = _measure_from_config(data).truncated(kdq.DEFAULT_KMAX if args.k_max is None else args.k_max)
     with _stage("bad transform-eval config: "):
-        theta = as_direction(mu.n, _json_float(data, "theta"))
+        theta = sphere.as_direction(mu.n, _json_float(data, "theta"))
         pairs = _json_float(data, "zetas")
         if pairs.shape != (0,) and pairs.shape[1:] != (2,):
             raise ValueError(f"zetas must be a list of [re, im] pairs, got shape {pairs.shape}")
@@ -170,7 +172,7 @@ def _run_transform_eval(args: argparse.Namespace) -> int:
             raise ValueError(f"zetas must be finite, got {zetas}")
     vals = kdq.markov_stieltjes(mu, [kdq.KDQPoint(z, theta) for z in zetas])
     rows = [[z.real, z.imag, val.real, val.imag] for z, val in zip(zetas, vals)]
-    _emit(toda_1d._csv_text(["zeta_re", "zeta_im", "value_re", "value_im"], rows), args.output_path)
+    _emit(_csv_text(["zeta_re", "zeta_im", "value_re", "value_im"], rows), args.output_path)
     return 0
 
 
@@ -201,7 +203,7 @@ def _run_nevanlinna(args: argparse.Namespace) -> int:
         res = nevanlinna_limit_check(mu, n_trunc, points)
     else:
         res = kdq.multi_nevanlinna_check(mu, idx, n_trunc, [v * np.exp(1j * np.pi / 4) for v in points])
-    _emit(toda_1d._csv_text([grid, "residual"], np.column_stack([points, res])), args.output_path)
+    _emit(_csv_text([grid, "residual"], np.column_stack([points, res])), args.output_path)
     res = res.tolist()
     rise = next((i for i in range(1, len(res)) if not res[i] < res[i - 1]), None)
     if rise is not None:
@@ -229,7 +231,7 @@ def _run_iso_flow(args: argparse.Namespace) -> int:
     keys = sorted(rep.values)
     header = ["t"] + [f"S_k{k}_l{ell}" for k, ell in keys]
     table = np.column_stack([rep.times] + [rep.values[key] for key in keys])
-    _emit(toda_1d._csv_text(header, table), args.output_path)
+    _emit(_csv_text(header, table), args.output_path)
     sys.stdout.write(
         f"monotone={rep.passed} max_increase={rep.max_increase!r} "
         f"max_derivative_residual={rep.max_derivative_residual!r}\n"
@@ -246,8 +248,12 @@ def _run_iso_flow(args: argparse.Namespace) -> int:
 
 
 def _run_verify_all(args: argparse.Namespace) -> int:
-    results = run_all()
-    table = format_table(results)
+    # load every layer before the first check allocates: a layer compiled while
+    # the checks hold their arrays adds its compile-time memory to their peak
+    for layer in (sphere, kdq, pseudo_toda, iso_flow, verify):
+        layer.__name__  # noqa: B018  (any attribute access runs a lazy layer)
+    results = verify.run_all()
+    table = verify.format_table(results)
     sys.stdout.write(table)
     if args.output_path is not None:
         _emit(table, args.output_path)
@@ -273,7 +279,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", dest="output_path", default=None)
     parser.add_argument("--t-final", dest="t_final", type=float, default=5.0)
     parser.add_argument("--dt", dest="dt", type=float, default=1e-3)
-    parser.add_argument("--kmax", dest="k_max", type=int, default=kdq.DEFAULT_KMAX)
+    parser.add_argument("--kmax", dest="k_max", type=int, default=None)  # None: transform-eval truncates at kdq.DEFAULT_KMAX
     parser.add_argument("--tol", dest="tol", type=float, default=None)
     return parser
 

@@ -149,12 +149,18 @@ def monotonicity_check(state: IsoFlowState, t_grid, dt: float = 1e-4, tol: float
     of the closed-form evolution at every grid point (O(dt^2) agreement).
     At a time t whose backward point t - dt would reach the blow-up time,
     the step is h = (t - t_blow)/2 instead, where t - h stays after it.
+    OverflowError naming the component if lambda r(0) overflows and a grid
+    time is at or before the state's, where no such step fits.
     """
     times = _grid_times(t_grid)
     fam = state.family
     if not fam.keys:
         raise ValueError("state has no components")
     t_blow = blow_up_time(state)
+    if t_blow == 0.0 and (times <= state.time).any():
+        # lambda r(0) = inf puts the blow-up at -0.0, and no backward step fits
+        with np.errstate(over="ignore"):
+            _finite(fam, fam.block_sums(fam.radii * np.sqrt(fam.masses)), "lambda r(0)")
     half = (times - state.time - t_blow) / 2.0  # 0 where no step fits, as at t_blow = -0.0
     h = np.where((times - dt - state.time <= t_blow) & (half > 0.0), half, dt)
     masses = _riccati(state, times - state.time, True)

@@ -4,6 +4,7 @@ second tree loads as its own package."""
 import importlib.util
 import shutil
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -60,3 +61,25 @@ def test_a_case_is_absent_on_a_tree_that_lacks_its_name(bench):
     assert solved["ratio"]["pairs"] == 4 and 0 <= solved["ratio"]["wins"] <= 4
     assert stepped["against"] is None and "ratio" not in stepped
     assert stepped["this"]["median_s"] > 0.0
+
+
+def test_a_short_op_is_sampled_over_many_calls(bench):
+    calls = {"short": 0, "long": 0}
+
+    def count(name, pause):
+        def op():
+            calls[name] += 1
+            time.sleep(pause)
+
+        return lambda tk: op
+
+    cases = [(count("short", 0.0), {}), (count("long", 2 * bench.MIN_SAMPLE_S), {})]
+    short, long = bench.measure(cases, {"this": toda_kdq}, rounds=4)
+    # a sample of the short op lasts MIN_SAMPLE_S; every sample records seconds per call
+    assert short["calls_per_sample"] > 1 and long["calls_per_sample"] == 1
+    assert short["this"]["median_s"] * short["calls_per_sample"] >= bench.MIN_SAMPLE_S / 2
+    # the warm-up call, three calls to size a sample, the samples, and one
+    # untimed call before every sample but the first (both ops are under PRIME_S)
+    primes = 3
+    assert calls["short"] == 1 + 3 + 4 * short["calls_per_sample"] + primes
+    assert calls["long"] == 1 + 3 + 4 + primes

@@ -855,12 +855,12 @@ class TestQuadricExitCodes:
                 (3, "numeric failure: transform requires |zeta| > support radius 1e+300; got |zeta| = 2.0615528128088303\n"),
             ),
             (
-                # lambda r(0) = inf: the masses at t = 0 are finite, and the
-                # backward blow-up time -1 / inf = -0.0 refuses the central
-                # difference at t = -dt
+                # lambda r(0) = inf: the masses at t = 0 are finite, but the
+                # backward blow-up time -1 / inf = -0.0 leaves no central
+                # difference at t = 0
                 "iso-flow",
                 {"measure": measure([1e300], [1e300]), "t_grid": [0.0, 1.0]},
-                (2, "config error: t = -0.0001 is at or beyond the backward blow-up time -0.0\n"),
+                (3, "numeric failure: lambda r(0) of component (0, 1) overflows\n"),
             ),
             (
                 "iso-flow",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from toda_kdq import iso_flow, verify
 from toda_kdq.iso_flow import (
     IsoFlowState,
     blow_up_time,
@@ -140,3 +141,29 @@ class TestCentralDifference:
         rep = monotonicity_check(IsoFlowState({(0, 1): ([100.0], [1e4])}), [0.0, 1.0])
         at_zero = abs((mass(5e-5) - mass(-5e-5)) / 1e-4 + 2e8)  # dS/dt(0) = -2 r^3 lambda
         assert rep.max_derivative_residual == pytest.approx(at_zero, rel=1e-12)
+
+    def test_overflowing_rate_names_the_component(self):
+        # lambda r(0) = 1e300 * 1e150 = inf puts the blow-up at -0.0: no step
+        # fits at t = 0, while a grid after it keeps dt
+        st = IsoFlowState({(0, 1): ([0.5], [1.0]), (1, 2): ([0.5, 1e300], [1.0, 1e300])})
+        with pytest.raises(OverflowError, match=r"^lambda r\(0\) of component \(1, 2\) overflows$"):
+            monotonicity_check(st, [0.0, 1.0])
+        assert monotonicity_check(st, [1.0, 2.0]).passed
+
+
+class TestVerifyLines:
+    def test_iso_monotonicity_fails_on_a_skew(self, monkeypatch):
+        # a relative skew of the closed-form dS/dt that the central
+        # differences are checked against fails the verify-all line from 5e-9
+        # up, and 2e-9 passes: the README records the smallest failing skew
+        # of 1, 2, 5 per decade
+        ds_dt = iso_flow._ds_dt
+
+        def observed(skew):
+            monkeypatch.setattr(iso_flow, "_ds_dt", lambda family, masses: ds_dt(family, masses) * (1.0 + skew))
+            (result,) = verify.check_iso_monotonicity(verify._SEED + 8, trials=5)
+            assert result.name == "iso-monotonicity"
+            return result
+
+        assert not observed(5e-9).passed
+        assert observed(2e-9).passed

@@ -617,20 +617,24 @@ class TestVerifyLines:
         [
             ("pseudo-normalization", "evolved-masses", 1e-12, 5e-13),
             ("pseudo-growth-c-d-one", "untilded-masses", 1e-12, 5e-13),
+            ("pseudo-ode-residual", "toda-rhs", 5e-6, 2e-6),
         ],
     )
     def test_verify_line_fails_on_a_skew(self, monkeypatch, line, defect, fails, passes):
-        # a relative skew of the tilde masses that evolve writes, or of the
-        # masses r^2 = rt^2 / lambda^k of the associated measure, fails the
-        # verify-all line from `fails` up, and `passes` passes: the README
-        # records the smallest failing skew of 1, 2, 5 per decade
-        evolved, untilde = pseudo_toda._evolved_masses, pseudo_toda._untilde
+        # a relative skew of the tilde masses that evolve writes, of the
+        # masses r^2 = rt^2 / lambda^k of the associated measure, or of the
+        # Toda right-hand sides that the ODE residual differences against,
+        # fails the verify-all line from `fails` up, and `passes` passes: the
+        # README records the smallest failing skew of 1, 2, 5 per decade
+        evolved, untilde, rhs = pseudo_toda._evolved_masses, pseudo_toda._untilde, pseudo_toda._rhs_rows
 
         def observed(skew):
             if defect == "evolved-masses":
                 monkeypatch.setattr(pseudo_toda, "_evolved_masses", lambda m, x, t: evolved(m, x, t) * (1.0 + skew))
-            else:
+            elif defect == "untilded-masses":
                 monkeypatch.setattr(pseudo_toda, "_untilde", lambda k, lam, mt: (lam, untilde(k, lam, mt)[1] * (1.0 + skew)))
+            else:
+                monkeypatch.setattr(pseudo_toda, "_rhs_rows", lambda b, a: tuple(x * (1.0 + skew) for x in rhs(b, a)))
             results = {r.name: r for r in verify.check_pseudo_toda(verify._SEED + 7, ode_times=(0.5,))}
             return results[line]
 
