@@ -309,9 +309,10 @@ def family_jacobi(tk, K, N, t):
     return lambda: tk.pseudo_toda.family_jacobi(state)
 
 
-def jacobi_eigenvalues(tk, N, rows):
-    """One `moment_1d.jacobi_eigenvalues` on the rows of an RK4 trajectory of N sites: the CSV's lambda columns."""
-    traj = tk.toda_1d.integrate_toda(_jacobi(tk, np.random.default_rng(7), N), (rows - 1) * DT, DT)
+def jacobi_eigenvalues(tk, N, rows, dt=DT):
+    """One `moment_1d.jacobi_eigenvalues` on the rows of an RK4 trajectory of N sites and step dt: the CSV's
+    lambda columns.  A larger dt lets the rows' spectra drift further from the first row's."""
+    traj = tk.toda_1d.integrate_toda(_jacobi(tk, np.random.default_rng(7), N), (rows - 1) * dt, dt)
     return lambda: tk.moment_1d.jacobi_eigenvalues(traj.b, traj.a)
 
 
@@ -342,6 +343,7 @@ CASES = [
     *[(spectral_solve, {"N": 8, "times": c, "t_final": 10.0}) for c in (1, 11, 1001)],  # and 101, above
     *[(family_jacobi, {"K": K, "N": 4, "t": 100.0}) for K in (9, 25, 81, 289)],
     *[(jacobi_eigenvalues, {"N": n, "rows": 1001}) for n in (2, 8, 32, 64, 128)],
+    (jacobi_eigenvalues, {"N": 64, "rows": 1001, "dt": 0.01}),  # drifting rows: two Newton steps each
     *[(csv_text, {"N": 8, "rows": r}) for r in (101, 1001, 10001)],
 ]
 

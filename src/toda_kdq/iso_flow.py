@@ -73,8 +73,11 @@ def _riccati(state: IsoFlowState, times, allow_backward: bool) -> np.ndarray:
         # at t = inf, 1 + lambda r(0) t is 1 + 0 * inf = NaN where lambda r(0) = 0,
         # whose r(0) stays; every other mass is 0 there
         masses[np.isinf(times)] = np.where(rate == 0.0, np.minimum(r0**2, state.family.masses), 0.0)
-        if not np.isfinite(masses).all():
-            raise ValueError("masses entries must be finite")
+        bad = ~np.isfinite(masses)
+        if bad.any():  # a backward time near the blow-up, as a central difference's backward point
+            atom = int(np.argmax(bad.any(axis=0)))
+            t = state.time + float(times[np.argmax(bad[:, atom])])
+            raise OverflowError(f"the mass of component {_key_of(state.family, atom)} overflows at t = {t!r}")
     return masses
 
 
@@ -82,7 +85,8 @@ def riccati_evolve(state: IsoFlowState, t: float, allow_backward: bool = False) 
     """Advance all masses by the closed form r(t) = r(0)/(1 + lambda r(0) t).
 
     Radii stay fixed.  Negative t must be enabled explicitly and must stay
-    strictly after the blow-up time of every atom.
+    strictly after the blow-up time of every atom; OverflowError naming the
+    component and the time where a mass so near it overflows.
     """
     # the radii stay, and `_riccati` checked the new masses
     out = object.__new__(IsoFlowState)
@@ -95,11 +99,16 @@ def _functionals(family: ComponentFamily, masses: np.ndarray) -> np.ndarray:
     # lambda = 0 with k > 0 and a positive mass
     hit = ((family.radii == 0.0) & (family.atom_degrees > 0) & (masses > 0.0)).reshape(-1, masses.shape[-1])
     if hit.any():
-        k, ell = family.keys[np.searchsorted(family.offsets, np.argmax(hit.any(axis=0)), side="right") - 1]
+        k, ell = _key_of(family, np.argmax(hit.any(axis=0)))
         raise ZeroDivisionError(f"component {(k, ell)} divides by lambda^{k} at lambda = 0")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = np.where(masses > 0.0, masses / family.degree_powers(family.radii), 0.0)
         return _finite(family, family.block_sums(terms), "S_{k,l}")
+
+
+def _key_of(family: ComponentFamily, atom: int) -> tuple:
+    # the key (k, ell) of the component that holds the atom at flat index `atom`
+    return family.keys[np.searchsorted(family.offsets, atom, side="right") - 1]
 
 
 def _ds_dt(family: ComponentFamily, masses: np.ndarray) -> np.ndarray:
@@ -150,7 +159,8 @@ def monotonicity_check(state: IsoFlowState, t_grid, dt: float = 1e-4, tol: float
     At a time t whose backward point t - dt would reach the blow-up time,
     the step is h = (t - t_blow)/2 instead, where t - h stays after it.
     OverflowError naming the component if lambda r(0) overflows and a grid
-    time is at or before the state's, where no such step fits.
+    time is at or before the state's, where no such step fits, or if a
+    mass at a backward point overflows.
     """
     times = _grid_times(t_grid)
     fam = state.family

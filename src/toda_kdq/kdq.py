@@ -51,7 +51,6 @@ __all__ = [
     "PseudoPositiveMeasure",
     "AlmansiPolynomial",
     "GrowthReport",
-    "aronszajn_r_pow_n",
     "singular_roots",
     "hua_kernel",
     "hua_tail_bound",
@@ -342,27 +341,6 @@ def _radical(n: int, u):
 def _kernel(n: int, zeta, dots, r2):
     """Closed-form kernel zeta^{-1} u^{-n/2}, its arguments broadcasting as in `_u`."""
     return 1.0 / (_radical(n, _u(zeta, dots, r2)) * zeta)
-
-
-def aronszajn_r_pow_n(p: KDQPoint, x) -> complex:
-    """r(zeta theta - x)^n = zeta^n u^{n/2} at the canonical representative, n = 2 or 3.
-
-    For |zeta| > |x|, zeta^{n-1} / r^n is then the sum of the harmonic series
-    (`hua_kernel`); for |zeta| <= |x|, where the series diverges, the same
-    expression is on S^1 the raw radicand and on S^2 continuous in u.  u = 0
-    (zeta a root of modulus |x|, `singular_roots`) raises PoleError, and
-    zeta = 0, which has no u, DivergenceRegionError.
-    """
-    xv = np.asarray(x, dtype=float)
-    z = np.complex128(p.zeta)
-    if p.n not in (2, 3):
-        raise ValueError(f"unsupported ambient dimension n={p.n}; only 2 and 3")
-    if z == 0.0:
-        raise DivergenceRegionError("r^n = zeta^n u^{n/2} needs zeta != 0")
-    u = _u(z, float(p.theta @ xv), float(xv @ xv))
-    if u == 0.0:
-        raise PoleError("point lies on the singular set of the kernel")
-    return complex(z**p.n * _radical(p.n, u))
 
 
 def singular_roots(theta, x):

@@ -36,8 +36,10 @@ __all__ = [
 
 _MERGE_TOL = 1e-12
 _MASS_TOL = 1e-8
-# at most _BLOCK doubles in one stack of dense matrices
+# at most _BLOCK doubles in one stack of dense matrices or one working array
 _BLOCK = 2**15
+# the Newton steps a row of `jacobi_eigenvalues` may take from row 0's spectrum
+_STEPS = 3
 
 
 def _as_vector(name: str, value) -> np.ndarray:
@@ -358,10 +360,10 @@ def spectral_data_from_jacobi(jac: JacobiMatrix):
     masses r_j^2, the squared last components of the eigenvectors.
 
     Both come from one `np.linalg.eigh` of the dense matrix (LAPACK ?syevd
-    with vectors).  `jacobi_eigenvalues` computes no vectors, so the two
-    eigenvalue arrays may differ in the last digits; both solvers are
-    backward stable, and the tests hold them within 2 N eps max|lambda| of
-    each other and of LAPACK ?stevd.  The masses sum to 1 up to rounding;
+    with vectors).  `jacobi_eigenvalues` refines eigenvalues by Newton
+    steps, so the two eigenvalue arrays may differ in the last digits; the
+    tests hold them within 2 N eps max|lambda| of each other and of LAPACK
+    ?stevd.  The masses sum to 1 up to rounding;
     they are >= 0, and may underflow to 0 in a lattice evolved far from
     time 0.  RankDeficiencyError if two eigenvalues round to one double,
     LinAlgError if the solver does not converge.
@@ -374,17 +376,66 @@ def spectral_data_from_jacobi(jac: JacobiMatrix):
 def jacobi_eigenvalues(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of stacked Jacobi matrices, one per row.
 
-    `diag` has shape (T, N) and `offdiag` (T, N-1).  The rows go through
-    `np.linalg.eigvalsh` as dense (B, N, N) stacks of at most _BLOCK
-    doubles.  LAPACK ?syevd reduces a tridiagonal matrix exactly, so each
-    row's eigenvalues are those of ?sterf on its diagonals, bit for bit, in
-    any stack.  They are within 2 N eps max|lambda| of the eigenvalues of
-    `spectral_data_from_jacobi` (see there).  RankDeficiencyError where two
-    eigenvalues of a row round to one double, LinAlgError naming the first
-    row on which the solver does not converge.
+    `diag` has shape (T, N) and `offdiag` (T, N-1).  Row 0 goes through
+    `np.linalg.eigvalsh` (LAPACK ?syevd, which reduces a tridiagonal matrix
+    exactly to ?sterf).  Its eigenvalues start Newton's method on every row,
+    row 0 included, in blocks of at most _BLOCK // N rows (`_newton`).  A
+    row takes up to _STEPS steps, row 0 one, and stops at the first step
+    after which it is certified:
+
+    - its values are finite and strictly increasing;
+    - the Sturm counts at the midpoints between neighbours read 1, ..., N-1,
+      so the exact eigenvalue lambda_j is the only one within h_j of x_j,
+      the distance from x_j to its nearest midpoint;
+    - its last step delta_j satisfies (N-1) delta_j^2 < (eps/2) max|x|
+      (h_j - N |delta_j|) for every j.  Newton's error after a step is
+      delta^2 sigma / (1 - delta sigma), with |sigma| <= (N-1)/(h - |delta|)
+      the sum over the other eigenvalues of 1/(x - lambda_i) at the start of
+      the step, so the bound leaves less than eps/2 max|lambda|, at most one
+      ulp of max|lambda|, to the iteration.
+
+    A row that is not certified starts again from its own ?syevd
+    eigenvalues and takes one step; if that is not certified either, it
+    keeps ?syevd's values, the bits of ?sterf.  Each row's result depends
+    on row 0 and on itself alone, not on the block split, and a row that is
+    not certified from row 0 has the bits it has alone.  In the tests a
+    certified row lies within 2 eps max|lambda| of its spectrum computed by
+    mpmath at 34 digits, where ?sterf's values lie up to about 12 eps
+    max|lambda| from it; every row lies within 2 N eps max|lambda| of the
+    eigenvalues of `spectral_data_from_jacobi`.  RankDeficiencyError where
+    two eigenvalues of a row round to one double, LinAlgError naming the
+    first row on which ?syevd does not converge.
     """
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
+    rows, n = diag.shape
+    if rows == 0 or n < 2:
+        lam = _eigvalsh_rows(diag, offdiag, range(rows))
+    else:
+        lam = np.empty(diag.shape)
+        start = _eigvalsh_rows(diag[:1], offdiag[:1], [0])[0]
+        block = max(1, _BLOCK // n)
+        for lo in range(0, rows, block):
+            hi = min(lo + block, rows)
+            limit = np.full(hi - lo, _STEPS)
+            if lo == 0:  # row 0 starts from its own spectrum: the single step of a restart
+                limit[0] = 1
+            x, ok = _newton(diag[lo:hi], offdiag[lo:hi], start[:, None], limit)
+            lam[lo:hi] = x.T
+            again = np.flatnonzero(~ok)
+            if again.size:
+                d, e = diag[lo + again], offdiag[lo + again]
+                own = _eigvalsh_rows(d, e, lo + again)
+                x, ok = _newton(d, e, own.T.copy(), np.ones(again.size, dtype=int))
+                lam[lo + again] = np.where(ok[:, None], x.T, own)
+    _check_distinct(lam)
+    return lam
+
+
+def _eigvalsh_rows(diag: np.ndarray, offdiag: np.ndarray, rows) -> np.ndarray:
+    # ?syevd eigenvalues of each row's Jacobi matrix, in dense (B, N, N) stacks
+    # of at most _BLOCK doubles; LinAlgError naming the first row, by its
+    # entry of `rows`, on which the solver does not converge
     lam = np.empty(diag.shape)
     block = max(1, _BLOCK // max(diag.shape[1], 1) ** 2)
     for lo in range(0, diag.shape[0], block):
@@ -392,15 +443,96 @@ def jacobi_eigenvalues(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
         try:
             lam[lo : lo + block] = np.linalg.eigvalsh(stack)
         except np.linalg.LinAlgError:
-            for i, mat in enumerate(stack, lo):
+            for i, mat in zip(rows[lo : lo + block], stack):
                 try:
                     np.linalg.eigvalsh(mat)
                 except np.linalg.LinAlgError as exc:
                     raise np.linalg.LinAlgError(
                         f"the eigensolver did not converge on the Jacobi matrix of row {i}"
                     ) from exc
-    _check_distinct(lam)
     return lam
+
+
+def _newton(diag: np.ndarray, offdiag: np.ndarray, x: np.ndarray, limit: np.ndarray):
+    """Newton steps on det(L - x) for R rows at once, each up to its entry of
+    `limit` steps and stopping once certified (see `jacobi_eigenvalues`).
+
+    `diag` (R, N) and `offdiag` (R, N-1) are the rows; `x` (N, R), or (N, 1)
+    for one start shared by every row, holds the start of eigenvalue j of
+    row r in x[j, r].  Returns the last values (N, R) and whether each row
+    is certified (R,).
+    """
+    live = np.arange(len(diag))
+    with np.errstate(all="ignore"):  # a row that overflows or divides by 0 is not certified
+        b = np.ascontiguousarray(diag.T)
+        a2 = np.ascontiguousarray(offdiag.T) ** 2
+        for step in range(1, int(limit.max()) + 1):
+            delta = _newton_step(b, a2, x)
+            x = x - delta
+            good = _certified(b, a2, x, delta)
+            if step == 1:
+                out, ok = x, good
+            else:
+                out[:, live], ok[live] = x, good
+            more = ~good & (limit[live] > step)
+            if not more.any():
+                break
+            live, b, a2, x = live[more], b[:, more], a2[:, more], x[:, more]
+    return out, ok
+
+
+def _newton_step(b: np.ndarray, a2: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # the Newton step 1/sum_k (q'_k/q_k) at every x[j, r], from the ratio
+    # recurrence q_1 = b_1 - x, q_k = (b_k - x) - a_{k-1}^2/q_{k-1}, whose
+    # product is det(L - x), and q'_k = -1 + a_{k-1}^2 q'_{k-1}/q_{k-1}^2
+    q = b[0] - x
+    # x = b_1 exactly, on a row whose first site has decoupled, is a zero
+    # pivot; a shift of b_1 far below its rounding error moves it off
+    tiny = np.finfo(float).eps ** 2 * np.maximum(np.abs(x[0]), np.abs(x[-1]))
+    np.copyto(q, tiny, where=q == 0.0)
+    ratio = -1.0 / q  # q'_k/q_k
+    total = ratio.copy()
+    t = np.empty_like(q)
+    for k in range(1, x.shape[0]):
+        np.divide(a2[k - 1], q, out=t)
+        np.subtract(b[k], x, out=q)
+        q -= t
+        t *= ratio  # then q'_k = t - 1
+        t -= 1.0
+        np.divide(t, q, out=ratio)
+        total += ratio
+    return 1.0 / total
+
+
+def _certified(b: np.ndarray, a2: np.ndarray, x: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    # the certificate of `jacobi_eigenvalues` for each column of x (N, R), the
+    # values after the step delta (N, R); the Sturm counts only where the rest holds
+    n = x.shape[0]
+    mid = 0.5 * x[:-1] + 0.5 * x[1:]
+    h = np.empty_like(x)  # the distance from each value to its nearest midpoint
+    h[:-1] = mid - x[:-1]
+    h[-1] = np.inf
+    np.minimum(h[1:], x[1:] - mid, out=h[1:])
+    scale = 0.5 * np.finfo(float).eps * np.maximum(np.abs(x[0]), np.abs(x[-1]))
+    good = (
+        np.isfinite(x).all(axis=0)
+        & (x[1:] > x[:-1]).all(axis=0)
+        & ((n - 1) * delta**2 < scale * (h - n * np.abs(delta))).all(axis=0)
+    )
+    cols = np.flatnonzero(good)
+    if cols.size < good.size:
+        b, a2, mid = b[:, cols], a2[:, cols], mid[:, cols]
+    # the Sturm count at each midpoint: the negative q_k of the ratio recurrence
+    q = b[0] - mid
+    count = (q < 0.0).astype(np.intp)
+    t = np.empty_like(mid)
+    for k in range(1, n):
+        np.divide(a2[k - 1], q, out=t)
+        np.subtract(b[k], mid, out=q)
+        q -= t
+        count += q < 0.0
+    good[cols] = (count == np.arange(1, n)[:, None]).all(axis=0)
+    return good
 
 
 def _dense_rows(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:

@@ -29,7 +29,6 @@ __all__ = [
     "flaschka_map",
     "flaschka_inverse",
     "hamiltonian_ab",
-    "toda_rhs",
     "integrate_toda",
     "integrate_ensemble",
     "lax_matrices",
@@ -129,11 +128,6 @@ def _rhs_rows(b: np.ndarray, a: np.ndarray):
     x[..., : n - 1], x[..., n : 2 * n] = a, b
     _rhs(_views(x, n), (k, k[..., : n - 1]))
     return k[..., : n - 1], 2.0 * k[..., n:]
-
-
-def toda_rhs(s: JacobiMatrix):
-    """Right-hand sides (a', b') of the flow, with the a_0 = a_N = 0 convention."""
-    return _rhs_rows(s.diag, s.offdiag)
 
 
 @dataclass(frozen=True)
@@ -417,7 +411,13 @@ def _qr_steps(b: np.ndarray, a: np.ndarray, rows: np.ndarray, s: np.ndarray):
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    """CSV text with columns t, a_1.., b_1.., H, lambda_1..; floats via repr."""
+    """CSV text with columns t, a_1.., b_1.., H, lambda_1..; floats via repr.
+
+    The lambda columns are one `jacobi_eigenvalues` call over the rows: the
+    flow is isospectral, so each row's eigenvalues are Newton steps from
+    those of the first row, certified per row, and a row's values depend on
+    the first row as well as on its own.
+    """
     a, b = traj.a, traj.b
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("state entries must be finite")

@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 from scipy.special import sph_harm_y
 
 from toda_kdq import iso_flow, kdq, pseudo_toda, sphere, verify
-from toda_kdq.errors import DivergenceRegionError, PoleError
+from toda_kdq.errors import DivergenceRegionError
 from toda_kdq.kdq import (
     AlmansiPolynomial,
     KDQPoint,
     PseudoPositiveMeasure,
     _kernel,
-    aronszajn_r_pow_n,
     cauchy_reproduce,
     divergent_partial_sums,
     growth_condition_check,
@@ -25,6 +24,12 @@ from toda_kdq.moment_1d import DiscreteMeasure, stieltjes_transform
 from toda_kdq.toda_1d import _evolved_masses
 
 E3 = np.array([0.0, 0.0, 1.0])
+
+
+def r_pow_n(p, x):
+    """r(zeta theta - x)^n = zeta^{n-1} / `_kernel` = zeta^n u^{n/2} at the canonical representative."""
+    x = np.asarray(x, dtype=float)
+    return complex(p.zeta ** (p.n - 1) / _kernel(p.n, np.complex128(p.zeta), float(p.theta @ x), float(x @ x)))
 RAY = np.exp(1j * np.pi / 4)  # arg zeta^2 = pi/2
 
 
@@ -179,7 +184,7 @@ class TestKDQPoint:
         zeta = 2.0 + 0.7j
         mu = single_component(3, 1, 1, [0.4], [1.0])
         for p in (KDQPoint(zeta, th), KDQPoint(-zeta, -th)):
-            assert aronszajn_r_pow_n(p, x) == aronszajn_r_pow_n(KDQPoint(zeta, th), x)
+            assert r_pow_n(p, x) == r_pow_n(KDQPoint(zeta, th), x)
             assert hua_kernel(p, x, 20) == hua_kernel(KDQPoint(zeta, th), x, 20)
             assert markov_stieltjes(mu, p) == markov_stieltjes(mu, KDQPoint(zeta, th))
 
@@ -189,30 +194,35 @@ class TestAronszajn:
         th = unit([0.6, 0.8])
         for n, theta in ((2, th), (3, E3)):
             p = KDQPoint(1.3 + 0.4j, theta)
-            assert aronszajn_r_pow_n(p, np.zeros(n)) == pytest.approx(p.zeta**n)
+            assert r_pow_n(p, np.zeros(n)) == pytest.approx(p.zeta**n)
 
     def test_aligned_square(self):
         th = unit([0.6, 0.8])
         p = KDQPoint(2.0 + 1.0j, th)
         s = 0.7
-        assert aronszajn_r_pow_n(p, s * th) == pytest.approx((p.zeta - s) ** 2)
+        assert r_pow_n(p, s * th) == pytest.approx((p.zeta - s) ** 2)
 
     def test_singularity(self):
+        # u = 0 (zeta a root of modulus |x|) is a pole of the closed form
         th = unit([1.0, 0.0])
-        with pytest.raises(PoleError):
-            aronszajn_r_pow_n(KDQPoint(0.5, th), 0.5 * th)
+        assert singular_roots(th, 0.5 * th) == (0.5, 0.5)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert not np.isfinite(_kernel(2, np.complex128(0.5), 0.5, 0.25))
 
     def test_series_branch_where_the_raw_radicand_flips(self):
         # the principal root of zeta^2 - 2 zeta <theta,x> + |x|^2 gave
         # +0.677486+0.669236i here, the negative of the series
         p = KDQPoint(0.1 + 1.0j, E3)
         exact = p.zeta**2 / (p.zeta - 0.3) ** 3
-        assert abs(p.zeta**2 / aronszajn_r_pow_n(p, 0.3 * E3) - exact) <= 1e-14 * abs(exact)
+        assert abs(_kernel(3, np.complex128(p.zeta), 0.3, 0.09) - exact) <= 1e-14 * abs(exact)
 
     def test_zero_zeta_has_no_u(self):
+        # zeta = 0 has no u, and lies outside the series' region |zeta| > |x|
         for x in (np.zeros(3), 0.3 * E3):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                assert not np.isfinite(_kernel(3, np.complex128(0.0), float(E3 @ x), float(x @ x)))
             with pytest.raises(DivergenceRegionError):
-                aronszajn_r_pow_n(KDQPoint(0.0, E3), x)
+                hua_kernel(KDQPoint(0.0, E3), x, 10)
 
     def test_roots_have_modulus_x(self):
         rng = np.random.default_rng(1)
@@ -263,7 +273,7 @@ class TestHuaKernel:
         for _ in range(25):
             p, x = random_point_pair(rng, n)
             series = hua_kernel(p, x, 40)
-            closed = p.zeta ** (n - 1) / aronszajn_r_pow_n(p, x)
+            closed = _kernel(n, np.complex128(p.zeta), float(p.theta @ x), float(x @ x))
             bound = hua_tail_bound(n, p.zeta, x, 40)
             assert abs(series - closed) <= bound + 1e-12
 
@@ -444,8 +454,8 @@ class TestCauchyReproduce:
     def test_verify_check_fails_on_a_skew(self, monkeypatch, defect, fails, passes):
         # a relative skew of the kernel of every case, or of the cached node
         # column of Y_{1,2} on S^2, fails kdq-cauchy-reproduction; a skew of
-        # the shared radical u^{n/2}, or the closed form of the earlier
-        # aronszajn_r_pow_n, the principal root of the raw radicand, fails
+        # the shared radical u^{n/2}, or an earlier closed form, the
+        # principal root of the raw radicand, fails
         # kdq-kernel-series-vs-closed; the README records the smallest
         # failing skew of 1, 2, 5 per decade
         kernel, table, radical = kdq._kernel, kdq._node_harmonics, kdq._radical

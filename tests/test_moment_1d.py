@@ -1,13 +1,14 @@
 import re
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from toda_kdq import moment_1d, verify
+from toda_kdq import moment_1d, toda_1d, verify
 from toda_kdq.errors import PoleError, RankDeficiencyError
 from toda_kdq.iso_flow import IsoFlowState
 from toda_kdq.moment_1d import (
@@ -281,27 +282,164 @@ class TestSpectralData:
             power = power @ dense
 
 
+def exact_spectrum(diag, offdiag) -> list:
+    """The ascending eigenvalues of one Jacobi matrix, by mpmath at 34 digits."""
+    n = len(diag)
+    with mpmath.workdps(34):
+        mat = mpmath.matrix(n, n)
+        for i in range(n):
+            mat[i, i] = mpmath.mpf(float(diag[i]))
+        for i in range(n - 1):
+            mat[i, i + 1] = mat[i + 1, i] = mpmath.mpf(float(offdiag[i]))
+        return sorted(mpmath.eigsy(mat, eigvals_only=True))
+
+
+def assert_near_exact(lam, diag, offdiag, ulps=2.0):
+    # every row within `ulps` eps max|lambda| of its exact spectrum
+    eps = np.finfo(float).eps
+    for row, d, e in zip(lam, diag, offdiag):
+        exact = exact_spectrum(d, e)
+        with mpmath.workdps(34):
+            err = max(abs(mpmath.mpf(float(v)) - x) for v, x in zip(row, exact))
+            assert err <= ulps * eps * max(abs(x) for x in exact)
+
+
+def rk4_rows(n, dt, steps, seed):
+    # (b, a) of an RK4 trajectory from a random state of n sites
+    rng = np.random.default_rng(seed)
+    state = JacobiMatrix(diag=rng.uniform(-1.0, 1.0, n), offdiag=rng.uniform(0.3, 1.0, n - 1))
+    traj = toda_1d.integrate_toda(state, steps * dt, dt)
+    return traj.b, traj.a
+
+
 class TestJacobiEigenvalues:
     @settings(max_examples=60, deadline=None)
     @given(rows=st.integers(0, 20), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
-    def test_equals_sterf_per_row(self, rows, n, seed):
-        # bit for bit LAPACK ?sterf of each row's diagonals; both that and the
+    def test_within_two_eps_of_the_exact_spectrum(self, rows, n, seed):
+        # unrelated rows, which restart from their own ?syevd eigenvalues:
+        # within 2 eps max|lambda| of mpmath's spectrum; both these and the
         # eigenvalues that come with the masses are backward stable, within
         # 2 N eps max|lambda| of scipy's ?stevd
         rng = np.random.default_rng(seed)
         diag = rng.uniform(-1.0, 1.0, size=(rows, n))
         offdiag = rng.uniform(0.3, 1.0, size=(rows, n - 1))
         lam = jacobi_eigenvalues(diag, offdiag)
-        sterf = [eigh_tridiagonal(d, e, eigvals_only=True, lapack_driver="sterf") for d, e in zip(diag, offdiag)]
-        assert lam.tobytes() == np.reshape(sterf, (rows, n)).tobytes()
+        assert lam.shape == (rows, n)
+        assert_near_exact(lam, diag, offdiag)
         ref = np.array([eigh_tridiagonal(d, e)[0] for d, e in zip(diag, offdiag)]).reshape(rows, n)
         bound = 2 * n * np.finfo(float).eps * np.abs(ref).max(axis=1, keepdims=True, initial=0.0)
         assert (np.abs(lam - ref) <= bound).all()
         with_masses = [spectral_data_from_jacobi(JacobiMatrix(d, e))[0] for d, e in zip(diag, offdiag)]
         assert (np.abs(lam - np.reshape(with_masses, (rows, n))) <= bound).all()
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 10),
+        dt=st.floats(1e-3, 0.05),
+        steps=st.integers(0, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_trajectory_rows_within_two_eps(self, n, dt, steps, seed):
+        # rows that drift from row 0's spectrum by RK4 error, up to dt = 0.05
+        b, a = rk4_rows(n, dt, steps, seed)
+        lam = jacobi_eigenvalues(b, a)
+        picked = sorted({0, len(b) // 2, len(b) - 1})
+        assert_near_exact(lam[picked], b[picked], a[picked])
+        ref = np.array([eigh_tridiagonal(d, e)[0] for d, e in zip(b, a)]).reshape(b.shape)
+        bound = 2 * n * np.finfo(float).eps * np.abs(ref).max(axis=1, keepdims=True)
+        assert (np.abs(lam - ref) <= bound).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        scale=st.sampled_from([1e-150, 1.0, 1e150, 1e154, 1.3e154, 2e154]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_couplings_near_overflow(self, n, scale, seed):
+        # a^2 overflows from about 1.34e154 on: such rows keep ?syevd's values
+        b, a = rk4_rows(n, 1e-2, 5, seed)
+        b, a = b * scale, a * scale
+        lam = jacobi_eigenvalues(b, a)
+        assert np.isfinite(lam).all() and (np.diff(lam, axis=1) > 0.0).all()
+        ref = np.array([eigh_tridiagonal(d, e)[0] for d, e in zip(b, a)]).reshape(b.shape)
+        bound = 2 * n * np.finfo(float).eps * np.abs(ref).max(axis=1, keepdims=True)
+        assert (np.abs(lam - ref) <= bound).all()
+        if scale <= 1e154:
+            assert_near_exact(lam[[0, -1]], b[[0, -1]], a[[0, -1]])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 9),
+        block=st.sampled_from([1, 7, 40, 300]),
+        unrelated=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bits_do_not_depend_on_the_block_split(self, n, block, unrelated, seed):
+        # trajectory rows, then unrelated ones that restart
+        b, a = rk4_rows(n, 2e-2, 40, seed)
+        rng = np.random.default_rng(seed)
+        b = np.concatenate([b, rng.uniform(-1.0, 1.0, (unrelated, n))])
+        a = np.concatenate([a, rng.uniform(0.3, 1.0, (unrelated, n - 1))])
+        whole = jacobi_eigenvalues(b, a)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(moment_1d, "_BLOCK", block)
+            assert jacobi_eigenvalues(b, a).tobytes() == whole.tobytes()
+
+    def test_rows_not_certified_from_row_0_have_their_bits_alone(self, monkeypatch):
+        # rows shifted by 100 from row 0's spectrum cannot converge in 3
+        # steps; each restarts from its own ?syevd eigenvalues, as row 0 of
+        # a call of its own does
+        b, a = rk4_rows(8, 1e-2, 20, 3)
+        b[5:15] += 100.0
+        restarted = []
+        eigvalsh_rows = moment_1d._eigvalsh_rows
+
+        def spy(diag, offdiag, rows):
+            restarted.extend(rows)
+            return eigvalsh_rows(diag, offdiag, rows)
+
+        monkeypatch.setattr(moment_1d, "_eigvalsh_rows", spy)
+        lam = jacobi_eigenvalues(b, a)
+        assert restarted == [0, *range(5, 15)]
+        for i in range(len(b)):
+            alone = jacobi_eigenvalues(b[i : i + 1], a[i : i + 1])[0]
+            if i in range(5, 15):
+                assert lam[i].tobytes() == alone.tobytes()
+            else:
+                assert (np.abs(lam[i] - alone) <= 2 * np.finfo(float).eps * np.abs(alone).max()).all()
+        assert_near_exact(lam[4:6], b[4:6], a[4:6])
+
+    def test_certificate_refuses_values_off_the_spectrum(self):
+        # with a zero last step only the Sturm counts at the midpoints can
+        # tell that one value is not an eigenvalue
+        diag, offdiag = np.array([[0.3, -0.2, 0.9, 0.1]]), np.array([[0.6, 0.4, 0.8]])
+        lam = jacobi_eigenvalues(diag, offdiag)
+        b, a2, zero = diag.T.copy(), offdiag.T**2, np.zeros((4, 1))
+        assert moment_1d._certified(b, a2, lam.T.copy(), zero).tolist() == [True]
+        off = lam.T.copy()
+        off[1] = 0.5 * (off[1] + off[2])  # still strictly increasing
+        assert moment_1d._certified(b, a2, off, zero).tolist() == [False]
+
+    def test_decoupled_first_site_is_certified(self, monkeypatch):
+        # a first coupling of 1e-20 puts an eigenvalue on b_1 exactly, a zero
+        # first pivot; it is shifted off, so the second row certifies from
+        # the first row's spectrum and never restarts
+        diag, offdiag = np.array([[0.5, -0.3, 0.1]] * 2), np.array([[1e-20, 0.7]] * 2)
+        restarted = []
+        eigvalsh_rows = moment_1d._eigvalsh_rows
+
+        def spy(d, e, rows):
+            restarted.extend(rows)
+            return eigvalsh_rows(d, e, rows)
+
+        monkeypatch.setattr(moment_1d, "_eigvalsh_rows", spy)
+        lam = jacobi_eigenvalues(diag, offdiag)
+        assert restarted == [0] and 0.5 in lam[1]
+        assert_near_exact(lam, diag, offdiag)
+
     def test_blocks_equal_rows_alone(self):
-        # 1,100 rows of N = 8 make three stacks; each row's bits do not depend on its stack
+        # 1,100 unrelated rows of N = 8 restart in three dense stacks; none
+        # certifies from row 0's spectrum, so each row has its bits alone
         rng = np.random.default_rng(5)
         diag = rng.uniform(-1.0, 1.0, size=(1100, 8))
         offdiag = rng.uniform(0.3, 1.0, size=(1100, 7))

@@ -26,7 +26,6 @@ from toda_kdq.toda_1d import (
     integrate_toda,
     lax_matrices,
     spectral_solve,
-    toda_rhs,
     trajectory_to_csv,
 )
 
@@ -92,7 +91,8 @@ def reference_error(states, n_steps, dt):
 
 
 def reference_csv(traj):
-    """Row by row, through a state and the eigenvalues of its Jacobi matrix alone."""
+    """Row by row, through a state; the lambda columns from one `jacobi_eigenvalues`
+    call over the trajectory's rows, as the CSV defines them."""
     n = traj.b.shape[1]
     header = (
         ["t"]
@@ -102,11 +102,10 @@ def reference_csv(traj):
         + [f"lambda_{j}" for j in range(1, n + 1)]
     )
     lines = [",".join(header)]
+    spectra = jacobi_eigenvalues(traj.b, traj.a)
     for i in range(len(traj)):
         state = traj.state(i)
-        jac = lax_matrices(state)[0]
-        lam = jacobi_eigenvalues(jac.diag[None], jac.offdiag[None])[0]
-        row = [traj.times[i]] + list(traj.a[i]) + list(traj.b[i]) + [hamiltonian_ab(state)] + list(lam)
+        row = [traj.times[i]] + list(traj.a[i]) + list(traj.b[i]) + [hamiltonian_ab(state)] + list(spectra[i])
         lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
 
@@ -249,11 +248,11 @@ class TestFlaschkaMaps:
 class TestRhs:
     def test_equal_b_freezes_couplings(self):
         s = JacobiMatrix(offdiag=[0.3, 0.9], diag=[0.7, 0.7, 0.7])
-        da, _ = toda_rhs(s)
+        da, _ = toda_1d._rhs_rows(s.diag, s.offdiag)
         assert np.allclose(da, 0.0)
 
     def test_symmetric_state(self):
-        da, db = toda_rhs(SYMMETRIC_N2)
+        da, db = toda_1d._rhs_rows(SYMMETRIC_N2.diag, SYMMETRIC_N2.offdiag)
         assert np.allclose(da, [0.0])
         assert np.allclose(db, [0.5, -0.5])
 
@@ -275,12 +274,12 @@ class TestRhs:
             da, db = toda_1d._rhs_rows(b, a)
             assert da.tobytes() == want_a.tobytes() and db.tobytes() == want_b.tobytes()
             for i in range(rows):
-                da, db = toda_rhs(JacobiMatrix(offdiag=a[i], diag=b[i]))
+                da, db = toda_1d._rhs_rows(b[i], a[i])
                 assert da.tobytes() == want_a[i].tobytes() and db.tobytes() == want_b[i].tobytes()
 
     def test_decoupled_limit(self):
         s = JacobiMatrix(offdiag=[1e-9, 1e-9], diag=[0.1, -0.3, 0.5])
-        _, db = toda_rhs(s)
+        _, db = toda_1d._rhs_rows(s.diag, s.offdiag)
         assert np.max(np.abs(db)) < 1e-15
 
 
@@ -464,7 +463,7 @@ class TestLax:
         s = random_state(rng, 4)
         lax, bmat = lax_matrices(s)
         comm = bmat @ lax.to_dense() - lax.to_dense() @ bmat
-        da, db = toda_rhs(s)
+        da, db = toda_1d._rhs_rows(s.diag, s.offdiag)
         assert np.allclose(np.diag(comm), db, atol=1e-14)
         assert np.allclose(np.diag(comm, 1), da, atol=1e-14)
         assert abs(np.trace(comm)) < 1e-14
@@ -761,7 +760,15 @@ class TestCsv:
         n_steps=st.integers(0, 30),
     )
     def test_equals_row_by_row_rendering(self, sizes, seed, n_steps):
-        # ensemble trajectories are strided views of one output
+        # ensemble trajectories are strided views of one output; each row's
+        # eigenvalues, taken from its Jacobi matrix alone, agree with the
+        # CSV's to 2 eps max|lambda|
         rng = np.random.default_rng(seed)
         for traj in integrate_ensemble([random_state(rng, n) for n in sizes], n_steps * 1e-2, 1e-2):
             assert trajectory_to_csv(traj) == reference_csv(traj)
+            spectra = jacobi_eigenvalues(traj.b, traj.a)
+            for i in range(len(traj)):
+                jac = lax_matrices(traj.state(i))[0]
+                alone = jacobi_eigenvalues(jac.diag[None], jac.offdiag[None])[0]
+                bound = 2 * np.finfo(float).eps * np.abs(alone).max()
+                assert (np.abs(spectra[i] - alone) <= bound).all()
