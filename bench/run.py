@@ -15,6 +15,8 @@ Each round then times each case on this checkout ("this") and on PATH
 the case also records the median and quartiles of the ratio this / against
 and the wins of "this".  A tree that lacks a name a case needs
 (AttributeError) is recorded as absent (null).  BLAS runs on one thread.
+After the rounds, the tier-1 suite of this checkout runs once, untimed by
+the sampler (`tier1`): the file records its wall time and its counts.
 """
 
 import os
@@ -30,6 +32,7 @@ import itertools  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import platform  # noqa: E402
+import re  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import tempfile  # noqa: E402
@@ -140,6 +143,18 @@ def machine() -> dict:
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
     }
+
+
+def tier1(root: Path) -> dict:
+    """One run of `python -m pytest -q` in the checkout `root`: its wall
+    time, its exit code and the counts of its summary line, such as
+    {"passed": 660}."""
+    t = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q"], cwd=root, capture_output=True, text=True)
+    wall = time.perf_counter() - t
+    summary = (proc.stdout.strip().splitlines() or [""])[-1]
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", summary)}
+    return {"command": "python -m pytest -q", "wall_s": wall, "exit_code": proc.returncode, **counts}
 
 
 def _jacobi(tk, rng, n: int):
@@ -353,14 +368,16 @@ def main(argv=None) -> int:
     parser.add_argument("out", type=Path)
     parser.add_argument("--against", type=Path, help="a src/ directory whose toda_kdq is timed beside this checkout's")
     args = parser.parse_args(argv)
-    trees = {"this": load("toda_kdq", Path(__file__).resolve().parents[1] / "src")}
+    root = Path(__file__).resolve().parents[1]
+    trees = {"this": load("toda_kdq", root / "src")}
     if args.against:
         trees["against"] = load("toda_kdq_against", args.against.resolve())
     records = measure(CASES, trees, ROUNDS)
-    report = {"machine": machine(), "rounds": ROUNDS, "cases": records}
+    report = {"machine": machine(), "rounds": ROUNDS, "tier1": tier1(root), "cases": records}
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     for record in records:
         print(_text(record, list(trees)))
+    print(f"tier 1: {report['tier1']}")
     return 0
 
 

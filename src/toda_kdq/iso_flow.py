@@ -8,6 +8,7 @@ weighted tails S_{k,l}(t) = sum_j r_j^2(t)/lambda_j^k decrease monotonically,
 with dS/dt = -2 sum_j r_j^3(t)/lambda_j^{k-1}.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,7 +22,6 @@ __all__ = [
     "blow_up_time",
     "riccati_evolve",
     "monotonicity_check",
-    "state_to_measure",
     "state_from_measure",
 ]
 
@@ -40,6 +40,8 @@ class IsoFlowState:
                 raise ValueError(f"invalid component index {(k, ell)}")
         if (family.radii < 0.0).any() or (family.masses < 0.0).any():
             raise ValueError("radii and masses must be nonnegative")
+        if math.isnan(time):
+            raise ValueError(f"state time must be a number, got {time!r}")
         self.family, self.time = family, float(time)
 
 
@@ -77,7 +79,8 @@ def _riccati(state: IsoFlowState, times, allow_backward: bool) -> np.ndarray:
         if bad.any():  # a backward time near the blow-up, as a central difference's backward point
             atom = int(np.argmax(bad.any(axis=0)))
             t = state.time + float(times[np.argmax(bad[:, atom])])
-            raise OverflowError(f"the mass of component {_key_of(state.family, atom)} overflows at t = {t!r}")
+            key = state.family.keys[state.family.owner(atom)]
+            raise OverflowError(f"the mass of component {key} overflows at t = {t!r}")
     return masses
 
 
@@ -86,8 +89,11 @@ def riccati_evolve(state: IsoFlowState, t: float, allow_backward: bool = False) 
 
     Radii stay fixed.  Negative t must be enabled explicitly and must stay
     strictly after the blow-up time of every atom; OverflowError naming the
-    component and the time where a mass so near it overflows.
+    component and the time where a mass so near it overflows.  t = inf
+    gives the limit masses; t = NaN is a ValueError.
     """
+    if math.isnan(t):
+        raise ValueError(f"evolution time must be a number, got t = {t!r}")
     # the radii stay, and `_riccati` checked the new masses
     out = object.__new__(IsoFlowState)
     out.family, out.time = replace(state.family, masses=_riccati(state, [t], allow_backward)[0]), state.time + t
@@ -99,16 +105,11 @@ def _functionals(family: ComponentFamily, masses: np.ndarray) -> np.ndarray:
     # lambda = 0 with k > 0 and a positive mass
     hit = ((family.radii == 0.0) & (family.atom_degrees > 0) & (masses > 0.0)).reshape(-1, masses.shape[-1])
     if hit.any():
-        k, ell = _key_of(family, np.argmax(hit.any(axis=0)))
+        k, ell = family.keys[family.owner(np.argmax(hit.any(axis=0)))]
         raise ZeroDivisionError(f"component {(k, ell)} divides by lambda^{k} at lambda = 0")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = np.where(masses > 0.0, masses / family.degree_powers(family.radii), 0.0)
         return _finite(family, family.block_sums(terms), "S_{k,l}")
-
-
-def _key_of(family: ComponentFamily, atom: int) -> tuple:
-    # the key (k, ell) of the component that holds the atom at flat index `atom`
-    return family.keys[np.searchsorted(family.offsets, atom, side="right") - 1]
 
 
 def _ds_dt(family: ComponentFamily, masses: np.ndarray) -> np.ndarray:
@@ -195,12 +196,6 @@ def _max_positive(values: np.ndarray) -> float:
     # -0.0 and skips NaN: the largest entry above 0, else 0.0
     above = values[values > 0.0]
     return float(above.max()) if above.size else 0.0
-
-
-def state_to_measure(state: IsoFlowState, n: int, k_max: int = -1) -> PseudoPositiveMeasure:
-    """Serialize through the shared radial-component schema (zero-mass atoms drop)."""
-    kept = state.family.compress(state.family.masses > 0.0)
-    return PseudoPositiveMeasure(n, {key: (r, m) for key, r, m in kept.items()}, k_max=k_max)
 
 
 def state_from_measure(mu: PseudoPositiveMeasure) -> IsoFlowState:

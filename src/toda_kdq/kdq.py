@@ -18,11 +18,11 @@ is (2k+1) P_k(<theta,v>) on S^2 and 2 T_k(<theta,v>) = 2 cos(k phi) on S^1
 (k >= 1), so the series needs one Legendre or Chebyshev value per degree.
 In closed form the kernel is zeta^{-1} u^{-n/2}, u^{n/2} taken as u (n = 2)
 or the principal u sqrt(u) (n = 3): u = (1 - a/zeta)(1 - b/zeta), a and b
-the roots of modulus |x| (`singular_roots`), is off the negative axis for
-|zeta| > |x|, where the principal root of zeta^2 u may flip sign.  Contour
-integration of the kernel against a polynomial reproduces the polynomial's
-values inside the unit ball, and integrating it against a measure gives the
-transform
+the roots <theta,x> +- i sqrt(|x|^2 - <theta,x>^2), both of modulus |x|, is
+off the negative axis for |zeta| > |x|, where the principal root of
+zeta^2 u may flip sign.  Contour integration of the kernel against a
+polynomial reproduces the polynomial's values inside the unit ball, and
+integrating it against a measure gives the transform
 
     mu_hat(zeta, theta) = sum_{k,l} zeta^{1-k} Y_{k,l}(theta)
                           * int r^k dmu_{k,l}(r) / (zeta^2 - r^2),
@@ -51,7 +51,6 @@ __all__ = [
     "PseudoPositiveMeasure",
     "AlmansiPolynomial",
     "GrowthReport",
-    "singular_roots",
     "hua_kernel",
     "hua_tail_bound",
     "cauchy_reproduce",
@@ -181,6 +180,10 @@ class ComponentFamily:
         if key not in self.keys:
             raise KeyError(f"no component at index {key}")
         return self.keys.index(key)
+
+    def owner(self, atom) -> int:
+        """Position in `keys` of the component that holds the atom at flat index `atom`."""
+        return int(np.searchsorted(self.offsets, atom, side="right")) - 1
 
     def component(self, idx) -> tuple:
         """(radii, masses) views of component idx = (k, ell); KeyError if it is absent."""
@@ -343,16 +346,6 @@ def _kernel(n: int, zeta, dots, r2):
     return 1.0 / (_radical(n, _u(zeta, dots, r2)) * zeta)
 
 
-def singular_roots(theta, x):
-    """The two zeros <theta,x> +- i sqrt(|x|^2 - <theta,x>^2); both have modulus |x|."""
-    xv = np.asarray(x, dtype=float)
-    th = as_direction(xv.size, theta)
-    t = float(th @ xv)
-    disc = max(float(xv @ xv) - t * t, 0.0)
-    s = math.sqrt(disc)
-    return complex(t, s), complex(t, -s)
-
-
 @lru_cache(maxsize=None)
 def _degrees(n: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     # degrees 0..k_max and the harmonic dimensions d_k, read-only and shared
@@ -443,11 +436,6 @@ class AlmansiPolynomial:
 
     def eval(self, x) -> float:
         return float(almansi_eval_many([self], [x])[0])
-
-    def eval_kdq(self, zeta, theta) -> np.ndarray:
-        """Values on the quadric; zeta and the node axis of theta broadcast."""
-        ys = harmonic_table(self.n, [key[1:] for key in self.terms], np.asarray(theta, dtype=float))
-        return _quadric_sum(self.terms, np.asarray(zeta, dtype=complex), ys)
 
 
 def _quadric_sum(terms: dict, z: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -573,7 +561,7 @@ def _tilde_transforms(tilde: ComponentFamily, z2: np.ndarray) -> np.ndarray:
     diffs = z2[:, None] - tilde.radii
     poles = diffs == 0.0
     if poles.any():
-        c = np.searchsorted(tilde.offsets, np.flatnonzero(poles.any(axis=0))[0], side="right") - 1
+        c = tilde.owner(np.flatnonzero(poles.any(axis=0))[0])
         i = np.flatnonzero(poles[:, tilde.offsets[c] : tilde.offsets[c + 1]].any(axis=1))[0]
         raise PoleError(f"Stieltjes transform evaluated at an atom: {complex(z2[i])}")
     return tilde.block_sums(tilde.masses / diffs)

@@ -24,13 +24,11 @@ __all__ = [
     "JacobiMatrix",
     "moments",
     "stieltjes_transform",
-    "recurrence_coefficients",
     "jacobi_from_measure",
     "spectral_data_from_jacobi",
     "jacobi_eigenvalues",
     "continued_fraction_eval",
     "resolvent_NN",
-    "second_kind_poly",
     "nevanlinna_limit_check",
 ]
 
@@ -273,25 +271,6 @@ def stieltjes_transform(mu: DiscreteMeasure, lam: complex) -> complex:
     if np.any(diffs == 0.0):
         raise PoleError(f"Stieltjes transform evaluated at an atom: {lam}")
     return complex(np.sum(mu.weights / diffs))
-
-
-def recurrence_coefficients(mu: DiscreteMeasure, n: int):
-    """Three-term recurrence coefficients of the orthonormal polynomials of mu.
-
-    The first n steps of `_lanczos` on the atoms and weights of mu.
-
-    Returns
-    -------
-    alphas : (n,) diagonal coefficients alpha_0..alpha_{n-1}
-    betas : (n-1,) squared off-diagonal coefficients beta_1..beta_{n-1}, all > 0
-    """
-    m = len(mu)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > m:
-        raise RankDeficiencyError(f"measure has {m} atoms; cannot produce {n} recurrence steps")
-    alphas, sb = _lanczos(mu.atoms[None], mu.weights[None], n)
-    return alphas[0], sb[0] ** 2
 
 
 def _lanczos(atoms: np.ndarray, weights: np.ndarray, n: int, labels=("",)):
@@ -583,52 +562,6 @@ def resolvent_NN(jac: JacobiMatrix, lam: complex) -> complex:
     if not np.all(np.isfinite(sol.view(float))):
         raise PoleError(f"singular resolvent system at lambda = {lam}")
     return complex(sol[-1])
-
-
-def _orthonormal_poly(alphas, sqrt_betas, mass0, degree, x, with_derivative=False):
-    # evaluates P_degree at x via the recurrence
-    #   sqrt(beta_{j+1}) P_{j+1} = (x - alpha_j) P_j - sqrt(beta_j) P_{j-1}
-    # with P_0 = 1/sqrt(mass0); needs alphas[0..degree-1], sqrt_betas[0..degree-1]
-    x = np.asarray(x)
-    p_prev = np.zeros(x.shape, dtype=x.dtype)
-    p = np.full(x.shape, 1.0 / np.sqrt(mass0), dtype=x.dtype)
-    d_prev = np.zeros(x.shape, dtype=x.dtype)
-    d = np.zeros(x.shape, dtype=x.dtype)
-    for j in range(degree):
-        sb_next = sqrt_betas[j]
-        sb_here = sqrt_betas[j - 1] if j > 0 else 0.0
-        p_next = ((x - alphas[j]) * p - sb_here * p_prev) / sb_next
-        if with_derivative:
-            d_next = ((x - alphas[j]) * d + p - sb_here * d_prev) / sb_next
-            d_prev, d = d, d_next
-        p_prev, p = p, p_next
-    return (p, d) if with_derivative else p
-
-
-def second_kind_poly(mu: DiscreteMeasure, n: int, tau) -> float | complex:
-    """Second-kind polynomial Q_n(tau) = int (P_n(tau) - P_n(u))/(tau - u) dmu(u).
-
-    The integrand's removable singularity at an atom is filled with the
-    derivative P_n'(tau).  P_n is the *orthonormal* polynomial of mu.
-    """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if n == 0:
-        return 0.0
-    alphas, betas = recurrence_coefficients(mu, n + 1)
-    sb = np.sqrt(betas)
-    m0 = mu.total_mass
-    tau_c = complex(tau) if np.iscomplexobj(np.asarray(tau)) else float(tau)
-    p_tau, dp_tau = _orthonormal_poly(alphas, sb, m0, n, np.asarray(tau_c), with_derivative=True)
-    p_atoms = _orthonormal_poly(alphas, sb, m0, n, mu.atoms.astype(np.result_type(tau_c, float)))
-    scale = max(1.0, abs(tau_c), float(np.max(np.abs(mu.atoms))))
-    diffs = tau_c - mu.atoms
-    near = np.abs(diffs) <= 1e-12 * scale
-    dd = np.empty(mu.atoms.shape, dtype=np.result_type(tau_c, float))
-    dd[~near] = (p_tau - p_atoms[~near]) / diffs[~near]
-    dd[near] = dp_tau
-    out = np.sum(mu.weights * dd)
-    return complex(out) if np.iscomplexobj(np.asarray(tau_c)) else float(out.real)
 
 
 def _dd_times(x, y):

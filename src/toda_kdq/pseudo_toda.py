@@ -17,25 +17,21 @@ C = D = 1, so the transform of the associated measure converges for
 """
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import PositivityLossError
 from .kdq import ComponentFamily, PseudoPositiveMeasure, _read_components, _write_components
-from .moment_1d import JacobiMatrix, _check_mass, _check_unreduced, _json_float, _json_int, _lanczos, _merge_coincident
+from .moment_1d import _check_mass, _check_unreduced, _json_float, _json_int, _lanczos, _merge_coincident
 from .sphere import check_indices, harmonic_table
 from .toda_1d import _csv_text, _evolved_masses, _flow, _rhs_rows
 
 __all__ = [
     "PseudoTodaState",
     "PhysicalSurface",
-    "tilde_transform",
-    "tilde_inverse",
     "evolve",
     "family_jacobi",
-    "component_jacobi",
     "total_hamiltonian",
     "normalization_invariant",
     "component_ode_residual",
@@ -49,12 +45,14 @@ _FIELDS = ("lambdas", "masses_tilde")
 
 
 def _toda_family(family: ComponentFamily) -> ComponentFamily:
-    # radii >= 0 and tilde masses > 0 summing to one per component; each
-    # component is then sorted by radius
-    if (family.radii < 0.0).any():
-        raise ValueError("radii must be finite and nonnegative")
-    if (family.masses <= 0.0).any():
-        raise ValueError("tilde masses must be finite and strictly positive")
+    # radii >= 0 and tilde masses > 0 summing to one per component, errors
+    # naming the first component that fails; each is then sorted by radius
+    for bad, rule in (
+        (family.radii < 0.0, "radii of component {} must be finite and nonnegative"),
+        (family.masses <= 0.0, "tilde masses of component {} must be finite and strictly positive"),
+    ):
+        if bad.any():
+            raise ValueError(rule.format(family.keys[family.owner(bad.argmax())]))
     sums = family.block_sums(family.masses)
     off = np.abs(sums - 1.0) > _NORM_TOL
     if off.any():
@@ -101,29 +99,6 @@ class PseudoTodaState:
         return cls(n, comps, float(t))
 
 
-def tilde_transform(k: int, lambdas, masses):
-    """Map (lambda, r^2) -> (lambda^2, r^2 lambda^k) componentwise.
-
-    For k > 0 an atom at lambda = 0 carries zero tilde mass; its untilded
-    mass is unrecoverable, so a warning is emitted.
-    """
-    lam = np.asarray(lambdas, dtype=float)
-    m = np.asarray(masses, dtype=float)
-    if np.any(lam < 0.0):
-        raise ValueError("radii must be nonnegative")
-    if k > 0 and np.any((lam == 0.0) & (m > 0.0)):
-        warnings.warn("atom at lambda = 0 with k > 0: mass annihilated by the tilde map", stacklevel=2)
-    return lam**2, m * lam**k
-
-
-def tilde_inverse(k: int, lambdas_tilde, masses_tilde):
-    """Inverse map (lt, rt2) -> (sqrt(lt), rt2 lt^{-k/2}); requires lt > 0 when k > 0."""
-    lt = np.asarray(lambdas_tilde, dtype=float)
-    if np.any(lt < 0.0):
-        raise ValueError("tilde radii must be nonnegative")
-    return _untilde(k, np.sqrt(lt), np.asarray(masses_tilde, dtype=float))
-
-
 def _untilde(k: int, lam: np.ndarray, mt: np.ndarray):
     # (lambda, rt2 lambda^{-k}) from the radii lambda themselves
     if k == 0:
@@ -150,7 +125,7 @@ def _evolved(state: PseudoTodaState, times) -> np.ndarray:
     bad = ~(out > 0.0)
     if bad.any():
         row, atom = divmod(int(np.flatnonzero(bad)[0]), out.shape[1])
-        key = fam.keys[np.searchsorted(fam.offsets, atom, side="right") - 1]
+        key = fam.keys[fam.owner(atom)]
         time = state.time + float(dts[row, 0, 0])
         raise PositivityLossError(f"tilde mass of component {key} is {float(out[row, atom])!r} at t = {time!r}")
     return out
@@ -160,8 +135,11 @@ def evolve(state: PseudoTodaState, t: float) -> PseudoTodaState:
     """Advance every component by time t; radii fixed, masses reweighted.
 
     The reweighting denominator restores sum rt2 = 1 exactly, and composing
-    evolutions adds their times (the flow is a semigroup in t).
+    evolutions adds their times (the flow is a semigroup in t).  t = NaN is
+    a ValueError.
     """
+    if math.isnan(t):
+        raise ValueError(f"evolution time must be a number, got t = {t!r}")
     # the radii and their order stay, and `_evolved` checked the new masses
     out = object.__new__(PseudoTodaState)
     out.n, out.family, out.time = state.n, replace(state.family, masses=_evolved(state, [t])[0]), state.time + t
@@ -182,7 +160,7 @@ def family_jacobi(state: PseudoTodaState) -> tuple:
     state's time.  The tiny late masses of an evolved state thus never meet
     Lanczos's rank threshold.  The rows of each size m take one stacked
     Lanczos and one stacked flow, and each row gets the bits it would get
-    alone (`component_jacobi`).  Errors name the component.
+    in a family of its component alone.  Errors name the component.
     """
     return _jacobi_rows(state.family, state.time)[:2]
 
@@ -219,22 +197,12 @@ def _jacobi_rows(family: ComponentFamily, time: float) -> tuple:
     return diag, offdiag, merged.sizes
 
 
-def component_jacobi(state: PseudoTodaState, idx) -> JacobiMatrix:
-    """Jacobi matrix of the tilde measure of component idx: its row of
-    `family_jacobi`, bit for bit, cut to its m sites."""
-    family = state.family
-    keep = np.repeat(np.arange(len(family.keys)) == family.index(idx), family.sizes)
-    diag, offdiag, sizes = _jacobi_rows(family.compress(keep), state.time)
-    m = int(sizes[0])
-    return JacobiMatrix(diag=diag[0, :m], offdiag=offdiag[0, : m - 1])
-
-
 def total_hamiltonian(state: PseudoTodaState) -> float:
     """Sum of the component Hamiltonians H_{k,l} = 2 sum_j lambda_j^4, in
     ascending (k, l) order; constant in time by construction.
 
-    H_{k,l} equals `toda_1d.hamiltonian_ab(component_jacobi(state, idx))`, the
-    Hamiltonian 4 (sum at^2 + 1/2 sum bt^2) of the component's Jacobi matrix.
+    H_{k,l} equals the Hamiltonian 4 (sum at^2 + 1/2 sum bt^2) of the
+    component's `family_jacobi` row.
     """
     return float(sum((2.0 * state.family.block_sums(state.family.radii**4)).tolist()))
 

@@ -20,18 +20,12 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import PositivityLossError
-from .moment_1d import _BLOCK, JacobiMatrix, _dense_rows, _freeze_fields, jacobi_eigenvalues
+from .moment_1d import _BLOCK, JacobiMatrix, _dense_rows, jacobi_eigenvalues
 
 __all__ = [
-    "TodaStatePhysical",
     "Trajectory",
-    "hamiltonian_xy",
-    "flaschka_map",
-    "flaschka_inverse",
-    "hamiltonian_ab",
     "integrate_toda",
     "integrate_ensemble",
-    "lax_matrices",
     "spectral_solve",
     "trajectory_to_csv",
 ]
@@ -49,59 +43,10 @@ _add, _subtract, _multiply, _square = np.add, np.subtract, np.multiply, np.squar
 _MAX = np.finfo(float).max
 
 
-@dataclass(frozen=True)
-class TodaStatePhysical:
-    """Displacements x and momenta y; physically meaningful modulo x -> x + c."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        x, y = _freeze_fields(self, x=self.x, y=self.y)
-        if x.shape != y.shape or x.size < 1:
-            raise ValueError("x and y must be matching 1-d arrays")
-
-    @property
-    def n(self) -> int:
-        return self.x.size
-
-
-def hamiltonian_xy(s: TodaStatePhysical) -> float:
-    """H = 1/2 sum y_j^2 + sum_{j<N} e^{x_j - x_{j+1}}."""
-    with np.errstate(over="raise"):
-        try:
-            springs = np.exp(s.x[:-1] - s.x[1:])
-        except FloatingPointError as exc:
-            raise OverflowError("displacement gap overflows the spring energy") from exc
-    return float(0.5 * np.sum(s.y**2) + np.sum(springs))
-
-
-def flaschka_map(s: TodaStatePhysical) -> JacobiMatrix:
-    """a_j = e^{(x_j - x_{j+1})/2}/2, b_j = -y_j/2; invariant under x -> x + c."""
-    a = 0.5 * np.exp(0.5 * (s.x[:-1] - s.x[1:]))
-    return JacobiMatrix(diag=-0.5 * s.y, offdiag=a)
-
-
-def flaschka_inverse(s: JacobiMatrix, gauge: float = 0.0) -> TodaStatePhysical:
-    """Representative physical state with x_1 = gauge.
-
-    x_j = x_1 - 2(j-1) ln 2 - 2 sum_{m<j} ln a_m and y_j = -2 b_j; composing
-    with flaschka_map returns the input exactly.
-    """
-    x = np.empty(s.n)
-    x[0] = gauge
-    x[1:] = gauge - 2.0 * np.log(2.0) * np.arange(1, s.n) - 2.0 * np.cumsum(np.log(s.offdiag))
-    return TodaStatePhysical(x=x, y=-2.0 * s.diag)
-
-
 def _hamiltonian(a: np.ndarray, b: np.ndarray):
-    # along the last axis, so that one state and stacked rows give the same bits
+    # H = 4 (sum a_j^2 + 1/2 sum b_j^2), the physical H of the module
+    # docstring, along the last axis, so that one state and stacked rows give the same bits
     return 4.0 * (np.sum(a**2, axis=-1) + 0.5 * np.sum(b**2, axis=-1))
-
-
-def hamiltonian_ab(s: JacobiMatrix) -> float:
-    """H = 4 (sum a_j^2 + 1/2 sum b_j^2); equals hamiltonian_xy of any preimage."""
-    return float(_hamiltonian(s.offdiag, s.diag))
 
 
 def _rhs(views, k):
@@ -270,11 +215,6 @@ def _check_rows(rows: np.ndarray, first: int, own: np.ndarray, sizes: list, dt: 
 def integrate_toda(s0: JacobiMatrix, t_final: float, dt: float = 1e-3) -> Trajectory:
     """Classical fixed-step RK4 integration of one state; see `integrate_ensemble`."""
     return integrate_ensemble([s0], t_final, dt)[0]
-
-
-def lax_matrices(s: JacobiMatrix):
-    """The pair (L, B): L is the state itself, B its antisymmetrized off-part."""
-    return s, np.diag(s.offdiag, 1) - np.diag(s.offdiag, -1)
 
 
 def _evolved_masses(masses: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:

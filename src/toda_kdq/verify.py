@@ -185,7 +185,7 @@ def check_toda_lax(ensemble) -> list[CheckResult]:
     """
     drift = energy = trace = 0.0
     for _, traj in ensemble:
-        # hamiltonian_ab at every RK4 step
+        # H = 4 (sum a^2 + 1/2 sum b^2) at every RK4 step
         h = toda_1d._hamiltonian(traj.a, traj.b)
         energy = max(energy, _max_abs(h - h[0]))
         lam = jacobi_eigenvalues(traj.b[::_STRIDE], traj.a[::_STRIDE])

@@ -516,6 +516,23 @@ class TestConfigErrors:
         assert run_in_process([command], config) == (2, f"config error: {message}\n")
 
     @pytest.mark.parametrize(
+        "field, values, rule",
+        [
+            ("lambdas", [0.5, -1.0], "radii of component (1, 2) must be finite and nonnegative"),
+            ("masses_tilde", [1.0, 0.0], "tilde masses of component (1, 2) must be finite and strictly positive"),
+        ],
+        ids=["radii", "tilde-masses"],
+    )
+    def test_pseudo_state_names_the_component(self, field, values, rule):
+        # the first component is valid, the second breaks one rule
+        comps = [
+            {"k": 0, "ell": 1, "lambdas": [0.5, 1.0], "masses_tilde": [0.25, 0.75]},
+            {"k": 1, "ell": 2, "lambdas": [0.5, 1.0], "masses_tilde": [0.25, 0.75], field: values},
+        ]
+        config = {"n": 3, "components": comps}
+        assert run_in_process(["simulate-pseudo"], config) == (2, f"config error: bad pseudo state: {rule}\n")
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["verify-all", "--kmax", "-1"], "kmax must be nonnegative"),

@@ -8,8 +8,8 @@ from toda_kdq.iso_flow import (
     monotonicity_check,
     riccati_evolve,
     state_from_measure,
-    state_to_measure,
 )
+from toda_kdq.kdq import PseudoPositiveMeasure
 
 SINGLE = IsoFlowState({(1, 1): ([1.0], [1.0])})
 
@@ -51,6 +51,13 @@ class TestRiccatiEvolve:
         ev = riccati_evolve(SINGLE, -0.5, allow_backward=True)
         assert np.sqrt(ev.family.component((1, 1))[1][0]) == pytest.approx(2.0)
 
+    def test_nan_time_is_refused(self):
+        with pytest.raises(ValueError, match=r"^evolution time must be a number, got t = nan$"):
+            riccati_evolve(SINGLE, float("nan"), allow_backward=True)
+        # t = inf stays a limit: masses with lambda r(0) > 0 go to 0, the others stay
+        st = IsoFlowState({(0, 1): ([0.0, 0.5], [0.81, 0.3])})
+        assert riccati_evolve(st, float("inf")).family.masses.tolist() == [0.81, 0.0]
+
 
 class TestStateChecks:
     @pytest.mark.parametrize(
@@ -69,6 +76,11 @@ class TestStateChecks:
     def test_no_components(self):
         with pytest.raises(ValueError, match="^state has no components$"):
             monotonicity_check(IsoFlowState({}), [0.0, 1.0])
+
+    def test_nan_time_is_refused(self):
+        # a NaN time would reach monotonicity_check as an overflow at t = nan
+        with pytest.raises(ValueError, match=r"^state time must be a number, got nan$"):
+            IsoFlowState({(1, 1): ([1.0], [1.0])}, time=float("nan"))
 
 
 class TestIntegrabilityFunctional:
@@ -121,13 +133,12 @@ class TestMonotonicity:
 
 class TestSharedSchema:
     def test_measure_roundtrip(self):
-        st = IsoFlowState(
-            {(0, 1): ([0.5, 1.0], [0.2, 0.0]), (2, 1): ([0.7], [0.4])}
-        )
-        mu = state_to_measure(st, n=3)
+        # the measure's checked components are the state's, at time 0
+        mu = PseudoPositiveMeasure(3, {(0, 1): ([1.0, 0.5], [0.3, 0.2]), (2, 1): ([0.7], [0.4])})
         back = state_from_measure(mu)
-        # zero-mass atom dropped on serialization
-        assert np.array_equal(back.family.component((0, 1))[0], [0.5])
+        assert back.family is mu.family and back.time == 0.0
+        assert np.array_equal(back.family.component((0, 1))[0], [0.5, 1.0])
+        assert np.array_equal(back.family.component((0, 1))[1], [0.2, 0.3])
         assert np.array_equal(back.family.component((2, 1))[1], [0.4])
 
 

@@ -18,7 +18,6 @@ from toda_kdq.kdq import (
     hua_tail_bound,
     markov_stieltjes,
     multi_nevanlinna_check,
-    singular_roots,
 )
 from toda_kdq.moment_1d import DiscreteMeasure, stieltjes_transform
 from toda_kdq.toda_1d import _evolved_masses
@@ -204,8 +203,7 @@ class TestAronszajn:
 
     def test_singularity(self):
         # u = 0 (zeta a root of modulus |x|) is a pole of the closed form
-        th = unit([1.0, 0.0])
-        assert singular_roots(th, 0.5 * th) == (0.5, 0.5)
+        assert kdq._u(np.complex128(0.5), 0.5, 0.25) == 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             assert not np.isfinite(_kernel(2, np.complex128(0.5), 0.5, 0.25))
 
@@ -225,28 +223,31 @@ class TestAronszajn:
                 hua_kernel(KDQPoint(0.0, E3), x, 10)
 
     def test_roots_have_modulus_x(self):
+        # the zeros <theta,x> +- i sqrt(|x|^2 - <theta,x>^2) of u in the module docstring
         rng = np.random.default_rng(1)
         for n in (2, 3):
             x = rng.normal(size=n)
             th = unit(rng.normal(size=n))
-            z1, z2 = singular_roots(th, x)
-            r = np.linalg.norm(x)
-            assert abs(z1) == pytest.approx(r, abs=1e-12)
-            assert abs(z2) == pytest.approx(r, abs=1e-12)
+            t, r = float(th @ x), float(np.linalg.norm(x))
+            s = np.sqrt(r * r - t * t)
+            for z in (complex(t, s), complex(t, -s)):
+                assert abs(z) == pytest.approx(r, abs=1e-12)
+                assert abs(kdq._u(np.complex128(z), t, r * r)) < 1e-12
 
 
 class TestSingularRoots:
+    # the zeros of u = 1 - 2<theta,x>/zeta + |x|^2/zeta^2 in zeta
     def test_origin(self):
-        assert singular_roots(E3, np.zeros(3)) == (0.0, 0.0)
+        # x = 0: u = 1 at every zeta, so zeta^2 u has its two roots at 0
+        assert (kdq._u(np.array([0.5, 1j, 2.0 + 1.0j]), 0.0, 0.0) == 1.0).all()
 
     def test_aligned(self):
-        th = unit([0.6, 0.8])
-        z1, z2 = singular_roots(th, 0.9 * th)
-        assert z1 == pytest.approx(0.9) and z2 == pytest.approx(0.9)
+        # x = 0.9 theta: one double root at zeta = 0.9
+        assert abs(kdq._u(np.complex128(0.9), 0.9, 0.81)) < 1e-15
 
     def test_orthogonal(self):
-        z1, z2 = singular_roots(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        assert z1 == pytest.approx(1j) and z2 == pytest.approx(-1j)
+        # <theta,x> = 0 and |x| = 1: the roots +-i
+        assert (kdq._u(np.array([1j, -1j]), 0.0, 1.0) == 0.0).all()
 
 
 class TestHuaKernel:
@@ -901,6 +902,14 @@ def per_key_solid(n, key, x):
     return float((r ** key[0] * sphere.harmonic_table(n, [key], pts / r[:, None])[:, 0])[0])
 
 
+def eval_kdq(poly, zeta, theta):
+    """poly on the quadric, zeta and the node axis of theta broadcasting:
+    `kdq._quadric_sum`, the sum `cauchy_reproduce` integrates, over one
+    harmonic table of the terms' (k, l)."""
+    ys = sphere.harmonic_table(poly.n, [key[1:] for key in poly.terms], np.asarray(theta, dtype=float))
+    return kdq._quadric_sum(poly.terms, np.asarray(zeta, dtype=complex), ys)
+
+
 def per_key_almansi(poly, x, zeta, theta):
     """`AlmansiPolynomial.eval` at x and `eval_kdq` at (zeta, theta), one term
     and one one-key harmonic table at a time, in ascending (j, k, ell)."""
@@ -943,7 +952,7 @@ class TestAlmansiPolynomial:
             theta = sphere.sphere_nodes(n, 4)[0][None, :, :]
         value, kdq_values = per_key_almansi(poly, x, zeta, theta)
         assert poly.eval(x) == value
-        assert poly.eval_kdq(zeta, theta).tobytes() == kdq_values.tobytes()
+        assert eval_kdq(poly, zeta, theta).tobytes() == kdq_values.tobytes()
 
     def test_eval_matches_monomial(self):
         rng = np.random.default_rng(7)
@@ -959,7 +968,7 @@ class TestAlmansiPolynomial:
         x = rng.normal(size=2)
         poly = AlmansiPolynomial(2, {(1, 1, 1): 0.7, (0, 2, 2): -0.4})
         r = np.linalg.norm(x)
-        val = poly.eval_kdq(np.complex128(r), x / r)
+        val = eval_kdq(poly, np.complex128(r), x / r)
         assert complex(val) == pytest.approx(poly.eval(x))
 
     def test_invalid_index_rejected(self):

@@ -19,14 +19,11 @@ from toda_kdq.moment_1d import (
     jacobi_from_measure,
     moments,
     nevanlinna_limit_check,
-    recurrence_coefficients,
     resolvent_NN,
-    second_kind_poly,
     spectral_data_from_jacobi,
     stieltjes_transform,
 )
 from toda_kdq.pseudo_toda import PseudoTodaState
-from toda_kdq.toda_1d import TodaStatePhysical
 
 
 def random_measure(rng, n, lo=-2.0, hi=2.0, normalized=True):
@@ -118,7 +115,6 @@ class TestFrozenFields:
     VALID = {
         DiscreteMeasure: {"atoms": [0.5, -1.0], "weights": [1, 2]},
         JacobiMatrix: {"diag": [0.0, 1.0], "offdiag": 0.5},
-        TodaStatePhysical: {"x": [0.0, 1.0], "y": [2, 3]},
         TodaComponent: {"lambdas": [0.5, 0.2], "masses_tilde": [0.5, 0.5]},
         IsoFlowComponent: {"lambdas": [0.5], "masses": 0.0},
     }
@@ -193,31 +189,39 @@ class TestStieltjes:
             stieltjes_transform(mu, 1.0)
 
 
+def recurrence(mu):
+    """The recurrence coefficients (alphas, betas) of mu, read off `jacobi_from_measure`
+    from the bottom-right corner upward: alpha_i = b_{N-i}, beta_{i+1} = a_{N-1-i}^2."""
+    jac = jacobi_from_measure(mu)
+    return jac.diag[::-1], jac.offdiag[::-1] ** 2
+
+
 class TestRecurrence:
     def test_two_atom_by_hand(self):
         mu = DiscreteMeasure([-0.5, 0.5], [0.5, 0.5])
-        alphas, betas = recurrence_coefficients(mu, 2)
+        alphas, betas = recurrence(mu)
         assert np.allclose(alphas, [0.0, 0.0], atol=1e-14)
         assert betas[0] == pytest.approx(0.25)
 
     def test_single_atom_mean(self):
         mu = DiscreteMeasure([0.7], [1.0])
-        alphas, betas = recurrence_coefficients(mu, 1)
+        alphas, betas = recurrence(mu)
         assert alphas[0] == pytest.approx(0.7)
         assert betas.size == 0
 
     def test_against_chebyshev_oracle(self):
         rng = np.random.default_rng(3)
-        mu = random_measure(rng, 5, lo=-1.0, hi=1.0, normalized=False)
-        alphas, betas = recurrence_coefficients(mu, 5)
+        mu = random_measure(rng, 5, lo=-1.0, hi=1.0)
+        alphas, betas = recurrence(mu)
         o_alphas, o_betas = chebyshev_recurrence(moments(mu, 9), 5)
         assert np.max(np.abs(alphas - o_alphas)) < 1e-10
         assert np.max(np.abs(betas - o_betas[1:])) < 1e-10
 
     def test_rank_deficiency(self):
-        mu = DiscreteMeasure([0.0, 1.0], [0.5, 0.5])
-        with pytest.raises(RankDeficiencyError):
-            recurrence_coefficients(mu, 3)
+        # the second atom's weight puts the next Lanczos vector below the rank threshold
+        mu = DiscreteMeasure([0.0, 1.0], [1.0, 1e-30])
+        with pytest.raises(RankDeficiencyError, match="effective rank deficiency at Lanczos step 1"):
+            jacobi_from_measure(mu)
 
 
 class TestJacobiFromMeasure:
@@ -497,35 +501,6 @@ class TestResolvent:
     def test_two_by_two_value(self):
         jac = JacobiMatrix(diag=[0.0, 0.0], offdiag=[0.5])
         assert resolvent_NN(jac, 1.0) == pytest.approx(4.0 / 3.0)
-
-
-class TestSecondKind:
-    def test_degree_zero(self):
-        mu = DiscreteMeasure([-0.5, 0.5], [0.5, 0.5])
-        for tau in (-1.0, 0.5, 2.3):
-            assert second_kind_poly(mu, 0, tau) == 0.0
-
-    def test_degree_one_by_hand(self):
-        # P_1(x) = 2x orthonormal; integrand == 2 everywhere, mass 1
-        mu = DiscreteMeasure([-0.5, 0.5], [0.5, 0.5])
-        for tau in (0.5, 0.1, 7.0):  # includes an atom (removable singularity)
-            assert second_kind_poly(mu, 1, tau) == pytest.approx(2.0)
-
-    def test_pade_asymptotics(self):
-        # Q_n/P_n approximates the transform with error O(lambda^{-2n-1})
-        rng = np.random.default_rng(9)
-        mu = random_measure(rng, 6)
-        alphas, betas = recurrence_coefficients(mu, 4)
-        from toda_kdq.moment_1d import _orthonormal_poly
-
-        for n in (1, 2, 3):
-            errs = []
-            for lam in (4.0, 8.0):
-                p_val = _orthonormal_poly(alphas[:n], np.sqrt(betas[:n]), mu.total_mass, n, np.asarray(lam))
-                q_val = second_kind_poly(mu, n, lam)
-                errs.append(abs(q_val / float(p_val) - stieltjes_transform(mu, lam)))
-            order = np.log2(errs[0] / errs[1])
-            assert order > 2 * n + 0.5  # decay at least lambda^{-(2n+1)}
 
 
 class TestNevanlinna:

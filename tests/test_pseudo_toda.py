@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from toda_kdq import kdq, pseudo_toda, sphere, verify
 from toda_kdq.errors import RankDeficiencyError
 from toda_kdq.moment_1d import DiscreteMeasure, JacobiMatrix, jacobi_from_measure, spectral_data_from_jacobi
-from toda_kdq.toda_1d import _evolved_masses, hamiltonian_ab
+from toda_kdq.toda_1d import _evolved_masses
 from toda_kdq.pseudo_toda import (
     PhysicalSurface,
     PseudoTodaState,
-    component_jacobi,
+    _untilde,
     component_ode_residual,
     evolve,
     family_jacobi,
@@ -20,11 +20,9 @@ from toda_kdq.pseudo_toda import (
     physical_surfaces,
     state_to_measure,
     state_trajectory_csv,
-    tilde_inverse,
-    tilde_transform,
     total_hamiltonian,
 )
-from test_toda_1d import written_out_flow
+from test_toda_1d import hamiltonian, written_out_flow
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -43,14 +41,29 @@ def full_state(rng, n=3, kmax=2, atoms=4, lam_hi=1.2):
     return PseudoTodaState(n, comps)
 
 
+def jacobi_row(state, key) -> JacobiMatrix:
+    """Component `key`'s row of `family_jacobi`, cut to its m sites: the
+    row's couplings are > 0 there and 0 past them."""
+    diag, offdiag = family_jacobi(state)
+    i = state.family.index(key)
+    m = 1 + int(np.count_nonzero(offdiag[i]))
+    return JacobiMatrix(diag=diag[i, :m], offdiag=offdiag[i, : m - 1])
+
+
+def tilde(k, lambdas, masses):
+    """(lambda^2, r^2 lambda^k) of one component of degree k, by `kdq._tilde_family`."""
+    fam = kdq._tilde_family(kdq.PseudoPositiveMeasure(3, {(k, 1): (lambdas, masses)}))
+    return fam.radii, fam.masses
+
+
 class TestTildeTransform:
     def test_degree_zero_identity(self):
-        lt, mt = tilde_transform(0, [0.3, 0.8], [0.4, 0.6])
+        lt, mt = tilde(0, [0.3, 0.8], [0.4, 0.6])
         assert np.allclose(lt, [0.09, 0.64])
         assert np.allclose(mt, [0.4, 0.6])
 
     def test_plug_in(self):
-        lt, mt = tilde_transform(2, [2.0], [0.25])
+        lt, mt = tilde(2, [2.0], [0.25])
         assert lt[0] == 4.0 and mt[0] == 1.0
 
     def test_normalization_equivalence(self):
@@ -59,25 +72,23 @@ class TestTildeTransform:
         lam = rng.uniform(0.3, 1.5, size=4)
         r2 = rng.uniform(0.2, 1.0, size=4)
         r2 /= np.sum(lam**3 * r2)
-        _, mt = tilde_transform(3, lam, r2)
+        _, mt = tilde(3, lam, r2)
         assert mt.sum() == pytest.approx(1.0, abs=1e-14)
 
-    def test_annihilation_warning(self):
-        with pytest.warns(UserWarning):
-            tilde_transform(2, [0.0, 1.0], [0.5, 0.5])
-
     def test_inverse(self):
+        # the measure of a state maps back to the state's tilde atoms and masses
         rng = np.random.default_rng(1)
-        lam = rng.uniform(0.2, 2.0, size=5)
-        r2 = rng.uniform(0.1, 1.0, size=5)
-        lt, mt = tilde_transform(3, lam, r2)
-        lam_back, r2_back = tilde_inverse(3, lt, mt)
-        assert np.max(np.abs(lam_back - lam)) < 1e-14
-        assert np.max(np.abs(r2_back - r2)) < 1e-14
+        lam = np.sort(rng.uniform(0.2, 2.0, size=5))
+        mt = rng.uniform(0.1, 1.0, size=5)
+        mt /= mt.sum()
+        r_lam, r_r2 = state_to_measure(PseudoTodaState(3, {(3, 1): (lam, mt)})).family.component((3, 1))
+        lt_back, mt_back = tilde(3, r_lam, r_r2)
+        assert np.array_equal(lt_back, lam**2)
+        assert np.max(np.abs(mt_back - mt)) < 1e-14
 
     def test_inverse_rejects_zero(self):
         with pytest.raises(ZeroDivisionError):
-            tilde_inverse(1, [0.0], [1.0])
+            _untilde(1, np.array([0.0]), np.array([1.0]))
 
 
 class TestEvolve:
@@ -110,6 +121,10 @@ class TestEvolve:
             assert dev < 1e-12
         assert ev_a.time == pytest.approx(ev_b.time)
 
+    def test_nan_time_is_refused(self):
+        with pytest.raises(ValueError, match=r"^evolution time must be a number, got t = nan$"):
+            evolve(TWO_ATOM, float("nan"))
+
     def test_eigenvalues_fixed(self):
         ev = evolve(TWO_ATOM, 5.0)
         assert np.array_equal(ev.family.component((0, 1))[0], TWO_ATOM.family.component((0, 1))[0])
@@ -118,18 +133,18 @@ class TestEvolve:
 class TestComponentJacobi:
     def test_single_atom(self):
         st = PseudoTodaState(3, {(0, 1): ([0.7], [1.0])})
-        jac = component_jacobi(st, (0, 1))
+        jac = jacobi_row(st, (0, 1))
         assert jac.n == 1 and jac.diag[0] == pytest.approx(0.49)  # tilde radius 0.7^2
 
     def test_two_atom_mean_variance(self):
-        jac = component_jacobi(TWO_ATOM, (0, 1))
+        jac = jacobi_row(TWO_ATOM, (0, 1))
         assert jac.diag[-1] == pytest.approx(0.625)
         assert jac.offdiag[0] ** 2 == pytest.approx(0.140625)
 
     def test_time_zero_uses_masses_as_given(self):
         st = PseudoTodaState(3, {(0, 1): ([0.2, 0.5, 0.9], [0.3, 0.3, 0.4])})
         ref = jacobi_from_measure(DiscreteMeasure([0.2**2, 0.5**2, 0.9**2], [0.3, 0.3, 0.4], half_line=True))
-        jac = component_jacobi(st, (0, 1))
+        jac = jacobi_row(st, (0, 1))
         assert jac.diag.tobytes() == ref.diag.tobytes() and jac.offdiag.tobytes() == ref.offdiag.tobytes()
 
     def test_matches_lanczos_on_evolved_masses(self):
@@ -140,7 +155,7 @@ class TestComponentJacobi:
             ev = evolve(st, t)
             for key, lambdas, masses_tilde in ev.family.items():
                 ref = jacobi_from_measure(DiscreteMeasure(lambdas**2, masses_tilde, half_line=True))
-                jac = component_jacobi(ev, key)
+                jac = jacobi_row(ev, key)
                 assert np.max(np.abs(jac.diag - ref.diag)) < 1e-12
                 assert np.max(np.abs(jac.offdiag - ref.offdiag)) < 1e-12
 
@@ -152,15 +167,15 @@ class TestComponentJacobi:
         lambdas, masses = ev.family.component((0, 1))
         with pytest.raises(RankDeficiencyError):
             jacobi_from_measure(DiscreteMeasure(lambdas**2, masses, half_line=True))
-        jac = component_jacobi(ev, (0, 1))
+        jac = jacobi_row(ev, (0, 1))
         h = 2.0 * np.sum(lambdas**4)
-        assert abs(hamiltonian_ab(jac) - h) / h < 1e-12
+        assert abs(hamiltonian(jac) - h) / h < 1e-12
         assert np.max(np.abs(np.linalg.eigvalsh(jac.to_dense()) - lambdas**2)) < 1e-12
 
     def test_spectral_data_of_a_late_state(self):
         # the corner masses of the t = 100 matrix underflow: 1.1e-18, then 0.0
         st = PseudoTodaState(3, {(0, 1): ([0.2, 0.5, 0.9, 1.2], [0.1, 0.2, 0.3, 0.4])})
-        eigenvalues, masses = spectral_data_from_jacobi(component_jacobi(evolve(st, 100.0), (0, 1)))
+        eigenvalues, masses = spectral_data_from_jacobi(jacobi_row(evolve(st, 100.0), (0, 1)))
         assert np.max(np.abs(eigenvalues - np.array([0.2, 0.5, 0.9, 1.2]) ** 2)) < 1e-12
         assert (masses >= 0.0).all() and abs(masses.sum() - 1.0) < 1e-12
 
@@ -169,16 +184,16 @@ class TestComponentJacobi:
         # them as given, and nothing is flowed
         st = PseudoTodaState(3, {(0, 1): ([0.2, 0.5, 0.9, 1.2], [0.25] * 4)}, time=100.0)
         ref = jacobi_from_measure(DiscreteMeasure(np.array([0.2, 0.5, 0.9, 1.2]) ** 2, [0.25] * 4, half_line=True))
-        jac = component_jacobi(st, (0, 1))
+        jac = jacobi_row(st, (0, 1))
         assert jac.diag.tobytes() == ref.diag.tobytes() and jac.offdiag.tobytes() == ref.offdiag.tobytes()
 
     def test_isospectral_along_evolution(self):
         rng = np.random.default_rng(3)
         st = full_state(rng, kmax=1, atoms=4)
         for key in st.family.keys:
-            lam0 = spectral_data_from_jacobi(component_jacobi(st, key))[0]
+            lam0 = spectral_data_from_jacobi(jacobi_row(st, key))[0]
             for t in (0.5, 2.0, 8.0):
-                lam = spectral_data_from_jacobi(component_jacobi(evolve(st, t), key))[0]
+                lam = spectral_data_from_jacobi(jacobi_row(evolve(st, t), key))[0]
                 assert np.max(np.abs(lam - lam0)) < 1e-10
 
 
@@ -268,7 +283,8 @@ class TestFamilyJacobi:
         diag, offdiag = family_jacobi(state)
         assert diag.shape == (len(keys), atoms) and offdiag.shape == (len(keys), atoms - 1)
         for i, key in enumerate(keys):
-            jac = component_jacobi(state, key)
+            # the component's row in a family of its own
+            jac = jacobi_row(PseudoTodaState(3, {key: state.family.component(key)}, state.time), key)
             assert jac.diag.tobytes() == diag[i, : jac.n].tobytes()
             assert jac.offdiag.tobytes() == offdiag[i, : jac.n - 1].tobytes()
             assert not diag[i, jac.n :].any() and not offdiag[i, jac.n - 1 :].any()
@@ -350,10 +366,10 @@ class TestHamiltonians:
     def test_single_atom(self):
         # H_{k,l} = 2 sum_j lambda_j^4 is the Jacobi matrix's Hamiltonian
         st = PseudoTodaState(3, {(0, 1): ([1.0], [1.0])})
-        assert hamiltonian_ab(component_jacobi(st, (0, 1))) == 2.0
+        assert hamiltonian(jacobi_row(st, (0, 1))) == 2.0
 
     def test_two_atom(self):
-        assert hamiltonian_ab(component_jacobi(TWO_ATOM, (0, 1))) == pytest.approx(2.0 * (0.5**4 + 1.0**4))
+        assert hamiltonian(jacobi_row(TWO_ATOM, (0, 1))) == pytest.approx(2.0 * (0.5**4 + 1.0**4))
 
     def test_total_sum(self):
         st = PseudoTodaState(
@@ -370,7 +386,7 @@ class TestHamiltonians:
         rng = np.random.default_rng(4)
         st = full_state(rng, kmax=2, atoms=3)
         for key, lambdas, _ in st.family.items():
-            assert abs(hamiltonian_ab(component_jacobi(st, key)) - 2.0 * np.sum(lambdas**4)) < 1e-10
+            assert abs(hamiltonian(jacobi_row(st, key)) - 2.0 * np.sum(lambdas**4)) < 1e-10
 
     def test_verify_check_reads_jacobi_entries(self, monkeypatch):
         # one row of couplings off by 1e-9 must fail pseudo-hamiltonian-constant
@@ -429,7 +445,7 @@ class TestOdeResidual:
 
 class TestSurfaces:
     def test_single_component_constant(self):
-        jac = component_jacobi(TWO_ATOM, (0, 1))
+        jac = jacobi_row(TWO_ATOM, (0, 1))
         a1, b1 = flaschka_surfaces(TWO_ATOM, 1, E3)
         assert a1 == pytest.approx(jac.offdiag[0])
         assert b1 == pytest.approx(jac.diag[0])
@@ -451,8 +467,8 @@ class TestSurfaces:
             },
         )
         th = np.array([np.sin(1.0), 0.0, np.cos(1.0)])
-        jac0 = component_jacobi(st, (0, 1))
-        jac1 = component_jacobi(st, (1, 2))
+        jac0 = jacobi_row(st, (0, 1))
+        jac1 = jacobi_row(st, (1, 2))
         y1 = float(sphere.harmonic_table(3, [(1, 2)], th)[0])
         a1, b1 = flaschka_surfaces(st, 1, th)
         assert a1 == pytest.approx(jac0.offdiag[0] + jac1.offdiag[0] * y1)
@@ -465,7 +481,7 @@ class TestSurfaces:
         surf = np.array([flaschka_surfaces(st, 1, p)[0] for p in pts])
         keys = ((0, 1), (1, 3), (2, 5))
         for key, y_vals in zip(keys, sphere.harmonic_table(3, keys, pts).T):
-            jac = component_jacobi(st, key)
+            jac = jacobi_row(st, key)
             coeff = float(np.sum(wts * surf * y_vals))
             assert abs(coeff - jac.offdiag[0]) < 1e-10
 
@@ -483,13 +499,13 @@ class TestSurfaces:
     def test_physical_single_component(self):
         surf = physical_surfaces(TWO_ATOM, 1, E3)
         assert surf.x == pytest.approx(1.0)  # empty product, k=0 gauge is 1
-        jac = component_jacobi(TWO_ATOM, (0, 1))
+        jac = jacobi_row(TWO_ATOM, (0, 1))
         assert surf.y == pytest.approx(-2.0 * jac.diag[0])
         assert surf.x_partials[-1] == surf.x
 
     def test_physical_product_form(self):
         st = PseudoTodaState(3, {(1, 1): ([0.5, 1.0], [0.5, 0.5])})
-        jac = component_jacobi(st, (1, 1))
+        jac = jacobi_row(st, (1, 1))
         surf = physical_surfaces(st, 2, E3)
         y1 = float(sphere.harmonic_table(3, [(1, 1)], E3)[0])
         expected = 4.0 * jac.offdiag[0] ** 2 * 1.0 * y1  # gauge max(1,1)^{-1} = 1
@@ -521,7 +537,7 @@ def per_key_surfaces(state, j, theta):
     a_val = b_val = x_total = y_total = 0.0
     x_partials, y_partials = [], []
     for i, key in enumerate(state.family.keys):
-        jac = component_jacobi(state, key)
+        jac = jacobi_row(state, key)
         y_val = float(sphere.harmonic_table(state.n, [key], theta)[0])
         if j <= n_sites - 1:
             a_val += float(jac.offdiag[j - 1]) * y_val

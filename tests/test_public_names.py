@@ -1,6 +1,7 @@
 """Every layer is registered when `toda_kdq.cli` is imported, every name in
-a layer's `__all__` is an attribute of that layer, and a command runs the
-code of only the layers it uses.
+a layer's `__all__` is an attribute of that layer and is reached by a
+command, a check or a bench case, and a command runs the code of only the
+layers it uses.
 
 perfbench's tracer (`perfbench/spans.py`) looks up these eight modules in
 `sys.modules` and wraps each `__all__` entry through `getattr`, so a layer
@@ -8,11 +9,14 @@ missing from `sys.modules` or a stale entry would crash a traced benchmark
 run.
 """
 
+import ast
+import functools
 import importlib
 import json
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -20,13 +24,132 @@ import pytest
 LAYERS = ("cli", "verify", "sphere", "moment_1d", "toda_1d", "kdq", "pseudo_toda", "iso_flow")
 # the layers that a 1-d lattice command neither compiles nor runs
 QUADRIC = ("kdq", "sphere", "pseudo_toda", "iso_flow", "verify")
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+# public names that no command, check or bench case reaches yet, each with
+# the ROADMAP item that gives it a caller or states why it stays
+KEPT = {
+    "moment_1d.moments": "item 3: the 1-d moment residual through the transform path",
+    "kdq.divergent_partial_sums": "item 3: the quadric moment residual through the transform path",
+    "kdq.hua_tail_bound": "item 1: the kernel tail-bound trace gauge",
+    "pseudo_toda.physical_surfaces": "item 4: a verify-all line for the paper's surfaces",
+    "pseudo_toda.PhysicalSurface": "item 4: a verify-all line for the paper's surfaces",
+    "moment_1d.DiscreteMeasure.to_dict": "item 4: the writer of what from_dict reads",
+    "kdq.PseudoPositiveMeasure.to_dict": "item 4: the writer of what from_dict reads",
+    "pseudo_toda.PseudoTodaState.to_dict": "item 4: the writer of what from_dict reads",
+    "kdq.AlmansiPolynomial.eval": "item 4: a wrapper of almansi_eval_many, next to go",
+    "toda_1d.Trajectory.state": "item 4: a wrapper of one row, next to go",
+}
 
 
 @pytest.mark.parametrize("layer", LAYERS)
 def test_all_names_resolve(layer):
     mod = importlib.import_module(f"toda_kdq.{layer}")
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+@functools.cache
+def reference_graph() -> tuple:
+    """The references of `src/toda_kdq/*.py` and `bench/run.py`, from their
+    ASTs: per owner, the (layer, name) pairs its code refers to and the
+    attribute names it reads; and per class, its methods.  An owner is
+    (file, None) for module-level code and all of `bench/run.py`, (layer,
+    name) for a top-level function or class, and (layer, "Class.method") for
+    a method.  A name counts in its own layer's code, by `from .layer import`
+    in another's, or as `layer.name` (`tk.layer.name` in bench/run.py); so
+    `pseudo_toda.state_to_measure` is not `iso_flow.state_to_measure`.
+    Docstrings and `__all__` are strings, and no reference; neither is a
+    name inside its own definition."""
+    edges, reads, methods = defaultdict(set), defaultdict(set), {}
+    files = {path.stem: path for path in sorted((SRC / "toda_kdq").glob("*.py"))}
+    files["bench"] = ROOT / "bench" / "run.py"
+    for file, path in files.items():
+        tree = ast.parse(path.read_text())
+        names, modules = {}, {}  # local name -> (layer, name), local name -> layer
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    else:
+                        names[alias.asname or alias.name] = (node.module, alias.name)
+        top = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+        def target(node):
+            if isinstance(node, ast.Name):
+                return names.get(node.id, (file, node.id) if node.id in top else None)
+            if isinstance(node, ast.Attribute):
+                base = node.value
+                if isinstance(base, ast.Name) and base.id in modules:
+                    return modules[base.id], node.attr
+                if isinstance(base, ast.Attribute) and base.attr in LAYERS:
+                    return base.attr, node.attr
+            return None
+
+        def visit(node, owner):
+            ref = target(node)
+            if ref is not None and ref != owner:
+                edges[owner].add(ref)
+            if isinstance(node, ast.Attribute) and node.attr != (owner[1] or "").rpartition(".")[2]:
+                reads[owner].add(node.attr)
+            for child in ast.iter_child_nodes(node):
+                visit(child, owner)
+
+        for node in tree.body:
+            if file == "bench" or not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                visit(node, (file, None))
+            elif isinstance(node, ast.FunctionDef):
+                visit(node, (file, node.name))
+            else:
+                methods[file, node.name] = []
+                for item in node.body:
+                    owner = (file, node.name)  # a class attribute's code counts for the class
+                    if isinstance(item, ast.FunctionDef):
+                        owner = (file, f"{node.name}.{item.name}")
+                        methods[file, node.name].append(owner)
+                    visit(item, owner)
+                for item in node.decorator_list + node.bases:
+                    visit(item, (file, node.name))
+    return edges, reads, methods
+
+
+@functools.cache
+def reached() -> frozenset:
+    """"layer.name" and "layer.Class.method" of everything reached from
+    module-level code and bench/run.py: a definition that reached code
+    refers to, and a method of a reached class that is special (`__init__`)
+    or whose name reached code reads as an attribute."""
+    edges, reads, methods = reference_graph()
+    done = {owner for owner in list(edges) + list(reads) if owner[1] is None}
+    read = set()
+    while True:
+        size = len(done)
+        for owner in list(done):
+            done |= edges.get(owner, set())
+            read |= reads.get(owner, set())
+        for cls, owners in methods.items():
+            if cls in done:
+                done.update(m for m in owners if m[1].rpartition(".")[2] in read or m[1].endswith("__"))
+        if len(done) == size:
+            return frozenset(f"{layer}.{name}" for layer, name in done if name is not None)
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_every_public_name_is_reached(layer):
+    # each `__all__` name, and each public method of such a class, is reached
+    # by a command, a check or a bench case, or is KEPT; a KEPT name that
+    # gained a caller, or is gone, leaves KEPT
+    exported = importlib.import_module(f"toda_kdq.{layer}").__all__
+    methods = reference_graph()[2]
+    public = [f"{layer}.{name}" for name in exported]
+    public += [
+        f"{layer}.{method}"
+        for name in exported
+        for _, method in methods.get((layer, name), [])
+        if not method.rpartition(".")[2].startswith("_")
+    ]
+    assert [name for name in public if name not in reached() and name not in KEPT] == []
+    assert [name for name in KEPT if name.startswith(f"{layer}.") and (name in reached() or name not in public)] == []
 
 
 def layers_after(tmp_path, argv=None) -> dict:

@@ -16,15 +16,10 @@ from toda_kdq.moment_1d import (
     spectral_data_from_jacobi,
 )
 from toda_kdq.toda_1d import (
-    TodaStatePhysical,
     Trajectory,
-    flaschka_inverse,
-    flaschka_map,
-    hamiltonian_ab,
-    hamiltonian_xy,
+    _hamiltonian,
     integrate_ensemble,
     integrate_toda,
-    lax_matrices,
     spectral_solve,
     trajectory_to_csv,
 )
@@ -35,6 +30,27 @@ def random_state(rng, n):
 
 
 SYMMETRIC_N2 = JacobiMatrix(offdiag=[0.5], diag=[0.0, 0.0])
+
+
+def flaschka(x, y):
+    """The state of displacements x and momenta y: a_j = e^{(x_j - x_{j+1})/2}/2, b_j = -y_j/2."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return JacobiMatrix(offdiag=0.5 * np.exp(0.5 * (x[:-1] - x[1:])), diag=-0.5 * y)
+
+
+def physical_h(x, y):
+    """H = 1/2 sum y_j^2 + sum_{j<N} e^{x_j - x_{j+1}}."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return float(0.5 * np.sum(y**2) + np.sum(np.exp(x[:-1] - x[1:])))
+
+
+def hamiltonian(s: JacobiMatrix) -> float:
+    return float(_hamiltonian(s.offdiag, s.diag))
+
+
+def lax_b(s: JacobiMatrix) -> np.ndarray:
+    """B of the Lax pair (L, B), L the state itself: its antisymmetrized off-part."""
+    return np.diag(s.offdiag, 1) - np.diag(s.offdiag, -1)
 
 
 def closed_form_n2(t):
@@ -105,7 +121,7 @@ def reference_csv(traj):
     spectra = jacobi_eigenvalues(traj.b, traj.a)
     for i in range(len(traj)):
         state = traj.state(i)
-        row = [traj.times[i]] + list(traj.a[i]) + list(traj.b[i]) + [hamiltonian_ab(state)] + list(spectra[i])
+        row = [traj.times[i]] + list(traj.a[i]) + list(traj.b[i]) + [hamiltonian(state)] + list(spectra[i])
         lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
 
@@ -168,81 +184,38 @@ def qr_rows(diag, offdiag, times):
 
 
 class TestHamiltonians:
+    # H of the Flaschka state equals the physical H of any of its preimages
     def test_xy_rest_state(self):
-        assert hamiltonian_xy(TodaStatePhysical(x=[0.0, 0.0], y=[0.0, 0.0])) == pytest.approx(1.0)
+        assert hamiltonian(flaschka([0.0, 0.0], [0.0, 0.0])) == pytest.approx(1.0)
 
     def test_xy_example(self):
-        s = TodaStatePhysical(x=[np.log(2.0), 0.0], y=[1.0, -1.0])
-        assert hamiltonian_xy(s) == pytest.approx(3.0)
+        assert hamiltonian(flaschka([np.log(2.0), 0.0], [1.0, -1.0])) == pytest.approx(3.0)
 
     def test_xy_free_limit(self):
-        s = TodaStatePhysical(x=[-50.0, 50.0], y=[2.0, 1.0])
-        assert hamiltonian_xy(s) == pytest.approx(2.5)
+        assert hamiltonian(flaschka([-50.0, 50.0], [2.0, 1.0])) == pytest.approx(2.5)
 
     def test_xy_overflow(self):
-        with pytest.raises(OverflowError):
-            hamiltonian_xy(TodaStatePhysical(x=[2000.0, 0.0], y=[0.0, 0.0]))
+        # a gap x_1 - x_2 = 920: a = e^460/2 is finite, the spring energy e^920 is not
+        s = flaschka([920.0, 0.0], [0.0, 0.0])
+        traj = Trajectory(times=np.array([0.0]), a=s.offdiag[None], b=s.diag[None])
+        with pytest.raises(OverflowError, match=r"^the Hamiltonian H overflows at t = 0\.0$"):
+            trajectory_to_csv(traj)
 
     def test_ab_example(self):
-        assert hamiltonian_ab(SYMMETRIC_N2) == pytest.approx(1.0)
+        assert hamiltonian(SYMMETRIC_N2) == pytest.approx(1.0)
 
     def test_ab_equals_xy(self):
         rng = np.random.default_rng(0)
         for n in (2, 4, 6):
-            phys = TodaStatePhysical(x=rng.uniform(-1, 1, n), y=rng.uniform(-1, 1, n))
-            assert hamiltonian_ab(flaschka_map(phys)) == pytest.approx(hamiltonian_xy(phys))
+            x, y = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+            assert hamiltonian(flaschka(x, y)) == pytest.approx(physical_h(x, y))
 
     def test_ab_equals_twice_trace_l_squared(self):
         rng = np.random.default_rng(1)
         for n in (2, 5):
             s = random_state(rng, n)
-            lax, _ = lax_matrices(s)
-            tr2 = float(np.trace(lax.to_dense() @ lax.to_dense()))
-            assert abs(2.0 * tr2 - hamiltonian_ab(s)) < 1e-12
-
-
-class TestFlaschkaMaps:
-    def test_rest_state(self):
-        s = flaschka_map(TodaStatePhysical(x=[0.0, 0.0], y=[0.0, 0.0]))
-        assert np.allclose(s.offdiag, [0.5]) and np.allclose(s.diag, [0.0, 0.0])
-
-    def test_gauge_invariance(self):
-        rng = np.random.default_rng(2)
-        x, y = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)
-        s1 = flaschka_map(TodaStatePhysical(x=x, y=y))
-        s2 = flaschka_map(TodaStatePhysical(x=x + 3.7, y=y))
-        # the shift perturbs the differences x_j - x_{j+1} by at most 1 ulp
-        assert np.allclose(s1.offdiag, s2.offdiag, rtol=1e-14, atol=0.0)
-        assert np.array_equal(s1.diag, s2.diag)
-
-    def test_momentum_sign(self):
-        s = flaschka_map(TodaStatePhysical(x=[0.0, 0.0], y=[2.0, -2.0]))
-        assert np.allclose(s.diag, [-1.0, 1.0])
-
-    def test_inverse_example(self):
-        phys = flaschka_inverse(SYMMETRIC_N2, gauge=0.0)
-        assert np.allclose(phys.x, [0.0, 0.0], atol=1e-15)
-        assert np.allclose(phys.y, [0.0, 0.0])
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(3)
-        for n in (2, 5):
-            s = random_state(rng, n)
-            back = flaschka_map(flaschka_inverse(s, gauge=rng.normal()))
-            assert np.max(np.abs(back.offdiag - s.offdiag)) < 1e-12
-            assert np.max(np.abs(back.diag - s.diag)) < 1e-12
-
-    def test_gauge_shift(self):
-        phys0 = flaschka_inverse(SYMMETRIC_N2, gauge=0.0)
-        phys1 = flaschka_inverse(SYMMETRIC_N2, gauge=1.5)
-        assert np.allclose(phys1.x - phys0.x, 1.5)
-
-    def test_configuration_class_roundtrip(self):
-        rng = np.random.default_rng(4)
-        phys = TodaStatePhysical(x=rng.uniform(-1, 1, 4), y=rng.uniform(-1, 1, 4))
-        back = flaschka_inverse(flaschka_map(phys), gauge=phys.x[0])
-        assert np.max(np.abs(back.x - phys.x)) < 1e-12
-        assert np.max(np.abs(back.y - phys.y)) < 1e-14
+            tr2 = float(np.trace(s.to_dense() @ s.to_dense()))
+            assert abs(2.0 * tr2 - hamiltonian(s)) < 1e-12
 
 
 class TestRhs:
@@ -443,26 +416,25 @@ class TestIntegration:
         rng = np.random.default_rng(5)
         s = random_state(rng, 5)
         traj = integrate_toda(s, 2.0, 1e-3)
-        lam0 = spectral_data_from_jacobi(lax_matrices(s)[0])[0]
-        h0 = hamiltonian_ab(s)
+        lam0 = spectral_data_from_jacobi(s)[0]
+        h0 = hamiltonian(s)
         for i in range(0, len(traj), 100):
             state = traj.state(i)
-            lam = spectral_data_from_jacobi(lax_matrices(state)[0])[0]
+            lam = spectral_data_from_jacobi(state)[0]
             assert np.max(np.abs(lam - lam0)) < 1e-8
-            assert abs(hamiltonian_ab(state) - h0) < 1e-8
+            assert abs(hamiltonian(state) - h0) < 1e-8
 
 
 class TestLax:
     def test_matrices(self):
-        lax, bmat = lax_matrices(SYMMETRIC_N2)
-        assert np.allclose(lax.to_dense(), [[0.0, 0.5], [0.5, 0.0]])
-        assert np.allclose(bmat, [[0.0, 0.5], [-0.5, 0.0]])
+        assert np.allclose(SYMMETRIC_N2.to_dense(), [[0.0, 0.5], [0.5, 0.0]])
+        assert np.allclose(lax_b(SYMMETRIC_N2), [[0.0, 0.5], [-0.5, 0.0]])
 
     def test_commutator_is_rhs(self):
         rng = np.random.default_rng(6)
         s = random_state(rng, 4)
-        lax, bmat = lax_matrices(s)
-        comm = bmat @ lax.to_dense() - lax.to_dense() @ bmat
+        lax, bmat = s.to_dense(), lax_b(s)
+        comm = bmat @ lax - lax @ bmat
         da, db = toda_1d._rhs_rows(s.diag, s.offdiag)
         assert np.allclose(np.diag(comm), db, atol=1e-14)
         assert np.allclose(np.diag(comm, 1), da, atol=1e-14)
@@ -474,9 +446,9 @@ class TestLax:
         dt = 1e-5
         plus = spectral_solve(s, [dt]).state(0)
         minus = spectral_solve(s, [-dt]).state(0)
-        l_dot = (lax_matrices(plus)[0].to_dense() - lax_matrices(minus)[0].to_dense()) / (2 * dt)
-        lax, bmat = lax_matrices(s)
-        comm = bmat @ lax.to_dense() - lax.to_dense() @ bmat
+        l_dot = (plus.to_dense() - minus.to_dense()) / (2 * dt)
+        lax, bmat = s.to_dense(), lax_b(s)
+        comm = bmat @ lax - lax @ bmat
         assert np.max(np.abs(l_dot - comm)) < 1e-8
 
 
@@ -528,7 +500,7 @@ class TestSpectralSolve:
         rng = np.random.default_rng(10)
         s = random_state(rng, 5)
         for t in (0.5, 5.0, 10.0):
-            _, masses = spectral_data_from_jacobi(lax_matrices(spectral_solve(s, [t]).state(0))[0])
+            _, masses = spectral_data_from_jacobi(spectral_solve(s, [t]).state(0))
             assert abs(np.sum(masses) - 1.0) < 1e-12
 
 
@@ -768,7 +740,7 @@ class TestCsv:
             assert trajectory_to_csv(traj) == reference_csv(traj)
             spectra = jacobi_eigenvalues(traj.b, traj.a)
             for i in range(len(traj)):
-                jac = lax_matrices(traj.state(i))[0]
+                jac = traj.state(i)
                 alone = jacobi_eigenvalues(jac.diag[None], jac.offdiag[None])[0]
                 bound = 2 * np.finfo(float).eps * np.abs(alone).max()
                 assert (np.abs(spectra[i] - alone) <= bound).all()
