@@ -311,6 +311,13 @@ def family(tk, K, N, op):
     }[op]
 
 
+def monotonicity_check(tk, K, N, times):
+    """One `iso_flow.monotonicity_check` of K components of N atoms on `times` grid times evenly spaced in [0, 10]."""
+    state = tk.iso_flow.IsoFlowState(_s2_components(8, K, N))
+    grid = np.linspace(0.0, 10.0, times)
+    return lambda: tk.iso_flow.monotonicity_check(state, grid)
+
+
 def spectral_solve(tk, N, times, t_final):
     """One `toda_1d.spectral_solve` of a random state of N sites at `times` times evenly spaced in [0, t_final]."""
     state = _jacobi(tk, np.random.default_rng(6), N)
@@ -354,6 +361,7 @@ CASES = [
     *[(family, {"K": K, "N": 4, "op": op}) for K in (9, 25, 81, 289, 625)
       for op in ("measure_from_dict", "pseudo_from_dict", "evolve", "riccati_evolve", "markov_stieltjes")],
     *[(verify, {"check": "check_kdq_cauchy", "seed": 6, "k_max": k, "j_max": 2}) for k in (1, 2, 3, 4, 5)],
+    *[(monotonicity_check, {"K": 9, "N": 3, "times": c}) for c in (21, 81, 321)],
     *[(spectral_solve, {"N": n, "times": 101, "t_final": 10.0}) for n in (2, 4, 8, 16, 32, 64)],
     *[(spectral_solve, {"N": 8, "times": c, "t_final": 10.0}) for c in (1, 11, 1001)],  # and 101, above
     *[(family_jacobi, {"K": K, "N": 4, "t": 100.0}) for K in (9, 25, 81, 289)],

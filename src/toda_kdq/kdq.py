@@ -434,9 +434,6 @@ class AlmansiPolynomial:
         check_indices(self.n, [key[1:] for key in clean])
         object.__setattr__(self, "terms", clean)
 
-    def eval(self, x) -> float:
-        return float(almansi_eval_many([self], [x])[0])
-
 
 def _quadric_sum(terms: dict, z: np.ndarray, ys: np.ndarray) -> np.ndarray:
     # sum of coeff zeta^{2j+k} Y_{k,l} over the terms in ascending (j, k, ell)
@@ -453,7 +450,6 @@ def almansi_eval_many(polys, points) -> np.ndarray:
     Every term's |x|^k Y_{k,l}(x/|x|) at every point comes from one
     `solid_harmonic` table over the distinct (k, l); each value then sums
     (coeff * |x|^{2j}) * Y over its terms in ascending (j, k, ell) order.
-    `AlmansiPolynomial.eval` is the one-pair call.
     """
     dims = {poly.n for poly in polys}
     if len(dims) != 1:

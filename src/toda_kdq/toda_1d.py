@@ -91,9 +91,6 @@ class Trajectory:
     def __len__(self) -> int:
         return self.times.size
 
-    def state(self, i: int) -> JacobiMatrix:
-        return JacobiMatrix(diag=self.b[i].copy(), offdiag=self.a[i].copy())
-
 
 def integrate_ensemble(states, t_final: float, dt: float = 1e-3) -> list:
     """Classical fixed-step RK4 integration of many states at once.

@@ -37,8 +37,6 @@ KEPT = {
     "moment_1d.DiscreteMeasure.to_dict": "item 4: the writer of what from_dict reads",
     "kdq.PseudoPositiveMeasure.to_dict": "item 4: the writer of what from_dict reads",
     "pseudo_toda.PseudoTodaState.to_dict": "item 4: the writer of what from_dict reads",
-    "kdq.AlmansiPolynomial.eval": "item 4: a wrapper of almansi_eval_many, next to go",
-    "toda_1d.Trajectory.state": "item 4: a wrapper of one row, next to go",
 }
 
 

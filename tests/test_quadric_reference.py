@@ -156,7 +156,7 @@ def ref_multi(measure, idx, mods):
     return 3, text, "", f"numeric failure: at zeta_abs = {mods[rise]!r} the residual "
 
 
-def ref_iso(measure, t_grid, dt=1e-4):
+def ref_iso(measure, t_grid):
     comps = sorted(ref_components(measure).items())
     times = np.asarray(sorted(float(t) for t in t_grid))
 
@@ -174,6 +174,12 @@ def ref_iso(measure, t_grid, dt=1e-4):
         flowed = (r0 / (1.0 + lam * r0 * t)) ** 2
         return np.minimum(flowed, masses) if t > 0.0 else flowed  # forward, the exact flow only lowers them
 
+    def ds_step(key, lam, masses, t):
+        # Im S(t + ih)/h of the closed form r(t) = 1/(1/r(0) + lambda t), h = 1e-200
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = 1.0 / (1.0 / np.sqrt(masses) + lam * (t + 1e-200j))
+            return float(np.sum(np.where(masses > 0.0, (r * r).imag / lam ** float(key[0]), 0.0))) / 1e-200
+
     values = {key: np.empty(times.size) for key, _ in comps}
     max_resid = 0.0
     try:
@@ -181,7 +187,7 @@ def ref_iso(measure, t_grid, dt=1e-4):
             for key, (lam, m0) in comps:
                 masses = riccati(lam, m0, t - 0.0)
                 values[key][i] = tail(key, lam, masses)
-                ds_num = (tail(key, lam, riccati(lam, m0, t + dt - 0.0)) - tail(key, lam, riccati(lam, m0, t - dt - 0.0))) / (2.0 * dt)
+                ds_num = ds_step(key, lam, m0, t)
                 r = np.sqrt(masses)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     ds = float(-2.0 * np.sum(np.where(r > 0.0, r**3 / lam ** float(key[0] - 1), 0.0)))

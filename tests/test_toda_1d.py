@@ -120,8 +120,8 @@ def reference_csv(traj):
     lines = [",".join(header)]
     spectra = jacobi_eigenvalues(traj.b, traj.a)
     for i in range(len(traj)):
-        state = traj.state(i)
-        row = [traj.times[i]] + list(traj.a[i]) + list(traj.b[i]) + [hamiltonian(state)] + list(spectra[i])
+        row = [traj.times[i]] + list(traj.a[i]) + list(traj.b[i]) + [float(_hamiltonian(traj.a[i], traj.b[i]))]
+        row += list(spectra[i])
         lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
 
@@ -279,11 +279,8 @@ class TestIntegration:
         errs = []
         for dt in (4e-2, 2e-2):
             traj = integrate_toda(SYMMETRIC_N2, 2.0, dt)
-            s_exact = spectral_solve(SYMMETRIC_N2, [2.0]).state(0)
-            last = traj.state(-1)
-            errs.append(
-                max(np.max(np.abs(last.offdiag - s_exact.offdiag)), np.max(np.abs(last.diag - s_exact.diag)))
-            )
+            exact = spectral_solve(SYMMETRIC_N2, [2.0])
+            errs.append(max(np.max(np.abs(traj.a[-1] - exact.a[0])), np.max(np.abs(traj.b[-1] - exact.b[0]))))
         assert errs[0] / errs[1] > 12.0  # ~16x for order 4
 
     def test_positivity_loss_reported(self):
@@ -419,7 +416,7 @@ class TestIntegration:
         lam0 = spectral_data_from_jacobi(s)[0]
         h0 = hamiltonian(s)
         for i in range(0, len(traj), 100):
-            state = traj.state(i)
+            state = JacobiMatrix(diag=traj.b[i], offdiag=traj.a[i])
             lam = spectral_data_from_jacobi(state)[0]
             assert np.max(np.abs(lam - lam0)) < 1e-8
             assert abs(hamiltonian(state) - h0) < 1e-8
@@ -444,9 +441,9 @@ class TestLax:
         rng = np.random.default_rng(7)
         s = random_state(rng, 4)
         dt = 1e-5
-        plus = spectral_solve(s, [dt]).state(0)
-        minus = spectral_solve(s, [-dt]).state(0)
-        l_dot = (plus.to_dense() - minus.to_dense()) / (2 * dt)
+        traj = spectral_solve(s, [dt, -dt])
+        plus, minus = (JacobiMatrix(diag=b, offdiag=a).to_dense() for a, b in zip(traj.a, traj.b))
+        l_dot = (plus - minus) / (2 * dt)
         lax, bmat = s.to_dense(), lax_b(s)
         comm = bmat @ lax - lax @ bmat
         assert np.max(np.abs(l_dot - comm)) < 1e-8
@@ -456,17 +453,17 @@ class TestSpectralSolve:
     def test_time_zero_roundtrip(self):
         rng = np.random.default_rng(8)
         s = random_state(rng, 6)
-        back = spectral_solve(s, [0.0]).state(0)
-        assert np.max(np.abs(back.offdiag - s.offdiag)) < 1e-12
-        assert np.max(np.abs(back.diag - s.diag)) < 1e-12
+        back = spectral_solve(s, [0.0])
+        assert np.max(np.abs(back.a[0] - s.offdiag)) < 1e-12
+        assert np.max(np.abs(back.b[0] - s.diag)) < 1e-12
 
     def test_closed_form_n2(self):
         for t in (-3.0, 0.5, 4.0):
-            s = spectral_solve(SYMMETRIC_N2, [t]).state(0)
+            traj = spectral_solve(SYMMETRIC_N2, [t])
             a_ref, b1_ref, b2_ref = closed_form_n2(t)
-            assert s.offdiag[0] == pytest.approx(a_ref, abs=1e-12)
-            assert s.diag[0] == pytest.approx(b1_ref, abs=1e-12)
-            assert s.diag[1] == pytest.approx(b2_ref, abs=1e-12)
+            assert traj.a[0, 0] == pytest.approx(a_ref, abs=1e-12)
+            assert traj.b[0, 0] == pytest.approx(b1_ref, abs=1e-12)
+            assert traj.b[0, 1] == pytest.approx(b2_ref, abs=1e-12)
 
     def test_matches_rk4(self):
         rng = np.random.default_rng(9)
@@ -474,10 +471,9 @@ class TestSpectralSolve:
             s = random_state(rng, n)
             traj = integrate_toda(s, 3.0, 1e-3)
             for i in range(0, len(traj), 300):
-                sp = spectral_solve(s, [traj.times[i]]).state(0)
-                st = traj.state(i)
-                assert np.max(np.abs(sp.offdiag - st.offdiag)) < 1e-6
-                assert np.max(np.abs(sp.diag - st.diag)) < 1e-6
+                sp = spectral_solve(s, [traj.times[i]])
+                assert np.max(np.abs(sp.a[0] - traj.a[i])) < 1e-6
+                assert np.max(np.abs(sp.b[0] - traj.b[i])) < 1e-6
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -489,10 +485,9 @@ class TestSpectralSolve:
         s = random_state(np.random.default_rng(seed), n)
         many = spectral_solve(s, times)
         assert len(many) == len(times)
-        for t, sp in zip(times, map(many.state, range(len(many)))):
-            one = spectral_solve(s, [t]).state(0)
-            assert isinstance(one, JacobiMatrix)
-            assert sp.offdiag.tobytes() == one.offdiag.tobytes() and sp.diag.tobytes() == one.diag.tobytes()
+        for i, t in enumerate(times):
+            one = spectral_solve(s, [t])
+            assert many.a[i].tobytes() == one.a[0].tobytes() and many.b[i].tobytes() == one.b[0].tobytes()
 
     def test_mass_renormalization(self):
         # t is capped so the evolved off-diagonals e^{-sum(gaps) t} stay above
@@ -500,7 +495,8 @@ class TestSpectralSolve:
         rng = np.random.default_rng(10)
         s = random_state(rng, 5)
         for t in (0.5, 5.0, 10.0):
-            _, masses = spectral_data_from_jacobi(spectral_solve(s, [t]).state(0))
+            traj = spectral_solve(s, [t])
+            _, masses = spectral_data_from_jacobi(JacobiMatrix(diag=traj.b[0], offdiag=traj.a[0]))
             assert abs(np.sum(masses) - 1.0) < 1e-12
 
 
@@ -541,8 +537,8 @@ class TestQrFlow:
 
     def test_time_zero_is_the_input(self):
         s = JacobiMatrix(offdiag=[0.5, 0.3], diag=[0.1, 0.0, -0.2])
-        back = spectral_solve(s, [0.0]).state(0)
-        assert back.diag.tobytes() == s.diag.tobytes() and back.offdiag.tobytes() == s.offdiag.tobytes()
+        back = spectral_solve(s, [0.0])
+        assert back.b[0].tobytes() == s.diag.tobytes() and back.a[0].tobytes() == s.offdiag.tobytes()
         diag, offdiag = qr_rows(s.diag, s.offdiag, [-0.0, 1.0, 0.0])
         assert diag[0].tobytes() == diag[2].tobytes() == s.diag.tobytes()
         assert offdiag[0].tobytes() == offdiag[2].tobytes() == s.offdiag.tobytes()
@@ -740,7 +736,6 @@ class TestCsv:
             assert trajectory_to_csv(traj) == reference_csv(traj)
             spectra = jacobi_eigenvalues(traj.b, traj.a)
             for i in range(len(traj)):
-                jac = traj.state(i)
-                alone = jacobi_eigenvalues(jac.diag[None], jac.offdiag[None])[0]
+                alone = jacobi_eigenvalues(traj.b[i : i + 1], traj.a[i : i + 1])[0]
                 bound = 2 * np.finfo(float).eps * np.abs(alone).max()
                 assert (np.abs(spectra[i] - alone) <= bound).all()
