@@ -177,13 +177,24 @@ def _s2_components(seed: int, K: int, atoms: int) -> dict:
     return comps
 
 
+def _fresh_env(src: Path) -> tuple:
+    """(temporary directory, environment) of a fresh interpreter on `src`:
+    its bytecode goes to and comes from the directory, empty at first, so a
+    `__pycache__` that the tree holds or lacks does not count, and the
+    warm-up call fills it as it would fill the tree's own cache."""
+    cache = tempfile.TemporaryDirectory()
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONPYCACHEPREFIX=cache.name)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return cache, env
+
+
 def import_toda_kdq_cli(tk):
     """A fresh interpreter that imports `toda_kdq.cli` from the tree's `src/`, start-up included."""
     src = Path(tk.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
+    cache, env = _fresh_env(src)
     argv = [sys.executable, "-c", "import toda_kdq.cli; print(toda_kdq.cli.__file__)"]
 
-    def op():
+    def op(cache=cache):  # the cache is removed with the op that holds it
         path = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60, check=True).stdout.strip()
         if not Path(path).resolve().is_relative_to(src):
             raise RuntimeError(f"a fresh interpreter imported toda_kdq from {path}, not from {src}")
@@ -227,9 +238,9 @@ def cli_process(tk, command):
     if config is not None:
         (Path(tmp.name) / "in.json").write_text(json.dumps(config))
         argv += ["--input", str(Path(tmp.name) / "in.json")]
-    env = dict(os.environ, PYTHONPATH=str(src))
+    cache, env = _fresh_env(src)
 
-    def op(tmp=tmp):
+    def op(tmp=tmp, cache=cache):
         # run in src/, the first entry of a -m interpreter's path
         subprocess.run(argv, cwd=src, env=env, capture_output=True, timeout=60, check=True)
 
@@ -287,7 +298,8 @@ def hua_kernel(tk, n, k_max):
 
 def family(tk, K, N, op):
     """One `op` on K components of N atoms: reading a JSON-decoded measure
-    (measure_from_dict) or pseudo-Toda state (pseudo_from_dict),
+    (measure_from_dict) or pseudo-Toda state (pseudo_from_dict) by the
+    tree's `cli` reader, or by `from_dict` on a tree whose layers have it,
     `pseudo_toda.evolve` or `iso_flow.riccati_evolve` of such a state to t = 1,
     or `kdq.markov_stieltjes` of the measure at 8 points zeta THETA with
     |zeta| = 2 and arg zeta in [-1.2, 1.2]."""
@@ -302,9 +314,11 @@ def family(tk, K, N, op):
     mu = tk.kdq.PseudoPositiveMeasure(3, comps)
     riccati = tk.iso_flow.state_from_measure(mu)
     points = [tk.kdq.KDQPoint(2.0 * np.exp(1j * a), THETA) for a in np.linspace(-1.2, 1.2, 8)]
+    read_measure = getattr(tk.cli, "_read_measure", None) or tk.kdq.PseudoPositiveMeasure.from_dict
+    read_pseudo = getattr(tk.cli, "_read_pseudo_state", None) or tk.pseudo_toda.PseudoTodaState.from_dict
     return {
-        "measure_from_dict": lambda: tk.kdq.PseudoPositiveMeasure.from_dict(measure),
-        "pseudo_from_dict": lambda: tk.pseudo_toda.PseudoTodaState.from_dict(pseudo),
+        "measure_from_dict": lambda: read_measure(measure),
+        "pseudo_from_dict": lambda: read_pseudo(pseudo),
         "evolve": lambda: tk.pseudo_toda.evolve(state, 1.0),
         "riccati_evolve": lambda: tk.iso_flow.riccati_evolve(riccati, 1.0),
         "markov_stieltjes": lambda: tk.kdq.markov_stieltjes(mu, points),

@@ -3,27 +3,33 @@
 Commands
 --------
 simulate-1d     RK4 trajectory of a Flaschka state; CSV t, a_*, b_*, H, lambda_*.
-                input: {"schema": 1, "a": [...], "b": [...]}
+                input: {"a": [...], "b": [...]}
 spectral-solve  Same sampling computed through the exact (QR) solution.
-simulate-pseudo Tilde-mass trajectories and total Hamiltonian of a state file
-                ({"schema": 1, "n":, "N":, "components": [...], "t":}).
+simulate-pseudo Tilde-mass trajectories and total Hamiltonian of a state
+                {"n":, "components": [<lambdas, masses_tilde>], "t": 0}.
 transform-eval  Transform values of a measure at given points:
-                {"schema": 1, "measure": <measure dict>, "theta": [...],
-                 "zetas": [[re, im], ...]}.
-nevanlinna-check  Residual table; {"kind": "1d", "measure": {...}, "N":, "y": [...]}
-                or {"kind": "multi", "measure": <measure dict>, "k":, "ell":,
-                "N":, "zeta_abs": [...]} (ray arg zeta^2 = pi/2), each residual
-                the exact moment remainder; exit 3, naming the point, unless
-                they decrease (and, with --tol, end at or below it).
+                {"measure": <measure>, "theta": [...], "zetas": [[re, im], ...]}.
+nevanlinna-check  Residual table; {"kind": "1d", "measure": {"atoms": [...],
+                "weights": [...], "half_line": false}, "N":, "y": [...]} or
+                {"kind": "multi", "measure": <measure>, "k":, "ell":, "N":,
+                "zeta_abs": [...]} (ray arg zeta^2 = pi/2), each residual the
+                exact moment remainder; exit 3, naming the point, unless they
+                decrease (and, with --tol, end at or below it).
 iso-flow        Functional values on a time grid plus monotonicity verdict;
-                {"schema": 1, "measure": <measure dict>, "t_grid": [...]};
-                exit 3, naming the time and the component, if a functional
-                rises by more than --tol (default 1e-12).
+                {"measure": <measure>, "t_grid": [...]}; exit 3, naming the
+                time and the component, if a functional rises by more than
+                --tol (default 1e-12).
 verify-all      Run the bundled invariant suite; prints one PASS/FAIL line
                 per check.
 
-Float fields hold JSON numbers only.  A list field takes a bare number as one
-entry and refuses a list of lists; zetas is a list of [re, im] pairs.
+<measure> is {"n":, "k_max":, "components": [<atoms, weights>]}, and [<x, y>]
+a list of {"k":, "ell":, x: [...], y: [...]}, one per component (a repeated
+index keeps its last entry).  k_max, t and half_line may be left out.  This
+module alone reads the JSON format, and ignores fields not named here; the
+numeric layers take maps (k, ell) -> (radii, masses), packed families and
+arrays.  Float fields hold JSON numbers only.  A list field takes a bare
+number as one entry and refuses a list of lists; zetas is a list of [re, im]
+pairs.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure (positivity
 loss, divergence region, pole, overflow, an eigensolver that does not
@@ -33,6 +39,7 @@ rendered with shortest round-trip repr.
 """
 
 import argparse
+import itertools
 import json
 import sys
 from contextlib import contextmanager
@@ -40,8 +47,8 @@ from functools import cache
 
 import numpy as np
 
-# every command reads its JSON fields through moment_1d and writes CSV through
-# toda_1d; the other layers stay unloaded until a runner reaches into them
+# moment_1d (the 1-d types) and toda_1d (the CSV writer) run at import; the
+# other layers stay unloaded until a runner reaches into them
 from . import iso_flow, kdq, pseudo_toda, sphere, verify
 from .errors import (
     DivergenceRegionError,
@@ -49,7 +56,7 @@ from .errors import (
     PositivityLossError,
     RankDeficiencyError,
 )
-from .moment_1d import DiscreteMeasure, JacobiMatrix, _as_vector, _json_field, _json_float, _json_int, nevanlinna_limit_check
+from .moment_1d import DiscreteMeasure, JacobiMatrix, _as_vector, nevanlinna_limit_check
 from .toda_1d import _csv_text, integrate_toda, spectral_solve, trajectory_to_csv
 
 __all__ = ["main"]
@@ -117,6 +124,130 @@ def _load_json(path: str) -> dict:
     return data
 
 
+def _json_field(d: dict, name: str, *default):
+    """d[name], or `default` where given and absent; ValueError naming the field if absent without one."""
+    if name in d or default:
+        return d.get(name, *default)
+    raise ValueError(f"missing field {name!r}")
+
+
+def _json_int(d: dict, name: str, *default) -> int:
+    """`_json_field` as an int.
+
+    TypeError unless the value is an integer: a JSON number with a fraction
+    or an exponent (1.7, 1e999, which reads as inf) and a boolean are not
+    truncated but rejected.
+    """
+    value = d[name] if name in d else _json_field(d, name, *default)  # no call per field read
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+# the types json gives numbers; type(True) is bool, which is not among them
+_JSON_NUMBERS = {int, float}
+
+
+def _json_float(d: dict, name: str, *default):
+    """`_json_field` as a float array: 0-d for a number, 1-d or more for a
+    list (of lists).
+
+    TypeError unless every entry is a JSON number: a boolean, a string such
+    as "2.5" and null are not converted but rejected.  ValueError if the
+    lists are ragged or an integer is too large for a double.
+    """
+    value = d[name] if name in d else _json_field(d, name, *default)  # no call per field read
+    # one level of the lists at a time, in a loop rather than by recursion
+    entries = value if type(value) is list else [value]
+    while not _JSON_NUMBERS.issuperset(map(type, entries)):
+        for entry in entries:
+            if type(entry) not in (int, float, list):
+                raise TypeError(f"{name} must hold JSON numbers only, got {entry!r}")
+        entries = [v for entry in entries if type(entry) is list for v in entry]
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError as exc:
+        raise ValueError(f"{name} holds an integer too large for a double") from exc
+
+
+def _read_1d_measure(d: dict) -> DiscreteMeasure:
+    """TypeError unless `d` is a JSON object and `half_line`, where given, a JSON boolean."""
+    if type(d) is not dict:
+        raise TypeError(f"measure must be a JSON object, got {d!r}")
+    half_line = d.get("half_line", False)
+    if type(half_line) is not bool:
+        raise TypeError(f"half_line must be true or false, got {half_line!r}")
+    return DiscreteMeasure(atoms=_json_float(d, "atoms"), weights=_json_float(d, "weights"), half_line=half_line)
+
+
+def _read_measure(d: dict):
+    """A `kdq.PseudoPositiveMeasure`; TypeError unless `d` is a JSON object."""
+    if type(d) is not dict:
+        raise TypeError(f"measure must be a JSON object, got {d!r}")
+    comps = _read_components(d, kdq._FIELDS)
+    return kdq.PseudoPositiveMeasure(_json_int(d, "n"), comps, k_max=_json_int(d, "k_max", -1))
+
+
+def _read_pseudo_state(d: dict):
+    """A `pseudo_toda.PseudoTodaState`."""
+    comps = _read_components(d, pseudo_toda._FIELDS, 1)
+    n, t = _json_int(d, "n"), _json_float(d, "t", 0.0)
+    if t.ndim:
+        raise TypeError(f"t must be one JSON number, got shape {t.shape}")
+    return pseudo_toda.PseudoTodaState(n, comps, float(t))
+
+
+def _read_components(d: dict, names: tuple, min_size: int = 0):
+    """The JSON list d["components"] of {"k", "ell", *names} objects, packed
+    in one pass as `ComponentFamily.pack` packs a map (a repeated index keeps
+    its last entry); TypeError naming `components` or `components[i]` if it
+    is not a list or not an object, and an error naming `components[i]` and
+    the field it lacks or holds wrong."""
+    comps = _json_field(d, "components")
+    if type(comps) is not list:
+        raise TypeError(f"components must be a JSON list, got {comps!r}")
+    fields = ("k", "ell", *names)
+    entries = []
+    for i, c in enumerate(comps):
+        if type(c) is not dict:
+            raise TypeError(f"components[{i}] must be a JSON object, got {c!r}")
+        entry = tuple(map(c.get, fields))
+        if type(entry[0]) is not int or type(entry[1]) is not int or type(entry[2]) is not list or type(entry[3]) is not list:
+            entry = _read_entry(i, c, names)
+        entries.append(entry)
+    keys, sizes, flat = _columns(entries)
+    try:
+        if not all(_JSON_NUMBERS.issuperset(map(type, values)) for values in flat):
+            raise TypeError("a list holds more than JSON numbers")
+        arrays = [np.array(values, dtype=float) for values in flat]
+    except (TypeError, OverflowError):
+        # a value that is not a number, a list of lists, or an integer too
+        # large for a double: read entry by entry, which names the entry at
+        # fault (or reads a nested empty list as no atoms)
+        keys, sizes, flat = _columns([_read_entry(i, c, names) for i, c in enumerate(comps)])
+        arrays = [np.array(values, dtype=float) for values in flat]
+    return kdq.ComponentFamily.from_columns(keys, sizes, arrays, names, min_size)
+
+
+def _columns(entries: list) -> tuple:
+    # (k, ell, radii list, masses list) per entry -> the keys, the two lists
+    # of sizes and the two flat lists of values
+    k, ell, radii, masses = zip(*entries) if entries else ((),) * 4
+    sizes = [list(map(len, radii)), list(map(len, masses))]
+    return list(zip(k, ell)), sizes, [list(itertools.chain.from_iterable(radii)), list(itertools.chain.from_iterable(masses))]
+
+
+def _read_entry(i: int, c: dict, names: tuple) -> tuple:
+    # components[i] read field by field, (k, ell, radii list, masses list), or
+    # the error that names it and the field it lacks or holds wrong
+    try:
+        return (_json_int(c, "k"), _json_int(c, "ell"), *(_as_vector(name, _json_float(c, name)).tolist() for name in names))
+    except (TypeError, ValueError) as exc:
+        missing = [name for name in ("k", "ell", *names) if name not in c]
+        detail = f" has no field {missing[0]!r}" if missing else f": {exc}"
+        raise type(exc)(f"components[{i}]{detail}") from None
+
+
 def _emit(text: str, output_path: str | None):
     if output_path is None:
         sys.stdout.write(text)
@@ -146,16 +277,16 @@ def _run_lattice(args: argparse.Namespace) -> int:
 def _run_simulate_pseudo(args: argparse.Namespace) -> int:
     data = _load_json(args.input_path)
     with _stage("bad pseudo state: "):
-        state = pseudo_toda.PseudoTodaState.from_dict(data)
+        state = _read_pseudo_state(data)
         state.common_size()  # the CSV needs one atom count shared by all components
     times = _sample_times(args, state.family.radii.size)
     _emit(pseudo_toda.state_trajectory_csv(state, times), args.output_path)
     return 0
 
 
-def _measure_from_config(data: dict, reader=None):  # None: the quadric measure's reader
+def _measure_from_config(data: dict, reader=_read_measure):
     with _stage("bad measure: "):
-        return (reader or kdq.PseudoPositiveMeasure.from_dict)(_json_field(data, "measure"))
+        return reader(_json_field(data, "measure"))
 
 
 def _run_transform_eval(args: argparse.Namespace) -> int:
@@ -182,7 +313,7 @@ def _run_nevanlinna(args: argparse.Namespace) -> int:
     if kind not in ("1d", "multi"):
         raise ConfigError(f"unknown nevanlinna kind {kind!r}")
     grid, values = ("y", "y values") if kind == "1d" else ("zeta_abs", "zeta_abs")
-    mu = _measure_from_config(data, DiscreteMeasure.from_dict) if kind == "1d" else _measure_from_config(data)
+    mu = _measure_from_config(data, _read_1d_measure if kind == "1d" else _read_measure)
     with _stage("bad nevanlinna config: ", (ValueError, TypeError, OverflowError)):
         if kind == "multi":
             idx = (_json_int(data, "k"), _json_int(data, "ell"))

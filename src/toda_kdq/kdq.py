@@ -42,7 +42,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DivergenceRegionError, PoleError
-from .moment_1d import _JSON_NUMBERS, _as_vector, _freeze_fields, _json_field, _json_float, _json_int, _merge_coincident, _moment_remainder, _sorted_atoms
+from .moment_1d import _as_vector, _freeze_fields, _merge_coincident, _moment_remainder, _sorted_atoms
 from .sphere import _harmonic_core, as_direction, check_indices, dim_harmonics, harmonic_table, solid_harmonic, sphere_nodes
 
 __all__ = [
@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 DEFAULT_KMAX = 24
-_FIELDS = ("atoms", "weights")
+_FIELDS = ("atoms", "weights")  # a component's JSON list fields (read in cli) and the names in its errors
 
 
 @dataclass(frozen=True)
@@ -120,11 +120,8 @@ class ComponentFamily:
 
     @classmethod
     def pack(cls, components, names=("radii", "masses"), min_size: int = 0) -> "ComponentFamily":
-        """Pack a map (k, ell) -> (radii, masses) in ascending (k, ell) order; a
-        family `_read_components` packed is returned as it is.
-
-        Arrays of different sizes or with fewer than `min_size` atoms, or with
-        an entry that is not finite, raise ValueError naming the field.
+        """Pack a map (k, ell) -> (radii, masses) in ascending (k, ell) order
+        through `from_columns`; a family is returned as it is.
         """
         if isinstance(components, ComponentFamily):
             return components
@@ -132,13 +129,15 @@ class ComponentFamily:
         keys = [(int(k), int(ell)) for k, ell in components]
         sizes = [[pair[i].size for pair in vectors] for i in (0, 1)]
         flat = [np.concatenate([np.empty(0)] + [pair[i] for pair in vectors]) for i in (0, 1)]
-        return cls._gather(keys, sizes, flat, names, min_size)
+        return cls.from_columns(keys, sizes, flat, names, min_size)
 
     @classmethod
-    def _gather(cls, keys: list, sizes: list, flat: list, names: tuple, min_size: int) -> "ComponentFamily":
-        # entry i of keys owns the next sizes[0][i] radii and sizes[1][i]
-        # masses of the two flat arrays; a repeated key keeps its last entry,
-        # and the kept entries go in ascending key order
+    def from_columns(cls, keys: list, sizes: list, flat: list, names: tuple, min_size: int) -> "ComponentFamily":
+        """The family whose keys[i] owns the next sizes[0][i] radii and
+        sizes[1][i] masses of the two arrays `flat`, in ascending key order (a
+        repeated key keeps its last entry).  ValueError naming the fields
+        `names` for sizes that differ or are below `min_size`, or an entry
+        that is not finite."""
         last = dict(zip(keys, range(len(keys))))
         order = sorted(last)
         counts = np.array(sizes, dtype=np.intp).reshape(2, len(keys))
@@ -233,9 +232,9 @@ class PseudoPositiveMeasure:
 
     Absent indices mean a zero component.  Every stored component lives on
     the half-line (atoms >= 0) and k runs up to the truncation degree k_max.
-    `components` maps (k, ell) -> (atoms, weights), or is the family
-    `_read_components` packed; each component is checked, sorted and merged
-    as a `DiscreteMeasure` of its own.
+    `components` maps (k, ell) -> (atoms, weights), or is a family packed
+    with the field names `_FIELDS`; each component is checked, sorted and
+    merged as a `DiscreteMeasure` of its own.
     """
 
     def __init__(self, n: int, components=None, k_max: int = -1):
@@ -262,73 +261,6 @@ class PseudoPositiveMeasure:
         out = object.__new__(PseudoPositiveMeasure)  # a prefix of checked components: nothing to check again
         out.n, out.family, out.k_max = self.n, head, max(int(k_max), 0)
         return out
-
-    def to_dict(self) -> dict:
-        return {"n": int(self.n), "k_max": int(self.k_max), "components": _write_components(self.family, _FIELDS)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PseudoPositiveMeasure":
-        """TypeError unless `d` is a JSON object."""
-        if type(d) is not dict:
-            raise TypeError(f"measure must be a JSON object, got {d!r}")
-        comps = _read_components(d, _FIELDS)
-        return cls(_json_int(d, "n"), comps, k_max=_json_int(d, "k_max", -1))
-
-
-def _read_components(d: dict, names: tuple, min_size: int = 0) -> ComponentFamily:
-    """The JSON list d["components"] of {"k", "ell", *names} objects, packed
-    in one pass as `ComponentFamily.pack` packs a map (a repeated index keeps
-    its last entry); TypeError naming `components` or `components[i]` if it
-    is not a list or not an object, and an error naming `components[i]` and
-    the field it lacks or holds wrong."""
-    comps = _json_field(d, "components")
-    if type(comps) is not list:
-        raise TypeError(f"components must be a JSON list, got {comps!r}")
-    fields = ("k", "ell", *names)
-    entries = []
-    for i, c in enumerate(comps):
-        if type(c) is not dict:
-            raise TypeError(f"components[{i}] must be a JSON object, got {c!r}")
-        entry = tuple(map(c.get, fields))
-        if type(entry[0]) is not int or type(entry[1]) is not int or type(entry[2]) is not list or type(entry[3]) is not list:
-            entry = _read_entry(i, c, names)
-        entries.append(entry)
-    keys, sizes, flat = _columns(entries)
-    try:
-        if not all(_JSON_NUMBERS.issuperset(map(type, values)) for values in flat):
-            raise TypeError("a list holds more than JSON numbers")
-        arrays = [np.array(values, dtype=float) for values in flat]
-    except (TypeError, OverflowError):
-        # a value that is not a number, a list of lists, or an integer too
-        # large for a double: read entry by entry, which names the entry at
-        # fault (or reads a nested empty list as no atoms)
-        keys, sizes, flat = _columns([_read_entry(i, c, names) for i, c in enumerate(comps)])
-        arrays = [np.array(values, dtype=float) for values in flat]
-    return ComponentFamily._gather(keys, sizes, arrays, names, min_size)
-
-
-def _columns(entries: list) -> tuple:
-    # (k, ell, radii list, masses list) per entry -> the keys, the two lists
-    # of sizes and the two flat lists of values
-    k, ell, radii, masses = zip(*entries) if entries else ((),) * 4
-    sizes = [list(map(len, radii)), list(map(len, masses))]
-    return list(zip(k, ell)), sizes, [list(itertools.chain.from_iterable(radii)), list(itertools.chain.from_iterable(masses))]
-
-
-def _read_entry(i: int, c: dict, names: tuple) -> tuple:
-    # components[i] read field by field, (k, ell, radii list, masses list), or
-    # the error that names it and the field it lacks or holds wrong
-    try:
-        return (_json_int(c, "k"), _json_int(c, "ell"), *(_as_vector(name, _json_float(c, name)).tolist() for name in names))
-    except (TypeError, ValueError) as exc:
-        missing = [name for name in ("k", "ell", *names) if name not in c]
-        detail = f" has no field {missing[0]!r}" if missing else f": {exc}"
-        raise type(exc)(f"components[{i}]{detail}") from None
-
-
-def _write_components(family: ComponentFamily, names: tuple) -> list:
-    # the JSON list `_read_components` reads, in ascending (k, ell) order
-    return [{"k": k, "ell": ell, names[0]: r.tolist(), names[1]: m.tolist()} for (k, ell), r, m in family.items()]
 
 
 def _u(zeta, dots, r2):
@@ -653,8 +585,9 @@ def multi_nevanlinna_check(mu: PseudoPositiveMeasure, idx, n_trunc: int, zeta_li
 
     the truncated-moment limit in z = zeta^2, as the exact remainder
     `moment_1d._moment_remainder` of the component's own atoms (zeros for an
-    absent one).  Along a ray with Im zeta^2 > 0 (arg zeta^2 = pi/2 in the
-    standard setup) the residuals decrease like |zeta|^{-2}.
+    absent one); OverflowError naming the component and the first zeta at
+    which it is not finite.  Along a ray with Im zeta^2 > 0 (arg zeta^2 =
+    pi/2 in the standard setup) the residuals decrease like |zeta|^{-2}.
     """
     if n_trunc < 0:
         raise ValueError("n_trunc must be nonnegative")
@@ -667,7 +600,11 @@ def multi_nevanlinna_check(mu: PseudoPositiveMeasure, idx, n_trunc: int, zeta_li
         radii, masses = mu.family.component((k, ell))
     except KeyError:
         return np.zeros(len(zetas))
-    return _moment_remainder(radii**2, masses * radii**k, n_trunc, np.array([z * z for z in zetas], dtype=complex))
+    res = _moment_remainder(radii**2, masses * radii**k, n_trunc, np.array([z * z for z in zetas], dtype=complex))
+    if not np.isfinite(res).all():
+        z = zetas[np.isfinite(res).argmin()]
+        raise OverflowError(f"at zeta = {z!r} the moment remainder of component {(k, ell)} of order n = {n_trunc} is not finite")
+    return res
 
 
 def divergent_partial_sums(mu: PseudoPositiveMeasure, n_trunc: int, p: KDQPoint):

@@ -50,52 +50,6 @@ def _as_vector(name: str, value) -> np.ndarray:
     return arr
 
 
-def _json_field(d: dict, name: str, *default):
-    """d[name], or `default` where given and absent; ValueError naming the field if absent without one."""
-    if name in d or default:
-        return d.get(name, *default)
-    raise ValueError(f"missing field {name!r}")
-
-
-def _json_int(d: dict, name: str, *default) -> int:
-    """`_json_field` as an int.
-
-    TypeError unless the value is an integer: a JSON number with a fraction
-    or an exponent (1.7, 1e999, which reads as inf) and a boolean are not
-    truncated but rejected.
-    """
-    value = d[name] if name in d else _json_field(d, name, *default)  # no call per field read
-    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-# the types json gives numbers; type(True) is bool, which is not among them
-_JSON_NUMBERS = {int, float}
-
-
-def _json_float(d: dict, name: str, *default):
-    """`_json_field` as a float array: 0-d for a number, 1-d or more for a
-    list (of lists).
-
-    TypeError unless every entry is a JSON number: a boolean, a string such
-    as "2.5" and null are not converted but rejected.  ValueError if the
-    lists are ragged or an integer is too large for a double.
-    """
-    value = d[name] if name in d else _json_field(d, name, *default)  # no call per field read
-    # one level of the lists at a time, in a loop rather than by recursion
-    entries = value if type(value) is list else [value]
-    while not _JSON_NUMBERS.issuperset(map(type, entries)):
-        for entry in entries:
-            if type(entry) not in (int, float, list):
-                raise TypeError(f"{name} must hold JSON numbers only, got {entry!r}")
-        entries = [v for entry in entries if type(entry) is list for v in entry]
-    try:
-        return np.array(value, dtype=float)
-    except OverflowError as exc:
-        raise ValueError(f"{name} holds an integer too large for a double") from exc
-
-
 def _freeze_fields(obj, **fields) -> list:
     """Store each field on the frozen dataclass `obj` as a read-only float array.
 
@@ -143,23 +97,6 @@ class DiscreteMeasure:
     @property
     def total_mass(self) -> float:
         return float(self.weights.sum())
-
-    def to_dict(self) -> dict:
-        return {
-            "atoms": [float(a) for a in self.atoms],
-            "weights": [float(w) for w in self.weights],
-            "half_line": bool(self.half_line),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DiscreteMeasure":
-        """TypeError unless `d` is a JSON object and `half_line`, where given, a JSON boolean."""
-        if type(d) is not dict:
-            raise TypeError(f"measure must be a JSON object, got {d!r}")
-        half_line = d.get("half_line", False)
-        if type(half_line) is not bool:
-            raise TypeError(f"half_line must be true or false, got {half_line!r}")
-        return cls(atoms=_json_float(d, "atoms"), weights=_json_float(d, "weights"), half_line=half_line)
 
 
 def _sorted_atoms(atoms: np.ndarray, weights: np.ndarray, offsets: np.ndarray, half_line: bool):
@@ -595,8 +532,8 @@ def _moment_remainder(atoms: np.ndarray, weights: np.ndarray, n: int, z) -> np.n
     f(z) = sum_m w_m/(u_m - z) and moments s_j, without that form's terms
     of size |z|^{2n} s_0, which cancel.
     Where |z| >= max |u_m| it is summed as (s_{2n+1} + sum_m w_m u_m^{2n+2}
-    /(z - u_m)) / z, with s_{2n+1} from `_odd_moment`.  OverflowError if a
-    value is not finite.
+    /(z - u_m)) / z, with s_{2n+1} from `_odd_moment`.  A value that is not
+    finite is returned as it is, for the caller to name its point.
     """
     z = np.asarray(z, dtype=complex)
     if not atoms.size:
@@ -609,8 +546,6 @@ def _moment_remainder(atoms: np.ndarray, weights: np.ndarray, n: int, z) -> np.n
         if far.any():
             tail = np.sum(c * atoms / diffs[far], axis=1)
             out[far] = np.abs(_odd_moment(atoms, weights, n) + tail) / np.abs(z[far])
-    if not np.isfinite(out).all():
-        raise OverflowError(f"the moment remainder of order n = {n} is not finite")
     return out
 
 
@@ -623,11 +558,15 @@ def nevanlinna_limit_check(mu: DiscreteMeasure, n: int, y_list) -> np.ndarray:
         | z^{2n+1} ( f(z) + sum_{j=0}^{2n-1} s_j z^{-j-1} ) + s_{2n} |,
 
     which tends to 0 as y grows when the s_j are the moments of mu.  It is
-    evaluated as the exact remainder `_moment_remainder`.
+    evaluated as the exact remainder `_moment_remainder`; OverflowError
+    naming the first y at which it is not finite.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     ys = np.array([float(y) for y in y_list])
     if not ((ys > 0.0) & (ys < np.inf)).all():
         raise ValueError("y values must be positive and finite")
-    return _moment_remainder(mu.atoms, mu.weights, n, 1j * ys)
+    res = _moment_remainder(mu.atoms, mu.weights, n, 1j * ys)
+    if not np.isfinite(res).all():
+        raise OverflowError(f"at y = {float(ys[np.isfinite(res).argmin()])!r} the moment remainder of order n = {n} is not finite")
+    return res

@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import PositivityLossError
-from .kdq import ComponentFamily, PseudoPositiveMeasure, _read_components, _write_components
-from .moment_1d import _check_mass, _check_unreduced, _json_float, _json_int, _lanczos, _merge_coincident
+from .kdq import ComponentFamily, PseudoPositiveMeasure
+from .moment_1d import _check_mass, _check_unreduced, _lanczos, _merge_coincident
 from .sphere import check_indices, harmonic_table
 from .toda_1d import _csv_text, _evolved_masses, _flow, _rhs_rows
 
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-12
-_FIELDS = ("lambdas", "masses_tilde")
+_FIELDS = ("lambdas", "masses_tilde")  # a component's JSON list fields (read in cli) and the names in its errors
 
 
 def _toda_family(family: ComponentFamily) -> ComponentFamily:
@@ -67,9 +67,9 @@ def _toda_family(family: ComponentFamily) -> ComponentFamily:
 
 class PseudoTodaState:
     """Components (k, l) of radii lambda_j >= 0 and tilde masses summing to
-    one, at a common time: a map (k, l) -> (lambdas, masses_tilde), or the
-    family `kdq._read_components` packed.  Each component is stored sorted
-    by radius in `family`."""
+    one, at a common time: a map (k, l) -> (lambdas, masses_tilde), or a
+    family packed with the field names `_FIELDS`.  Each component is stored
+    sorted by radius in `family`."""
 
     def __init__(self, n: int, components=None, time: float = 0.0):
         if not math.isfinite(time):
@@ -85,18 +85,6 @@ class PseudoTodaState:
         if len(sizes) != 1:
             raise ValueError("components have heterogeneous atom counts")
         return sizes.pop()
-
-    def to_dict(self) -> dict:
-        comps = _write_components(self.family, _FIELDS)
-        return {"n": int(self.n), "N": self.common_size(), "components": comps, "t": float(self.time)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PseudoTodaState":
-        comps = _read_components(d, _FIELDS, 1)
-        n, t = _json_int(d, "n"), _json_float(d, "t", 0.0)
-        if t.ndim:
-            raise TypeError(f"t must be one JSON number, got shape {t.shape}")
-        return cls(n, comps, float(t))
 
 
 def _untilde(k: int, lam: np.ndarray, mt: np.ndarray):
@@ -162,11 +150,7 @@ def family_jacobi(state: PseudoTodaState) -> tuple:
     Lanczos and one stacked flow, and each row gets the bits it would get
     in a family of its component alone.  Errors name the component.
     """
-    return _jacobi_rows(state.family, state.time)[:2]
-
-
-def _jacobi_rows(family: ComponentFamily, time: float) -> tuple:
-    # family_jacobi's diagonals and couplings, and each row's size m
+    family, time = state.family, state.time
     labels = np.array([f"component {key}: " for key in family.keys], dtype=object)
     x = family.radii**2
     masses = family.masses
@@ -194,7 +178,7 @@ def _jacobi_rows(family: ComponentFamily, time: float) -> tuple:
             b[flow], a[flow] = sb[:, 0], sa[:, 0]
         _check_unreduced(a, labels[pos])
         diag[pos, :m], offdiag[pos, : m - 1] = b, a
-    return diag, offdiag, merged.sizes
+    return diag, offdiag
 
 
 def total_hamiltonian(state: PseudoTodaState) -> float:

@@ -3,6 +3,7 @@ second tree loads as its own package."""
 
 import importlib.util
 import shutil
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -29,6 +30,27 @@ def test_every_case_runs_on_src(bench):
     # a name of src/ that a case needs and that is renamed or deleted fails here
     for build, params in bench.CASES:
         build(toda_kdq, **params)()
+
+
+def test_a_fresh_process_compiles_into_an_empty_cache_of_its_own(bench, monkeypatch):
+    # each fresh-process op runs with a bytecode cache of its own, empty
+    # before its first call, whatever __pycache__ the tree holds
+    seen, real = [], subprocess.run
+
+    def run(argv, env, **kwargs):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((cache, list(cache.iterdir()), "PYTHONDONTWRITEBYTECODE" in env))
+        return real(argv, env=env, **kwargs)
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    ops = [bench.import_toda_kdq_cli(toda_kdq), bench.cli_process(toda_kdq, "simulate-1d")]
+    for op in ops:
+        op()
+    assert [(contents, unset) for _, contents, unset in seen] == [([], False), ([], False)]
+    assert seen[0][0] != seen[1][0]
+    for cache, _, _ in seen:
+        assert any(path.parent.name == "toda_kdq" for path in cache.rglob("*.pyc"))
 
 
 def test_a_second_load_is_a_package_of_its_own(bench, tmp_path):

@@ -235,7 +235,7 @@ class TestTransformEval:
         cfg = write_json(tmp_path / "t.json", {"measure": measure, "theta": theta, "zetas": zetas})
         out = tmp_path / "vals.csv"
         assert main(["transform-eval", "--input", cfg, "--output", str(out)]) == 0
-        mu = kdq.PseudoPositiveMeasure.from_dict(measure)
+        mu = cli._read_measure(measure)
         lines = ["zeta_re,zeta_im,value_re,value_im"]
         for re, im in zetas:
             val = kdq.markov_stieltjes(mu, kdq.KDQPoint(complex(re, im), theta))
@@ -659,6 +659,26 @@ class TestNevanlinnaExitCodes:
         else:
             assert err == ""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(config=st.one_of(nevanlinna_1d_configs(), nevanlinna_multi_configs()), tol=_TOL)
+    # a residual that overflows, one that rises, and a point inside the support
+    @example(config={"kind": "1d", "measure": {"atoms": [-1e200, 1e200], "weights": [0.5, 0.5]}, "N": 3, "y": [1e-300, 1.0]}, tol=[])
+    @example(config=_multi_config(0, 1, [1e100], [1e101, 1e102]), tol=[])
+    @example(config=_multi_config(0, 1, [0.5], [8.0, 4.0]), tol=[])
+    @example(config=_multi_config(0, 1, [1.5], [1.0]), tol=[])
+    def test_nevanlinna_errors_name_their_stage_or_point(self, config, tol):
+        # a configuration error names its reading stage; a numeric failure
+        # names its grid value (y, zeta_abs, or the point zeta on the ray) or
+        # its component
+        code, err = run_in_process(["nevanlinna-check", *tol], config)
+        if code == 2:
+            assert re.match(r"config error: bad (measure|nevanlinna config): ", err)
+        elif code == 3:
+            assert re.match(r"numeric failure: .*(\b(y|zeta_abs|zeta) = |\|zeta\| = |\bcomponent \(\d+, \d+\))", err)
+        else:
+            assert (code, err) == (0, "")
+
     @pytest.mark.parametrize(
         "config, message",
         [
@@ -694,8 +714,19 @@ class TestNevanlinnaExitCodes:
                 "at y = 100.0 the last residual 0.0001999800019998 is above --tol 1e-09",
             ),
             (_multi_config(0, 1, [0.5], [8.0, 4.0]), [], "at zeta_abs = 4.0 the residual "),
+            (
+                {"kind": "1d", "measure": {"atoms": [-1e200, 1e200], "weights": [0.5, 0.5]}, "N": 3, "y": [1e-300, 1.0]},
+                [],
+                "at y = 1e-300 the moment remainder of order n = 3 is not finite\n",
+            ),
+            (
+                _multi_config(0, 1, [1e100], [1e101, 1e102]),
+                [],
+                "at zeta = (7.071067811865475e+100+7.071067811865474e+100j) "
+                "the moment remainder of component (0, 1) of order n = 1 is not finite\n",
+            ),
         ],
-        ids=["flat", "above-tol", "rising"],
+        ids=["flat", "above-tol", "rising", "overflow-1d", "overflow-multi"],
     )
     def test_numeric_failure_names_the_point(self, config, tol, message):
         code, err = run_in_process(["nevanlinna-check", *tol], config)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import sph_harm_y
 
-from toda_kdq import iso_flow, kdq, pseudo_toda, sphere, verify
+from toda_kdq import cli, iso_flow, kdq, pseudo_toda, sphere, verify
 from toda_kdq.errors import DivergenceRegionError
 from toda_kdq.kdq import (
     AlmansiPolynomial,
@@ -539,18 +539,17 @@ class TestMarkovStieltjes:
         assert markov_stieltjes(mu, []).shape == (0,)
 
     def test_json_roundtrip(self):
-        mu = PseudoPositiveMeasure(
-            2,
-            {
-                (0, 1): ([0.3], [1.0]),
-                (2, 2): ([0.1, 0.8], [0.5, 0.5]),
-            },
-            k_max=5,
-        )
-        back = PseudoPositiveMeasure.from_dict(mu.to_dict())
+        # a JSON measure reads as the measure built from its map
+        mu = PseudoPositiveMeasure(2, {(0, 1): ([0.3], [1.0]), (2, 2): ([0.8, 0.1], [0.5, 0.5])}, k_max=5)
+        components = [
+            {"k": 2, "ell": 2, "atoms": [0.8, 0.1], "weights": [0.5, 0.5]},
+            {"k": 0, "ell": 1, "atoms": 0.3, "weights": [1]},
+        ]
+        back = cli._read_measure({"n": 2, "k_max": 5, "components": components})
         assert back.n == 2 and back.k_max == 5
         assert back.family.keys == mu.family.keys
-        assert np.array_equal(back.family.component((2, 2))[0], mu.family.component((2, 2))[0])
+        for name in ("offsets", "radii", "masses"):
+            assert getattr(back.family, name).tobytes() == getattr(mu.family, name).tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -604,9 +603,9 @@ class TestComponentsReader:
         ],
     )
     def test_names_the_list_or_the_entry(self, components, message):
-        for cls in (PseudoPositiveMeasure, pseudo_toda.PseudoTodaState):
+        for read in (cli._read_measure, cli._read_pseudo_state):
             with pytest.raises(TypeError) as exc:
-                cls.from_dict({"n": 3, "components": components})
+                read({"n": 3, "components": components})
             assert str(exc.value) == message
 
     @settings(max_examples=150, deadline=None)
@@ -631,7 +630,7 @@ class TestComponentsReader:
             if bare and len(pairs) == 1:
                 radii, masses = radii[0], masses[0]
             components.append({"k": k, "ell": ell, names[0]: radii, names[1]: masses})
-        family = kdq._read_components({"components": components}, names)
+        family = cli._read_components({"components": components}, names)
         keys, offsets, radii, masses = pack_each_entry(components, names)
         assert family.keys == keys
         assert family.offsets.tobytes() == offsets.tobytes()
@@ -649,11 +648,11 @@ class TestComponentsReader:
     def test_names_the_entry_at_fault(self, entry, error, message):
         good = {"k": 0, "ell": 1, "atoms": [0.5], "weights": [1.0]}
         with pytest.raises(error) as exc:
-            PseudoPositiveMeasure.from_dict({"n": 3, "components": [good, dict(entry, k=1, ell=1)]})
+            cli._read_measure({"n": 3, "components": [good, dict(entry, k=1, ell=1)]})
         assert str(exc.value) == f"components[1]: {message}"
 
     def test_nested_empty_list_reads_as_no_atoms(self):
-        family = kdq._read_components({"components": [{"k": 0, "ell": 1, "atoms": [[]], "weights": []}]}, ("atoms", "weights"))
+        family = cli._read_components({"components": [{"k": 0, "ell": 1, "atoms": [[]], "weights": []}]}, ("atoms", "weights"))
         assert family.keys == ((0, 1),) and family.offsets.tolist() == [0, 0]
 
     def test_degree_above_k_max(self):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from toda_kdq import moment_1d, toda_1d, verify
+from toda_kdq import cli, moment_1d, toda_1d, verify
 from toda_kdq.errors import PoleError, RankDeficiencyError
 from toda_kdq.iso_flow import IsoFlowState
 from toda_kdq.moment_1d import (
@@ -90,11 +90,13 @@ class TestDiscreteMeasure:
             DiscreteMeasure([-1.0], [1.0], half_line=True)
 
     def test_json_roundtrip(self):
-        mu = DiscreteMeasure([0.1, 2.0], [0.3, 0.7], half_line=True)
-        back = DiscreteMeasure.from_dict(mu.to_dict())
-        assert np.array_equal(back.atoms, mu.atoms)
-        assert np.array_equal(back.weights, mu.weights)
+        # a JSON measure reads as the measure built from its arrays
+        mu = DiscreteMeasure([2.0, 0.1], [0.7, 0.3], half_line=True)
+        back = cli._read_1d_measure({"atoms": [2, 0.1], "weights": [0.7, 0.3], "half_line": True})
+        assert back.atoms.tobytes() == mu.atoms.tobytes()
+        assert back.weights.tobytes() == mu.weights.tobytes()
         assert back.half_line
+        assert not cli._read_1d_measure({"atoms": 1.0, "weights": 1.0}).half_line
 
 
 def TodaComponent(lambdas, masses_tilde):

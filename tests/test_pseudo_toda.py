@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toda_kdq import kdq, pseudo_toda, sphere, verify
+from toda_kdq import cli, kdq, pseudo_toda, sphere, verify
 from toda_kdq.errors import RankDeficiencyError
 from toda_kdq.moment_1d import DiscreteMeasure, JacobiMatrix, jacobi_from_measure, spectral_data_from_jacobi
 from toda_kdq.toda_1d import _evolved_masses
@@ -612,13 +612,17 @@ class TestMeasureBridge:
 
 class TestSerialization:
     def test_json_roundtrip(self):
-        rng = np.random.default_rng(11)
-        st = full_state(rng, kmax=1, atoms=3)
-        back = PseudoTodaState.from_dict(st.to_dict())
-        assert back.family.keys == st.family.keys
-        for key in st.family.keys:
-            assert np.allclose(back.family.component(key)[0], st.family.component(key)[0])
-            assert np.allclose(back.family.component(key)[1], st.family.component(key)[1])
+        # a JSON state reads as the state built from its map
+        st = PseudoTodaState(3, {(0, 1): ([0.9, 0.4], [0.25, 0.75]), (1, 3): ([0.5, 1.2], [0.5, 0.5])}, time=2.0)
+        components = [
+            {"k": 1, "ell": 3, "lambdas": [0.5, 1.2], "masses_tilde": [0.5, 0.5]},
+            {"k": 0, "ell": 1, "lambdas": [0.9, 0.4], "masses_tilde": [0.25, 0.75]},
+        ]
+        back = cli._read_pseudo_state({"n": 3, "components": components, "t": 2})
+        assert (back.n, back.time, back.family.keys) == (st.n, st.time, st.family.keys)
+        for name in ("offsets", "radii", "masses"):
+            assert getattr(back.family, name).tobytes() == getattr(st.family, name).tobytes()
+        assert cli._read_pseudo_state({"n": 3, "components": components}).time == 0.0
 
     def test_csv_header(self):
         text = state_trajectory_csv(TWO_ATOM, [0.0, 1.0])

@@ -1,7 +1,7 @@
 """Every layer is registered when `toda_kdq.cli` is imported, every name in
 a layer's `__all__` is an attribute of that layer and is reached by a
-command, a check or a bench case, and a command runs the code of only the
-layers it uses.
+command, a check or a bench case, a command runs the code of only the
+layers it uses, and the JSON config format is read in `cli` alone.
 
 perfbench's tracer (`perfbench/spans.py`) looks up these eight modules in
 `sys.modules` and wraps each `__all__` entry through `getattr`, so a layer
@@ -34,10 +34,22 @@ KEPT = {
     "kdq.hua_tail_bound": "item 1: the kernel tail-bound trace gauge",
     "pseudo_toda.physical_surfaces": "item 4: a verify-all line for the paper's surfaces",
     "pseudo_toda.PhysicalSurface": "item 4: a verify-all line for the paper's surfaces",
-    "moment_1d.DiscreteMeasure.to_dict": "item 4: the writer of what from_dict reads",
-    "kdq.PseudoPositiveMeasure.to_dict": "item 4: the writer of what from_dict reads",
-    "pseudo_toda.PseudoTodaState.to_dict": "item 4: the writer of what from_dict reads",
 }
+# the readers of the JSON config format, defined in cli.py alone, and the
+# dict converters that the numeric layers no longer have
+CONFIG_READERS = (
+    "_json_field",
+    "_json_int",
+    "_json_float",
+    "_JSON_NUMBERS",
+    "_read_1d_measure",
+    "_read_measure",
+    "_read_pseudo_state",
+    "_read_components",
+    "_columns",
+    "_read_entry",
+)
+DICT_CONVERTERS = ("from_dict", "to_dict", "_write_components")
 
 
 @pytest.mark.parametrize("layer", LAYERS)
@@ -57,8 +69,9 @@ def reference_graph() -> tuple:
     in another's, or as `layer.name` (`tk.layer.name` in bench/run.py); so
     `pseudo_toda.state_to_measure` is not `iso_flow.state_to_measure`.
     Docstrings and `__all__` are strings, and no reference; neither is a
-    name inside its own definition."""
-    edges, reads, methods = defaultdict(set), defaultdict(set), {}
+    name inside its own definition.  Last, per file, the names it defines:
+    functions and classes at any depth, and module-level assignments."""
+    edges, reads, methods, defined = defaultdict(set), defaultdict(set), {}, defaultdict(set)
     files = {path.stem: path for path in sorted((SRC / "toda_kdq").glob("*.py"))}
     files["bench"] = ROOT / "bench" / "run.py"
     for file, path in files.items():
@@ -72,6 +85,8 @@ def reference_graph() -> tuple:
                     else:
                         names[alias.asname or alias.name] = (node.module, alias.name)
         top = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        defined[file] = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        defined[file] |= {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets if isinstance(t, ast.Name)}
 
         def target(node):
             if isinstance(node, ast.Name):
@@ -108,7 +123,7 @@ def reference_graph() -> tuple:
                     visit(item, owner)
                 for item in node.decorator_list + node.bases:
                     visit(item, (file, node.name))
-    return edges, reads, methods
+    return edges, reads, methods, defined
 
 
 @functools.cache
@@ -117,7 +132,7 @@ def reached() -> frozenset:
     module-level code and bench/run.py: a definition that reached code
     refers to, and a method of a reached class that is special (`__init__`)
     or whose name reached code reads as an attribute."""
-    edges, reads, methods = reference_graph()
+    edges, reads, methods, _ = reference_graph()
     done = {owner for owner in list(edges) + list(reads) if owner[1] is None}
     read = set()
     while True:
@@ -148,6 +163,19 @@ def test_every_public_name_is_reached(layer):
     ]
     assert [name for name in public if name not in reached() and name not in KEPT] == []
     assert [name for name in KEPT if name.startswith(f"{layer}.") and (name in reached() or name not in public)] == []
+
+
+def test_the_config_format_is_read_in_cli_alone():
+    # cli defines every config reader; no other file of src/ defines or
+    # refers to one, and no file of src/ defines or reads a dict converter
+    # (bench/run.py falls back to from_dict on an older tree)
+    edges, reads, _, defined = reference_graph()
+    assert set(CONFIG_READERS) <= defined["cli"]
+    for file in defined.keys() - {"bench"}:
+        banned = set(DICT_CONVERTERS) | (set() if file == "cli" else set(CONFIG_READERS))
+        owners = [owner for owner in edges.keys() | reads.keys() if owner[0] == file]
+        used = {name for owner in owners for _, name in edges.get(owner, ())} | {name for owner in owners for name in reads.get(owner, ())}
+        assert not banned & (defined[file] | used), file
 
 
 def layers_after(tmp_path, argv=None) -> dict:

@@ -32,7 +32,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toda_kdq import sphere
-from toda_kdq.cli import main
+from toda_kdq.cli import _read_measure, main
 from toda_kdq.kdq import KDQPoint, PseudoPositiveMeasure, multi_nevanlinna_check
 from toda_kdq.moment_1d import DiscreteMeasure, nevanlinna_limit_check
 
@@ -359,7 +359,7 @@ class TestMomentResidualOracle:
     )
     def test_multi(self, data, measure, n, mods):
         idx = data.draw(st.sampled_from([(c["k"], c["ell"]) for c in measure["components"]]))
-        mu = PseudoPositiveMeasure.from_dict(measure)
+        mu = _read_measure(measure)
         atoms, weights = mu.family.component(idx)
         got = multi_nevanlinna_check(mu, idx, n, [m * RAY for m in mods])
         assert_residuals_close(got, [mp_residual(atoms, weights, n, m * RAY, k=idx[0]) for m in mods])
