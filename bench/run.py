@@ -300,9 +300,9 @@ def family(tk, K, N, op):
     """One `op` on K components of N atoms: reading a JSON-decoded measure
     (measure_from_dict) or pseudo-Toda state (pseudo_from_dict) by the
     tree's `cli` reader, or by `from_dict` on a tree whose layers have it,
-    `pseudo_toda.evolve` or `iso_flow.riccati_evolve` of such a state to t = 1,
-    or `kdq.markov_stieltjes` of the measure at 8 points zeta THETA with
-    |zeta| = 2 and arg zeta in [-1.2, 1.2]."""
+    `pseudo_toda.evolve` of such a state to t = 1, or `kdq.markov_stieltjes`
+    of the measure at 8 points zeta THETA with |zeta| = 2 and arg zeta in
+    [-1.2, 1.2]."""
     comps = _s2_components(4, K, N)
 
     def config(atoms, weights, **fields):  # as decoded from a JSON file: lists of Python floats
@@ -312,7 +312,6 @@ def family(tk, K, N, op):
     measure, pseudo = config("atoms", "weights"), config("lambdas", "masses_tilde", t=0.0)
     state = tk.pseudo_toda.PseudoTodaState(3, comps)
     mu = tk.kdq.PseudoPositiveMeasure(3, comps)
-    riccati = tk.iso_flow.state_from_measure(mu)
     points = [tk.kdq.KDQPoint(2.0 * np.exp(1j * a), THETA) for a in np.linspace(-1.2, 1.2, 8)]
     read_measure = getattr(tk.cli, "_read_measure", None) or tk.kdq.PseudoPositiveMeasure.from_dict
     read_pseudo = getattr(tk.cli, "_read_pseudo_state", None) or tk.pseudo_toda.PseudoTodaState.from_dict
@@ -320,7 +319,6 @@ def family(tk, K, N, op):
         "measure_from_dict": lambda: read_measure(measure),
         "pseudo_from_dict": lambda: read_pseudo(pseudo),
         "evolve": lambda: tk.pseudo_toda.evolve(state, 1.0),
-        "riccati_evolve": lambda: tk.iso_flow.riccati_evolve(riccati, 1.0),
         "markov_stieltjes": lambda: tk.kdq.markov_stieltjes(mu, points),
     }[op]
 
@@ -373,7 +371,7 @@ CASES = [
     (verify, {"check": "check_kdq_kernel", "seed": 5, "trials": 15}),  # at its verify-all size
     *[(hua_kernel, {"n": n, "k_max": k}) for n in (2, 3) for k in (5, 10, 20, 40, 80)],  # 40 in verify-all
     *[(family, {"K": K, "N": 4, "op": op}) for K in (9, 25, 81, 289, 625)
-      for op in ("measure_from_dict", "pseudo_from_dict", "evolve", "riccati_evolve", "markov_stieltjes")],
+      for op in ("measure_from_dict", "pseudo_from_dict", "evolve", "markov_stieltjes")],
     *[(verify, {"check": "check_kdq_cauchy", "seed": 6, "k_max": k, "j_max": 2}) for k in (1, 2, 3, 4, 5)],
     *[(monotonicity_check, {"K": 9, "N": 3, "times": c}) for c in (21, 81, 321)],
     *[(spectral_solve, {"N": n, "times": 101, "t_final": 10.0}) for n in (2, 4, 8, 16, 32, 64)],

@@ -333,7 +333,13 @@ def _run_nevanlinna(args: argparse.Namespace) -> int:
     if kind == "1d":
         res = nevanlinna_limit_check(mu, n_trunc, points)
     else:
-        res = kdq.multi_nevanlinna_check(mu, idx, n_trunc, [v * np.exp(1j * np.pi / 4) for v in points])
+        zetas = [complex(v * np.exp(1j * np.pi / 4)) for v in points]
+        for v, z in zip(points, zetas):  # name the grid value and the component, not the ray point
+            try:
+                kdq._check_outside_support(mu, z)
+            except (DivergenceRegionError, OverflowError) as exc:
+                raise type(exc)(f"at zeta_abs = {v!r} for component {idx}: {exc}") from None
+        res = kdq.multi_nevanlinna_check(mu, idx, n_trunc, zetas)
     _emit(_csv_text([grid, "residual"], np.column_stack([points, res])), args.output_path)
     res = res.tolist()
     rise = next((i for i in range(1, len(res)) if not res[i] < res[i - 1]), None)

@@ -231,7 +231,7 @@ class PseudoPositiveMeasure:
     """Sparse family of nonnegative radial component measures indexed by (k, ell).
 
     Absent indices mean a zero component.  Every stored component lives on
-    the half-line (atoms >= 0) and k runs up to the truncation degree k_max.
+    the half-line (atoms >= 0); a k_max >= 0 bounds the degree k of each.
     `components` maps (k, ell) -> (atoms, weights), or is a family packed
     with the field names `_FIELDS`; each component is checked, sorted and
     merged as a `DiscreteMeasure` of its own.
@@ -245,21 +245,21 @@ class PseudoPositiveMeasure:
         top = family.keys[-1][0] if family.keys else 0
         if top > k_max >= 0:
             raise ValueError("component degree exceeds k_max")
-        self.n, self.family, self.k_max = int(n), family, int(k_max if k_max >= 0 else top)
+        self.n, self.family = int(n), family
 
     @property
     def support_radius(self) -> float:
         return max(0.0, float(self.family.radii.max())) if self.family.radii.size else 0.0
 
     def truncated(self, k_max: int) -> "PseudoPositiveMeasure":
-        """The components of degree <= k_max, at truncation degree k_max; self if none is above."""
+        """The components of degree <= k_max; self if none is above."""
         fam = self.family
         count = int(np.sum(fam.degrees <= k_max))
         if count == len(fam.keys):
             return self
         head = ComponentFamily(fam.keys[:count], fam.offsets[: count + 1], *(a[: fam.offsets[count]] for a in (fam.radii, fam.masses)))
         out = object.__new__(PseudoPositiveMeasure)  # a prefix of checked components: nothing to check again
-        out.n, out.family, out.k_max = self.n, head, max(int(k_max), 0)
+        out.n, out.family = self.n, head
         return out
 
 

@@ -725,8 +725,20 @@ class TestNevanlinnaExitCodes:
                 "at zeta = (7.071067811865475e+100+7.071067811865474e+100j) "
                 "the moment remainder of component (0, 1) of order n = 1 is not finite\n",
             ),
+            (
+                _multi_config(0, 1, [1e100], [10, 1e102]),
+                [],
+                "at zeta_abs = 10.0 for component (0, 1): "
+                "transform requires |zeta| > support radius 1e+100; got |zeta| = 10.0\n",
+            ),
+            (
+                _multi_config(0, 1, [0.5], [1e200]),
+                [],
+                "at zeta_abs = 1e+200 for component (0, 1): "
+                "zeta^2 is not finite at zeta = (7.071067811865475e+199+7.071067811865474e+199j)\n",
+            ),
         ],
-        ids=["flat", "above-tol", "rising", "overflow-1d", "overflow-multi"],
+        ids=["flat", "above-tol", "rising", "overflow-1d", "overflow-multi", "inside-support-multi", "square-overflows-multi"],
     )
     def test_numeric_failure_names_the_point(self, config, tol, message):
         code, err = run_in_process(["nevanlinna-check", *tol], config)
@@ -1006,7 +1018,7 @@ class TestIsoFlowCommand:
         # the flow capped at the t = 0 masses cannot rise, so the closed form
         # runs uncapped: at t = 1e-300 the mass 2 reads fl(sqrt(2))^2 =
         # 2 + 4.4e-16, a rise of one ulp, above --tol 0 and below the default 1e-12
-        def uncapped(state, times, allow_backward):
+        def uncapped(state, times):
             times = np.asarray(times, dtype=float)
             r0 = np.sqrt(state.family.masses)
             masses = (r0 / (1.0 + state.family.radii * r0 * times[:, None])) ** 2
