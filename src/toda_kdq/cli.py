@@ -15,10 +15,11 @@ nevanlinna-check  Residual table; {"kind": "1d", "measure": {"atoms": [...],
                 "zeta_abs": [...]} (ray arg zeta^2 = pi/2), each residual the
                 exact moment remainder; exit 3, naming the point, unless they
                 decrease (and, with --tol, end at or below it).
-iso-flow        Functional values on a time grid plus monotonicity verdict;
-                {"measure": <measure>, "t_grid": [...]}; exit 3, naming the
-                time and the component, if a functional rises by more than
-                --tol (default 1e-12).
+iso-flow        Functionals S_{k,l} of the Riccati flow on a time grid, then
+                one line with their largest rise (0.0: the flow caps each
+                mass) and derivative residual; {"measure": <measure>,
+                "t_grid": [...]}; exit 3, naming the component, where S or
+                dS/dt overflows or the complex step is not small.
 verify-all      Run the bundled invariant suite; prints one PASS/FAIL line
                 per check.
 
@@ -63,7 +64,6 @@ __all__ = ["main"]
 
 # the commands whose CSV has one row per time 0, dt, ..., round(t_final/dt) dt
 _TIMED = ("simulate-1d", "spectral-solve", "simulate-pseudo")
-_READS_TOL = ("nevanlinna-check", "iso-flow")
 # largest rows x width of such a grid, width the lattice size N or the atom
 # count of a pseudo state; a larger grid is a configuration error, raised
 # before anything is allocated (10^7 cells are 80 MB per stored array)
@@ -82,7 +82,7 @@ def _validate(args: argparse.Namespace) -> None:
         _rows(args, 1)
     if args.k_max is not None and args.k_max < 0:
         raise ConfigError("kmax must be nonnegative")
-    if args.tol is not None and args.command in _READS_TOL and not 0.0 <= args.tol < np.inf:
+    if args.tol is not None and args.command == "nevanlinna-check" and not 0.0 <= args.tol < np.inf:
         raise ConfigError(f"--tol must be nonnegative and finite, got {args.tol!r}")
     if args.command != "verify-all" and args.input_path is None:
         raise ConfigError(f"{args.command} requires --input")
@@ -358,29 +358,14 @@ def _run_iso_flow(args: argparse.Namespace) -> int:
     mu = _measure_from_config(data)
     times = _sample_times(args, len(mu.family.keys)) if "t_grid" not in data else None
     with _stage("bad iso-flow config: "):
-        if not mu.family.keys:
-            raise ValueError("the measure has no components")
-        state = iso_flow.state_from_measure(mu)  # every component needs an atom
-        times = iso_flow._grid_times(_json_float(data, "t_grid") if times is None else times)
-    tol = args.tol if args.tol is not None else 1e-12
-    rep = iso_flow.monotonicity_check(state, times, tol=tol)
-    keys = sorted(rep.values)
-    header = ["t"] + [f"S_k{k}_l{ell}" for k, ell in keys]
-    table = np.column_stack([rep.times] + [rep.values[key] for key in keys])
-    _emit(_csv_text(header, table), args.output_path)
+        rep = iso_flow.monotonicity_check(mu, _json_float(data, "t_grid") if times is None else times)
+    header = ["t"] + [f"S_k{k}_l{ell}" for k, ell in mu.family.keys]
+    _emit(_csv_text(header, np.column_stack([rep.times, rep.values])), args.output_path)
     sys.stdout.write(
-        f"monotone={rep.passed} max_increase={rep.max_increase!r} "
+        f"monotone={rep.max_increase == 0.0} max_increase={rep.max_increase!r} "
         f"max_derivative_residual={rep.max_derivative_residual!r}\n"
     )
-    if rep.passed:
-        return 0
-    rises = np.diff(table[:, 1:], axis=0)
-    i, c = np.argwhere(rises > tol)[0].tolist()
-    sys.stderr.write(
-        f"numeric failure: at t = {float(rep.times[i + 1])!r} S_{{k,l}} of component {keys[c]} "
-        f"rises by {float(rises[i, c])!r}, above --tol {tol!r}\n"
-    )
-    return 3
+    return 0
 
 
 def _run_verify_all(args: argparse.Namespace) -> int:

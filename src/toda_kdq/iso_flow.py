@@ -1,13 +1,15 @@
-"""Isospectral mass flow r' = -lambda r^2 with fixed radii.
+"""Isospectral mass flow r' = -lambda r^2 of a quadric measure's components.
 
-This is a different flow from the linear r' = -lambda r driving the explicit
-Toda reweighting; the two are never mixed.  The Riccati equation integrates
-in closed form, r(t) = r(0)/(1 + lambda r(0) t), which is global forward in
-time; `_riccati` evaluates it at times t >= 0 from a state at time 0, where
-each mass is at most its value r(0)^2 at time 0.  Along the flow the
-weighted tails S_{k,l}(t) = sum_j r_j^2(t)/lambda_j^k decrease monotonically,
-with dS/dt = -2 sum_j r_j^3(t)/lambda_j^{k-1}.  The closed form is analytic
-in t, so `monotonicity_check` checks that sum against a complex step of it.
+The radii lambda_j >= 0 of each component (k, l) of a
+`kdq.PseudoPositiveMeasure` stay fixed, and its weights r_j^2 > 0 are the
+masses at time 0.  This is a different flow from the linear r' = -lambda r
+driving the explicit Toda reweighting; the two are never mixed.  The Riccati
+equation integrates in closed form, r(t) = r(0)/(1 + lambda r(0) t), which is
+global forward in time; `_riccati` evaluates it at times t >= 0, where each
+mass is at most its value r(0)^2 at time 0.  Along the flow the weighted
+tails S_{k,l}(t) = sum_j r_j^2(t)/lambda_j^k decrease monotonically, with
+dS/dt = -2 sum_j r_j^3(t)/lambda_j^{k-1}.  The closed form is analytic in t,
+so `monotonicity_check` checks that sum against a complex step of it.
 """
 
 from dataclasses import dataclass
@@ -17,45 +19,23 @@ import numpy as np
 from .kdq import ComponentFamily, PseudoPositiveMeasure
 from .moment_1d import _as_vector
 
-__all__ = [
-    "IsoFlowState",
-    "MonotonicityReport",
-    "monotonicity_check",
-    "state_from_measure",
-]
+__all__ = ["MonotonicityReport", "monotonicity_check"]
 
 
-_FIELDS = ("lambdas", "masses")
-
-
-class IsoFlowState:
-    """Components (k, l) of fixed radii lambda_j >= 0 and masses r_j^2 >= 0
-    at time 0: a map (k, l) -> (lambdas, masses), each with an atom."""
-
-    def __init__(self, components=None):
-        family = ComponentFamily.pack(components or {}, _FIELDS, 1)
-        for k, ell in family.keys:
-            if k < 0 or ell < 1:
-                raise ValueError(f"invalid component index {(k, ell)}")
-        if (family.radii < 0.0).any() or (family.masses < 0.0).any():
-            raise ValueError("radii and masses must be nonnegative")
-        self.family = family
-
-
-def _riccati(state: IsoFlowState, times) -> np.ndarray:
+def _riccati(family: ComponentFamily, times) -> np.ndarray:
     # masses r(t)^2 = (r(0)/(1 + lambda r(0) t))^2 at every time t >= 0, shape (times, atoms)
     times = np.asarray(times, dtype=float)
-    r0 = np.sqrt(state.family.masses)
+    r0 = np.sqrt(family.masses)
     with np.errstate(over="ignore", invalid="ignore"):  # t = 0 and t = inf are set below
-        rate = state.family.radii * r0
+        rate = family.radii * r0
         masses = (r0 / (1.0 + rate * times[:, None])) ** 2
     # for t > 0 at most the masses themselves, which the exact flow only lowers but
     # fl(sqrt(m))^2 may exceed; at t = 0, where lambda r(0) t may be inf * 0, the masses
-    np.minimum(masses, state.family.masses, out=masses, where=times[:, None] > 0.0)
-    masses[times == 0.0] = state.family.masses
+    np.minimum(masses, family.masses, out=masses, where=times[:, None] > 0.0)
+    masses[times == 0.0] = family.masses
     # at t = inf, 1 + lambda r(0) t is 1 + 0 * inf = NaN where lambda r(0) = 0,
     # whose r(0) stays; every other mass is 0 there
-    masses[np.isinf(times)] = np.where(rate == 0.0, np.minimum(r0**2, state.family.masses), 0.0)
+    masses[np.isinf(times)] = np.where(rate == 0.0, np.minimum(r0**2, family.masses), 0.0)
     return masses
 
 
@@ -93,10 +73,9 @@ class MonotonicityReport:
     """Grid values of every S_{k,l} plus monotonicity and derivative diagnostics."""
 
     times: np.ndarray
-    values: dict  # (k, l) -> array over times
+    values: np.ndarray  # S_{k,l}, shape (times, components), components in `family.keys` order
     max_increase: float
     max_derivative_residual: float
-    passed: bool
 
 
 def _grid_times(t_grid) -> np.ndarray:
@@ -113,38 +92,50 @@ def _grid_times(t_grid) -> np.ndarray:
 
 # the imaginary step of `monotonicity_check`: Im S(t + ih) = h dS/dt to
 # O((lambda h / (1/r(0) + lambda t))^2), and stays a normal double down to
-# |dS/dt| = 2e-108
+# |dS/dt| = 2e-108; a step lambda h of at least 1e-8 (1/r(0) + lambda t) is refused
 _H = 1e-200
 
 
-def monotonicity_check(state: IsoFlowState, t_grid, tol: float = 1e-12) -> MonotonicityReport:
-    """Verify S_{k,l} never increases along the flow on the given grid.
+def monotonicity_check(mu: PseudoPositiveMeasure, t_grid) -> MonotonicityReport:
+    """Check that S_{k,l} never increases along the flow from the measure's
+    masses at time 0, on the given grid.
 
     Also checks dS/dt = -2 sum r^3/lambda^{k-1} at every grid point against
     the complex step Im S(t + ih)/h of the closed form r = 1/(1/r(0) +
     lambda t), h = 1e-200, which needs no earlier time and subtracts
-    nothing; the step is 0 at t = inf.  OverflowError naming the component
-    where either derivative overflows.
+    nothing; the step is 0 at t = inf.  ValueError for a measure with no
+    components or a component with no atoms; OverflowError naming the
+    component where either derivative overflows, or naming the component and
+    the time where lambda h is not small against 1/r(0) + lambda t.
     """
-    times = _grid_times(t_grid)
-    fam = state.family
+    fam = mu.family
     if not fam.keys:
-        raise ValueError("state has no components")
-    masses = _riccati(state, times)
+        raise ValueError("the measure has no components")
+    empty = fam.sizes < 1
+    if empty.any():
+        raise ValueError(f"component {fam.keys[np.argmax(empty)]} has no atoms")
+    times = _grid_times(t_grid)
+    masses = _riccati(fam, times)
     values = _functionals(fam, masses)
     ds_dt = _ds_dt(fam, masses)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a mass 0 and t = inf give 0 below
-        r = 1.0 / (1.0 / np.sqrt(fam.masses) + fam.radii * (times[:, None] + 1j * _H))
-        terms = np.where((fam.masses > 0.0) & np.isfinite(times)[:, None], (r * r).imag / fam.degree_powers(fam.radii), 0.0)
+    step, finite = fam.radii * _H, np.isfinite(times)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # t = inf gives 0 below
+        scale = 1.0 / np.sqrt(fam.masses) + fam.radii * times[:, None]  # 1/r(0) + lambda t
+        coarse = (step >= 1e-8 * scale) & finite
+        if coarse.any():
+            i, j = np.unravel_index(np.argmax(coarse), coarse.shape)
+            raise OverflowError(
+                f"at t = {float(times[i])!r} the step lambda h = {float(step[j])!r} of component "
+                f"{fam.keys[fam.owner(j)]} is not small against 1/r(0) + lambda t = {float(scale[i, j])!r}"
+            )
+        r = 1.0 / (scale + 1j * step)
+        terms = np.where(finite, (r * r).imag / fam.degree_powers(fam.radii), 0.0)
         ds_step = fam.block_sums(terms) / _H
-    max_resid = _max_positive(np.abs(_finite(fam, ds_step, "dS/dt") - ds_dt))
-    max_inc = _max_positive(np.diff(values, axis=0))
     return MonotonicityReport(
         times=times,
-        values={key: values[:, i] for i, key in enumerate(fam.keys)},
-        max_increase=max_inc,
-        max_derivative_residual=max_resid,
-        passed=max_inc <= tol,
+        values=values,
+        max_increase=_max_positive(np.diff(values, axis=0)),
+        max_derivative_residual=_max_positive(np.abs(_finite(fam, ds_step, "dS/dt") - ds_dt)),
     )
 
 
@@ -153,12 +144,3 @@ def _max_positive(values: np.ndarray) -> float:
     # -0.0 and skips NaN: the largest entry above 0, else 0.0
     above = values[values > 0.0]
     return float(above.max()) if above.size else 0.0
-
-
-def state_from_measure(mu: PseudoPositiveMeasure) -> IsoFlowState:
-    """The measure's components as a state at time 0; ValueError if one has no atoms."""
-    if (mu.family.sizes < 1).any():  # the measure checked indices, radii and weights
-        raise ValueError("lambdas and masses must be matching 1-d arrays")
-    out = object.__new__(IsoFlowState)
-    out.family = mu.family
-    return out

@@ -105,8 +105,9 @@ class ComponentFamily:
 
     `keys` ascend; component keys[i] owns radii[offsets[i]:offsets[i+1]] and
     the masses at the same positions.  Each owner (`PseudoPositiveMeasure`,
-    `pseudo_toda.PseudoTodaState`, `iso_flow.IsoFlowState`) checks the
-    arrays once, and per-component quantities are array expressions on them.
+    which the Riccati flow of `iso_flow` also reads, and
+    `pseudo_toda.PseudoTodaState`) checks the arrays once, and per-component
+    quantities are array expressions on them.
     """
 
     keys: tuple

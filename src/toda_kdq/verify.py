@@ -328,6 +328,8 @@ def check_pseudo_toda(seed: int, ode_times) -> list[CheckResult]:
 
 def check_iso_monotonicity(seed: int, trials: int) -> list[CheckResult]:
     """Riccati functionals never increase; their derivatives match the closed form."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     worst_inc = worst_res = 0.0
     for _ in range(trials):
@@ -335,7 +337,7 @@ def check_iso_monotonicity(seed: int, trials: int) -> list[CheckResult]:
             (k, 1): (rng.uniform(0.3, 2.0, size=3), rng.uniform(0.1, 1.0, size=3))
             for k in range(3)
         }
-        rep = iso_flow.monotonicity_check(iso_flow.IsoFlowState(comps), np.linspace(0.0, 10.0, 21))
+        rep = iso_flow.monotonicity_check(kdq.PseudoPositiveMeasure(3, comps), np.linspace(0.0, 10.0, 21))
         worst_inc = max(worst_inc, rep.max_increase)
         worst_res = max(worst_res, rep.max_derivative_residual)
     return [_result("iso-monotonicity", max(worst_inc, worst_res), 1e-8, worst_inc <= 1e-12)]

@@ -2,6 +2,7 @@
 second tree loads as its own package."""
 
 import importlib.util
+import math
 import shutil
 import subprocess
 import sys
@@ -85,7 +86,10 @@ def test_a_case_is_absent_on_a_tree_that_lacks_its_name(bench):
     assert stepped["this"]["median_s"] > 0.0
 
 
-def test_a_short_op_is_sampled_over_many_calls(bench):
+def test_a_short_op_is_sampled_over_many_calls(bench, monkeypatch):
+    # every op counts as short against PRIME_S: a stall of the 2 ms op past the
+    # real 10 ms bound would otherwise drop one untimed call
+    monkeypatch.setattr(bench, "PRIME_S", math.inf)
     calls = {"short": 0, "long": 0}
 
     def count(name, pause):
@@ -101,7 +105,7 @@ def test_a_short_op_is_sampled_over_many_calls(bench):
     assert short["calls_per_sample"] > 1 and long["calls_per_sample"] == 1
     assert short["this"]["median_s"] * short["calls_per_sample"] >= bench.MIN_SAMPLE_S / 2
     # the warm-up call, three calls to size a sample, the samples, and one
-    # untimed call before every sample but the first (both ops are under PRIME_S)
+    # untimed call before every sample but the first
     primes = 3
     assert calls["short"] == 1 + 3 + 4 * short["calls_per_sample"] + primes
     assert calls["long"] == 1 + 3 + 4 + primes

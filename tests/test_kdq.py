@@ -665,9 +665,10 @@ def _refuse(*args, **kwargs):
 
 
 class TestDerivedStates:
-    """`evolve`, `truncated` and `iso_flow.state_from_measure` reuse the
-    parent's checked family: none of the ingest checks runs again, and the
-    arrays are those of a state built through the constructor."""
+    """`evolve` and `truncated` reuse the parent's checked family: none of
+    the ingest checks runs again, and the arrays are those of a state built
+    through the constructor.  `iso_flow.monotonicity_check` reads the
+    measure's family as it is."""
 
     def test_no_ingest_checks(self, monkeypatch):
         rng = np.random.default_rng(17)
@@ -680,7 +681,6 @@ class TestDerivedStates:
         cases = [
             (lambda: pseudo_toda.evolve(state, 0.7), state, pseudo_toda.PseudoTodaState(3, toda, 0.7)),
             (lambda: mu.truncated(1), mu, PseudoPositiveMeasure(3, head, k_max=1)),
-            (lambda: iso_flow.state_from_measure(mu), mu, iso_flow.IsoFlowState({key: (r, m) for key, r, m in mu.family.items()})),
         ]
         for name in ("check_indices", "_sorted_atoms"):
             monkeypatch.setattr(kdq, name, _refuse)
@@ -695,6 +695,7 @@ class TestDerivedStates:
             for field in ("offsets", "radii", "masses"):
                 assert getattr(got.family, field).tobytes() == getattr(want.family, field).tobytes()
             assert np.shares_memory(got.family.radii, parent.family.radii)
+        assert iso_flow.monotonicity_check(mu, [0.0, 1.0]).values.shape == (2, 3)
 
 
 class TestGrowthCondition:

@@ -10,7 +10,6 @@ from scipy.linalg import eigh_tridiagonal
 
 from toda_kdq import cli, moment_1d, toda_1d, verify
 from toda_kdq.errors import PoleError, RankDeficiencyError
-from toda_kdq.iso_flow import IsoFlowState
 from toda_kdq.moment_1d import (
     DiscreteMeasure,
     JacobiMatrix,
@@ -23,6 +22,7 @@ from toda_kdq.moment_1d import (
     spectral_data_from_jacobi,
     stieltjes_transform,
 )
+from toda_kdq.kdq import PseudoPositiveMeasure
 from toda_kdq.pseudo_toda import PseudoTodaState
 
 
@@ -105,10 +105,10 @@ def TodaComponent(lambdas, masses_tilde):
     return SimpleNamespace(lambdas=fam.radii, masses_tilde=fam.masses)
 
 
-def IsoFlowComponent(lambdas, masses):
-    """The arrays a one-component `IsoFlowState` stores, under their field names."""
-    fam = IsoFlowState({(0, 1): (lambdas, masses)}).family
-    return SimpleNamespace(lambdas=fam.radii, masses=fam.masses)
+def IsoFlowComponent(atoms, weights):
+    """The arrays the Riccati flow reads of a one-component measure, under the measure's field names."""
+    fam = PseudoPositiveMeasure(3, {(0, 1): (atoms, weights)}).family
+    return SimpleNamespace(atoms=fam.radii, weights=fam.masses)
 
 
 class TestFrozenFields:
@@ -118,7 +118,7 @@ class TestFrozenFields:
         DiscreteMeasure: {"atoms": [0.5, -1.0], "weights": [1, 2]},
         JacobiMatrix: {"diag": [0.0, 1.0], "offdiag": 0.5},
         TodaComponent: {"lambdas": [0.5, 0.2], "masses_tilde": [0.5, 0.5]},
-        IsoFlowComponent: {"lambdas": [0.5], "masses": 0.0},
+        IsoFlowComponent: {"atoms": [0.5], "weights": 1.0},
     }
 
     @pytest.mark.parametrize("cls", list(VALID), ids=lambda cls: cls.__name__)
