@@ -353,10 +353,17 @@ def jacobi_eigenvalues(tk, N, rows, dt=DT):
 
 
 def csv_text(tk, N, rows):
-    """One `toda_1d._csv_text` of floats in [-1, 1], as wide as the `simulate-1d` table of N sites."""
+    """One `toda_1d._csv_text` of floats in [-1, 1], as wide as the `simulate-1d` table of N sites: no value repeats."""
     header = ["c"] * (3 * N + 1)
     table = np.random.default_rng(7).uniform(-1.0, 1.0, (rows, len(header)))
     return lambda: tk.toda_1d._csv_text(header, table)
+
+
+def trajectory_csv(tk, N, rows):
+    """One `toda_1d.trajectory_to_csv` of an RK4 trajectory of N sites and `rows` rows: the `simulate-1d` CSV,
+    whose H and lambda columns repeat their values down the rows."""
+    traj = tk.toda_1d.integrate_toda(_jacobi(tk, np.random.default_rng(7), N), (rows - 1) * DT, DT)
+    return lambda: tk.toda_1d.trajectory_to_csv(traj)
 
 
 # every curve and size; a verify check's seed is its offset in verify.run_all
@@ -382,6 +389,7 @@ CASES = [
     *[(jacobi_eigenvalues, {"N": n, "rows": 1001}) for n in (2, 8, 32, 64, 128)],
     (jacobi_eigenvalues, {"N": 64, "rows": 1001, "dt": 0.01}),  # drifting rows: two Newton steps each
     *[(csv_text, {"N": 8, "rows": r}) for r in (101, 1001, 10001)],
+    *[(trajectory_csv, {"N": n, "rows": 1001}) for n in (2, 8, 32, 64)],
 ]
 
 

@@ -298,10 +298,21 @@ def _run_transform_eval(args: argparse.Namespace) -> int:
         pairs = _json_float(data, "zetas")
         if pairs.shape != (0,) and pairs.shape[1:] != (2,):
             raise ValueError(f"zetas must be a list of [re, im] pairs, got shape {pairs.shape}")
-        zetas = pairs.reshape(-1, 2).view(complex)[:, 0].tolist()
-        if not np.all(np.isfinite(zetas)):
-            raise ValueError(f"zetas must be finite, got {zetas}")
-    vals = kdq.markov_stieltjes(mu, [kdq.KDQPoint(z, theta) for z in zetas])
+        pairs = pairs.reshape(-1, 2)
+        bad = ~np.isfinite(pairs).all(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"zetas entries must be finite, got zetas[{i}] = {pairs[i].tolist()}")
+        zetas = pairs.view(complex)[:, 0].tolist()
+    try:
+        vals = kdq.markov_stieltjes(mu, [kdq.KDQPoint(z, theta) for z in zetas])
+    except (DivergenceRegionError, OverflowError):
+        for i, z in enumerate(zetas):  # the first point the transform refused, named by its entry
+            try:
+                kdq._check_outside_support(mu, z)
+            except (DivergenceRegionError, OverflowError) as exc:
+                raise type(exc)(f"at zetas[{i}]: {exc}") from None
+        raise  # a tilde weight or atom that overflows, named by its component
     rows = [[z.real, z.imag, val.real, val.imag] for z, val in zip(zetas, vals)]
     _emit(_csv_text(["zeta_re", "zeta_im", "value_re", "value_im"], rows), args.output_path)
     return 0

@@ -92,8 +92,10 @@ def _grid_times(t_grid) -> np.ndarray:
 
 # the imaginary step of `monotonicity_check`: Im S(t + ih) = h dS/dt to
 # O((lambda h / (1/r(0) + lambda t))^2), and stays a normal double down to
-# |dS/dt| = 2e-108; a step lambda h of at least 1e-8 (1/r(0) + lambda t) is refused
+# |dS/dt| = 2e-108, below which an atom whose term may matter is refused; a
+# step lambda h of at least 1e-8 (1/r(0) + lambda t) is refused
 _H = 1e-200
+_TINY, _EPS = np.finfo(float).tiny, np.finfo(float).eps
 
 
 def monotonicity_check(mu: PseudoPositiveMeasure, t_grid) -> MonotonicityReport:
@@ -106,7 +108,9 @@ def monotonicity_check(mu: PseudoPositiveMeasure, t_grid) -> MonotonicityReport:
     nothing; the step is 0 at t = inf.  ValueError for a measure with no
     components or a component with no atoms; OverflowError naming the
     component where either derivative overflows, or naming the component and
-    the time where lambda h is not small against 1/r(0) + lambda t.
+    the time where lambda h is not small against 1/r(0) + lambda t, or where
+    Im r(t + ih)^2 of an atom underflows out of the normal range while its
+    part of dS/dt may exceed eps |dS/dt|.
     """
     fam = mu.family
     if not fam.keys:
@@ -129,7 +133,21 @@ def monotonicity_check(mu: PseudoPositiveMeasure, t_grid) -> MonotonicityReport:
                 f"{fam.keys[fam.owner(j)]} is not small against 1/r(0) + lambda t = {float(scale[i, j])!r}"
             )
         r = 1.0 / (scale + 1j * step)
-        terms = np.where(finite, (r * r).imag / fam.degree_powers(fam.radii), 0.0)
+        im, powers = (r * r).imag, fam.degree_powers(fam.radii)
+        # an Im r^2 that is not a normal double has lost digits, up to all of its
+        # atom's term, which lies below tiny / (lambda^k h); refused unless that bound
+        # is below eps |dS/dt| (lambda = 0 has no term, and the step reads 0 there)
+        lost = finite & (step > 0.0) & (np.abs(im) < _TINY)
+        if lost.any():
+            exact = np.repeat(ds_dt, fam.sizes, axis=1)
+            lost &= (exact != 0.0) & (_TINY / (powers * _H) > _EPS * np.abs(exact))
+        if lost.any():
+            i, j = np.unravel_index(np.argmax(lost), lost.shape)
+            raise OverflowError(
+                f"at t = {float(times[i])!r} the complex step of dS/dt of component {fam.keys[fam.owner(j)]} "
+                f"underflows: Im r(t + ih)^2 = {float(im[i, j])!r} is not a normal double"
+            )
+        terms = np.where(finite, im / powers, 0.0)
         ds_step = fam.block_sums(terms) / _H
     return MonotonicityReport(
         times=times,

@@ -459,13 +459,15 @@ def _tilde_family(mu: PseudoPositiveMeasure) -> ComponentFamily:
     fam = mu.family
     with np.errstate(over="ignore"):
         w = fam.masses * fam.degree_powers(fam.radii)
-    if not np.isfinite(w).all():
-        raise OverflowError("a tilde weight w r^k of the measure overflows")
+    bad = ~np.isfinite(w)
+    if bad.any():
+        raise OverflowError(f"the tilde weight w r^k of component {fam.keys[fam.owner(np.argmax(bad))]} overflows")
     kept = fam.compress(w > 0.0, w)
     with np.errstate(over="ignore"):
         rho = kept.radii**2
-    if not np.isfinite(rho).all():
-        raise OverflowError("a tilde atom r^2 of the measure overflows")
+    bad = ~np.isfinite(rho)
+    if bad.any():
+        raise OverflowError(f"the tilde atom r^2 of component {kept.keys[kept.owner(np.argmax(bad))]} overflows")
     rho, w, offsets = _merge_coincident(rho, kept.masses, kept.offsets)
     if not np.isfinite(w).all():  # a merged weight that overflows
         raise ValueError("weights entries must be finite")

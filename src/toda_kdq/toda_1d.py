@@ -36,8 +36,12 @@ _SPAN = 8.0
 _MAX_CHECKPOINTS = 2**16
 # RK4 steps between two scans of the output for a failure
 _CHUNK = 64
-# the ufuncs of an RK4 step, bound once: a step costs what its numpy calls
-# cost, and looking each up on `np` made it about 8% slower
+# entries of a CSV table turned into Python floats and strings at a time: on
+# simulate-1d runs of N = 2 to 64, blocks of 2^15 raised the peak RSS by 4.5 MB, of 2^12 by 1 MB
+_CSV_BLOCK = 2**12
+# the ufuncs of an RK4 step, bound once (and to locals in the step loop): a
+# step costs what its numpy calls cost, and looking each up on `np` made it
+# about 8% slower
 _add, _subtract, _multiply, _square = np.add, np.subtract, np.multiply, np.square
 # the weight of b in a step where 2 dt overflows, dt >= 2^1023
 _MAX = np.finfo(float).max
@@ -53,7 +57,8 @@ def _rhs(views, k):
     # k = [a' | pad | b'/2] from x = [a | pad | b | 0, a^2, 0] along the last
     # axis: views = (a, a^2, upper, lower) of x (`_views`), k = (k, its a').
     # upper - lower over the tail [b | 0, a^2, 0] is b_{j+1} - b_j, the pad's
-    # -b_m, then a_j^2 - a_{j-1}^2 with the free ends a_0 = a_m = 0
+    # -b_m, then a_j^2 - a_{j-1}^2 with the free ends a_0 = a_m = 0.
+    # `integrate_ensemble` writes these three calls out in its step loop
     a, sq, upper, lower = views
     k, ka = k
     _square(a, sq)
@@ -108,7 +113,11 @@ def integrate_ensemble(states, t_final: float, dt: float = 1e-3) -> list:
 
     y = [a | pad | b], of length 2 M, is followed in one buffer by the a^2
     of `_rhs`, whose one subtraction fills k = [a' | pad | b'/2] in line
-    with y; a step is 25 ufunc calls.  The weights 0.5 dt, dt and dt/6 are
+    with y.  A step is 25 ufunc calls: the loop writes out the square,
+    subtraction and product of `_rhs` for each of the four stages, on views
+    and ufuncs bound to locals once, so no Python call or tuple comes
+    between them, and the ufuncs, operands and order are those of `_rhs`.
+    The weights 0.5 dt, dt and dt/6 are
     vectors over y: c on a, 0 on the pad and 2 c on b.  2 c d and c (2 d)
     are one real product, and sums of doubled terms are the doubled sums,
     so the bits are those of the classical form while 2 d does not overflow
@@ -147,13 +156,13 @@ def integrate_ensemble(states, t_final: float, dt: float = 1e-3) -> list:
         own[start : start + s.n - 1] = own[m + start : m + start + s.n] = True
     acc, k = np.empty(2 * m), np.empty((4, 2 * m))  # the weighted sum of k1..k4, and each k
     k1, k2, k3, k4 = k
-    y_views, stage_views = _views(y, m), _views(stage, m)
-    k_views = [(v, v[: m - 1]) for v in k]
+    k1a, k2a, k3a, k4a = k[:, : m - 1]  # the a' of each k
+    ya, ysq, yup, ylo = _views(y, m)
+    sa, ssq, sup, slo = _views(stage, m)
     y, stage = y[: 2 * m], stage[: 2 * m]
     # where 2 dt overflows, _MAX keeps b + w 0 = b, as b + dt (2 0) did
     half, full, sixth = (np.repeat([c, 0.0, min(2.0 * c, _MAX)], [m - 1, 1, m]) for c in (0.5 * dt, dt, dt / 6.0))
-    # stages 2, 3 and 4: the step and the k that form their input, the k they give
-    stages = ((half, k1, k_views[1]), (half, k2, k_views[2]), (full, k3, k_views[3]))
+    add, subtract, multiply, square = _add, _subtract, _multiply, _square
     out = np.empty((n_steps + 1, 2 * m))
     out[0] = y
     # blow-ups surface as non-finite entries and are reported by _check_rows
@@ -161,19 +170,34 @@ def integrate_ensemble(states, t_final: float, dt: float = 1e-3) -> list:
         for lo in range(0, n_steps, _CHUNK):
             hi = min(lo + _CHUNK, n_steps)
             for step in range(lo + 1, hi + 1):
-                _rhs(y_views, k_views[0])
-                for h, k_in, k_out in stages:
-                    _multiply(h, k_in, stage)
-                    _add(y, stage, stage)
-                    _rhs(stage_views, k_out)
+                # k1 at y, then k2, k3 and k4 at y + h k of the stage before,
+                # h = half, half, full; each k is `_rhs` written out
+                square(ya, ysq)
+                subtract(yup, ylo, k1)
+                multiply(ya, k1a, k1a)
+                multiply(half, k1, stage)
+                add(y, stage, stage)
+                square(sa, ssq)
+                subtract(sup, slo, k2)
+                multiply(sa, k2a, k2a)
+                multiply(half, k2, stage)
+                add(y, stage, stage)
+                square(sa, ssq)
+                subtract(sup, slo, k3)
+                multiply(sa, k3a, k3a)
+                multiply(full, k3, stage)
+                add(y, stage, stage)
+                square(sa, ssq)
+                subtract(sup, slo, k4)
+                multiply(sa, k4a, k4a)
                 # y + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4)
-                _add(k2, k2, acc)
-                _add(k1, acc, acc)
-                _add(k3, k3, stage)
-                _add(acc, stage, acc)
-                _add(acc, k4, acc)
-                _multiply(sixth, acc, acc)
-                _add(y, acc, y)
+                add(k2, k2, acc)
+                add(k1, acc, acc)
+                add(k3, k3, stage)
+                add(acc, stage, acc)
+                add(acc, k4, acc)
+                multiply(sixth, acc, acc)
+                add(y, acc, y)
                 out[step] = y
             _check_rows(out[lo + 1 : hi + 1], lo + 1, own, sizes, dt)
     times = dt * np.arange(n_steps + 1)
@@ -353,7 +377,9 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     The lambda columns are one `jacobi_eigenvalues` call over the rows: the
     flow is isospectral, so each row's eigenvalues are Newton steps from
     those of the first row, certified per row, and a row's values depend on
-    the first row as well as on its own.
+    the first row as well as on its own.  H and the lambdas are conserved, so
+    they are `_csv_text`'s invariant block: most of their entries repeat one
+    above them, and each distinct value is formatted once per block of rows.
     """
     a, b = traj.a, traj.b
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
@@ -374,18 +400,35 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     if not np.isfinite(h).all():
         row = np.flatnonzero(~np.isfinite(h))[0]
         raise OverflowError(f"the Hamiltonian H overflows at t = {float(traj.times[row])!r}")
-    table = np.column_stack([traj.times, a, b, h, jacobi_eigenvalues(b, a)])
-    return _csv_text(header, table)
+    return _csv_text(header, np.column_stack([traj.times, a, b]), np.column_stack([h, jacobi_eigenvalues(b, a)]))
 
 
-def _csv_text(header, table) -> str:
-    """CSV text: the header, then one line per row of `table`.
+def _csv_text(header, table, invariant=None) -> str:
+    """CSV text: the header, then one line per row of `table`, that row of
+    `invariant` (if given) at its end.
 
-    `table` is anything `np.asarray` takes as a 2-d float array; each float
-    is written in its shortest round-trip repr.  Shared by every CSV that
-    the package writes.
+    `table` is anything `np.asarray` takes as a 2-d float array, and
+    `invariant` a float array with as many rows; each float is written in
+    its shortest round-trip repr.  `invariant` holds conserved quantities,
+    whose values repeat down the rows: each distinct value of a block of
+    rows is formatted once, keyed on its bits, so -0.0 and 0.0 stay apart.
+    Shared by every CSV that the package writes.
     """
+    table = np.asarray(table, dtype=float)
     lines = [",".join(header)]
-    # one row of Python floats at a time keeps the peak memory of the text alone
-    lines += [",".join(map(repr, row.tolist())) for row in np.asarray(table, dtype=float)]
-    return "\n".join(lines) + "\n"
+    if invariant is None:
+        # one row of Python floats at a time keeps the peak memory of the text alone
+        lines += [",".join(map(repr, row.tolist())) for row in table]
+    else:
+        # blocks of _CSV_BLOCK entries keep the peak memory near that of the
+        # text: one block's floats and strings at a time
+        invariant = np.ascontiguousarray(invariant, dtype=float)
+        rows = max(1, _CSV_BLOCK // max(1, table.shape[-1] + invariant.shape[1]))
+        for lo in range(0, len(table), rows):
+            block = invariant[lo : lo + rows]
+            bits, at = np.unique(block.view(np.int64), return_inverse=True)
+            text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+            tails = text[at.reshape(block.shape)].tolist()
+            lines += [",".join([*map(repr, row), *tail]) for row, tail in zip(table[lo : lo + rows].tolist(), tails)]
+    lines.append("")  # the last newline, with no copy of the text
+    return "\n".join(lines)

@@ -216,7 +216,7 @@ class TestTransformEval:
         measure = {"n": 3, "k_max": 0, "components": [{"k": 0, "ell": 1, "atoms": [0.5], "weights": [1.0]}]}
         cfg = write_json(tmp_path / "t.json", {"measure": measure, "theta": [0.0, 0.0, 1.0], "zetas": [zeta]})
         assert main(["transform-eval", "--input", cfg]) == 3
-        assert capsys.readouterr().err.startswith("numeric failure: zeta^2 is not finite")
+        assert capsys.readouterr().err.startswith("numeric failure: at zetas[0]: zeta^2 is not finite")
 
     def test_matches_per_point_values(self, tmp_path):
         # one row per zeta, each the single-point transform; zeta = -1.5 - 0.2i
@@ -910,7 +910,7 @@ class TestQuadricExitCodes:
                 # a w = 1e600 for the lone atom keeps a = 1e300, not inf
                 "transform-eval",
                 {"measure": measure([0.5, 1e300], [1.0, 1e300]), "theta": [0.0, 0.0, 1.0], "zetas": [[2.0, 0.5]]},
-                (3, "numeric failure: transform requires |zeta| > support radius 1e+300; got |zeta| = 2.0615528128088303\n"),
+                (3, "numeric failure: at zetas[0]: transform requires |zeta| > support radius 1e+300; got |zeta| = 2.0615528128088303\n"),
             ),
             (
                 # lambda r(0) = inf: the masses at t = 0 are finite, but
@@ -975,6 +975,7 @@ class TestQuadricExitCodes:
     @example(config={"measure": measure([0.5], [1.7e308]), "t_grid": [0.0, 1e-310]})
     @example(config={"measure": measure([1e-300], [1.0], k=2), "t_grid": [0.0, 1.0]})
     @example(config={"measure": measure([0.0], [1.0], k=2), "t_grid": [0.0, 1.0]})
+    @example(config={"measure": measure([1e100], [1e182], k=1), "t_grid": [0.0, 1.0]})
     def test_iso_flow_errors_name_their_stage_or_component(self, config):
         # a configuration error names its reading stage; a numeric failure,
         # an overflow, a division by lambda^k or a rise, names its component
@@ -983,6 +984,28 @@ class TestQuadricExitCodes:
             assert re.match(r"config error: bad (measure|iso-flow config): ", err)
         elif code == 3:
             assert re.match(r"numeric failure: .*\bcomponent \(\d+, \d+\) ", err)
+        else:
+            assert (code, err) == (0, "")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(config=transform_eval_configs())
+    # a zeta that is not finite, inside the support, whose square overflows, a
+    # tilde weight and a tilde atom that overflow: the draws reach the last four rarely
+    @example(config={"measure": measure([0.5], [1.0]), "theta": [0.0, 0.0, 1.0], "zetas": [[2.0, 0.0], [1.0, float("nan")]]})
+    @example(config={"measure": measure([0.5, 1e300], [1.0, 1e300]), "theta": [0.0, 0.0, 1.0], "zetas": [[2.0, 0.5]]})
+    @example(config={"measure": measure([0.5], [1.0]), "theta": [0.0, 0.0, 1.0], "zetas": [[2.0, 0.5], [1e200, 0.0]]})
+    @example(config={"measure": measure([1.5], [1e308], k=2), "theta": [0.0, 0.0, 1.0], "zetas": [[2.0, 0.5]]})
+    @example(config={"measure": measure([1e200], [1.0]), "theta": [0.0, 0.0, 1.0], "zetas": []})
+    def test_transform_eval_errors_name_their_stage_or_item(self, config):
+        # a configuration error names its reading stage, and a bad zeta its
+        # `zetas` entry; a numeric failure names the entry or the component
+        code, err = run_in_process(["transform-eval"], config)
+        if code == 2:
+            assert re.match(r"config error: bad (measure|transform-eval config): ", err)
+            assert "zetas" not in err or "finite" not in err or re.search(r"\bzetas\[\d+\] = ", err)
+        elif code == 3:
+            assert re.match(r"numeric failure: (at zetas\[\d+\]: |.*\bcomponent \(\d+, \d+\) )", err)
         else:
             assert (code, err) == (0, "")
 

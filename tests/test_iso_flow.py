@@ -205,8 +205,27 @@ class TestComplexStep:
                 [0.0, 1.0, float("inf")],
                 4.440892098500626e-16,
             ),
+            # at t = 1, Im r(1 + ih)^2 = -2 lambda h r^3 = -2e-400 underflows to -0.0 while
+            # dS/dt = -2 r^3 = -2e-300: the step sees none of it, and the residual would read 2e-300
+            (
+                {(1, 1): ([1e100], [1e182])},
+                [0.0, 1.0],
+                "at t = 1.0 the complex step of dS/dt of component (1, 1) underflows: "
+                "Im r(t + ih)^2 = -0.0 is not a normal double",
+            ),
+            # the atom of mass 1e-100 underflows too, but its part of dS/dt, below
+            # tiny / (lambda h) = 2.2e-108, is under eps |dS/dt|
+            ({(1, 1): ([1.0, 2.0], [1e-100, 1.0])}, [0.0, 1.0], 1.3877787807814457e-17),
         ],
-        ids=["rate-overflows-at-zero", "lambda-zero-at-inf", "step-below-the-bound", "step-at-the-bound", "inf-in-the-grid"],
+        ids=[
+            "rate-overflows-at-zero",
+            "lambda-zero-at-inf",
+            "step-below-the-bound",
+            "step-at-the-bound",
+            "inf-in-the-grid",
+            "step-underflows",
+            "negligible-atom-underflows",
+        ],
     )
     def test_every_derivative_is_finite(self, components, t_grid, residual):
         # a finite residual, or the OverflowError that refuses a step too coarse to read one

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -124,6 +125,33 @@ def reference_csv(traj):
         row += list(spectra[i])
         lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def packed_reference(states, n_steps, dt):
+    """The (T, 2 M) output of `integrate_ensemble`'s chain [a | pad | b], its
+    states with a ghost site after each, stepped by a plain loop over
+    `toda_1d._rhs`: the loop before its stages were written out."""
+    starts = np.cumsum([0] + [s.n + 1 for s in states])
+    m = int(starts[-1])
+    y, stage = np.zeros(3 * m + 1), np.zeros(3 * m + 1)
+    for s, start in zip(states, starts):
+        y[start : start + s.n - 1], y[m + start : m + start + s.n] = s.offdiag, s.diag
+    k = np.empty((4, 2 * m))
+    k_views = [(v, v[: m - 1]) for v in k]
+    y_views, stage_views = toda_1d._views(y, m), toda_1d._views(stage, m)
+    y, stage = y[: 2 * m], stage[: 2 * m]
+    weights = [[c, 0.0, min(2.0 * c, np.finfo(float).max)] for c in (0.5 * dt, dt, dt / 6.0)]
+    half, full, sixth = (np.repeat(w, [m - 1, 1, m]) for w in weights)
+    out = [y.copy()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            toda_1d._rhs(y_views, k_views[0])
+            for h, k_in, k_out in ((half, k[0], k_views[1]), (half, k[1], k_views[2]), (full, k[2], k_views[3])):
+                np.add(y, h * k_in, stage)
+                toda_1d._rhs(stage_views, k_out)
+            y += sixth * ((((k[1] + k[1]) + k[0]) + (k[2] + k[2])) + k[3])
+            out.append(y.copy())
+    return np.array(out), starts, m
 
 
 def reference_spectral_solve(s0, t):
@@ -398,6 +426,30 @@ class TestIntegration:
         traj = integrate_toda(s, dt, dt)
         ref_a, ref_b = reference_rk4(s, dt, dt)
         assert traj.a.tobytes() == ref_a.tobytes() and traj.b.tobytes() == ref_b.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @example(sizes=[1], seed=1, n_steps=40, dt=1e-3)  # a lone site
+    @example(sizes=[2, 3], seed=2, n_steps=1, dt=1.7e308)
+    @given(
+        sizes=st.lists(st.integers(1, 8), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+        n_steps=st.integers(0, 40),
+        dt=st.sampled_from([1e-3, 5e-2, 2.0**1023, 1.7e308]),
+    )
+    def test_ensemble_equals_the_packed_rhs_loop(self, sizes, seed, n_steps, dt):
+        # the written-out stages give the bits of a loop over `_rhs`; where 2 dt
+        # overflows (one step), equal b and couplings of 1e-170, whose squares
+        # underflow, keep the step finite
+        rng = np.random.default_rng(seed)
+        huge = dt > 1.0
+        n_steps = min(n_steps, 1) if huge else n_steps
+        states = [random_state(rng, n) for n in sizes]
+        if huge:
+            states = [JacobiMatrix(offdiag=1e-170 * s.offdiag, diag=np.full(s.n, s.diag[0])) for s in states]
+        want, starts, m = packed_reference(states, n_steps, dt)
+        for s, start, traj in zip(states, starts, integrate_ensemble(states, n_steps * dt, dt)):
+            assert traj.a.tobytes() == want[:, start : start + s.n - 1].tobytes()
+            assert traj.b.tobytes() == want[:, m + start : m + start + s.n].tobytes()
 
     def test_step_is_25_calls_without_a_length_one_operand(self, monkeypatch):
         # one N = 2 state: the last ghost keeps its couplings two long, and a
@@ -699,6 +751,50 @@ class TestAsymptotics:
         assert np.max(traj.a) < tol
 
 
+def plain_csv(header, table) -> str:
+    """The CSV text of `header` and `table` with one `repr` per entry."""
+    return "\n".join([",".join(header)] + [",".join(map(repr, row)) for row in np.asarray(table).tolist()]) + "\n"
+
+
+def value_keyed_csv(header, table, invariant) -> str:
+    """`_csv_text` keyed on the float value of the invariant block, not its
+    bits: the defect that writes -0.0 and 0.0 as one of them."""
+    keys, at = np.unique(invariant, return_inverse=True)
+    tails = np.array([repr(v) for v in keys.tolist()], dtype=object)[at.reshape(invariant.shape)].tolist()
+    lines = [",".join(header)] + [",".join([*map(repr, row), *tail]) for row, tail in zip(table.tolist(), tails)]
+    return "\n".join(lines + [""])
+
+
+# signed zeros, subnormals, the values where repr switches between its fixed
+# and exponent forms, and any other double, inf and NaN included
+_CSV_VALUES = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e16, 9999999999999998.0, 1e-4, 1e-5]
+    ),
+    st.floats(),
+)
+
+
+@st.composite
+def csv_tables(draw):
+    """A table and an invariant block of as many rows, whose columns repeat a few values."""
+    rows, width, tail = draw(st.integers(0, 30)), draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    table = np.array(draw(st.lists(_CSV_VALUES, min_size=rows * width, max_size=rows * width)), dtype=float)
+    pool = draw(st.lists(_CSV_VALUES, min_size=1, max_size=3))
+    invariant = np.array(draw(st.lists(st.sampled_from(pool), min_size=rows * tail, max_size=rows * tail)), dtype=float)
+    return table.reshape(rows, width), invariant.reshape(rows, tail)
+
+
+# 0.0 and -0.0 down one column of an invariant block
+SIGNED_ZEROS = (np.array([[1.0], [2.0]]), np.array([[0.0, 1.5], [-0.0, 1.5]]))
+
+
+def check_invariant_block(write, table, invariant):
+    """`write(header, table, invariant)` gives the text of one repr per entry."""
+    header = [f"c{j}" for j in range(table.shape[1] + invariant.shape[1])]
+    assert write(header, table, invariant) == plain_csv(header, np.column_stack([table, invariant]))
+
+
 class TestCsv:
     @pytest.mark.parametrize(
         "a, b, message",
@@ -711,6 +807,19 @@ class TestCsv:
         traj = Trajectory(times=np.array([0.0, 1.0]), a=np.array(a), b=np.array(b))
         with pytest.raises(ValueError, match=f"^{message}$"):
             trajectory_to_csv(traj)
+
+    @settings(max_examples=150, deadline=None)
+    @example(tables=SIGNED_ZEROS, block=64)
+    @given(tables=csv_tables(), block=st.integers(1, 64))
+    def test_invariant_block_equals_plain_repr(self, tables, block):
+        # in blocks of 1 to 64 entries
+        with mock.patch.object(toda_1d, "_CSV_BLOCK", block):
+            check_invariant_block(toda_1d._csv_text, *tables)
+
+    def test_a_value_keyed_invariant_block_fails(self):
+        # keyed on the value, 0.0 and -0.0 are one key, and one of them is written wrong
+        with pytest.raises(AssertionError):
+            check_invariant_block(value_keyed_csv, *SIGNED_ZEROS)
 
     def test_header_and_rows(self):
         traj = integrate_toda(SYMMETRIC_N2, 0.01, 1e-2)
