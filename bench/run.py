@@ -28,6 +28,7 @@ if __name__ == "__main__":
 
 import argparse  # noqa: E402
 import importlib.util  # noqa: E402
+import inspect  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
@@ -300,9 +301,7 @@ def family(tk, K, N, op):
     """One `op` on K components of N atoms: reading a JSON-decoded measure
     (measure_from_dict) or pseudo-Toda state (pseudo_from_dict) by the
     tree's `cli` reader, or by `from_dict` on a tree whose layers have it,
-    `pseudo_toda.evolve` of such a state to t = 1, or `kdq.markov_stieltjes`
-    of the measure at 8 points zeta THETA with |zeta| = 2 and arg zeta in
-    [-1.2, 1.2]."""
+    or `pseudo_toda.evolve` of such a state to t = 1."""
     comps = _s2_components(4, K, N)
 
     def config(atoms, weights, **fields):  # as decoded from a JSON file: lists of Python floats
@@ -311,16 +310,24 @@ def family(tk, K, N, op):
 
     measure, pseudo = config("atoms", "weights"), config("lambdas", "masses_tilde", t=0.0)
     state = tk.pseudo_toda.PseudoTodaState(3, comps)
-    mu = tk.kdq.PseudoPositiveMeasure(3, comps)
-    points = [tk.kdq.KDQPoint(2.0 * np.exp(1j * a), THETA) for a in np.linspace(-1.2, 1.2, 8)]
     read_measure = getattr(tk.cli, "_read_measure", None) or tk.kdq.PseudoPositiveMeasure.from_dict
     read_pseudo = getattr(tk.cli, "_read_pseudo_state", None) or tk.pseudo_toda.PseudoTodaState.from_dict
     return {
         "measure_from_dict": lambda: read_measure(measure),
         "pseudo_from_dict": lambda: read_pseudo(pseudo),
         "evolve": lambda: tk.pseudo_toda.evolve(state, 1.0),
-        "markov_stieltjes": lambda: tk.kdq.markov_stieltjes(mu, points),
     }[op]
+
+
+def markov_stieltjes(tk, K, points):
+    """One `kdq.markov_stieltjes(mu, zetas, THETA)` of a measure of K components of 3 atoms at `points` zetas
+    with |zeta| = 2 and arg zeta in [-2, 2], some with Re zeta < 0.  A tree whose transform takes a list of
+    `KDQPoint`s, as its `transform-eval` built them, builds one per zeta in the op."""
+    mu = tk.kdq.PseudoPositiveMeasure(3, _s2_components(4, K, 3))
+    zetas = 2.0 * np.exp(1j * np.linspace(-2.0, 2.0, points))
+    if len(inspect.signature(tk.kdq.markov_stieltjes).parameters) == 2:
+        return lambda: tk.kdq.markov_stieltjes(mu, [tk.kdq.KDQPoint(z, THETA) for z in zetas])
+    return lambda: tk.kdq.markov_stieltjes(mu, zetas, THETA)
 
 
 def monotonicity_check(tk, K, N, times):
@@ -379,8 +386,8 @@ CASES = [
     (verify, {"check": "check_pseudo_toda", "seed": 7, "ode_times": [0.5]}),  # at its verify-all size
     (verify, {"check": "check_kdq_kernel", "seed": 5, "trials": 15}),  # at its verify-all size
     *[(hua_kernel, {"n": n, "k_max": k}) for n in (2, 3) for k in (5, 10, 20, 40, 80)],  # 40 in verify-all
-    *[(family, {"K": K, "N": 4, "op": op}) for K in (9, 25, 81, 289, 625)
-      for op in ("measure_from_dict", "pseudo_from_dict", "evolve", "markov_stieltjes")],
+    *[(family, {"K": K, "N": 4, "op": op}) for K in (9, 25, 81, 289, 625) for op in ("measure_from_dict", "pseudo_from_dict", "evolve")],
+    *[(markov_stieltjes, {"K": K, "points": p}) for K in (81, 625) for p in (8, 32, 128)],  # 625: transform-eval's n = 3
     *[(verify, {"check": "check_kdq_cauchy", "seed": 6, "k_max": k, "j_max": 2}) for k in (1, 2, 3, 4, 5)],
     *[(monotonicity_check, {"K": 9, "N": 3, "times": c}) for c in (21, 81, 321)],
     *[(spectral_solve, {"N": n, "times": 101, "t_final": 10.0}) for n in (2, 4, 8, 16, 32, 64)],

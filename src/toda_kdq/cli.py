@@ -113,6 +113,19 @@ def _stage(prefix: str, errors=(ValueError, TypeError)):
         raise ConfigError(f"{prefix}{exc}") from exc
 
 
+@contextmanager
+def _entry_named(prefix):
+    """A DivergenceRegionError or OverflowError of the block that names an
+    entry by its `index` (`kdq._check_outside_support`) is raised again with
+    `prefix(index)` before its message."""
+    try:
+        yield
+    except (DivergenceRegionError, OverflowError) as exc:
+        if not hasattr(exc, "index"):
+            raise
+        raise type(exc)(f"{prefix(exc.index)}{exc}") from None
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -153,21 +166,34 @@ def _json_float(d: dict, name: str, *default):
     list (of lists).
 
     TypeError unless every entry is a JSON number: a boolean, a string such
-    as "2.5" and null are not converted but rejected.  ValueError if the
-    lists are ragged or an integer is too large for a double.
+    as "2.5" and null are not converted but rejected, and the first in
+    reading order is named by its index, such as zetas[1][0].  ValueError
+    if the lists are ragged or an integer is too large for a double.
     """
     value = d[name] if name in d else _json_field(d, name, *default)  # no call per field read
     # one level of the lists at a time, in a loop rather than by recursion
     entries = value if type(value) is list else [value]
     while not _JSON_NUMBERS.issuperset(map(type, entries)):
-        for entry in entries:
-            if type(entry) not in (int, float, list):
-                raise TypeError(f"{name} must hold JSON numbers only, got {entry!r}")
+        if not all(type(entry) in (int, float, list) for entry in entries):
+            raise TypeError(f"{name} must hold JSON numbers only, got {_first_non_number(name, value)}")
         entries = [v for entry in entries if type(entry) is list for v in entry]
     try:
         return np.array(value, dtype=float)
     except OverflowError as exc:
         raise ValueError(f"{name} holds an integer too large for a double") from exc
+
+
+def _first_non_number(name: str, value) -> str:
+    # "name[i][j] = entry" of the first entry of the lists `value` that is
+    # neither a number nor a list, in reading order; the bare entry's repr
+    # where `value` is no list
+    stack = [(name, value)]
+    while stack:
+        path, entry = stack.pop()
+        if type(entry) is list:
+            stack += [(f"{path}[{i}]", v) for i, v in reversed(list(enumerate(entry)))]
+        elif type(entry) not in _JSON_NUMBERS:
+            return f"{path} = {entry!r}" if path != name else repr(entry)
 
 
 def _read_1d_measure(d: dict) -> DiscreteMeasure:
@@ -303,18 +329,10 @@ def _run_transform_eval(args: argparse.Namespace) -> int:
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(f"zetas entries must be finite, got zetas[{i}] = {pairs[i].tolist()}")
-        zetas = pairs.view(complex)[:, 0].tolist()
-    try:
-        vals = kdq.markov_stieltjes(mu, [kdq.KDQPoint(z, theta) for z in zetas])
-    except (DivergenceRegionError, OverflowError):
-        for i, z in enumerate(zetas):  # the first point the transform refused, named by its entry
-            try:
-                kdq._check_outside_support(mu, z)
-            except (DivergenceRegionError, OverflowError) as exc:
-                raise type(exc)(f"at zetas[{i}]: {exc}") from None
-        raise  # a tilde weight or atom that overflows, named by its component
-    rows = [[z.real, z.imag, val.real, val.imag] for z, val in zip(zetas, vals)]
-    _emit(_csv_text(["zeta_re", "zeta_im", "value_re", "value_im"], rows), args.output_path)
+    with _entry_named(lambda i: f"at zetas[{i}]: "):
+        vals = kdq.markov_stieltjes(mu, pairs.view(complex)[:, 0], theta)
+    table = np.column_stack([pairs, vals.real, vals.imag])
+    _emit(_csv_text(["zeta_re", "zeta_im", "value_re", "value_im"], table), args.output_path)
     return 0
 
 
@@ -345,12 +363,9 @@ def _run_nevanlinna(args: argparse.Namespace) -> int:
         res = nevanlinna_limit_check(mu, n_trunc, points)
     else:
         zetas = [complex(v * np.exp(1j * np.pi / 4)) for v in points]
-        for v, z in zip(points, zetas):  # name the grid value and the component, not the ray point
-            try:
-                kdq._check_outside_support(mu, z)
-            except (DivergenceRegionError, OverflowError) as exc:
-                raise type(exc)(f"at zeta_abs = {v!r} for component {idx}: {exc}") from None
-        res = kdq.multi_nevanlinna_check(mu, idx, n_trunc, zetas)
+        # a refused point is named by its grid value and the component, not the ray point
+        with _entry_named(lambda i: f"at zeta_abs = {points[i]!r} for component {idx}: "):
+            res = kdq.multi_nevanlinna_check(mu, idx, n_trunc, zetas)
     _emit(_csv_text([grid, "residual"], np.column_stack([points, res])), args.output_path)
     res = res.tolist()
     rise = next((i for i in range(1, len(res)) if not res[i] < res[i - 1]), None)

@@ -35,19 +35,22 @@ def _riccati(family: ComponentFamily, times) -> np.ndarray:
     masses[times == 0.0] = family.masses
     # at t = inf, 1 + lambda r(0) t is 1 + 0 * inf = NaN where lambda r(0) = 0,
     # whose r(0) stays; every other mass is 0 there
-    masses[np.isinf(times)] = np.where(rate == 0.0, np.minimum(r0**2, family.masses), 0.0)
+    inf = np.isinf(times)
+    if inf.any():
+        masses[inf] = np.where(rate == 0.0, np.minimum(r0**2, family.masses), 0.0)
     return masses
 
 
-def _functionals(family: ComponentFamily, masses: np.ndarray) -> np.ndarray:
-    # S_{k,l} of every component for masses (..., atoms); division error at
-    # lambda = 0 with k > 0 and a positive mass
-    hit = ((family.radii == 0.0) & (family.atom_degrees > 0) & (masses > 0.0)).reshape(-1, masses.shape[-1])
+def _functionals(family: ComponentFamily, masses: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    # S_{k,l} of every component for masses (..., atoms), `powers` holding
+    # lambda^k per atom; division error at lambda = 0 with k > 0 and a positive mass
+    zero = (family.radii == 0.0) & (family.atom_degrees > 0)
+    hit = (zero & (masses > 0.0)).reshape(-1, masses.shape[-1]) if zero.any() else zero
     if hit.any():
         k, ell = family.keys[family.owner(np.argmax(hit.any(axis=0)))]
         raise ZeroDivisionError(f"component {(k, ell)} divides by lambda^{k} at lambda = 0")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        terms = np.where(masses > 0.0, masses / family.degree_powers(family.radii), 0.0)
+        terms = np.where(masses > 0.0, masses / powers, 0.0)
         return _finite(family, family.block_sums(terms), "S_{k,l}")
 
 
@@ -62,8 +65,9 @@ def _ds_dt(family: ComponentFamily, masses: np.ndarray) -> np.ndarray:
 def _finite(family: ComponentFamily, sums: np.ndarray, name: str) -> np.ndarray:
     # `sums` (..., components); OverflowError naming the first component with
     # an entry that is not finite
-    bad = ~np.isfinite(sums).reshape(-1, sums.shape[-1]).all(axis=0)
-    if bad.any():
+    finite = np.isfinite(sums)
+    if not finite.all():
+        bad = ~finite.reshape(-1, sums.shape[-1]).all(axis=0)
         raise OverflowError(f"{name} of component {family.keys[np.argmax(bad)]} overflows")
     return sums
 
@@ -120,7 +124,9 @@ def monotonicity_check(mu: PseudoPositiveMeasure, t_grid) -> MonotonicityReport:
         raise ValueError(f"component {fam.keys[np.argmax(empty)]} has no atoms")
     times = _grid_times(t_grid)
     masses = _riccati(fam, times)
-    values = _functionals(fam, masses)
+    with np.errstate(over="ignore"):  # a lambda^k past the double range is inf; the divisions take it so
+        powers = fam.degree_powers(fam.radii)
+    values = _functionals(fam, masses, powers)
     ds_dt = _ds_dt(fam, masses)
     step, finite = fam.radii * _H, np.isfinite(times)[:, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # t = inf gives 0 below
@@ -133,21 +139,24 @@ def monotonicity_check(mu: PseudoPositiveMeasure, t_grid) -> MonotonicityReport:
                 f"{fam.keys[fam.owner(j)]} is not small against 1/r(0) + lambda t = {float(scale[i, j])!r}"
             )
         r = 1.0 / (scale + 1j * step)
-        im, powers = (r * r).imag, fam.degree_powers(fam.radii)
+        im = (r * r).imag
         # an Im r^2 that is not a normal double has lost digits, up to all of its
         # atom's term, which lies below tiny / (lambda^k h); refused unless that bound
-        # is below eps |dS/dt| (lambda = 0 has no term, and the step reads 0 there)
-        lost = finite & (step > 0.0) & (np.abs(im) < _TINY)
-        if lost.any():
-            exact = np.repeat(ds_dt, fam.sizes, axis=1)
-            lost &= (exact != 0.0) & (_TINY / (powers * _H) > _EPS * np.abs(exact))
-        if lost.any():
-            i, j = np.unravel_index(np.argmax(lost), lost.shape)
-            raise OverflowError(
-                f"at t = {float(times[i])!r} the complex step of dS/dt of component {fam.keys[fam.owner(j)]} "
-                f"underflows: Im r(t + ih)^2 = {float(im[i, j])!r} is not a normal double"
-            )
-        terms = np.where(finite, im / powers, 0.0)
+        # is below eps |dS/dt| (lambda = 0 has no term, and the step reads 0 there).
+        # One scan of im first: |im| < tiny implies im > -tiny, which almost no input has
+        if (im > -_TINY).any():
+            lost = finite & (step > 0.0) & (np.abs(im) < _TINY)
+            if lost.any():
+                exact = np.repeat(ds_dt, fam.sizes, axis=1)
+                lost &= (exact != 0.0) & (_TINY / (powers * _H) > _EPS * np.abs(exact))
+            if lost.any():
+                i, j = np.unravel_index(np.argmax(lost), lost.shape)
+                raise OverflowError(
+                    f"at t = {float(times[i])!r} the complex step of dS/dt of component {fam.keys[fam.owner(j)]} "
+                    f"underflows: Im r(t + ih)^2 = {float(im[i, j])!r} is not a normal double"
+                )
+        terms = im / powers
+        terms[~finite[:, 0]] = 0.0  # the step is 0 at t = inf
         ds_step = fam.block_sums(terms) / _H
     return MonotonicityReport(
         times=times,

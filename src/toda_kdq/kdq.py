@@ -42,7 +42,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DivergenceRegionError, PoleError
-from .moment_1d import _as_vector, _freeze_fields, _merge_coincident, _moment_remainder, _sorted_atoms
+from .moment_1d import _as_vector, _freeze_fields, _merge_coincident, _moment_remainder, _segment, _sorted_atoms
 from .sphere import _harmonic_core, as_direction, check_indices, dim_harmonics, harmonic_table, solid_harmonic, sphere_nodes
 
 __all__ = [
@@ -99,6 +99,15 @@ def _antipodal_flip(z: complex, th: np.ndarray) -> bool:
     return nonzero.size > 0 and nonzero[0] < 0.0
 
 
+def _antipodal_flips(zetas: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    # `_antipodal_flip` of each entry of `zetas` with one theta, as array masks;
+    # the tests hold the two against each other
+    nonzero = theta[theta != 0.0]
+    down = nonzero.size > 0 and nonzero[0] < 0.0
+    re, im = zetas.real, zetas.imag
+    return (re < 0.0) | ((re == 0.0) & ((im < 0.0) | ((im == 0.0) & down)))
+
+
 @dataclass(frozen=True, eq=False)
 class ComponentFamily:
     """Radial components indexed by (k, ell), packed into flat read-only arrays.
@@ -138,23 +147,26 @@ class ComponentFamily:
         sizes[1][i] masses of the two arrays `flat`, in ascending key order (a
         repeated key keeps its last entry).  ValueError naming the fields
         `names` for sizes that differ or are below `min_size`, or an entry
-        that is not finite."""
+        that is not finite, each naming the first component at fault."""
         last = dict(zip(keys, range(len(keys))))
         order = sorted(last)
         counts = np.array(sizes, dtype=np.intp).reshape(2, len(keys))
         take = None if order == keys else [last[key] for key in order]
         kept = counts if take is None else counts[:, take]
-        if (kept[0] != kept[1]).any() or (kept[0] < min_size).any():
-            raise ValueError(f"{names[0]} and {names[1]} must be matching 1-d arrays")
+        bad = (kept[0] != kept[1]) | (kept[0] < min_size)
+        if bad.any():
+            raise ValueError(f"{names[0]} and {names[1]} must be matching 1-d arrays in component {order[np.argmax(bad)]}")
         offsets = np.zeros(len(order) + 1, dtype=np.int64)
         np.cumsum(kept[0], out=offsets[1:])
         if take is not None:
             starts = np.cumsum(counts, axis=1) - counts
             flat = [arr[np.repeat(starts[i, take] - offsets[:-1], kept[0]) + np.arange(offsets[-1])] for i, arr in enumerate(flat)]
+        family = cls(tuple(order), offsets, *flat)
         for name, arr in zip(names, flat):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} entries must be finite")
-        return cls(tuple(order), offsets, *flat)
+            bad = ~np.isfinite(arr)
+            if bad.any():
+                raise ValueError(f"{name} entries must be finite in component {order[family.owner(np.argmax(bad))]}")
+        return family
 
     @cached_property
     def sizes(self) -> np.ndarray:
@@ -183,7 +195,7 @@ class ComponentFamily:
 
     def owner(self, atom) -> int:
         """Position in `keys` of the component that holds the atom at flat index `atom`."""
-        return int(np.searchsorted(self.offsets, atom, side="right")) - 1
+        return _segment(self.offsets, atom)
 
     def component(self, idx) -> tuple:
         """(radii, masses) views of component idx = (k, ell); KeyError if it is absent."""
@@ -222,10 +234,17 @@ class ComponentFamily:
         power per degree: an array of exponents takes another numpy path and
         moves the last bit (k = 2 is a square only for a scalar 2)."""
         out = np.empty(base.shape)
-        for k in np.unique(self.degrees).tolist():
-            at = self.atom_degrees == k
-            out[at] = base[at] ** (k + shift)
+        for k, lo, hi in self._degree_spans:
+            out[lo:hi] = base[lo:hi] ** (k + shift)
         return out
+
+    @cached_property
+    def _degree_spans(self) -> list:
+        # (k, first atom, end) of the atoms of degree k per distinct degree k:
+        # the keys ascend, so the atoms of one degree are contiguous
+        ks, first = np.unique(self.degrees, return_index=True)
+        bounds = self.offsets[first].tolist() + [int(self.offsets[-1])]
+        return list(zip(ks.tolist(), bounds, bounds[1:]))
 
 
 class PseudoPositiveMeasure:
@@ -240,7 +259,7 @@ class PseudoPositiveMeasure:
 
     def __init__(self, n: int, components=None, k_max: int = -1):
         raw = ComponentFamily.pack(components or {}, _FIELDS)
-        atoms, weights, offsets = _sorted_atoms(raw.radii, raw.masses, raw.offsets, half_line=True)
+        atoms, weights, offsets = _sorted_atoms(raw.radii, raw.masses, raw.offsets, half_line=True, keys=raw.keys)
         family = ComponentFamily(raw.keys, offsets, atoms, weights)
         check_indices(n, family.keys)
         top = family.keys[-1][0] if family.keys else 0
@@ -469,20 +488,41 @@ def _tilde_family(mu: PseudoPositiveMeasure) -> ComponentFamily:
     if bad.any():
         raise OverflowError(f"the tilde atom r^2 of component {kept.keys[kept.owner(np.argmax(bad))]} overflows")
     rho, w, offsets = _merge_coincident(rho, kept.masses, kept.offsets)
-    if not np.isfinite(w).all():  # a merged weight that overflows
-        raise ValueError("weights entries must be finite")
-    return ComponentFamily(kept.keys, offsets, rho, w)
+    tilde = ComponentFamily(kept.keys, offsets, rho, w)
+    bad = ~np.isfinite(tilde.masses)
+    if bad.any():
+        raise OverflowError(f"the merged tilde weight of component {tilde.keys[tilde.owner(np.argmax(bad))]} overflows")
+    return tilde
 
 
-def _check_outside_support(mu: PseudoPositiveMeasure, zeta: complex) -> None:
+def _check_outside_support(mu: PseudoPositiveMeasure, zetas: np.ndarray) -> np.ndarray:
+    """zeta^2 of every entry of the complex array `zetas`, with the bits of
+    Python's z * z.
+
+    The first entry with abs(z) <= the support radius (DivergenceRegionError)
+    or a zeta^2 that is not finite (OverflowError), support first, is refused;
+    the error's `index` is the entry's.  A NaN entry fails on zeta^2.
+    """
+    re, im = zetas.real, zetas.imag
+    z2 = np.empty(zetas.shape, dtype=complex)
     radius = mu.support_radius
-    if abs(zeta) <= radius:
-        raise DivergenceRegionError(
-            f"transform requires |zeta| > support radius {radius}; got |zeta| = {abs(zeta)}"
-        )
-    # the transform is evaluated at zeta^2, which must not overflow
-    if not cmath.isfinite(zeta * zeta):
-        raise OverflowError(f"zeta^2 is not finite at zeta = {zeta}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        z2.real = re * re - im * im
+        z2.imag = re * im + im * re
+        refused = (np.hypot(re, im) <= radius) | ~np.isfinite(z2)  # np.hypot is Python's abs, np.abs is not
+    if refused.any():
+        i = int(np.argmax(refused))
+        z = complex(zetas[i])
+        try:
+            # Python's abs raises "absolute value too large" past the double
+            # range, and of a NaN entry, which fails the test, it may read a stale errno
+            if not cmath.isnan(z) and abs(z) <= radius:
+                raise DivergenceRegionError(f"transform requires |zeta| > support radius {radius}; got |zeta| = {abs(z)}")
+            raise OverflowError(f"zeta^2 is not finite at zeta = {z}")
+        except (DivergenceRegionError, OverflowError) as exc:
+            exc.index = i
+            raise
+    return z2
 
 
 def _tilde_transforms(tilde: ComponentFamily, z2: np.ndarray) -> np.ndarray:
@@ -498,43 +538,35 @@ def _tilde_transforms(tilde: ComponentFamily, z2: np.ndarray) -> np.ndarray:
     return tilde.block_sums(tilde.masses / diffs)
 
 
-def markov_stieltjes(mu: PseudoPositiveMeasure, p):
-    """Transform value sum_{k,l} zeta^{1-k} Y_{k,l}(theta) T_{k,l}(zeta^2).
+def markov_stieltjes(mu: PseudoPositiveMeasure, zetas, theta) -> np.ndarray:
+    """Transform values sum_{k,l} zeta^{1-k} Y_{k,l}(theta) T_{k,l}(zeta^2)
+    at every entry of the 1-d complex array `zetas`, for one direction theta.
 
     T_{k,l} is the one-dimensional Stieltjes transform of the pushforward of
-    r^k dmu_{k,l} under rho = r^2, evaluated at zeta^2; needs |zeta| larger
-    than the support radius.  `p` is one KDQPoint (a complex is returned) or
-    a sequence of them (a complex array is returned).  Every term at every
-    point is one array expression, with the bits of Python complex
-    arithmetic: the powers zeta^{1-k} are Python `**`, one per degree;
-    u = zeta^{1-k} Y is (Re u, Im u) = (p.re Y - p.im 0, p.re 0 + p.im Y), as
-    Python multiplies a complex by a float; u T takes the four products; and
-    each point's terms are added left to right in ascending (k, l) order
-    after a leading zero (`np.cumsum`).  numpy's own complex multiply does
-    not match these bits.
+    r^k dmu_{k,l} under rho = r^2, evaluated at zeta^2; each zeta must pass
+    `_check_outside_support`.  Each (zeta, theta) is taken at its canonical
+    antipodal representative, as `KDQPoint` takes it, both negated together.
+    The terms have the bits of Python complex arithmetic (see the README).
     """
-    points = [p] if isinstance(p, KDQPoint) else list(p)
-    for q in points:
-        if q.n != mu.n:
-            raise ValueError("dimension mismatch between measure and point")
-        _check_outside_support(mu, q.zeta)
-    thetas = np.array([q.theta for q in points]).reshape(len(points), mu.n)
+    theta = as_direction(mu.n, theta)
+    zetas = np.asarray(zetas, dtype=complex)
+    if zetas.ndim != 1:
+        raise ValueError(f"zetas must be a 1-d array, got shape {zetas.shape}")
+    flip = _antipodal_flips(zetas, theta)
+    zetas = np.where(flip, -zetas, zetas)
+    z2 = _check_outside_support(mu, zetas)
     tilde = _tilde_family(mu)
-    zs = [q.zeta for q in points]
-    t_vals = _tilde_transforms(tilde, np.array([z * z for z in zs], dtype=complex))
+    t_vals = _tilde_transforms(tilde, z2)
     top = tilde.keys[-1][0] if tilde.keys else 0
-    powers = np.array([[z ** (1 - k) for k in range(top + 1)] for z in zs], dtype=complex).reshape(len(zs), top + 1)
+    powers = np.array([[z ** (1 - k) for k in range(top + 1)] for z in zetas.tolist()], dtype=complex).reshape(zetas.size, top + 1)
     powers = powers[:, tilde.degrees]
-    ys = harmonic_table(mu.n, tilde.keys, thetas)
+    ys = harmonic_table(mu.n, tilde.keys, np.where(flip[:, None], -theta, theta))
     u_re = powers.real * ys - powers.imag * 0.0
     u_im = powers.real * 0.0 + powers.imag * ys
-    terms = np.zeros((len(zs), len(tilde.keys) + 1), dtype=complex)
+    terms = np.zeros((zetas.size, len(tilde.keys) + 1), dtype=complex)
     terms.real[:, 1:] = u_re * t_vals.real - u_im * t_vals.imag
     terms.imag[:, 1:] = u_re * t_vals.imag + u_im * t_vals.real
-    totals = np.cumsum(terms, axis=1)[:, -1]
-    if isinstance(p, KDQPoint):
-        return complex(totals[0])
-    return totals
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
 @dataclass(frozen=True)
@@ -589,23 +621,22 @@ def multi_nevanlinna_check(mu: PseudoPositiveMeasure, idx, n_trunc: int, zeta_li
     the truncated-moment limit in z = zeta^2, as the exact remainder
     `moment_1d._moment_remainder` of the component's own atoms (zeros for an
     absent one); OverflowError naming the component and the first zeta at
-    which it is not finite.  Along a ray with Im zeta^2 > 0 (arg zeta^2 =
+    which it is not finite.  Each zeta must pass `_check_outside_support`.  Along a ray with Im zeta^2 > 0 (arg zeta^2 =
     pi/2 in the standard setup) the residuals decrease like |zeta|^{-2}.
     """
     if n_trunc < 0:
         raise ValueError("n_trunc must be nonnegative")
     k, ell = int(idx[0]), int(idx[1])
     check_indices(mu.n, [(k, ell)])
-    zetas = [complex(z) for z in zeta_list]
-    for z in zetas:
-        _check_outside_support(mu, z)
+    zetas = np.asarray(zeta_list, dtype=complex).reshape(-1)
+    z2 = _check_outside_support(mu, zetas)
     try:
         radii, masses = mu.family.component((k, ell))
     except KeyError:
-        return np.zeros(len(zetas))
-    res = _moment_remainder(radii**2, masses * radii**k, n_trunc, np.array([z * z for z in zetas], dtype=complex))
+        return np.zeros(zetas.size)
+    res = _moment_remainder(radii**2, masses * radii**k, n_trunc, z2)
     if not np.isfinite(res).all():
-        z = zetas[np.isfinite(res).argmin()]
+        z = complex(zetas[np.isfinite(res).argmin()])
         raise OverflowError(f"at zeta = {z!r} the moment remainder of component {(k, ell)} of order n = {n_trunc} is not finite")
     return res
 

@@ -99,21 +99,34 @@ class DiscreteMeasure:
         return float(self.weights.sum())
 
 
-def _sorted_atoms(atoms: np.ndarray, weights: np.ndarray, offsets: np.ndarray, half_line: bool):
+def _sorted_atoms(atoms: np.ndarray, weights: np.ndarray, offsets: np.ndarray, half_line: bool, keys=None):
     # DiscreteMeasure's checks, sort and merge on each segment
-    # atoms[offsets[i]:offsets[i+1]]; returns the new atoms, weights, offsets
-    if (weights <= 0.0).any():
-        raise ValueError("weights must be strictly positive")
+    # atoms[offsets[i]:offsets[i+1]]; returns the new atoms, weights, offsets.
+    # Given the `keys` of the segments, an error names the segment at fault
+    def refused(rule, bad, offsets):
+        where = "" if keys is None else f" in component {keys[_segment(offsets, np.argmax(bad))]}"
+        return ValueError(f"{rule}{where}")
+
+    bad = weights <= 0.0
+    if bad.any():
+        raise refused("weights must be strictly positive", bad, offsets)
     if offsets.size == 2:
         order = atoms.argsort(kind="stable")
     else:
         order = np.lexsort((atoms, np.repeat(np.arange(offsets.size - 1), offsets[1:] - offsets[:-1])))
     atoms, weights, offsets = _merge_coincident(atoms[order], weights[order], offsets)
-    if half_line and (atoms < 0.0).any():
-        raise ValueError("half-line measure requires nonnegative atoms")
-    if not np.isfinite(weights).all():  # a merged weight that overflows
-        raise ValueError("weights entries must be finite")
+    bad = atoms < 0.0
+    if half_line and bad.any():
+        raise refused("half-line measure requires nonnegative atoms", bad, offsets)
+    bad = ~np.isfinite(weights)
+    if bad.any():  # a merged weight that overflows
+        raise refused("weights entries must be finite", bad, offsets)
     return atoms, weights, offsets
+
+
+def _segment(offsets: np.ndarray, i) -> int:
+    """The segment s with offsets[s] <= i < offsets[s + 1], empty segments skipped."""
+    return int(np.searchsorted(offsets, i, side="right")) - 1
 
 
 def _merge_coincident(atoms: np.ndarray, weights: np.ndarray, offsets: np.ndarray):

@@ -45,8 +45,10 @@ def as_direction(n: int, coords) -> np.ndarray:
     v = np.asarray(coords, dtype=float)
     if v.shape != (n,):
         raise ValueError(f"direction must have shape ({n},), got {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"direction entries must be finite, got {v.tolist()}")
+    finite = np.isfinite(v)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"direction entries must be finite, got theta[{i}] = {float(v[i])!r}")
     with np.errstate(over="ignore"):  # an overflowing norm fails the unit-length check
         norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > _DIRECTION_NORM_TOL:

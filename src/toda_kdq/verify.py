@@ -72,6 +72,15 @@ def _max_abs(v) -> float:
     return float(np.max(np.abs(v))) if np.size(v) else 0.0
 
 
+def _nonempty(name: str, value) -> None:
+    """ValueError naming `name` where the count or sequence `value` leaves a
+    check no samples, so that it cannot pass on nothing."""
+    if isinstance(value, int) and value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    if not isinstance(value, int) and not len(value):
+        raise ValueError(f"{name} must not be empty")
+
+
 def _spread_uniform(rng, low: float, high: float, size: int, min_gap: float) -> np.ndarray:
     # sorted draws, redrawn until neighbours sit at least min_gap apart
     while True:
@@ -108,6 +117,7 @@ def check_sphere_orthonormality(k_max: int) -> list[CheckResult]:
 
 def check_sphere_addition(seed: int, n_dirs: int, k_max: int) -> list[CheckResult]:
     """sum_l Y_{k,l}(theta)^2 = d_k at random directions."""
+    _nonempty("n_dirs", n_dirs)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n in (2, 3):
@@ -121,6 +131,7 @@ def check_sphere_addition(seed: int, n_dirs: int, k_max: int) -> list[CheckResul
 
 def check_moment_roundtrip(seed: int, sizes) -> list[CheckResult]:
     """measure -> Jacobi matrix -> spectral data returns atoms and weights."""
+    _nonempty("sizes", sizes)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n in sizes:
@@ -134,6 +145,7 @@ def check_moment_roundtrip(seed: int, sizes) -> list[CheckResult]:
 
 def check_moment_triple(seed: int, trials: int) -> list[CheckResult]:
     """Continued fraction, corner resolvent and Stieltjes transform agree."""
+    _nonempty("trials", trials)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -149,6 +161,7 @@ def check_moment_triple(seed: int, trials: int) -> list[CheckResult]:
 
 def check_moment_nevanlinna(seed: int, n_measures: int) -> list[CheckResult]:
     """Truncated-moment residuals fall monotonically and 1000x over y = 10..1000."""
+    _nonempty("n_measures", n_measures)
     rng = np.random.default_rng(seed)
     worst_ratio = 0.0
     monotone = True
@@ -183,6 +196,7 @@ def check_toda_lax(ensemble) -> list[CheckResult]:
     The spectrum is taken at every `_STRIDE`-th sample, one eigen-solve each;
     the energy at every step.
     """
+    _nonempty("ensemble", ensemble)
     drift = energy = trace = 0.0
     for _, traj in ensemble:
         # H = 4 (sum a^2 + 1/2 sum b^2) at every RK4 step
@@ -205,6 +219,7 @@ def check_toda_spectral(ensemble, closed_t_final: float, closed_dt: float) -> li
     run on [0, closed_t_final] at every step and with the spectral solution
     at `_CLOSED_FORM_TIMES`.
     """
+    _nonempty("ensemble", ensemble)
     dev = 0.0
     for state, traj in ensemble:
         sampled = toda_1d.spectral_solve(state, traj.times[::_STRIDE])
@@ -301,6 +316,7 @@ def check_pseudo_toda(seed: int, ode_times) -> list[CheckResult]:
     equations of every component at each of `ode_times`, and the growth
     constants C = D = 1 of the associated measure.
     """
+    _nonempty("ode_times", ode_times)
     rng = np.random.default_rng(seed)
     comps = {}
     for k in range(3):
@@ -328,8 +344,7 @@ def check_pseudo_toda(seed: int, ode_times) -> list[CheckResult]:
 
 def check_iso_monotonicity(seed: int, trials: int) -> list[CheckResult]:
     """Riccati functionals never increase; their derivatives match the closed form."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _nonempty("trials", trials)
     rng = np.random.default_rng(seed)
     worst_inc = worst_res = 0.0
     for _ in range(trials):

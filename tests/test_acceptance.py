@@ -7,6 +7,7 @@ each observed value next to its pinned tolerance.
 """
 
 import os
+import re
 import subprocess
 import sys
 import time
@@ -110,3 +111,23 @@ def test_criterion_12_cli_determinism():
     assert run1.returncode == 0 and run2.returncode == 0
     assert run1.stdout == run2.stdout
     assert runtime < 60.0
+
+
+@pytest.mark.parametrize(
+    "check, kwargs, message",
+    [
+        (verify.check_sphere_addition, {"seed": 1, "n_dirs": 0, "k_max": 3}, "n_dirs must be >= 1, got 0"),
+        (verify.check_moment_roundtrip, {"seed": 1, "sizes": ()}, "sizes must not be empty"),
+        (verify.check_moment_triple, {"seed": 1, "trials": 0}, "trials must be >= 1, got 0"),
+        (verify.check_moment_nevanlinna, {"seed": 1, "n_measures": 0}, "n_measures must be >= 1, got 0"),
+        (verify.check_toda_lax, {"ensemble": []}, "ensemble must not be empty"),
+        (verify.check_toda_spectral, {"ensemble": [], "closed_t_final": 2.0, "closed_dt": 1e-2}, "ensemble must not be empty"),
+        (verify.check_pseudo_toda, {"seed": 1, "ode_times": ()}, "ode_times must not be empty"),
+        (verify.check_iso_monotonicity, {"seed": 1, "trials": 0}, "trials must be >= 1, got 0"),
+    ],
+    ids=lambda value: value.__name__ if callable(value) else None,
+)
+def test_checks_refuse_empty_inputs(check, kwargs, message):
+    # a check over no samples would read 0.0 and pass on no data
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check(**kwargs)

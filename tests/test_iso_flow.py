@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from toda_kdq import iso_flow, verify
@@ -59,8 +59,17 @@ class TestStateChecks:
     @pytest.mark.parametrize(
         "components, message",
         [
-            ({(0, 1): ([-0.5], [1.0])}, "half-line measure requires nonnegative atoms"),
-            ({(0, 1): ([0.5], [-1.0])}, "weights must be strictly positive"),
+            # each rule of the measure names the component at fault; the ids name the rule
+            pytest.param(
+                {(0, 1): ([-0.5], [1.0])},
+                r"half-line measure requires nonnegative atoms in component \(0, 1\)",
+                id="components0-half-line measure requires nonnegative atoms",
+            ),
+            pytest.param(
+                {(0, 1): ([0.5], [-1.0])},
+                r"weights must be strictly positive in component \(0, 1\)",
+                id="components1-weights must be strictly positive",
+            ),
             ({(0, 0): ([0.5], [1.0])}, r"invalid harmonic index \(k=0, ell=0\); need 1 <= ell <= 1"),
             ({(0, 1): ([0.5], [1.0]), (1, 1): ([], [])}, r"component \(1, 1\) has no atoms"),
         ],
@@ -145,7 +154,9 @@ def iso_states(draw):
 
 
 class TestNoRise:
-    @settings(max_examples=300, deadline=None)
+    # most draws overflow and are refused, so about one run in four met the
+    # health check on filtered inputs (9 kept of 59) before any assertion ran
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
     @given(mu=iso_states(), t_grid=st.lists(_TIME, min_size=2, max_size=6).map(sorted))
     def test_functionals_never_increase(self, mu, t_grid):
         # each t > 0 mass is capped at its t = 0 mass, and every rounded

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,36 @@ def python_complex_transform(mu, points):
     return totals
 
 
+def per_point_markov_stieltjes(mu, zetas, theta):
+    """`markov_stieltjes` as one KDQPoint per zeta, each checked in turn: the
+    values, or (index, error type, message) of the first point refused."""
+    points = [KDQPoint(z, theta) for z in zetas]
+    radius = mu.support_radius
+    for i, q in enumerate(points):
+        try:
+            # abs of a NaN entry may raise on a stale errno; NaN fails the test
+            if not cmath.isnan(q.zeta) and abs(q.zeta) <= radius:
+                raise DivergenceRegionError(f"transform requires |zeta| > support radius {radius}; got |zeta| = {abs(q.zeta)}")
+            if not cmath.isfinite(q.zeta * q.zeta):
+                raise OverflowError(f"zeta^2 is not finite at zeta = {q.zeta}")
+        except (DivergenceRegionError, OverflowError) as exc:
+            return i, type(exc), str(exc)
+    thetas = np.array([q.theta for q in points]).reshape(len(points), mu.n)
+    tilde = kdq._tilde_family(mu)
+    zs = [q.zeta for q in points]
+    t_vals = kdq._tilde_transforms(tilde, np.array([z * z for z in zs], dtype=complex))
+    top = tilde.keys[-1][0] if tilde.keys else 0
+    powers = np.array([[z ** (1 - k) for k in range(top + 1)] for z in zs], dtype=complex).reshape(len(zs), top + 1)
+    powers = powers[:, tilde.degrees]
+    ys = sphere.harmonic_table(mu.n, tilde.keys, thetas)
+    u_re = powers.real * ys - powers.imag * 0.0
+    u_im = powers.real * 0.0 + powers.imag * ys
+    terms = np.zeros((len(zs), len(tilde.keys) + 1), dtype=complex)
+    terms.real[:, 1:] = u_re * t_vals.real - u_im * t_vals.imag
+    terms.imag[:, 1:] = u_re * t_vals.imag + u_im * t_vals.real
+    return np.cumsum(terms, axis=1)[:, -1]
+
+
 # JSON numbers: floats of any size and integers, some past 2^53
 _JSON_NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**60), 2**60))
 
@@ -185,7 +217,8 @@ class TestKDQPoint:
         for p in (KDQPoint(zeta, th), KDQPoint(-zeta, -th)):
             assert r_pow_n(p, x) == r_pow_n(KDQPoint(zeta, th), x)
             assert hua_kernel(p, x, 20) == hua_kernel(KDQPoint(zeta, th), x, 20)
-            assert markov_stieltjes(mu, p) == markov_stieltjes(mu, KDQPoint(zeta, th))
+        for z, t in ((zeta, th), (-zeta, -th)):
+            assert markov_stieltjes(mu, [z], t).tobytes() == markov_stieltjes(mu, [zeta], th).tobytes()
 
 
 class TestAronszajn:
@@ -503,26 +536,27 @@ class TestCauchyReproduce:
 class TestMarkovStieltjes:
     def test_origin_mass(self):
         mu = single_component(3, 0, 1, [0.0], [1.0])
-        p = KDQPoint(2.0 + 0.5j, E3)
-        assert markov_stieltjes(mu, p) == pytest.approx(1.0 / p.zeta)
+        zeta = 2.0 + 0.5j
+        assert markov_stieltjes(mu, [zeta], E3)[0] == pytest.approx(1.0 / zeta)
 
     def test_unit_radius_atom(self):
         mu = single_component(3, 0, 1, [1.0], [1.0])
-        p = KDQPoint(2.0 + 0.5j, E3)
-        assert markov_stieltjes(mu, p) == pytest.approx(p.zeta / (p.zeta**2 - 1.0))
+        zeta = 2.0 + 0.5j
+        assert markov_stieltjes(mu, [zeta], E3)[0] == pytest.approx(zeta / (zeta**2 - 1.0))
 
     def test_degree_one_component(self):
         # k=1 term: Y_{1,ell}(theta) * r/(zeta^2 - r^2) with r = 0.5
         mu = single_component(3, 1, 2, [0.5], [1.0])
-        p = KDQPoint(3.0 + 1.0j, E3)
+        zeta = 3.0 + 1.0j
         y_val = float(sphere.harmonic_table(3, [(1, 2)], E3)[0])
-        expected = y_val * 0.5 / (p.zeta**2 - 0.25)
-        assert markov_stieltjes(mu, p) == pytest.approx(expected)
+        expected = y_val * 0.5 / (zeta**2 - 0.25)
+        assert markov_stieltjes(mu, [zeta], E3)[0] == pytest.approx(expected)
 
     def test_support_radius_guard(self):
         mu = single_component(3, 0, 1, [1.5], [1.0])
-        with pytest.raises(DivergenceRegionError):
-            markov_stieltjes(mu, KDQPoint(1.0 + 0.0j, E3))
+        with pytest.raises(DivergenceRegionError) as exc:
+            markov_stieltjes(mu, [2.0, 1.0 + 0.0j], E3)
+        assert exc.value.index == 1
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_many_points_match_per_point_sums(self, n):
@@ -531,12 +565,11 @@ class TestMarkovStieltjes:
         theta = unit(rng.normal(size=n))
         # Re zeta < 0 and Re zeta = 0 move some points to the antipodal theta
         zetas = [2.0 + 0.5j, -1.5 - 0.3j, 3.0j, 1.1 - 1.2j, -2.5 + 0.1j]
-        points = [KDQPoint(z, theta) for z in zetas]
-        many = markov_stieltjes(mu, points)
-        assert many.dtype == complex and many.shape == (len(points),)
-        assert np.array_equal(many, [per_point_transform(mu, p) for p in points])
-        assert np.array_equal(many, [markov_stieltjes(mu, p) for p in points])
-        assert markov_stieltjes(mu, []).shape == (0,)
+        many = markov_stieltjes(mu, zetas, theta)
+        assert many.dtype == complex and many.shape == (len(zetas),)
+        assert np.array_equal(many, [per_point_transform(mu, KDQPoint(z, theta)) for z in zetas])
+        assert np.array_equal(many, [markov_stieltjes(mu, [z], theta)[0] for z in zetas])
+        assert markov_stieltjes(mu, [], theta).shape == (0,)
 
     def test_json_roundtrip(self):
         # a JSON measure reads as the measure built from its map
@@ -571,12 +604,48 @@ class TestMarkovStieltjes:
         }
         mu = PseudoPositiveMeasure(n, comps)
         theta = np.eye(n)[rng.integers(n)] * rng.choice([-1.0, 1.0]) if on_axis else unit(rng.normal(size=n))
-        points = [KDQPoint(rng.uniform(1.0, 3.0) * np.exp(1j * a), theta) for a in args]
-        many = markov_stieltjes(mu, points)
+        zetas = [rng.uniform(1.0, 3.0) * np.exp(1j * a) for a in args]
+        many = markov_stieltjes(mu, zetas, theta)
+        points = [KDQPoint(z, theta) for z in zetas]
         assert many.tobytes() == np.array(python_complex_transform(mu, points), dtype=complex).tobytes()
-        one = markov_stieltjes(mu, points[0])
-        assert type(one) is complex
-        assert np.array([one]).tobytes() == many[:1].tobytes()
+        assert markov_stieltjes(mu, zetas[:1], theta).tobytes() == many[:1].tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3]),
+        k_max=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        on_axis=st.booleans(),
+        entries=st.lists(
+            st.one_of(
+                st.tuples(st.floats(1.0, 3.0), st.floats(-np.pi, np.pi)),  # Re zeta of either sign
+                st.sampled_from(["+0-i", "-0-i", "+0+i", "zero", "radius", "-radius", "-i radius", "overflow", "huge", "nan"]),
+            ),
+            max_size=5,
+        ),
+    )
+    def test_array_path_has_the_per_point_bits(self, n, k_max, seed, on_axis, entries):
+        # the flips, checks and terms on arrays against one KDQPoint per zeta:
+        # the same values bit for bit, or the same first refused entry and message
+        rng = np.random.default_rng(seed)
+        mu = random_measure(rng, n, k_max, 0.0, 0.9)
+        r = mu.support_radius
+        special = {
+            "+0-i": complex(0.0, -2.0), "-0-i": complex(-0.0, -2.0), "+0+i": complex(-0.0, 2.0), "zero": complex(-0.0, 0.0),
+            "radius": complex(r, 0.0), "-radius": complex(-r, 0.0), "-i radius": complex(0.0, -r),
+            "overflow": complex(-1e200, 1e200), "huge": complex(1.7e308, -1.7e308), "nan": complex(float("nan"), 1.0),
+        }
+        zetas = [special[e] if type(e) is str else e[0] * cmath.exp(1j * e[1]) for e in entries]
+        theta = np.eye(n)[rng.integers(n)] * rng.choice([-1.0, 1.0]) if on_axis else unit(rng.normal(size=n))
+        want = per_point_markov_stieltjes(mu, zetas, theta)
+        try:
+            got = markov_stieltjes(mu, zetas, theta)
+        except (DivergenceRegionError, OverflowError) as exc:
+            got = exc.index, type(exc), str(exc)
+        if type(want) is tuple:
+            assert got == want
+        else:
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("theta", [[1.0, -0.0], [-1.0, 0.0], [1.0, 0.0]])
     def test_terms_of_zero(self, theta):
@@ -584,10 +653,10 @@ class TestMarkovStieltjes:
         # zero parts, some -0.0: Python's sum starts at 0.0 + 0.0j, whose
         # 0.0 + -0.0 = 0.0, and the array sum starts there too
         mu = single_component(2, 1, 2, [0.5], [1.0])
-        points = [KDQPoint(z, theta) for z in (2.0, 2.0 + 1j, 2.0 - 1j, 2j, 0.5 + 2j)]
-        want = np.array(python_complex_transform(mu, points), dtype=complex)
-        assert markov_stieltjes(mu, points).tobytes() == want.tobytes()
-        assert np.array([markov_stieltjes(mu, p) for p in points]).tobytes() == want.tobytes()
+        zetas = [2.0, 2.0 + 1j, 2.0 - 1j, 2j, 0.5 + 2j]
+        want = np.array(python_complex_transform(mu, [KDQPoint(z, theta) for z in zetas]), dtype=complex)
+        assert markov_stieltjes(mu, zetas, theta).tobytes() == want.tobytes()
+        assert np.array([markov_stieltjes(mu, [z], theta)[0] for z in zetas]).tobytes() == want.tobytes()
 
 
 class TestComponentsReader:
@@ -642,7 +711,7 @@ class TestComponentsReader:
         [
             ({"atoms": [0.5, 10**400], "weights": [1.0, 1.0]}, ValueError, "atoms holds an integer too large for a double"),
             ({"atoms": [[0.5, 1.0]], "weights": [1.0, 1.0]}, ValueError, "atoms must be a 1-d array, got shape (1, 2)"),
-            ({"atoms": [0.5], "weights": [None]}, TypeError, "weights must hold JSON numbers only, got None"),
+            ({"atoms": [0.5], "weights": [None]}, TypeError, "weights must hold JSON numbers only, got weights[0] = None"),
         ],
     )
     def test_names_the_entry_at_fault(self, entry, error, message):
@@ -758,7 +827,7 @@ class TestProjection:
         mu = PseudoPositiveMeasure(3, comps)
         zeta = 4.0 * RAY
         pts, wts = sphere.sphere_nodes(3, 2 + 2 + 2)
-        values = markov_stieltjes(mu, [KDQPoint(zeta, th) for th in pts])
+        values = np.array([markov_stieltjes(mu, [zeta], th)[0] for th in pts])
         for idx in ((0, 1), (1, 2), (2, 4)):
             atoms, weights = mu.family.component(idx)
             tilde = DiscreteMeasure(atoms**2, weights * atoms ** idx[0], half_line=True)
@@ -881,7 +950,7 @@ class TestDivergentPartialSums:
         prev = np.inf
         for mod in (4.0, 8.0, 16.0):
             p = KDQPoint(mod * RAY, th)
-            mh = markov_stieltjes(mu, p)
+            mh = markov_stieltjes(mu, [p.zeta], p.theta)[0]
             f1, g1 = divergent_partial_sums(mu, 1, p)
             gap = abs(p.zeta**5 * (mh - f1) - g1)
             assert gap < prev

@@ -146,10 +146,12 @@ class TestFrozenFields:
     def test_nonfinite_entry_rejected(self, cls, bad):
         # a class's own checks (order, sign, unit sum) can all be False for
         # NaN, so the shared finiteness check must fire
+        # the quadric families name the component
+        where = r" in component \(0, 1\)" if cls in (TodaComponent, IsoFlowComponent) else ""
         for name, value in self.VALID[cls].items():
             broken = np.atleast_1d(np.array(value, dtype=float))
             broken[0] = bad
-            with pytest.raises(ValueError, match=f"^{name} entries must be finite$"):
+            with pytest.raises(ValueError, match=f"^{name} entries must be finite{where}$"):
                 cls(**{**self.VALID[cls], name: broken})
 
 

@@ -590,8 +590,7 @@ class TestMeasureBridge:
         st = full_state(rng)
         mu = state_to_measure(evolve(st, 1.0))
         for mod in (1.3, 2.0, 4.0):
-            p = kdq.KDQPoint(mod * np.exp(1j * np.pi / 4), E3)
-            val = kdq.markov_stieltjes(mu, p)
+            val = kdq.markov_stieltjes(mu, [mod * np.exp(1j * np.pi / 4)], E3)[0]
             assert np.isfinite(val.real) and np.isfinite(val.imag)
 
     @pytest.mark.parametrize("lam", [[1e-170, 0.5], [0.5, 1e160]])
