@@ -575,8 +575,6 @@ class GrowthReport:
 
     C: float
     D: float
-    ok: bool
-    moments_by_k: tuple  # ((k, max_l moment), ...) ascending in k
 
 
 def growth_condition_check(mu: PseudoPositiveMeasure) -> GrowthReport:
@@ -584,29 +582,19 @@ def growth_condition_check(mu: PseudoPositiveMeasure) -> GrowthReport:
 
     m_k = max_l int r^k dmu_{k,l}; the fit is D = max_k (m_k/C)^{1/k} with
     C = m_0 (the largest m_k when m_0 vanishes), so m_k <= C D^k holds up to
-    rounding in the last digits.  Super-geometric growth over the stored
-    range (the per-degree ratios m_k^{1/k} still rising at the largest
-    degrees) is reported as a failed fit rather than an exception.
+    rounding in the last digits.
     """
     fam = mu.family
     m: dict[int, float] = {}
     for (k, _), val in zip(fam.keys, fam.block_sums(fam.masses * fam.degree_powers(fam.radii)).tolist()):
         m[k] = max(m.get(k, 0.0), val)
-    table = tuple(sorted(m.items()))
-    positive = [(k, v) for k, v in table if v > 0.0]
+    positive = [(k, v) for k, v in m.items() if v > 0.0]
     if not positive:
-        return GrowthReport(C=0.0, D=1.0, ok=True, moments_by_k=table)
+        return GrowthReport(C=0.0, D=1.0)
     m0 = m.get(0, 0.0)
     c = m0 if m0 > 0.0 else max(v for _, v in positive)
-    ratios = [(v / c) ** (1.0 / k) for k, v in positive if k >= 1]
-    d = max(ratios) if ratios else 1.0
-    growth = [v ** (1.0 / k) for k, v in positive if k >= 1]
-    trend = (
-        len(growth) >= 3
-        and growth[-1] > growth[-2] > growth[-3]
-        and growth[-1] == max(growth)
-    )
-    return GrowthReport(C=float(c), D=float(d), ok=not trend, moments_by_k=table)
+    d = max([(v / c) ** (1.0 / k) for k, v in positive if k >= 1], default=1.0)
+    return GrowthReport(C=float(c), D=float(d))
 
 
 def multi_nevanlinna_check(mu: PseudoPositiveMeasure, idx, n_trunc: int, zeta_list) -> np.ndarray:

@@ -110,10 +110,7 @@ def _sorted_atoms(atoms: np.ndarray, weights: np.ndarray, offsets: np.ndarray, h
     bad = weights <= 0.0
     if bad.any():
         raise refused("weights must be strictly positive", bad, offsets)
-    if offsets.size == 2:
-        order = atoms.argsort(kind="stable")
-    else:
-        order = np.lexsort((atoms, np.repeat(np.arange(offsets.size - 1), offsets[1:] - offsets[:-1])))
+    order = _segment_order(atoms, offsets)
     atoms, weights, offsets = _merge_coincident(atoms[order], weights[order], offsets)
     bad = atoms < 0.0
     if half_line and bad.any():
@@ -127,6 +124,11 @@ def _sorted_atoms(atoms: np.ndarray, weights: np.ndarray, offsets: np.ndarray, h
 def _segment(offsets: np.ndarray, i) -> int:
     """The segment s with offsets[s] <= i < offsets[s + 1], empty segments skipped."""
     return int(np.searchsorted(offsets, i, side="right")) - 1
+
+
+def _segment_order(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The stable order that sorts each segment values[offsets[s]:offsets[s + 1]] and keeps the segments in place."""
+    return np.lexsort((values, np.repeat(np.arange(offsets.size - 1), np.diff(offsets))))
 
 
 def _merge_coincident(atoms: np.ndarray, weights: np.ndarray, offsets: np.ndarray):

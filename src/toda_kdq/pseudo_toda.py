@@ -17,30 +17,29 @@ C = D = 1, so the transform of the associated measure converges for
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import PositivityLossError
 from .kdq import ComponentFamily, PseudoPositiveMeasure
-from .moment_1d import _check_mass, _check_unreduced, _lanczos, _merge_coincident
+from .moment_1d import _check_mass, _check_unreduced, _lanczos, _merge_coincident, _segment_order
 from .sphere import check_indices, harmonic_table
 from .toda_1d import _csv_text, _evolved_masses, _flow, _rhs_rows
 
 __all__ = [
     "PseudoTodaState",
-    "PhysicalSurface",
     "evolve",
     "family_jacobi",
     "total_hamiltonian",
     "normalization_invariant",
     "component_ode_residual",
     "flaschka_surfaces",
-    "physical_surfaces",
     "state_to_measure",
 ]
 
 _NORM_TOL = 1e-12
+_ODE_DT = 1e-4  # the step of `component_ode_residual`'s central difference
 _FIELDS = ("lambdas", "masses_tilde")  # a component's JSON list fields (read in cli) and the names in its errors
 
 
@@ -60,8 +59,7 @@ def _toda_family(family: ComponentFamily) -> ComponentFamily:
         raise ValueError(
             f"tilde masses of component {family.keys[i]} must sum to 1 within {_NORM_TOL}, got {float(sums[i])!r}"
         )
-    segment = np.repeat(np.arange(len(family.keys)), family.sizes)
-    order = np.lexsort((family.radii, segment))
+    order = _segment_order(family.radii, family.offsets)
     return ComponentFamily(family.keys, family.offsets, family.radii[order], family.masses[order])
 
 
@@ -196,32 +194,20 @@ def normalization_invariant(state: PseudoTodaState) -> float:
     return float(np.max(np.abs(state.family.block_sums(state.family.masses) - 1.0), initial=0.0))
 
 
-def component_ode_residual(state: PseudoTodaState, t: float, dt: float = 1e-4) -> np.ndarray:
+def component_ode_residual(state: PseudoTodaState, t: float) -> np.ndarray:
     """Central-difference check that each component's (at, bt)(t) obeys the
     1-d Toda equations: one residual per component, shape (K,).
 
-    Differences the `family_jacobi` rows at t +- dt against the right-hand
-    sides evaluated at t; the residual is O(dt^2).
+    Differences the `family_jacobi` rows at t +- `_ODE_DT` against the
+    right-hand sides evaluated at t; the residual is O(_ODE_DT^2).
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    b_m, a_m = family_jacobi(evolve(state, t - dt))
+    b_m, a_m = family_jacobi(evolve(state, t - _ODE_DT))
     b_0, a_0 = family_jacobi(evolve(state, t))
-    b_p, a_p = family_jacobi(evolve(state, t + dt))
+    b_p, a_p = family_jacobi(evolve(state, t + _ODE_DT))
     da, db = _rhs_rows(b_0, a_0)
-    res_a = np.max(np.abs((a_p - a_m) / (2.0 * dt) - da), axis=1, initial=0.0)
-    res_b = np.max(np.abs((b_p - b_m) / (2.0 * dt) - db), axis=1, initial=0.0)
+    res_a = np.max(np.abs((a_p - a_m) / (2.0 * _ODE_DT) - da), axis=1, initial=0.0)
+    res_b = np.max(np.abs((b_p - b_m) / (2.0 * _ODE_DT) - db), axis=1, initial=0.0)
     return np.maximum(res_a, res_b)
-
-
-def _site_terms(state: PseudoTodaState, j: int, theta) -> tuple:
-    # the site count N, after checking 1 <= j <= N, the `family_jacobi` rows
-    # and Y_{k,l}(theta) per component, in ascending (k, l) order
-    n_sites = state.common_size()
-    if not 1 <= j <= n_sites:
-        raise ValueError(f"site j must be in 1..{n_sites}")
-    diag, offdiag = family_jacobi(state)
-    return n_sites, diag, offdiag, harmonic_table(state.n, state.family.keys, theta)
 
 
 def flaschka_surfaces(state: PseudoTodaState, j: int, theta):
@@ -231,45 +217,15 @@ def flaschka_surfaces(state: PseudoTodaState, j: int, theta):
     with A_N = 0 by the free-end convention.  Summation runs in ascending
     (k, l) order.
     """
-    n_sites, diag, offdiag, y = _site_terms(state, j, theta)
+    n_sites = state.common_size()
+    if not 1 <= j <= n_sites:
+        raise ValueError(f"site j must be in 1..{n_sites}")
+    diag, offdiag = family_jacobi(state)
+    y = harmonic_table(state.n, state.family.keys, theta)
     # np.cumsum adds the terms one at a time in key order, as a loop over the
     # components does; np.sum would add them pairwise
     a_val = float(np.cumsum(offdiag[:, j - 1] * y)[-1]) if j < n_sites else 0.0
     return a_val, float(np.cumsum(diag[:, j - 1] * y)[-1])
-
-
-@dataclass(frozen=True)
-class PhysicalSurface:
-    """Surface values with per-degree partial sums (ascending k) for convergence checks."""
-
-    x: float
-    y: float
-    x_partials: tuple
-    y_partials: tuple
-
-
-def physical_surfaces(state: PseudoTodaState, j: int, theta) -> PhysicalSurface:
-    """Displacement/momentum surfaces X_j, Y_j at direction theta.
-
-    X_j = 4^{j-1} sum_{k,l} (prod_{m<j} at_{k,l;m}^2) g(k) Y_{k,l}(theta) with
-    the per-component gauge g(k) = e^{-x_{k,l;1}}; Y_j sums y = -2 bt at site
-    j.  The gauge g(k) = max(k,1)^{-(n-2)} tames the growth of the
-    harmonics; any per-component constant is an equally valid representative.
-    """
-    _, diag, offdiag, y = _site_terms(state, j, theta)
-    degrees = state.family.degrees
-    gauge = np.array([float(max(k, 1)) ** (-(state.n - 2)) for k in degrees.tolist()])
-    prod = np.prod(offdiag[:, : j - 1] ** 2, axis=1)
-    # running sums in key order, as in flaschka_surfaces
-    x_sums = np.cumsum(4.0 ** (j - 1) * prod * gauge * y)
-    y_sums = np.cumsum(-2.0 * diag[:, j - 1] * y)
-    ends = np.flatnonzero(np.append(degrees[1:] != degrees[:-1], True))  # the last key of each degree
-    return PhysicalSurface(
-        x=float(x_sums[-1]),
-        y=float(y_sums[-1]),
-        x_partials=tuple(x_sums[ends].tolist()),
-        y_partials=tuple(y_sums[ends].tolist()),
-    )
 
 
 def state_to_measure(state: PseudoTodaState) -> PseudoPositiveMeasure:

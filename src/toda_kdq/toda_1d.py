@@ -47,7 +47,7 @@ _add, _subtract, _multiply, _square = np.add, np.subtract, np.multiply, np.squar
 _MAX = np.finfo(float).max
 
 
-def _hamiltonian(a: np.ndarray, b: np.ndarray):
+def _hamiltonian(b: np.ndarray, a: np.ndarray):
     # H = 4 (sum a_j^2 + 1/2 sum b_j^2), the physical H of the module
     # docstring, along the last axis, so that one state and stacked rows give the same bits
     return 4.0 * (np.sum(a**2, axis=-1) + 0.5 * np.sum(b**2, axis=-1))
@@ -396,7 +396,7 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     )
     # H and the eigenvalues of L, for every row at once
     with np.errstate(over="ignore"):
-        h = _hamiltonian(a, b)
+        h = _hamiltonian(b, a)
     if not np.isfinite(h).all():
         row = np.flatnonzero(~np.isfinite(h))[0]
         raise OverflowError(f"the Hamiltonian H overflows at t = {float(traj.times[row])!r}")

@@ -180,8 +180,7 @@ def check_moment_nevanlinna(seed: int, n_measures: int) -> list[CheckResult]:
 
 def toda_ensemble(seed: int, sizes, t_final: float) -> list:
     """(state, RK4 trajectory) pairs of random Flaschka states, one per size N."""
-    if not sizes:
-        raise ValueError("sizes must hold at least one lattice size")
+    _nonempty("sizes", sizes)
     rng = np.random.default_rng(seed)
     states = [
         JacobiMatrix(offdiag=rng.uniform(0.3, 1.0, size=n - 1), diag=rng.uniform(-1.0, 1.0, size=n))
@@ -200,7 +199,7 @@ def check_toda_lax(ensemble) -> list[CheckResult]:
     drift = energy = trace = 0.0
     for _, traj in ensemble:
         # H = 4 (sum a^2 + 1/2 sum b^2) at every RK4 step
-        h = toda_1d._hamiltonian(traj.a, traj.b)
+        h = toda_1d._hamiltonian(traj.b, traj.a)
         energy = max(energy, _max_abs(h - h[0]))
         lam = jacobi_eigenvalues(traj.b[::_STRIDE], traj.a[::_STRIDE])
         drift = max(drift, _max_abs(lam - lam[0]))
@@ -330,9 +329,9 @@ def check_pseudo_toda(seed: int, ode_times) -> list[CheckResult]:
     norm_dev = max(pseudo_toda.normalization_invariant(ev) for ev in evolved)
     # H = 4 (sum at^2 + 1/2 sum bt^2) from the Jacobi entries against 2 sum lambda^4
     h_reference = 2.0 * sum(float(np.sum(lam**4)) for lam, _ in comps.values())
-    hs = [float(np.sum(toda_1d._hamiltonian(a, b))) for b, a in map(pseudo_toda.family_jacobi, evolved)]
+    hs = [float(np.sum(toda_1d._hamiltonian(*rows))) for rows in map(pseudo_toda.family_jacobi, evolved)]
     h_dev = max(abs(h - h_reference) / h_reference for h in hs)
-    ode_res = max(float(np.max(pseudo_toda.component_ode_residual(state, t, 1e-4))) for t in ode_times)
+    ode_res = max(float(np.max(pseudo_toda.component_ode_residual(state, t))) for t in ode_times)
     rep = kdq.growth_condition_check(pseudo_toda.state_to_measure(pseudo_toda.evolve(state, 2.0)))
     return [
         _result("pseudo-normalization", norm_dev, 1e-12),

@@ -124,6 +124,7 @@ def test_criterion_12_cli_determinism():
         (verify.check_toda_spectral, {"ensemble": [], "closed_t_final": 2.0, "closed_dt": 1e-2}, "ensemble must not be empty"),
         (verify.check_pseudo_toda, {"seed": 1, "ode_times": ()}, "ode_times must not be empty"),
         (verify.check_iso_monotonicity, {"seed": 1, "trials": 0}, "trials must be >= 1, got 0"),
+        (verify.toda_ensemble, {"seed": 1, "sizes": (), "t_final": 2.0}, "sizes must not be empty"),
     ],
     ids=lambda value: value.__name__ if callable(value) else None,
 )

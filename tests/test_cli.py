@@ -287,23 +287,24 @@ class TestConfigErrors:
         message = f"config {cfg} must hold a JSON object, not {type(payload).__name__}"
         assert capsys.readouterr().err == f"config error: {message}\n"
 
-    @pytest.mark.parametrize("command", ["nevanlinna-check"])
-    @pytest.mark.parametrize("tol", ["-1", "-1e-300", "nan", "inf", "-inf"])
-    def test_tol_must_be_nonnegative_and_finite(self, command, tol):
-        config = {"kind": "1d", "measure": {"atoms": [1.0], "weights": [1.0]}, "N": 0, "y": [10.0]}
-        code, err = run_in_process([command, f"--tol={tol}"], config)
-        assert (code, err) == (2, f"config error: --tol must be nonnegative and finite, got {float(tol)!r}\n")
+    @pytest.mark.parametrize("command", list(cli._RUNNERS))
+    def test_unknown_flag_is_a_usage_error(self, capsys, command):
+        # no command reads --tol: argparse refuses it before any config is read
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--tol", "1e-4"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith("usage: toda-kdq ") and err.endswith("error: unrecognized arguments: --tol 1e-4\n")
+        assert "Traceback" not in err
 
-    @pytest.mark.parametrize("tol", [[], ["--tol", "1e-4"]])
     @pytest.mark.parametrize("n_trunc, grid", [(1, []), (-1, [10.0, 100.0]), (1, [10.0, -100.0])])
-    def test_1d_no_data_or_negative_order(self, tmp_path, capsys, tol, n_trunc, grid):
+    def test_1d_no_data_or_negative_order(self, tmp_path, capsys, n_trunc, grid):
         cfg = write_json(
             tmp_path / "n.json",
             {"kind": "1d", "measure": {"atoms": [-1.0, 1.0], "weights": [0.5, 0.5]}, "N": n_trunc, "y": grid},
         )
-        assert _config_error(capsys, ["nevanlinna-check", "--input", cfg, *tol])
+        assert _config_error(capsys, ["nevanlinna-check", "--input", cfg])
 
-    @pytest.mark.parametrize("tol", [[], ["--tol", "1e-4"]])
     @pytest.mark.parametrize(
         "n_trunc, grid, idx",
         [
@@ -312,12 +313,12 @@ class TestConfigErrors:
             pytest.param(1, [4.0, 8.0], (1, 2), id="absent-component"),
         ],
     )
-    def test_multi_no_data_or_negative_order(self, tmp_path, capsys, tol, n_trunc, grid, idx):
+    def test_multi_no_data_or_negative_order(self, tmp_path, capsys, n_trunc, grid, idx):
         cfg = write_json(
             tmp_path / "m.json",
             {"kind": "multi", "measure": self.MEASURE, "k": idx[0], "ell": idx[1], "N": n_trunc, "zeta_abs": grid},
         )
-        assert _config_error(capsys, ["nevanlinna-check", "--input", cfg, *tol])
+        assert _config_error(capsys, ["nevanlinna-check", "--input", cfg])
 
     @pytest.mark.parametrize(
         "atoms, t_grid",
@@ -588,7 +589,7 @@ class TestNevanlinnaCommand:
             },
         )
         out = tmp_path / "res.csv"
-        assert main(["nevanlinna-check", "--input", cfg, "--output", str(out), "--tol", "1e-4"]) == 0
+        assert main(["nevanlinna-check", "--input", cfg, "--output", str(out)]) == 0
 
 
 def run_in_process(argv, config):
@@ -606,7 +607,6 @@ def run_in_process(argv, config):
 # infinite, zero or negative besides valid ones, and zeta_abs inside the support
 _ORDERS = st.one_of(st.integers(-2, 6), st.integers(0, 10**30), st.just(10**30))
 _BAD = st.sampled_from([float("nan"), float("inf"), 0.0, -1.0])
-_TOL = st.sampled_from([[], ["--tol", "1e-4"]])
 
 
 @st.composite
@@ -645,9 +645,9 @@ def _multi_config(k, ell, atoms, zeta_abs):
 
 class TestNevanlinnaExitCodes:
     @settings(max_examples=150, deadline=None)
-    @given(config=st.one_of(nevanlinna_1d_configs(), nevanlinna_multi_configs()), tol=_TOL)
-    def test_exit_code_contract(self, config, tol):
-        code, err = run_in_process(["nevanlinna-check", *tol], config)
+    @given(config=st.one_of(nevanlinna_1d_configs(), nevanlinna_multi_configs()))
+    def test_exit_code_contract(self, config):
+        code, err = run_in_process(["nevanlinna-check"], config)
         assert code in (0, 2, 3)
         assert "Traceback" not in err
         if code == 2:
@@ -659,17 +659,17 @@ class TestNevanlinnaExitCodes:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=150, deadline=None)
-    @given(config=st.one_of(nevanlinna_1d_configs(), nevanlinna_multi_configs()), tol=_TOL)
+    @given(config=st.one_of(nevanlinna_1d_configs(), nevanlinna_multi_configs()))
     # a residual that overflows, one that rises, and a point inside the support
-    @example(config={"kind": "1d", "measure": {"atoms": [-1e200, 1e200], "weights": [0.5, 0.5]}, "N": 3, "y": [1e-300, 1.0]}, tol=[])
-    @example(config=_multi_config(0, 1, [1e100], [1e101, 1e102]), tol=[])
-    @example(config=_multi_config(0, 1, [0.5], [8.0, 4.0]), tol=[])
-    @example(config=_multi_config(0, 1, [1.5], [1.0]), tol=[])
-    def test_nevanlinna_errors_name_their_stage_or_point(self, config, tol):
+    @example(config={"kind": "1d", "measure": {"atoms": [-1e200, 1e200], "weights": [0.5, 0.5]}, "N": 3, "y": [1e-300, 1.0]})
+    @example(config=_multi_config(0, 1, [1e100], [1e101, 1e102]))
+    @example(config=_multi_config(0, 1, [0.5], [8.0, 4.0]))
+    @example(config=_multi_config(0, 1, [1.5], [1.0]))
+    def test_nevanlinna_errors_name_their_stage_or_point(self, config):
         # a configuration error names its reading stage; a numeric failure
         # names its grid value (y, zeta_abs, or the point zeta on the ray) or
         # its component
-        code, err = run_in_process(["nevanlinna-check", *tol], config)
+        code, err = run_in_process(["nevanlinna-check"], config)
         if code == 2:
             assert re.match(r"config error: bad (measure|nevanlinna config): ", err)
         elif code == 3:
@@ -699,47 +699,37 @@ class TestNevanlinnaExitCodes:
         assert run_in_process(["nevanlinna-check"], config) == (2, f"config error: bad nevanlinna config: {message}\n")
 
     @pytest.mark.parametrize(
-        "config, tol, message",
+        "config, message",
         [
             (
                 {"kind": "1d", "measure": {"atoms": [0.0], "weights": [1.0]}, "N": 1, "y": [1.0, 2.0]},
-                [],
                 "at y = 2.0 the residual 0.0 does not decrease from 0.0",
             ),
-            (
-                {"kind": "1d", "measure": {"atoms": [-1.0, 1.0], "weights": [1.0, 1.0]}, "N": 1, "y": [10.0, 100.0]},
-                ["--tol", "1e-9"],
-                "at y = 100.0 the last residual 0.0001999800019998 is above --tol 1e-09",
-            ),
-            (_multi_config(0, 1, [0.5], [8.0, 4.0]), [], "at zeta_abs = 4.0 the residual "),
+            (_multi_config(0, 1, [0.5], [8.0, 4.0]), "at zeta_abs = 4.0 the residual "),
             (
                 {"kind": "1d", "measure": {"atoms": [-1e200, 1e200], "weights": [0.5, 0.5]}, "N": 3, "y": [1e-300, 1.0]},
-                [],
                 "at y = 1e-300 the moment remainder of order n = 3 is not finite\n",
             ),
             (
                 _multi_config(0, 1, [1e100], [1e101, 1e102]),
-                [],
                 "at zeta = (7.071067811865475e+100+7.071067811865474e+100j) "
                 "the moment remainder of component (0, 1) of order n = 1 is not finite\n",
             ),
             (
                 _multi_config(0, 1, [1e100], [10, 1e102]),
-                [],
                 "at zeta_abs = 10.0 for component (0, 1): "
                 "transform requires |zeta| > support radius 1e+100; got |zeta| = 10.0\n",
             ),
             (
                 _multi_config(0, 1, [0.5], [1e200]),
-                [],
                 "at zeta_abs = 1e+200 for component (0, 1): "
                 "zeta^2 is not finite at zeta = (7.071067811865475e+199+7.071067811865474e+199j)\n",
             ),
         ],
-        ids=["flat", "above-tol", "rising", "overflow-1d", "overflow-multi", "inside-support-multi", "square-overflows-multi"],
+        ids=["flat", "rising", "overflow-1d", "overflow-multi", "inside-support-multi", "square-overflows-multi"],
     )
-    def test_numeric_failure_names_the_point(self, config, tol, message):
-        code, err = run_in_process(["nevanlinna-check", *tol], config)
+    def test_numeric_failure_names_the_point(self, config, message):
+        code, err = run_in_process(["nevanlinna-check"], config)
         assert code == 3 and err.startswith(f"numeric failure: {message}") and err.endswith("\n")
 
     @pytest.mark.parametrize("measure", [[1], 5])
@@ -1053,18 +1043,6 @@ class TestIsoFlowCommand:
         assert float(rows[2].split(",")[1]) == pytest.approx(0.25)
 
 
-    def test_reads_no_tol(self, tmp_path, capsys):
-        # no input makes a functional rise, so --tol gates nothing: a value that
-        # nevanlinna-check refuses gives the bytes and exit code of no --tol
-        cfg = write_json(tmp_path / "iso.json", {"measure": TestConfigErrors.MEASURE, "t_grid": [0.0, 1e-300, 1.0]})
-        out = tmp_path / "s.csv"
-        runs = []
-        for flags in ([], ["--tol=-1"]):
-            code = main(["iso-flow", "--input", cfg, "--output", str(out), *flags])
-            runs.append((code, capsys.readouterr(), out.read_bytes()))
-        assert runs[0] == runs[1]
-        assert runs[0][0] == 0 and runs[0][1].out.startswith("monotone=True max_increase=0.0 ")
-
     def test_blow_up_just_before_the_grid(self, tmp_path, capsys):
         # lambda sqrt(m) = 1e4 puts the backward blow-up at -1e-4, just before
         # the grid's first time; the derivative check evaluates no earlier time
@@ -1077,7 +1055,7 @@ class TestIsoFlowCommand:
 
     def test_no_rise_of_a_large_mass_at_a_tiny_time(self, tmp_path, capsys):
         # uncapped, the mass 20000.74 read fl(sqrt(m))^2 = m + 3.6e-12 at
-        # t = 1e-300, a rise above the default --tol 1e-12
+        # t = 1e-300, a rise of 3.6e-12
         measure = {"n": 3, "k_max": 0, "components": [{"k": 0, "ell": 1, "atoms": [1.0], "weights": [20000.74]}]}
         cfg = write_json(tmp_path / "iso.json", {"measure": measure, "t_grid": [0.0, 1e-300, 1.0]})
         out = tmp_path / "s.csv"

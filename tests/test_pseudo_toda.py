@@ -9,7 +9,6 @@ from toda_kdq.errors import RankDeficiencyError
 from toda_kdq.moment_1d import DiscreteMeasure, JacobiMatrix, jacobi_from_measure, spectral_data_from_jacobi
 from toda_kdq.toda_1d import _evolved_masses
 from toda_kdq.pseudo_toda import (
-    PhysicalSurface,
     PseudoTodaState,
     _untilde,
     component_ode_residual,
@@ -17,7 +16,6 @@ from toda_kdq.pseudo_toda import (
     family_jacobi,
     flaschka_surfaces,
     normalization_invariant,
-    physical_surfaces,
     state_to_measure,
     state_trajectory_csv,
     total_hamiltonian,
@@ -427,19 +425,15 @@ class TestOdeResidual:
     def test_equal_radii_static(self):
         st = PseudoTodaState(3, {(0, 1): ([0.5, 0.5 + 1e-15], [0.5, 0.5])})
         # coincident tilde atoms merge; dynamics of the merged 1x1 system is frozen
-        assert component_ode_residual(st, 0.0, 1e-4)[0] < 1e-12
+        assert component_ode_residual(st, 0.0)[0] < 1e-12
 
     def test_two_atom_at_origin(self):
-        assert component_ode_residual(TWO_ATOM, 0.0, 1e-4)[0] < 1e-6
+        assert component_ode_residual(TWO_ATOM, 0.0)[0] < 1e-6
 
-    @pytest.mark.parametrize("dt", [0.0, -1e-4])
-    def test_step_must_be_positive(self, dt):
-        with pytest.raises(ValueError, match="^dt must be positive$"):
-            component_ode_residual(TWO_ATOM, 0.3, dt)
-
-    def test_quadratic_in_dt(self):
-        r_coarse = component_ode_residual(TWO_ATOM, 0.3, 2e-4)[0]
-        r_fine = component_ode_residual(TWO_ATOM, 0.3, 1e-4)[0]
+    def test_quadratic_in_dt(self, monkeypatch):
+        r_fine = component_ode_residual(TWO_ATOM, 0.3)[0]
+        monkeypatch.setattr(pseudo_toda, "_ODE_DT", 2e-4)
+        r_coarse = component_ode_residual(TWO_ATOM, 0.3)[0]
         assert 3.0 < r_coarse / r_fine < 5.0
 
 
@@ -496,61 +490,19 @@ class TestSurfaces:
         with pytest.raises(ValueError):
             flaschka_surfaces(st, 1, E3)
 
-    def test_physical_single_component(self):
-        surf = physical_surfaces(TWO_ATOM, 1, E3)
-        assert surf.x == pytest.approx(1.0)  # empty product, k=0 gauge is 1
-        jac = jacobi_row(TWO_ATOM, (0, 1))
-        assert surf.y == pytest.approx(-2.0 * jac.diag[0])
-        assert surf.x_partials[-1] == surf.x
-
-    def test_physical_product_form(self):
-        st = PseudoTodaState(3, {(1, 1): ([0.5, 1.0], [0.5, 0.5])})
-        jac = jacobi_row(st, (1, 1))
-        surf = physical_surfaces(st, 2, E3)
-        y1 = float(sphere.harmonic_table(3, [(1, 1)], E3)[0])
-        expected = 4.0 * jac.offdiag[0] ** 2 * 1.0 * y1  # gauge max(1,1)^{-1} = 1
-        assert surf.x == pytest.approx(expected)
-
-    def test_partial_sums_converge_for_decaying_data(self):
-        # n=2 gauge is identically 1; decay must come from the couplings
-        rng = np.random.default_rng(8)
-        comps = {}
-        for k in range(8):
-            for ell in range(1, sphere.dim_harmonics(2, k) + 1):
-                scale = 0.5**k
-                lam = np.sort(rng.uniform(0.1, 0.4, 2)) * scale
-                while np.min(np.diff(lam)) < 1e-6:
-                    lam = np.sort(rng.uniform(0.1, 0.4, 2)) * scale
-                m = rng.uniform(0.2, 1.0, 2)
-                comps[(k, ell)] = (lam, m / m.sum())
-        st = PseudoTodaState(2, comps)
-        th = np.array([np.cos(0.9), np.sin(0.9)])
-        surf = physical_surfaces(st, 2, th)
-        increments = np.abs(np.diff(np.asarray(surf.x_partials)))
-        assert increments[-1] < 1e-3 * max(abs(surf.x), 1e-30) + 1e-12
-
 
 def per_key_surfaces(state, j, theta):
-    """`flaschka_surfaces` and `physical_surfaces` one component and one
-    one-key harmonic table at a time, in ascending (k, l)."""
+    """`flaschka_surfaces` one component and one one-key harmonic table at a
+    time, in ascending (k, l)."""
     n_sites = state.common_size()
-    a_val = b_val = x_total = y_total = 0.0
-    x_partials, y_partials = [], []
-    for i, key in enumerate(state.family.keys):
+    a_val = b_val = 0.0
+    for key in state.family.keys:
         jac = jacobi_row(state, key)
         y_val = float(sphere.harmonic_table(state.n, [key], theta)[0])
         if j <= n_sites - 1:
             a_val += float(jac.offdiag[j - 1]) * y_val
         b_val += float(jac.diag[j - 1]) * y_val
-        if i and key[0] != state.family.keys[i - 1][0]:
-            x_partials.append(x_total)
-            y_partials.append(y_total)
-        prod = float(np.prod(jac.offdiag[: j - 1] ** 2)) if j > 1 else 1.0
-        x_total += 4.0 ** (j - 1) * prod * float(max(key[0], 1)) ** (-(state.n - 2)) * y_val
-        y_total += -2.0 * float(jac.diag[j - 1]) * y_val
-    x_partials.append(x_total)
-    y_partials.append(y_total)
-    return (a_val, b_val), PhysicalSurface(x_total, y_total, tuple(x_partials), tuple(y_partials))
+    return a_val, b_val
 
 
 class TestSurfacesPerKey:
@@ -563,7 +515,7 @@ class TestSurfacesPerKey:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_equals_per_key_loop(self, n, kmax, atoms, t, seed):
-        # bit for bit at every site, values and partial sums, with some keys absent
+        # bit for bit at every site, with some keys absent
         rng = np.random.default_rng(seed)
         st_full = full_state(rng, n=n, kmax=kmax, atoms=atoms)
         keep = [key for key in st_full.family.keys if rng.random() < 0.7] or [(0, 1)]
@@ -571,9 +523,7 @@ class TestSurfacesPerKey:
         theta = rng.normal(size=n)
         theta /= np.linalg.norm(theta)
         for j in range(1, atoms + 1):
-            flaschka, physical = per_key_surfaces(state, j, theta)
-            assert flaschka_surfaces(state, j, theta) == flaschka
-            assert physical_surfaces(state, j, theta) == physical
+            assert flaschka_surfaces(state, j, theta) == per_key_surfaces(state, j, theta)
 
 
 class TestMeasureBridge:

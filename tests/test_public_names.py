@@ -1,7 +1,8 @@
 """Every layer is registered when `toda_kdq.cli` is imported, every name in
 a layer's `__all__` is an attribute of that layer and is reached by a
-command, a check or a bench case, a command runs the code of only the
-layers it uses, and the JSON config format is read in `cli` alone.
+command, a check or a bench case, every field of such a dataclass is read
+by reached code, a command runs the code of only the layers it uses, and
+the JSON config format is read in `cli` alone.
 
 perfbench's tracer (`perfbench/spans.py`) looks up these eight modules in
 `sys.modules` and wraps each `__all__` entry through `getattr`, so a layer
@@ -10,6 +11,7 @@ run.
 """
 
 import ast
+import dataclasses
 import functools
 import importlib
 import json
@@ -26,14 +28,13 @@ LAYERS = ("cli", "verify", "sphere", "moment_1d", "toda_1d", "kdq", "pseudo_toda
 QUADRIC = ("kdq", "sphere", "pseudo_toda", "iso_flow", "verify")
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-# public names that no command, check or bench case reaches yet, each with
-# the ROADMAP item that gives it a caller or states why it stays
+# public names and dataclass fields ("layer.Class.field") that no command,
+# check or bench case reaches or reads yet, each with the ROADMAP item that
+# gives it a caller or states why it stays
 KEPT = {
-    "moment_1d.moments": "item 3: the 1-d moment residual through the transform path",
-    "kdq.divergent_partial_sums": "item 3: the quadric moment residual through the transform path",
-    "kdq.hua_tail_bound": "item 1: the kernel tail-bound trace gauge",
-    "pseudo_toda.physical_surfaces": "item 4: a verify-all line for the paper's surfaces",
-    "pseudo_toda.PhysicalSurface": "item 4: a verify-all line for the paper's surfaces",
+    "moment_1d.moments": "item 5: the 1-d moment residual through the transform path",
+    "kdq.divergent_partial_sums": "item 5: the quadric moment residual through the transform path",
+    "kdq.hua_tail_bound": "item 2: the kernel tail-bound trace gauge",
 }
 # the readers of the JSON config format, defined in cli.py alone, and the
 # dict converters that the numeric layers no longer have
@@ -147,6 +148,13 @@ def reached() -> frozenset:
             return frozenset(f"{layer}.{name}" for layer, name in done if name is not None)
 
 
+def public_fields(layer) -> list:
+    """"layer.Class.field" of each field of a dataclass in the layer's `__all__`."""
+    mod = importlib.import_module(f"toda_kdq.{layer}")
+    classes = [getattr(mod, name) for name in mod.__all__]
+    return [f"{layer}.{cls.__name__}.{field.name}" for cls in classes if dataclasses.is_dataclass(cls) for field in dataclasses.fields(cls)]
+
+
 @pytest.mark.parametrize("layer", LAYERS)
 def test_every_public_name_is_reached(layer):
     # each `__all__` name, and each public method of such a class, is reached
@@ -162,7 +170,23 @@ def test_every_public_name_is_reached(layer):
         if not method.rpartition(".")[2].startswith("_")
     ]
     assert [name for name in public if name not in reached() and name not in KEPT] == []
+    # a KEPT field is public here; the field test finds it stale once it is read
+    public += public_fields(layer)
     assert [name for name in KEPT if name.startswith(f"{layer}.") and (name in reached() or name not in public)] == []
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_every_public_field_is_read(layer):
+    # each field of a dataclass in `__all__` is read as an attribute by
+    # reached code (by name, whatever the object), or is KEPT, as is every
+    # field of a KEPT class; a KEPT field that reached code reads leaves KEPT.
+    # A report field that only the tests read is an output no user sees
+    reads = reference_graph()[1]
+    read = {attr for (file, name), attrs in reads.items() if name is None or f"{file}.{name}" in reached() for attr in attrs}
+    fields = public_fields(layer)
+    unread = [name for name in fields if name.rpartition(".")[2] not in read]
+    assert [name for name in unread if not {name, name.rpartition(".")[0]} & KEPT.keys()] == []
+    assert [name for name in KEPT if name in fields and name not in unread] == []
 
 
 def test_the_config_format_is_read_in_cli_alone():

@@ -46,7 +46,7 @@ def physical_h(x, y):
 
 
 def hamiltonian(s: JacobiMatrix) -> float:
-    return float(_hamiltonian(s.offdiag, s.diag))
+    return float(_hamiltonian(s.diag, s.offdiag))
 
 
 def lax_b(s: JacobiMatrix) -> np.ndarray:
@@ -121,7 +121,7 @@ def reference_csv(traj):
     lines = [",".join(header)]
     spectra = jacobi_eigenvalues(traj.b, traj.a)
     for i in range(len(traj)):
-        row = [traj.times[i]] + list(traj.a[i]) + list(traj.b[i]) + [float(_hamiltonian(traj.a[i], traj.b[i]))]
+        row = [traj.times[i]] + list(traj.a[i]) + list(traj.b[i]) + [float(_hamiltonian(traj.b[i], traj.a[i]))]
         row += list(spectra[i])
         lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
@@ -231,6 +231,11 @@ class TestHamiltonians:
 
     def test_ab_example(self):
         assert hamiltonian(SYMMETRIC_N2) == pytest.approx(1.0)
+
+    def test_rows_in_jacobi_order(self):
+        # (b, a) as every row function takes them: 4 (3^2 + (1^2 + 2^2) / 2) = 46;
+        # the swapped call (a, b) would read 4 (1^2 + 2^2 + 3^2 / 2) = 38
+        assert _hamiltonian(np.array([1.0, 2.0]), np.array([3.0])) == 46.0
 
     def test_ab_equals_xy(self):
         rng = np.random.default_rng(0)
