@@ -28,7 +28,6 @@ if __name__ == "__main__":
 
 import argparse  # noqa: E402
 import importlib.util  # noqa: E402
-import inspect  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
@@ -300,8 +299,7 @@ def hua_kernel(tk, n, k_max):
 def family(tk, K, N, op):
     """One `op` on K components of N atoms: reading a JSON-decoded measure
     (measure_from_dict) or pseudo-Toda state (pseudo_from_dict) by the
-    tree's `cli` reader, or by `from_dict` on a tree whose layers have it,
-    or `pseudo_toda.evolve` of such a state to t = 1."""
+    tree's `cli` reader, or `pseudo_toda.evolve` of such a state to t = 1."""
     comps = _s2_components(4, K, N)
 
     def config(atoms, weights, **fields):  # as decoded from a JSON file: lists of Python floats
@@ -310,30 +308,24 @@ def family(tk, K, N, op):
 
     measure, pseudo = config("atoms", "weights"), config("lambdas", "masses_tilde", t=0.0)
     state = tk.pseudo_toda.PseudoTodaState(3, comps)
-    read_measure = getattr(tk.cli, "_read_measure", None) or tk.kdq.PseudoPositiveMeasure.from_dict
-    read_pseudo = getattr(tk.cli, "_read_pseudo_state", None) or tk.pseudo_toda.PseudoTodaState.from_dict
     return {
-        "measure_from_dict": lambda: read_measure(measure),
-        "pseudo_from_dict": lambda: read_pseudo(pseudo),
+        "measure_from_dict": lambda: tk.cli._read_measure(measure),
+        "pseudo_from_dict": lambda: tk.cli._read_pseudo_state(pseudo),
         "evolve": lambda: tk.pseudo_toda.evolve(state, 1.0),
     }[op]
 
 
 def markov_stieltjes(tk, K, points):
     """One `kdq.markov_stieltjes(mu, zetas, THETA)` of a measure of K components of 3 atoms at `points` zetas
-    with |zeta| = 2 and arg zeta in [-2, 2], some with Re zeta < 0.  A tree whose transform takes a list of
-    `KDQPoint`s, as its `transform-eval` built them, builds one per zeta in the op."""
+    with |zeta| = 2 and arg zeta in [-2, 2], some with Re zeta < 0."""
     mu = tk.kdq.PseudoPositiveMeasure(3, _s2_components(4, K, 3))
     zetas = 2.0 * np.exp(1j * np.linspace(-2.0, 2.0, points))
-    if len(inspect.signature(tk.kdq.markov_stieltjes).parameters) == 2:
-        return lambda: tk.kdq.markov_stieltjes(mu, [tk.kdq.KDQPoint(z, THETA) for z in zetas])
     return lambda: tk.kdq.markov_stieltjes(mu, zetas, THETA)
 
 
 def monotonicity_check(tk, K, N, times):
     """One `iso_flow.monotonicity_check` of a measure of K components of N atoms on `times` grid times evenly
-    spaced in [0, 10].  A tree whose flow read a state of its own reads the measure's `family` as it read the
-    state's, so the case runs on it unchanged."""
+    spaced in [0, 10]."""
     mu = tk.kdq.PseudoPositiveMeasure(3, _s2_components(8, K, N))
     grid = np.linspace(0.0, 10.0, times)
     return lambda: tk.iso_flow.monotonicity_check(mu, grid)

@@ -25,12 +25,13 @@ verify-all      Run the bundled invariant suite; prints one PASS/FAIL line
 
 <measure> is {"n":, "k_max":, "components": [<atoms, weights>]}, and [<x, y>]
 a list of {"k":, "ell":, x: [...], y: [...]}, one per component (a repeated
-index keeps its last entry).  k_max, t and half_line may be left out.  This
-module alone reads the JSON format, and ignores fields not named here; the
-numeric layers take maps (k, ell) -> (radii, masses), packed families and
-arrays.  Float fields hold JSON numbers only.  A list field takes a bare
-number as one entry and refuses a list of lists; zetas is a list of [re, im]
-pairs.
+index keeps its last entry).  t, half_line and k_max (where >= 0, a bound
+on every degree) may be left out; --kmax (24) cuts transform-eval's series.
+This module alone reads the JSON format and holds every default, and
+ignores fields not named here; the numeric layers take maps (k, ell) ->
+(radii, masses), packed families and arrays.  Float fields hold JSON
+numbers only.  A list field takes a bare number as one entry and refuses a
+list of lists; zetas is a list of [re, im] pairs.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure (positivity
 loss, divergence region, pole, overflow, an eigensolver that does not
@@ -80,7 +81,7 @@ def _validate(args: argparse.Namespace) -> None:
         raise ConfigError(f"t-final and dt must be positive and finite, got {args.t_final!r} and {args.dt!r}")
     if args.command in _TIMED:
         _rows(args, 1)
-    if args.k_max is not None and args.k_max < 0:
+    if args.k_max < 0:
         raise ConfigError("kmax must be nonnegative")
     if args.command != "verify-all" and args.input_path is None:
         raise ConfigError(f"{args.command} requires --input")
@@ -205,11 +206,17 @@ def _read_1d_measure(d: dict) -> DiscreteMeasure:
 
 
 def _read_measure(d: dict):
-    """A `kdq.PseudoPositiveMeasure`; TypeError unless `d` is a JSON object."""
+    """A `kdq.PseudoPositiveMeasure`; TypeError unless `d` is a JSON object,
+    and ValueError naming the first component of a degree above a k_max >= 0."""
     if type(d) is not dict:
         raise TypeError(f"measure must be a JSON object, got {d!r}")
     comps = _read_components(d, kdq._FIELDS)
-    return kdq.PseudoPositiveMeasure(_json_int(d, "n"), comps, k_max=_json_int(d, "k_max", -1))
+    n, k_max = _json_int(d, "n"), _json_int(d, "k_max", -1)
+    mu = kdq.PseudoPositiveMeasure(n, comps)
+    keys = mu.family.keys
+    if keys and keys[-1][0] > k_max >= 0:
+        raise ValueError(f"degree exceeds k_max = {k_max} in component {next(key for key in keys if key[0] > k_max)}")
+    return mu
 
 
 def _read_pseudo_state(d: dict):
@@ -316,7 +323,7 @@ def _measure_from_config(data: dict, reader=_read_measure):
 def _run_transform_eval(args: argparse.Namespace) -> int:
     data = _load_json(args.input_path)
     # --kmax truncates the component series
-    mu = _measure_from_config(data).truncated(kdq.DEFAULT_KMAX if args.k_max is None else args.k_max)
+    mu = _measure_from_config(data).truncated(args.k_max)
     with _stage("bad transform-eval config: "):
         theta = sphere.as_direction(mu.n, _json_float(data, "theta"))
         pairs = _json_float(data, "zetas")
@@ -378,9 +385,8 @@ def _run_nevanlinna(args: argparse.Namespace) -> int:
 def _run_iso_flow(args: argparse.Namespace) -> int:
     data = _load_json(args.input_path)
     mu = _measure_from_config(data)
-    times = _sample_times(args, len(mu.family.keys)) if "t_grid" not in data else None
     with _stage("bad iso-flow config: "):
-        rep = iso_flow.monotonicity_check(mu, _json_float(data, "t_grid") if times is None else times)
+        rep = iso_flow.monotonicity_check(mu, _json_float(data, "t_grid"))
     header = ["t"] + [f"S_k{k}_l{ell}" for k, ell in mu.family.keys]
     _emit(_csv_text(header, np.column_stack([rep.times, rep.values])), args.output_path)
     sys.stdout.write(
@@ -422,7 +428,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", dest="output_path", default=None)
     parser.add_argument("--t-final", dest="t_final", type=float, default=5.0)
     parser.add_argument("--dt", dest="dt", type=float, default=1e-3)
-    parser.add_argument("--kmax", dest="k_max", type=int, default=None)  # None: transform-eval truncates at kdq.DEFAULT_KMAX
+    parser.add_argument("--kmax", dest="k_max", type=int, default=24)  # transform-eval's truncation degree
     return parser
 
 

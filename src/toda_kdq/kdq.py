@@ -61,7 +61,6 @@ __all__ = [
     "divergent_partial_sums",
 ]
 
-DEFAULT_KMAX = 24
 _FIELDS = ("atoms", "weights")  # a component's JSON list fields (read in cli) and the names in its errors
 
 
@@ -129,7 +128,7 @@ class ComponentFamily:
             arr.setflags(write=False)
 
     @classmethod
-    def pack(cls, components, names=("radii", "masses"), min_size: int = 0) -> "ComponentFamily":
+    def pack(cls, components, names: tuple, min_size: int = 0) -> "ComponentFamily":
         """Pack a map (k, ell) -> (radii, masses) in ascending (k, ell) order
         through `from_columns`; a family is returned as it is.
         """
@@ -203,16 +202,10 @@ class ComponentFamily:
         span = slice(self.offsets[i], self.offsets[i + 1])
         return self.radii[span], self.masses[span]
 
-    def items(self) -> list:
-        """(key, radii, masses) per component, in ascending (k, ell) order."""
-        bounds = self.offsets.tolist()
-        return [(key, self.radii[i:j], self.masses[i:j]) for key, i, j in zip(self.keys, bounds, bounds[1:])]
-
-    def compress(self, keep, masses=None) -> "ComponentFamily":
-        """The atoms where `keep` holds, with `masses` if given; a component left empty drops."""
+    def compress(self, keep, masses) -> "ComponentFamily":
+        """The atoms where `keep` holds, with `masses` for their masses; a component left empty drops."""
         counts = np.diff(np.concatenate([[0], np.cumsum(keep)])[self.offsets])
         keys = tuple(itertools.compress(self.keys, counts.tolist()))
-        masses = self.masses if masses is None else masses
         return ComponentFamily(keys, np.cumsum([0] + counts[counts > 0].tolist()), self.radii[keep], masses[keep])
 
     def block_sums(self, values) -> np.ndarray:
@@ -251,20 +244,17 @@ class PseudoPositiveMeasure:
     """Sparse family of nonnegative radial component measures indexed by (k, ell).
 
     Absent indices mean a zero component.  Every stored component lives on
-    the half-line (atoms >= 0); a k_max >= 0 bounds the degree k of each.
-    `components` maps (k, ell) -> (atoms, weights), or is a family packed
-    with the field names `_FIELDS`; each component is checked, sorted and
-    merged as a `DiscreteMeasure` of its own.
+    the half-line (atoms >= 0).  `components` maps (k, ell) -> (atoms,
+    weights), or is a family packed with the field names `_FIELDS`; each
+    component is checked, sorted and merged as a `DiscreteMeasure` of its
+    own.
     """
 
-    def __init__(self, n: int, components=None, k_max: int = -1):
-        raw = ComponentFamily.pack(components or {}, _FIELDS)
+    def __init__(self, n: int, components):
+        raw = ComponentFamily.pack(components, _FIELDS)
         atoms, weights, offsets = _sorted_atoms(raw.radii, raw.masses, raw.offsets, half_line=True, keys=raw.keys)
         family = ComponentFamily(raw.keys, offsets, atoms, weights)
         check_indices(n, family.keys)
-        top = family.keys[-1][0] if family.keys else 0
-        if top > k_max >= 0:
-            raise ValueError("component degree exceeds k_max")
         self.n, self.family = int(n), family
 
     @property
@@ -308,7 +298,7 @@ def _degrees(n: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     return k, d_k
 
 
-def hua_kernel(p: KDQPoint, x, k_max: int = DEFAULT_KMAX) -> complex:
+def hua_kernel(p: KDQPoint, x, k_max: int) -> complex:
     """Harmonic expansion of the reproducing kernel, truncated at degree k_max.
 
     The degree-k term is (|x|/zeta)^k sum_l Y_{k,l}(theta) Y_{k,l}(x/|x|).

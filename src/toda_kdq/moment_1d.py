@@ -225,17 +225,18 @@ def stieltjes_transform(mu: DiscreteMeasure, lam: complex) -> complex:
     return complex(np.sum(mu.weights / diffs))
 
 
-def _lanczos(atoms: np.ndarray, weights: np.ndarray, n: int, labels=("",)):
-    """n Lanczos steps on each row of (K, M) atoms and weights at once.
+def _lanczos(atoms: np.ndarray, weights: np.ndarray, labels=("",)):
+    """M Lanczos steps on each row of (K, M) atoms and weights at once.
 
     Runs the Lanczos process with full reorthogonalization on diag(atoms)
-    with starting vector proportional to sqrt(weights), for n <= M.  Every
-    sum runs along the last axis of a fresh C-contiguous array, or
-    elementwise along the middle one, so a row's bits do not depend on the
-    other rows.  Returns alphas (K, n) and sqrt(beta) (K, n-1), all > 0;
+    with starting vector proportional to sqrt(weights).  Every sum runs
+    along the last axis of a fresh C-contiguous array, or elementwise along
+    the middle one, so a row's bits do not depend on the other rows.
+    Returns alphas (K, M) and sqrt(beta) (K, M-1), all > 0;
     RankDeficiencyError, prefixed with the row's `labels` entry, at the
     first step where a row's next vector falls below 1e-14 max(1, max|atom|).
     """
+    n = atoms.shape[1]
     scale = np.maximum(1.0, np.abs(atoms).max(axis=1))
     q = np.sqrt(weights)
     q /= np.sqrt((q * q).sum(axis=1))[:, None]
@@ -279,10 +280,9 @@ def jacobi_from_measure(mu: DiscreteMeasure) -> JacobiMatrix:
     the matrix from the bottom-right corner upward (see module docstring).
     """
     _check_mass(np.array([mu.total_mass]))
-    n = len(mu)
-    if n == 0:
+    if len(mu) == 0:
         raise ValueError("measure has no atoms")
-    alphas, sb = _lanczos(mu.atoms[None], mu.weights[None], n)
+    alphas, sb = _lanczos(mu.atoms[None], mu.weights[None])
     return JacobiMatrix(diag=alphas[0, ::-1].copy(), offdiag=sb[0, ::-1].copy())
 
 

@@ -69,29 +69,22 @@ class PseudoTodaState:
     family packed with the field names `_FIELDS`.  Each component is stored
     sorted by radius in `family`."""
 
-    def __init__(self, n: int, components=None, time: float = 0.0):
+    def __init__(self, n: int, components, time: float = 0.0):
         if not math.isfinite(time):
             raise ValueError(f"state time must be finite, got {time!r}")
-        family = ComponentFamily.pack(components or {}, _FIELDS, 1)
+        family = ComponentFamily.pack(components, _FIELDS, 1)
         check_indices(n, family.keys)
         self.n, self.family, self.time = n, _toda_family(family), float(time)
 
     def common_size(self) -> int:
-        sizes = set(self.family.sizes.tolist())
-        if not sizes:
+        """The atom count of every component; ValueError naming the first whose count differs."""
+        sizes, keys = self.family.sizes, self.family.keys
+        if not keys:
             raise ValueError("state has no components")
-        if len(sizes) != 1:
-            raise ValueError("components have heterogeneous atom counts")
-        return sizes.pop()
-
-
-def _untilde(k: int, lam: np.ndarray, mt: np.ndarray):
-    # (lambda, rt2 lambda^{-k}) from the radii lambda themselves
-    if k == 0:
-        return lam, mt.copy()
-    if np.any(lam == 0.0):
-        raise ZeroDivisionError("tilde map not invertible at lambda = 0 with k > 0")
-    return lam, mt / lam**k
+        i = int(np.argmax(sizes != sizes[0]))  # 0: no count differs from the first
+        if i:
+            raise ValueError(f"component {keys[i]} has {sizes[i]} atoms where component {keys[0]} has {sizes[0]}")
+        return int(sizes[0])
 
 
 def _evolved(state: PseudoTodaState, times) -> np.ndarray:
@@ -168,7 +161,7 @@ def family_jacobi(state: PseudoTodaState) -> tuple:
     diag, offdiag = np.zeros((len(family.keys), width)), np.zeros((len(family.keys), width - 1))
     for pos, idx in merged.blocks:
         m = idx.shape[1]
-        alphas, sb = _lanczos(merged.radii[idx], merged.masses[idx], m, labels[pos])
+        alphas, sb = _lanczos(merged.radii[idx], merged.masses[idx], labels[pos])
         b, a = alphas[:, ::-1], sb[:, ::-1]
         flow = from_zero[pos] & (m > 1)
         if flow.any():
@@ -233,10 +226,13 @@ def state_to_measure(state: PseudoTodaState) -> PseudoPositiveMeasure:
 
     Requires lambda > 0 wherever k > 0 (the tilde map is not invertible at
     zero radius).  The masses are r^2 = rt^2 / lambda^k from lambda itself,
-    so a radius whose square over- or underflows still maps.
+    one scalar power per degree (`degree_powers`), so a radius whose square
+    over- or underflows still maps.
     """
-    comps = {key: _untilde(key[0], lambdas, masses) for key, lambdas, masses in state.family.items()}
-    return PseudoPositiveMeasure(n=state.n, components=comps)
+    fam = state.family
+    if ((fam.radii == 0.0) & (fam.atom_degrees > 0)).any():
+        raise ZeroDivisionError("tilde map not invertible at lambda = 0 with k > 0")
+    return PseudoPositiveMeasure(state.n, replace(fam, masses=fam.masses / fam.degree_powers(fam.radii)))
 
 
 def state_trajectory_csv(state: PseudoTodaState, times) -> str:

@@ -97,7 +97,7 @@ class Trajectory:
         return self.times.size
 
 
-def integrate_ensemble(states, t_final: float, dt: float = 1e-3) -> list:
+def integrate_ensemble(states, t_final: float, dt: float) -> list:
     """Classical fixed-step RK4 integration of many states at once.
 
     Returns one `Trajectory` per state, sampled at multiples of dt.  The
@@ -233,7 +233,7 @@ def _check_rows(rows: np.ndarray, first: int, own: np.ndarray, sizes: list, dt: 
     raise PositivityLossError(message)
 
 
-def integrate_toda(s0: JacobiMatrix, t_final: float, dt: float = 1e-3) -> Trajectory:
+def integrate_toda(s0: JacobiMatrix, t_final: float, dt: float) -> Trajectory:
     """Classical fixed-step RK4 integration of one state; see `integrate_ensemble`."""
     return integrate_ensemble([s0], t_final, dt)[0]
 
@@ -405,7 +405,7 @@ def trajectory_to_csv(traj: Trajectory) -> str:
 
 def _csv_text(header, table, invariant=None) -> str:
     """CSV text: the header, then one line per row of `table`, that row of
-    `invariant` (if given) at its end.
+    `invariant` (if given; else no columns) at its end.
 
     `table` is anything `np.asarray` takes as a 2-d float array, and
     `invariant` a float array with as many rows; each float is written in
@@ -415,20 +415,16 @@ def _csv_text(header, table, invariant=None) -> str:
     Shared by every CSV that the package writes.
     """
     table = np.asarray(table, dtype=float)
+    invariant = np.ascontiguousarray(np.empty((len(table), 0)) if invariant is None else invariant, dtype=float)
     lines = [",".join(header)]
-    if invariant is None:
-        # one row of Python floats at a time keeps the peak memory of the text alone
-        lines += [",".join(map(repr, row.tolist())) for row in table]
-    else:
-        # blocks of _CSV_BLOCK entries keep the peak memory near that of the
-        # text: one block's floats and strings at a time
-        invariant = np.ascontiguousarray(invariant, dtype=float)
-        rows = max(1, _CSV_BLOCK // max(1, table.shape[-1] + invariant.shape[1]))
-        for lo in range(0, len(table), rows):
-            block = invariant[lo : lo + rows]
-            bits, at = np.unique(block.view(np.int64), return_inverse=True)
-            text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
-            tails = text[at.reshape(block.shape)].tolist()
-            lines += [",".join([*map(repr, row), *tail]) for row, tail in zip(table[lo : lo + rows].tolist(), tails)]
+    # blocks of _CSV_BLOCK entries keep the peak memory near that of the
+    # text: one block's floats and strings at a time
+    rows = max(1, _CSV_BLOCK // max(1, table.shape[-1] + invariant.shape[1]))
+    for lo in range(0, len(table), rows):
+        block = invariant[lo : lo + rows]
+        bits, at = np.unique(block.view(np.int64), return_inverse=True)
+        text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+        tails = text[at.reshape(block.shape)].tolist()
+        lines += [",".join([*map(repr, row), *tail]) for row, tail in zip(table[lo : lo + rows].tolist(), tails)]
     lines.append("")  # the last newline, with no copy of the text
     return "\n".join(lines)

@@ -76,7 +76,7 @@ def test_a_case_is_absent_on_a_tree_that_lacks_its_name(bench):
         return lambda: tk.toda_1d.spectral_solve(state, [1.0])
 
     def step(tk):
-        return lambda: tk.toda_1d.integrate_ensemble([state], 0.01)
+        return lambda: tk.toda_1d.integrate_ensemble([state], 0.01, 1e-3)
 
     older = SimpleNamespace(toda_1d=SimpleNamespace(spectral_solve=toda_kdq.toda_1d.spectral_solve))
     solved, stepped = bench.measure([(solve, {}), (step, {})], {"this": toda_kdq, "against": older}, rounds=4)

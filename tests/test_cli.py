@@ -371,7 +371,7 @@ class TestConfigErrors:
                     "theta": [0.0, 0.0, 1.0],
                     "zetas": [[2.0, 0.0]],
                 },
-                "bad measure: component degree exceeds k_max",
+                "bad measure: degree exceeds k_max = 0 in component (1, 1)",
             ),
             (
                 "transform-eval",
@@ -456,6 +456,7 @@ class TestConfigErrors:
                 "bad measure: missing field 'measure'",
             ),
             ("iso-flow", {"t_grid": [0.0, 1.0]}, "bad measure: missing field 'measure'"),
+            ("iso-flow", {"measure": MEASURE}, "bad iso-flow config: missing field 't_grid'"),
             (
                 "nevanlinna-check",
                 {"kind": "multi", "k": 0, "ell": 1, "N": 1, "zeta_abs": [4.0]},
@@ -505,6 +506,7 @@ class TestConfigErrors:
             "pseudo-no-n",
             "transform-no-measure",
             "iso-no-measure",
+            "iso-no-t-grid",
             "multi-no-measure",
             "component-weights-not-numbers",
             "1d-measure-no-atoms",
@@ -543,7 +545,9 @@ class TestConfigErrors:
         assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize(
-        "sizes, message", [([], "has no components"), ([2, 3], "heterogeneous atom counts")]
+        "sizes, message",
+        [([], "state has no components"), ([2, 3], "component (1, 2) has 3 atoms where component (1, 1) has 2")],
+        ids=["sizes0-has no components", "sizes1-heterogeneous atom counts"],
     )
     def test_pseudo_components_without_common_size(self, tmp_path, capsys, sizes, message):
         comps = [
@@ -824,6 +828,13 @@ _MEASURE_NAMES_ITS_ITEM = re.compile(
     r"config error: bad measure: (measure must be a JSON object|.*\bcomponents\[\d+\]|.*\bcomponent \(\d+, \d+\))"
 )
 
+# a bad pseudo state's message names components[i], the component (k, l) or
+# a top-level field: n, t or components
+_STATE_NAMES_ITS_ITEM = re.compile(
+    r"config error: bad pseudo state: (.*\bcomponents\[\d+\]|.*\bcomponent \(\d+, \d+\)|(n|t|components) must |"
+    r"missing field '(n|components)'|state (has no components|time must be finite))"
+)
+
 
 @st.composite
 def quadric_measures(draw):
@@ -857,10 +868,8 @@ def simulate_pseudo_configs(draw):
 
 @st.composite
 def iso_flow_configs(draw):
-    config = {"measure": draw(_MEASURES) or draw(quadric_measures())}
-    if draw(st.booleans()):  # else the grid 0, dt, ..., t_final
-        config["t_grid"] = draw(st.lists(st.one_of(st.floats(0.0, 5.0), _SPECIAL), max_size=4))
-    return config
+    measure = draw(_MEASURES) or draw(quadric_measures())
+    return {"measure": measure, "t_grid": draw(st.lists(st.one_of(st.floats(0.0, 5.0), _SPECIAL), max_size=4))}
 
 
 class TestQuadricExitCodes:
@@ -973,6 +982,7 @@ class TestQuadricExitCodes:
     @example(config={"measure": measure([1e-300], [1.0], k=2), "t_grid": [0.0, 1.0]})
     @example(config={"measure": measure([0.0], [1.0], k=2), "t_grid": [0.0, 1.0]})
     @example(config={"measure": measure([1e100], [1e182], k=1), "t_grid": [0.0, 1.0]})
+    @example(config={"measure": measure([0.5], [1.0])})  # no t_grid, which the draws always hold
     def test_iso_flow_errors_name_their_stage_or_component(self, config):
         # a configuration error names its reading stage, and a bad measure its
         # component; a numeric failure, an overflow, a division by lambda^k or
@@ -1014,6 +1024,30 @@ class TestQuadricExitCodes:
                 assert re.search(r"\b(theta|zetas|atoms|weights)(\[\d+\])+ = |\bcomponent \(\d+, \d+\)", err)
         elif code == 3:
             assert re.match(r"numeric failure: (at zetas\[\d+\]: |.*\bcomponent \(\d+, \d+\) )", err)
+        else:
+            assert (code, err) == (0, "")
+
+    @staticmethod
+    def state(*components):
+        # a pseudo state of n = 3 with the components (k, ell, lambdas, masses_tilde)
+        return {"n": 3, "components": [dict(zip(("k", "ell", "lambdas", "masses_tilde"), c)) for c in components]}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(config=simulate_pseudo_configs())
+    # no components, atom counts that differ, and a mass that underflows by
+    # t = 0.25 (exit 3), which the draws reach rarely or never
+    @example(config=state())
+    @example(config=state((0, 1, [0.5, 1.0], [0.25, 0.75]), (1, 2, [0.5], [1.0])))
+    @example(config=state((0, 1, [0.0, 1e3], [0.5, 0.5])))
+    def test_simulate_pseudo_errors_name_their_stage_or_item(self, config):
+        # a configuration error names its reading stage and components[i],
+        # the component or a top-level field; a numeric failure names its component
+        code, err = run_in_process(["simulate-pseudo", "--t-final", "1", "--dt", "0.25"], config)
+        if code == 2:
+            assert _STATE_NAMES_ITS_ITEM.match(err), err
+        elif code == 3:
+            assert re.match(r"numeric failure: .*\bcomponent \(\d+, \d+\) ", err), err
         else:
             assert (code, err) == (0, "")
 
@@ -1400,7 +1434,7 @@ class TestFloatFields:
         ("theta", "transform-eval", dict(TRANSFORM, theta=[0.0, 0.0, "X"]), "1"),
         ("zetas", "transform-eval", dict(TRANSFORM, zetas=[[2.0, "X"]]), "0.5"),
         ("atoms", "transform-eval", json.loads(json.dumps(TRANSFORM).replace("[0.5]", '["X"]')), "0.5"),
-        ("weights", "iso-flow", {"measure": json.loads(json.dumps(MEASURE).replace("[1.0]", '["X"]'))}, "1"),
+        ("weights", "iso-flow", {"measure": json.loads(json.dumps(MEASURE).replace("[1.0]", '["X"]')), "t_grid": [0.0, 1.0]}, "1"),
         ("t_grid", "iso-flow", {"measure": MEASURE, "t_grid": [0.0, "X"]}, "1"),
         ("y", "nevanlinna-check", {"kind": "1d", "measure": MEASURE_1D, "N": 1, "y": [10.0, "X"]}, "100"),
         ("atoms", "nevanlinna-check", {"kind": "1d", "measure": dict(MEASURE_1D, atoms=["X", 2]), "N": 1, "y": [10]}, "-2"),

@@ -106,7 +106,8 @@ def per_point_transform(mu, p):
     """The transform at one point, every pushforward and harmonic rebuilt there."""
     z = p.zeta
     total = 0.0 + 0.0j
-    for (k, ell), atoms, weights in mu.family.items():
+    for k, ell in mu.family.keys:
+        atoms, weights = mu.family.component((k, ell))
         tilde = tilde_measure(atoms, weights, k)
         if tilde is None:
             continue
@@ -573,7 +574,7 @@ class TestMarkovStieltjes:
 
     def test_json_roundtrip(self):
         # a JSON measure reads as the measure built from its map
-        mu = PseudoPositiveMeasure(2, {(0, 1): ([0.3], [1.0]), (2, 2): ([0.8, 0.1], [0.5, 0.5])}, k_max=5)
+        mu = PseudoPositiveMeasure(2, {(0, 1): ([0.3], [1.0]), (2, 2): ([0.8, 0.1], [0.5, 0.5])})
         components = [
             {"k": 2, "ell": 2, "atoms": [0.8, 0.1], "weights": [0.5, 0.5]},
             {"k": 0, "ell": 1, "atoms": 0.3, "weights": [1]},
@@ -597,11 +598,8 @@ class TestMarkovStieltjes:
         # an axis theta and zeta on the real or imaginary axis give terms
         # that are 0.0 and -0.0
         rng = np.random.default_rng(seed)
-        comps = {
-            key: (atoms, weights)
-            for key, atoms, weights in random_measure(rng, n, k_max, 0.0, 0.9).family.items()
-            if rng.uniform() < 0.8
-        }
+        family = random_measure(rng, n, k_max, 0.0, 0.9).family
+        comps = {key: family.component(key) for key in family.keys if rng.uniform() < 0.8}
         mu = PseudoPositiveMeasure(n, comps)
         theta = np.eye(n)[rng.integers(n)] * rng.choice([-1.0, 1.0]) if on_axis else unit(rng.normal(size=n))
         zetas = [rng.uniform(1.0, 3.0) * np.exp(1j * a) for a in args]
@@ -725,8 +723,14 @@ class TestComponentsReader:
         assert family.keys == ((0, 1),) and family.offsets.tolist() == [0, 0]
 
     def test_degree_above_k_max(self):
-        with pytest.raises(ValueError, match="^component degree exceeds k_max$"):
-            PseudoPositiveMeasure(3, {(0, 1): ([0.5], [1.0]), (2, 1): ([0.5], [1.0])}, k_max=1)
+        # a k_max >= 0 bounds the degrees, checked by the reader once the
+        # measure is built, and the error names the first component above it;
+        # an absent or negative k_max bounds nothing
+        entries = [{"k": k, "ell": ell, "atoms": [0.5], "weights": [1.0]} for k, ell in [(2, 2), (0, 1), (2, 1)]]
+        with pytest.raises(ValueError, match=r"^degree exceeds k_max = 1 in component \(2, 1\)$"):
+            cli._read_measure({"n": 3, "k_max": 1, "components": entries})
+        for bound in ({"k_max": 2}, {"k_max": -1}, {}):
+            assert cli._read_measure({"n": 3, "components": entries, **bound}).family.keys == ((0, 1), (2, 1), (2, 2))
 
 
 def _refuse(*args, **kwargs):
@@ -743,13 +747,13 @@ class TestDerivedStates:
         rng = np.random.default_rng(17)
         comps = {(k, 1): (np.sort(rng.uniform(0.2, 1.2, 4)), rng.dirichlet(np.ones(4))) for k in range(3)}
         state = pseudo_toda.PseudoTodaState(3, comps)
-        mu = PseudoPositiveMeasure(3, comps, k_max=2)
+        mu = PseudoPositiveMeasure(3, comps)
         # the masses at t = 0.7 of the Toda flow, component by component
         toda = {key: (lam, _evolved_masses(m, lam**2, 0.7)) for key, (lam, m) in comps.items()}
         head = {key: comps[key] for key in [(0, 1), (1, 1)]}
         cases = [
             (lambda: pseudo_toda.evolve(state, 0.7), state, pseudo_toda.PseudoTodaState(3, toda, 0.7)),
-            (lambda: mu.truncated(1), mu, PseudoPositiveMeasure(3, head, k_max=1)),
+            (lambda: mu.truncated(1), mu, PseudoPositiveMeasure(3, head)),
         ]
         for name in ("check_indices", "_sorted_atoms"):
             monkeypatch.setattr(kdq, name, _refuse)
@@ -780,15 +784,13 @@ class TestGrowthCondition:
     def test_c_is_m0_and_envelope_holds(self):
         rng = np.random.default_rng(19)
         for _ in range(20):
-            comps = {
-                key: (atoms, weights)
-                for key, atoms, weights in random_measure(rng, 3, 6, 0.1, 2.0).family.items()
-                if rng.uniform() < 0.7
-            }
+            family = random_measure(rng, 3, 6, 0.1, 2.0).family
+            comps = {key: family.component(key) for key in family.keys if rng.uniform() < 0.7}
             mu = PseudoPositiveMeasure(3, comps)
             rep = growth_condition_check(mu)
             moments = {}  # m_k = max_l int r^k dmu_{k,l}
-            for (k, _), atoms, weights in mu.family.items():
+            for k, ell in mu.family.keys:
+                atoms, weights = mu.family.component((k, ell))
                 moments[k] = max(moments.get(k, 0.0), float(np.sum(weights * atoms**k)))
             assert rep.C == moments.get(0, max(moments.values()))
             for k, m_k in moments.items():
@@ -885,7 +887,8 @@ def per_key_partial_sums(mu, n_trunc, p):
     """divergent_partial_sums one key at a time: one harmonic and one moment sum per key and j."""
     z = p.zeta
     f_val = g_val = 0.0 + 0.0j
-    for (k, ell), atoms, weights in mu.family.items():
+    for k, ell in mu.family.keys:
+        atoms, weights = mu.family.component((k, ell))
         y_val = float(sphere.harmonic_table(mu.n, [(k, ell)], p.theta)[0])
         moments = [float(np.sum(weights * atoms ** (k + 2 * j))) if atoms.size else 0.0 for j in range(2 * n_trunc + 1)]
         for j in range(2 * n_trunc):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from toda_kdq.moment_1d import DiscreteMeasure, JacobiMatrix, jacobi_from_measur
 from toda_kdq.toda_1d import _evolved_masses
 from toda_kdq.pseudo_toda import (
     PseudoTodaState,
-    _untilde,
     component_ode_residual,
     evolve,
     family_jacobi,
@@ -85,8 +86,11 @@ class TestTildeTransform:
         assert np.max(np.abs(mt_back - mt)) < 1e-14
 
     def test_inverse_rejects_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            _untilde(1, np.array([0.0]), np.array([1.0]))
+        # lambda = 0 with k > 0 has no untilded mass; with k = 0 it maps
+        with pytest.raises(ZeroDivisionError, match="^tilde map not invertible at lambda = 0 with k > 0$"):
+            state_to_measure(PseudoTodaState(3, {(0, 1): ([0.0, 0.5], [0.5, 0.5]), (1, 1): ([0.0, 0.5], [0.5, 0.5])}))
+        mu = state_to_measure(PseudoTodaState(3, {(0, 1): ([0.0, 0.5], [0.5, 0.5]), (1, 1): ([0.5], [1.0])}))
+        assert mu.family.component((0, 1))[1].tolist() == [0.5, 0.5] and mu.family.component((1, 1))[1].tolist() == [2.0]
 
 
 class TestEvolve:
@@ -151,7 +155,8 @@ class TestComponentJacobi:
         st = full_state(rng, kmax=1, atoms=4)
         for t in (-0.7, 0.3, 2.0):
             ev = evolve(st, t)
-            for key, lambdas, masses_tilde in ev.family.items():
+            for key in ev.family.keys:
+                lambdas, masses_tilde = ev.family.component(key)
                 ref = jacobi_from_measure(DiscreteMeasure(lambdas**2, masses_tilde, half_line=True))
                 jac = jacobi_row(ev, key)
                 assert np.max(np.abs(jac.diag - ref.diag)) < 1e-12
@@ -269,7 +274,8 @@ class TestFamilyJacobi:
         # bit for bit, with tilde atoms that merge and components of fewer
         # atoms in their own size groups, zeros past each row's sites
         rng = np.random.default_rng(seed)
-        comps = {key: (lam, m) for key, lam, m in full_state(rng, kmax=kmax, atoms=atoms).family.items()}
+        family = full_state(rng, kmax=kmax, atoms=atoms).family
+        comps = {key: family.component(key) for key in family.keys}
         keys = sorted(comps)
         if merge:
             lam, m = comps[keys[-1]]
@@ -308,7 +314,8 @@ class TestFamilyJacobi:
             for t in (0.0, 0.7, 5.0, 50.0):
                 ev = evolve(state, t)
                 diag, offdiag = family_jacobi(ev)
-                for i, (key, lam, m) in enumerate(state.family.items()):
+                for i, key in enumerate(state.family.keys):
+                    lam, m = state.family.component(key)
                     exact_b, exact_a = mp_jacobi(lam**2, m, t)
                     old = per_key_component_jacobi(ev, key)
                     for path, b, a in (("stacked", diag[i], offdiag[i]), ("per-key", old.diag, old.offdiag)):
@@ -383,7 +390,8 @@ class TestHamiltonians:
         # H = 4 (sum at^2 + 1/2 sum bt^2) via the trace identity on L_{k,l}
         rng = np.random.default_rng(4)
         st = full_state(rng, kmax=2, atoms=3)
-        for key, lambdas, _ in st.family.items():
+        for key in st.family.keys:
+            lambdas = st.family.component(key)[0]
             assert abs(hamiltonian(jacobi_row(st, key)) - 2.0 * np.sum(lambdas**4)) < 1e-10
 
     def test_verify_check_reads_jacobi_entries(self, monkeypatch):
@@ -595,13 +603,13 @@ class TestVerifyLines:
         # Toda right-hand sides that the ODE residual differences against,
         # fails the verify-all line from `fails` up, and `passes` passes: the
         # README records the smallest failing skew of 1, 2, 5 per decade
-        evolved, untilde, rhs = pseudo_toda._evolved_masses, pseudo_toda._untilde, pseudo_toda._rhs_rows
+        evolved, measure, rhs = pseudo_toda._evolved_masses, pseudo_toda.PseudoPositiveMeasure, pseudo_toda._rhs_rows
 
         def observed(skew):
             if defect == "evolved-masses":
                 monkeypatch.setattr(pseudo_toda, "_evolved_masses", lambda m, x, t: evolved(m, x, t) * (1.0 + skew))
             elif defect == "untilded-masses":
-                monkeypatch.setattr(pseudo_toda, "_untilde", lambda k, lam, mt: (lam, untilde(k, lam, mt)[1] * (1.0 + skew)))
+                monkeypatch.setattr(pseudo_toda, "PseudoPositiveMeasure", lambda n, f: measure(n, replace(f, masses=f.masses * (1.0 + skew))))
             else:
                 monkeypatch.setattr(pseudo_toda, "_rhs_rows", lambda b, a: tuple(x * (1.0 + skew) for x in rhs(b, a)))
             results = {r.name: r for r in verify.check_pseudo_toda(verify._SEED + 7, ode_times=(0.5,))}

@@ -1,8 +1,9 @@
 """Every layer is registered when `toda_kdq.cli` is imported, every name in
 a layer's `__all__` is an attribute of that layer and is reached by a
 command, a check or a bench case, every field of such a dataclass is read
-by reached code, a command runs the code of only the layers it uses, and
-the JSON config format is read in `cli` alone.
+by reached code, every keyword default of such a callable is left out by
+some reached call, a command runs the code of only the layers it uses,
+and the JSON config format is read in `cli` alone.
 
 perfbench's tracer (`perfbench/spans.py`) looks up these eight modules in
 `sys.modules` and wraps each `__all__` entry through `getattr`, so a layer
@@ -14,12 +15,14 @@ import ast
 import dataclasses
 import functools
 import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -28,9 +31,10 @@ LAYERS = ("cli", "verify", "sphere", "moment_1d", "toda_1d", "kdq", "pseudo_toda
 QUADRIC = ("kdq", "sphere", "pseudo_toda", "iso_flow", "verify")
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-# public names and dataclass fields ("layer.Class.field") that no command,
-# check or bench case reaches or reads yet, each with the ROADMAP item that
-# gives it a caller or states why it stays
+# public names, dataclass fields ("layer.Class.field") and keyword defaults
+# ("layer.name(param=)") that no command, check or bench case reaches, reads
+# or leaves out yet, each with the ROADMAP item that gives it a caller or
+# states why it stays
 KEPT = {
     "moment_1d.moments": "item 5: the 1-d moment residual through the transform path",
     "kdq.divergent_partial_sums": "item 5: the quadric moment residual through the transform path",
@@ -70,15 +74,23 @@ def reference_graph() -> tuple:
     in another's, or as `layer.name` (`tk.layer.name` in bench/run.py); so
     `pseudo_toda.state_to_measure` is not `iso_flow.state_to_measure`.
     Docstrings and `__all__` are strings, and no reference; neither is a
-    name inside its own definition.  Last, per file, the names it defines:
-    functions and classes at any depth, and module-level assignments."""
-    edges, reads, methods, defined = defaultdict(set), defaultdict(set), {}, defaultdict(set)
+    name inside its own definition.  Then, per file, the names it defines:
+    functions and classes at any depth, and module-level assignments.  Last,
+    per owner, its calls: (callee, positional count, keyword names), the
+    count None where a `*args` or `**kwargs` hides what is passed.  A callee
+    resolves as a reference does; else `obj.attr(...)` is the method call
+    ("method", attr), unless obj is a module that `import` binds or an
+    attribute of one (`itertools.compress`, `np.linalg.qr`)."""
+    edges, reads, methods, defined, calls = defaultdict(set), defaultdict(set), {}, defaultdict(set), defaultdict(list)
     files = {path.stem: path for path in sorted((SRC / "toda_kdq").glob("*.py"))}
     files["bench"] = ROOT / "bench" / "run.py"
     for file, path in files.items():
         tree = ast.parse(path.read_text())
         names, modules = {}, {}  # local name -> (layer, name), local name -> layer
+        imported = set()  # the local names of `import module`
         for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 for alias in node.names:
                     if node.module is None:
@@ -100,10 +112,24 @@ def reference_graph() -> tuple:
                     return base.attr, node.attr
             return None
 
+        def callee(func):
+            ref = target(func)
+            if ref is None and isinstance(func, ast.Attribute):
+                root = func.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if not (isinstance(root, ast.Name) and root.id in imported):
+                    ref = ("method", func.attr)
+            return ref
+
         def visit(node, owner):
             ref = target(node)
             if ref is not None and ref != owner:
                 edges[owner].add(ref)
+            called = callee(node.func) if isinstance(node, ast.Call) else None
+            if called is not None:
+                hidden = any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords)
+                calls[owner].append((called, None if hidden else len(node.args), {k.arg for k in node.keywords}))
             if isinstance(node, ast.Attribute) and node.attr != (owner[1] or "").rpartition(".")[2]:
                 reads[owner].add(node.attr)
             for child in ast.iter_child_nodes(node):
@@ -124,7 +150,7 @@ def reference_graph() -> tuple:
                     visit(item, owner)
                 for item in node.decorator_list + node.bases:
                     visit(item, (file, node.name))
-    return edges, reads, methods, defined
+    return edges, reads, methods, defined, calls
 
 
 @functools.cache
@@ -133,7 +159,7 @@ def reached() -> frozenset:
     module-level code and bench/run.py: a definition that reached code
     refers to, and a method of a reached class that is special (`__init__`)
     or whose name reached code reads as an attribute."""
-    edges, reads, methods, _ = reference_graph()
+    edges, reads, methods, *_ = reference_graph()
     done = {owner for owner in list(edges) + list(reads) if owner[1] is None}
     read = set()
     while True:
@@ -155,6 +181,30 @@ def public_fields(layer) -> list:
     return [f"{layer}.{cls.__name__}.{field.name}" for cls in classes if dataclasses.is_dataclass(cls) for field in dataclasses.fields(cls)]
 
 
+def public_defaults(layer) -> dict:
+    """"layer.name(param=)" of each parameter with a default of a callable in
+    the layer's `__all__` (a function, or a class: its constructor, dataclass
+    fields included, and each public method as "layer.Class.method(param=)"),
+    mapped to (callee as `reference_graph` resolves it, position, name); the
+    position, not counting self or cls, is None for a keyword-only one."""
+    mod = importlib.import_module(f"toda_kdq.{layer}")
+    found = []
+    for name in mod.__all__:
+        obj = getattr(mod, name)
+        found.append((name, (layer, name), list(inspect.signature(obj).parameters.values())))
+        for attr, value in vars(obj).items() if isinstance(obj, type) else ():
+            if not attr.startswith("_") and isinstance(value, (FunctionType, classmethod, staticmethod)):
+                params = list(inspect.signature(getattr(obj, attr)).parameters.values())
+                found.append((f"{name}.{attr}", ("method", attr), params[1:] if isinstance(value, FunctionType) else params))
+    out = {}
+    for name, key, params in found:
+        for i, param in enumerate(params):
+            if param.default is not param.empty:
+                position = None if param.kind is param.KEYWORD_ONLY else i
+                out[f"{layer}.{name}({param.name}=)"] = (key, position, param.name)
+    return out
+
+
 @pytest.mark.parametrize("layer", LAYERS)
 def test_every_public_name_is_reached(layer):
     # each `__all__` name, and each public method of such a class, is reached
@@ -170,8 +220,9 @@ def test_every_public_name_is_reached(layer):
         if not method.rpartition(".")[2].startswith("_")
     ]
     assert [name for name in public if name not in reached() and name not in KEPT] == []
-    # a KEPT field is public here; the field test finds it stale once it is read
-    public += public_fields(layer)
+    # a KEPT field or default is public here; its own test finds it stale
+    # once it is read or left out
+    public += public_fields(layer) + list(public_defaults(layer))
     assert [name for name in KEPT if name.startswith(f"{layer}.") and (name in reached() or name not in public)] == []
 
 
@@ -189,11 +240,32 @@ def test_every_public_field_is_read(layer):
     assert [name for name in KEPT if name in fields and name not in unread] == []
 
 
+@pytest.mark.parametrize("layer", LAYERS)
+def test_every_keyword_default_is_relied_on(layer):
+    # each default of a public callable is left out by at least one call of
+    # reached code, or is KEPT; a default that every caller passes is a
+    # second source of the value, which belongs to the caller.  A KEPT
+    # default that a reached call leaves out leaves KEPT
+    calls = reference_graph()[4]
+    made = [call for (file, name), owned in calls.items() if name is None or f"{file}.{name}" in reached() for call in owned]
+
+    def relied_on(key, position, param):
+        return any(
+            callee == key and count is not None and (position is None or count <= position) and param not in passed
+            for callee, count, passed in made
+        )
+
+    defaults = public_defaults(layer)
+    unused = [name for name, spec in defaults.items() if not relied_on(*spec)]
+    assert [name for name in unused if name not in KEPT] == []
+    assert [name for name in KEPT if name in defaults and name not in unused] == []
+
+
 def test_the_config_format_is_read_in_cli_alone():
     # cli defines every config reader; no other file of src/ defines or
     # refers to one, and no file of src/ defines or reads a dict converter
-    # (bench/run.py falls back to from_dict on an older tree)
-    edges, reads, _, defined = reference_graph()
+    # (bench/run.py, not in src/, times cli's readers)
+    edges, reads, _, defined, _ = reference_graph()
     assert set(CONFIG_READERS) <= defined["cli"]
     for file in defined.keys() - {"bench"}:
         banned = set(DICT_CONVERTERS) | (set() if file == "cli" else set(CONFIG_READERS))
