@@ -254,11 +254,13 @@ def rk4_step(tk, B, N, steps):
     return lambda: tk.toda_1d.integrate_ensemble(states, steps * DT, DT)
 
 
-def verify(tk, check, seed=None, **kwargs):
-    """One in-process `verify.<check>`, its seed `verify._SEED + seed` as in `verify.run_all`."""
-    run = getattr(tk.verify, check)
-    args = () if seed is None else (tk.verify._SEED + seed,)
-    return lambda: run(*args, **kwargs)
+def verify(tk, check, **kwargs):
+    """One in-process `verify.run_all`, or a check of `verify.CHECKS` at its `verify-all` keywords, those in
+    `kwargs` replaced."""
+    if check == "run_all":
+        return tk.verify.run_all
+    run, keywords = next((run, {**keywords, **kwargs}) for run, keywords, _ in tk.verify.CHECKS if run.__name__ == check)
+    return lambda: run(**keywords)
 
 
 def simulate_1d(tk, N, t_final):
@@ -365,7 +367,7 @@ def trajectory_csv(tk, N, rows):
     return lambda: tk.toda_1d.trajectory_to_csv(traj)
 
 
-# every curve and size; a verify check's seed is its offset in verify.run_all
+# every curve and size
 CASES = [
     (import_toda_kdq_cli, {}),
     *[(cli_process, {"command": command}) for command in COMMANDS],
@@ -375,12 +377,12 @@ CASES = [
     *[(simulate_1d, {"N": n, "t_final": 1.0}) for n in (2, 8, 32, 64)],
     *[(harmonic_table, {"k_max": k, "at": at}) for k in (2, 4, 8, 16, 24, 32) for at in ("point", "grid")],
     *[(flaschka_surfaces, {"K": K, "N": n, "t": t}) for K in (9, 25, 81, 289) for n in (4, 6) for t in (0.0, 100.0)],
-    (verify, {"check": "check_pseudo_toda", "seed": 7, "ode_times": [0.5]}),  # at its verify-all size
-    (verify, {"check": "check_kdq_kernel", "seed": 5, "trials": 15}),  # at its verify-all size
+    (verify, {"check": "check_pseudo_toda"}),
+    (verify, {"check": "check_kdq_kernel"}),
     *[(hua_kernel, {"n": n, "k_max": k}) for n in (2, 3) for k in (5, 10, 20, 40, 80)],  # 40 in verify-all
     *[(family, {"K": K, "N": 4, "op": op}) for K in (9, 25, 81, 289, 625) for op in ("measure_from_dict", "pseudo_from_dict", "evolve")],
     *[(markov_stieltjes, {"K": K, "points": p}) for K in (81, 625) for p in (8, 32, 128)],  # 625: transform-eval's n = 3
-    *[(verify, {"check": "check_kdq_cauchy", "seed": 6, "k_max": k, "j_max": 2}) for k in (1, 2, 3, 4, 5)],
+    *[(verify, {"check": "check_kdq_cauchy", "k_max": k}) for k in (1, 2, 3, 4, 5)],  # 3 in verify-all
     *[(monotonicity_check, {"K": 9, "N": 3, "times": c}) for c in (21, 81, 321)],
     *[(spectral_solve, {"N": n, "times": 101, "t_final": 10.0}) for n in (2, 4, 8, 16, 32, 64)],
     *[(spectral_solve, {"N": 8, "times": c, "t_final": 10.0}) for c in (1, 11, 1001)],  # and 101, above

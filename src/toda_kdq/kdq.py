@@ -549,6 +549,9 @@ def markov_stieltjes(mu: PseudoPositiveMeasure, zetas, theta) -> np.ndarray:
     t_vals = _tilde_transforms(tilde, z2)
     top = tilde.keys[-1][0] if tilde.keys else 0
     powers = np.array([[z ** (1 - k) for k in range(top + 1)] for z in zetas.tolist()], dtype=complex).reshape(zetas.size, top + 1)
+    # z ** (1 - k) is NaN only where CPython's binary powering overflowed:
+    # |zeta|^{k-1} > 1.8e308, so the power is below 1/1.8e308
+    powers[np.isnan(powers)] = 0.0
     powers = powers[:, tilde.degrees]
     ys = harmonic_table(mu.n, tilde.keys, np.where(flip[:, None], -theta, theta))
     u_re = powers.real * ys - powers.imag * 0.0

@@ -1,10 +1,11 @@
 """Invariant checks shared by the `verify-all` CLI command and the acceptance battery.
 
-Each check takes its seed and sizes, where it has any, as arguments and
-returns a list of `CheckResult`s.  `run_all` runs them at small sizes that finish in seconds;
-`tests/test_acceptance.py` runs the same checks with its own seeds and
-sizes.  Every check uses fixed seeds and a fixed summation order, so two
-runs print byte-identical tables.
+Each check takes its seed and sizes, where it has any, as keywords and
+returns a list of `CheckResult`s.  `CHECKS` lists every check in table order
+with two sets of keywords: small sizes for `run_all`, which finish in
+seconds, and larger ones for `tests/test_acceptance.py`.  Every check uses
+fixed seeds and a fixed summation order, so two runs print byte-identical
+tables.
 """
 
 from dataclasses import dataclass
@@ -24,27 +25,10 @@ from .moment_1d import (
     stieltjes_transform,
 )
 
-__all__ = [
-    "CheckResult",
-    "check_sphere_orthonormality",
-    "check_sphere_addition",
-    "check_moment_roundtrip",
-    "check_moment_triple",
-    "check_moment_nevanlinna",
-    "toda_ensemble",
-    "check_toda_lax",
-    "check_toda_spectral",
-    "check_kdq_kernel",
-    "check_kdq_cauchy",
-    "check_kdq_multi_nevanlinna",
-    "check_pseudo_toda",
-    "check_iso_monotonicity",
-    "run_all",
-    "format_table",
-]
+__all__ = ["CheckResult", "run_all", "format_table"]
 
 _SEED = 20240811
-# Toda checks: RK4 step of the ensemble, spectrum sampled at every _STRIDE-th
+# check_toda: RK4 step of the ensemble, spectrum sampled at every _STRIDE-th
 # step, and the times at which spectral_solve meets the N = 2 closed form
 _ENSEMBLE_DT = 1e-3
 _STRIDE = 10
@@ -178,49 +162,31 @@ def check_moment_nevanlinna(seed: int, n_measures: int) -> list[CheckResult]:
     return [_result("moment-nevanlinna-decay", worst_ratio, 1e-3, monotone)]
 
 
-def toda_ensemble(seed: int, sizes, t_final: float) -> list:
-    """(state, RK4 trajectory) pairs of random Flaschka states, one per size N."""
+def check_toda(seed: int, sizes, t_final: float, closed_t_final: float, closed_dt: float) -> list[CheckResult]:
+    """The Lax invariants and the spectral solution along RK4 trajectories on
+    [0, t_final] of random Flaschka states, one per size N in `sizes`.
+
+    Isospectrality, energy and tr L^2 = H/2, then the spectral solution against
+    RK4, and both against the N = 2 closed form.  The spectrum and the spectral
+    solution are taken at every `_STRIDE`-th sample, one eigen-solve each; the
+    energy at every step.  The closed form a = sech(t)/2, b = +-tanh(t)/2 is
+    compared with an RK4 run on [0, closed_t_final] at every step and with the
+    spectral solution at `_CLOSED_FORM_TIMES`.
+    """
     _nonempty("sizes", sizes)
     rng = np.random.default_rng(seed)
     states = [
         JacobiMatrix(offdiag=rng.uniform(0.3, 1.0, size=n - 1), diag=rng.uniform(-1.0, 1.0, size=n))
         for n in sizes
     ]
-    return list(zip(states, toda_1d.integrate_ensemble(states, t_final, _ENSEMBLE_DT)))
-
-
-def check_toda_lax(ensemble) -> list[CheckResult]:
-    """Isospectrality, energy and tr L^2 = H/2 along RK4 trajectories.
-
-    The spectrum is taken at every `_STRIDE`-th sample, one eigen-solve each;
-    the energy at every step.
-    """
-    _nonempty("ensemble", ensemble)
-    drift = energy = trace = 0.0
-    for _, traj in ensemble:
+    drift = energy = trace = dev = 0.0
+    for state, traj in zip(states, toda_1d.integrate_ensemble(states, t_final, _ENSEMBLE_DT)):
         # H = 4 (sum a^2 + 1/2 sum b^2) at every RK4 step
         h = toda_1d._hamiltonian(traj.b, traj.a)
         energy = max(energy, _max_abs(h - h[0]))
         lam = jacobi_eigenvalues(traj.b[::_STRIDE], traj.a[::_STRIDE])
         drift = max(drift, _max_abs(lam - lam[0]))
         trace = max(trace, _max_abs(np.sum(lam**2, axis=1) - 0.5 * h[::_STRIDE]))
-    return [
-        _result("toda-isospectral-rk4", drift, 1e-8),
-        _result("toda-energy-conservation", energy, 1e-8),
-        _result("toda-trace-identity", trace, 1e-12),
-    ]
-
-
-def check_toda_spectral(ensemble, closed_t_final: float, closed_dt: float) -> list[CheckResult]:
-    """Spectral solution against RK4, and both against the N = 2 closed form.
-
-    The closed form a = sech(t)/2, b = +-tanh(t)/2 is compared with an RK4
-    run on [0, closed_t_final] at every step and with the spectral solution
-    at `_CLOSED_FORM_TIMES`.
-    """
-    _nonempty("ensemble", ensemble)
-    dev = 0.0
-    for state, traj in ensemble:
         sampled = toda_1d.spectral_solve(state, traj.times[::_STRIDE])
         dev = max(dev, _max_abs(sampled.a - traj.a[::_STRIDE]), _max_abs(sampled.b - traj.b[::_STRIDE]))
 
@@ -242,6 +208,9 @@ def check_toda_spectral(ensemble, closed_t_final: float, closed_dt: float) -> li
             abs(b[1] + 0.5 * np.tanh(t)),
         )
     return [
+        _result("toda-isospectral-rk4", drift, 1e-8),
+        _result("toda-energy-conservation", energy, 1e-8),
+        _result("toda-trace-identity", trace, 1e-12),
         _result("toda-spectral-vs-rk4", dev, 1e-6),
         _result("toda-closed-form-n2", closed_dev, 1e-6),
     ]
@@ -357,23 +326,29 @@ def check_iso_monotonicity(seed: int, trials: int) -> list[CheckResult]:
     return [_result("iso-monotonicity", max(worst_inc, worst_res), 1e-8, worst_inc <= 1e-12)]
 
 
+# (check, verify-all keywords, battery keywords), in the order of the table
+CHECKS = (
+    (check_sphere_orthonormality, {"k_max": 5}, {"k_max": 8}),
+    (check_sphere_addition, {"seed": _SEED, "n_dirs": 20, "k_max": 8}, {"seed": 5555, "n_dirs": 50, "k_max": 12}),
+    (check_moment_roundtrip, {"seed": _SEED + 1, "sizes": (6,) * 5}, {"seed": 888, "sizes": range(2, 11)}),
+    (check_moment_triple, {"seed": _SEED + 2, "trials": 20}, {"seed": 777, "trials": 50}),
+    (check_moment_nevanlinna, {"seed": _SEED + 3, "n_measures": 1}, {"seed": 999, "n_measures": 5}),
+    (
+        check_toda,
+        {"seed": _SEED + 4, "sizes": (2, 3, 4, 5, 6), "t_final": 2.0, "closed_t_final": 2.0, "closed_dt": 1e-2},
+        {"seed": 12345, "sizes": [2 + i % 7 for i in range(20)], "t_final": 5.0, "closed_t_final": 5.0, "closed_dt": 1e-3},
+    ),
+    (check_kdq_kernel, {"seed": _SEED + 5, "trials": 15}, {"seed": 1111, "trials": 50}),
+    (check_kdq_cauchy, {"seed": _SEED + 6, "k_max": 3, "j_max": 2}, {"seed": 2222, "k_max": 4, "j_max": 3}),
+    (check_kdq_multi_nevanlinna, {}, {}),
+    (check_pseudo_toda, {"seed": _SEED + 7, "ode_times": (0.5,)}, {"seed": 3333, "ode_times": (0.0, 1.0)}),
+    (check_iso_monotonicity, {"seed": _SEED + 8, "trials": 5}, {"seed": 4444, "trials": 20}),
+)
+
+
 def run_all() -> list[CheckResult]:
-    """Run every invariant check at its `verify-all` size, in a fixed order."""
-    ensemble = toda_ensemble(_SEED + 4, (2, 3, 4, 5, 6), 2.0)
-    return [
-        *check_sphere_orthonormality(k_max=5),
-        *check_sphere_addition(_SEED, n_dirs=20, k_max=8),
-        *check_moment_roundtrip(_SEED + 1, sizes=(6,) * 5),
-        *check_moment_triple(_SEED + 2, trials=20),
-        *check_moment_nevanlinna(_SEED + 3, n_measures=1),
-        *check_toda_lax(ensemble),
-        *check_toda_spectral(ensemble, closed_t_final=2.0, closed_dt=1e-2),
-        *check_kdq_kernel(_SEED + 5, trials=15),
-        *check_kdq_cauchy(_SEED + 6, k_max=3, j_max=2),
-        *check_kdq_multi_nevanlinna(),
-        *check_pseudo_toda(_SEED + 7, ode_times=(0.5,)),
-        *check_iso_monotonicity(_SEED + 8, trials=5),
-    ]
+    """Run every check of `CHECKS` at its `verify-all` keywords, in table order."""
+    return [r for check, keywords, _ in CHECKS for r in check(**keywords)]
 
 
 def format_table(results: list[CheckResult]) -> str:

@@ -1,11 +1,13 @@
-"""Acceptance battery: one test per criterion, each printing its PASS/FAIL lines.
+"""Acceptance battery: one test per entry of `toda_kdq.verify.CHECKS`, each printing its PASS/FAIL lines.
 
-The invariants are computed by the checks in `toda_kdq.verify`, the same
-ones `verify-all` runs; this module holds only the battery's seeds, sizes
-and runtime budgets.  Run with `pytest tests/test_acceptance.py -v -s` to see
-each observed value next to its pinned tolerance.
+The entries are the checks that `verify-all` runs, each with its battery
+keywords beside its `verify-all` ones; this module holds only the runtime
+budgets, and which lines of `check_toda` reproduce each of the paper's three
+Toda criteria.  Run with `pytest tests/test_acceptance.py -v -s` to see each
+observed value next to its pinned tolerance.
 """
 
+import functools
 import os
 import re
 import subprocess
@@ -18,84 +20,57 @@ import pytest
 from toda_kdq import verify
 
 
-def assert_passed(results) -> None:
-    for r in results:
-        print(r.line())
-    for r in results:
-        assert r.passed, r.line()
+def verify_all_keywords(check, **changes) -> dict:
+    """The `verify-all` keywords of `check` in `verify.CHECKS`, with `changes` applied."""
+    (keywords,) = [keywords for entry, keywords, _ in verify.CHECKS if entry is check]
+    return {**keywords, **changes}
 
 
-@pytest.fixture(scope="module")
-def toda_ensemble():
-    """20 random states with N in 2..8, integrated on [0, 5] at dt = 1e-3."""
+@functools.cache
+def battery_run(check) -> tuple[dict, float]:
+    """The lines of `check` at its battery keywords in `verify.CHECKS`, by name, and the runtime; run once."""
+    (battery,) = [battery for entry, _, battery in verify.CHECKS if entry is check]
     t_start = time.perf_counter()
-    entries = verify.toda_ensemble(12345, [2 + i % 7 for i in range(20)], 5.0)
-    return entries, time.perf_counter() - t_start
-
-
-@pytest.fixture(scope="module")
-def toda_lax(toda_ensemble):
-    entries, _ = toda_ensemble
-    t_start = time.perf_counter()
-    results = verify.check_toda_lax(entries)
+    results = check(**battery)
     return {r.name: r for r in results}, time.perf_counter() - t_start
 
 
-def test_sphere_harmonics():
-    assert_passed(
-        verify.check_sphere_orthonormality(k_max=8)
-        + verify.check_sphere_addition(5555, n_dirs=50, k_max=12)
-    )
+def assert_passed(lines, names) -> None:
+    for name in names:
+        print(lines[name].line())
+    for name in names:
+        assert lines[name].passed, lines[name].line()
 
 
-def test_criterion_01_isospectrality(toda_ensemble, toda_lax):
-    results, lax_seconds = toda_lax
-    runtime = toda_ensemble[1] + lax_seconds
+@pytest.mark.parametrize("check", [check for check, _, _ in verify.CHECKS], ids=lambda check: check.__name__)
+def test_check_at_battery_keywords(check):
+    lines, runtime = battery_run(check)
+    assert_passed(lines, lines)
     print(f"runtime {runtime:.2f} s (budget 10 s)")
-    assert_passed([results["toda-isospectral-rk4"]])
     assert runtime < 10.0
 
 
-def test_criterion_02_method_equivalence(toda_ensemble):
-    entries, _ = toda_ensemble
-    assert_passed(verify.check_toda_spectral(entries, closed_t_final=5.0, closed_dt=1e-3))
+# the paper's three Toda claims, each by the lines of check_toda that reproduce it
+def test_criterion_01_isospectrality():
+    assert_passed(battery_run(verify.check_toda)[0], ["toda-isospectral-rk4"])
 
 
-def test_criterion_03_energy_trace(toda_lax):
-    results, _ = toda_lax
-    assert_passed([results["toda-energy-conservation"], results["toda-trace-identity"]])
+def test_criterion_02_method_equivalence():
+    assert_passed(battery_run(verify.check_toda)[0], ["toda-spectral-vs-rk4", "toda-closed-form-n2"])
 
 
-def test_criterion_04_triple_agreement():
-    assert_passed(verify.check_moment_triple(777, trials=50))
+def test_criterion_03_energy_trace():
+    assert_passed(battery_run(verify.check_toda)[0], ["toda-energy-conservation", "toda-trace-identity"])
 
 
-def test_criterion_05_inverse_spectral_roundtrip():
-    assert_passed(verify.check_moment_roundtrip(888, sizes=range(2, 11)))
-
-
-def test_criterion_06_hamburger_nevanlinna():
-    assert_passed(verify.check_moment_nevanlinna(999, n_measures=5))
-
-
-def test_criterion_07_hua_kernel():
-    assert_passed(verify.check_kdq_kernel(1111, trials=50))
-
-
-def test_criterion_08_cauchy_reproduction():
-    assert_passed(verify.check_kdq_cauchy(2222, k_max=4, j_max=3))
-
-
-def test_criterion_09_pseudo_toda():
-    assert_passed(verify.check_pseudo_toda(3333, ode_times=(0.0, 1.0)))
-
-
-def test_criterion_10_multi_nevanlinna():
-    assert_passed(verify.check_kdq_multi_nevanlinna())
-
-
-def test_criterion_11_iso_monotonicity():
-    assert_passed(verify.check_iso_monotonicity(4444, trials=20))
+def test_registry_lists_every_check_once_with_the_same_lines_at_both_sizes():
+    # a check_* of verify left out of CHECKS is in neither verify-all nor the
+    # battery; the battery runs the lines that verify-all prints, in its order
+    defined = [name for name, value in vars(verify).items() if name.startswith("check_") and callable(value)]
+    listed = [check.__name__ for check, _, _ in verify.CHECKS]
+    assert sorted(listed) == sorted(defined) and len(set(listed)) == len(listed)
+    for check, keywords, battery in verify.CHECKS:
+        assert [r.name for r in check(**battery)] == [r.name for r in check(**keywords)], check.__name__
 
 
 def test_criterion_12_cli_determinism():
@@ -120,11 +95,9 @@ def test_criterion_12_cli_determinism():
         (verify.check_moment_roundtrip, {"seed": 1, "sizes": ()}, "sizes must not be empty"),
         (verify.check_moment_triple, {"seed": 1, "trials": 0}, "trials must be >= 1, got 0"),
         (verify.check_moment_nevanlinna, {"seed": 1, "n_measures": 0}, "n_measures must be >= 1, got 0"),
-        (verify.check_toda_lax, {"ensemble": []}, "ensemble must not be empty"),
-        (verify.check_toda_spectral, {"ensemble": [], "closed_t_final": 2.0, "closed_dt": 1e-2}, "ensemble must not be empty"),
         (verify.check_pseudo_toda, {"seed": 1, "ode_times": ()}, "ode_times must not be empty"),
         (verify.check_iso_monotonicity, {"seed": 1, "trials": 0}, "trials must be >= 1, got 0"),
-        (verify.toda_ensemble, {"seed": 1, "sizes": (), "t_final": 2.0}, "sizes must not be empty"),
+        (verify.check_toda, {"seed": 1, "sizes": (), "t_final": 1.0, "closed_t_final": 1.0, "closed_dt": 0.1}, "sizes must not be empty"),
     ],
     ids=lambda value: value.__name__ if callable(value) else None,
 )

@@ -1,3 +1,4 @@
+import cmath
 import contextlib
 import io
 import json
@@ -597,13 +598,18 @@ class TestNevanlinnaCommand:
 
 
 def run_in_process(argv, config):
-    """Exit code and stderr of `main` on `config`, written to a temporary file."""
+    """Exit code and stderr of `main` on `config`, written to a temporary file.
+    On exit 0 every number in stdout and in the CSV is finite."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "in.json"
+        path, out = Path(tmp) / "in.json", Path(tmp) / "out.csv"
         path.write_text(json.dumps(config))
-        stderr = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            code = main([argv[0], "--input", str(path), "--output", str(Path(tmp) / "out.csv"), *argv[1:]])
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([argv[0], "--input", str(path), "--output", str(out), *argv[1:]])
+        if code == 0:
+            # the CSV cells and the key=value numbers of stdout, as repr writes them
+            numbers = re.split(r"[,=\s]+", stdout.getvalue() + "\n" + out.read_text())
+            assert [x for x in numbers if x.lower().lstrip("+-") in ("nan", "inf")] == [], numbers
     return code, stderr.getvalue()
 
 
@@ -851,7 +857,7 @@ def quadric_measures(draw):
 
 
 @st.composite
-def transform_eval_configs(draw):
+def fuzzed_transform_eval_configs(draw):
     measure = draw(quadric_measures())
     theta = [0.0] * (measure["n"] - 1) + [draw(st.one_of(st.just(1.0), _SPECIAL))]
     zetas = draw(st.lists(st.lists(_QUADRIC_VALUE, min_size=2, max_size=2), max_size=3))
@@ -859,10 +865,50 @@ def transform_eval_configs(draw):
 
 
 @st.composite
+def valid_transform_eval_configs(draw):
+    # a valid measure of degrees up to --kmax's 24 and a unit theta; |zeta|
+    # log-uniform over the doubles from 2, the largest atom, to 2^512, whose
+    # square overflows, and arg zeta uniform
+    n = draw(st.sampled_from([2, 3]))
+    indices = [(k, ell) for k in range(25) for ell in range(1, sphere.dim_harmonics(n, k) + 1)]
+    comps = []
+    for k, ell in draw(st.lists(st.sampled_from(indices), min_size=1, max_size=3, unique=True)):
+        count = draw(st.integers(1, 3))
+        atoms = draw(st.lists(st.floats(0.05, 2.0), min_size=count, max_size=count))
+        weights = draw(st.lists(st.floats(0.05, 2.0), min_size=count, max_size=count))
+        comps.append({"k": k, "ell": ell, "atoms": atoms, "weights": weights})
+    v = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n).filter(lambda v: math.hypot(*v) > 0.1))
+    norm = math.hypot(*v)
+    theta = [x / norm for x in v]
+    zetas = []
+    for _ in range(draw(st.integers(1, 3))):
+        modulus = math.ldexp(draw(st.floats(0.5, 1.0, exclude_max=True)), draw(st.integers(2, 512)))
+        zeta = cmath.rect(modulus, draw(st.floats(-math.pi, math.pi)))
+        zetas.append([zeta.real, zeta.imag])
+    return {"measure": {"n": n, "k_max": 24, "components": comps}, "theta": theta, "zetas": zetas}
+
+
+def transform_eval_configs():
+    return st.one_of(fuzzed_transform_eval_configs(), valid_transform_eval_configs())
+
+
+@st.composite
 def simulate_pseudo_configs(draw):
+    # the fuzzed measure's components renamed; in three draws of four a valid
+    # state instead: the components that keep k and ell, of one atom count,
+    # lambdas in [0, 25] (past about 19 a mass may underflow by t = 1: exit 3)
+    # and masses_tilde that sum to one
     measure = draw(quadric_measures())
     names = {"k": "k", "ell": "ell", "atoms": "lambdas", "weights": "masses_tilde"}
     comps = [{names[field]: value for field, value in c.items()} for c in measure["components"]]
+    if draw(st.sampled_from([True, True, True, False])):
+        size, valid = draw(st.integers(1, 3)), []
+        for c in comps:
+            if "k" in c and "ell" in c:
+                lambdas = draw(st.lists(st.floats(0.0, 25.0), min_size=size, max_size=size))
+                masses = draw(st.lists(st.floats(0.05, 1.0), min_size=size, max_size=size))
+                valid.append({"k": c["k"], "ell": c["ell"], "lambdas": lambdas, "masses_tilde": [m / sum(masses) for m in masses]})
+        comps = valid
     return {"n": measure["n"], "components": comps}
 
 
@@ -1279,6 +1325,21 @@ class TestPinnedOutputs:
                 "-0.3,1.1,1.5726252830826088,1.4724210491488006\n"
                 "2.5,-1.5,0.672864780192697,0.535038163377828\n"
             ),
+            "",
+        ),
+        # zeta^{1-k} of k = 17 is below the doubles at both points: the value is 1/zeta
+        "transform-eval-far": (
+            ["transform-eval"],
+            {
+                "measure": {
+                    "n": 3,
+                    "k_max": 17,
+                    "components": [{"k": k, "ell": 1, "atoms": [0.5], "weights": [1.0]} for k in (0, 4, 17)],
+                },
+                "theta": [0.0, 0.0, 1.0],
+                "zetas": [[2e19, 0.0], [1e40, 1e40]],
+            },
+            "zeta_re,zeta_im,value_re,value_im\n2e+19,0.0,5e-20,0.0\n1e+40,1e+40,5e-41,-5e-41\n",
             "",
         ),
         "iso-flow-ragged": (

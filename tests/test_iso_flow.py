@@ -10,6 +10,8 @@ from toda_kdq import iso_flow, verify
 from toda_kdq.iso_flow import _riccati, monotonicity_check
 from toda_kdq.kdq import PseudoPositiveMeasure
 
+from test_acceptance import verify_all_keywords
+
 
 def measure(components) -> PseudoPositiveMeasure:
     """The measure on S^2 of `components`, a map (k, l) -> (radii, masses)."""
@@ -257,7 +259,7 @@ class TestVerifyLines:
 
         def observed(skew):
             monkeypatch.setattr(iso_flow, "_ds_dt", lambda family, masses: ds_dt(family, masses) * (1.0 + skew))
-            (result,) = verify.check_iso_monotonicity(verify._SEED + 8, trials=5)
+            (result,) = verify.check_iso_monotonicity(**verify_all_keywords(verify.check_iso_monotonicity))
             assert result.name == "iso-monotonicity"
             return result
 
@@ -267,4 +269,4 @@ class TestVerifyLines:
     def test_iso_monotonicity_refuses_no_trials(self):
         # a check over no draws would read 0.0 and pass on no data
         with pytest.raises(ValueError, match="^trials must be >= 1, got 0$"):
-            verify.check_iso_monotonicity(verify._SEED + 8, trials=0)
+            verify.check_iso_monotonicity(**verify_all_keywords(verify.check_iso_monotonicity, trials=0))

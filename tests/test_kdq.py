@@ -24,6 +24,8 @@ from toda_kdq.kdq import (
 from toda_kdq.moment_1d import DiscreteMeasure, stieltjes_transform
 from toda_kdq.toda_1d import _evolved_masses
 
+from test_acceptance import verify_all_keywords
+
 E3 = np.array([0.0, 0.0, 1.0])
 
 
@@ -425,17 +427,22 @@ class TestCauchyReproduce:
 
     @pytest.mark.parametrize("offset", range(6, 11))
     def test_verify_seeds_at_rounding_level(self, offset):
-        # offset 7 holds the case (n = 2, k = 0, j = 0, |x| = 0.495) where a
-        # contour count equal to the S^1 azimuth count read 4.0e-13
-        (result,) = verify.check_kdq_cauchy(verify._SEED + offset, k_max=3, j_max=2)
+        # verify-all's draw at offset 6 and the next four seeds; offset 7 holds
+        # the case (n = 2, k = 0, j = 0, |x| = 0.495) where a contour count
+        # equal to the S^1 azimuth count read 4.0e-13
+        seed = verify_all_keywords(verify.check_kdq_cauchy)["seed"] + offset - 6
+        (result,) = verify.check_kdq_cauchy(**verify_all_keywords(verify.check_kdq_cauchy, seed=seed))
         assert result.observed < 1e-14
 
-    @pytest.mark.parametrize("seed", [verify._SEED + 6, 0, 1, 2, 3])
-    @pytest.mark.parametrize("k_max, j_max", [(3, 2), (4, 3), (1, 0)])
+    @pytest.mark.parametrize("seed", [verify_all_keywords(verify.check_kdq_cauchy)["seed"], 0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "k_max, j_max",
+        [(sizes["k_max"], sizes["j_max"]) for check, *both in verify.CHECKS if check is verify.check_kdq_cauchy for sizes in both] + [(1, 0)],
+    )
     def test_verify_check_equals_reference_loop(self, seed, k_max, j_max):
         # one polynomial, one reference reproduction and one reference direct
-        # value per case, over the check's draws: the check reads the same
-        # worst case bit for bit
+        # value per case, over the check's draws at its verify-all and battery
+        # sizes and at (1, 0): the check reads the same worst case bit for bit
         rng = np.random.default_rng(seed)
         worst = 0.0
         for n in (2, 3):
@@ -515,10 +522,8 @@ class TestCauchyReproduce:
                 monkeypatch.setattr(kdq, "_radical", lambda n, u: radical(n, u) * (1.0 + skew))
             else:
                 monkeypatch.setattr(kdq, "_kernel", raw_radicand)
-            if defect in ("kernel", "node-column"):
-                (result,) = verify.check_kdq_cauchy(verify._SEED + 6, k_max=3, j_max=2)
-            else:
-                (result,) = verify.check_kdq_kernel(verify._SEED + 5, trials=15)
+            check = verify.check_kdq_cauchy if defect in ("kernel", "node-column") else verify.check_kdq_kernel
+            (result,) = check(**verify_all_keywords(check))
             return result.passed
 
         assert not observed(fails)
@@ -840,8 +845,8 @@ class TestProjection:
             return vals
 
         monkeypatch.setattr(sphere, "harmonic_table", skewed)
-        (orthonormality,) = verify.check_sphere_orthonormality(5)
-        (addition,) = verify.check_sphere_addition(verify._SEED, 20, 8)
+        (orthonormality,) = verify.check_sphere_orthonormality(**verify_all_keywords(verify.check_sphere_orthonormality))
+        (addition,) = verify.check_sphere_addition(**verify_all_keywords(verify.check_sphere_addition))
         assert not orthonormality.passed and not addition.passed
 
 
@@ -876,7 +881,7 @@ class TestMultiNevanlinna:
 
         def observed(skew):
             monkeypatch.setattr(kdq, "_moment_remainder", lambda atoms, weights, n, z: remainder(atoms * (1.0 + skew), weights, n, z))
-            (result,) = verify.check_kdq_multi_nevanlinna()
+            (result,) = verify.check_kdq_multi_nevanlinna(**verify_all_keywords(verify.check_kdq_multi_nevanlinna))
             assert result.name == "kdq-multi-nevanlinna"
             return result.passed
 

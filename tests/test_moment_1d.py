@@ -25,6 +25,8 @@ from toda_kdq.moment_1d import (
 from toda_kdq.kdq import PseudoPositiveMeasure
 from toda_kdq.pseudo_toda import PseudoTodaState
 
+from test_acceptance import verify_all_keywords
+
 
 def random_measure(rng, n, lo=-2.0, hi=2.0, normalized=True):
     atoms = np.sort(rng.uniform(lo, hi, size=n))
@@ -563,12 +565,14 @@ class TestVerifyLines:
 
             if defect == "lanczos-alphas":
                 monkeypatch.setattr(moment_1d, "_lanczos", skewed_lanczos)
-                return verify.check_moment_roundtrip(verify._SEED + 1, sizes=(6,) * 5)[0]
-            if defect == "eigh-couplings":
+                check = verify.check_moment_roundtrip
+            elif defect == "eigh-couplings":
                 monkeypatch.setattr(moment_1d, "_dense_rows", lambda diag, offdiag: dense_rows(diag, offdiag * (1.0 + skew)))
-                return verify.check_moment_triple(verify._SEED + 2, trials=20)[0]
-            monkeypatch.setattr(moment_1d, "_moment_remainder", skewed_weights)
-            return verify.check_moment_nevanlinna(verify._SEED + 3, n_measures=1)[0]
+                check = verify.check_moment_triple
+            else:
+                monkeypatch.setattr(moment_1d, "_moment_remainder", skewed_weights)
+                check = verify.check_moment_nevanlinna
+            return check(**verify_all_keywords(check))[0]
 
         assert observed(0.0).name == line
         assert not observed(fails).passed

@@ -21,6 +21,7 @@ from toda_kdq.pseudo_toda import (
     state_trajectory_csv,
     total_hamiltonian,
 )
+from test_acceptance import verify_all_keywords
 from test_toda_1d import hamiltonian, written_out_flow
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -612,7 +613,7 @@ class TestVerifyLines:
                 monkeypatch.setattr(pseudo_toda, "PseudoPositiveMeasure", lambda n, f: measure(n, replace(f, masses=f.masses * (1.0 + skew))))
             else:
                 monkeypatch.setattr(pseudo_toda, "_rhs_rows", lambda b, a: tuple(x * (1.0 + skew) for x in rhs(b, a)))
-            results = {r.name: r for r in verify.check_pseudo_toda(verify._SEED + 7, ode_times=(0.5,))}
+            results = {r.name: r for r in verify.check_pseudo_toda(**verify_all_keywords(verify.check_pseudo_toda))}
             return results[line]
 
         assert not observed(fails).passed

@@ -25,6 +25,8 @@ from toda_kdq.toda_1d import (
     trajectory_to_csv,
 )
 
+from test_acceptance import verify_all_keywords
+
 
 def random_state(rng, n):
     return JacobiMatrix(offdiag=rng.uniform(0.3, 1.0, size=n - 1), diag=rng.uniform(-1.0, 1.0, size=n))
@@ -392,7 +394,7 @@ class TestIntegration:
         "call, name",
         [
             (lambda: integrate_ensemble([], 1.0, 0.1), "states"),
-            (lambda: verify.toda_ensemble(0, (), 1.0), "sizes"),
+            (lambda: verify.check_toda(0, (), 1.0, 1.0, 0.1), "sizes"),
             (lambda: integrate_ensemble([SYMMETRIC_N2], 1.0, float("nan")), "dt"),
             (lambda: integrate_ensemble([SYMMETRIC_N2], 1.0, float("inf")), "dt"),
             (lambda: integrate_ensemble([SYMMETRIC_N2], float("nan"), 0.1), "t_final"),
@@ -722,8 +724,7 @@ class TestVerifyLines:
                 monkeypatch.setattr(toda_1d, "_qr_steps", qr_couplings)
             else:
                 monkeypatch.setattr(toda_1d, "_qr_steps", lambda b, a, rows, s: qr_steps(b, a, rows, s * (1.0 + skew)))
-            ensemble = verify.toda_ensemble(verify._SEED + 4, (2, 3, 4, 5, 6), 2.0)
-            results = verify.check_toda_lax(ensemble) + verify.check_toda_spectral(ensemble, 2.0, 1e-2)
+            results = verify.check_toda(**verify_all_keywords(verify.check_toda))
             return {r.name: r for r in results}[line]
 
         assert not observed(fails).passed
