@@ -292,10 +292,10 @@ def flaschka_surfaces(tk, K, N, t):
 
 
 def hua_kernel(tk, n, k_max):
-    """One `kdq.hua_kernel(p, x, k_max)` on S^(n-1) at |zeta| = 2 |x|."""
+    """One `kdq.hua_kernel(zeta, theta, x, k_max)` on S^(n-1) at |zeta| = 2 |x|."""
     theta = [0.6, 0.8] if n == 2 else [0.0, 0.6, 0.8]
-    p, x = tk.kdq.KDQPoint(0.8 * np.exp(0.7j), theta), 0.4 * np.roll(theta, 1)
-    return lambda: tk.kdq.hua_kernel(p, x, k_max)
+    zeta, x = 0.8 * np.exp(0.7j), 0.4 * np.roll(theta, 1)
+    return lambda: tk.kdq.hua_kernel(zeta, theta, x, k_max)
 
 
 def family(tk, K, N, op):

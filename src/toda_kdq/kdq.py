@@ -1,8 +1,9 @@
 """Geometry and transforms on the quadric (C x S^{n-1}) / {(z,t) ~ (-z,-t)}.
 
-Points are stored through a canonical representative of the antipodal pair
-(Re zeta > 0, resolved toward Im zeta >= 0 and then a fixed hemisphere for
-theta), so every operation is single-valued on the quadric by construction.
+Every operation takes a point (zeta, theta) at the canonical representative
+of its antipodal pair (Re zeta > 0, resolved toward Im zeta >= 0 and then a
+fixed hemisphere for theta, `_antipodal_flips`), so it is single-valued on
+the quadric by construction.
 
 The reproducing kernel zeta^{n-1} / r(zeta theta - x)^n, with
 
@@ -42,11 +43,10 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DivergenceRegionError, PoleError
-from .moment_1d import _as_vector, _freeze_fields, _merge_coincident, _moment_remainder, _segment, _sorted_atoms
+from .moment_1d import _as_vector, _merge_coincident, _moment_remainder, _segment, _sorted_atoms
 from .sphere import _harmonic_core, as_direction, check_indices, dim_harmonics, harmonic_table, solid_harmonic, sphere_nodes
 
 __all__ = [
-    "KDQPoint",
     "ComponentFamily",
     "PseudoPositiveMeasure",
     "AlmansiPolynomial",
@@ -64,47 +64,19 @@ __all__ = [
 _FIELDS = ("atoms", "weights")  # a component's JSON list fields (read in cli) and the names in its errors
 
 
-@dataclass(frozen=True)
-class KDQPoint:
-    """Point zeta*theta, stored as the canonical antipodal representative.
-
-    The representative has Re zeta > 0; ties fall to Im zeta >= 0, and for
-    zeta = 0 the hemisphere with positive first nonzero theta component.
-    Constructing from (zeta, theta) or (-zeta, -theta) yields the same point.
-    """
-
-    zeta: complex
-    theta: np.ndarray
-
-    def __post_init__(self):
-        z = complex(self.zeta)
-        th = as_direction(len(np.asarray(self.theta, dtype=float)), self.theta)
-        if _antipodal_flip(z, th):
-            z, th = -z, -th
-        object.__setattr__(self, "zeta", z)
-        _freeze_fields(self, theta=th)
-
-    @property
-    def n(self) -> int:
-        return self.theta.size
-
-
-def _antipodal_flip(z: complex, th: np.ndarray) -> bool:
-    if z.real != 0.0:
-        return z.real < 0.0
-    if z.imag != 0.0:
-        return z.imag < 0.0
-    nonzero = th[th != 0.0]
-    return nonzero.size > 0 and nonzero[0] < 0.0
-
-
 def _antipodal_flips(zetas: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    # `_antipodal_flip` of each entry of `zetas` with one theta, as array masks;
-    # the tests hold the two against each other
+    # True where (zeta, theta) is not the canonical representative: Re zeta < 0,
+    # else Im zeta < 0, else (zeta = 0) theta's first nonzero entry < 0
     nonzero = theta[theta != 0.0]
     down = nonzero.size > 0 and nonzero[0] < 0.0
     re, im = zetas.real, zetas.imag
     return (re < 0.0) | ((re == 0.0) & ((im < 0.0) | ((im == 0.0) & down)))
+
+
+def _canonical(n: int, zeta, theta) -> tuple[complex, np.ndarray]:
+    # the canonical representative of the pair (zeta, theta) on S^{n-1}, both negated together
+    z, theta = complex(zeta), as_direction(n, theta)
+    return (-z, -theta) if _antipodal_flips(np.array([z]), theta)[0] else (z, theta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,7 +270,7 @@ def _degrees(n: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     return k, d_k
 
 
-def hua_kernel(p: KDQPoint, x, k_max: int) -> complex:
+def hua_kernel(zeta, theta, x, k_max: int) -> complex:
     """Harmonic expansion of the reproducing kernel, truncated at degree k_max.
 
     The degree-k term is (|x|/zeta)^k sum_l Y_{k,l}(theta) Y_{k,l}(x/|x|).
@@ -309,17 +281,17 @@ def hua_kernel(p: KDQPoint, x, k_max: int) -> complex:
     degrees (`_zonal`).  Requires |zeta| > |x| (the convergence region);
     the geometric tail left off is bounded by `hua_tail_bound`.
     """
-    n = p.n
+    n = np.size(theta)
+    z, theta = _canonical(n, zeta, theta)
     xs = np.asarray(x, dtype=float).tolist()
     if len(xs) != n:
         raise ValueError(f"x must have shape ({n},)")
-    z = p.zeta
     r = math.hypot(*xs)
     if abs(z) <= r:
         raise DivergenceRegionError(f"series requires |zeta| > |x|; got {abs(z)} <= {r}")
     acc = 1.0
     if r != 0.0:
-        c = min(max(sum(map(operator.mul, p.theta.tolist(), xs)) / r, -1.0), 1.0)
+        c = min(max(sum(map(operator.mul, theta.tolist(), xs)) / r, -1.0), 1.0)
         k, d_k = _degrees(n, k_max)
         acc = complex((r / z) ** k @ (d_k * _zonal(n, k_max, c)))
     return complex(z / (z * z - r * r) * acc)
@@ -490,8 +462,10 @@ def _check_outside_support(mu: PseudoPositiveMeasure, zetas: np.ndarray) -> np.n
     Python's z * z.
 
     The first entry with abs(z) <= the support radius (DivergenceRegionError)
-    or a zeta^2 that is not finite (OverflowError), support first, is refused;
-    the error's `index` is the entry's.  A NaN entry fails on zeta^2.
+    or abs(z) >= 2^511 (OverflowError), support first, is refused; the error's
+    `index` is the entry's.  From |zeta^2| = 2^1022 a term 1/(zeta^2 - rho)
+    leaves the normal doubles, and from about 2^1023.5 it reads 0; zeta^2
+    itself is finite below 2^511.  A NaN entry fails on zeta^2.
     """
     re, im = zetas.real, zetas.imag
     z2 = np.empty(zetas.shape, dtype=complex)
@@ -499,7 +473,8 @@ def _check_outside_support(mu: PseudoPositiveMeasure, zetas: np.ndarray) -> np.n
     with np.errstate(over="ignore", invalid="ignore"):
         z2.real = re * re - im * im
         z2.imag = re * im + im * re
-        refused = (np.hypot(re, im) <= radius) | ~np.isfinite(z2)  # np.hypot is Python's abs, np.abs is not
+        modulus = np.hypot(re, im)  # np.hypot is Python's abs, np.abs is not
+        refused = (modulus <= radius) | ~(modulus < 2.0**511)
     if refused.any():
         i = int(np.argmax(refused))
         z = complex(zetas[i])
@@ -508,6 +483,8 @@ def _check_outside_support(mu: PseudoPositiveMeasure, zetas: np.ndarray) -> np.n
             # range, and of a NaN entry, which fails the test, it may read a stale errno
             if not cmath.isnan(z) and abs(z) <= radius:
                 raise DivergenceRegionError(f"transform requires |zeta| > support radius {radius}; got |zeta| = {abs(z)}")
+            if np.isfinite(z2[i]):
+                raise OverflowError(f"transform requires |zeta| < 2^511; got |zeta| = {abs(z)}")
             raise OverflowError(f"zeta^2 is not finite at zeta = {z}")
         except (DivergenceRegionError, OverflowError) as exc:
             exc.index = i
@@ -535,7 +512,7 @@ def markov_stieltjes(mu: PseudoPositiveMeasure, zetas, theta) -> np.ndarray:
     T_{k,l} is the one-dimensional Stieltjes transform of the pushforward of
     r^k dmu_{k,l} under rho = r^2, evaluated at zeta^2; each zeta must pass
     `_check_outside_support`.  Each (zeta, theta) is taken at its canonical
-    antipodal representative, as `KDQPoint` takes it, both negated together.
+    antipodal representative (`_antipodal_flips`), both negated together.
     The terms have the bits of Python complex arithmetic (see the README).
     """
     theta = as_direction(mu.n, theta)
@@ -622,7 +599,7 @@ def multi_nevanlinna_check(mu: PseudoPositiveMeasure, idx, n_trunc: int, zeta_li
     return res
 
 
-def divergent_partial_sums(mu: PseudoPositiveMeasure, n_trunc: int, p: KDQPoint):
+def divergent_partial_sums(mu: PseudoPositiveMeasure, n_trunc: int, zeta, theta):
     """Truncations (f_N, g_N) of the transform's formal moment series.
 
     f_N(zeta theta) = (1/zeta) sum_{k,l} sum_{j<2N} s_{k,l;j} zeta^{-k-2j} Y_{k,l}(theta)
@@ -636,10 +613,10 @@ def divergent_partial_sums(mu: PseudoPositiveMeasure, n_trunc: int, p: KDQPoint)
     fam = mu.family
     # s_{k,l;j} = int r^{k+2j} dmu_{k,l} of every component, for j = 0..2N
     moments = [fam.block_sums(fam.masses * fam.degree_powers(fam.radii, 2 * j)).tolist() for j in range(2 * n_trunc + 1)]
-    z = p.zeta
+    z, theta = _canonical(mu.n, zeta, theta)
     f_val = 0.0 + 0.0j
     g_val = 0.0 + 0.0j
-    for i, (k, y_val) in enumerate(zip(fam.degrees.tolist(), harmonic_table(mu.n, fam.keys, p.theta).tolist())):
+    for i, (k, y_val) in enumerate(zip(fam.degrees.tolist(), harmonic_table(mu.n, fam.keys, theta).tolist())):
         for j in range(2 * n_trunc):
             f_val += moments[j][i] * z ** (-(k + 2 * j)) * y_val
         g_val += moments[-1][i] * z ** (-k) * y_val

@@ -2,8 +2,9 @@
 
 The entries are the checks that `verify-all` runs, each with its battery
 keywords beside its `verify-all` ones; this module holds only the runtime
-budgets, and which lines of `check_toda` reproduce each of the paper's three
-Toda criteria.  Run with `pytest tests/test_acceptance.py -v -s` to see each
+budgets, which lines of `check_toda` reproduce each of the paper's three
+Toda criteria, and the rules every line keeps: no check runs on no input,
+and a line over no sample or a NaN one fails.  Run with `pytest tests/test_acceptance.py -v -s` to see each
 observed value next to its pinned tolerance.
 """
 
@@ -15,9 +16,10 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from toda_kdq import verify
+from toda_kdq import kdq, verify
 
 
 def verify_all_keywords(check, **changes) -> dict:
@@ -105,3 +107,41 @@ def test_checks_refuse_empty_inputs(check, kwargs, message):
     # a check over no samples would read 0.0 and pass on no data
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         check(**kwargs)
+
+
+def test_result_reads_the_largest_modulus():
+    # scalars and arrays of any shape, real and complex, in one line
+    samples = [-0.5, np.array([[1.0, -2.0], [0.25, 0.0]]), 3.0 + 4.0j, np.array([1.5 - 2.0j]), np.empty(0)]
+    assert verify._result("line", samples, 6.0) == verify.CheckResult("line", True, 5.0, 6.0)
+    assert verify._result("line", samples, 4.0) == verify.CheckResult("line", False, 5.0, 4.0)
+    assert not verify._result("line", samples, 6.0, holds=False).passed
+
+
+def nan_valued(function, first_only):
+    """`function` returning NaN of the shape of its values, or of the first of the pair it returns."""
+    def nan(*args):
+        out = function(*args)
+        return (np.full_like(out[0], np.nan), *out[1:]) if first_only else np.full_like(out, np.nan)
+
+    return nan
+
+
+@pytest.mark.parametrize(
+    "check, keywords, names, defect",
+    [
+        (verify.check_sphere_orthonormality, {"k_max": -1}, ["sphere-orthonormality"], None),
+        (verify.check_moment_roundtrip, {}, ["moment-inverse-roundtrip"], (verify, "spectral_data_from_jacobi", True)),
+        (verify.check_toda, {}, ["toda-isospectral-rk4", "toda-trace-identity"], (verify, "jacobi_eigenvalues", False)),
+        (verify.check_kdq_kernel, {}, ["kdq-kernel-series-vs-closed"], (kdq, "hua_kernel", False)),
+    ],
+    ids=["sphere-no-degree", "moment-nan-eigenvalues", "toda-nan-eigenvalues", "kdq-nan-kernel"],
+)
+def test_a_line_over_no_sample_or_a_nan_fails(monkeypatch, check, keywords, names, defect):
+    # Python's max never lets a NaN replace the running value, and an empty
+    # Gram matrix has no entry: each line used to read 0.0 or a finite value and pass
+    if defect is not None:
+        owner, name, first_only = defect
+        monkeypatch.setattr(owner, name, nan_valued(getattr(owner, name), first_only))
+    lines = {r.name: r for r in check(**verify_all_keywords(check, **keywords))}
+    for name in names:
+        assert not lines[name].passed and np.isnan(lines[name].observed), lines[name].line()

@@ -868,7 +868,7 @@ def fuzzed_transform_eval_configs(draw):
 def valid_transform_eval_configs(draw):
     # a valid measure of degrees up to --kmax's 24 and a unit theta; |zeta|
     # log-uniform over the doubles from 2, the largest atom, to 2^512, whose
-    # square overflows, and arg zeta uniform
+    # square overflows (exit 3 from 2^511), and arg zeta uniform
     n = draw(st.sampled_from([2, 3]))
     indices = [(k, ell) for k in range(25) for ell in range(1, sphere.dim_harmonics(n, k) + 1)]
     comps = []
@@ -890,6 +890,13 @@ def valid_transform_eval_configs(draw):
 
 def transform_eval_configs():
     return st.one_of(fuzzed_transform_eval_configs(), valid_transform_eval_configs())
+
+
+def far_transform_eval_config(re_, im_):
+    # |zeta| >= 2^511 with zeta^2 finite: 1/(zeta^2 - 1) is not a normal double
+    # there, and numpy's complex division read 0.0 with an overflow warning
+    measure = {"n": 2, "k_max": 24, "components": [{"k": 0, "ell": 1, "atoms": [1.0], "weights": [1.0]}]}
+    return {"measure": measure, "theta": [0.0, 1.0], "zetas": [[re_, im_]]}
 
 
 @st.composite
@@ -929,6 +936,8 @@ class TestQuadricExitCodes:
             st.tuples(st.just("simulate-pseudo"), simulate_pseudo_configs()),
         )
     )
+    @example(case=("transform-eval", far_transform_eval_config(1.1031054780462262e154, 6.026292692169782e153)))
+    @example(case=("transform-eval", far_transform_eval_config(7.01788611802308e153, 1.092971005095755e154)))
     def test_exit_code_contract(self, case):
         command, config = case
         code, err = run_in_process([command, "--t-final", "1", "--dt", "0.25"], config)
@@ -1010,8 +1019,21 @@ class TestQuadricExitCodes:
                     "does not fit a 64-bit integer\n",
                 ),
             ),
+            (
+                "transform-eval",
+                far_transform_eval_config(1.1031054780462262e154, 6.026292692169782e153),
+                (3, "numeric failure: at zetas[0]: transform requires |zeta| < 2^511; got |zeta| = 1.2569819934321185e+154\n"),
+            ),
+            (
+                "transform-eval",
+                far_transform_eval_config(7.01788611802308e153, 1.092971005095755e154),
+                (3, "numeric failure: at zetas[0]: transform requires |zeta| < 2^511; got |zeta| = 1.2988813932131892e+154\n"),
+            ),
         ],
-        ids=["theta", "merged-atom", "riccati", "ds-dt", "backward-mass", "functional", "k-past-int64", "ell-past-int64"],
+        ids=[
+            "theta", "merged-atom", "riccati", "ds-dt", "backward-mass", "functional", "k-past-int64", "ell-past-int64",
+            "far-zeta", "far-zeta-2",
+        ],
     )
     def test_huge_values(self, command, config, expected):
         assert run_in_process([command], config) == expected

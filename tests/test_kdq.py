@@ -10,7 +10,6 @@ from toda_kdq import cli, iso_flow, kdq, pseudo_toda, sphere, verify
 from toda_kdq.errors import DivergenceRegionError
 from toda_kdq.kdq import (
     AlmansiPolynomial,
-    KDQPoint,
     PseudoPositiveMeasure,
     _kernel,
     cauchy_reproduce,
@@ -29,10 +28,29 @@ from test_acceptance import verify_all_keywords
 E3 = np.array([0.0, 0.0, 1.0])
 
 
-def r_pow_n(p, x):
+def canonical(zeta, theta):
+    """The canonical representative of the antipodal pair (zeta, theta), one
+    point at a time: flip where Re zeta < 0, else where Im zeta < 0, else (at
+    zeta = 0) where theta's first nonzero entry is negative, zeta and theta
+    negated together.  `kdq._antipodal_flips` is held against it."""
+    z, th = complex(zeta), np.asarray(theta, dtype=float)
+    if z.real != 0.0:
+        flip = z.real < 0.0
+    elif z.imag != 0.0:
+        flip = z.imag < 0.0
+    else:
+        nonzero = th[th != 0.0]
+        flip = nonzero.size > 0 and nonzero[0] < 0.0
+    return (-z, -th) if flip else (z, th)
+
+
+def r_pow_n(zeta, theta, x):
     """r(zeta theta - x)^n = zeta^{n-1} / `_kernel` = zeta^n u^{n/2} at the canonical representative."""
+    z, th = canonical(zeta, theta)
     x = np.asarray(x, dtype=float)
-    return complex(p.zeta ** (p.n - 1) / _kernel(p.n, np.complex128(p.zeta), float(p.theta @ x), float(x @ x)))
+    return complex(z ** (th.size - 1) / _kernel(th.size, np.complex128(z), float(th @ x), float(x @ x)))
+
+
 RAY = np.exp(1j * np.pi / 4)  # arg zeta^2 = pi/2
 
 
@@ -42,15 +60,15 @@ def unit(v):
 
 
 def random_point_pair(rng, n, ratio_lo=2.0, ratio_hi=5.0):
-    """x and a kernel-expansion point with |zeta| >= ratio_lo |x|, arg(zeta)
-    anywhere in the canonical half-plane (-pi/2, pi/2]."""
+    """A kernel-expansion point (zeta, theta) and x with |zeta| >= ratio_lo |x|,
+    arg(zeta) anywhere in the canonical half-plane (-pi/2, pi/2]."""
     x = rng.normal(size=n)
     x *= rng.uniform(0.2, 0.5) / np.linalg.norm(x)
     theta = unit(rng.normal(size=n))
     zeta = np.linalg.norm(x) * rng.uniform(ratio_lo, ratio_hi) * np.exp(
         1j * (np.pi / 2 - rng.uniform(0.0, np.pi))
     )
-    return KDQPoint(zeta, theta), x
+    return complex(zeta), theta, x
 
 
 def direction(n, azimuth, polar):
@@ -78,21 +96,22 @@ def basis_pair(n, k, a, b):
     return float(4.0 * np.pi * np.sum(ya * np.conj(yb)).real)
 
 
-def basis_pair_kernel(p, x, k_max):
+def basis_pair_kernel(zeta, theta, x, k_max):
     """The kernel series with each degree summed over explicit basis pairs.
 
-    zeta/(zeta^2 - |x|^2) sum_k zeta^{-k} |x|^k sum_l Y_{k,l}(theta) Y_{k,l}(x/|x|),
-    the harmonic expansion as written, without the addition theorem.
+    zeta/(zeta^2 - |x|^2) sum_k zeta^{-k} |x|^k sum_l Y_{k,l}(theta) Y_{k,l}(x/|x|)
+    at the canonical representative, the harmonic expansion as written,
+    without the addition theorem.
     """
     xv = np.asarray(x, dtype=float)
-    z = p.zeta
+    z, theta = canonical(zeta, theta)
     r = float(np.linalg.norm(xv))
     acc = 0.0 + 0.0j
     if r == 0.0:
         acc = 1.0
     else:
         for k in range(k_max + 1):
-            acc += z ** (-k) * r**k * basis_pair(p.n, k, p.theta, xv / r)
+            acc += z ** (-k) * r**k * basis_pair(theta.size, k, theta, xv / r)
     return complex(z / (z * z - r * r) * acc)
 
 
@@ -104,9 +123,9 @@ def tilde_measure(atoms, weights, k):
     return DiscreteMeasure(atoms[keep] ** 2, w[keep], half_line=True)
 
 
-def per_point_transform(mu, p):
+def per_point_transform(mu, zeta, theta):
     """The transform at one point, every pushforward and harmonic rebuilt there."""
-    z = p.zeta
+    z, theta = canonical(zeta, theta)
     total = 0.0 + 0.0j
     for k, ell in mu.family.keys:
         atoms, weights = mu.family.component((k, ell))
@@ -114,7 +133,7 @@ def per_point_transform(mu, p):
         if tilde is None:
             continue
         t_val = stieltjes_transform(tilde, z * z)
-        total += z ** (1 - k) * float(sphere.harmonic_table(mu.n, [(k, ell)], p.theta)[0]) * t_val
+        total += z ** (1 - k) * float(sphere.harmonic_table(mu.n, [(k, ell)], theta)[0]) * t_val
     return complex(total)
 
 
@@ -133,13 +152,13 @@ def single_component(n, k, ell, atoms, weights):
     )
 
 
-def python_complex_transform(mu, points):
+def python_complex_transform(mu, zetas, theta):
     """markov_stieltjes as a loop of Python complex numbers over the same
     T_{k,l} and Y_{k,l}: zeta^{1-k} * Y * T summed in ascending (k, l) order."""
     tilde = kdq._tilde_family(mu)
-    zs = [p.zeta for p in points]
+    zs, thetas = zip(*[canonical(z, theta) for z in zetas])
     t_rows = kdq._tilde_transforms(tilde, np.array([z * z for z in zs], dtype=complex)).tolist()
-    y_rows = sphere.harmonic_table(mu.n, tilde.keys, np.array([p.theta for p in points])).tolist()
+    y_rows = sphere.harmonic_table(mu.n, tilde.keys, np.array(thetas)).tolist()
     totals = []
     for z, ys, ts in zip(zs, y_rows, t_rows):
         total = 0.0 + 0.0j
@@ -150,22 +169,24 @@ def python_complex_transform(mu, points):
 
 
 def per_point_markov_stieltjes(mu, zetas, theta):
-    """`markov_stieltjes` as one KDQPoint per zeta, each checked in turn: the
-    values, or (index, error type, message) of the first point refused."""
-    points = [KDQPoint(z, theta) for z in zetas]
+    """`markov_stieltjes` as one `canonical` point per zeta, each checked in
+    turn: the values, or (index, error type, message) of the first point refused."""
+    points = [canonical(z, theta) for z in zetas]
     radius = mu.support_radius
-    for i, q in enumerate(points):
+    for i, (z, _) in enumerate(points):
         try:
             # abs of a NaN entry may raise on a stale errno; NaN fails the test
-            if not cmath.isnan(q.zeta) and abs(q.zeta) <= radius:
-                raise DivergenceRegionError(f"transform requires |zeta| > support radius {radius}; got |zeta| = {abs(q.zeta)}")
-            if not cmath.isfinite(q.zeta * q.zeta):
-                raise OverflowError(f"zeta^2 is not finite at zeta = {q.zeta}")
+            if not cmath.isnan(z) and abs(z) <= radius:
+                raise DivergenceRegionError(f"transform requires |zeta| > support radius {radius}; got |zeta| = {abs(z)}")
+            if not cmath.isfinite(z * z):
+                raise OverflowError(f"zeta^2 is not finite at zeta = {z}")
+            if abs(z) >= 2.0**511:
+                raise OverflowError(f"transform requires |zeta| < 2^511; got |zeta| = {abs(z)}")
         except (DivergenceRegionError, OverflowError) as exc:
             return i, type(exc), str(exc)
-    thetas = np.array([q.theta for q in points]).reshape(len(points), mu.n)
+    thetas = np.array([th for _, th in points]).reshape(len(points), mu.n)
     tilde = kdq._tilde_family(mu)
-    zs = [q.zeta for q in points]
+    zs = [z for z, _ in points]
     t_vals = kdq._tilde_transforms(tilde, np.array([z * z for z in zs], dtype=complex))
     top = tilde.keys[-1][0] if tilde.keys else 0
     powers = np.array([[z ** (1 - k) for k in range(top + 1)] for z in zs], dtype=complex).reshape(len(zs), top + 1)
@@ -192,24 +213,32 @@ def pack_each_entry(components, names):
     return (keys, offsets, *(np.concatenate([np.empty(0)] + [table[key][i] for key in keys]) for i in (0, 1)))
 
 
-class TestKDQPoint:
+class TestCanonical:
+    @staticmethod
+    def canonical_pair(zeta, theta):
+        # kdq._canonical, which the package applies, with the bits of the rules written out in `canonical`
+        got, want = kdq._canonical(len(theta), zeta, theta), canonical(zeta, theta)
+        assert repr(got[0]) == repr(want[0]) and got[1].tobytes() == want[1].tobytes()
+        return got
+
     def test_canonicalization(self):
         th = unit([0.3, -0.4, 0.5])
-        p1 = KDQPoint(1.5 + 0.3j, th)
-        p2 = KDQPoint(-(1.5 + 0.3j), -th)
-        assert p1.zeta == p2.zeta
-        assert np.array_equal(p1.theta, p2.theta)
+        z1, th1 = self.canonical_pair(1.5 + 0.3j, th)
+        z2, th2 = self.canonical_pair(-(1.5 + 0.3j), -th)
+        assert z1 == z2 == 1.5 + 0.3j
+        assert np.array_equal(th1, th2) and np.array_equal(th1, th)
 
     def test_imaginary_axis_rule(self):
         th = unit([1.0, 1.0])
-        p = KDQPoint(-2j, th)
-        assert p.zeta == 2j
-        assert np.array_equal(p.theta, -th)
+        z, th2 = self.canonical_pair(-2j, th)
+        assert z == 2j
+        assert np.array_equal(th2, -th)
 
     def test_zero_zeta_hemisphere(self):
         th = unit([-1.0, 0.5, 0.2])
-        p = KDQPoint(0.0, th)
-        assert p.theta[0] > 0.0
+        _, th2 = self.canonical_pair(0.0, th)
+        assert th2[0] > 0.0
+        assert self.canonical_pair(-0.0, [-0.0, 1.0])[1].tobytes() == np.array([-0.0, 1.0]).tobytes()
 
     def test_operations_antipodally_invariant(self):
         rng = np.random.default_rng(0)
@@ -217,9 +246,9 @@ class TestKDQPoint:
         th = unit(rng.normal(size=3))
         zeta = 2.0 + 0.7j
         mu = single_component(3, 1, 1, [0.4], [1.0])
-        for p in (KDQPoint(zeta, th), KDQPoint(-zeta, -th)):
-            assert r_pow_n(p, x) == r_pow_n(KDQPoint(zeta, th), x)
-            assert hua_kernel(p, x, 20) == hua_kernel(KDQPoint(zeta, th), x, 20)
+        for z, t in ((zeta, th), (-zeta, -th)):
+            assert r_pow_n(z, t, x) == r_pow_n(zeta, th, x)
+            assert hua_kernel(z, t, x, 20) == hua_kernel(zeta, th, x, 20)
         for z, t in ((zeta, th), (-zeta, -th)):
             assert markov_stieltjes(mu, [z], t).tobytes() == markov_stieltjes(mu, [zeta], th).tobytes()
 
@@ -228,14 +257,12 @@ class TestAronszajn:
     def test_origin(self):
         th = unit([0.6, 0.8])
         for n, theta in ((2, th), (3, E3)):
-            p = KDQPoint(1.3 + 0.4j, theta)
-            assert r_pow_n(p, np.zeros(n)) == pytest.approx(p.zeta**n)
+            assert r_pow_n(1.3 + 0.4j, theta, np.zeros(n)) == pytest.approx((1.3 + 0.4j) ** n)
 
     def test_aligned_square(self):
         th = unit([0.6, 0.8])
-        p = KDQPoint(2.0 + 1.0j, th)
         s = 0.7
-        assert r_pow_n(p, s * th) == pytest.approx((p.zeta - s) ** 2)
+        assert r_pow_n(2.0 + 1.0j, th, s * th) == pytest.approx((2.0 + 1.0j - s) ** 2)
 
     def test_singularity(self):
         # u = 0 (zeta a root of modulus |x|) is a pole of the closed form
@@ -246,9 +273,9 @@ class TestAronszajn:
     def test_series_branch_where_the_raw_radicand_flips(self):
         # the principal root of zeta^2 - 2 zeta <theta,x> + |x|^2 gave
         # +0.677486+0.669236i here, the negative of the series
-        p = KDQPoint(0.1 + 1.0j, E3)
-        exact = p.zeta**2 / (p.zeta - 0.3) ** 3
-        assert abs(_kernel(3, np.complex128(p.zeta), 0.3, 0.09) - exact) <= 1e-14 * abs(exact)
+        zeta = 0.1 + 1.0j
+        exact = zeta**2 / (zeta - 0.3) ** 3
+        assert abs(_kernel(3, np.complex128(zeta), 0.3, 0.09) - exact) <= 1e-14 * abs(exact)
 
     def test_zero_zeta_has_no_u(self):
         # zeta = 0 has no u, and lies outside the series' region |zeta| > |x|
@@ -256,7 +283,7 @@ class TestAronszajn:
             with np.errstate(divide="ignore", invalid="ignore"):
                 assert not np.isfinite(_kernel(3, np.complex128(0.0), float(E3 @ x), float(x @ x)))
             with pytest.raises(DivergenceRegionError):
-                hua_kernel(KDQPoint(0.0, E3), x, 10)
+                hua_kernel(0.0, E3, x, 10)
 
     def test_roots_have_modulus_x(self):
         # the zeros <theta,x> +- i sqrt(|x|^2 - <theta,x>^2) of u in the module docstring
@@ -288,36 +315,32 @@ class TestSingularRoots:
 
 class TestHuaKernel:
     def test_origin_value(self):
-        p = KDQPoint(1.7 - 0.3j, E3)
-        assert hua_kernel(p, np.zeros(3), 10) == pytest.approx(1.0 / p.zeta)
+        assert hua_kernel(1.7 - 0.3j, E3, np.zeros(3), 10) == pytest.approx(1.0 / (1.7 - 0.3j))
 
     def test_aligned_n2_geometric(self):
         th = unit([np.cos(0.4), np.sin(0.4)])
-        p = KDQPoint(1.9 + 0.2j, th)
-        s = 0.5
-        val = hua_kernel(p, s * th, 60)
-        assert val == pytest.approx(p.zeta / (p.zeta - s) ** 2, abs=1e-12)
+        zeta, s = 1.9 + 0.2j, 0.5
+        val = hua_kernel(zeta, th, s * th, 60)
+        assert val == pytest.approx(zeta / (zeta - s) ** 2, abs=1e-12)
 
     def test_aligned_n3_geometric(self):
-        p = KDQPoint(2.1 + 0.1j, E3)
-        s = 0.6
-        val = hua_kernel(p, s * E3, 60)
-        assert val == pytest.approx(p.zeta**2 / (p.zeta - s) ** 3, abs=1e-12)
+        zeta, s = 2.1 + 0.1j, 0.6
+        val = hua_kernel(zeta, E3, s * E3, 60)
+        assert val == pytest.approx(zeta**2 / (zeta - s) ** 3, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_series_vs_closed_form_within_tail(self, n):
         rng = np.random.default_rng(2)
         for _ in range(25):
-            p, x = random_point_pair(rng, n)
-            series = hua_kernel(p, x, 40)
-            closed = _kernel(n, np.complex128(p.zeta), float(p.theta @ x), float(x @ x))
-            bound = hua_tail_bound(n, p.zeta, x, 40)
+            zeta, theta, x = random_point_pair(rng, n)
+            series = hua_kernel(zeta, theta, x, 40)
+            closed = _kernel(n, np.complex128(zeta), float(theta @ x), float(x @ x))
+            bound = hua_tail_bound(n, zeta, x, 40)
             assert abs(series - closed) <= bound + 1e-12
 
     def test_divergence_region(self):
-        p = KDQPoint(0.5, E3)
         with pytest.raises(DivergenceRegionError):
-            hua_kernel(p, np.array([0.0, 0.0, 0.9]), 10)
+            hua_kernel(0.5, E3, np.array([0.0, 0.0, 0.9]), 10)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -331,18 +354,18 @@ class TestHuaKernel:
     def test_matches_basis_pair_oracle(self, n, k_max, angles, ratio, modulus, arg):
         theta = direction(n, angles[0], angles[1])
         x = ratio * modulus * direction(n, angles[2], angles[3])
-        p = KDQPoint(modulus * np.exp(1j * arg), theta)
-        scale = abs(p.zeta / (p.zeta**2 - float(x @ x))) * sum(
+        zeta = complex(modulus * np.exp(1j * arg))
+        scale = abs(zeta / (zeta**2 - float(x @ x))) * sum(
             sphere.dim_harmonics(n, k) * ratio**k for k in range(k_max + 1)
         )
-        assert abs(hua_kernel(p, x, k_max) - basis_pair_kernel(p, x, k_max)) <= 1e-13 * scale
+        assert abs(hua_kernel(zeta, theta, x, k_max) - basis_pair_kernel(zeta, theta, x, k_max)) <= 1e-13 * scale
 
     def test_tail_bound_dominates_truncation_jump(self):
         rng = np.random.default_rng(3)
-        p, x = random_point_pair(rng, 3)
-        coarse = hua_kernel(p, x, 10)
-        fine = hua_kernel(p, x, 60)
-        assert abs(coarse - fine) <= hua_tail_bound(3, p.zeta, x, 10)
+        zeta, theta, x = random_point_pair(rng, 3)
+        coarse = hua_kernel(zeta, theta, x, 10)
+        fine = hua_kernel(zeta, theta, x, 60)
+        assert abs(coarse - fine) <= hua_tail_bound(3, zeta, x, 10)
 
 
 class TestKernelGrid:
@@ -573,7 +596,7 @@ class TestMarkovStieltjes:
         zetas = [2.0 + 0.5j, -1.5 - 0.3j, 3.0j, 1.1 - 1.2j, -2.5 + 0.1j]
         many = markov_stieltjes(mu, zetas, theta)
         assert many.dtype == complex and many.shape == (len(zetas),)
-        assert np.array_equal(many, [per_point_transform(mu, KDQPoint(z, theta)) for z in zetas])
+        assert np.array_equal(many, [per_point_transform(mu, z, theta) for z in zetas])
         assert np.array_equal(many, [markov_stieltjes(mu, [z], theta)[0] for z in zetas])
         assert markov_stieltjes(mu, [], theta).shape == (0,)
 
@@ -609,8 +632,7 @@ class TestMarkovStieltjes:
         theta = np.eye(n)[rng.integers(n)] * rng.choice([-1.0, 1.0]) if on_axis else unit(rng.normal(size=n))
         zetas = [rng.uniform(1.0, 3.0) * np.exp(1j * a) for a in args]
         many = markov_stieltjes(mu, zetas, theta)
-        points = [KDQPoint(z, theta) for z in zetas]
-        assert many.tobytes() == np.array(python_complex_transform(mu, points), dtype=complex).tobytes()
+        assert many.tobytes() == np.array(python_complex_transform(mu, zetas, theta), dtype=complex).tobytes()
         assert markov_stieltjes(mu, zetas[:1], theta).tobytes() == many[:1].tobytes()
 
     @settings(max_examples=300, deadline=None)
@@ -622,13 +644,13 @@ class TestMarkovStieltjes:
         entries=st.lists(
             st.one_of(
                 st.tuples(st.floats(1.0, 3.0), st.floats(-np.pi, np.pi)),  # Re zeta of either sign
-                st.sampled_from(["+0-i", "-0-i", "+0+i", "zero", "radius", "-radius", "-i radius", "overflow", "huge", "nan"]),
+                st.sampled_from(["+0-i", "-0-i", "+0+i", "zero", "radius", "-radius", "-i radius", "near-overflow", "overflow", "huge", "nan"]),
             ),
             max_size=5,
         ),
     )
     def test_array_path_has_the_per_point_bits(self, n, k_max, seed, on_axis, entries):
-        # the flips, checks and terms on arrays against one KDQPoint per zeta:
+        # the flips, checks and terms on arrays against one `canonical` point per zeta:
         # the same values bit for bit, or the same first refused entry and message
         rng = np.random.default_rng(seed)
         mu = random_measure(rng, n, k_max, 0.0, 0.9)
@@ -636,6 +658,7 @@ class TestMarkovStieltjes:
         special = {
             "+0-i": complex(0.0, -2.0), "-0-i": complex(-0.0, -2.0), "+0+i": complex(-0.0, 2.0), "zero": complex(-0.0, 0.0),
             "radius": complex(r, 0.0), "-radius": complex(-r, 0.0), "-i radius": complex(0.0, -r),
+            "near-overflow": complex(-1.1031054780462262e154, 6.026292692169782e153),  # |zeta| >= 2^511, zeta^2 finite
             "overflow": complex(-1e200, 1e200), "huge": complex(1.7e308, -1.7e308), "nan": complex(float("nan"), 1.0),
         }
         zetas = [special[e] if type(e) is str else e[0] * cmath.exp(1j * e[1]) for e in entries]
@@ -657,7 +680,7 @@ class TestMarkovStieltjes:
         # 0.0 + -0.0 = 0.0, and the array sum starts there too
         mu = single_component(2, 1, 2, [0.5], [1.0])
         zetas = [2.0, 2.0 + 1j, 2.0 - 1j, 2j, 0.5 + 2j]
-        want = np.array(python_complex_transform(mu, [KDQPoint(z, theta) for z in zetas]), dtype=complex)
+        want = np.array(python_complex_transform(mu, zetas, theta), dtype=complex)
         assert markov_stieltjes(mu, zetas, theta).tobytes() == want.tobytes()
         assert np.array([markov_stieltjes(mu, [z], theta)[0] for z in zetas]).tobytes() == want.tobytes()
 
@@ -888,13 +911,13 @@ class TestMultiNevanlinna:
         assert not observed(0.2)
         assert observed(0.1)
 
-def per_key_partial_sums(mu, n_trunc, p):
+def per_key_partial_sums(mu, n_trunc, zeta, theta):
     """divergent_partial_sums one key at a time: one harmonic and one moment sum per key and j."""
-    z = p.zeta
+    z, theta = canonical(zeta, theta)
     f_val = g_val = 0.0 + 0.0j
     for k, ell in mu.family.keys:
         atoms, weights = mu.family.component((k, ell))
-        y_val = float(sphere.harmonic_table(mu.n, [(k, ell)], p.theta)[0])
+        y_val = float(sphere.harmonic_table(mu.n, [(k, ell)], theta)[0])
         moments = [float(np.sum(weights * atoms ** (k + 2 * j))) if atoms.size else 0.0 for j in range(2 * n_trunc + 1)]
         for j in range(2 * n_trunc):
             f_val += moments[j] * z ** (-(k + 2 * j)) * y_val
@@ -920,22 +943,20 @@ class TestDivergentPartialSums:
                     size = int(rng.integers(0, 4))
                     comps[(k, ell)] = (rng.uniform(0.0, 1.5, size), rng.uniform(0.0, 1.0, size))
         mu = PseudoPositiveMeasure(n, comps)
-        p = KDQPoint(rng.uniform(1.0, 5.0) * np.exp(1j * rng.uniform(-np.pi, np.pi)), unit(rng.normal(size=n)))
-        assert divergent_partial_sums(mu, n_trunc, p) == per_key_partial_sums(mu, n_trunc, p)
+        zeta, theta = rng.uniform(1.0, 5.0) * np.exp(1j * rng.uniform(-np.pi, np.pi)), unit(rng.normal(size=n))
+        assert divergent_partial_sums(mu, n_trunc, zeta, theta) == per_key_partial_sums(mu, n_trunc, zeta, theta)
 
     def test_n_zero(self):
         mu = single_component(3, 0, 1, [0.7], [1.0])
-        p = KDQPoint(3.0 * RAY, E3)
-        f0, g0 = divergent_partial_sums(mu, 0, p)
+        f0, g0 = divergent_partial_sums(mu, 0, 3.0 * RAY, E3)
         assert f0 == 0.0
         # s_{0,1;0} is the mass 1.0 of the one atom
         assert g0 == pytest.approx(sphere.harmonic_table(3, [(0, 1)], E3)[0])
 
     def test_f_is_geometric_truncation(self):
         mu = single_component(3, 0, 1, [0.5], [1.0])
-        p = KDQPoint(4.0 * RAY, E3)
-        f2, _ = divergent_partial_sums(mu, 2, p)
-        z = p.zeta
+        z = complex(4.0 * RAY)
+        f2, _ = divergent_partial_sums(mu, 2, z, E3)
         expected = sum(0.5 ** (2 * j) * z ** (-2 * j - 1) for j in range(4))
         assert f2 == pytest.approx(expected)
 
@@ -949,10 +970,10 @@ class TestDivergentPartialSums:
         th = unit(rng.normal(size=3))
         prev = np.inf
         for mod in (4.0, 8.0, 16.0):
-            p = KDQPoint(mod * RAY, th)
-            mh = markov_stieltjes(mu, [p.zeta], p.theta)[0]
-            f1, g1 = divergent_partial_sums(mu, 1, p)
-            gap = abs(p.zeta**5 * (mh - f1) - g1)
+            zeta = complex(mod * RAY)
+            mh = markov_stieltjes(mu, [zeta], th)[0]
+            f1, g1 = divergent_partial_sums(mu, 1, zeta, th)
+            gap = abs(zeta**5 * (mh - f1) - g1)
             assert gap < prev
             prev = gap
         assert prev < 1e-2

@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 
 from toda_kdq import sphere
 from toda_kdq.cli import _read_measure, main
-from toda_kdq.kdq import KDQPoint, PseudoPositiveMeasure, multi_nevanlinna_check
+from toda_kdq.kdq import PseudoPositiveMeasure, multi_nevanlinna_check
 from toda_kdq.moment_1d import DiscreteMeasure, nevanlinna_limit_check
 
 RAY = complex(np.exp(1j * np.pi / 4))  # arg zeta^2 = pi/2
@@ -79,6 +79,21 @@ def ref_stieltjes(atoms, weights, k, zeta):
     return complex(np.sum(wt / (complex(zeta * zeta) - rho)))
 
 
+def ref_canonical(zeta, theta):
+    """The representative of the antipodal pair (zeta, theta): flipped where
+    Re zeta < 0, else where Im zeta < 0, else (at zeta = 0) where theta's
+    first nonzero entry is negative, zeta and theta negated together."""
+    z, th = complex(zeta), np.asarray(theta, dtype=float)
+    if z.real != 0.0:
+        flip = z.real < 0.0
+    elif z.imag != 0.0:
+        flip = z.imag < 0.0
+    else:
+        nonzero = th[th != 0.0]
+        flip = nonzero.size > 0 and nonzero[0] < 0.0
+    return (-z, -th) if flip else (z, th)
+
+
 def csv(header, rows):
     return "\n".join([",".join(header)] + [",".join(map(repr, map(float, row))) for row in rows]) + "\n"
 
@@ -87,12 +102,12 @@ def ref_transform(measure, theta, zetas, k_max):
     comps = ref_components(measure)
     rows = []
     for re_, im_ in zetas:
-        p = KDQPoint(complex(re_, im_), theta)
+        z, th = ref_canonical(complex(re_, im_), theta)
         total = 0.0 + 0.0j
         for (k, ell), (atoms, weights) in sorted(comps.items()):
-            t_val = ref_stieltjes(atoms, weights, k, p.zeta) if k <= k_max else None
+            t_val = ref_stieltjes(atoms, weights, k, z) if k <= k_max else None
             if t_val is not None:
-                total += p.zeta ** (1 - k) * float(ref_harmonic(measure["n"], k, ell, p.theta)) * t_val
+                total += z ** (1 - k) * float(ref_harmonic(measure["n"], k, ell, th)) * t_val
         rows.append([re_, im_, total.real, total.imag])
     return 0, csv(["zeta_re", "zeta_im", "value_re", "value_im"], rows), "", ""
 
