@@ -373,6 +373,7 @@ CASES = [
     *[(cli_process, {"command": command}) for command in COMMANDS],
     *[(rk4_step, {"B": b, "N": n, "steps": 200}) for b in (1, 5, 20) for n in (2, 8, 32, 128)],
     (rk4_step, {"B": 5, "N": [2, 3, 4, 5, 6], "steps": 200}),  # the RK4 ensemble of verify-all
+    *[(rk4_step, {"B": 1, "N": n, "steps": 200}) for n in (4, 12, 16, 24)],  # around toda_1d._KERNEL_SITES
     (verify, {"check": "run_all"}),
     *[(simulate_1d, {"N": n, "t_final": 1.0}) for n in (2, 8, 32, 64)],
     *[(harmonic_table, {"k_max": k, "at": at}) for k in (2, 4, 8, 16, 24, 32) for at in ("point", "grid")],

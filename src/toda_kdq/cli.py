@@ -386,7 +386,13 @@ def _run_iso_flow(args: argparse.Namespace) -> int:
     data = _load_json(args.input_path)
     mu = _measure_from_config(data)
     with _stage("bad iso-flow config: "):
-        rep = iso_flow.monotonicity_check(mu, _json_float(data, "t_grid"))
+        # the library takes t = inf as the flow's limit, which a CSV of finite numbers has no row for
+        t_grid = _as_vector("t_grid", _json_float(data, "t_grid"))
+        finite = np.isfinite(t_grid)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(f"t_grid entries must be finite, got t_grid[{i}] = {float(t_grid[i])!r}")
+        rep = iso_flow.monotonicity_check(mu, t_grid)
     header = ["t"] + [f"S_k{k}_l{ell}" for k, ell in mu.family.keys]
     _emit(_csv_text(header, np.column_stack([rep.times, rep.values])), args.output_path)
     sys.stdout.write(

@@ -128,6 +128,8 @@ def _segment(offsets: np.ndarray, i) -> int:
 
 def _segment_order(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """The stable order that sorts each segment values[offsets[s]:offsets[s + 1]] and keeps the segments in place."""
+    if offsets.size == 2:  # one segment: the same order, without lexsort's segment key
+        return np.argsort(values, kind="stable")
     return np.lexsort((values, np.repeat(np.arange(offsets.size - 1), np.diff(offsets))))
 
 

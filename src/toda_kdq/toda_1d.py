@@ -36,6 +36,14 @@ _SPAN = 8.0
 _MAX_CHECKPOINTS = 2**16
 # RK4 steps between two scans of the output for a failure
 _CHUNK = 64
+# chains of at most this many sites, ghosts included, step through `_kernel`:
+# the longest chain on which it was not slower than the numpy loop.  One
+# state, 200 steps, 21 alternating pairs on 2 shared cores: kernel / numpy
+# time 0.19 at 3 sites, 0.49 at 9, 0.66 at 13, 0.89 at 16, 1.00 at 17 and
+# 1.07 at 20 (README, "RK4 cost"; bench/BENCH_38.json reads 0.76 at 13)
+_KERNEL_SITES = 16
+# the kernels built so far, by site count
+_KERNELS = {}
 # entries of a CSV table turned into Python floats and strings at a time: on
 # simulate-1d runs of N = 2 to 64, blocks of 2^15 raised the peak RSS by 4.5 MB, of 2^12 by 1 MB
 _CSV_BLOCK = 2**12
@@ -102,39 +110,21 @@ def integrate_ensemble(states, t_final: float, dt: float) -> list:
 
     Returns one `Trajectory` per state, sampled at multiples of dt.  The
     states are laid end to end as one chain of M sites, each state followed
-    by a ghost site: its b is 0 and so are its two couplings.  A coupling at
-    a joint gets a' = 0 (b - 0) = +-0 for any finite b, so it stays +0 and
-    the ghost's b' = 2 (0 - 0) stays 0: no state acts on another, and each
-    trajectory is bit-identical to a run of its state alone.  Without the
-    ghost, a joint would take the difference of two states' sites, which
-    overflows for sites near +-1.7e308 of opposite signs.  The last ghost
-    keeps one N = 2 state's a from being a length-1 array, on which an
-    in-place ufunc costs 2-3 times more.
-
-    y = [a | pad | b], of length 2 M, is followed in one buffer by the a^2
-    of `_rhs`, whose one subtraction fills k = [a' | pad | b'/2] in line
-    with y.  A step is 25 ufunc calls: the loop writes out the square,
-    subtraction and product of `_rhs` for each of the four stages, on views
-    and ufuncs bound to locals once, so no Python call or tuple comes
-    between them, and the ufuncs, operands and order are those of `_rhs`.
-    The weights 0.5 dt, dt and dt/6 are
-    vectors over y: c on a, 0 on the pad and 2 c on b.  2 c d and c (2 d)
-    are one real product, and sums of doubled terms are the doubled sums,
-    so the bits are those of the classical form while 2 d does not overflow
-    (couplings near 1e154; a test holds the errors to that form there too).
-    Each trajectory is a view of its own columns of one (T, 2 M) output.
+    by a ghost site: its b is 0 and so are its two couplings, so no state
+    acts on another and each trajectory is bit-identical to a run of its
+    state alone.  A chain of at most _KERNEL_SITES sites steps through a
+    compiled kernel of Python floats, a longer one through 25 numpy calls a
+    step; both take the same IEEE operations in the same order (README, "RK4
+    cost").  Each trajectory is a view of its own columns of one (T, 2 M)
+    output [a | pad | b].
 
     The exact flow preserves a_j > 0, so a coupling at or below 0, or an
     entry that is not finite, means dt is too large for that state; either
     raises PositivityLossError.  The states' own columns are scanned for
-    both once every _CHUNK = 64 steps and at the end, in one array pass; the
-    error names the first step that fails and the first state that fails
-    there, as a check after every step would, non-finite entries first.
-    Once a state blows up, NaN spreads one position per evaluation of the
-    right-hand side along the chain of sites and couplings: at most 3 in the
-    step where it appears, while the next state's first site is 4 away, so
-    the row that fails first holds no NaN of another state.  With more than
-    one state, the error names the index and the size of the state.
+    both once every _CHUNK = 64 steps and at the end; the error names the
+    first step that fails and the first state that fails there, as a check
+    after every step would, non-finite entries first (`_check_rows`).  With
+    more than one state, it names the index and the size of the state.
     """
     if not states:
         raise ValueError("states must hold at least one state")
@@ -148,63 +138,143 @@ def integrate_ensemble(states, t_final: float, dt: float) -> list:
     sizes = [s.n for s in states]
     starts = list(accumulate((n + 1 for n in sizes), initial=0))  # the first site of each state, then M
     m = starts.pop()
-    # [a | pad | b | 0, a^2, 0] at the present step and at a stage; the ghosts, joints and pad stay 0
-    y, stage = np.zeros(3 * m + 1), np.zeros(3 * m + 1)
+    # [a | pad | b | 0, a^2, 0]; the ghosts, joints and pad stay 0
+    y = np.zeros(3 * m + 1)
     own = np.zeros(2 * m, dtype=bool)  # the states' entries of [a | pad | b], not the ghosts, joints and pad
     for s, start in zip(states, starts):
         y[start : start + s.n - 1], y[m + start : m + start + s.n] = s.offdiag, s.diag
         own[start : start + s.n - 1] = own[m + start : m + start + s.n] = True
-    acc, k = np.empty(2 * m), np.empty((4, 2 * m))  # the weighted sum of k1..k4, and each k
-    k1, k2, k3, k4 = k
-    k1a, k2a, k3a, k4a = k[:, : m - 1]  # the a' of each k
-    ya, ysq, yup, ylo = _views(y, m)
-    sa, ssq, sup, slo = _views(stage, m)
-    y, stage = y[: 2 * m], stage[: 2 * m]
-    # where 2 dt overflows, _MAX keeps b + w 0 = b, as b + dt (2 0) did
-    half, full, sixth = (np.repeat([c, 0.0, min(2.0 * c, _MAX)], [m - 1, 1, m]) for c in (0.5 * dt, dt, dt / 6.0))
-    add, subtract, multiply, square = _add, _subtract, _multiply, _square
+    # the weights 0.5 dt, dt and dt/6 of a and, doubled, of b; where 2 dt
+    # overflows, _MAX keeps b + w 0 = b, as b + dt (2 0) did
+    weights = [(c, min(2.0 * c, _MAX)) for c in (0.5 * dt, dt, dt / 6.0)]
     out = np.empty((n_steps + 1, 2 * m))
-    out[0] = y
+    out[0] = y[: 2 * m]
+    steps = _kernel_steps(m, weights) if m <= _KERNEL_SITES else _ufunc_steps(y, m, weights)
+    next(steps)
     # blow-ups surface as non-finite entries and are reported by _check_rows
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n_steps, _CHUNK):
             hi = min(lo + _CHUNK, n_steps)
-            for step in range(lo + 1, hi + 1):
-                # k1 at y, then k2, k3 and k4 at y + h k of the stage before,
-                # h = half, half, full; each k is `_rhs` written out
-                square(ya, ysq)
-                subtract(yup, ylo, k1)
-                multiply(ya, k1a, k1a)
-                multiply(half, k1, stage)
-                add(y, stage, stage)
-                square(sa, ssq)
-                subtract(sup, slo, k2)
-                multiply(sa, k2a, k2a)
-                multiply(half, k2, stage)
-                add(y, stage, stage)
-                square(sa, ssq)
-                subtract(sup, slo, k3)
-                multiply(sa, k3a, k3a)
-                multiply(full, k3, stage)
-                add(y, stage, stage)
-                square(sa, ssq)
-                subtract(sup, slo, k4)
-                multiply(sa, k4a, k4a)
-                # y + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4)
-                add(k2, k2, acc)
-                add(k1, acc, acc)
-                add(k3, k3, stage)
-                add(acc, stage, acc)
-                add(acc, k4, acc)
-                multiply(sixth, acc, acc)
-                add(y, acc, y)
-                out[step] = y
+            steps.send(out[lo : hi + 1])
             _check_rows(out[lo + 1 : hi + 1], lo + 1, own, sizes, dt)
     times = dt * np.arange(n_steps + 1)
     return [
         Trajectory(times=times, a=out[:, start : start + n - 1], b=out[:, m + start : m + start + n])
         for n, start in zip(sizes, starts)
     ]
+
+
+def _ufunc_steps(x: np.ndarray, m: int, weights: list):
+    # the numpy engine, a generator: it fills rows 1.. of each output block
+    # sent to it with the steps from row 0, stepping the chain x = [a | pad |
+    # b | 0, a^2, 0] of m sites in place; its step loop reads fast locals,
+    # which a closure's cells are not (those made a step 2-3% slower)
+    stage = np.zeros(3 * m + 1)
+    acc, k = np.empty(2 * m), np.empty((4, 2 * m))  # the weighted sum of k1..k4, and each k
+    k1, k2, k3, k4 = k
+    k1a, k2a, k3a, k4a = k[:, : m - 1]  # the a' of each k
+    ya, ysq, yup, ylo = _views(x, m)
+    sa, ssq, sup, slo = _views(stage, m)
+    y, stage = x[: 2 * m], stage[: 2 * m]
+    half, full, sixth = (np.repeat([c, 0.0, c2], [m - 1, 1, m]) for c, c2 in weights)
+    add, subtract, multiply, square = _add, _subtract, _multiply, _square
+    while True:
+        block = yield
+        for step in range(1, len(block)):
+            # k1 at y, then k2, k3 and k4 at y + h k of the stage before,
+            # h = half, half, full; each k is `_rhs` written out
+            square(ya, ysq)
+            subtract(yup, ylo, k1)
+            multiply(ya, k1a, k1a)
+            multiply(half, k1, stage)
+            add(y, stage, stage)
+            square(sa, ssq)
+            subtract(sup, slo, k2)
+            multiply(sa, k2a, k2a)
+            multiply(half, k2, stage)
+            add(y, stage, stage)
+            square(sa, ssq)
+            subtract(sup, slo, k3)
+            multiply(sa, k3a, k3a)
+            multiply(full, k3, stage)
+            add(y, stage, stage)
+            square(sa, ssq)
+            subtract(sup, slo, k4)
+            multiply(sa, k4a, k4a)
+            # y + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4)
+            add(k2, k2, acc)
+            add(k1, acc, acc)
+            add(k3, k3, stage)
+            add(acc, stage, acc)
+            add(acc, k4, acc)
+            multiply(sixth, acc, acc)
+            add(y, acc, y)
+            block[step] = y
+
+
+def _kernel_steps(m: int, weights: list):
+    # the kernel engine: `_ufunc_steps` on a chain of m sites through `_kernel(m)`
+    kernel, weights = _kernel(m), [float(w) for pair in weights for w in pair]
+    while True:
+        block = yield
+        block[1:] = kernel(block[0].tolist(), len(block) - 1, *weights)
+
+
+def _kernel(m: int):
+    # a function (y, n, weights) -> the n rows after y = [a | pad | b] of
+    # m sites, as tuples: the RK4 step of `_ufunc_steps` written out on
+    # Python floats, every entry's operations in the order of the ufunc
+    # calls, the pad's skipped (it stays 0); compiled from source on first use
+    kernel = _KERNELS.get(m)
+    if kernel is not None:
+        return kernel
+    ja, jb = range(m - 1), range(m)
+
+    def rhs(a, b, ka, kb):  # k = (ka, kb) at the state (a, b), as `_rhs`; q0 - 0 is q0
+        return [
+            *(f"q{j} = {a}{j} * {a}{j}" for j in ja),
+            *(f"{ka}{j} = {a}{j} * ({b}{j + 1} - {b}{j})" for j in ja),
+            f"{kb}0 = q0",
+            *(f"{kb}{j} = q{j} - q{j - 1}" for j in range(1, m - 1)),
+            f"{kb}{m - 1} = 0.0 - q{m - 2}",
+        ]
+
+    def stage(ka, kb, w):  # the next stage's state y + w k
+        return [*(f"A{j} = a{j} + {w} * {ka}{j}" for j in ja), *(f"B{j} = b{j} + {w}b * {kb}{j}" for j in jb)]
+
+    def fold():  # the sum (k1 + 2 k2) + 2 k3 so far, in u and v, gains 2 k
+        return [*(f"u{j} = u{j} + (p{j} + p{j})" for j in ja), *(f"v{j} = v{j} + (r{j} + r{j})" for j in jb)]
+
+    a, b = ", ".join(f"a{j}" for j in ja), ", ".join(f"b{j}" for j in jb)
+    body = [
+        *rhs("a", "b", "u", "v"),
+        *stage("u", "v", "h"),
+        *rhs("A", "B", "p", "r"),
+        *fold(),
+        *stage("p", "r", "h"),
+        *rhs("A", "B", "p", "r"),
+        *fold(),
+        *stage("p", "r", "f"),
+        *rhs("A", "B", "p", "r"),
+        *(f"a{j} = a{j} + s * (u{j} + p{j})" for j in ja),
+        *(f"b{j} = b{j} + sb * (v{j} + r{j})" for j in jb),
+        f"append(({a}, 0.0, {b}))",
+    ]
+    source = "\n".join(
+        [
+            "def kernel(y, n, h, hb, f, fb, s, sb):",
+            f"    {a}, _, {b} = y",
+            "    rows = []",
+            "    append = rows.append",
+            "    for _ in range(n):",
+            *(f"        {line}" for line in body),
+            "    return rows",
+        ]
+    )
+    namespace = {}
+    exec(compile(source, f"<toda_1d RK4 kernel, m = {m}>", "exec"), namespace)
+    kernel = _KERNELS[m] = namespace["kernel"]
+    return kernel
 
 
 def _check_rows(rows: np.ndarray, first: int, own: np.ndarray, sizes: list, dt: float):

@@ -207,6 +207,7 @@ def check_kdq_kernel(seed: int, trials: int) -> list[CheckResult]:
     """Harmonic series of the reproducing kernel against its closed form: one `kdq._kernel` call
     per n over draws with arg zeta in (-pi/2, pi/2] and aligned cases x = s theta, whose series also
     meets zeta^{n-1}/(zeta - s)^n (on S^2 at zeta = 0.1 + i the raw radicand's root flips sign)."""
+    _nonempty("trials", trials)
     rng = np.random.default_rng(seed)
     samples = []
     th2 = np.array([np.cos(0.3), np.sin(0.3)])
@@ -235,6 +236,9 @@ def check_kdq_cauchy(seed: int, k_max: int, j_max: int) -> list[CheckResult]:
     The monomials and their points are drawn in (k, ell, j) order; the
     direct values of each n come from one batched evaluation.
     """
+    for name, value in (("k_max", k_max), ("j_max", j_max)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     rng = np.random.default_rng(seed)
     samples = []
     for n in (2, 3):

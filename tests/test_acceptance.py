@@ -100,6 +100,10 @@ def test_criterion_12_cli_determinism():
         (verify.check_pseudo_toda, {"seed": 1, "ode_times": ()}, "ode_times must not be empty"),
         (verify.check_iso_monotonicity, {"seed": 1, "trials": 0}, "trials must be >= 1, got 0"),
         (verify.check_toda, {"seed": 1, "sizes": (), "t_final": 1.0, "closed_t_final": 1.0, "closed_dt": 0.1}, "sizes must not be empty"),
+        # the aligned cases alone would pass the kernel line with no random draw
+        (verify.check_kdq_kernel, {"seed": 1, "trials": 0}, "trials must be >= 1, got 0"),
+        (verify.check_kdq_cauchy, {"seed": 1, "k_max": -1, "j_max": 2}, "k_max must be >= 0, got -1"),
+        (verify.check_kdq_cauchy, {"seed": 1, "k_max": 3, "j_max": -1}, "j_max must be >= 0, got -1"),
     ],
     ids=lambda value: value.__name__ if callable(value) else None,
 )

@@ -1051,6 +1051,7 @@ class TestQuadricExitCodes:
     @example(config={"measure": measure([0.0], [1.0], k=2), "t_grid": [0.0, 1.0]})
     @example(config={"measure": measure([1e100], [1e182], k=1), "t_grid": [0.0, 1.0]})
     @example(config={"measure": measure([0.5], [1.0])})  # no t_grid, which the draws always hold
+    @example(config={"measure": measure([0.5], [1.0]), "t_grid": [0.0, float("inf")]})  # a time the CSV cannot hold
     def test_iso_flow_errors_name_their_stage_or_component(self, config):
         # a configuration error names its reading stage, and a bad measure its
         # component; a numeric failure, an overflow, a division by lambda^k or
@@ -1167,15 +1168,16 @@ class TestIsoFlowCommand:
 
 
     def test_infinite_time_with_an_atom_at_zero(self, tmp_path, capsys):
-        # 1 + lambda r(0) t is 1 + 0 * inf at lambda = 0, t = inf; the atom
-        # keeps its mass there, as at every finite time
+        # the library takes t = inf as the flow's limit (tests/test_iso_flow.py),
+        # and the atom at lambda = 0 keeps its mass there; the command, whose CSV
+        # holds finite numbers only, refuses the time
         measure = {"n": 3, "k_max": 0, "components": [{"k": 0, "ell": 1, "atoms": [0.0], "weights": [1.0]}]}
         cfg = tmp_path / "iso.json"
         cfg.write_text(json.dumps({"measure": measure, "t_grid": [0, 1e999]}).replace("Infinity", "1e999"))
         out = tmp_path / "s.csv"
-        assert main(["iso-flow", "--input", str(cfg), "--output", str(out)]) == 0
-        assert capsys.readouterr() == ("monotone=True max_increase=0.0 max_derivative_residual=0.0\n", "")
-        assert out.read_text() == "t,S_k0_l1\n0.0,1.0\ninf,1.0\n"
+        assert main(["iso-flow", "--input", str(cfg), "--output", str(out)]) == 2
+        assert capsys.readouterr() == ("", "config error: bad iso-flow config: t_grid entries must be finite, got t_grid[1] = inf\n")
+        assert not out.exists()
 
 _STATE_1D = {"a": [0.5, 0.3], "b": [0.1, 0.0, -0.2]}
 _MEASURE_3 = {

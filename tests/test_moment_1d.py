@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
@@ -84,6 +84,21 @@ class TestDiscreteMeasure:
     def test_merged_group_whose_dot_overflows(self):
         mu = DiscreteMeasure([1e300, 1e300, 0.5], [1e10, 3e10, 1.0])
         assert mu.atoms.tolist() == [0.5, 1e300] and mu.weights.tolist() == [1.0, 4e10]
+
+    @settings(max_examples=100, deadline=None)
+    @example(values=[0.5, -0.0, 0.0, 0.5, -1.0, 0.0], cuts=[])  # one segment
+    @example(values=[0.5, -0.0, 0.0, 0.5, -1.0, 0.0], cuts=[0, 2, 2, 6])  # empty segments among them
+    @given(
+        values=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]), max_size=12),
+        cuts=st.lists(st.integers(0, 12), max_size=4),
+    )
+    def test_segment_order_equals_lexsort(self, values, cuts):
+        # one segment takes a stable argsort, several a lexsort keyed on the
+        # segment: both are the order of the plain lexsort, ties and signed zeros included
+        values = np.array(values)
+        offsets = np.array([0, *sorted(min(c, values.size) for c in cuts), values.size])
+        want = np.lexsort((values, np.repeat(np.arange(offsets.size - 1), np.diff(offsets))))
+        assert moment_1d._segment_order(values, offsets).tolist() == want.tolist()
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,9 @@
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -459,14 +463,18 @@ class TestIntegration:
             assert traj.b.tobytes() == want[:, m + start : m + start + s.n].tobytes()
 
     def test_step_is_25_calls_without_a_length_one_operand(self, monkeypatch):
-        # one N = 2 state: the last ghost keeps its couplings two long, and a
-        # step is 25 ufunc calls (3 per right-hand side)
+        # N = 2 states, enough of them for a chain one past the kernel's
+        # sites: the numpy engine's step is 25 ufunc calls (3 per right-hand
+        # side), the shortest operand the m - 1 couplings
+        states = [SYMMETRIC_N2] * (toda_1d._KERNEL_SITES // 3 + 1)
+        m = 3 * len(states)
+        assert m > toda_1d._KERNEL_SITES
         sizes = []
         for name in ("_add", "_subtract", "_multiply", "_square"):
             ufunc = getattr(toda_1d, name)
             monkeypatch.setattr(toda_1d, name, lambda *args, f=ufunc: (sizes.append(min(map(np.size, args))), f(*args))[1])
-        integrate_toda(SYMMETRIC_N2, 0.003, 1e-3)
-        assert len(sizes) == 3 * 25 and min(sizes) == 2
+        integrate_ensemble(states, 0.003, 1e-3)
+        assert len(sizes) == 3 * 25 and min(sizes) == m - 1
 
     def test_isospectrality_and_energy(self):
         rng = np.random.default_rng(5)
@@ -479,6 +487,81 @@ class TestIntegration:
             lam = spectral_data_from_jacobi(state)[0]
             assert np.max(np.abs(lam - lam0)) < 1e-8
             assert abs(hamiltonian(state) - h0) < 1e-8
+
+
+def chain_layouts(rng, m):
+    """State sizes whose chain, a ghost after each state, has m sites: one
+    state, a random split and, for even m, lone sites alone."""
+    split, left = [], m
+    while left:
+        n = left - 1 if left <= 3 else int(rng.integers(1, left - 2))  # leaves 0 or >= 2 sites
+        split.append(n)
+        left -= n + 1
+    return [[m - 1], split] + ([[1] * (m // 2)] if m % 2 == 0 else [])
+
+
+def ensemble_error(states, t_final, dt):
+    with pytest.raises(PositivityLossError) as info:
+        integrate_ensemble(states, t_final, dt)
+    return str(info.value)
+
+
+class TestKernel:
+    # chains of at most _KERNEL_SITES sites step through the compiled
+    # kernel; setting _KERNEL_SITES to 0 sends them through the numpy engine
+
+    @pytest.mark.parametrize("m", range(2, toda_1d._KERNEL_SITES + 1))
+    def test_every_chain_length_equals_the_packed_rhs_loop(self, m):
+        # 150 steps cross two chunk ends; the ghosts and joints of the output
+        # hold the loop's bits too, all but the pad, which no view reads
+        rng = np.random.default_rng(m)
+        for sizes in chain_layouts(rng, m):
+            states = [random_state(rng, n) for n in sizes]
+            want, _, _ = packed_reference(states, 150, 1e-2)
+            out = integrate_ensemble(states, 1.5, 1e-2)[0].b.base
+            assert out.shape == want.shape == (151, 2 * m)
+            keep = np.arange(2 * m) != m - 1
+            assert out[:, keep].tobytes() == want[:, keep].tobytes()
+
+    @pytest.mark.parametrize("dt", [2.0**1023, 1.7e308])
+    def test_where_twice_dt_overflows_both_engines_agree(self, monkeypatch, dt):
+        # b's weight is _MAX in both; couplings whose squares underflow keep the step finite
+        states = [JacobiMatrix(offdiag=[1e-170] * (n - 1), diag=[0.25] * n) for n in (1, 3, 2)]
+        kernel = integrate_ensemble(states, dt, dt)
+        monkeypatch.setattr(toda_1d, "_KERNEL_SITES", 0)
+        for got, want in zip(kernel, integrate_ensemble(states, dt, dt)):
+            assert got.a.tobytes() == want.a.tobytes() and got.b.tobytes() == want.b.tobytes()
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [["stiff"], ["strong"], ["calm", "stiff", "calm"], ["calm", "huge"], ["bigpos", "stiff", "bigneg"], ["late", "calm"]],
+    )
+    def test_blow_up_error_equals_the_numpy_engine(self, monkeypatch, kinds):
+        fixed = {
+            "calm": JacobiMatrix(offdiag=[0.3, 0.2], diag=[0.1, 0.0, -0.1]),
+            "stiff": JacobiMatrix(offdiag=[2.0], diag=[-4.0, 4.0]),
+            "strong": JacobiMatrix(offdiag=[1e3], diag=[0.0, 0.0]),
+            "huge": JacobiMatrix(offdiag=[1e200], diag=[0.0, 0.0]),
+            "late": JacobiMatrix(offdiag=[2.0], diag=[-9.5, 9.5]),
+            "bigpos": JacobiMatrix(offdiag=[1e-10], diag=[1.7e308, 1.7e308]),
+            "bigneg": JacobiMatrix(offdiag=[1e-10], diag=[-1.7e308, -1.7e308]),
+        }
+        states = [fixed[k] for k in kinds]
+        dt = 0.1 if "late" in kinds else 0.5
+        kernel = ensemble_error(states, 20.0, dt)
+        monkeypatch.setattr(toda_1d, "_KERNEL_SITES", 0)
+        assert kernel == ensemble_error(states, 20.0, dt)
+
+    def test_importing_the_cli_builds_no_kernel(self):
+        # kernels compile on first use, so start-up pays for none
+        src = str(Path(toda_1d.__file__).resolve().parents[1])
+        code = "import toda_kdq.cli, toda_kdq.toda_1d as t; print(len(t._KERNELS))"
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert run.stdout == "0\n"
+
+    def test_one_kernel_per_chain_length(self):
+        assert toda_1d._kernel(5) is toda_1d._kernel(5) is toda_1d._KERNELS[5]
 
 
 class TestLax:
